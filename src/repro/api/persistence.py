@@ -136,9 +136,7 @@ def load_system(directory: str | Path) -> CovidKG:
                     ) from exc
                 document.pop("_id", None)  # store assigns fresh ids
                 system.store.insert_one(document)
-                system.all_fields.add_paper(document)
-                system.title_abstract.add_paper(document)
-                system.tables.add_paper(document)
+                system.search_corpus.add_paper(document)
                 system._ingested_papers.append(document)
 
     versions_path = directory / "versions.json"

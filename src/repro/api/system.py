@@ -40,6 +40,7 @@ from repro.kg.review import ExpertReviewQueue
 from repro.kg.search import KGSearchEngine, KGSearchHit
 from repro.kgql import KGQLEngine, KGQLResult
 from repro.search.all_fields import AllFieldsEngine
+from repro.search.corpus import SearchCorpus
 from repro.search.engine import SearchResults
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
@@ -59,7 +60,7 @@ class CovidKGConfig:
 
     num_shards: int = 4
     shard_key: str = "paper_id"
-    #: Shards per search-engine index.  ``1`` keeps each engine on a
+    #: Shards of the search corpus.  ``1`` keeps the engines on a
     #: single collection; ``> 1`` makes every query a parallel
     #: scatter-gather over that many shards (results are identical —
     #: ranking tie-breaks are deterministic either way).
@@ -129,38 +130,36 @@ class CovidKG:
     def _build_search_engines(self) -> dict[str, Any]:
         """Fresh Section 2.1 engines configured exactly per the config.
 
+        All three read one fresh :class:`SearchCorpus`, so every writer
+        analyses a paper once (:attr:`search_corpus`).
+
         Used at construction *and* by snapshot rollback
         (:mod:`repro.ingest.snapshots`), so a rolled-back system keeps
         its ranker (BM25 ``k1``/``b``, field-length stats rebuilt from
         the retained documents), columnar setting, and validation mode.
         """
-        ranker_kwargs = {
+        shared: dict[str, Any] = {
+            "registry": self.functions,
+            "corpus": SearchCorpus(self.config.search_shards),
             "ranker": self.config.ranker,
             "bm25_k1": self.config.bm25_k1,
             "bm25_b": self.config.bm25_b,
         }
         engines: dict[str, Any] = {
-            "all_fields": AllFieldsEngine(
-                registry=self.functions,
-                num_shards=self.config.search_shards,
-                **ranker_kwargs,
-            ),
-            "title_abstract": TitleAbstractCaptionEngine(
-                registry=self.functions,
-                num_shards=self.config.search_shards,
-                **ranker_kwargs,
-            ),
-            "table": TableSearchEngine(
-                registry=self.functions,
-                num_shards=self.config.search_shards,
-                **ranker_kwargs,
-            ),
+            "all_fields": AllFieldsEngine(**shared),
+            "title_abstract": TitleAbstractCaptionEngine(**shared),
+            "table": TableSearchEngine(**shared),
         }
         for engine in engines.values():
             engine.use_columnar = self.config.columnar
             if self.config.validate_pipelines:
                 engine.validate_pipelines = True
         return engines
+
+    @property
+    def search_corpus(self) -> SearchCorpus:
+        """The analysed corpus the three search engines share."""
+        return self.all_fields.corpus
 
     # -- training (№4) ---------------------------------------------------------
 
@@ -246,9 +245,7 @@ class CovidKG:
                 continue
             enriched = self._classify_tables(paper)
             self.store.insert_one(enriched)
-            self.all_fields.add_paper(enriched)
-            self.title_abstract.add_paper(enriched)
-            self.tables.add_paper(enriched)
+            self.search_corpus.add_paper(enriched)
             self._ingested_papers.append(enriched)
             accepted.append(paper)
         report = EnrichmentReport()

@@ -116,12 +116,13 @@ class SharedCacheServer:
                 self._sock.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
-        # Unblock connection threads parked in recv(); without this the
-        # accepted sockets would keep the port busy past stop().
+        # Unblock connection threads parked in recv() — shutdown(), not
+        # close(), is what wakes them; each closes its own socket on the
+        # way out, so no accepted socket keeps the port busy past stop().
         for conn in conns:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)

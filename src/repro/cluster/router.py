@@ -250,14 +250,16 @@ class Router:
             except OSError:  # pragma: no cover - close is best-effort
                 pass
         # Unblock connection threads parked in recv() so stop() never
-        # waits out the idle timeout.
+        # waits out the join timeout: like accept(), a recv() blocked in
+        # another thread only wakes on shutdown(), not close().  Each
+        # thread closes its own socket on the way out.
         with self._lock:
             conns = list(self._conns)
             conn_threads = list(self._conn_threads)
         for conn in conns:
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
         for thread in (self._accept_thread, self._probe_thread):
             if thread is not None:

@@ -18,8 +18,8 @@ serving queries:
    batch; :meth:`rollback` restores docstore + indexes + KG atomically
    and logs the rollback so crash replay lands on the rolled-back
    state;
-4. a **background merge thread** folds the search engines' columnar
-   delta segments back into their base postings once enough documents
+4. a **background merge thread** folds the search corpus's columnar
+   delta segments back into its base postings once enough documents
    have streamed in — under the *read* side of the data lock, so
    queries keep flowing while the merge runs.
 
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.system import CovidKG
 
 #: Work units one ingested document costs under admission pricing —
-#: validate + classify + index three engines + extract/fuse subtrees is
+#: validate + classify + index + extract/fuse subtrees is
 #: roughly this many per-document pipeline stages' worth of work.
 INGEST_DOC_COST = 25.0
 
@@ -123,10 +123,6 @@ class IngestEngine:
         self._data_lock = data_lock
 
     # -- commit path ------------------------------------------------------
-
-    def _search_engines(self) -> list[Any]:
-        return [self.system.all_fields, self.system.title_abstract,
-                self.system.tables]
 
     def _preflight_duplicates(self,
                               papers: list[dict[str, Any]]) -> None:
@@ -313,18 +309,15 @@ class IngestEngine:
             self.merge_now()
 
     def merge_now(self) -> int:
-        """Fold every engine's delta segments into its base postings.
+        """Fold the search corpus's delta segments into its base postings.
 
         Runs under the *read* side of the data lock: queries proceed
         concurrently (the merged index is byte-identical, so either
         generation answers them correctly); only writers wait.
-        Returns the number of engines that actually merged.
+        Returns the number of indexes that actually merged (0 or 1).
         """
-        merged = 0
         with self._data_lock.read_locked():
-            for engine in self._search_engines():
-                if engine.merge_segments():
-                    merged += 1
+            merged = int(self.system.search_corpus.merge_segments())
         if merged:
             with self._state_lock:
                 self._merges += merged
@@ -343,11 +336,10 @@ class IngestEngine:
             "merge_threshold": self.merge_threshold,
             "docs_since_merge": docs_since_merge,
             "merges": merges,
-            "delta_rows": {
-                "all_fields": self.system.all_fields.delta_rows,
-                "title_abstract": self.system.title_abstract.delta_rows,
-                "table": self.system.tables.delta_rows,
-            },
+            # One shared corpus: the three engines carry the same debt.
+            "delta_rows": dict.fromkeys(
+                ("all_fields", "title_abstract", "table"),
+                self.system.search_corpus.delta_rows),
         }
 
     def close(self) -> None:

@@ -96,10 +96,10 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     )
     store.create_index("paper_id", unique=True)
     engines = system._build_search_engines()
+    corpus = engines["all_fields"].corpus
     for document in retained:
         store.insert_one(document)
-        for engine in engines.values():
-            engine.add_paper(document)
+        corpus.add_paper(document)
     graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
 
     # Atomic flip: every reference swap below is a plain attribute
@@ -121,10 +121,8 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     # computed against the discarded state could read as fresh.
     system.store.advance_version(old["store"] + 1)
     system.graph.advance_version(old["kg"] + 1)
-    system.all_fields.collection.advance_version(old["all_fields"] + 1)
-    system.title_abstract.collection.advance_version(
-        old["title_abstract"] + 1)
-    system.tables.collection.advance_version(old["table"] + 1)
+    corpus.collection.advance_version(
+        max(old["all_fields"], old["title_abstract"], old["table"]) + 1)
 
 
 class SnapshotStore:

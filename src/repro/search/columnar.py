@@ -33,7 +33,7 @@ lockstep), the new rows land in small per-shard *delta segments*
 appended to the existing immutable base — queries consult every segment
 and merge exactly; any other mutation triggers a full rebuild.  A
 background merge (the streaming-ingest tier's
-``SearchEngineBase.merge_segments``) periodically folds deltas back into
+``SearchCorpus.merge_segments``) periodically folds deltas back into
 one base segment; the merged index is byte-identical to a from-scratch
 rebuild, so either generation may answer a query.
 
@@ -59,17 +59,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as np
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - degraded env: scalar path only
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.docstore import executor as _executor
 from repro.docstore.collection import Collection, apply_projection
 from repro.docstore.documents import deep_set
 from repro.docstore.sharding import ShardedCollection
+from repro.search.indexing import field_text
 from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
     PROXIMITY_WEIGHT,
@@ -161,39 +157,48 @@ class QuerySpec:
     b: float = 0.75
 
 
-def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
-                     rank_fields: list[str], ranking: RankingFunction,
-                     indexed_fields: Iterable[str]) -> QuerySpec | None:
-    """Plan a kernel query, or ``None`` when the kernel can't be exact.
+def kernel_eligible(ranking: RankingFunction,
+                    terms: Iterable[QueryTerm]) -> bool:
+    """Whether the kernels can reproduce ``ranking`` over ``terms`` exactly.
 
-    The kernel only runs when it provably reproduces the scalar path
-    bit-for-bit; anything outside that envelope falls back:
+    The one predicate the planner (:func:`build_query_spec`) and
+    admission pricing (``SearchEngineBase.rank_cost_factor``) share:
 
     * the ranker must be exactly :class:`RankingFunction` or
       :class:`BM25RankingFunction` (a subclass may override anything);
     * no synonym expander (expansion changes both match and score);
     * no quoted phrases (their regexes cross token boundaries);
     * every term's stem root *and* literal word must be pure lowercase
-      ASCII alphanumerics, where regex-prefix == atom-prefix;
-    * every matched/ranked field must be columnar-indexed.
+      ASCII alphanumerics, where regex-prefix == atom-prefix.
     """
-    if not HAVE_NUMPY:
-        return None
     if type(ranking) not in (RankingFunction, BM25RankingFunction):
-        return None
+        return False
     if ranking.expander is not None:
+        return False
+    return all(
+        not term.exact and _ALNUM_RE.match(term.text)
+        and _ALNUM_RE.match(stem(term.text))
+        for term in terms
+    )
+
+
+def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
+                     rank_fields: list[str], ranking: RankingFunction,
+                     indexed_fields: Iterable[str]) -> QuerySpec | None:
+    """Plan a kernel query, or ``None`` when the kernel can't be exact.
+
+    The kernel only runs when it provably reproduces the scalar path
+    bit-for-bit; anything outside that envelope falls back: the query
+    must be :func:`kernel_eligible`, the model fitted, and every
+    matched/ranked field columnar-indexed.
+    """
+    if not kernel_eligible(ranking, parsed.terms):
         return None
     if ranking.tfidf.num_documents == 0:
         return None
     indexed = set(indexed_fields)
     if any(field not in indexed for field in rank_fields):
         return None
-    for term in parsed.terms:
-        if term.exact:
-            return None
-        root = stem(term.text)
-        if not _ALNUM_RE.match(term.text) or not _ALNUM_RE.match(root):
-            return None
     clauses = []
     for clause in match_plan.clauses:
         atoms = []
@@ -311,8 +316,7 @@ class ShardColumns:
                  field_names: Iterable[str]) -> None:
         self.num_rows = len(documents)
         self.fields = {
-            name: FieldColumns([_field_text(doc, name)
-                                for doc in documents])
+            name: FieldColumns([field_text(doc, name) for doc in documents])
             for name in field_names
         }
         self.paper_ids = (
@@ -333,17 +337,6 @@ class ShardColumns:
             [0.0] + [math.log(tf) for tf in range(1, max_tf + 1)],
             dtype=np.float64,
         )
-
-
-def _field_text(document: dict[str, Any], dotted: str) -> str:
-    value: Any = document
-    for part in dotted.split("."):
-        if not isinstance(value, dict):
-            return ""
-        value = value.get(part, "")
-    if isinstance(value, list):
-        return " ".join(str(part) for part in value)
-    return value if isinstance(value, str) else ""
 
 
 # -- kernels ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared search-engine machinery: index, pipeline evaluation, pagination.
+"""Shared search-engine machinery: pipeline evaluation and pagination.
 
 Pipeline shape (paper Section 2.1, verbatim design):
 
@@ -42,21 +42,14 @@ from repro.docstore.aggregation import (
     aggregate,
     top_k_documents,
 )
-from repro.docstore.collection import Collection
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.sharding import ShardedCollection
 from repro.errors import QueryError
 from repro.search import columnar
-from repro.search.indexing import ALL_SEARCH_FIELDS, build_search_document
+from repro.search.corpus import SearchCorpus
+from repro.search.indexing import ALL_SEARCH_FIELDS
 from repro.search.query import ParsedQuery, parse_query
-from repro.search.ranking import (
-    BM25RankingFunction,
-    FieldLengthStats,
-    RankingFunction,
-)
-from repro.text.stemmer import stem
-from repro.text.tfidf import TfIdfModel
-from repro.text.tokenizer import tokenize
+from repro.search.ranking import BM25RankingFunction, RankingFunction
 
 PAGE_SIZE = 10
 
@@ -104,7 +97,12 @@ class SearchResults:
 
 
 class SearchEngineBase:
-    """Common index + pipeline evaluation; engines define match/rank/format."""
+    """Pipeline evaluation over a corpus; engines define match/rank/format.
+
+    Everything that depends on the documents alone lives on the
+    :class:`~repro.search.corpus.SearchCorpus`; pass one ``corpus`` to
+    several engines to analyse each paper once (``CovidKG`` does).
+    """
 
     #: Reference path for differential tests: full ``$sort`` instead of
     #: the bounded top-k selection.  Results are identical either way.
@@ -123,24 +121,18 @@ class SearchEngineBase:
     def __init__(self, registry: FunctionRegistry | None = None,
                  expander=None, num_shards: int = 1,
                  ranker: str = "tfidf", bm25_k1: float = 1.5,
-                 bm25_b: float = 0.75) -> None:
-        self.collection: Collection | ShardedCollection
-        if num_shards > 1:
-            self.collection = ShardedCollection(
-                "publications", shard_key="paper_id",
-                num_shards=num_shards,
-            )
-        else:
-            self.collection = Collection("publications")
-        self.tfidf = TfIdfModel()
+                 bm25_b: float = 0.75,
+                 corpus: SearchCorpus | None = None) -> None:
+        self.corpus = corpus or SearchCorpus(num_shards)
+        self.collection = self.corpus.collection
+        self.tfidf = self.corpus.tfidf
         self.registry = registry or FunctionRegistry()
         self.expander = expander
-        self.field_stats = FieldLengthStats()
         self.ranker = ranker
         if ranker == "bm25":
             self.ranking: RankingFunction = BM25RankingFunction(
-                self.tfidf, expander=expander, stats=self.field_stats,
-                k1=bm25_k1, b=bm25_b,
+                self.tfidf, expander=expander,
+                stats=self.corpus.field_stats, k1=bm25_k1, b=bm25_b,
             )
         elif ranker == "tfidf":
             self.ranking = RankingFunction(self.tfidf, expander=expander)
@@ -148,51 +140,14 @@ class SearchEngineBase:
             raise QueryError(
                 f"unknown ranker {ranker!r} (expected 'tfidf' or 'bm25')"
             )
-        self._indexed = 0
         self._rank_serial = itertools.count(1)
-        # Version-stamped columnar index; refreshed lazily whenever the
-        # docstore/model stamp moves — extended with delta segments for
-        # append-only motion, fully rebuilt otherwise.  A refresh race
-        # between readers merely duplicates work (assignment is atomic;
-        # both builds see the same snapshot) — ingest vs read is
-        # serialized by the serving tier's data lock, as for every other
-        # read path.  The key is minted once so process-pool workers
-        # evict superseded generations instead of caching them forever.
-        self._columnar: columnar.ColumnarIndex | None = None
-        self._columnar_key = columnar.new_index_key()
-
-    # -- ingest -------------------------------------------------------------
 
     def add_paper(self, paper: dict[str, Any]) -> None:
-        """Index one CORD-19-style paper."""
-        document = build_search_document(paper)
-        stems = []
-        for field_name in ALL_SEARCH_FIELDS:
-            text = self._field_text(document, field_name)
-            tokens = tokenize(text)
-            self.field_stats.observe(field_name, len(tokens))
-            stems.extend(stem(token) for token in tokens)
-        self.field_stats.add_document()
-        self.tfidf.add_document_tokens(stems)
-        self.collection.insert_one(document)
-        self._indexed += 1
+        """Index one CORD-19-style paper into this engine's corpus."""
+        self.corpus.add_paper(paper)
 
     def add_papers(self, papers: list[dict[str, Any]]) -> None:
-        for paper in papers:
-            self.add_paper(paper)
-
-    @staticmethod
-    def _field_text(document: dict[str, Any], dotted: str) -> str:
-        value: Any = document
-        for part in dotted.split("."):
-            if not isinstance(value, dict):
-                return ""
-            value = value.get(part, "")
-        return value if isinstance(value, str) else ""
-
-    @property
-    def num_documents(self) -> int:
-        return self._indexed
+        self.corpus.add_papers(papers)
 
     # -- cost estimation ----------------------------------------------------
 
@@ -239,11 +194,7 @@ class SearchEngineBase:
 
         if not self.use_columnar or self.full_sort:
             return FUNCTION_COST_FACTOR
-        if not columnar.HAVE_NUMPY or self.expander is not None:
-            return FUNCTION_COST_FACTOR
-        if type(self.ranking) not in (RankingFunction, BM25RankingFunction):
-            return FUNCTION_COST_FACTOR
-        # Query-side loops, bounded by query length — not per-document.
+        # Query-side loop, bounded by query count — not per-document.
         for query in queries:  # lint: allow=REP207
             if not query:
                 continue
@@ -251,83 +202,11 @@ class SearchEngineBase:
                 parsed = parse_query(str(query))
             except QueryError:
                 return FUNCTION_COST_FACTOR
-            for term in parsed.terms:  # lint: allow=REP207
-                if term.exact or \
-                        not columnar._ALNUM_RE.match(term.text) or \
-                        not columnar._ALNUM_RE.match(stem(term.text)):
-                    return FUNCTION_COST_FACTOR
+            if not columnar.kernel_eligible(self.ranking, parsed.terms):
+                return FUNCTION_COST_FACTOR
         return KERNEL_FUNCTION_COST_FACTOR
 
     # -- evaluation -------------------------------------------------------------
-
-    @staticmethod
-    def _append_only_delta(old: tuple[int, int],
-                           new: tuple[int, int]) -> bool:
-        """True when the stamp moved by document inserts alone.
-
-        ``add_paper`` bumps the collection version and the model's
-        document count in lockstep (+1 each per paper); any other
-        mutation — delete, update, ``touch``, ``advance_version`` —
-        moves the version without the count, failing this check and
-        forcing a full rebuild.
-        """
-        return new[0] - old[0] == new[1] - old[1] > 0
-
-    def _columnar_index(self) -> columnar.ColumnarIndex:
-        """One consistent columnar snapshot for the calling query.
-
-        The returned index object is immutable: callers must do their
-        whole rank + page fetch against it rather than re-fetching
-        mid-query, so a concurrent refresh can never swap the arrays
-        out from under a running kernel.  When the stamp advanced by
-        inserts alone the refresh is incremental — only the new rows
-        are tokenized, into per-shard delta segments; anything else
-        rebuilds from scratch.
-        """
-        stamp = columnar.stamp_for(self.collection,
-                                   self.tfidf.num_documents)
-        index = self._columnar
-        if index is not None and index.stamp == stamp:
-            return index
-        if index is not None and self._append_only_delta(index.stamp,
-                                                         stamp):
-            index = index.extend(self.collection, stamp)
-        else:
-            index = columnar.build_index(
-                self.collection, ALL_SEARCH_FIELDS, stamp,
-                key=self._columnar_key,
-            )
-        self._columnar = index
-        return index
-
-    @property
-    def delta_rows(self) -> int:
-        """Rows currently served from delta segments (merge debt)."""
-        index = self._columnar
-        return index.delta_rows if index is not None else 0
-
-    def merge_segments(self) -> bool:
-        """Fold delta segments back into one base segment per shard.
-
-        A full rebuild at the current stamp, swapped in with one atomic
-        assignment — in-flight queries keep their old snapshot; the
-        merged index answers byte-identically (the differential tests
-        assert it), so the streaming-ingest tier runs this under the
-        *read* side of the serving data lock.  Returns whether a new
-        index was installed.
-        """
-        index = self._columnar
-        if index is None:
-            return False
-        stamp = columnar.stamp_for(self.collection,
-                                   self.tfidf.num_documents)
-        if index.stamp == stamp and index.delta_segments == 0:
-            return False
-        self._columnar = columnar.build_index(
-            self.collection, ALL_SEARCH_FIELDS, stamp,
-            key=self._columnar_key,
-        )
-        return True
 
     def _rank_columnar(self, index: columnar.ColumnarIndex,
                        spec: columnar.QuerySpec, skip: int,
@@ -375,9 +254,9 @@ class SearchEngineBase:
                 started = time.perf_counter()
                 # One atomic snapshot per query: the same index object
                 # serves candidate ranking *and* page fetch, so a
-                # concurrent ingest can refresh ``self._columnar``
+                # concurrent ingest can refresh the corpus's snapshot
                 # without a half-updated view ever being observable.
-                index = self._columnar_index()
+                index = self.corpus.columnar_index()
                 paged, total = self._rank_columnar(index, spec, skip,
                                                    top_k)
                 return paged, total, time.perf_counter() - started

@@ -27,6 +27,23 @@ FIELD_WEIGHTS: dict[str, float] = {
 ALL_SEARCH_FIELDS = list(FIELD_WEIGHTS)
 
 
+def field_text(document: dict[str, Any], dotted: str) -> str:
+    """The text of one (dotted) search field; list values are joined.
+
+    The single reader every analysis pass shares — TF-IDF document
+    frequencies, BM25 field lengths and the columnar postings must all
+    count exactly the same tokens.
+    """
+    value: Any = document
+    for part in dotted.split("."):
+        if not isinstance(value, dict):
+            return ""
+        value = value.get(part, "")
+    if isinstance(value, list):
+        return " ".join(str(part) for part in value)
+    return value if isinstance(value, str) else ""
+
+
 def build_search_document(paper: dict[str, Any]) -> dict[str, Any]:
     """A paper document augmented with flattened ``search.*`` fields."""
     paper = validate_paper(paper)

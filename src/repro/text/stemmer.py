@@ -7,6 +7,8 @@ implementation follows the original five-step definition.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -198,7 +200,17 @@ class PorterStemmer:
 
 _DEFAULT = PorterStemmer()
 
+#: Distinct words remembered by :func:`stem`.  A corpus repeats a small
+#: vocabulary (Zipf), so analysis costs one Porter run per distinct word
+#: instead of one per token; the bound only keeps a hostile stream of
+#: unique tokens from growing the process.
+STEM_CACHE_WORDS = 1 << 16
 
+
+@functools.lru_cache(maxsize=STEM_CACHE_WORDS)
 def stem(word: str) -> str:
-    """Stem ``word`` with a shared :class:`PorterStemmer` instance."""
+    """Stem ``word``; memoized (``lru_cache`` is thread-safe).
+
+    ``PorterStemmer().stem`` is the uncached reference.
+    """
     return _DEFAULT.stem(word)

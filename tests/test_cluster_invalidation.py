@@ -153,3 +153,31 @@ def test_healthz_reports_cluster_feed(cluster):
     finally:
         for client in replicas.values():
             client.close()
+
+
+def test_stopping_an_idle_cluster_is_prompt():
+    """Regression: ``Router.stop`` closed client sockets without
+    ``shutdown``, which never wakes a thread parked in ``recv`` — each
+    idle keep-alive client connection cost a 5 s thread-join timeout."""
+    import time
+
+    runner = ClusterRunner(ClusterConfig(
+        replicas=2, generate=8, shards=SHARDS, seed=SEED, workers=2,
+        probe_interval=0.1)).start()
+    clients = [GatewayClient("127.0.0.1", runner.router_port)
+               for _ in range(2)]
+    try:
+        for client in clients:
+            assert client.search("all_fields", query=QUERY).status == 200
+        # The keep-alive connections stay open and idle across stop().
+        started = time.monotonic()
+        runner.stop()
+        elapsed = time.monotonic() - started
+    finally:
+        runner.stop()
+        for client in clients:
+            client.close()
+    assert elapsed < 2.0, f"stop() took {elapsed:.1f}s"
+    assert {replica_id: process.returncode
+            for replica_id, process in runner.processes.items()} == \
+        {"r0": 0, "r1": 0}

@@ -237,9 +237,9 @@ class TestMergeAndCheckpoint:
             engine.commit_batch(corpus[30:40])
             engine.commit_batch(corpus[40:50])
             with_deltas = _pages(streamed)
-            assert streamed.all_fields.delta_rows > 0
+            assert streamed.search_corpus.delta_rows > 0
             assert engine.merge_now() >= 1
-            assert streamed.all_fields.delta_rows == 0
+            assert streamed.search_corpus.delta_rows == 0
             assert _pages(streamed) == with_deltas
         # And both equal a system that indexed everything offline.
         offline = _fresh_system(corpus[:50])
@@ -260,7 +260,7 @@ class TestMergeAndCheckpoint:
                     break
                 time.sleep(0.02)
             assert engine.stats()["merges"] >= 1
-            assert system.all_fields.delta_rows == 0
+            assert system.search_corpus.delta_rows == 0
         finally:
             engine.close()
 

@@ -36,10 +36,6 @@ from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
 from repro.text.tfidf import TfIdfModel
 
-pytestmark = pytest.mark.skipif(
-    not columnar.HAVE_NUMPY, reason="columnar kernels require numpy"
-)
-
 WORDS = ("covid vaccine vaccinated spike protein trial mask masks "
          "transmission antibody variant lockdown serology genome "
          "mutation immunity dose efficacy symptom fever cough "
@@ -259,15 +255,15 @@ def test_unknown_ranker_is_rejected():
 def test_index_is_reused_until_the_store_moves():
     engine = _build(AllFieldsEngine, 2, num_papers=40)
     engine.search("covid")
-    first = engine._columnar_index()
+    first = engine.corpus.columnar_index()
     engine.search("vaccine")
-    assert engine._columnar_index() is first
+    assert engine.corpus.columnar_index() is first
 
 
 def test_mutation_invalidates_and_new_documents_rank():
     engine = _build(AllFieldsEngine, 2, num_papers=40)
     engine.search("covid")
-    stale = engine._columnar_index()
+    stale = engine.corpus.columnar_index()
 
     rng = random.Random(99)
     paper = _make_paper(rng, 9999)
@@ -275,7 +271,7 @@ def test_mutation_invalidates_and_new_documents_rank():
     engine.add_paper(paper)
 
     results = engine.search("zebra")
-    assert engine._columnar_index() is not stale
+    assert engine.corpus.columnar_index() is not stale
     assert any(hit.paper_id == "p09999" for hit in results.results)
     engine.use_columnar = False
     assert _page(engine.search("zebra")) == _page(results)
@@ -355,12 +351,12 @@ def _append_papers(engine, start, count, seed=77, title=None):
 def test_append_only_mutation_extends_into_delta_segments():
     engine = _build(AllFieldsEngine, 2, num_papers=60)
     engine.search("covid")
-    base = engine._columnar_index()
+    base = engine.corpus.columnar_index()
     assert base.delta_segments == 0
 
     _append_papers(engine, 60, 15)
     kernel_pages = [_page(engine.search(q)) for q in QUERIES]
-    extended = engine._columnar_index()
+    extended = engine.corpus.columnar_index()
 
     # Incremental, not a rebuild: same worker-cache key, base segment
     # arrays shared, only the 15 new rows tokenized into deltas.
@@ -376,7 +372,7 @@ def test_append_only_mutation_extends_into_delta_segments():
     engine.use_columnar = True
     offline = _build(AllFieldsEngine, 2, num_papers=60)
     _append_papers(offline, 60, 15)
-    offline._columnar = None  # force a from-scratch build
+    offline.corpus._columnar = None  # force a from-scratch build
     assert [_page(offline.search(q)) for q in QUERIES] == kernel_pages
 
 
@@ -385,26 +381,26 @@ def test_merge_segments_is_byte_identical_to_delta_serving():
     engine.search("covid")
     _append_papers(engine, 50, 12)
     with_deltas = [_page(engine.search(q)) for q in QUERIES]
-    assert engine.delta_rows == 12
+    assert engine.corpus.delta_rows == 12
 
-    assert engine.merge_segments() is True
-    merged = engine._columnar_index()
+    assert engine.corpus.merge_segments() is True
+    merged = engine.corpus.columnar_index()
     assert merged.delta_segments == 0
-    assert engine.delta_rows == 0
+    assert engine.corpus.delta_rows == 0
     assert [_page(engine.search(q)) for q in QUERIES] == with_deltas
     # Idempotent: nothing left to fold.
-    assert engine.merge_segments() is False
+    assert engine.corpus.merge_segments() is False
 
 
 def test_non_append_mutations_rebuild_instead_of_extending():
     engine = _build(AllFieldsEngine, 2, num_papers=40)
     engine.search("covid")
-    base = engine._columnar_index()
+    base = engine.corpus.columnar_index()
     # A version bump without a matching document append — the
     # lockstep heuristic must refuse to extend.
     engine.collection.advance_version(engine.collection.version + 5)
     engine.search("covid")
-    rebuilt = engine._columnar_index()
+    rebuilt = engine.corpus.columnar_index()
     assert rebuilt is not base
     assert rebuilt.delta_segments == 0
 

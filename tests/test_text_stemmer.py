@@ -126,3 +126,63 @@ def test_stemmer_is_idempotent_on_its_output_for_plurals(word):
 def test_stemmer_never_raises(word):
     stem(word)
     stem(word.upper())
+
+
+class TestMemoizedStem:
+    """``stem`` caches; ``PorterStemmer().stem`` is the reference."""
+
+    @staticmethod
+    def _vocabulary():
+        from repro.corpus.generator import CorpusGenerator
+        from repro.search.indexing import (
+            ALL_SEARCH_FIELDS,
+            build_search_document,
+            field_text,
+        )
+        from repro.text.tokenizer import tokenize
+
+        words = set()
+        for paper in CorpusGenerator().papers(40):
+            document = build_search_document(paper)
+            for name in ALL_SEARCH_FIELDS:
+                tokens = tokenize(field_text(document, name))
+                words.update(tokens)
+                words.update(token.upper() for token in tokens[:50])
+        return sorted(words)
+
+    def test_equals_reference_over_the_corpus_vocabulary(self):
+        reference = PorterStemmer()
+        vocabulary = self._vocabulary()
+        assert len(vocabulary) > 500
+        for _ in range(2):  # cold, then every word a cache hit
+            assert [stem(word) for word in vocabulary] == \
+                [reference.stem(word) for word in vocabulary]
+
+    def test_eight_thread_hammer(self):
+        import threading
+
+        from repro.text.stemmer import STEM_CACHE_WORDS
+
+        reference = PorterStemmer()
+        vocabulary = self._vocabulary()
+        expected = {word: reference.stem(word) for word in vocabulary}
+        stem.cache_clear()
+        wrong: list[tuple[str, str]] = []
+
+        def hammer(offset):
+            # Each thread walks the vocabulary from its own offset, plus
+            # unique words so cache inserts interleave with hits.
+            for step in range(3 * len(vocabulary)):
+                word = vocabulary[(offset + step) % len(vocabulary)]
+                if stem(word) != expected[word]:
+                    wrong.append((word, stem(word)))
+                stem(f"unique{offset}x{step}ing")
+
+        threads = [threading.Thread(target=hammer, args=(k * 97,))
+                   for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not wrong
+        assert stem.cache_info().currsize <= STEM_CACHE_WORDS
