@@ -119,11 +119,18 @@ class SearchEngineBase:
     use_columnar: bool = True
 
     def __init__(self, registry: FunctionRegistry | None = None,
-                 expander=None, num_shards: int = 1,
+                 expander=None, num_shards: int | None = None,
                  ranker: str = "tfidf", bm25_k1: float = 1.5,
                  bm25_b: float = 0.75,
                  corpus: SearchCorpus | None = None) -> None:
-        self.corpus = corpus or SearchCorpus(num_shards)
+        if corpus is None:
+            corpus = SearchCorpus(num_shards or 1)
+        elif num_shards is not None:
+            raise ValueError(
+                "num_shards sizes the engine's own corpus; a shared "
+                "corpus already has its shard count"
+            )
+        self.corpus = corpus
         self.collection = self.corpus.collection
         self.tfidf = self.corpus.tfidf
         self.registry = registry or FunctionRegistry()

@@ -112,6 +112,12 @@ def test_ingest_and_load_analyse_each_paper_once(papers, tmp_path,
     assert loaded.search_corpus.columnar_index() is index
 
 
+def test_shard_count_belongs_to_whoever_makes_the_corpus():
+    assert len(AllFieldsEngine(num_shards=4).corpus.collection.shards) == 4
+    with pytest.raises(ValueError, match="num_shards"):
+        AllFieldsEngine(num_shards=4, corpus=SearchCorpus())
+
+
 def test_field_text_joins_list_values():
     document = {"search": {"title": ["spike protein", "vaccine"],
                            "abstract": "plain"}}
