@@ -22,7 +22,7 @@ import time
 import pytest
 from benchlib import print_table
 
-from repro.api.system import CovidKG, CovidKGConfig
+from repro.api.system import CovidKG
 from repro.errors import ServiceOverloadedError
 from repro.serve.service import QueryService, ServeConfig
 
@@ -35,7 +35,7 @@ ROUNDS_PER_CLIENT = 10
 
 @pytest.fixture(scope="module")
 def system(small_corpus):
-    kg = CovidKG(CovidKGConfig(num_shards=3, search_shards=3))
+    kg = CovidKG()
     kg.ingest(small_corpus)
     return kg
 
@@ -98,7 +98,6 @@ def test_e15_cached_vs_cold_throughput(system):
     )
 
     latency = stats["latency"]["overall"]
-    fanout = stats["latency"]["shard_fanout"]
     print_table(
         "E15: served request latency (ms)",
         ["scope", "count", "mean", "p50", "p95", "p99", "max"],
@@ -106,9 +105,6 @@ def test_e15_cached_vs_cold_throughput(system):
             ["request", latency["count"], latency["mean_ms"],
              latency["p50_ms"], latency["p95_ms"], latency["p99_ms"],
              latency["max_ms"]],
-            ["shard fan-out", fanout["count"], fanout["mean_ms"],
-             fanout["p50_ms"], fanout["p95_ms"], fanout["p99_ms"],
-             fanout["max_ms"]],
         ],
         note=f"single-flight collapsed {stats['collapsed_misses']}, "
              f"negative hits {stats['negative_hits']} (cache-warm "
@@ -121,9 +117,6 @@ def test_e15_cached_vs_cold_throughput(system):
     )
     assert stats["cache"]["hits"] > 0
     assert stats["cache"]["misses"] > 0
-    # The search engines are sharded (search_shards=3): cold misses
-    # scatter-gather, so per-shard fan-out latency was observed.
-    assert fanout["count"] > 0
     for label in ("p50_ms", "p95_ms", "p99_ms"):
         assert latency[label] is not None
 

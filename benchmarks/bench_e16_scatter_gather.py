@@ -3,21 +3,20 @@
 The paper's sharded MongoDB back end scatter-gathers reads across
 shards concurrently; PR 2 gives ``ShardedCollection`` the same shape
 (shared executor fan-out + per-shard top-k merge).  This experiment
-measures what that buys on cold ranked search at shards ∈ {1, 4, 8},
-plus the single-flight stampede protection in the serving tier.
+measures what that buys on the engines' ranked ``$match → $project →
+$function → $sort → $limit`` pipeline over a sharded store at shards ∈
+{1, 4, 8}, plus the single-flight stampede protection in the serving
+tier.
 
 Emits ``BENCH_e16_scatter_gather.json`` (machine-readable trajectory;
 the CI bench-smoke job uploads it as an artifact).
 
-Honesty note: on the *scalar* path the per-shard work is pure-Python
-matching/scoring, so under the GIL thread fan-out buys concurrency, not
-CPU parallelism.  Two escapes exist now: the columnar numpy kernels
-(engaged by default for eligible queries) release the GIL inside array
-ops, and ``REPRO_EXECUTOR_KIND=process`` moves shard ranking onto a
-spawn-based process pool entirely — the >= 2x target applies to process
-mode on a >= 4-core machine (asserted only there; this container may
-have one core).  We report measured ratios either way; the correctness
-claim (byte-identical pages) is asserted unconditionally.
+Honesty note: the per-shard work is pure-Python matching/scoring, so
+under the GIL thread fan-out buys concurrency, not CPU parallelism.  We
+report measured ratios either way; the correctness claim (byte-identical
+pages) is asserted unconditionally.  The search engines themselves no
+longer shard in-process — cores are spent on replica processes
+(EXPERIMENTS.md, "Trial: in-process search fan-out").
 """
 
 import os
@@ -29,13 +28,13 @@ from benchlib import print_table
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import (
-    KIND_ENV,
-    WIDTH_ENV,
-    shutdown_executor,
-    shutdown_process_executor,
-)
+from repro.docstore.executor import WIDTH_ENV, shutdown_executor
+from repro.docstore.functions import FunctionRegistry
+from repro.docstore.sharding import ShardedCollection
 from repro.search.all_fields import AllFieldsEngine
+from repro.search.engine import PAGE_SIZE, PROJECTED_FIELDS, SORT_SPEC
+from repro.search.indexing import ALL_SEARCH_FIELDS, build_search_document
+from repro.search.query import match_filter, parse_query
 from repro.serve.service import QueryService, ServeConfig
 
 SHARD_COUNTS = (1, 4, 8)
@@ -60,45 +59,73 @@ def corpus():
     return CorpusGenerator(config).papers(NUM_PAPERS)
 
 
-def _build(corpus, num_shards):
-    engine = AllFieldsEngine(num_shards=num_shards)
+def _ranked_pipelines(corpus):
+    """Each query's page-1 pipeline, scorers pre-registered."""
+    engine = AllFieldsEngine()
     engine.add_papers(corpus)
-    return engine
+    registry = FunctionRegistry()
+    pipelines = []
+    for number, query in enumerate(QUERIES):
+        parsed = parse_query(query)
+        registry.register(
+            f"rank_{number}",
+            engine.ranking.scorer(parsed, ALL_SEARCH_FIELDS),
+        )
+        pipelines.append([
+            {"$match": match_filter(parsed, ALL_SEARCH_FIELDS)},
+            {"$project": {name: 1 for name in PROJECTED_FIELDS}},
+            {"$function": {"name": f"rank_{number}", "as": "score"}},
+            {"$sort": SORT_SPEC},
+            {"$limit": PAGE_SIZE},
+        ])
+    return registry, pipelines
 
 
-def _drive(engine):
-    """Cold ranked-search throughput over the query mix."""
+def _build(corpus, num_shards):
+    store = ShardedCollection("publications", shard_key="paper_id",
+                              num_shards=num_shards)
+    store.insert_many([build_search_document(p) for p in corpus])
+    return store
+
+
+def _drive(store, registry, pipelines):
+    """Cold ranked-aggregation throughput over the query mix."""
     started = time.perf_counter()
     for _ in range(ROUNDS):
-        for query in QUERIES:
-            engine.search(query, page=1)
+        for pipeline in pipelines:
+            store.aggregate(pipeline, registry)
     seconds = time.perf_counter() - started
-    total = ROUNDS * len(QUERIES)
+    total = ROUNDS * len(pipelines)
     return total / seconds, seconds
 
 
-def _page_ids(engine, query):
-    return [(hit.paper_id, hit.score)
-            for hit in engine.search(query, page=1).results]
+def _page_ids(store, registry, pipeline):
+    return [(doc["paper_id"], doc["score"])
+            for doc in store.aggregate(pipeline, registry).documents]
 
 
 def test_e16_serial_vs_parallel_shard_fanout(corpus, monkeypatch):
     rows = []
+    registry, pipelines = _ranked_pipelines(corpus)
+    reference_page = None
     for num_shards in SHARD_COUNTS:
-        engine = _build(corpus, num_shards)
+        store = _build(corpus, num_shards)
 
         monkeypatch.setenv(WIDTH_ENV, "1")
         shutdown_executor()
-        serial_rps, serial_seconds = _drive(engine)
-        serial_page = _page_ids(engine, QUERIES[0])
+        serial_rps, serial_seconds = _drive(store, registry, pipelines)
+        serial_page = _page_ids(store, registry, pipelines[0])
 
         monkeypatch.delenv(WIDTH_ENV, raising=False)
         shutdown_executor()
-        parallel_rps, parallel_seconds = _drive(engine)
-        parallel_page = _page_ids(engine, QUERIES[0])
+        parallel_rps, parallel_seconds = _drive(store, registry, pipelines)
+        parallel_page = _page_ids(store, registry, pipelines[0])
 
-        # Correctness before speed: identical pages either way.
+        # Correctness before speed: identical pages either way, and at
+        # every shard count.
         assert parallel_page == serial_page
+        reference_page = reference_page or serial_page
+        assert serial_page == reference_page
         ratio = parallel_rps / serial_rps
         rows.append([num_shards, serial_rps, parallel_rps, ratio])
         RESULTS["scatter_gather"].append({
@@ -112,12 +139,11 @@ def test_e16_serial_vs_parallel_shard_fanout(corpus, monkeypatch):
     shutdown_executor()
 
     print_table(
-        "E16: cold ranked search, serial vs parallel scatter-gather",
+        "E16: ranked aggregation, serial vs parallel scatter-gather",
         ["shards", "serial req/s", "parallel req/s", "speedup"],
         rows,
         note="pure-Python shard work holds the GIL, so the ratio reflects "
-             "fan-out overhead rather than core scaling; target >= 2x "
-             "applies when shard work releases the GIL",
+             "fan-out overhead rather than core scaling",
     )
     # Sanity floor only: the parallel path must not collapse throughput.
     for _, serial_rps, parallel_rps, ratio in rows:
@@ -133,9 +159,6 @@ def test_e16_preflight_validation_overhead(corpus):
     "run slow".
     """
     from repro.analysis.pipeline_check import validate_pipeline
-    from repro.docstore.functions import FunctionRegistry
-    from repro.docstore.sharding import ShardedCollection
-    from repro.search.indexing import build_search_document
 
     collection = ShardedCollection("papers", shard_key="paper_id",
                                    num_shards=4)
@@ -229,51 +252,3 @@ def test_e16_single_flight_stampede(corpus):
     }
     assert len(computations) == 1
     assert stats["collapsed_misses"] == hammer - 1
-
-
-def test_e16_process_mode_fanout(corpus, monkeypatch):
-    """Thread vs process executor on sharded columnar ranking.
-
-    ``REPRO_EXECUTOR_KIND=process`` ships each shard's columnar
-    ranking to a spawn-based worker pool, sidestepping the GIL
-    entirely.  The >= 2x speedup target only makes sense with cores to
-    spend, so it is asserted on >= 4-core machines; everywhere else
-    the row is recorded and correctness (byte-identical pages) is
-    still enforced.
-    """
-    engine = _build(corpus, 4)
-
-    monkeypatch.delenv(KIND_ENV, raising=False)
-    shutdown_executor()
-    thread_rps, thread_seconds = _drive(engine)
-    thread_page = _page_ids(engine, QUERIES[0])
-
-    monkeypatch.setenv(KIND_ENV, "process")
-    monkeypatch.setenv(WIDTH_ENV, "4")
-    process_rps, process_seconds = _drive(engine)
-    process_page = _page_ids(engine, QUERIES[0])
-    shutdown_process_executor()
-    monkeypatch.delenv(KIND_ENV, raising=False)
-    monkeypatch.delenv(WIDTH_ENV, raising=False)
-    shutdown_executor()
-
-    assert process_page == thread_page
-    ratio = process_rps / thread_rps
-    cores = os.cpu_count() or 1
-    print_table(
-        "E16: thread vs process executor, 4 shards, columnar ranking",
-        ["cores", "thread req/s", "process req/s", "speedup"],
-        [[cores, thread_rps, process_rps, ratio]],
-        note="speedup target (>= 2x at 4 workers) asserted only on "
-             ">= 4-core machines; worker warm-up is included",
-    )
-    RESULTS["process_mode"] = {
-        "cores": cores,
-        "thread_rps": thread_rps,
-        "thread_seconds": thread_seconds,
-        "process_rps": process_rps,
-        "process_seconds": process_seconds,
-        "speedup": ratio,
-    }
-    if cores >= 4:
-        assert ratio >= 2.0

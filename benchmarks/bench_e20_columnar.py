@@ -1,18 +1,16 @@
 """E20 — columnar ranking kernels: batch numpy vs per-document Python.
 
 PR 7 moves eligible search queries off the scalar ``$function`` closure
-onto contiguous per-shard posting arrays (:mod:`repro.search.columnar`):
+onto contiguous posting arrays (:mod:`repro.search.columnar`):
 ``$match`` becomes a binary search over a sorted atom dictionary,
 TF-IDF/BM25 scoring becomes a handful of vectorized gathers, and top-k
 becomes one ``lexsort``.  This experiment measures what that buys:
 
-* kernel vs scalar throughput on a single shard (the ISSUE's >= 3x
-  target, asserted at >= 10k documents — warm kernel searches are
-  typically two orders of magnitude faster);
+* kernel vs scalar throughput on one core (the ISSUE's >= 3x target,
+  asserted at >= 10k documents — warm kernel searches are typically
+  two orders of magnitude faster);
 * TF-IDF vs BM25 kernel throughput (the selectable ranker must not
-  price differently);
-* thread vs process executor scaling over the sharded kernel path
-  (>= 2x at 4 workers, asserted only on >= 4-core machines).
+  price differently).
 
 Correctness is asserted before any speed claim: every measured
 configuration must return byte-identical result pages.
@@ -27,12 +25,7 @@ import pytest
 from benchlib import print_table
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import (
-    KIND_ENV,
-    WIDTH_ENV,
-    shutdown_executor,
-    shutdown_process_executor,
-)
+from repro.docstore.executor import WIDTH_ENV, shutdown_executor
 from repro.search.all_fields import AllFieldsEngine
 
 QUERIES = ["vaccine side effects", "covid symptoms", "antibody dosage",
@@ -58,8 +51,8 @@ def corpus():
     return CorpusGenerator(config).papers(NUM_PAPERS)
 
 
-def _build(corpus, num_shards=1, **kwargs):
-    engine = AllFieldsEngine(num_shards=num_shards, **kwargs)
+def _build(corpus, **kwargs):
+    engine = AllFieldsEngine(**kwargs)
     engine.add_papers(corpus)
     return engine
 
@@ -87,7 +80,7 @@ def test_e20_kernel_vs_scalar_single_core(corpus, monkeypatch):
     """The headline: batch kernels vs the per-document closure."""
     monkeypatch.setenv(WIDTH_ENV, "1")
     shutdown_executor()
-    engine = _build(corpus, num_shards=1)
+    engine = _build(corpus)
 
     kernel_rps, kernel_seconds = _drive(engine)
     kernel_pages = _pages(engine)
@@ -105,7 +98,7 @@ def test_e20_kernel_vs_scalar_single_core(corpus, monkeypatch):
     assert kernel_pages == scalar_pages
     speedup = kernel_rps / scalar_rps
     print_table(
-        "E20: single-shard ranked search, columnar kernel vs scalar",
+        "E20: single-core ranked search, columnar kernel vs scalar",
         ["papers", "scalar req/s", "kernel req/s", "speedup"],
         [[NUM_PAPERS, scalar_rps, kernel_rps, speedup]],
         note=f"pages byte-identical; >= {SPEEDUP_TARGET:.0f}x asserted "
@@ -129,7 +122,7 @@ def test_e20_tfidf_vs_bm25_throughput(corpus):
     """The selectable ranker: both run as kernels at the same price."""
     rows = []
     for ranker in ("tfidf", "bm25"):
-        engine = _build(corpus, num_shards=1, ranker=ranker)
+        engine = _build(corpus, ranker=ranker)
         rps, seconds = _drive(engine)
         stages = [stats.stage
                   for stats in engine.search(QUERIES[0]).stage_stats]
@@ -151,48 +144,3 @@ def test_e20_tfidf_vs_bm25_throughput(corpus):
     bm25_rps = RESULTS["rankers"]["bm25"]["rps"]
     # Same kernel shape: neither ranker may cost a multiple of the other.
     assert 0.2 < bm25_rps / tfidf_rps < 5.0
-
-
-def test_e20_process_fanout(corpus, monkeypatch):
-    """Sharded kernel ranking: thread executor vs process pool."""
-    engine = _build(corpus, num_shards=4)
-
-    monkeypatch.delenv(KIND_ENV, raising=False)
-    shutdown_executor()
-    thread_rps, thread_seconds = _drive(engine)
-    thread_pages = _pages(engine)
-
-    rows = [["thread", "-", thread_rps, 1.0]]
-    RESULTS["fanout"] = [{
-        "executor": "thread", "rps": thread_rps,
-        "seconds": thread_seconds, "speedup": 1.0,
-    }]
-    monkeypatch.setenv(KIND_ENV, "process")
-    for width in (1, 2, 4):
-        monkeypatch.setenv(WIDTH_ENV, str(width))
-        shutdown_process_executor()
-        process_rps, process_seconds = _drive(engine)
-        assert _pages(engine) == thread_pages
-        ratio = process_rps / thread_rps
-        rows.append(["process", width, process_rps, ratio])
-        RESULTS["fanout"].append({
-            "executor": "process", "width": width, "rps": process_rps,
-            "seconds": process_seconds, "speedup": ratio,
-        })
-    shutdown_process_executor()
-    monkeypatch.delenv(KIND_ENV, raising=False)
-    monkeypatch.delenv(WIDTH_ENV, raising=False)
-    shutdown_executor()
-
-    cores = os.cpu_count() or 1
-    print_table(
-        "E20: sharded kernel ranking, thread vs process executor",
-        ["executor", "width", "req/s", "vs thread"],
-        rows,
-        note=f"{cores} core(s); >= 2x at 4 workers asserted only on "
-             ">= 4-core machines (spawn + payload shipping amortize "
-             "over shard work)",
-    )
-    if cores >= 4:
-        best = max(row[3] for row in rows if row[0] == "process")
-        assert best >= 2.0

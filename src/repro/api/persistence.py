@@ -22,7 +22,7 @@ saved.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.api.system import CovidKG, CovidKGConfig
@@ -30,6 +30,10 @@ from repro.classify.svm_model import SvmMetadataClassifier
 from repro.docstore.documents import ObjectId
 from repro.embeddings.word2vec import Word2Vec
 from repro.errors import PersistenceError
+
+#: Config keys older saves carry that no longer exist.  Pages were
+#: byte-identical at any value of either, so they are ignored on load.
+RETIRED_CONFIG_KEYS = ("search_shards", "columnar")
 
 
 def save_system(system: CovidKG, directory: str | Path) -> Path:
@@ -79,7 +83,15 @@ def load_system(directory: str | Path) -> CovidKG:
     if not config_path.exists():
         raise PersistenceError(f"no saved system at {directory}")
     with open(config_path, encoding="utf-8") as handle:
-        config = CovidKGConfig(**json.load(handle))
+        saved = json.load(handle)
+    for key in RETIRED_CONFIG_KEYS:
+        saved.pop(key, None)
+    unknown = sorted(set(saved) - {f.name for f in fields(CovidKGConfig)})
+    if unknown:
+        raise PersistenceError(
+            f"unknown config key(s) in {config_path}: {', '.join(unknown)}"
+        )
+    config = CovidKGConfig(**saved)
 
     system = CovidKG(config)
 

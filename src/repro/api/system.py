@@ -60,11 +60,6 @@ class CovidKGConfig:
 
     num_shards: int = 4
     shard_key: str = "paper_id"
-    #: Shards of the search corpus.  ``1`` keeps the engines on a
-    #: single collection; ``> 1`` makes every query a parallel
-    #: scatter-gather over that many shards (results are identical —
-    #: ranking tie-breaks are deterministic either way).
-    search_shards: int = 1
     vocabulary_size: int = 100_000
     embedding_dim: int = 24
     wdc_training_tables: int = 60
@@ -78,10 +73,6 @@ class CovidKGConfig:
     ranker: str = "tfidf"
     bm25_k1: float = 1.5
     bm25_b: float = 0.75
-    #: Run eligible queries on the columnar numpy kernels
-    #: (:mod:`repro.search.columnar`).  Results are byte-identical to
-    #: the scalar pipeline; disable only to force the reference path.
-    columnar: bool = True
     #: Pre-flight validate every search pipeline before execution
     #: (stage names, operators, ``$function`` resolution against the
     #: system registry); see :mod:`repro.analysis.pipeline_check`.
@@ -136,11 +127,11 @@ class CovidKG:
         Used at construction *and* by snapshot rollback
         (:mod:`repro.ingest.snapshots`), so a rolled-back system keeps
         its ranker (BM25 ``k1``/``b``, field-length stats rebuilt from
-        the retained documents), columnar setting, and validation mode.
+        the retained documents) and validation mode.
         """
         shared: dict[str, Any] = {
             "registry": self.functions,
-            "corpus": SearchCorpus(self.config.search_shards),
+            "corpus": SearchCorpus(),
             "ranker": self.config.ranker,
             "bm25_k1": self.config.bm25_k1,
             "bm25_b": self.config.bm25_b,
@@ -150,9 +141,8 @@ class CovidKG:
             "title_abstract": TitleAbstractCaptionEngine(**shared),
             "table": TableSearchEngine(**shared),
         }
-        for engine in engines.values():
-            engine.use_columnar = self.config.columnar
-            if self.config.validate_pipelines:
+        if self.config.validate_pipelines:
+            for engine in engines.values():
                 engine.validate_pipelines = True
         return engines
 
@@ -434,7 +424,6 @@ class CovidKG:
             "shard_sizes": self.store.shard_sizes(),
             "executor_width": executor_width(),
             "ranker": self.config.ranker,
-            "columnar": self.config.columnar,
             "pending_reviews": len(self.review_queue.pending()),
             "registered_models": len(self.registry),
         }

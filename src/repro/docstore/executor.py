@@ -53,14 +53,6 @@ T = TypeVar("T")
 #: Environment variable overriding the fan-out width.
 WIDTH_ENV = "REPRO_EXECUTOR_WIDTH"
 
-#: Environment variable selecting the fan-out executor kind.  The value
-#: ``process`` turns on the opt-in process pool: fan-out *dispatch*
-#: stays thread-based (budgets, quiescence, observers unchanged), but
-#: work that knows how to ship itself across processes — the columnar
-#: ranking kernels — round-trips through :func:`get_process_executor`
-#: to escape the GIL.  Anything else (or unset) means threads only.
-KIND_ENV = "REPRO_EXECUTOR_KIND"
-
 #: Default width: enough threads to cover a typical shard count without
 #: oversubscribing small machines.
 DEFAULT_WIDTH = max(2, min(16, os.cpu_count() or 4))
@@ -68,8 +60,6 @@ DEFAULT_WIDTH = max(2, min(16, os.cpu_count() or 4))
 _lock = racecheck.make_lock("docstore.executor")
 _executor: ThreadPoolExecutor | None = None
 _executor_width = 0
-_process_executor = None  # ProcessPoolExecutor | None
-_process_width = 0
 _local = threading.local()
 
 _observers: list[Callable[[float], None]] = []
@@ -139,53 +129,6 @@ def shutdown_executor() -> None:
         doomed = _executor
         _executor = None
         _executor_width = 0
-    if doomed is not None:
-        doomed.shutdown(wait=True)
-
-
-def executor_kind() -> str:
-    """``"process"`` when :data:`KIND_ENV` opts in, else ``"thread"``."""
-    raw = (os.environ.get(KIND_ENV) or "").strip().lower()
-    return "process" if raw == "process" else "thread"
-
-
-def get_process_executor():
-    """The shared process pool, (re)built lazily at the current width.
-
-    Workers use the *spawn* start method: the serving tier runs many
-    threads, and forking a threaded process inherits locks in arbitrary
-    states.  Width follows :func:`executor_width` (same knob as the
-    thread pool) so ``REPRO_EXECUTOR_WIDTH=4`` means four worker
-    processes too.  Same lock discipline as :func:`get_executor`: swap
-    under the module lock, shut the doomed pool down outside it.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _process_executor, _process_width
-    width = executor_width()
-    doomed = None
-    with _lock:
-        if _process_executor is None or _process_width != width:
-            doomed = _process_executor
-            _process_executor = ProcessPoolExecutor(
-                max_workers=width,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            _process_width = width
-        executor = _process_executor
-    if doomed is not None:
-        doomed.shutdown(wait=False)
-    return executor
-
-
-def shutdown_process_executor() -> None:
-    """Tear down the process pool (tests; safe when never built)."""
-    global _process_executor, _process_width
-    with _lock:
-        doomed = _process_executor
-        _process_executor = None
-        _process_width = 0
     if doomed is not None:
         doomed.shutdown(wait=True)
 

@@ -155,7 +155,7 @@ class Response:
 
     status: int = 200
     payload: Any = None  # JSON-encoded unless ``text`` is set
-    text: str | None = None  # pre-rendered body (e.g. Prometheus)
+    text: str | None = None  # pre-rendered body; set ``content_type`` too
     content_type: str = "application/json"
     headers: dict[str, str] = field(default_factory=dict)
     close: bool = False  # force Connection: close
@@ -170,18 +170,14 @@ def build_response(response: Response, *, request_id: str,
     """
     if response.text is not None:
         body = response.text.encode("utf-8")
-        content_type = response.content_type
-        if content_type == "application/json":
-            content_type = "text/plain; charset=utf-8"
     else:
         body = json.dumps(response.payload, default=str,
                           separators=(",", ":")).encode("utf-8")
-        content_type = response.content_type
     reason = REASON_PHRASES.get(response.status, "Unknown")
     persistent = keep_alive and not response.close
     lines = [
         f"HTTP/1.1 {response.status} {reason}",
-        f"Content-Type: {content_type}",
+        f"Content-Type: {response.content_type}",
         f"Content-Length: {len(body)}",
         f"X-Request-Id: {request_id}",
         f"Connection: {'keep-alive' if persistent else 'close'}",

@@ -2,19 +2,19 @@
 
 The scalar ranking path walks every matched document in Python: per
 document, per field, tokenize + stem + count + window-scan.  Under the
-GIL that work gains nothing from the thread fan-out (bench E16 measures
-~1x).  This module trades the per-document dict walking for contiguous
-per-shard arrays scored with numpy batch operations:
+GIL that work gains nothing from a thread fan-out.  This module trades
+the per-document dict walking for contiguous per-segment arrays scored
+with numpy batch operations:
 
-* per shard and per field, a CSR layout of stem postings —
+* per segment and per field, a CSR layout of stem postings —
   ``(term-id, row, term-frequency)`` triples plus a flat positions array
   — built once from the stored documents with the exact tokenizer and
   stemmer the scalar scorer uses;
-* per shard and per field, an *atom* dictionary (sorted unique ``\\w+``
+* per segment and per field, an *atom* dictionary (sorted unique ``\\w+``
   runs of the raw text, case-folded) that reproduces the ``$match``
   regex semantics (``\\b(?:stem|word)\\w*``, ``IGNORECASE``) as two
   binary searches per query term;
-* per shard, the precomputed static scores, paper ids, and a
+* per segment, the precomputed static scores, paper ids, and a
   ``math.log`` lookup table so kernel TF-IDF values are bit-identical
   to the scalar ``(1 + log(tf)) * idf``.
 
@@ -22,40 +22,26 @@ The kernel path only engages when it can reproduce the scalar reference
 **byte-identically** (see :func:`build_query_spec`); everything else —
 quoted phrases, synonym expansion, custom ``$function`` rankers,
 non-alphanumeric terms — falls back to the scalar pipeline.  Ordering is
-preserved exactly: score descending, ``paper_id`` ascending, then shard
-/ insertion order, the same composite the heap merge uses.
+preserved exactly: score descending, ``paper_id`` ascending, then
+insertion order, the same composite the heap merge uses.
 
 The index is version-stamped like the KG derived indexes: it is
 invalidated whenever ``(collection.version, tfidf.num_documents)``
 moves.  Invalidation is **incremental for append-only motion**: when the
 stamp advanced by inserts alone (version and document count moved in
-lockstep), the new rows land in small per-shard *delta segments*
-appended to the existing immutable base — queries consult every segment
+lockstep), the new rows land in a small *delta segment* appended to
+the existing immutable base — queries scatter over every segment
 and merge exactly; any other mutation triggers a full rebuild.  A
 background merge (the streaming-ingest tier's
 ``SearchCorpus.merge_segments``) periodically folds deltas back into
 one base segment; the merged index is byte-identical to a from-scratch
 rebuild, so either generation may answer a query.
-
-With ``REPRO_EXECUTOR_KIND=process`` the per-segment kernels run on a
-process pool (spawn context) behind the same thread-level ``scatter`` —
-``FanoutBudget`` accounting, quiescence, and the fan-out observers all
-apply unchanged.  Segment arrays are shipped to each worker process once
-and cached there keyed by ``(index key, (shard, position), segment
-id)``; a new segment at the same position evicts the previous
-generation.  The caveats: spawn start-up costs ~100ms per worker once,
-every worker eventually holds a copy of every segment it scored, and
-results are identical to thread mode because the same arrays produce the
-same kernels.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 import re
-import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -64,7 +50,6 @@ import numpy as np
 from repro.docstore import executor as _executor
 from repro.docstore.collection import Collection, apply_projection
 from repro.docstore.documents import deep_set
-from repro.docstore.sharding import ShardedCollection
 from repro.search.indexing import field_text
 from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
@@ -86,21 +71,6 @@ _ATOM_RE = re.compile(r"\w+")
 #: Kernel-eligible roots/words: pure lowercase ASCII alphanumerics, for
 #: which "regex prefix match" and "atom prefix match" provably coincide.
 _ALNUM_RE = re.compile(r"[a-z0-9]+\Z")
-
-_INDEX_IDS = itertools.count(1)
-_SEGMENT_IDS = itertools.count(1)
-
-
-def new_index_key() -> str:
-    """A worker-cache key prefix for one engine's index lineage.
-
-    Engines mint one key at construction and reuse it across rebuilds
-    and extends, so the process-pool worker cache's slot eviction
-    (keyed on ``(index key, (shard, position))``) reclaims the previous
-    generation instead of leaking it.
-    """
-    return f"columnar-{os.getpid()}-{next(_INDEX_IDS)}"
-
 
 # -- match plans ------------------------------------------------------------
 
@@ -139,7 +109,7 @@ class MatchPlan:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A fully-planned kernel query (picklable: plain strings/floats).
+    """A fully-planned kernel query (plain strings/floats).
 
     ``clauses`` drive candidate selection (atoms as ``(field, root,
     word)``), ``words`` carry the scoring stems with their query-side
@@ -207,22 +177,15 @@ def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
                 return None
             atoms.append((field, stem(term.text), term.text))
         clauses.append(tuple(atoms))
-    words = []
-    for term in parsed.terms:
-        for word in term.text.split():
-            stemmed = stem(word)
-            idf = ranking._word_idf(stemmed)
-            if idf is None:
-                return None
-            words.append((stemmed, idf))
-    fields = tuple(
-        (field, ranking.field_weights.get(field, 1.0),
-         ranking._field_norm(field))
-        for field in rank_fields
-    )
+    # One query plan feeds both executors: eligibility rules out
+    # synonyms (no weights) and phrases (every proximity entry is a
+    # loose stem), and a fitted model leaves no IDF undefined.
+    plan = ranking.query_plan(parsed)
+    words = [(word.stemmed, word.idf) for word in plan.words]
+    fields = tuple(ranking.field_plan(rank_fields))
     prox_stems = (
-        tuple(stem(term.text) for term in parsed.terms)
-        if len(parsed.terms) >= 2 else None
+        tuple(target for _kind, target in plan.proximity)
+        if plan.proximity is not None else None
     )
     if isinstance(ranking, BM25RankingFunction):
         return QuerySpec(tuple(clauses), tuple(words), fields, prox_stems,
@@ -233,7 +196,7 @@ def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
 # -- columnar storage -------------------------------------------------------
 
 class FieldColumns:
-    """One shard-field's postings in CSR numpy layout."""
+    """One segment-field's postings in CSR numpy layout."""
 
     __slots__ = ("stem_index", "post_starts", "post_rows", "post_tfs",
                  "pos_starts", "positions", "doc_lengths",
@@ -307,8 +270,8 @@ class FieldColumns:
         return int(self.post_starts[sid]), int(self.post_starts[sid + 1])
 
 
-class ShardColumns:
-    """All columnar state of one shard (picklable; no raw documents)."""
+class SegmentColumns:
+    """All columnar state of one segment (no raw documents)."""
 
     __slots__ = ("num_rows", "fields", "paper_ids", "static", "log_table")
 
@@ -341,7 +304,7 @@ class ShardColumns:
 
 # -- kernels ----------------------------------------------------------------
 
-def _candidate_rows(cols: ShardColumns, spec: QuerySpec) -> "np.ndarray":
+def _candidate_rows(cols: SegmentColumns, spec: QuerySpec) -> "np.ndarray":
     """Rows satisfying the CNF match plan, in insertion (row) order."""
     mask = np.ones(cols.num_rows, dtype=bool)
     for clause in spec.clauses:
@@ -360,7 +323,7 @@ def _candidate_rows(cols: ShardColumns, spec: QuerySpec) -> "np.ndarray":
     return np.nonzero(mask)[0]
 
 
-def _gather_tf(cols: ShardColumns, fc: FieldColumns, stemmed: str,
+def _gather_tf(cols: SegmentColumns, fc: FieldColumns, stemmed: str,
                cand: "np.ndarray") -> "np.ndarray | None":
     span = fc.posting_slice(stemmed)
     if span is None:
@@ -370,7 +333,7 @@ def _gather_tf(cols: ShardColumns, fc: FieldColumns, stemmed: str,
     return scratch[cand]
 
 
-def _field_word_scores(cols: ShardColumns, fc: FieldColumns,
+def _field_word_scores(cols: SegmentColumns, fc: FieldColumns,
                        spec: QuerySpec, cand: "np.ndarray",
                        avgdl: float) -> "np.ndarray":
     """Σ over query words of the word score, in scalar accumulation order."""
@@ -394,7 +357,7 @@ def _field_word_scores(cols: ShardColumns, fc: FieldColumns,
     return acc
 
 
-def _proximity_bonus(cols: ShardColumns, spec: QuerySpec,
+def _proximity_bonus(cols: SegmentColumns, spec: QuerySpec,
                      cand: "np.ndarray") -> "np.ndarray":
     """Best per-field 1/min-window bonus per candidate row."""
     best = np.zeros(len(cand), dtype=np.float64)
@@ -436,9 +399,9 @@ def _proximity_bonus(cols: ShardColumns, spec: QuerySpec,
     return best
 
 
-def score_shard(cols: ShardColumns, spec: QuerySpec,
-                top_k: int) -> tuple[int, list[tuple[float, str, int]]]:
-    """Match + score one shard; returns (candidates, top-k partials).
+def score_segment(cols: SegmentColumns, spec: QuerySpec, top_k: int
+                  ) -> tuple[int, list[tuple[float, str, int]]]:
+    """Match + score one segment; returns (candidates, top-k partials).
 
     Partials are ``(score, paper_id, row)`` in final page order — score
     descending, paper_id ascending, insertion (row) ascending — the
@@ -469,211 +432,121 @@ def score_shard(cols: ShardColumns, spec: QuerySpec,
     ]
 
 
-# -- process-pool dispatch --------------------------------------------------
-
-#: Worker-side segment cache:
-#: ``(index_key, (shard, position), segment_id) -> ShardColumns``.
-#: Payloads ship once per worker; a new segment id at the same
-#: ``(index_key, (shard, position))`` slot evicts the old generation.
-_WORKER_SHARDS: dict[tuple[str, Any, Any], ShardColumns] = {}
-
-
-def _worker_rank(key: tuple[str, Any, Any],
-                 payload: ShardColumns | None, spec: QuerySpec,
-                 top_k: int) -> tuple[int, list] | None:
-    """Runs in a worker process; ``None`` signals a cache miss."""
-    cols = _WORKER_SHARDS.get(key)
-    if cols is None:
-        if payload is None:
-            return None
-        slot = key[:2]
-        for stale in [k for k in _WORKER_SHARDS if k[:2] == slot]:
-            del _WORKER_SHARDS[stale]
-        _WORKER_SHARDS[key] = payload
-        cols = payload
-    return score_shard(cols, spec, top_k)
-
-
-def _rank_via_process(key: tuple[str, Any, Any], cols: ShardColumns,
-                      spec: QuerySpec, top_k: int
-                      ) -> tuple[int, list[tuple[float, str, int]]]:
-    """Probe the worker cache; resend the shard payload on a miss.
-
-    Any process-pool failure (broken pool, mid-shutdown submit) degrades
-    to scoring in-process — results are identical either way.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-    try:
-        pool = _executor.get_process_executor()
-        result = pool.submit(_worker_rank, key, None, spec, top_k).result()
-        if result is None:
-            result = pool.submit(
-                _worker_rank, key, cols, spec, top_k
-            ).result()
-        return result
-    except (BrokenProcessPool, RuntimeError, OSError):
-        return score_shard(cols, spec, top_k)
-
-
 # -- the index --------------------------------------------------------------
 
 class Segment:
-    """One immutable slice of a shard's rows: arrays + raw documents.
+    """One immutable run of consecutive rows: arrays + raw documents.
 
     ``offset`` is the segment's first global row; local kernel rows map
     to global rows by addition.  Segments never mutate after
-    construction — extending an index appends *new* segments, so a query
-    holding an older index object keeps scoring a consistent snapshot.
+    construction — extending an index appends a *new* segment, so a
+    query holding an older index object keeps scoring a consistent
+    snapshot.
     """
 
-    __slots__ = ("cols", "documents", "offset", "id")
+    __slots__ = ("cols", "documents", "offset")
 
     def __init__(self, documents: list[dict[str, Any]],
                  field_names: tuple[str, ...], offset: int) -> None:
-        self.cols = ShardColumns(documents, field_names)
+        self.cols = SegmentColumns(documents, field_names)
         self.documents = documents
         self.offset = offset
-        self.id = next(_SEGMENT_IDS)
 
     @property
     def num_rows(self) -> int:
         return self.cols.num_rows
 
 
-def _shard_sources(
-        collection: Collection | ShardedCollection) -> list[Collection]:
-    if isinstance(collection, ShardedCollection):
-        return list(collection.shards)
-    return [collection]
-
-
 class ColumnarIndex:
-    """Per-shard segment lists + the raw documents for page fetch.
+    """The segment list (base + deltas) + the raw documents for page fetch.
 
     A fresh build is one tokenize/stem pass over the corpus — about the
     cost of a single scalar query — amortized across every query until
     the next docstore mutation moves the stamp.  Append-only motion is
-    much cheaper: :meth:`extend` tokenizes only the new rows into delta
-    segments (one per shard per extend) and shares the existing base
-    arrays.  Index objects are immutable snapshots; extend/merge produce
-    *new* objects, and the engines swap them in with a single atomic
-    attribute assignment.
+    much cheaper: :meth:`extend` tokenizes only the new rows into one
+    delta segment and shares the existing arrays.  Index objects are
+    immutable snapshots; extend/merge produce *new* objects, and the
+    corpus swaps them in with a single atomic attribute assignment.
     """
 
-    def __init__(self, stamp: Any, segments: list[list[Segment]],
-                 field_names: tuple[str, ...],
-                 key: str | None = None) -> None:
+    def __init__(self, stamp: Any, segments: list[Segment],
+                 field_names: tuple[str, ...]) -> None:
         self.stamp = stamp
         self.segments = segments
         self.field_names = field_names
-        self.key = key or new_index_key()
 
     @classmethod
-    def build(cls, collection: Collection | ShardedCollection,
-              field_names: Iterable[str], stamp: Any,
-              key: str | None = None) -> "ColumnarIndex":
+    def build(cls, collection: Collection, field_names: Iterable[str],
+              stamp: Any) -> "ColumnarIndex":
         field_names = tuple(field_names)
-        segments = [
-            [Segment(source.find({}).to_list(), field_names, 0)]
-            for source in _shard_sources(collection)
-        ]
-        return cls(stamp, segments, field_names, key=key)
+        base = Segment(collection.find({}).to_list(), field_names, 0)
+        return cls(stamp, [base], field_names)
 
-    def extend(self, collection: Collection | ShardedCollection,
-               stamp: Any) -> "ColumnarIndex":
+    def extend(self, collection: Collection, stamp: Any) -> "ColumnarIndex":
         """A new index covering rows appended since this one was built.
 
-        Only sound for append-only motion (the engine checks the stamp
-        arithmetic before calling); shards whose row count did not move
-        get no new segment.  The result shares this index's base/delta
-        arrays and worker-cache key — ``self`` stays fully usable by
-        queries already holding it.
+        Only sound for append-only motion (the corpus checks the stamp
+        arithmetic before calling).  The result shares this index's
+        segments — ``self`` stays fully usable by queries already
+        holding it.
         """
-        sources = _shard_sources(collection)
-        if len(sources) != len(self.segments):
-            return type(self).build(collection, self.field_names, stamp,
-                                    key=self.key)
-        lists = []
-        for shard_segments, source in zip(self.segments, sources):
-            indexed = sum(seg.num_rows for seg in shard_segments)
-            delta = source.find({}).to_list()[indexed:]
-            if delta:
-                shard_segments = shard_segments + [
-                    Segment(delta, self.field_names, indexed)
-                ]
-            else:
-                shard_segments = list(shard_segments)
-            lists.append(shard_segments)
-        return type(self)(stamp, lists, self.field_names, key=self.key)
+        indexed = self.num_rows
+        segments = list(self.segments)
+        delta = collection.find({}).to_list()[indexed:]
+        if delta:
+            segments.append(Segment(delta, self.field_names, indexed))
+        return type(self)(stamp, segments, self.field_names)
 
     @property
     def num_rows(self) -> int:
-        return sum(seg.num_rows
-                   for shard in self.segments for seg in shard)
+        return sum(segment.num_rows for segment in self.segments)
 
     @property
     def delta_segments(self) -> int:
-        """Segments beyond each shard's base (the merge debt)."""
-        return sum(max(0, len(shard) - 1) for shard in self.segments)
+        """Segments beyond the base (the merge debt)."""
+        return len(self.segments) - 1
 
     @property
     def delta_rows(self) -> int:
-        """Rows living outside the base segments."""
-        return sum(seg.num_rows
-                   for shard in self.segments for seg in shard[1:])
+        """Rows living outside the base segment."""
+        return sum(segment.num_rows for segment in self.segments[1:])
 
     def rank(self, spec: QuerySpec, top_k: int
-             ) -> tuple[int, list[tuple[float, str, int, int]]]:
+             ) -> tuple[int, list[tuple[float, str, int]]]:
         """Scatter the kernel per segment; merge in exact page order.
 
         Returns ``(total_matches, merged)`` with merged entries
-        ``(score, paper_id, shard, row)`` truncated to ``top_k`` —
-        ``row`` is global (segment offset + local row), so the composite
-        order is identical whether the rows live in one base segment or
-        across deltas.  Thread tasks go through
+        ``(score, paper_id, row)`` truncated to ``top_k`` — ``row`` is
+        global (segment offset + local row), so the composite order is
+        identical whether the rows live in one base segment or across
+        deltas.  Tasks go through
         :func:`repro.docstore.executor.scatter`, so ambient
         ``FanoutBudget``s, quiescence-on-error, and fan-out observers
-        behave exactly as on the scalar path; with
-        ``REPRO_EXECUTOR_KIND=process`` each task round-trips its
-        segment kernel through the process pool.
+        behave exactly as on the docstore's shard fan-out.
         """
-        use_process = _executor.executor_kind() == "process"
-        tasks = [
-            (shard, position, segment)
-            for shard, shard_segments in enumerate(self.segments)
-            for position, segment in enumerate(shard_segments)
-            if segment.num_rows
-        ]
-
-        def segment_task(shard: int, position: int, segment: Segment):
-            if use_process:
-                total, partial = _rank_via_process(
-                    (self.key, (shard, position), segment.id),
-                    segment.cols, spec, top_k,
-                )
-            else:
-                total, partial = score_shard(segment.cols, spec, top_k)
+        def segment_task(segment: Segment):
+            total, partial = score_segment(segment.cols, spec, top_k)
             return total, [
-                (score, paper_id, shard, segment.offset + row)
+                (score, paper_id, segment.offset + row)
                 for score, paper_id, row in partial
             ]
 
         partials = _executor.scatter([
-            (lambda t=task: segment_task(*t)) for task in tasks
+            (lambda s=segment: segment_task(s))
+            for segment in self.segments if segment.num_rows
         ])
         total = sum(partial[0] for partial in partials)
         merged = [entry for partial in partials for entry in partial[1]]
-        merged.sort(key=lambda entry: (-entry[0], entry[1], entry[2],
-                                       entry[3]))
+        merged.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
         return total, merged[:top_k]
 
-    def _segment_for(self, shard: int, row: int) -> Segment:
-        for segment in reversed(self.segments[shard]):
+    def _segment_for(self, row: int) -> Segment:
+        for segment in reversed(self.segments):
             if row >= segment.offset:
                 return segment
-        raise IndexError(f"row {row} not in shard {shard}")
+        raise IndexError(f"row {row} not in the index")
 
-    def fetch(self, entries: list[tuple[float, str, int, int]],
+    def fetch(self, entries: list[tuple[float, str, int]],
               projection: dict[str, int]) -> list[dict[str, Any]]:
         """Materialize page documents exactly like ``$project``+``$function``.
 
@@ -681,8 +554,8 @@ class ColumnarIndex:
         pages never alias the index's snapshot.
         """
         page = []
-        for score, _paper_id, shard, row in entries:
-            segment = self._segment_for(shard, row)
+        for score, _paper_id, row in entries:
+            segment = self._segment_for(row)
             document = apply_projection(
                 segment.documents[row - segment.offset], projection
             )
@@ -691,14 +564,12 @@ class ColumnarIndex:
         return page
 
 
-def stamp_for(collection: Collection | ShardedCollection,
-              num_documents: int) -> tuple[int, int]:
+def stamp_for(collection: Collection, num_documents: int) -> tuple[int, int]:
     """The invalidation stamp: docstore version + model document count."""
     return (collection.version, num_documents)
 
 
-def build_index(collection: Collection | ShardedCollection,
-                field_names: Iterable[str], stamp: Any,
-                key: str | None = None) -> ColumnarIndex:
+def build_index(collection: Collection, field_names: Iterable[str],
+                stamp: Any) -> ColumnarIndex:
     """Convenience wrapper (import surface for the engines)."""
-    return ColumnarIndex.build(collection, field_names, stamp, key=key)
+    return ColumnarIndex.build(collection, field_names, stamp)

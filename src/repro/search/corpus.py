@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.docstore.collection import Collection
-from repro.docstore.sharding import ShardedCollection
 from repro.search import columnar
 from repro.search.indexing import (
     ALL_SEARCH_FIELDS,
@@ -32,15 +31,8 @@ from repro.text.tokenizer import tokenize
 class SearchCorpus:
     """Index-side state: documents, term statistics, columnar postings."""
 
-    def __init__(self, num_shards: int = 1) -> None:
-        self.collection: Collection | ShardedCollection
-        if num_shards > 1:
-            self.collection = ShardedCollection(
-                "publications", shard_key="paper_id",
-                num_shards=num_shards,
-            )
-        else:
-            self.collection = Collection("publications")
+    def __init__(self) -> None:
+        self.collection = Collection("publications")
         self.tfidf = TfIdfModel()
         self.field_stats = FieldLengthStats()
         # Version-stamped columnar index; refreshed lazily whenever the
@@ -49,10 +41,8 @@ class SearchCorpus:
         # between readers merely duplicates work (assignment is atomic;
         # both builds see the same snapshot) — ingest vs read is
         # serialized by the serving tier's data lock, as for every other
-        # read path.  The key is minted once so process-pool workers
-        # evict superseded generations instead of caching them forever.
+        # read path.
         self._columnar: columnar.ColumnarIndex | None = None
-        self._columnar_key = columnar.new_index_key()
 
     # -- ingest -------------------------------------------------------------
 
@@ -78,8 +68,7 @@ class SearchCorpus:
         return columnar.stamp_for(self.collection, self.tfidf.num_documents)
 
     def _build_index(self, stamp: tuple[int, int]) -> columnar.ColumnarIndex:
-        return columnar.build_index(self.collection, ALL_SEARCH_FIELDS,
-                                    stamp, key=self._columnar_key)
+        return columnar.build_index(self.collection, ALL_SEARCH_FIELDS, stamp)
 
     @staticmethod
     def _append_only_delta(old: tuple[int, int],
@@ -102,8 +91,8 @@ class SearchCorpus:
         mid-query, so a concurrent refresh can never swap the arrays
         out from under a running kernel.  When the stamp advanced by
         inserts alone the refresh is incremental — only the new rows
-        are tokenized, into per-shard delta segments; anything else
-        rebuilds from scratch.
+        are tokenized, into a delta segment; anything else rebuilds
+        from scratch.
         """
         stamp = self._stamp()
         index = self._columnar
@@ -124,7 +113,7 @@ class SearchCorpus:
         return index.delta_rows if index is not None else 0
 
     def merge_segments(self) -> bool:
-        """Fold delta segments back into one base segment per shard.
+        """Fold delta segments back into one base segment.
 
         A full rebuild at the current stamp, swapped in with one atomic
         assignment — in-flight queries keep their old snapshot; the

@@ -17,11 +17,6 @@ then ``paper_id`` ascending as the tie-break — so the top-k page is
 byte-identical to what the full sort would emit (``full_sort = True``
 restores the reference path; the differential tests compare the two).
 
-An engine built with ``num_shards > 1`` stores its index in a
-:class:`~repro.docstore.sharding.ShardedCollection` and evaluates the
-``$match``/``$project``/``$function`` prefix per shard in parallel
-(scatter-gather on the shared executor), merging per-shard top-k heaps.
-
 When a query is expressible as batch array operations the whole
 match/score/top-k path instead runs on the columnar numpy kernels of
 :mod:`repro.search.columnar` — byte-identical results, no per-document
@@ -43,7 +38,6 @@ from repro.docstore.aggregation import (
     top_k_documents,
 )
 from repro.docstore.functions import FunctionRegistry
-from repro.docstore.sharding import ShardedCollection
 from repro.errors import QueryError
 from repro.search import columnar
 from repro.search.corpus import SearchCorpus
@@ -119,18 +113,10 @@ class SearchEngineBase:
     use_columnar: bool = True
 
     def __init__(self, registry: FunctionRegistry | None = None,
-                 expander=None, num_shards: int | None = None,
-                 ranker: str = "tfidf", bm25_k1: float = 1.5,
-                 bm25_b: float = 0.75,
+                 expander=None, ranker: str = "tfidf",
+                 bm25_k1: float = 1.5, bm25_b: float = 0.75,
                  corpus: SearchCorpus | None = None) -> None:
-        if corpus is None:
-            corpus = SearchCorpus(num_shards or 1)
-        elif num_shards is not None:
-            raise ValueError(
-                "num_shards sizes the engine's own corpus; a shared "
-                "corpus already has its shard count"
-            )
-        self.corpus = corpus
+        self.corpus = SearchCorpus() if corpus is None else corpus
         self.collection = self.corpus.collection
         self.tfidf = self.corpus.tfidf
         self.registry = registry or FunctionRegistry()
@@ -178,9 +164,7 @@ class SearchEngineBase:
         ]
 
     def shard_document_counts(self) -> list[int]:
-        """Per-shard indexed document counts (cost-estimation input)."""
-        if isinstance(self.collection, ShardedCollection):
-            return self.collection.shard_sizes()
+        """Indexed document counts (cost-estimation input)."""
         return [len(self.collection)]
 
     def rank_cost_factor(self, queries: list[str | None]) -> float:
@@ -241,9 +225,8 @@ class SearchEngineBase:
                       ) -> tuple[AggregationResult, int, float]:
         """Execute the canonical pipeline; returns (page, total, seconds).
 
-        The ``$match``/``$project``/``$function`` prefix always runs
-        (in parallel across shards when the index is sharded); ranking
-        then takes the top-k path — a bounded heap of the
+        The ``$match``/``$project``/``$function`` prefix always runs;
+        ranking then takes the top-k path — a bounded heap of the
         ``page * PAGE_SIZE`` best candidates — unless ``full_sort`` asks
         for the reference full ``$sort``.
         """
@@ -290,41 +273,15 @@ class SearchEngineBase:
                               {"$limit": PAGE_SIZE}],
                     self.registry,
                 )
-            if isinstance(self.collection, ShardedCollection):
-                paged, total = self._rank_sharded(prefix, skip)
-            else:
-                paged, total = self._rank_local(prefix, skip, top_k)
+            paged, total = self._rank_local(prefix, skip, top_k)
         finally:
             self.registry.unregister(function_name)
         seconds = time.perf_counter() - started
         return paged, total, seconds
 
-    def _rank_sharded(self, prefix: list[dict[str, Any]],
-                      skip: int) -> tuple[AggregationResult, int]:
-        """Scatter-gather ranking: per-shard prefix + bounded-heap merge."""
-        if self.full_sort:
-            ranked = self.collection.aggregate(
-                prefix + [{"$sort": SORT_SPEC}], self.registry
-            )
-            total = len(ranked.documents)
-            return AggregationResult(
-                ranked.documents[skip:skip + PAGE_SIZE], ranked.stages
-            ), total
-        ranked = self.collection.aggregate(
-            prefix + [{"$sort": SORT_SPEC}, {"$skip": skip},
-                      {"$limit": PAGE_SIZE}],
-            self.registry,
-        )
-        total = next(
-            (stat.docs_in for stat in ranked.stages
-             if stat.stage.startswith("$sort")),
-            len(ranked.documents),
-        )
-        return ranked, total
-
     def _rank_local(self, prefix: list[dict[str, Any]], skip: int,
                     top_k: int) -> tuple[AggregationResult, int]:
-        """Single-collection ranking: prefix, then top-k (or full sort)."""
+        """Scalar ranking: prefix, then top-k (or full sort)."""
         matched = aggregate(self.collection, prefix, self.registry)
         total = len(matched.documents)
         if self.full_sort:

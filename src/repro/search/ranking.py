@@ -299,6 +299,15 @@ class RankingFunction:
         """Per-field normalizer (BM25 average length; unused by TF-IDF)."""
         return 1.0
 
+    def field_plan(self, fields: list[str]
+                   ) -> list[tuple[str, float, float]]:
+        """``(field, weight, avgdl)`` per ranked field, for both executors."""
+        return [
+            (name, self.field_weights.get(name, 1.0),
+             self._field_norm(name))
+            for name in fields
+        ]
+
     def _word_score(self, tf: int, dl: int, avgdl: float,
                     planned: PlannedWord) -> float:
         """Score of one query word with term frequency ``tf > 0``."""
@@ -322,12 +331,7 @@ class RankingFunction:
         does per-document work (one tokenize + one stem pass per field,
         shared between TF counting and proximity extraction).
         """
-        field_names = list(fields or self.field_weights)
-        field_plan = [
-            (name, self.field_weights.get(name, 1.0),
-             self._field_norm(name))
-            for name in field_names
-        ]
+        field_plan = self.field_plan(list(fields or self.field_weights))
         plan = self.query_plan(parsed)
 
         def rank(document: dict[str, Any]) -> float:

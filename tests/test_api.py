@@ -124,13 +124,12 @@ class TestCovidKGSystem:
         stats = system.statistics()
         assert set(stats) == {
             "publications", "kg", "storage_bytes", "shard_sizes",
-            "executor_width", "ranker", "columnar", "pending_reviews",
+            "executor_width", "ranker", "pending_reviews",
             "registered_models",
         }
         assert stats["storage_bytes"] > 0
         assert stats["executor_width"] >= 1
         assert stats["ranker"] == "tfidf"
-        assert stats["columnar"] is True
 
     def test_untrained_system_still_ingests(self, corpus):
         kg = CovidKG(CovidKGConfig(num_shards=2))

@@ -1,5 +1,7 @@
 """Tests for system persistence, model serialization, and the CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,35 @@ class TestSystemPersistence:
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(PersistenceError):
             load_system(tmp_path / "nothing")
+
+    @staticmethod
+    def _patch_config(directory, **extra):
+        path = directory / "config.json"
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**saved, **extra}), encoding="utf-8")
+
+    def test_saves_with_retired_config_keys_still_load(self, built_system,
+                                                       tmp_path):
+        """Every save made before the keys were retired carries them."""
+        directory = save_system(built_system, tmp_path / "old")
+        self._patch_config(directory, search_shards=3, columnar=True)
+        restored = load_system(directory)
+        for query in ("vaccine", "side effects", '"side effects"'):
+            for page in (1, 2):
+                assert [
+                    (hit.paper_id, hit.score)
+                    for hit in restored.search(query, page=page)
+                ] == [
+                    (hit.paper_id, hit.score)
+                    for hit in built_system.search(query, page=page)
+                ]
+
+    def test_unknown_config_key_is_a_persistence_error(self, built_system,
+                                                       tmp_path):
+        directory = save_system(built_system, tmp_path / "bogus")
+        self._patch_config(directory, bogus=1)
+        with pytest.raises(PersistenceError, match="bogus"):
+            load_system(directory)
 
 
 class TestCli:

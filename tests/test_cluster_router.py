@@ -105,6 +105,23 @@ class TestRouting:
         assert _page_ids(response.json()) == \
             [hit.paper_id for hit in direct]
 
+    def test_routed_content_type_matches_direct(self, cluster, client):
+        """Regression: the router relabelled replica JSON as text/plain."""
+        _, replicas = cluster
+        for path, params in [
+            ("/v1/search/all_fields", {"query": "vaccine"}),
+            ("/v1/metrics", None),
+        ]:
+            routed = client.get(path, params=params)
+            owner = replicas[routed.headers["x-replica"]]
+            with GatewayClient("127.0.0.1", owner.gateway.port) as direct:
+                answer = direct.get(path, params=params)
+            assert routed.status == answer.status == 200
+            assert routed.headers["content-type"] == \
+                answer.headers["content-type"], path
+        assert client.search("all_fields", query="vaccine").headers[
+            "content-type"] == "application/json"
+
     def test_affinity_same_request_same_replica(self, cluster, client):
         owners = set()
         for _ in range(5):

@@ -11,17 +11,10 @@ path silently.
 from __future__ import annotations
 
 import math
-import os
 import random
 
 import pytest
 
-from repro.docstore.executor import (
-    KIND_ENV,
-    WIDTH_ENV,
-    shutdown_executor,
-    shutdown_process_executor,
-)
 from repro.docstore.functions import FunctionRegistry
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
@@ -70,12 +63,21 @@ def _make_paper(rng: random.Random, i: int) -> dict:
     }
 
 
-def _build(engine_cls, num_shards, num_papers=120, seed=11, **kwargs):
+def _build(engine_cls, num_papers=120, seed=11, num_segments=1, **kwargs):
+    """An engine over ``num_papers`` generated papers.
+
+    ``num_segments > 1`` indexes them in that many slices with a search
+    after each, so the columnar index holds a base segment plus
+    ``num_segments - 1`` delta segments over the very same rows.
+    """
     rng = random.Random(seed)
-    engine = engine_cls(FunctionRegistry(), num_shards=num_shards,
-                        **kwargs)
-    for i in range(num_papers):
-        engine.add_paper(_make_paper(rng, i))
+    engine = engine_cls(FunctionRegistry(), **kwargs)
+    papers = [_make_paper(rng, i) for i in range(num_papers)]
+    step = -(-num_papers // num_segments)
+    for start in range(0, num_papers, step):
+        engine.add_papers(papers[start:start + step])
+        if num_segments > 1:
+            engine.corpus.columnar_index()
     return engine
 
 
@@ -89,12 +91,15 @@ def _stages(results):
 
 # -- differential: kernel vs scalar vs full sort ---------------------------
 
-@pytest.mark.parametrize("num_shards", [1, 3])
+@pytest.mark.parametrize("num_segments", [1, 3])
 @pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
-def test_kernel_is_byte_identical_to_scalar(num_shards, ranker):
-    engine = _build(AllFieldsEngine, num_shards, ranker=ranker)
+def test_kernel_is_byte_identical_to_scalar(num_segments, ranker):
+    """Base-only index and base + 2 deltas: kernel ≡ scalar ≡ full sort."""
+    engine = _build(AllFieldsEngine, ranker=ranker,
+                    num_segments=num_segments)
+    assert len(engine.corpus.columnar_index().segments) == num_segments
     for query in QUERIES:
-        for page in (1, 2):
+        for page in (1, 2, 3):
             kernel = engine.search(query, page=page)
             engine.use_columnar = False
             scalar = engine.search(query, page=page)
@@ -109,7 +114,7 @@ def test_kernel_is_byte_identical_to_scalar(num_shards, ranker):
 
 
 def test_kernel_engages_for_plain_queries():
-    engine = _build(AllFieldsEngine, 2)
+    engine = _build(AllFieldsEngine)
     results = engine.search("covid vaccine")
     assert any("columnar" in stage for stage in _stages(results))
     # The stage advertises the active ranker.
@@ -121,7 +126,7 @@ def test_title_abstract_and_table_engines_take_the_kernel():
         (TableSearchEngine, {}),
         (TitleAbstractCaptionEngine, {}),
     ]:
-        engine = _build(engine_cls, 2, **kwargs)
+        engine = _build(engine_cls, **kwargs)
         if engine_cls is TitleAbstractCaptionEngine:
             kernel = engine.search(title="covid", abstract="vaccine trial")
             engine.use_columnar = False
@@ -138,7 +143,7 @@ def test_title_abstract_and_table_engines_take_the_kernel():
 # -- fallback: queries the kernel cannot express ---------------------------
 
 def test_quoted_phrase_falls_back_to_scalar():
-    engine = _build(AllFieldsEngine, 2)
+    engine = _build(AllFieldsEngine)
     results = engine.search('"vaccine trial"')
     assert not any("columnar" in stage for stage in _stages(results))
     engine.use_columnar = False
@@ -150,7 +155,7 @@ def test_expander_falls_back_to_scalar():
         def expand(self, term):
             return [("immunization", 0.5)] if term == "vaccine" else []
 
-    engine = _build(AllFieldsEngine, 2)
+    engine = _build(AllFieldsEngine)
     engine.expander = FakeExpander()
     engine.ranking.expander = engine.expander
     results = engine.search("vaccine")
@@ -158,7 +163,7 @@ def test_expander_falls_back_to_scalar():
 
 
 def test_custom_ranking_subclass_falls_back_to_scalar():
-    engine = _build(AllFieldsEngine, 2)
+    engine = _build(AllFieldsEngine)
 
     class Doubled(RankingFunction):
         def _word_score(self, tf, dl, avgdl, planned):
@@ -170,7 +175,7 @@ def test_custom_ranking_subclass_falls_back_to_scalar():
 
 
 def test_full_sort_disables_the_kernel():
-    engine = _build(AllFieldsEngine, 1)
+    engine = _build(AllFieldsEngine)
     engine.full_sort = True
     results = engine.search("covid")
     assert not any("columnar" in stage for stage in _stages(results))
@@ -216,7 +221,7 @@ def test_bm25_idf_golden_values():
 
 def test_bm25_engine_ranks_by_the_same_formula():
     """End to end: the engine's BM25 page ordering is reproducible."""
-    engine = _build(AllFieldsEngine, 1, num_papers=50, ranker="bm25",
+    engine = _build(AllFieldsEngine, num_papers=50, ranker="bm25",
                     bm25_k1=1.2, bm25_b=0.5)
     assert engine.ranking.k1 == 1.2 and engine.ranking.b == 0.5
     results = engine.search("vaccine trial")
@@ -237,8 +242,8 @@ def test_bm25_engine_ranks_by_the_same_formula():
 
 def test_tfidf_and_bm25_disagree_on_order_eventually():
     """The knob is real: the two rankers are not the same function."""
-    tfidf_engine = _build(AllFieldsEngine, 1, ranker="tfidf")
-    bm25_engine = _build(AllFieldsEngine, 1, ranker="bm25")
+    tfidf_engine = _build(AllFieldsEngine, ranker="tfidf")
+    bm25_engine = _build(AllFieldsEngine, ranker="bm25")
     tfidf_scores = _page(tfidf_engine.search("vaccine trial"))
     bm25_scores = _page(bm25_engine.search("vaccine trial"))
     assert [s for _, s in tfidf_scores] != [s for _, s in bm25_scores]
@@ -253,7 +258,7 @@ def test_unknown_ranker_is_rejected():
 # -- invalidation on docstore mutation -------------------------------------
 
 def test_index_is_reused_until_the_store_moves():
-    engine = _build(AllFieldsEngine, 2, num_papers=40)
+    engine = _build(AllFieldsEngine, num_papers=40)
     engine.search("covid")
     first = engine.corpus.columnar_index()
     engine.search("vaccine")
@@ -261,7 +266,7 @@ def test_index_is_reused_until_the_store_moves():
 
 
 def test_mutation_invalidates_and_new_documents_rank():
-    engine = _build(AllFieldsEngine, 2, num_papers=40)
+    engine = _build(AllFieldsEngine, num_papers=40)
     engine.search("covid")
     stale = engine.corpus.columnar_index()
 
@@ -282,18 +287,25 @@ def test_mutation_invalidates_and_new_documents_rank():
 def test_query_spec_is_picklable():
     import pickle
 
-    engine = _build(AllFieldsEngine, 1, num_papers=30)
-    parsed = parse_query("covid vaccine")
     from repro.search.indexing import ALL_SEARCH_FIELDS
-    spec = columnar.build_query_spec(
-        parsed,
-        columnar.MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS),
-        ALL_SEARCH_FIELDS,
-        engine.ranking,
-        set(ALL_SEARCH_FIELDS),
-    )
-    assert spec is not None
-    assert pickle.loads(pickle.dumps(spec)) == spec
+    parsed = parse_query("covid vaccine")
+    for ranker in ("tfidf", "bm25"):
+        engine = _build(AllFieldsEngine, num_papers=30, ranker=ranker)
+        spec = columnar.build_query_spec(
+            parsed,
+            columnar.MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS),
+            ALL_SEARCH_FIELDS,
+            engine.ranking,
+            set(ALL_SEARCH_FIELDS),
+        )
+        assert spec is not None
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        # The kernel spec is the scalar scorer's plan, not a re-derivation.
+        plan = engine.ranking.query_plan(parsed)
+        assert list(spec.words) == [(w.stemmed, w.idf) for w in plan.words]
+        assert spec.prox_stems == tuple(stem for _, stem in plan.proximity)
+        assert list(spec.fields) == \
+            engine.ranking.field_plan(ALL_SEARCH_FIELDS)
 
 
 def test_spec_rejected_for_unfitted_model():
@@ -310,33 +322,6 @@ def test_spec_rejected_for_unfitted_model():
     assert spec is None
 
 
-# -- process-pool executor -------------------------------------------------
-
-def test_process_mode_matches_thread_mode(monkeypatch):
-    engine = _build(AllFieldsEngine, 3, num_papers=60)
-    thread_pages = [_page(engine.search(q)) for q in QUERIES[:3]]
-
-    monkeypatch.setenv(KIND_ENV, "process")
-    monkeypatch.setenv(WIDTH_ENV, "2")
-    try:
-        process_pages = [_page(engine.search(q)) for q in QUERIES[:3]]
-        # Warm worker cache: a second pass must agree too.
-        warm_pages = [_page(engine.search(q)) for q in QUERIES[:3]]
-    finally:
-        shutdown_process_executor()
-        monkeypatch.delenv(KIND_ENV, raising=False)
-        monkeypatch.delenv(WIDTH_ENV, raising=False)
-        shutdown_executor()
-    assert process_pages == thread_pages
-    assert warm_pages == thread_pages
-
-
-def test_executor_kind_defaults_to_threads():
-    from repro.docstore.executor import executor_kind
-    assert os.environ.get(KIND_ENV) is None
-    assert executor_kind() == "thread"
-
-
 # -- delta segments and the snapshot-atomicity regression ------------------
 
 def _append_papers(engine, start, count, seed=77, title=None):
@@ -349,7 +334,7 @@ def _append_papers(engine, start, count, seed=77, title=None):
 
 
 def test_append_only_mutation_extends_into_delta_segments():
-    engine = _build(AllFieldsEngine, 2, num_papers=60)
+    engine = _build(AllFieldsEngine, num_papers=60)
     engine.search("covid")
     base = engine.corpus.columnar_index()
     assert base.delta_segments == 0
@@ -358,11 +343,11 @@ def test_append_only_mutation_extends_into_delta_segments():
     kernel_pages = [_page(engine.search(q)) for q in QUERIES]
     extended = engine.corpus.columnar_index()
 
-    # Incremental, not a rebuild: same worker-cache key, base segment
-    # arrays shared, only the 15 new rows tokenized into deltas.
+    # Incremental, not a rebuild: base segment arrays shared, only the
+    # 15 new rows tokenized into one delta.
     assert extended is not base
-    assert extended.key == base.key
-    assert extended.delta_segments > 0
+    assert extended.segments[0] is base.segments[0]
+    assert extended.delta_segments == 1
     assert extended.delta_rows == 15
     assert extended.num_rows == 75
 
@@ -370,14 +355,42 @@ def test_append_only_mutation_extends_into_delta_segments():
     engine.use_columnar = False
     assert [_page(engine.search(q)) for q in QUERIES] == kernel_pages
     engine.use_columnar = True
-    offline = _build(AllFieldsEngine, 2, num_papers=60)
+    offline = _build(AllFieldsEngine, num_papers=60)
     _append_papers(offline, 60, 15)
     offline.corpus._columnar = None  # force a from-scratch build
     assert [_page(offline.search(q)) for q in QUERIES] == kernel_pages
 
 
+def test_equal_scores_across_base_and_delta_order_like_a_rebuild():
+    """Ties merge by ``paper_id``, not by which segment holds the row."""
+    template = _make_paper(random.Random(3), 0)
+    template["title"] = "zebra zebra"
+
+    def clones(numbers):
+        return [{**template, "paper_id": f"tie{n:02d}"} for n in numbers]
+
+    def pages():
+        return [_page(engine.search("zebra", page=p)) for p in (1, 2)]
+
+    engine = _build(AllFieldsEngine, num_papers=30)
+    engine.add_papers(clones(range(13, 0, -2)))  # odd ids in the base ...
+    engine.search("zebra")
+    engine.add_papers(clones(range(12, -1, -2)))  # ... even ids in a delta
+    with_delta = pages()
+    assert engine.corpus.columnar_index().delta_rows == 7
+    assert len({score for page in with_delta for _, score in page}) == 1
+    assert [paper_id for page in with_delta for paper_id, _ in page] == \
+        [f"tie{n:02d}" for n in range(14)]
+
+    engine.corpus._columnar = None  # force a from-scratch build
+    assert pages() == with_delta
+    assert engine.corpus.columnar_index().delta_rows == 0
+    engine.use_columnar = False
+    assert pages() == with_delta
+
+
 def test_merge_segments_is_byte_identical_to_delta_serving():
-    engine = _build(AllFieldsEngine, 3, num_papers=50)
+    engine = _build(AllFieldsEngine, num_papers=50)
     engine.search("covid")
     _append_papers(engine, 50, 12)
     with_deltas = [_page(engine.search(q)) for q in QUERIES]
@@ -393,7 +406,7 @@ def test_merge_segments_is_byte_identical_to_delta_serving():
 
 
 def test_non_append_mutations_rebuild_instead_of_extending():
-    engine = _build(AllFieldsEngine, 2, num_papers=40)
+    engine = _build(AllFieldsEngine, num_papers=40)
     engine.search("covid")
     base = engine.corpus.columnar_index()
     # A version bump without a matching document append — the
@@ -416,7 +429,7 @@ def test_mutation_between_snapshot_and_kernel_serves_one_generation(
     leaves the in-flight page byte-identical to the pre-mutation
     answer.
     """
-    engine = _build(AllFieldsEngine, 2, num_papers=40)
+    engine = _build(AllFieldsEngine, num_papers=40)
     baseline = engine.search("covid")
     real_rank = AllFieldsEngine._rank_columnar
     fired = []

@@ -53,19 +53,24 @@ def _all_pages(all_fields, title_abstract, tables):
     return pages
 
 
-@pytest.mark.parametrize("search_shards", [1, 4])
+@pytest.mark.parametrize("num_segments", [1, 4])
 @pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
 def test_shared_corpus_pages_equal_three_standalone_engines(
-        papers, ranker, search_shards):
-    system = CovidKG(CovidKGConfig(ranker=ranker,
-                                   search_shards=search_shards))
-    system.ingest(papers)
+        papers, ranker, num_segments):
+    """Shared corpus, ingested in ``num_segments`` batches with a search
+    between (base + delta segments), vs base-only standalone engines."""
+    system = CovidKG(CovidKGConfig(ranker=ranker))
+    step = len(papers) // num_segments
+    for start in range(0, len(papers), step):
+        system.ingest(papers[start:start + step])
+        system.search_corpus.columnar_index()
+    assert len(system.search_corpus.columnar_index().segments) == \
+        num_segments
     engines = (system.all_fields, system.title_abstract, system.tables)
     assert all(engine.corpus is system.search_corpus for engine in engines)
 
     standalone = [
-        engine_cls(FunctionRegistry(), num_shards=search_shards,
-                   ranker=ranker)
+        engine_cls(FunctionRegistry(), ranker=ranker)
         for engine_cls in (AllFieldsEngine, TitleAbstractCaptionEngine,
                            TableSearchEngine)
     ]
@@ -78,6 +83,8 @@ def test_shared_corpus_pages_equal_three_standalone_engines(
     stages = {stage for page in shared_pages for stage in page[2]}
     assert f"$columnar({ranker})" in stages  # kernel queries ran ...
     assert "$function" in stages             # ... and so did phrases
+    assert system.search_corpus.merge_segments() is (num_segments > 1)
+    assert _all_pages(*engines) == shared_pages  # the merged index too
 
 
 def _count_analysis(monkeypatch):
@@ -112,12 +119,6 @@ def test_ingest_and_load_analyse_each_paper_once(papers, tmp_path,
     assert loaded.search_corpus.columnar_index() is index
 
 
-def test_shard_count_belongs_to_whoever_makes_the_corpus():
-    assert len(AllFieldsEngine(num_shards=4).corpus.collection.shards) == 4
-    with pytest.raises(ValueError, match="num_shards"):
-        AllFieldsEngine(num_shards=4, corpus=SearchCorpus())
-
-
 def test_field_text_joins_list_values():
     document = {"search": {"title": ["spike protein", "vaccine"],
                            "abstract": "plain"}}
@@ -140,7 +141,7 @@ def test_list_valued_field_counts_the_same_everywhere(papers, monkeypatch):
     monkeypatch.setattr(corpus_module, "build_search_document", listy)
     corpus = SearchCorpus()
     corpus.add_papers(papers[:10])
-    columns = corpus.columnar_index().segments[0][0].cols
+    columns = corpus.columnar_index().segments[0].cols
     title = columns.fields["search.title"]
     assert int(title.doc_lengths.sum()) > 0
     assert corpus.field_stats.average_length("search.title") == \

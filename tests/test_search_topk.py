@@ -1,15 +1,15 @@
-"""Differential tests for top-k ranked retrieval and sharded search.
+"""Differential tests for top-k ranked retrieval.
 
-The acceptance bar: the parallel scatter-gather top-k path must return
-result pages **byte-identical** (order, scores, snippets, totals) to the
-serial full-sort reference on a multi-shard corpus.
+The acceptance bar: the top-k paths (bounded heap on the scalar
+pipeline, per-segment kernels merged across base + delta segments) must
+return result pages **byte-identical** (order, scores, snippets, totals)
+to the full-sort reference.
 """
 
 import pytest
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import WIDTH_ENV, shutdown_executor
-from repro.docstore.sharding import ShardedCollection
+from repro.docstore.executor import shutdown_executor
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.engine import PAGE_SIZE
 
@@ -30,8 +30,8 @@ def clean_pool():
     shutdown_executor()
 
 
-def build_engine(corpus, num_shards, full_sort=False):
-    engine = AllFieldsEngine(num_shards=num_shards)
+def build_engine(corpus, full_sort=False):
+    engine = AllFieldsEngine()
     engine.full_sort = full_sort
     engine.add_papers(corpus)
     return engine
@@ -46,29 +46,31 @@ def page_tuple(results):
 
 
 def test_topk_matches_full_sort_single_shard(corpus):
-    reference = build_engine(corpus, num_shards=1, full_sort=True)
-    topk = build_engine(corpus, num_shards=1)
-    for query in QUERIES:
-        want = reference.search(query, page=1)
-        got = topk.search(query, page=1)
-        assert page_tuple(got.results) == page_tuple(want.results)
-        assert got.total_matches == want.total_matches
+    reference = build_engine(corpus, full_sort=True)
+    topk = build_engine(corpus)
+    for use_columnar in (True, False):  # kernel top-k, then scalar heap
+        topk.use_columnar = use_columnar
+        for query in QUERIES:
+            want = reference.search(query, page=1)
+            got = topk.search(query, page=1)
+            assert page_tuple(got.results) == page_tuple(want.results)
+            assert got.total_matches == want.total_matches
 
 
-def test_parallel_sharded_topk_matches_serial_full_sort(corpus,
-                                                        monkeypatch):
-    """The headline differential: 4-shard parallel top-k vs. the serial
-    single-collection full sort, byte-identical across pages."""
-    monkeypatch.setenv(WIDTH_ENV, "1")
-    reference = build_engine(corpus, num_shards=1, full_sort=True)
-    monkeypatch.delenv(WIDTH_ENV, raising=False)
-    sharded = build_engine(corpus, num_shards=4)
-    assert isinstance(sharded.collection, ShardedCollection)
+def test_topk_matches_full_sort_across_delta_segments(corpus):
+    """The headline differential: kernels scattered over a base and two
+    delta segments vs. the full sort, byte-identical across pages."""
+    reference = build_engine(corpus, full_sort=True)
+    segmented = AllFieldsEngine()
+    for start, stop in ((0, 30), (30, 50), (50, 70)):
+        segmented.add_papers(corpus[start:stop])
+        segmented.corpus.columnar_index()
+    assert segmented.corpus.columnar_index().delta_segments == 2
 
     for query in QUERIES:
         for page in (1, 2, 3):
             want = reference.search(query, page=page)
-            got = sharded.search(query, page=page)
+            got = segmented.search(query, page=page)
             assert page_tuple(got.results) == page_tuple(want.results), (
                 f"page mismatch for {query!r} page {page}"
             )
@@ -76,39 +78,27 @@ def test_parallel_sharded_topk_matches_serial_full_sort(corpus,
             assert got.num_pages == want.num_pages
 
 
-def test_sharded_full_sort_matches_sharded_topk(corpus):
-    """Within the sharded path, full_sort and top-k agree exactly."""
-    topk = build_engine(corpus, num_shards=4)
-    reference = build_engine(corpus, num_shards=4, full_sort=True)
-    for query in QUERIES:
-        want = reference.search(query, page=1)
-        got = topk.search(query, page=1)
-        assert page_tuple(got.results) == page_tuple(want.results)
-        assert got.total_matches == want.total_matches
-
-
 def test_deterministic_tiebreak_orders_by_paper_id(corpus):
-    """Equal scores order by paper_id ascending — shard layout can't leak
-    into the page order."""
-    for num_shards in (1, 4):
-        engine = build_engine(corpus, num_shards=num_shards)
-        results = engine.search("covid", page=1).results
-        for earlier, later in zip(results, results[1:]):
-            assert (earlier.score, earlier.paper_id) != \
-                   (later.score, later.paper_id)
-            if earlier.score == later.score:
-                assert earlier.paper_id < later.paper_id
+    """Equal scores order by paper_id ascending — storage layout can't
+    leak into the page order."""
+    engine = build_engine(corpus)
+    results = engine.search("covid", page=1).results
+    for earlier, later in zip(results, results[1:]):
+        assert (earlier.score, earlier.paper_id) != \
+               (later.score, later.paper_id)
+        if earlier.score == later.score:
+            assert earlier.paper_id < later.paper_id
 
 
 def test_pagination_past_last_page_is_empty(corpus):
-    engine = build_engine(corpus, num_shards=4)
+    engine = build_engine(corpus)
     first = engine.search("vaccine", page=1)
     beyond = first.num_pages + 1
     assert engine.search("vaccine", page=beyond).results == []
 
 
 def test_topk_stage_reports_total_matches(corpus):
-    engine = build_engine(corpus, num_shards=4)
+    engine = build_engine(corpus)
     results = engine.search("covid", page=1)
     assert results.total_matches >= len(results.results)
     assert len(results.results) <= PAGE_SIZE

@@ -194,10 +194,19 @@ class TestServiceSingleFlight:
         assert stats["negative_hits"] == 3
         assert stats["cache"]["negative_hits"] == 3
 
-    def test_fanout_latency_observed_on_sharded_search(self):
-        system = CovidKG(CovidKGConfig(num_shards=2, search_shards=3))
-        system.ingest(_corpus(20))
+    def test_fanout_observed_across_base_and_delta(self):
+        papers = _corpus(24)
+        system = CovidKG(CovidKGConfig(num_shards=2))
+        system.ingest(papers[:20])
+
+        def fanouts(service):
+            return service.stats()["latency"]["shard_fanout"]["count"]
+
         with QueryService(system, ServeConfig(num_workers=2)) as service:
             service.query("all_fields", query="vaccine")
-            stats = service.stats()
-        assert stats["latency"]["shard_fanout"]["count"] > 0
+            assert fanouts(service) == 0  # one base segment runs inline
+            service.ingest(papers[20:])
+            before = fanouts(service)
+            service.query("all_fields", query="vaccine")
+            assert system.search_corpus.delta_rows == 4
+            assert fanouts(service) == before + 2  # base + delta task
