@@ -11,6 +11,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.lint import Finding, LintRule, Source
+from repro.analysis.summaries import zero_timeout
 
 #: A `with` context expression counts as a lock guard when its terminal
 #: name looks like a mutex (``self._lock``, ``ObjectId._lock``,
@@ -638,7 +639,7 @@ class BlockingCallInAsync(LintRule):
         if chain and chain[0] in ("socket", "requests", "urllib",
                                   "http", "httpx"):
             return f"synchronous network I/O ({'.'.join(chain)})"
-        if func.attr == "result":
+        if func.attr == "result" and not zero_timeout(call):
             return "Future.result()"
         if func.attr in self._SOCKET_ATTRS and chain and \
                 chain[0] not in ("self",):

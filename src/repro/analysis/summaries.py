@@ -80,6 +80,14 @@ def imported_names(tree: ast.AST, module: str,
     return frozenset(names)
 
 
+def zero_timeout(call: ast.Call) -> bool:
+    """``x.result(0)`` / ``x.result(timeout=0)``: a poll, never a wait."""
+    values = [*call.args[:1], *(keyword.value for keyword in call.keywords
+                                if keyword.arg == "timeout")]
+    return any(isinstance(value, ast.Constant) and value.value == 0
+               for value in values)
+
+
 def blocking_call_reason(call: ast.Call,
                          time_sleep_names: frozenset[str]) -> str | None:
     """Why ``call`` blocks the calling thread, or ``None`` if it doesn't.
@@ -105,7 +113,7 @@ def blocking_call_reason(call: ast.Call,
     if chain and chain[0] in ("socket", "requests", "urllib",
                               "http", "httpx"):
         return f"synchronous network I/O ({'.'.join(chain)})"
-    if func.attr == "result":
+    if func.attr == "result" and not zero_timeout(call):
         return "Future.result()"
     if func.attr in _SOCKET_ATTRS and chain and chain[0] not in ("self",):
         return f"synchronous socket op .{func.attr}()"

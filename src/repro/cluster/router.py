@@ -57,6 +57,7 @@ from repro.gateway.http import (
     build_response,
     parse_request_head,
 )
+from repro.gateway.routes import error_payload
 
 logger = logging.getLogger("repro.cluster.router")
 
@@ -65,6 +66,11 @@ _LOCAL_PATHS = ("/v1/healthz", "/v1/cluster")
 
 #: Hop-by-hop / recomputed headers never forwarded to a replica.
 _HOP_HEADERS = frozenset({"connection", "host", "content-length"})
+
+#: Replica response headers the relay re-issues itself: the client-side
+#: ``Connection``, and the replica's request id under its own name
+#: beside the router's ``X-Request-Id``.
+_RELAY_OWN_HEADERS = frozenset({"connection", "x-request-id"})
 
 
 @dataclass
@@ -379,30 +385,18 @@ class Router:
                 except (ConnectionError, OSError):
                     return
                 except PayloadTooLargeError as exc:
-                    self._write_response(conn, Response(
-                        status=413,
-                        payload={"error": {"code": "request_too_large",
-                                           "message": str(exc)}},
-                        close=True), keep_alive=False)
+                    self._refuse(conn, 413, "request_too_large", exc)
                     return
                 except BadRequestError as exc:
-                    self._write_response(conn, Response(
-                        status=400,
-                        payload={"error": {"code": "bad_request",
-                                           "message": str(exc)}},
-                        close=True), keep_alive=False)
+                    self._refuse(conn, 400, "bad_request", exc)
                     return
                 if request is None:
                     return  # clean EOF between requests
-                response = self._handle(request, backends)
-                keep_alive = request.keep_alive and not response.close
                 try:
-                    self._write_response(
-                        conn, response, keep_alive=keep_alive,
-                        head_only=request.method == "HEAD")
+                    conn.sendall(self._handle(request, backends))
                 except (ConnectionError, OSError):
                     return
-                if not keep_alive:
+                if not request.keep_alive:
                     return
         finally:
             conn.close()
@@ -444,12 +438,16 @@ class Router:
         request.body, buffer = buffer[:length], buffer[length:]
         return request, buffer
 
-    def _write_response(self, conn: socket.socket, response: Response,
-                        *, keep_alive: bool,
-                        head_only: bool = False) -> None:
-        conn.sendall(build_response(
-            response, request_id=f"router-{next(self._ids):06x}",
-            keep_alive=keep_alive, head_only=head_only))
+    def _next_request_id(self) -> str:
+        return f"router-{next(self._ids):06x}"
+
+    def _refuse(self, conn: socket.socket, status: int, code: str,
+                exc: BaseException) -> None:
+        """Answer a request the router could not frame, then close."""
+        request_id = self._next_request_id()
+        response = error_payload(status, code, str(exc), request_id)
+        conn.sendall(build_response(response, request_id=request_id,
+                                    keep_alive=False))
 
     # -- routing -----------------------------------------------------------
 
@@ -465,14 +463,60 @@ class Router:
         return f"{request.path}?{query}".encode("utf-8")
 
     def _handle(self, request: Request,
-                backends: dict[str, GatewayClient]) -> Response:
+                backends: dict[str, GatewayClient]) -> bytes:
+        """One request in, the wire bytes of its answer out."""
         with self._lock:
             self.stats["requests"] += 1
+        request_id = self._next_request_id()
         if request.path in _LOCAL_PATHS:
-            return self._local(request)
+            return self._own(request, request_id, self._local(request))
         if request.method == "POST" and request.path == "/v1/ingest":
-            return self._forward_write(request, backends)
-        return self._forward_read(request, backends)
+            return self._forward_write(request, request_id, backends)
+        return self._forward_read(request, request_id, backends)
+
+    @staticmethod
+    def _own(request: Request, request_id: str,
+             response: Response) -> bytes:
+        """An answer the router made itself (local endpoint, no replica)."""
+        return build_response(response, request_id=request_id,
+                              keep_alive=request.keep_alive,
+                              head_only=request.method == "HEAD")
+
+    def _no_replicas(self, request: Request, request_id: str,
+                     message: str) -> bytes:
+        with self._lock:
+            self.stats["unroutable"] += 1
+        response = error_payload(503, "no_replicas", message, request_id)
+        response.headers["Retry-After"] = "1"
+        return self._own(request, request_id, response)
+
+    @staticmethod
+    def _relay(request: Request, request_id: str,
+               upstream: ClientResponse, replica_id: str,
+               *extra: str) -> bytes:
+        """A replica's answer, passed on as the bytes it arrived in.
+
+        Status, end-to-end headers and body are the replica's own —
+        ``Content-Length`` included, which for a ``HEAD`` describes the
+        body that was never sent.  The router adds its own request id
+        (the replica's moves to ``X-Replica-Request-Id``), the replica's
+        name, any ``extra`` header lines, and the ``Connection`` of the
+        client-side hop.
+        """
+        lines = [f"HTTP/1.1 {upstream.status} {upstream.reason}"]
+        for name, value in upstream.headers.items():
+            if name not in _RELAY_OWN_HEADERS:
+                lines.append(f"{name.title()}: {value}")
+        lines += (
+            f"X-Request-Id: {request_id}",
+            f"X-Replica-Request-Id: {upstream.request_id}",
+            f"X-Replica: {replica_id}",
+            *extra,
+            "Connection: keep-alive" if request.keep_alive
+            else "Connection: close",
+        )
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") \
+            + upstream.body
 
     def _backend(self, backends: dict[str, GatewayClient],
                  spec: ReplicaSpec) -> GatewayClient:
@@ -491,18 +535,8 @@ class Router:
         return {name: value for name, value in request.headers.items()
                 if name not in _HOP_HEADERS}
 
-    @staticmethod
-    def _to_response(upstream: ClientResponse) -> Response:
-        return Response(
-            status=upstream.status,
-            text=upstream.body.decode("utf-8", "replace"),
-            content_type=upstream.headers.get(
-                "content-type", "application/json"),
-            headers={"X-Replica-Request-Id": upstream.request_id},
-        )
-
-    def _forward_read(self, request: Request,
-                      backends: dict[str, GatewayClient]) -> Response:
+    def _forward_read(self, request: Request, request_id: str,
+                      backends: dict[str, GatewayClient]) -> bytes:
         key = self.routing_key(request)
         with self._lock:
             preference = self._ring.preference(key)
@@ -512,8 +546,10 @@ class Router:
         for spec in specs:
             client = self._backend(backends, spec)
             try:
+                # The target goes out exactly as it came in: the ring
+                # key is the only normalization a routed read pays for.
                 upstream = client.request(
-                    request.method, request.path, params=request.params,
+                    request.method, request.target,
                     headers=self._forward_headers(request),
                     body=request.body)
             except (ConnectionError, OSError) as exc:
@@ -523,18 +559,14 @@ class Router:
                 continue
             with self._lock:
                 self.stats["forwarded"] += 1
-            response = self._to_response(upstream)
-            response.headers["X-Replica"] = spec.replica_id
-            return response
-        with self._lock:
-            self.stats["unroutable"] += 1
-        return Response(status=503, payload={"error": {
-            "code": "no_replicas",
-            "message": "no healthy replica could serve the request",
-        }}, headers={"Retry-After": "1"})
+            return self._relay(request, request_id, upstream,
+                               spec.replica_id)
+        return self._no_replicas(
+            request, request_id,
+            "no healthy replica could serve the request")
 
-    def _forward_write(self, request: Request,
-                       backends: dict[str, GatewayClient]) -> Response:
+    def _forward_write(self, request: Request, request_id: str,
+                       backends: dict[str, GatewayClient]) -> bytes:
         """Write-all fan-out: every in-ring replica applies the batch.
 
         A replica that misses a committed batch has diverged and can
@@ -565,7 +597,7 @@ class Router:
             client = self._backend(backends, spec)
             try:
                 upstream = client.request(
-                    "POST", request.path, params=request.params,
+                    "POST", request.target,
                     headers=self._forward_headers(request),
                     body=request.body)
             except (ConnectionError, OSError) as exc:
@@ -576,12 +608,9 @@ class Router:
                 self.stats["write_fanouts"] += 1
             results.append((spec, upstream))
         if not results:
-            with self._lock:
-                self.stats["unroutable"] += 1
-            return Response(status=503, payload={"error": {
-                "code": "no_replicas",
-                "message": "no healthy replica accepted the write",
-            }}, headers={"Retry-After": "1"})
+            return self._no_replicas(
+                request, request_id,
+                "no healthy replica accepted the write")
         committed = [(spec, upstream) for spec, upstream in results
                      if 200 <= upstream.status < 300]
         if committed:
@@ -601,11 +630,10 @@ class Router:
             chosen_spec, chosen = committed[0]
         else:
             chosen_spec, chosen = results[0]
-        response = self._to_response(chosen)
-        response.headers["X-Replica"] = chosen_spec.replica_id
-        response.headers["X-Cluster-Write-Replicas"] = str(
-            len(committed) if committed else len(results))
-        return response
+        applied = len(committed) if committed else len(results)
+        return self._relay(
+            request, request_id, chosen, chosen_spec.replica_id,
+            f"X-Cluster-Write-Replicas: {applied}")
 
     # -- router-local endpoints -------------------------------------------
 

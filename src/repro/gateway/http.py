@@ -154,11 +154,19 @@ class Response:
     """A handler's answer, before wire serialization."""
 
     status: int = 200
-    payload: Any = None  # JSON-encoded unless ``text`` is set
-    text: str | None = None  # pre-rendered body; set ``content_type`` too
+    payload: Any = None  # JSON-encoded unless ``body`` is set
+    #: An already-encoded body, sent as is (set ``content_type`` too
+    #: when it is not JSON).
+    body: bytes | None = None
     content_type: str = "application/json"
     headers: dict[str, str] = field(default_factory=dict)
     close: bool = False  # force Connection: close
+
+
+def encode_json(payload: Any) -> bytes:
+    """The gateway's one JSON wire form: compact, ASCII, ``str`` fallback."""
+    return json.dumps(payload, default=str,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def build_response(response: Response, *, request_id: str,
@@ -168,11 +176,8 @@ def build_response(response: Response, *, request_id: str,
     ``head_only`` omits the body (HEAD requests) but keeps the
     ``Content-Length`` the corresponding GET would carry.
     """
-    if response.text is not None:
-        body = response.text.encode("utf-8")
-    else:
-        body = json.dumps(response.payload, default=str,
-                          separators=(",", ":")).encode("utf-8")
+    body = response.body if response.body is not None \
+        else encode_json(response.payload)
     reason = REASON_PHRASES.get(response.status, "Unknown")
     persistent = keep_alive and not response.close
     lines = [

@@ -24,7 +24,7 @@ from typing import Any
 
 import repro.errors as errors_module
 from repro.errors import BadRequestError, ReproError
-from repro.gateway.http import Request, Response
+from repro.gateway.http import Request, Response, encode_json
 from repro.kg.search import KGSearchHit
 from repro.kgql import KGQLResult
 from repro.search.engine import SearchResults
@@ -321,8 +321,8 @@ def _serialize_kg_hit(hit: KGSearchHit) -> dict[str, Any]:
     }
 
 
-def serialize_served(served: Any, request_id: str) -> dict[str, Any]:
-    """The response body for one ``ServedResult``."""
+def _envelope(served: Any, request_id: str) -> dict[str, Any]:
+    """Everything in a served body except the (last) ``value`` key."""
     return {
         "engine": served.engine,
         "request_id": request_id,
@@ -330,8 +330,29 @@ def serialize_served(served: Any, request_id: str) -> dict[str, Any]:
         "collapsed": served.collapsed,
         "seconds": served.seconds,
         "versions": list(served.versions),
-        "value": serialize_value(served.value),
     }
+
+
+def serialize_served(served: Any, request_id: str) -> dict[str, Any]:
+    """The response body for one ``ServedResult``."""
+    return {**_envelope(served, request_id),
+            "value": serialize_value(served.value)}
+
+
+def encode_value(value: Any) -> bytes:
+    """A served value's wire bytes — what an L1 entry keeps after a hit."""
+    return encode_json(serialize_value(value))
+
+
+def encode_served(served: Any, request_id: str, wire: bytes) -> bytes:
+    """``encode_json(serialize_served(...))`` around an encoded value.
+
+    Splices ``wire`` (:func:`encode_value` of ``served.value``) into the
+    freshly encoded envelope, so a page is encoded once however often
+    it is served; the bytes equal the one-pass encoding exactly.
+    """
+    return encode_json(_envelope(served, request_id))[:-1] \
+        + b',"value":' + wire + b"}"
 
 
 # -- prometheus rendering ---------------------------------------------------

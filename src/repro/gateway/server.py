@@ -5,16 +5,24 @@ tier, the shape production serving stacks use:
 
 * the **event loop** owns every socket and never computes an answer:
   a parsed request is admitted by :meth:`QueryService.submit` (cache
-  claim, pricing, admission queue — all O(1) bookkeeping) and the
-  returned worker-pool future is awaited via ``asyncio.wrap_future``,
-  so admission control, single-flight caching, fan-out budgets, and
-  the AIMD width controller all apply unchanged behind the gateway;
+  claim, pricing, admission queue — all O(1) bookkeeping), so
+  admission control, single-flight caching, fan-out budgets, and the
+  AIMD width controller all apply unchanged behind the gateway.  An
+  answer that is ready once admission returns — an L1 hit, a replayed
+  failure, a validation error, a local endpoint — is a finished
+  :class:`Response` then and there; a miss is a worker-pool future
+  awaited by a handler task via ``asyncio.wrap_future``;
 * each connection runs a **reader/writer pair**: the reader parses
-  pipelined requests and enqueues handler tasks onto a bounded queue
+  pipelined requests and queues their answers onto a bounded queue
   (``max_inflight_per_connection`` — when it fills, the reader simply
   stops consuming the socket and TCP pushes back on the client); the
   writer flushes responses strictly in request order, as HTTP/1.1
-  requires;
+  requires.  The **inline lane**: a ready answer with nothing
+  outstanding ahead of it on its connection is written by the reader
+  itself, in the loop turn that read the request;
+* one **idle watchdog** timer per connection closes it quietly once
+  the reader has waited ``idle_timeout_seconds`` for a request head
+  (an idle keep-alive client, or a head that stalled half-sent);
 * **overload degrades loudly, never silently**: connections past the
   global cap get ``503`` + ``Retry-After`` and the shed is reported to
   the load controller; admission-queue sheds surface as per-request
@@ -34,6 +42,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any
 
@@ -51,15 +60,16 @@ from repro.gateway.http import (
 )
 from repro.gateway.routes import (
     Endpoint,
+    encode_served,
+    encode_value,
     error_payload,
     error_response,
     render_prometheus,
     resolve,
-    serialize_served,
     timeout_seconds,
 )
 from repro.serve.metrics import GatewayMetrics
-from repro.serve.service import GatewayConfig, QueryService
+from repro.serve.service import GatewayConfig, QueryService, ServedResult
 
 logger = logging.getLogger("repro.gateway")
 access_logger = logging.getLogger("repro.gateway.access")
@@ -69,13 +79,39 @@ access_logger = logging.getLogger("repro.gateway.access")
 class _Pending:
     """One admitted request waiting for its in-order response slot."""
 
-    task: "asyncio.Task[Response]"
+    #: The finished response, or the handler task that will return it.
+    answer: "Response | asyncio.Task[Response]"
     request: Request | None  # None for protocol errors (no valid request)
     request_id: str
     endpoint: str
     started: float
     keep_alive: bool
     head_only: bool
+
+
+class _Connection:
+    """What one connection's reader, writer and idle watchdog share."""
+
+    __slots__ = ("reader", "writer", "pending", "outstanding", "inlined",
+                 "broken", "waiting_since", "idle_expired", "watchdog")
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter, max_inflight: int) -> None:
+        self.reader = reader
+        self.writer = writer
+        self.pending: "asyncio.Queue[_Pending | None]" = asyncio.Queue(
+            maxsize=max_inflight)
+        #: Requests queued for, or held by, the writer.  The reader may
+        #: write a response itself only while this is zero.
+        self.outstanding = 0
+        #: Responses the reader has written itself (the inline lane).
+        self.inlined = 0
+        #: The client went away; responses are accounted 499, not sent.
+        self.broken = False
+        #: When the reader began its current wait for a request head.
+        self.waiting_since: float | None = None
+        self.idle_expired = False
+        self.watchdog: asyncio.TimerHandle | None = None
 
 
 class Gateway:
@@ -161,16 +197,15 @@ class Gateway:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        pending: "asyncio.Queue[_Pending | None]" = asyncio.Queue(
-            maxsize=self.config.max_inflight_per_connection,
-        )
-        write_task = asyncio.create_task(
-            self._write_loop(writer, pending))
+        conn = _Connection(reader, writer,
+                           self.config.max_inflight_per_connection)
+        write_task = asyncio.create_task(self._write_loop(conn))
+        self._watch_idle(conn)
         try:
-            await self._read_loop(reader, pending)
+            await self._read_loop(conn)
             # put() can wait on a full queue, but the writer is still
             # consuming, so this always completes.
-            await pending.put(None)
+            await conn.pending.put(None)
             await write_task
         except asyncio.CancelledError:
             # Drain cancelled this connection deliberately; the writer
@@ -178,16 +213,40 @@ class Gateway:
             # the drain deadline — tear everything down, and complete
             # normally so the streams machinery doesn't log the cancel.
             write_task.cancel()
-            self._cancel_queued(pending)
+            self._cancel_queued(conn.pending)
         except BaseException:
             write_task.cancel()
-            self._cancel_queued(pending)
+            self._cancel_queued(conn.pending)
             raise
         finally:
+            if conn.watchdog is not None:
+                conn.watchdog.cancel()
             self.metrics.connection_closed()
             if task is not None:
                 self._conn_tasks.discard(task)
             writer.close()
+
+    def _watch_idle(self, conn: _Connection) -> None:
+        """The connection's idle watchdog: one timer, re-armed lazily.
+
+        Fires once per ``idle_timeout_seconds`` (not once per request)
+        and measures from the moment the reader last began waiting for
+        a request head: an idle keep-alive connection and a head that
+        stalled half-sent both end the read loop quietly — no 400 — and
+        whatever is still outstanding is answered before the close.
+        """
+        timeout = self.config.idle_timeout_seconds
+        waited = 0.0 if conn.waiting_since is None else \
+            time.monotonic() - conn.waiting_since
+        if waited >= timeout:
+            conn.idle_expired = True
+            # EOF wakes the parked readuntil().  Reading stops first:
+            # the stream reader must not be fed after its EOF.
+            conn.writer.transport.pause_reading()
+            conn.reader.feed_eof()
+            return
+        conn.watchdog = asyncio.get_running_loop().call_later(
+            timeout - waited, self._watch_idle, conn)
 
     async def _shed_connection(self,
                                writer: asyncio.StreamWriter) -> None:
@@ -217,31 +276,23 @@ class Gateway:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_loop(self, reader: asyncio.StreamReader,
-                         pending: "asyncio.Queue[_Pending | None]"
-                         ) -> None:
-        """Parse pipelined requests; enqueue one handler task each."""
+    async def _read_loop(self, conn: _Connection) -> None:
+        """Parse pipelined requests; answer or queue each in order."""
+        reader = conn.reader
         while not self._draining:
             try:
-                head = await asyncio.wait_for(
-                    reader.readuntil(HEAD_TERMINATOR),
-                    timeout=self.config.idle_timeout_seconds,
-                )
+                head = await self._read_head(conn)
             except asyncio.IncompleteReadError as exc:
-                if exc.partial:
-                    await self._enqueue_protocol_error(
-                        pending, BadRequestError(
-                            "connection closed mid-request head"))
+                if exc.partial and not conn.idle_expired:
+                    await self._reject(conn, BadRequestError(
+                        "connection closed mid-request head"))
                 return
             except asyncio.LimitOverrunError:
                 self.metrics.record_parse_error()
-                await self._enqueue_protocol_error(
-                    pending, BadRequestError(
-                        f"request head exceeds the "
-                        f"{self.config.max_header_bytes}-byte limit"))
+                await self._reject(conn, BadRequestError(
+                    f"request head exceeds the "
+                    f"{self.config.max_header_bytes}-byte limit"))
                 return
-            except asyncio.TimeoutError:
-                return  # idle keep-alive connection: close quietly
             except (ConnectionError, OSError):
                 return
             try:
@@ -250,10 +301,10 @@ class Gateway:
                 request.body = await self._read_body(reader, request)
             except BadRequestError as exc:
                 self.metrics.record_parse_error()
-                await self._enqueue_protocol_error(pending, exc)
+                await self._reject(conn, exc)
                 return
             except PayloadTooLargeError as exc:
-                await self._enqueue_protocol_error(pending, exc)
+                await self._reject(conn, exc)
                 return
             except (asyncio.IncompleteReadError, ConnectionError,
                     OSError):
@@ -261,20 +312,29 @@ class Gateway:
             endpoint = resolve(request.path)
             name = endpoint.name if endpoint is not None else "unknown"
             request_id = self._next_request_id()
+            started = time.monotonic()
             self.metrics.request_started(name)
-            task = asyncio.create_task(
-                self._handle_request(endpoint, request, request_id))
-            # Bounded: blocks when max_inflight_per_connection answers
-            # are outstanding, which stops socket reads — backpressure
-            # reaches the client as TCP flow control, not lost requests.
-            await pending.put(_Pending(
-                task=task, request=request, request_id=request_id,
-                endpoint=name, started=time.monotonic(),
+            answer = self._admit(endpoint, request, request_id)
+            if not isinstance(answer, Response):
+                answer = asyncio.create_task(
+                    self._await_served(answer, request_id))
+            await self._respond(conn, _Pending(
+                answer=answer, request=request, request_id=request_id,
+                endpoint=name, started=started,
                 keep_alive=request.keep_alive,
                 head_only=request.method == "HEAD",
             ))
             if not request.keep_alive:
                 return
+
+    @staticmethod
+    async def _read_head(conn: _Connection) -> bytes:
+        """Wait for the next request head, on the idle watchdog's clock."""
+        conn.waiting_since = time.monotonic()
+        try:
+            return await conn.reader.readuntil(HEAD_TERMINATOR)
+        finally:
+            conn.waiting_since = None
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          request: Request) -> bytes:
@@ -297,65 +357,86 @@ class Gateway:
                 item = pending.get_nowait()
             except asyncio.QueueEmpty:
                 return
-            if item is not None:
-                item.task.cancel()
+            if item is not None and isinstance(item.answer, asyncio.Task):
+                item.answer.cancel()
 
-    async def _enqueue_protocol_error(
-            self, pending: "asyncio.Queue[_Pending | None]",
-            exc: BaseException) -> None:
+    async def _reject(self, conn: _Connection,
+                      exc: BaseException) -> None:
         """Answer a malformed request in-order, then close."""
         request_id = self._next_request_id()
         response = error_response(exc, request_id)
         response.close = True
-
-        async def _ready() -> Response:
-            return response
-
         self.metrics.request_started("malformed")
-        await pending.put(_Pending(
-            task=asyncio.create_task(_ready()), request=None,
-            request_id=request_id, endpoint="malformed",
-            started=time.monotonic(), keep_alive=False,
-            head_only=False,
+        await self._respond(conn, _Pending(
+            answer=response, request=None, request_id=request_id,
+            endpoint="malformed", started=time.monotonic(),
+            keep_alive=False, head_only=False,
         ))
 
-    async def _write_loop(self, writer: asyncio.StreamWriter,
-                          pending: "asyncio.Queue[_Pending | None]"
-                          ) -> None:
+    async def _respond(self, conn: _Connection, item: _Pending) -> None:
+        """Write ``item``'s answer now if HTTP/1.1 order allows, else queue.
+
+        The inline lane: a ready response with nothing outstanding ahead
+        of it goes out from the reader in this loop turn — no handler
+        task, no queue hop, no writer wake-up.  Anything else waits its
+        turn behind the writer.
+        """
+        if conn.outstanding == 0 and isinstance(item.answer, Response):
+            await self._send(conn, item, item.answer)
+            conn.inlined += 1
+            if conn.inlined % self.config.max_inflight_per_connection == 0:
+                # A pipelined burst of ready answers never suspends the
+                # reader; hand the loop to the other connections as
+                # often as the queue's cap used to make it.
+                await asyncio.sleep(0)
+            return
+        conn.outstanding += 1
+        # Bounded: blocks when max_inflight_per_connection answers are
+        # outstanding, which stops socket reads — backpressure reaches
+        # the client as TCP flow control, not lost requests.
+        await conn.pending.put(item)
+
+    async def _write_loop(self, conn: _Connection) -> None:
         """Flush responses in request order until the reader signals EOF.
 
         Runs to the sentinel even when the socket breaks: every admitted
         task must be awaited (so service work quiesces) and accounted
         (so the in-flight gauge returns to zero).
         """
-        broken = False
         while True:
-            item = await pending.get()
+            item = await conn.pending.get()
             if item is None:
                 return
-            response = await item.task  # handler never raises
-            status = response.status
-            if not broken:
-                data = build_response(
-                    response,
-                    request_id=item.request_id,
-                    keep_alive=(item.keep_alive and not response.close
-                                and not self._draining),
-                    head_only=item.head_only,
-                )
-                try:
-                    writer.write(data)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    broken = True
-            if broken:
-                status = 499  # client closed before the response went out
-            elapsed = time.monotonic() - item.started
-            self.metrics.request_finished(status, elapsed)
-            self._access_log(item, response, status, elapsed, writer)
+            answer = item.answer
+            if not isinstance(answer, Response):
+                answer = await answer  # handler never raises
+            await self._send(conn, item, answer)
+            conn.outstanding -= 1
 
-    def _access_log(self, item: _Pending, response: Response,
-                    status: int, elapsed: float,
+    async def _send(self, conn: _Connection, item: _Pending,
+                    response: Response) -> None:
+        """Put one response on the wire and account for the request."""
+        status = response.status
+        if not conn.broken:
+            data = build_response(
+                response,
+                request_id=item.request_id,
+                keep_alive=(item.keep_alive and not response.close
+                            and not self._draining),
+                head_only=item.head_only,
+            )
+            try:
+                conn.writer.write(data)
+                await conn.writer.drain()
+            except (ConnectionError, OSError):
+                conn.broken = True
+        if conn.broken:
+            status = 499  # client closed before the response went out
+        elapsed = time.monotonic() - item.started
+        self.metrics.request_finished(status, elapsed)
+        self._access_log(item, status, elapsed, conn.writer)
+
+    def _access_log(self, item: _Pending, status: int, elapsed: float,
                     writer: asyncio.StreamWriter) -> None:
         if not self.config.access_log:
             return
@@ -373,10 +454,16 @@ class Gateway:
 
     # -- request handling --------------------------------------------------
 
-    async def _handle_request(self, endpoint: Endpoint | None,
-                              request: Request,
-                              request_id: str) -> Response:
-        """Answer one routed request; every failure becomes a response."""
+    def _admit(self, endpoint: Endpoint | None, request: Request,
+               request_id: str) -> "Response | Future[ServedResult]":
+        """The synchronous half of a request, run by the reader.
+
+        Returns the finished response whenever there is one by the time
+        admission returns — no route, a local endpoint, a validation or
+        admission failure, an L1 hit, a replayed negative entry — and
+        otherwise the pool future a handler task will await.  Every
+        failure becomes a response.
+        """
         try:
             if endpoint is None:
                 return error_payload(
@@ -407,16 +494,42 @@ class Gateway:
                     request, self.config.default_timeout_ms)
                 future = self.service.submit(
                     endpoint.engine, timeout_seconds=timeout, **params)
+            if not future.done():
+                return future
+            # Resolved at admission: skip the task and wrap_future,
+            # whose wake-up crosses the loop's self-pipe even for a
+            # future that is already done.  (timeout=0: this runs on
+            # the loop and must poll, never wait.)
+            served = future.result(timeout=0)
+            wire = served.wire
+            if wire is None:
+                wire = encode_value(served.value)
+                if served.cached and not served.shared:
+                    # First L1 hit of this entry: later hits reuse the
+                    # bytes for as long as the entry lives.
+                    self.service.attach_wire(served, params, wire)
+            return Response(body=encode_served(served, request_id, wire))
+        except Exception as exc:  # noqa: BLE001 - becomes the body
+            return self._error(exc, request_id)
+
+    async def _await_served(self, future: "Future[ServedResult]",
+                            request_id: str) -> Response:
+        """The handler task of a miss: await the pool, encode the page."""
+        try:
             served = await asyncio.wrap_future(future)
-            return Response(payload=serialize_served(served, request_id))
+            return Response(body=encode_served(
+                served, request_id, encode_value(served.value)))
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - becomes the body
-            response = error_response(exc, request_id)
-            if isinstance(exc, ServiceOverloadedError):
-                response.headers["Retry-After"] = str(
-                    self.config.retry_after_seconds)
-            return response
+            return self._error(exc, request_id)
+
+    def _error(self, exc: BaseException, request_id: str) -> Response:
+        response = error_response(exc, request_id)
+        if isinstance(exc, ServiceOverloadedError):
+            response.headers["Retry-After"] = str(
+                self.config.retry_after_seconds)
+        return response
 
     def _local_endpoint(self, endpoint: Endpoint,
                         request_id: str) -> Response:
@@ -440,7 +553,7 @@ class Gateway:
         text = render_prometheus(self.service.stats(),
                                  self.metrics.snapshot())
         return Response(
-            text=text,
+            body=text.encode("utf-8"),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 

@@ -99,6 +99,11 @@ class _Entry:
     versions: VersionSnapshot
     expires_at: float
     stored_at: float = field(default=0.0)
+    #: The value's encoded form, attached by whoever serves hits over a
+    #: wire (:meth:`ResultCache.attach_wire`).  It lives and dies with
+    #: the entry, so every way an entry goes — LRU, TTL, version
+    #: invalidation, ``put`` replacement — drops the bytes too.
+    wire: bytes | None = None
 
 
 @dataclass
@@ -235,6 +240,12 @@ class ResultCache:
         * ``("leader", flight)`` — this caller must compute, then call
           :meth:`complete` or :meth:`fail` on the returned flight.
         """
+        status, payload, _ = self.claim_wire(key, versions)
+        return status, payload
+
+    def claim_wire(self, key: CacheKey, versions: VersionSnapshot
+                   ) -> tuple[str, Any, bytes | None]:
+        """:meth:`claim`, plus the hit entry's attached bytes (if any)."""
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
@@ -248,19 +259,32 @@ class ResultCache:
                 else:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
-                    return "hit", entry.value
+                    return "hit", entry.value, entry.wire
             negative = self._fresh_negative(key, versions, now)
             if negative is not None:
                 self.stats.negative_hits += 1
-                return "negative", negative.exception
+                return "negative", negative.exception, None
             flight = self._inflight.get(key)
             if flight is not None and flight.versions == versions:
                 self.stats.collapsed += 1
-                return "follower", flight
+                return "follower", flight, None
             flight = Flight(key, versions)
             self._inflight[key] = flight
             self.stats.misses += 1
-            return "leader", flight
+            return "leader", flight, None
+
+    def attach_wire(self, key: CacheKey, value: Any, wire: bytes) -> None:
+        """Remember ``value``'s encoded form on the entry that holds it.
+
+        Called after a hit, never at miss time, so entries nobody asks
+        for twice carry no bytes.  A no-op unless ``key`` still maps to
+        the very object that was encoded: an entry replaced or dropped
+        since the hit must not inherit another value's bytes.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.value is value:
+                entry.wire = wire
 
     def complete(self, flight: Flight, versions: VersionSnapshot,
                  value: Any) -> None:

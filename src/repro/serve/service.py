@@ -159,6 +159,9 @@ class ServedResult:
     #: (an L2 hit published by another replica), not this process's L1
     #: and not a local computation.
     shared: bool = False
+    #: An L1 hit's encoded page, if a previous hit left one on the cache
+    #: entry (:meth:`QueryService.attach_wire`); never part of equality.
+    wire: bytes | None = field(default=None, compare=False, repr=False)
 
 
 class QueryService:
@@ -266,7 +269,7 @@ class QueryService:
         self.metrics.record_request(engine)
         key = request_key(engine, params)
         versions = self._versions(engine)
-        status, payload = self.cache.claim(key, versions)
+        status, payload, wire = self.cache.claim_wire(key, versions)
         if status == "hit":
             self.metrics.record_latency(engine,
                                         time.monotonic() - started)
@@ -274,6 +277,7 @@ class QueryService:
             future.set_result(ServedResult(
                 engine=engine, value=payload, cached=True,
                 seconds=time.monotonic() - started, versions=versions,
+                wire=wire,
             ))
             return future
         if status == "negative":
@@ -286,6 +290,18 @@ class QueryService:
             return self._follow(engine, payload, started, versions)
         return self._lead(engine, params, key, payload, started,
                           timeout_seconds, versions)
+
+    def attach_wire(self, served: ServedResult, params: dict[str, Any],
+                    wire: bytes) -> None:
+        """Keep an L1 hit's encoded page on its cache entry.
+
+        ``params`` are the ones the hit was submitted with.  The bytes
+        belong to the entry: later hits carry them as
+        ``ServedResult.wire`` until the entry is evicted, expires, is
+        invalidated by a version bump or is replaced.
+        """
+        self.cache.attach_wire(request_key(served.engine, params),
+                               served.value, wire)
 
     def _follow(self, engine: str, flight: Flight, started: float,
                 versions: tuple[int, ...]) -> "Future[ServedResult]":

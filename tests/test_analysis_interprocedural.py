@@ -111,6 +111,20 @@ def test_rep208_async_callee_is_not_blocking(tmp_path):
     assert _rules(findings, "REP208") == []
 
 
+def test_rep208_zero_timeout_result_is_a_poll(tmp_path):
+    # The gateway's inline lane reads futures it has seen done() with
+    # result(timeout=0); a bare result() on the same path still blocks.
+    files = {"pkg/app.py": (
+        "def ready(future):\n"
+        "    return future.result(timeout=0)\n\n\n"
+        "async def handler(future):\n"
+        "    return ready(future)\n"
+    )}
+    assert _rules(_analyze(tmp_path, files), "REP208") == []
+    files["pkg/app.py"] = files["pkg/app.py"].replace("timeout=0", "")
+    assert len(_rules(_analyze(tmp_path, files), "REP208")) == 1
+
+
 def test_rep208_suppression_comment_works(tmp_path):
     files = dict(REP208_POSITIVE)
     files["pkg/app.py"] = files["pkg/app.py"].replace(

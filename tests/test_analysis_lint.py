@@ -243,6 +243,16 @@ async def handler(future):
     assert [f.rule for f in _lint_text(text)] == ["REP206"]
 
 
+def test_rep206_allows_polling_a_future_with_a_zero_timeout():
+    text = """
+async def handler(future, other):
+    return future.result(timeout=0), other.result(0)
+"""
+    assert _lint_text(text) == []
+    assert [f.rule for f in _lint_text(text.replace("=0", "=0.5"))] == \
+        ["REP206"]
+
+
 def test_rep206_flags_sync_socket_ops_in_async_body():
     text = """
 async def proxy(sock):

@@ -9,6 +9,7 @@ the subprocess boundary, which ``test_cluster_invalidation`` covers).
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.api.system import CovidKG, CovidKGConfig
 from repro.cluster.router import ReplicaSpec, Router, RouterConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.gateway import BackgroundGateway, GatewayClient
+from repro.gateway.client import ClientResponse
 from repro.serve.service import QueryService, ServeConfig
 
 SEED = 41
@@ -89,6 +91,25 @@ def client(cluster):
     router, _ = cluster
     with GatewayClient("127.0.0.1", router.port) as cl:
         yield cl
+
+
+#: Headers that name the hop or the process, not the answer.
+_PER_HOP = {"connection", "x-request-id", "x-replica",
+            "x-replica-request-id"}
+
+
+def _end_to_end(response):
+    return {name: value for name, value in response.headers.items()
+            if name not in _PER_HOP}
+
+
+def _assert_router_error_shape(response, code):
+    """``{"error": {"code", "message", "request_id"}}``, one id."""
+    error = response.json()["error"]
+    assert set(error) == {"code", "message", "request_id"}
+    assert error["code"] == code and error["message"]
+    assert error["request_id"] == response.request_id
+    assert response.request_id.startswith("router-")
 
 
 def _states(router):
@@ -178,6 +199,153 @@ class TestRouting:
             sock.sendall(b"NONSENSE\r\n\r\n")
             reply = sock.recv(65536)
         assert reply.startswith(b"HTTP/1.1 400")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in
+                       head.decode("latin-1").split("\r\n")[1:])
+        _assert_router_error_shape(
+            ClientResponse(400, "Bad Request", headers, body),
+            "bad_request")
+
+    def test_chunked_request_is_router_400_with_request_id(self, client):
+        response = client.get("/v1/healthz",
+                              headers={"Transfer-Encoding": "chunked"})
+        assert response.status == 400
+        _assert_router_error_shape(response, "bad_request")
+
+
+class TestRelay:
+    """The router passes a replica's answer on as it arrived."""
+
+    @staticmethod
+    def _direct(replicas, routed, method, path, params=None):
+        owner = replicas[routed.headers["x-replica"]]
+        with GatewayClient("127.0.0.1", owner.gateway.port) as direct:
+            return direct.request(method, path, params=params)
+
+    def test_routed_head_keeps_the_gets_length(self, cluster, client):
+        _, replicas = cluster
+        path, params = "/v1/search/all_fields", {"query": "vaccine"}
+        page = client.get(path, params=params)
+        routed = client.request("HEAD", path, params=params)
+        direct = self._direct(replicas, routed, "HEAD", path, params)
+        assert routed.status == direct.status == 200
+        assert routed.body == direct.body == b""
+        assert routed.headers["content-type"] == \
+            direct.headers["content-type"] == "application/json"
+        # The envelope's ``seconds`` is a float of no fixed width; the
+        # page around it is thousands of bytes.
+        lengths = [int(response.headers["content-length"])
+                   for response in (routed, direct, page)]
+        assert min(lengths) > 1000
+        assert max(lengths) - min(lengths) <= 24, lengths
+        # HEAD left no stray body behind: the connection still frames.
+        again = client.get(path, params=params)
+        assert again.status == 200 and again.json()["cached"]
+        assert client.connects == 1
+
+    def test_routed_head_length_is_exact_when_the_body_is(self, cluster,
+                                                          client):
+        _, replicas = cluster
+        routed = client.request("HEAD", "/v1/search/all_fields")
+        direct = self._direct(replicas, routed, "HEAD",
+                              "/v1/search/all_fields")
+        assert routed.status == direct.status == 400
+        assert int(routed.headers["content-length"]) > 0
+        assert _end_to_end(routed) == _end_to_end(direct)
+
+    @pytest.mark.parametrize("method, path, params, status", [
+        ("GET", "/v1/search/all_fields", {"query": "vaccine"}, 200),
+        ("GET", "/v1/kg/search", {"query": "side effects"}, 200),
+        ("GET", "/v1/search/all_fields", None, 400),
+        ("GET", "/v1/nope", None, 404),
+        ("GET", "/v1/ingest", None, 405),
+        ("HEAD", "/v1/ingest", None, 405),
+    ])
+    def test_routed_headers_and_body_match_direct(
+            self, cluster, client, method, path, params, status):
+        _, replicas = cluster
+        client.request(method, path, params=params)  # 200s: now cached
+        routed = client.request(method, path, params=params)
+        direct = self._direct(replicas, routed, method, path, params)
+        assert routed.status == direct.status == status
+        expected, relayed = _end_to_end(direct), _end_to_end(routed)
+        if status == 200:
+            # Two hits of one page differ in request_id and seconds.
+            for payload in (routed.json(), direct.json()):
+                assert payload.pop("cached")
+                del payload["request_id"], payload["seconds"]
+            assert routed.json()["value"] == direct.json()["value"]
+            assert int(relayed.pop("content-length")) == len(routed.body)
+            del expected["content-length"]
+        elif method == "HEAD":
+            assert routed.body == direct.body == b""
+        else:
+            assert routed.json()["error"]["code"] == \
+                direct.json()["error"]["code"]
+        assert relayed == expected
+        if status == 405:
+            assert routed.headers["allow"] == "POST"
+        # The replica's own id rides along under its own name.
+        assert routed.request_id.startswith("router-")
+        assert routed.headers["x-replica-request-id"]
+        if status != 200 and method == "GET":
+            assert routed.json()["error"]["request_id"] == \
+                routed.headers["x-replica-request-id"]
+
+    def test_routed_target_reaches_the_replica_verbatim(self, cluster,
+                                                        client):
+        """One normalization for the ring key, none for the wire."""
+        _, replicas = cluster
+        target = "/v1/search/all_fields?page=1&query=spike%20protein+x"
+        routed = client.request("GET", target)
+        assert routed.status == 200
+        assert routed.json()["value"]["query"] == "spike protein x"
+        owner = replicas[routed.headers["x-replica"]]
+        assert owner.service.query(
+            "all_fields", query="spike protein x", page=1).cached
+
+    def test_replica_shed_503_keeps_retry_after(self):
+        """A saturated one-worker replica sheds; the hint must survive."""
+        replica = _Replica("r0")
+        replica.service.close()
+        replica.service = QueryService(
+            replica.system, ServeConfig(num_workers=1, max_queue=1))
+
+        def slow(query, page=1):
+            time.sleep(0.6)
+            return {"query": query, "page": page}
+
+        replica.service._dispatch["all_fields"] = slow
+        replica.gateway = BackgroundGateway(replica.service)
+        replica.start()
+        router = Router([replica.spec()],
+                        RouterConfig(probe_interval=0.1)).start()
+        try:
+            threads, statuses = [], []
+            for i in range(2):  # one on the worker, one in the queue
+                def run(i=i):
+                    with GatewayClient("127.0.0.1", router.port) as cl:
+                        statuses.append(cl.search(
+                            "all_fields", query=f"slow {i}").status)
+                thread = threading.Thread(target=run, daemon=True)
+                thread.start()
+                threads.append(thread)
+                time.sleep(0.12)
+            with GatewayClient("127.0.0.1", router.port) as cl:
+                shed = cl.search("all_fields", query="shed me")
+            with GatewayClient("127.0.0.1", replica.gateway.port) as cl:
+                direct = cl.search("all_fields", query="shed me too")
+            assert shed.status == direct.status == 503
+            assert shed.json()["error"]["code"] == "service_overloaded"
+            assert shed.headers["retry-after"] == \
+                direct.headers["retry-after"] == "1"
+            assert _end_to_end(shed).keys() == _end_to_end(direct).keys()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert statuses == [200, 200]
+        finally:
+            router.stop()
+            replica.stop()
 
 
 class TestWriteFanout:
@@ -281,8 +449,7 @@ class TestBodyLimit:
                     headers={"Content-Type": "application/json"},
                     body=b"x" * 4096)
                 assert response.status == 413
-                assert response.json()["error"]["code"] == \
-                    "request_too_large"
+                _assert_router_error_shape(response, "request_too_large")
         finally:
             router.stop()
 
@@ -357,8 +524,10 @@ class TestFailover:
                 assert health.status == 503
                 response = cl.search("all_fields", query="void")
                 assert response.status == 503
-                assert response.json()["error"]["code"] == \
-                    "no_replicas"
+                _assert_router_error_shape(response, "no_replicas")
                 assert "retry-after" in response.headers
+                write = cl.ingest(_corpus(1, start=BASE_PAPERS))
+                assert write.status == 503
+                _assert_router_error_shape(write, "no_replicas")
         finally:
             router.stop()

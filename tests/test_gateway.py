@@ -10,6 +10,11 @@ would see them.  The suite also runs under ``REPRO_RACECHECK=1`` in CI
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import re
+import socket
+import struct
 import threading
 import time
 from pathlib import Path
@@ -26,6 +31,9 @@ from repro.gateway import (
     all_error_classes,
     map_error,
 )
+from repro.gateway.routes import encode_value
+from repro.ingest.engine import IngestEngine
+from repro.serve.cache import request_key
 from repro.serve.loadctl import LoadControlConfig
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
 
@@ -94,6 +102,13 @@ class _SlowHarness:
     @property
     def port(self):
         return self.gw.port
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
 
 
 def _get_in_thread(port, path, params=None, timeout=30.0):
@@ -375,6 +390,335 @@ class TestOverload:
                         f"fan-out — the event loop blocked")
             thread.join(timeout=10.0)
             assert box["response"].status == 200
+
+
+# -- the encoded page: byte identity and entry lifetime --------------------
+
+#: What legitimately differs between a miss and a hit of one page.
+_VOLATILE = re.compile(rb'"request_id":"[^"]*","cached":(?:true|false),'
+                       rb'"collapsed":false,"seconds":[^,]*,')
+
+_ENVELOPE_KEYS = ["engine", "request_id", "cached", "collapsed", "seconds",
+                  "versions", "value"]
+
+KGQL = 'MATCH (v:"Vaccines")-[parent_of*1..2]->(e) RETURN e LIMIT 5'
+
+PAGES = {
+    "all_fields": ("/v1/search/all_fields",
+                   {"query": "vaccine side effects"}),
+    "title_abstract": ("/v1/search/title_abstract",
+                       {"abstract": "vaccine", "page": "1"}),
+    "table": ("/v1/search/table", {"query": "dosage"}),
+    "kg": ("/v1/kg/search", {"query": "side effects", "top_k": "5"}),
+    "kg_query": ("/v1/kg/query", {"query": KGQL}),
+    "kg_query_nl": ("/v1/kg/query",
+                    {"query": "what is under Vaccines", "nl": "1"}),
+}
+
+
+def _masked(body):
+    masked, count = _VOLATILE.subn(b"", body, count=1)
+    assert count == 1, body[:200]
+    return masked
+
+
+def _wire_slots(service):
+    return sum(entry.wire is not None
+               for entry in service.cache._entries.values())
+
+
+@pytest.fixture()
+def fresh(system):
+    """(service, client) over a cold cache on the shared system."""
+    with QueryService(system, ServeConfig(num_workers=2)) as service:
+        with BackgroundGateway(service) as gw:
+            with GatewayClient("127.0.0.1", gw.port) as cl:
+                yield service, cl
+
+
+class TestEncodedPage:
+    @pytest.mark.parametrize("name", sorted(PAGES))
+    def test_miss_and_hits_are_byte_identical(self, fresh, name):
+        service, cl = fresh
+        path, params = PAGES[name]
+        bodies = []
+        for _ in range(4):  # miss, first hit, second hit, third hit
+            response = cl.get(path, params=params)
+            assert response.status == 200, response.text
+            bodies.append(response.body)
+        assert [json.loads(body)["cached"] for body in bodies] == \
+            [False, True, True, True]
+        miss, first_hit, _, third_hit = bodies
+        assert _masked(miss) == _masked(first_hit) == _masked(third_hit)
+        for body in bodies:
+            payload = json.loads(body)
+            # The canonical compact form, however the body was put
+            # together (one pass on a miss, spliced on a hit).
+            assert json.dumps(payload,
+                              separators=(",", ":")).encode() == body
+            assert list(payload) == _ENVELOPE_KEYS
+        assert _wire_slots(service) == 1
+
+    def test_bytes_attach_on_the_first_hit_not_at_miss_time(self, fresh):
+        service, cl = fresh
+        path, params = PAGES["all_fields"]
+        key = request_key("all_fields", {"query": params["query"],
+                                         "page": 1})
+        cl.get(path, params=params)
+        assert service.cache._entries[key].wire is None  # never hit
+        cl.get("/v1/search/all_fields", params={"query": "quarantine"})
+        assert _wire_slots(service) == 0
+        cl.get(path, params=params)
+        entry = service.cache._entries[key]
+        assert entry.wire == encode_value(entry.value)
+        assert _wire_slots(service) == 1  # ... and only that entry
+
+    def test_in_process_results_ignore_the_attached_bytes(self, system):
+        with QueryService(system, ServeConfig(num_workers=2)) as service:
+            params = {"query": "vaccine side effects", "page": 1}
+            miss = service.query("all_fields", **params)
+            bare = service.query("all_fields", **params)
+            assert bare.cached and bare.wire is None
+            service.attach_wire(bare, params, encode_value(bare.value))
+            carrying = service.query("all_fields", **params)
+            assert carrying.wire == encode_value(miss.value)
+            assert dataclasses.replace(
+                carrying, seconds=bare.seconds) == bare
+            assert "wire" not in repr(carrying)
+
+    def test_no_stale_bytes_across_commit_and_rollback(self, tmp_path):
+        papers = _corpus(53, 40)
+        kg = CovidKG(CovidKGConfig(num_shards=2))
+        kg.ingest(papers[:24])
+        engine = IngestEngine(kg, tmp_path)
+        path, params = "/v1/search/all_fields", {"query": "covid"}
+
+        def page(cl, cached):
+            response = cl.get(path, params=params)
+            assert response.status == 200, response.text
+            assert response.json()["cached"] is cached
+            return response.body
+
+        try:
+            with QueryService(kg, ServeConfig(num_workers=2)) as service:
+                service.attach_ingest(engine)
+                with BackgroundGateway(service) as gw, \
+                        GatewayClient("127.0.0.1", gw.port) as cl:
+                    old = page(cl, False)
+                    assert _masked(page(cl, True)) == _masked(old)
+                    assert _masked(page(cl, True)) == _masked(old)
+                    assert cl.ingest(papers[24:]).status == 200
+                    fresh_page = page(cl, False)
+                    assert json.loads(fresh_page)["value"] != \
+                        json.loads(old)["value"]
+                    # The next hits serve *that* page, not kept bytes.
+                    assert _masked(page(cl, True)) == _masked(fresh_page)
+                    assert _masked(page(cl, True)) == _masked(fresh_page)
+                    engine.rollback("base")
+                    back = page(cl, False)
+                    assert json.loads(back)["value"]["results"] == \
+                        json.loads(old)["value"]["results"]
+                    assert _masked(page(cl, True)) == _masked(back)
+                    assert _masked(page(cl, True)) == _masked(back)
+                    assert _wire_slots(service) == 1
+        finally:
+            engine.close()
+
+
+# -- the inline lane: order, backpressure, accounting ----------------------
+
+def _raw(target):
+    return f"GET {target} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+
+
+class TestInlineLane:
+    def test_ready_answers_queue_behind_a_slow_miss(self, system):
+        with _SlowHarness(system, delay=0.2, num_workers=1) as harness:
+            with GatewayClient("127.0.0.1", harness.port) as cl:
+                warm = cl.search("all_fields", query="warm")
+                assert warm.status == 200
+                started = time.monotonic()
+                cl.send_raw_nowait(
+                    _raw("/v1/search/all_fields?query=slow")
+                    + _raw("/v1/search/all_fields?query=warm")
+                    + _raw("/v1/healthz")
+                    + _raw("/v1/search/all_fields?query=warm"))
+                replies = [cl.read_response() for _ in range(4)]
+                elapsed = time.monotonic() - started
+            assert [reply.status for reply in replies] == [200] * 4
+            slow, hit, health, hit_again = (
+                reply.json() for reply in replies)
+            assert slow["value"]["query"] == "slow" and not slow["cached"]
+            assert elapsed >= 0.2  # nothing overtook the miss
+            assert health["status"] == "ok"
+            for payload, reply in ((hit, replies[1]),
+                                   (hit_again, replies[3])):
+                assert payload["cached"]
+                assert payload["value"] == warm.json()["value"]
+                assert _masked(reply.body) == _masked(warm.body)
+
+    def test_a_pipelined_burst_of_hits_keeps_its_order(self, client):
+        queries = [f"burst {i % 3}" for i in range(40)]
+        for query in queries[:3]:
+            assert client.search("all_fields", query=query).status == 200
+        client.send_raw_nowait(b"".join(
+            _raw(f"/v1/search/all_fields?query=burst+{query[-1]}")
+            for query in queries))
+        for query in queries:
+            payload = client.read_response().json()
+            assert payload["cached"]
+            assert payload["value"]["query"] == query
+
+    def test_reader_still_stops_at_the_inflight_cap(self, system):
+        config = GatewayConfig(port=0, max_inflight_per_connection=2)
+        with _SlowHarness(system, delay=0.5, num_workers=1,
+                          gateway_config=config) as harness:
+            with GatewayClient("127.0.0.1", harness.port) as cl:
+                cl.send_raw_nowait(
+                    _raw("/v1/search/all_fields?query=slow")
+                    + _raw("/v1/healthz") * 8)
+                # One with the writer, two queued, one parked in put():
+                # the other five stay unread in the socket.
+                metrics = harness.gw.gateway.metrics
+                assert _wait_for(lambda: metrics.inflight >= 4,
+                                 timeout=0.35)
+                time.sleep(0.05)
+                assert metrics.inflight == 4
+                replies = [cl.read_response() for _ in range(9)]
+            assert [reply.status for reply in replies] == [200] * 9
+            assert replies[0].json()["value"]["query"] == "slow"
+            assert all(reply.json()["status"] == "ok"
+                       for reply in replies[1:])
+            # (accounted just after the last byte went out)
+            assert _wait_for(lambda: metrics.inflight == 0)
+
+    def test_client_gone_mid_response_is_499_and_drain_finishes(
+            self, system):
+        service = QueryService(system, ServeConfig(num_workers=2))
+        gw = BackgroundGateway(service).start()
+        try:
+            target = "/v1/search/all_fields?query=vaccine+side+effects"
+            with GatewayClient("127.0.0.1", gw.port) as cl:
+                page = cl.request("GET", target)
+                assert page.status == 200
+            # Far more response bytes than the socket buffers hold, and
+            # a client that never reads: the inline lane parks in
+            # drain() mid-burst, then the reset arrives.
+            burst = 16 * 1024 * 1024 // len(page.body)
+            sock = socket.create_connection(("127.0.0.1", gw.port),
+                                            timeout=10.0)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.sendall(_raw(target) * burst)
+            time.sleep(0.3)
+            sock.close()  # RST
+            metrics = gw.gateway.metrics
+            _wait_for(lambda: not metrics.inflight and
+                      "499" in metrics.snapshot()["responses"],
+                      timeout=10.0)
+            snapshot = metrics.snapshot()
+            assert snapshot["responses"].get("499", 0) >= 1
+            assert snapshot["requests_inflight"] == 0
+            started = time.monotonic()
+            gw.stop()
+            assert time.monotonic() - started < 2.0, \
+                "drain waited on a request nobody will ever finish"
+        finally:
+            gw.stop()
+            service.close()
+
+    def test_replayed_failure_answered_inline_keeps_its_shape(self, fresh):
+        service, cl = fresh
+        params = {"query": 'MATCH (v:"Vaccines" RETURN v'}  # unbalanced
+        computed = cl.get("/v1/kg/query", params=params)
+        replayed = cl.get("/v1/kg/query", params=params)
+        assert service.stats()["negative_hits"] == 1
+        assert computed.status == replayed.status == 400
+        first, second = computed.json()["error"], replayed.json()["error"]
+        assert second["request_id"] == replayed.request_id
+        assert second["request_id"] != first["request_id"]
+        assert (second["code"], second["message"]) == \
+            (first["code"], first["message"])
+        assert replayed.keep_alive
+
+    def test_shed_answered_inline_keeps_retry_after(self, system):
+        with _SlowHarness(system, delay=0.6, num_workers=1,
+                          max_queue=1) as harness:
+            threads = []
+            for i in range(2):  # one on the worker, one in the queue
+                threads.append(_get_in_thread(
+                    harness.port, "/v1/search/all_fields",
+                    {"query": f"slow {i}"}))
+                time.sleep(0.12)
+            with GatewayClient("127.0.0.1", harness.port) as cl:
+                cl.send_raw_nowait(
+                    _raw("/v1/search/all_fields?query=shed+me")
+                    + _raw("/v1/healthz"))
+                shed, health = cl.read_response(), cl.read_response()
+            assert shed.status == 503
+            error = shed.json()["error"]
+            assert error["code"] == "service_overloaded"
+            assert error["request_id"] == shed.request_id
+            assert shed.headers["retry-after"] == "1"
+            assert shed.keep_alive and health.status == 200
+            for thread, box in threads:
+                thread.join(timeout=10.0)
+                assert box["response"].status == 200
+
+
+# -- the per-connection idle watchdog --------------------------------------
+
+class TestIdleTimeout:
+    @pytest.fixture()
+    def impatient(self, system):
+        config = GatewayConfig(port=0, idle_timeout_seconds=0.2)
+        with _SlowHarness(system, delay=0.5, num_workers=1,
+                          gateway_config=config) as harness:
+            yield harness
+
+    @staticmethod
+    def _closed_quietly(sock, within=2.0):
+        """The peer closed without sending another byte."""
+        sock.settimeout(within)
+        started = time.monotonic()
+        assert sock.recv(65536) == b""
+        return time.monotonic() - started
+
+    def test_idle_keep_alive_connection_is_closed_quietly(self,
+                                                          impatient):
+        with socket.create_connection(("127.0.0.1", impatient.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(_raw("/v1/healthz"))
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            assert 0.1 <= self._closed_quietly(sock) < 1.5
+
+    def test_half_sent_head_is_closed_without_a_400(self, impatient):
+        with socket.create_connection(("127.0.0.1", impatient.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"GET /v1/healthz HTT")
+            self._closed_quietly(sock)
+        snapshot = impatient.gw.gateway.metrics.snapshot()
+        assert snapshot["parse_errors"] == 0
+        assert snapshot["requests"].get("malformed", 0) == 0
+
+    def test_a_connection_that_keeps_asking_is_never_closed(self,
+                                                            impatient):
+        with GatewayClient("127.0.0.1", impatient.port) as cl:
+            for _ in range(10):  # 1 s of traffic, 5 idle timeouts long
+                assert cl.request("GET", "/v1/healthz",
+                                  retry_on_stale=False).status == 200
+                time.sleep(0.1)
+            assert cl.connects == 1
+
+    def test_an_outstanding_answer_outlives_the_idle_timeout(self,
+                                                             impatient):
+        with socket.create_connection(("127.0.0.1", impatient.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(_raw("/v1/search/all_fields?query=slow"))
+            reply = sock.recv(65536)  # 0.5 s of work, 0.2 s idle limit
+            assert reply.startswith(b"HTTP/1.1 200")
+            assert b'"query":"slow"' in reply
+            self._closed_quietly(sock)
 
 
 # -- graceful drain --------------------------------------------------------

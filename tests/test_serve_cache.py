@@ -170,3 +170,77 @@ class TestNegativeInvalidation:
         now[0] = 6.0
         status, _ = cache.claim(key, (1,))
         assert status == "leader"
+
+
+def _wire_slots(cache):
+    return sum(entry.wire is not None
+               for entry in cache._entries.values())
+
+
+class TestAttachedWire:
+    """An entry's encoded page: attached after a hit, gone with the entry."""
+
+    KEY = request_key("all_fields", {"query": "covid", "page": 1})
+
+    def _hit_entry(self, cache, key=KEY, value=None, versions=(1,)):
+        value = value if value is not None else {"page": key}
+        cache.put(key, versions, value)
+        assert cache.claim_wire(key, versions) == ("hit", value, None)
+        cache.attach_wire(key, value, b"{}")
+        return value
+
+    def test_later_hits_carry_the_attached_bytes(self):
+        cache = ResultCache()
+        value = self._hit_entry(cache)
+        assert cache.claim_wire(self.KEY, (1,)) == ("hit", value, b"{}")
+        # claim() keeps its two-tuple shape for everyone else.
+        assert cache.claim(self.KEY, (1,)) == ("hit", value)
+        assert _wire_slots(cache) == 1
+
+    def test_an_entry_that_is_never_hit_holds_no_bytes(self):
+        cache = ResultCache()
+        cache.put(self.KEY, (1,), "page")
+        assert _wire_slots(cache) == 0
+
+    def test_bytes_never_attach_to_another_value(self):
+        cache = ResultCache()
+        stale = ["old page"]
+        cache.put(self.KEY, (1,), stale)
+        cache.put(self.KEY, (2,), ["new page"])  # replaced since the hit
+        cache.attach_wire(self.KEY, stale, b'["old page"]')
+        cache.attach_wire(("all_fields", ("gone",)), stale, b"x")
+        assert _wire_slots(cache) == 0
+
+    def test_put_replacement_drops_the_bytes(self):
+        cache = ResultCache()
+        self._hit_entry(cache)
+        cache.put(self.KEY, (1,), "recomputed")
+        assert _wire_slots(cache) == 0
+        assert cache.claim_wire(self.KEY, (1,)) == \
+            ("hit", "recomputed", None)
+
+    def test_version_invalidation_drops_the_bytes(self):
+        cache = ResultCache()
+        self._hit_entry(cache)
+        status, _, wire = cache.claim_wire(self.KEY, (2,))
+        assert (status, wire) == ("leader", None)
+        assert _wire_slots(cache) == 0 and self.KEY not in cache
+
+    def test_ttl_expiry_drops_the_bytes(self):
+        clock = [0.0]
+        cache = ResultCache(ttl_seconds=10.0, clock=lambda: clock[0])
+        self._hit_entry(cache)
+        clock[0] = 10.1
+        assert cache.claim_wire(self.KEY, (1,))[0] == "leader"
+        assert _wire_slots(cache) == 0 and self.KEY not in cache
+
+    def test_lru_eviction_drops_the_bytes(self):
+        cache = ResultCache(max_entries=2)
+        first, second, third = (("e", (name,)) for name in "abc")
+        self._hit_entry(cache, first)
+        self._hit_entry(cache, second)
+        assert _wire_slots(cache) == 2
+        cache.put(third, (1,), "c")  # evicts the least recently used
+        assert first not in cache
+        assert _wire_slots(cache) == 1
+        assert cache.claim_wire(second, (1,))[2] == b"{}"
