@@ -10,17 +10,17 @@ latency profile the tier had without HTTP in front.
 
 The drive: ``E18_CONNECTIONS`` keep-alive connections (default 500),
 each an asyncio client pacing requests on its own socket, against a
-gateway whose service has 4 workers, a shallow admission queue, and
-the AIMD load controller from PR 4.  Every 100th request per
-connection is a heavy 96-task fan-out; the rest are cheap 4-task
-queries (the e17 synthetic dispatch, so executor slots — not the GIL —
-are the contended resource).  Measured:
+gateway whose service has 4 workers and a shallow admission queue.
+Every ``E18_HEAVY_EVERY``-th request per connection is a heavy query,
+the rest are cheap; both are a synthetic dispatch that sleeps on the
+worker thread, so worker slots — not the GIL — are the contended
+resource.  Measured:
 
 * peak concurrent connections (must reach the configured count);
 * responses vs. requests (every request answered: no hangs, no drops);
 * 503 sheds from the admission queue (overload must be loud);
 * served cheap-request p95 vs. an unloaded single-connection baseline
-  (the bound: <= 2x, same as e17 — HTTP must not change the story).
+  (the bound: <= 2x — HTTP must not change the story).
 
 Emits ``BENCH_e18_gateway.json``.  CI runs a reduced shape via the
 ``E18_*`` env knobs.
@@ -36,9 +36,7 @@ from benchlib import print_table
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import WIDTH_ENV, scatter, shutdown_executor
 from repro.gateway import BackgroundGateway
-from repro.serve.loadctl import LoadControlConfig
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
 
 #: Drive shape (see module docstring).
@@ -48,11 +46,8 @@ CONN_INTERVAL = float(os.environ.get("E18_INTERVAL", "0.2"))
 HEAVY_EVERY = int(os.environ.get("E18_HEAVY_EVERY", "200"))
 RAMP_SECONDS = float(os.environ.get("E18_RAMP", "1.0"))
 BASELINE_REQUESTS = 40
-CHEAP_TASKS = 2
-HEAVY_TASKS = 32
-CHEAP_TASK_SECONDS = 0.008
-HEAVY_TASK_SECONDS = 0.004
-EXECUTOR_WIDTH = 8
+CHEAP_SECONDS = 0.008
+HEAVY_SECONDS = 0.016
 NUM_WORKERS = 4
 MAX_QUEUE = 1
 #: A response slower than this counts as a hung connection.
@@ -66,17 +61,8 @@ RESULTS = {
     "heavy_every": HEAVY_EVERY,
     "num_workers": NUM_WORKERS,
     "max_queue": MAX_QUEUE,
-    "executor_width": EXECUTOR_WIDTH,
     "scenarios": {},
 }
-
-
-@pytest.fixture(autouse=True)
-def _pinned_executor(monkeypatch):
-    monkeypatch.setenv(WIDTH_ENV, str(EXECUTOR_WIDTH))
-    shutdown_executor()
-    yield
-    shutdown_executor()
 
 
 @pytest.fixture(scope="module")
@@ -89,31 +75,17 @@ def system():
     return kg
 
 
-def _cheap_task():
-    time.sleep(CHEAP_TASK_SECONDS)
-    return 1
-
-
-def _heavy_task():
-    time.sleep(HEAVY_TASK_SECONDS)
-    return 1
-
-
 def _synthetic_dispatch(query, page=1):
-    if query.startswith("heavy"):
-        return sum(scatter([_heavy_task] * HEAVY_TASKS))
-    return sum(scatter([_cheap_task] * CHEAP_TASKS))
+    time.sleep(HEAVY_SECONDS if query.startswith("heavy")
+               else CHEAP_SECONDS)
+    return 1
 
 
 def _make_tier(system):
-    """An adaptive serving tier with the synthetic dispatch, plus a
-    gateway config sized for the drive."""
+    """A serving tier with the synthetic dispatch, plus a gateway
+    config sized for the drive."""
     service = QueryService(system, ServeConfig(
         num_workers=NUM_WORKERS, max_queue=MAX_QUEUE,
-        load_control=LoadControlConfig(
-            floor=CHEAP_TASKS, ceiling=EXECUTOR_WIDTH,
-            target_p95_seconds=0.004, cooldown_seconds=0.05,
-        ),
     ))
     service._dispatch["all_fields"] = _synthetic_dispatch
     config = GatewayConfig(port=0, max_connections=CONNECTIONS + 64,
@@ -243,7 +215,6 @@ def test_e18_gateway_under_connection_flood(system):
     with service:
         with BackgroundGateway(service, config) as gw:
             unloaded = asyncio.run(_baseline(gw.port))
-    shutdown_executor()
     unloaded_p95 = _percentile(unloaded, 0.95)
 
     service, config = _make_tier(system)
@@ -253,7 +224,6 @@ def test_e18_gateway_under_connection_flood(system):
             asyncio.run(_drive(gw.port, tally))
             gw_stats = gw.gateway.metrics.snapshot()
             service_stats = service.stats()
-    shutdown_executor()
 
     served = tally["statuses"].get(200, 0)
     shed = tally["statuses"].get(503, 0)
@@ -262,7 +232,6 @@ def test_e18_gateway_under_connection_flood(system):
     answered = sum(tally["statuses"].values())
     cheap_p95 = _percentile(tally["cheap_seconds"], 0.95)
     cheap_wall_p95 = _percentile(tally["cheap_wall"], 0.95)
-    control = service_stats["load_control"]
 
     RESULTS["scenarios"] = {
         "unloaded_cheap_p95_s": unloaded_p95,
@@ -280,7 +249,6 @@ def test_e18_gateway_under_connection_flood(system):
             "peak_connections": gw_stats["connections"]["peak"],
             "connections_total": gw_stats["connections"]["total"],
             "service_shed": service_stats["shed"],
-            "control": control,
         },
     }
 
@@ -297,9 +265,7 @@ def test_e18_gateway_under_connection_flood(system):
         note=f"{gw_stats['connections']['total']} connection(s) total "
              f"(keep-alive: {tally['offered']} requests), "
              f"client-observed cheap p95 "
-             f"{cheap_wall_p95 * 1e3:.2f}ms, "
-             f"{control['shed_shrinks']} shed-forced shrink(s), "
-             f"{control['width_changes']} width change(s)",
+             f"{cheap_wall_p95 * 1e3:.2f}ms",
     )
 
     # The acceptance criteria, in order: the configured connection
@@ -320,4 +286,3 @@ def test_e18_gateway_under_connection_flood(system):
         f"cheap p95 {cheap_p95 * 1e3:.2f}ms vs unloaded "
         f"{unloaded_p95 * 1e3:.2f}ms"
     )
-    assert control["shed_shrinks"] + control["width_changes"] >= 1

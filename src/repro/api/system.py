@@ -335,9 +335,8 @@ class CovidKG:
         Returns a :class:`~repro.serve.service.QueryService` with result
         caching, bounded admission, and request metrics — the layer the
         covidkg.org front end would talk to.  Pass a
-        :class:`~repro.serve.service.ServeConfig` with ``load_control``
-        and/or ``max_request_cost`` set to enable adaptive fan-out
-        budgets and pre-admission cost pricing.
+        :class:`~repro.serve.service.ServeConfig` with
+        ``max_request_cost`` set to enable pre-admission cost pricing.
         """
         from repro.serve.service import QueryService  # noqa: PLC0415
 

@@ -156,7 +156,6 @@ def _print_flat_stats(stats: dict) -> None:
 def _cmd_serve_stats(args: argparse.Namespace) -> int:
     from concurrent.futures import wait
 
-    from repro.serve.loadctl import LoadControlConfig
     from repro.serve.service import QueryService, ServeConfig
 
     if args.url:
@@ -174,7 +173,6 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
     config = ServeConfig(
         num_workers=args.workers,
         max_request_cost=args.max_cost,
-        load_control=LoadControlConfig() if args.adaptive else None,
     )
     with QueryService(system, config) as service:
         # Warm the cache once so the concurrent burst below exercises
@@ -200,7 +198,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     import logging
 
     from repro.gateway.server import run_gateway
-    from repro.serve.loadctl import LoadControlConfig
     from repro.serve.service import (
         GatewayConfig,
         QueryService,
@@ -233,7 +230,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         max_queue=args.max_queue,
         max_request_cost=args.max_cost,
-        load_control=LoadControlConfig() if args.adaptive else None,
         gateway=gateway_config,
         shared_cache=getattr(args, "shared_cache", None),
     )
@@ -550,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stats.add_argument("--requests", type=int, default=50,
                              help="number of requests to issue")
     serve_stats.add_argument("--workers", type=int, default=4)
-    serve_stats.add_argument("--adaptive", action="store_true",
-                             help="enable the adaptive load controller "
-                                  "(fan-out budgets, AIMD width)")
     serve_stats.add_argument("--max-cost", type=float, default=None,
                              help="reject requests whose estimated "
                                   "pipeline cost exceeds this budget")
@@ -580,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--max-queue", type=int, default=64)
     gateway.add_argument("--max-connections", type=int, default=1024)
     gateway.add_argument("--drain-seconds", type=float, default=5.0)
-    gateway.add_argument("--adaptive", action="store_true",
-                         help="enable the adaptive load controller")
     gateway.add_argument("--max-cost", type=float, default=None,
                          help="reject requests priced over this budget")
     gateway.add_argument("--ingest-dir", default=None,

@@ -23,9 +23,7 @@ from repro.docstore.collection import Collection
 from repro.docstore.database import Client, Database
 from repro.docstore.documents import ObjectId, deep_get, deep_set
 from repro.docstore.executor import (
-    add_fanout_observer,
     executor_width,
-    remove_fanout_observer,
     scatter,
     scatter_first,
     shutdown_executor,
@@ -45,9 +43,7 @@ __all__ = [
     "HashSharder",
     "RangeSharder",
     "ShardedCollection",
-    "add_fanout_observer",
     "executor_width",
-    "remove_fanout_observer",
     "scatter",
     "scatter_first",
     "shutdown_executor",

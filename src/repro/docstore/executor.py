@@ -22,29 +22,19 @@ Design rules:
   started task has finished and every unstarted task is cancelled
   before the first exception propagates, so shard writes never keep
   mutating behind a caller that already saw the error.
-* **Budgeted** — a :class:`FanoutBudget` (explicit argument or ambient
-  via :func:`budget_scope`) caps how many of one request's tasks run
-  concurrently, so a single expensive query cannot monopolize the
-  shared pool.
-* **Observable** — every fanned-out task's wall time is reported to
-  registered observers, which is how the serving tier's per-shard
-  fan-out latency histogram is fed without the docstore importing the
-  metrics layer.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     FIRST_EXCEPTION,
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.analysis import racecheck
 
@@ -61,8 +51,6 @@ _lock = racecheck.make_lock("docstore.executor")
 _executor: ThreadPoolExecutor | None = None
 _executor_width = 0
 _local = threading.local()
-
-_observers: list[Callable[[float], None]] = []
 
 
 def executor_width() -> int:
@@ -133,92 +121,6 @@ def shutdown_executor() -> None:
         doomed.shutdown(wait=True)
 
 
-# -- per-request budgets ---------------------------------------------------
-
-class FanoutBudget:
-    """Per-request cap on concurrently running fan-out tasks.
-
-    The serving tier hands each request one of these (sized by the
-    adaptive load controller); :meth:`grant` clamps a fan-out's
-    parallelism to the budget and reports each clamp to ``on_clamp`` so
-    the controller can count them.  Budgets are advisory per *request*
-    — the shared pool's width still bounds the process as a whole.
-    """
-
-    __slots__ = ("limit", "clamps", "_on_clamp")
-
-    def __init__(self, limit: int,
-                 on_clamp: Callable[[int, int], None] | None = None) -> None:
-        if limit < 1:
-            raise ValueError("fan-out budget must be >= 1")
-        self.limit = int(limit)
-        self.clamps = 0
-        self._on_clamp = on_clamp
-
-    def grant(self, requested: int) -> int:
-        """How many of ``requested`` tasks may run concurrently."""
-        if requested <= self.limit:
-            return requested
-        self.clamps += 1
-        if self._on_clamp is not None:
-            try:
-                self._on_clamp(requested, self.limit)
-            except Exception:  # noqa: BLE001 - accounting must not break reads
-                pass
-        return self.limit
-
-
-@contextmanager
-def budget_scope(budget: FanoutBudget | None) -> Iterator[FanoutBudget | None]:
-    """Make ``budget`` the ambient fan-out budget for this thread.
-
-    Every :func:`scatter` call on the thread (however deep in the
-    docstore) honours it without the intermediate layers threading the
-    budget through by hand.  Scopes nest; ``None`` clears the budget.
-    """
-    previous = getattr(_local, "budget", None)
-    _local.budget = budget
-    try:
-        yield budget
-    finally:
-        _local.budget = previous
-
-
-def current_budget() -> FanoutBudget | None:
-    """The ambient :class:`FanoutBudget` for this thread, if any."""
-    return getattr(_local, "budget", None)
-
-
-# -- observability ---------------------------------------------------------
-
-def add_fanout_observer(observer: Callable[[float], None]) -> None:
-    """Register a callback receiving each fanned-out task's seconds."""
-    with _lock:
-        if observer not in _observers:
-            _observers.append(observer)
-
-
-def remove_fanout_observer(observer: Callable[[float], None]) -> None:
-    with _lock:
-        if observer in _observers:
-            _observers.remove(observer)
-
-
-def _observed(task: Callable[[], T]) -> T:
-    started = time.perf_counter()
-    try:
-        return task()
-    finally:
-        seconds = time.perf_counter() - started
-        with _lock:
-            observers = tuple(_observers)
-        for observer in observers:
-            try:
-                observer(seconds)
-            except Exception:  # noqa: BLE001 - observers must not break reads
-                pass
-
-
 # -- fan-out primitives ----------------------------------------------------
 
 def _submit_task(executor: ThreadPoolExecutor,
@@ -240,12 +142,6 @@ def _submit_task(executor: ThreadPoolExecutor,
             executor = get_executor()
 
 
-def _run_serial(tasks: Sequence[Callable[[], T]]) -> list[T]:
-    if len(tasks) > 1:
-        return [_observed(task) for task in tasks]
-    return [task() for task in tasks]
-
-
 def _in_fanout() -> bool:
     return bool(getattr(_local, "depth", 0))
 
@@ -253,19 +149,17 @@ def _in_fanout() -> bool:
 def _worker(task: Callable[[], T]) -> T:
     _local.depth = getattr(_local, "depth", 0) + 1
     try:
-        return _observed(task)
+        return task()
     finally:
         _local.depth -= 1
 
 
-def scatter(tasks: Sequence[Callable[[], T]],
-            budget: FanoutBudget | None = None) -> list[T]:
+def scatter(tasks: Sequence[Callable[[], T]]) -> list[T]:
     """Run every task, returning results in task order.
 
     Tasks run on the shared pool when a parallel fan-out is worthwhile;
     otherwise (single task, width 1, or already inside a fan-out) they
-    run inline.  ``budget`` (or the ambient :func:`budget_scope` budget)
-    caps how many tasks run concurrently.
+    run inline.
 
     On failure the fan-out *quiesces* before raising: every started
     task has finished and every unstarted one is cancelled, so no shard
@@ -274,16 +168,8 @@ def scatter(tasks: Sequence[Callable[[], T]],
     if len(tasks) > 1:
         racecheck.note_fanout("scatter")
     if len(tasks) <= 1 or executor_width() == 1 or _in_fanout():
-        return _run_serial(tasks)
-    if budget is None:
-        budget = current_budget()
-    limit = len(tasks) if budget is None else budget.grant(len(tasks))
-    if limit <= 1:
-        return _run_serial(tasks)
-    executor = get_executor()
-    if limit < len(tasks):
-        return _gather_windowed(executor, tasks, limit)
-    return _gather(executor, tasks)
+        return [task() for task in tasks]
+    return _gather(get_executor(), tasks)
 
 
 def _gather(executor: ThreadPoolExecutor,
@@ -313,42 +199,6 @@ def _gather(executor: ThreadPoolExecutor,
     return results
 
 
-def _gather_windowed(executor: ThreadPoolExecutor,
-                     tasks: Sequence[Callable[[], T]],
-                     limit: int) -> list[T]:
-    """Keep at most ``limit`` tasks in flight (per-request budget).
-
-    Results come back in task order.  On failure no further tasks are
-    submitted and the in-flight window drains before the first
-    exception propagates — the same quiescence guarantee as the
-    all-at-once path.
-    """
-    results: list[Any] = [None] * len(tasks)
-    indices: dict[Any, int] = {}
-    inflight: set[Any] = set()
-    next_index = 0
-    error: BaseException | None = None
-    while inflight or (error is None and next_index < len(tasks)):
-        while (error is None and next_index < len(tasks)
-               and len(inflight) < limit):
-            future, executor = _submit_task(executor, tasks[next_index])
-            indices[future] = next_index
-            inflight.add(future)
-            next_index += 1
-        if not inflight:
-            break
-        done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-        for future in done:
-            exc = future.exception()
-            if exc is not None:
-                error = error or exc
-            else:
-                results[indices[future]] = future.result()
-    if error is not None:
-        raise error
-    return results
-
-
 def scatter_first(tasks: Sequence[Callable[[], T]],
                   accept: Callable[[T], bool]) -> T | None:
     """Run tasks, returning the first *accepted* result to complete.
@@ -362,16 +212,12 @@ def scatter_first(tasks: Sequence[Callable[[], T]],
     ``accept`` that embraces a falsy result (a legitimate ``None`` or
     empty sentinel) wins the race like any other, and never has its
     victory masked by an unrelated shard error.
-
-    ``scatter_first`` ignores fan-out budgets deliberately: it serves
-    racing point-reads (``find_one``) where the whole point is to hit
-    every shard at once and cancel the losers.
     """
     if len(tasks) > 1:
         racecheck.note_fanout("scatter_first")
     if len(tasks) <= 1 or executor_width() == 1 or _in_fanout():
         for task in tasks:
-            result = _observed(task) if len(tasks) > 1 else task()
+            result = task()
             if accept(result):
                 return result
         return None

@@ -32,7 +32,7 @@ from repro.docstore.aggregation import (
 )
 from repro.docstore.collection import Collection, Cursor
 from repro.docstore.documents import deep_get
-from repro.docstore.executor import FanoutBudget, scatter, scatter_first
+from repro.docstore.executor import scatter, scatter_first
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.matching import equality_constraints
 from repro.errors import ShardingError
@@ -241,21 +241,18 @@ class ShardedCollection:
     # -- reads -----------------------------------------------------------
 
     def find(self, query: dict[str, Any] | None = None,
-             projection: dict[str, int] | None = None,
-             budget: FanoutBudget | None = None) -> Cursor:
+             projection: dict[str, int] | None = None) -> Cursor:
         """Scatter-gather (or targeted) find across shards.
 
         Per-shard scans run concurrently on the shared executor; the
         partials are concatenated in shard order, so results are
-        identical to a serial shard-by-shard visit.  ``budget`` (or the
-        caller's ambient :func:`~repro.docstore.executor.budget_scope`)
-        caps this request's concurrent per-shard tasks.
+        identical to a serial shard-by-shard visit.
         """
         query = query or {}
         partials = scatter([
             lambda s=shard: s.find(query).to_list()
             for shard in self._target_shards(query)
-        ], budget=budget)
+        ])
         documents = [doc for partial in partials for doc in partial]
         cursor = Cursor(documents)
         if projection is not None:
@@ -279,21 +276,19 @@ class ShardedCollection:
             accept=lambda result: result is not None,
         )
 
-    def count(self, query: dict[str, Any] | None = None,
-              budget: FanoutBudget | None = None) -> int:
+    def count(self, query: dict[str, Any] | None = None) -> int:
         if not query:
             return sum(len(shard) for shard in self.shards)
         return sum(scatter([
             lambda s=shard: s.count(query)
             for shard in self._target_shards(query)
-        ], budget=budget))
+        ]))
 
     # -- aggregation -----------------------------------------------------
 
     def aggregate(self, stages: list[dict[str, Any]],
                   registry: FunctionRegistry | None = None,
-                  validate: bool | None = None,
-                  budget: FanoutBudget | None = None) -> AggregationResult:
+                  validate: bool | None = None) -> AggregationResult:
         """Run an aggregation pipeline with parallel shard fan-out.
 
         The leading run of per-document stages (``$match`` /
@@ -313,11 +308,6 @@ class ShardedCollection:
         :class:`~repro.analysis.pipeline_check.PipelineValidationError`
         *before* any shard fan-out instead of mid-scatter on whichever
         shard happens to run first.
-
-        ``budget`` caps how many per-shard tasks run concurrently for
-        this request (the serving tier's adaptive load controller sizes
-        one per request; ``None`` defers to the ambient
-        :func:`~repro.docstore.executor.budget_scope`, if any).
         """
         if _validate_by_default() if validate is None else validate:
             from repro.analysis.pipeline_check import ensure_valid_pipeline
@@ -355,7 +345,7 @@ class ShardedCollection:
         shard_results = scatter([
             lambda index=shard_index: run_shard(index)
             for shard_index in range(len(self.shards))
-        ], budget=budget)
+        ])
         stats = _merge_stage_stats([result[0] for result in shard_results])
 
         if sort_spec is not None:

@@ -6,8 +6,8 @@ users.  This package is that network edge for the reproduction: a
 dependency-free HTTP/1.1 server (stdlib ``asyncio`` only) that
 multiplexes thousands of keep-alive connections on one event loop and
 executes every query through the existing
-:class:`~repro.serve.QueryService`, so caching, admission control, and
-adaptive load control apply unchanged behind the socket.
+:class:`~repro.serve.QueryService`, so caching, admission control and
+request pricing apply unchanged behind the socket.
 
 Endpoints::
 
@@ -16,7 +16,7 @@ Endpoints::
     GET /v1/search/table?query=...&page=N
     GET /v1/kg/search?query=...&top_k=N
     GET /v1/healthz
-    GET /v1/stats        # ServiceMetrics + load-control + gateway gauges
+    GET /v1/stats        # ServiceMetrics + gateway gauges
     GET /v1/metrics      # Prometheus text exposition
 
 Every error is a machine-readable JSON body

@@ -42,6 +42,7 @@ REASON_PHRASES = {
     408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    422: "Unprocessable Content",
     429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",

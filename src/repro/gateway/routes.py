@@ -424,10 +424,8 @@ def render_prometheus(service_stats: dict[str, Any],
             emit(f"covidkg_cache_{counter}_total", "counter",
                  cache[counter])
     emit("covidkg_cache_entries", "gauge", cache["entries"])
-    admission = service_stats["admission"]
-    emit("covidkg_admission_pending", "gauge", admission["pending"])
-    emit("covidkg_admission_effective_width", "gauge",
-         admission["effective_width"])
+    emit("covidkg_admission_pending", "gauge",
+         service_stats["admission"]["pending"])
     overall = service_stats["latency"]["overall"]
     for label in ("p50_ms", "p95_ms", "p99_ms"):
         emit("covidkg_service_latency_ms", "gauge", overall.get(label),

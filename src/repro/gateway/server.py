@@ -6,8 +6,8 @@ tier, the shape production serving stacks use:
 * the **event loop** owns every socket and never computes an answer:
   a parsed request is admitted by :meth:`QueryService.submit` (cache
   claim, pricing, admission queue — all O(1) bookkeeping), so
-  admission control, single-flight caching, fan-out budgets, and the
-  AIMD width controller all apply unchanged behind the gateway.  An
+  admission control, single-flight caching and request pricing all
+  apply unchanged behind the gateway.  An
   answer that is ready once admission returns — an L1 hit, a replayed
   failure, a validation error, a local endpoint — is a finished
   :class:`Response` then and there; a miss is a worker-pool future
@@ -24,10 +24,10 @@ tier, the shape production serving stacks use:
   the reader has waited ``idle_timeout_seconds`` for a request head
   (an idle keep-alive client, or a head that stalled half-sent);
 * **overload degrades loudly, never silently**: connections past the
-  global cap get ``503`` + ``Retry-After`` and the shed is reported to
-  the load controller; admission-queue sheds surface as per-request
-  ``503`` bodies; a lapsed ``timeout_ms`` deadline is a ``504``.  No
-  path leaves a connection hanging without a response;
+  global cap get ``503`` + ``Retry-After``; admission-queue sheds
+  surface as per-request ``503`` bodies; a lapsed ``timeout_ms``
+  deadline is a ``504``.  No path leaves a connection hanging without
+  a response;
 * **graceful drain**: stop accepting, let in-flight requests finish
   inside ``drain_seconds``, then cancel what remains (idle keep-alive
   readers included).
@@ -252,10 +252,6 @@ class Gateway:
                                writer: asyncio.StreamWriter) -> None:
         """Refuse a connection over the cap: 503 + Retry-After, close."""
         self.metrics.connection_shed()
-        if self.service.loadctl is not None:
-            # Connection-level sheds are load signals too: give the
-            # AIMD controller the same nudge an admission shed would.
-            self.service.loadctl.on_shed()
         request_id = self._next_request_id()
         response = error_payload(
             503, "too_many_connections",

@@ -30,7 +30,7 @@ invalidated whenever ``(collection.version, tfidf.num_documents)``
 moves.  Invalidation is **incremental for append-only motion**: when the
 stamp advanced by inserts alone (version and document count moved in
 lockstep), the new rows land in a small *delta segment* appended to
-the existing immutable base — queries scatter over every segment
+the existing immutable base — queries score every segment in turn
 and merge exactly; any other mutation triggers a full rebuild.  A
 background merge (the streaming-ingest tier's
 ``SearchCorpus.merge_segments``) periodically folds deltas back into
@@ -47,7 +47,6 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.docstore import executor as _executor
 from repro.docstore.collection import Collection, apply_projection
 from repro.docstore.documents import deep_set
 from repro.search.indexing import field_text
@@ -513,30 +512,26 @@ class ColumnarIndex:
 
     def rank(self, spec: QuerySpec, top_k: int
              ) -> tuple[int, list[tuple[float, str, int]]]:
-        """Scatter the kernel per segment; merge in exact page order.
+        """Score every segment on the calling thread; merge in page order.
 
         Returns ``(total_matches, merged)`` with merged entries
         ``(score, paper_id, row)`` truncated to ``top_k`` — ``row`` is
         global (segment offset + local row), so the composite order is
         identical whether the rows live in one base segment or across
-        deltas.  Tasks go through
-        :func:`repro.docstore.executor.scatter`, so ambient
-        ``FanoutBudget``s, quiescence-on-error, and fan-out observers
-        behave exactly as on the docstore's shard fan-out.
+        deltas.  A plain loop: a small delta's kernel is ≈0.1 ms, less
+        than handing it to another thread costs (EXPERIMENTS.md, "Trial:
+        fan-out control on the search path").
         """
-        def segment_task(segment: Segment):
-            total, partial = score_segment(segment.cols, spec, top_k)
-            return total, [
-                (score, paper_id, segment.offset + row)
-                for score, paper_id, row in partial
-            ]
-
-        partials = _executor.scatter([
-            (lambda s=segment: segment_task(s))
-            for segment in self.segments if segment.num_rows
-        ])
-        total = sum(partial[0] for partial in partials)
-        merged = [entry for partial in partials for entry in partial[1]]
+        total = 0
+        merged: list[tuple[float, str, int]] = []
+        # Per-segment loop, bounded by the merge debt — not per-document.
+        for segment in self.segments:  # lint: allow=REP207
+            if not segment.num_rows:
+                continue
+            matched, partial = score_segment(segment.cols, spec, top_k)
+            total += matched
+            merged.extend((score, paper_id, segment.offset + row)
+                          for score, paper_id, row in partial)
         merged.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
         return total, merged[:top_k]
 

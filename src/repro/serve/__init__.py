@@ -16,7 +16,6 @@ from repro.serve.cache import (
     canonical_text,
     request_key,
 )
-from repro.serve.loadctl import LoadControlConfig, LoadController
 from repro.serve.metrics import (
     GatewayMetrics,
     LatencyHistogram,
@@ -37,8 +36,6 @@ __all__ = [
     "GatewayConfig",
     "GatewayMetrics",
     "LatencyHistogram",
-    "LoadControlConfig",
-    "LoadController",
     "QueryService",
     "ReadWriteLock",
     "ResultCache",

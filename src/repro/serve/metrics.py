@@ -183,9 +183,6 @@ class ServiceMetrics:
         self.collapsed_misses = 0
         self.negative_hits = 0
         self.overall = LatencyHistogram(histogram_capacity)
-        #: Per-shard fan-out task latency (fed by the docstore executor's
-        #: observer hook while this service is open).
-        self.shard_fanout = LatencyHistogram(histogram_capacity)
         self._per_engine: dict[str, LatencyHistogram] = {}
 
     def record_request(self, engine: str) -> None:
@@ -201,7 +198,7 @@ class ServiceMetrics:
             self.shed += 1
 
     def record_cost_rejected(self) -> None:
-        """A request priced over the cost budget before any fan-out."""
+        """A request priced over the cost budget before it was queued."""
         with self._lock:
             self.cost_rejected += 1
 
@@ -222,10 +219,6 @@ class ServiceMetrics:
         """A request answered from the negative (known-failure) cache."""
         with self._lock:
             self.negative_hits += 1
-
-    def record_fanout(self, seconds: float) -> None:
-        """One per-shard task's wall time inside a scatter-gather."""
-        self.shard_fanout.observe(seconds)
 
     def record_latency(self, engine: str, seconds: float) -> None:
         self.overall.observe(seconds)
@@ -262,7 +255,6 @@ class ServiceMetrics:
             "negative_hits": negative_hits,
             "latency": {
                 "overall": self.overall.snapshot(),
-                "shard_fanout": self.shard_fanout.snapshot(),
                 **{name: histogram.snapshot()
                    for name, histogram in sorted(engines.items())},
             },

@@ -16,9 +16,7 @@ Request path (every engine the web front end exposes):
 4. execution runs under a reader lock (ingest takes the writer side),
    with transient shard errors retried with backoff;
 5. counters and latency histograms record the outcome for
-   :meth:`QueryService.stats` — including per-shard fan-out latency,
-   observed via the docstore executor's observer hook while the
-   service is open.
+   :meth:`QueryService.stats`.
 
 Invalidation needs no explicit flush: every mutation bumps a version
 counter (``Collection``/``ShardedCollection`` on document writes, the
@@ -45,15 +43,9 @@ from repro.analysis.pipeline_check import (
     PipelineCostEstimate,
     estimate_pipeline_cost,
 )
-from repro.docstore.executor import (
-    add_fanout_observer,
-    budget_scope,
-    executor_width,
-    remove_fanout_observer,
-)
+from repro.docstore.executor import executor_width
 from repro.serve.admission import ReadWriteLock, WorkerPool, retry_call
 from repro.serve.cache import Flight, ResultCache, request_key
-from repro.serve.loadctl import LoadControlConfig, LoadController
 from repro.serve.metrics import ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,7 +70,7 @@ class GatewayConfig:
     #: ``0`` binds an ephemeral port (read it back from ``Gateway.port``).
     port: int = 8080
     #: Connections past this cap are answered ``503`` + ``Retry-After``
-    #: and closed; the shed is reported to the load controller.
+    #: and closed.
     max_connections: int = 1024
     #: Pipelined requests a single connection may have outstanding; the
     #: reader stops consuming the socket (TCP backpressure) at the cap.
@@ -114,17 +106,14 @@ class ServeConfig:
     retries: int = 2
     retry_backoff_seconds: float = 0.05
     histogram_capacity: int = 2048
-    #: Pre-flight validate every engine's pipeline before shard fan-out
+    #: Pre-flight validate every engine's pipeline before it runs
     #: (cheap — O(pipeline size); rejects malformed requests up front).
     validate_pipelines: bool = False
     #: Reject leader requests whose worst-case pipeline cost estimate
     #: (see :func:`repro.analysis.pipeline_check.estimate_pipeline_cost`)
-    #: exceeds this many work units — *before* any shard fan-out.
+    #: exceeds this many work units — *before* it is queued.
     #: ``None`` disables pricing.
     max_request_cost: float | None = None
-    #: Adaptive load control (fan-out budgets sized by an AIMD width
-    #: controller).  ``None`` keeps the fixed-width behaviour.
-    load_control: LoadControlConfig | None = None
     #: HTTP front-end knobs consumed by :class:`repro.gateway.Gateway`
     #: when this service is exposed over the network.  ``None`` uses
     #: the gateway defaults; the in-process tier ignores it entirely.
@@ -190,9 +179,6 @@ class QueryService:
             negative_ttl_seconds=self.config.negative_ttl_seconds,
         )
         self.metrics = ServiceMetrics(self.config.histogram_capacity)
-        self.loadctl: LoadController | None = None
-        if self.config.load_control is not None:
-            self.loadctl = LoadController(self.config.load_control)
         self.shared_cache: Any = None
         if self.config.shared_cache:
             # Imported lazily: the serving tier must not drag the
@@ -233,17 +219,6 @@ class QueryService:
             "kg_query": self._run_kg_query,
             "meta_profile": self._run_meta_profile,
         }
-        # Observer registration is a *global* side effect on the docstore
-        # executor hook — it must come last, after everything above that
-        # can raise (WorkerPool rejects bad sizing), or a failed
-        # construction strands callbacks into a half-built service.
-        add_fanout_observer(self.metrics.record_fanout)
-        if self.loadctl is not None:
-            try:
-                add_fanout_observer(self.loadctl.observe_fanout)
-            except BaseException:
-                remove_fanout_observer(self.metrics.record_fanout)
-                raise
 
     # -- public API -------------------------------------------------------
 
@@ -354,8 +329,6 @@ class QueryService:
                 self.cache.fail(flight, exc, negative=True)
                 self.metrics.record_cost_rejected()
                 raise exc
-        if self.loadctl is not None:
-            self.loadctl.decide(self._pool.pending, self._pool.max_queue)
         try:
             future = self._pool.submit(
                 lambda: self._execute(engine, params, key, started,
@@ -366,8 +339,6 @@ class QueryService:
             # Shed before execution: wake followers so they don't hang.
             self.cache.fail(flight, exc)
             self.metrics.record_shed()
-            if self.loadctl is not None:
-                self.loadctl.on_shed()
             raise
 
         def settle_if_dropped(outer: "Future[ServedResult]") -> None:
@@ -495,11 +466,15 @@ class QueryService:
             self.broadcast_versions()
             return receipt.to_json()
         with self._data_lock.write_locked():
+            stored_before = len(self.system.store)
             report = self.system.ingest(papers,
                                         skip_duplicates=skip_duplicates)
+            # What actually landed: a redelivered paper skipped under
+            # skip_duplicates is not new (same rule as the engine path).
+            accepted = len(self.system.store) - stored_before
         self.broadcast_versions()
         return {
-            "accepted": len(papers),
+            "accepted": accepted,
             "subtrees": report.subtrees,
             "versions": {"store": self.system.store.version,
                          "kg": self.system.graph.version},
@@ -549,12 +524,7 @@ class QueryService:
                 "table": system.tables.collection.version,
             },
             "ingest": ingest,
-            "admission": {
-                "effective_width": (self.loadctl.effective_width()
-                                    if self.loadctl is not None
-                                    else executor_width()),
-                "pending": self._pool.pending,
-            },
+            "admission": {"pending": self._pool.pending},
         }
 
     def stats(self) -> dict[str, Any]:
@@ -576,13 +546,7 @@ class QueryService:
             "max_queue": self._pool.max_queue,
             "pending": self._pool.pending,
             "executor_width": executor_width(),
-            "effective_width": (self.loadctl.effective_width()
-                                if self.loadctl is not None
-                                else executor_width()),
         }
-        snapshot["load_control"] = (self.loadctl.snapshot()
-                                    if self.loadctl is not None
-                                    else {"enabled": False})
         snapshot["max_request_cost"] = self.config.max_request_cost
         snapshot["versions"] = {
             "store": self.system.store.version,
@@ -600,9 +564,6 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        remove_fanout_observer(self.metrics.record_fanout)
-        if self.loadctl is not None:
-            remove_fanout_observer(self.loadctl.observe_fanout)
         self._pool.shutdown(wait=wait)
         self._ingest_pool.shutdown(wait=wait)
         if self.shared_cache is not None:
@@ -632,7 +593,7 @@ class QueryService:
 
     def _estimate_cost(self, engine: str, params: dict[str, Any]
                        ) -> PipelineCostEstimate | None:
-        """Worst-case work units for one request, before any fan-out.
+        """Worst-case work units for one request, before it is queued.
 
         Search engines are priced from their canonical pipeline shape
         against per-shard index sizes; ``kg``/``meta_profile`` are
@@ -688,7 +649,6 @@ class QueryService:
                  key: Any, started: float, deadline: float | None,
                  flight: Flight) -> ServedResult:
         runner = self._dispatch[engine]
-        budget = None if self.loadctl is None else self.loadctl.budget()
         versions = flight.versions
         shared = self.shared_cache
         if shared is not None:
@@ -710,7 +670,7 @@ class QueryService:
                     seconds=seconds, versions=versions, shared=True,
                 )
         try:
-            with self._data_lock.read_locked(), budget_scope(budget):
+            with self._data_lock.read_locked():
                 versions = self._versions(engine)
                 value = retry_call(
                     lambda: runner(**params),

@@ -2,12 +2,11 @@
 
 Each test here pins a specific fix: the executor's shutdown-under-lock
 deadlock (both the explicit teardown and the width-change rebuild),
-observer callbacks running under the module lock, the fan-out paths
-that used to raise before quiescing (or mask a falsy winner), the
-admission pool's submit/shutdown race, and the metrics/cache snapshot
-methods that used to read shared counters with no lock at all.  The
-deadlock tests run the risky sequence on a helper thread and fail via
-join-timeout instead of hanging the suite.
+the fan-out paths that used to raise before quiescing (or mask a falsy
+winner), the admission pool's submit/shutdown race, and the
+metrics/cache snapshot methods that used to read shared counters with
+no lock at all.  The deadlock tests run the risky sequence on a helper
+thread and fail via join-timeout instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import pytest
 
 from repro.docstore import executor as executor_module
 from repro.docstore.executor import (
-    add_fanout_observer,
-    remove_fanout_observer,
     scatter,
     scatter_first,
     shutdown_executor,
@@ -47,10 +44,10 @@ def _fresh_executor(monkeypatch):
 def test_shutdown_while_tasks_are_running_does_not_deadlock():
     """shutdown(wait=True) must not hold the module lock.
 
-    A worker finishing a task re-enters the module lock (to copy the
-    observer list); a shutdown that waits for that worker while holding
-    the same lock deadlocks the pair.  The fix swaps the pool reference
-    under the lock and blocks outside it.
+    A worker may re-enter the module lock (a fan-out resubmitting on a
+    rebuilt pool does); a shutdown that waits for that worker while
+    holding the same lock deadlocks the pair.  The fix swaps the pool
+    reference under the lock and blocks outside it.
     """
     release = threading.Event()
     results: list[list[int]] = []
@@ -76,24 +73,6 @@ def test_shutdown_while_tasks_are_running_does_not_deadlock():
     assert not shutter.is_alive(), "shutdown_executor deadlocked"
     assert not fanout.is_alive()
     assert results == [[0, 1, 2, 3]]
-
-
-def test_observer_may_unregister_itself_without_deadlock():
-    """Observers run outside the module lock, so they may re-enter it."""
-    calls: list[float] = []
-
-    def one_shot(seconds: float) -> None:
-        calls.append(seconds)
-        remove_fanout_observer(one_shot)
-
-    add_fanout_observer(one_shot)
-    done = threading.Thread(target=lambda: scatter([lambda: 1, lambda: 2]))
-    done.start()
-    done.join(timeout=5.0)
-    assert not done.is_alive(), "observer callback deadlocked the fan-out"
-    assert len(calls) >= 1
-    scatter([lambda: 3, lambda: 4])  # unregistered: no further calls
-    assert len(calls) <= 2
 
 
 def test_width_change_rebuild_retires_old_pool_outside_module_lock(
@@ -396,25 +375,6 @@ def test_client_connect_closes_socket_when_setsockopt_fails(monkeypatch):
         client._connect()
     assert fake.closed
     assert client.connects == 0
-
-
-def test_query_service_failed_init_registers_no_fanout_observers():
-    """A QueryService whose construction fails must leave the global
-    fan-out observer hook exactly as it found it.
-
-    Observers used to be registered before the worker pool was built;
-    a pool sizing error then stranded callbacks into a half-built
-    service on the module-level hook forever.
-    """
-    from repro.serve.service import QueryService, ServeConfig
-
-    before = list(executor_module._observers)
-    with pytest.raises(ValueError):
-        QueryService(object(), ServeConfig(num_workers=0))
-    assert executor_module._observers == before
-    with pytest.raises(ValueError):
-        QueryService(object(), ServeConfig(max_queue=0))
-    assert executor_module._observers == before
 
 
 def test_worker_pool_thread_start_failure_reaps_started_workers(

@@ -1,16 +1,18 @@
 """Tests for the shared scatter-gather executor."""
 
+import os
 import threading
 import time
 
 import pytest
 
 from repro.docstore import executor as ex
+from repro.docstore.sharding import ShardedCollection
 
 
 @pytest.fixture(autouse=True)
 def fresh_executor():
-    """Each test starts and ends with no pool and no observers."""
+    """Each test starts and ends with no pool."""
     ex.shutdown_executor()
     yield
     ex.shutdown_executor()
@@ -159,39 +161,64 @@ class TestScatterFirst:
             )
 
 
-class TestObservers:
-    def test_observer_sees_each_task(self):
-        samples = []
-        ex.add_fanout_observer(samples.append)
-        try:
-            ex.scatter([lambda: 1, lambda: 2, lambda: 3])
-        finally:
-            ex.remove_fanout_observer(samples.append)
-        assert len(samples) == 3
-        assert all(seconds >= 0 for seconds in samples)
+class TestPoolRetirement:
+    def test_fanouts_survive_width_flips_and_shutdowns(self, monkeypatch):
+        """Pool rebuilds and ``shutdown_executor`` race in-flight fan-outs.
 
-    def test_removed_observer_not_called(self):
-        samples = []
-        ex.add_fanout_observer(samples.append)
-        ex.remove_fanout_observer(samples.append)
-        ex.scatter([lambda: 1, lambda: 2])
-        assert samples == []
+        A fan-out that fetched the pool just before another thread
+        retired it must resubmit on the current one (``_submit_task``)
+        and still return the serial answer.  Under ``REPRO_RACECHECK=1``
+        the session gate turns this into a lock-order race test too.
+        """
+        store = ShardedCollection("stress", shard_key="paper_id",
+                                  num_shards=4)
+        store.insert_many([
+            {"paper_id": f"p{index:03d}", "rank": index % 7,
+             "year": 2019 + index % 4}
+            for index in range(48)
+        ])
+        pipeline = [
+            {"$match": {"year": {"$gte": 2020}}},
+            {"$sort": {"rank": -1, "paper_id": 1}},
+            {"$limit": 5},
+        ]
+        monkeypatch.setenv(ex.WIDTH_ENV, "1")
+        expected = [doc["paper_id"]
+                    for doc in store.aggregate(pipeline).documents]
+        assert len(expected) == 5
+        monkeypatch.setenv(ex.WIDTH_ENV, "4")
+        errors: list[BaseException] = []
+        stop = threading.Event()
 
-    def test_observer_exception_does_not_break_fanout(self):
-        def broken(seconds):
-            raise RuntimeError("observer bug")
+        def flipper():
+            widths = ["2", "4", "3", "5"]
+            index = 0
+            while not stop.is_set():
+                os.environ[ex.WIDTH_ENV] = widths[index % len(widths)]
+                if index % 7 == 3:
+                    ex.shutdown_executor()
+                else:
+                    ex.get_executor()  # force a rebuild
+                index += 1
+                time.sleep(0.002)
 
-        ex.add_fanout_observer(broken)
-        try:
-            assert ex.scatter([lambda: 1, lambda: 2]) == [1, 2]
-        finally:
-            ex.remove_fanout_observer(broken)
+        def reader():
+            try:
+                for _ in range(25):
+                    page = store.aggregate(pipeline).documents
+                    assert [doc["paper_id"] for doc in page] == expected
+            except BaseException as exc:  # noqa: BLE001 - recorded
+                errors.append(exc)
 
-    def test_single_task_skips_observation(self):
-        samples = []
-        ex.add_fanout_observer(samples.append)
-        try:
-            ex.scatter([lambda: 1])
-        finally:
-            ex.remove_fanout_observer(samples.append)
-        assert samples == []  # no fan-out happened
+        flip = threading.Thread(target=flipper)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        flip.start()
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        stop.set()
+        flip.join(timeout=10)
+        assert not flip.is_alive()
+        assert not errors, f"stress raised: {errors!r}"

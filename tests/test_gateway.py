@@ -34,7 +34,6 @@ from repro.gateway import (
 from repro.gateway.routes import encode_value
 from repro.ingest.engine import IngestEngine
 from repro.serve.cache import request_key
-from repro.serve.loadctl import LoadControlConfig
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -81,10 +80,9 @@ class _SlowHarness:
     """A gateway over a deliberately tiny, slow service."""
 
     def __init__(self, system, *, delay=0.3, num_workers=1,
-                 max_queue=8, gateway_config=None, load_control=None):
+                 max_queue=8, gateway_config=None):
         self.service = QueryService(system, ServeConfig(
             num_workers=num_workers, max_queue=max_queue,
-            load_control=load_control,
         ))
         self.service._dispatch["all_fields"] = _slow_dispatch(delay)
         self.gw = BackgroundGateway(self.service, gateway_config)
@@ -137,12 +135,12 @@ class TestRouting:
         payload = response.json()
         assert payload["status"] == "ok"
         # The cluster router feeds on these: data-version counters,
-        # ingest replay state, and the admission effective width.
+        # ingest replay state, and the admission queue depth.
         assert set(payload["versions"]) == {
             "store", "kg", "all_fields", "title_abstract", "table"}
         assert payload["ingest"]["attached"] is False
         assert payload["ingest"]["replaying"] is False
-        assert payload["admission"]["effective_width"] >= 1
+        assert payload["admission"] == {"pending": 0}
         assert response.request_id
 
     def test_head_healthz_has_headers_but_no_body(self, client):
@@ -225,7 +223,7 @@ class TestRouting:
         assert "covidkg_gateway_requests_total" in text
         assert 'endpoint="search.all_fields"' in text
         assert "covidkg_service_shed_total" in text
-        assert "covidkg_admission_effective_width" in text
+        assert "covidkg_admission_pending" in text
 
     def test_serve_stats_cli_reads_a_live_gateway(self, gateway,
                                                   capsys):
@@ -318,10 +316,9 @@ class TestOverload:
                 thread.join(timeout=10.0)
                 assert box["response"].status == 200
 
-    def test_connection_cap_sheds_and_feeds_load_control(self, system):
+    def test_connection_cap_sheds_loudly(self, system):
         config = GatewayConfig(port=0, max_connections=1)
-        with _SlowHarness(system, gateway_config=config,
-                          load_control=LoadControlConfig()) as harness:
+        with _SlowHarness(system, gateway_config=config) as harness:
             with GatewayClient("127.0.0.1", harness.port) as first:
                 assert first.healthz().status == 200  # holds the slot
                 with GatewayClient("127.0.0.1",
@@ -332,9 +329,6 @@ class TestOverload:
                     "too_many_connections"
                 assert "retry-after" in shed.headers
                 assert not shed.keep_alive
-            control = harness.service.stats()["load_control"]
-            assert control["shed_shrinks"] + \
-                control["sheds_at_floor"] >= 1
             gw_stats = harness.gw.gateway.metrics.snapshot()
             assert gw_stats["connections"]["shed"] == 1
 
@@ -847,6 +841,16 @@ class TestErrorMapping:
         for cls, (status, code) in ERROR_STATUS.items():
             assert 400 <= status <= 599, (cls, status)
             assert code and code == code.lower(), (cls, code)
+
+    def test_every_status_has_a_reason_phrase(self):
+        """A mapped error, or a status the gateway and router build
+        themselves (no route, wrong method, oversized body, shed), never
+        goes out as ``HTTP/1.1 <status> Unknown``."""
+        from repro.gateway.http import REASON_PHRASES
+
+        built = {400, 404, 405, 413, 503}
+        mapped = {status for status, _code in ERROR_STATUS.values()}
+        assert sorted((mapped | built) - set(REASON_PHRASES)) == []
 
 
 # -- static analysis -------------------------------------------------------

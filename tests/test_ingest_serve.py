@@ -91,6 +91,48 @@ class TestServiceIngest:
         finally:
             priced.close()
 
+    def test_redelivery_without_an_engine_accepts_nothing(self):
+        """The bare ``system.ingest`` path counts what landed, not what
+        was sent: a batch redelivered under ``skip_duplicates`` is 0."""
+        papers = _corpus(12)
+        system = CovidKG(CovidKGConfig(num_shards=2))
+        system.ingest(papers[:8])
+        with QueryService(system, ServeConfig(num_workers=1)) as service:
+            assert service.ingest_engine is None
+            first = service.submit_ingest(
+                papers[6:], skip_duplicates=True).result(timeout=30)
+            assert first.value["accepted"] == 4  # two of six were known
+            again = service.submit_ingest(
+                papers[6:], skip_duplicates=True).result(timeout=30)
+            assert again.value["accepted"] == 0
+            assert len(system.store) == 12
+
+    def test_search_and_commit_never_enter_the_docstore_pool(self, stack):
+        """All six engines and an ingest commit, on an index holding two
+        deltas, run on the threads that admitted them."""
+        from repro.docstore import executor
+
+        system, service, held = stack
+        service.query("all_fields", query="covid")  # builds the base
+        for batch in (held[:4], held[4:8]):
+            service.submit_ingest(batch).result(timeout=30)
+            service.query("all_fields", query="covid")
+        assert system.search_corpus.columnar_index().delta_segments >= 2
+        executor.shutdown_executor()
+        for engine, params in [
+            ("all_fields", {"query": "vaccine"}),
+            ("title_abstract", {"abstract": "vaccine"}),
+            ("table", {"query": "dosage"}),
+            ("kg", {"query": "side effects"}),
+            ("kg_query", {"query": "what is under Vaccines", "nl": True}),
+            ("meta_profile", {}),
+        ]:
+            assert not service.query(engine, **params).cached
+        receipt = service.submit_ingest(held[8:12]).result(timeout=30)
+        assert receipt.value["accepted"] == 4
+        assert not service.query("all_fields", query="vaccine").cached
+        assert executor._executor is None
+
     def test_negative_cache_unnegatives_after_ingest(self, stack):
         system, service, held = stack
         bad_query = 'MATCH (v:"Vaccines" RETURN v'  # unbalanced paren
@@ -175,6 +217,7 @@ class TestGatewayIngest:
         assert client.ingest(held[:3]).status == 200
         redelivery = client.ingest(held[:3])
         assert redelivery.status == 422
+        assert redelivery.reason == "Unprocessable Content"
         error = redelivery.json()["error"]
         assert error["code"] == "ingest_rejected"
         retried = client.ingest(held[:3], skip_duplicates=True)

@@ -73,9 +73,10 @@ def _build(engine_cls, num_papers=120, seed=11, num_segments=1, **kwargs):
     rng = random.Random(seed)
     engine = engine_cls(FunctionRegistry(), **kwargs)
     papers = [_make_paper(rng, i) for i in range(num_papers)]
-    step = -(-num_papers // num_segments)
-    for start in range(0, num_papers, step):
-        engine.add_papers(papers[start:start + step])
+    bounds = [num_papers * k // num_segments
+              for k in range(num_segments + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        engine.add_papers(papers[start:stop])
         if num_segments > 1:
             engine.corpus.columnar_index()
     return engine
@@ -91,13 +92,15 @@ def _stages(results):
 
 # -- differential: kernel vs scalar vs full sort ---------------------------
 
-@pytest.mark.parametrize("num_segments", [1, 3])
+@pytest.mark.parametrize("num_segments", [1, 3, 16])
 @pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
 def test_kernel_is_byte_identical_to_scalar(num_segments, ranker):
-    """Base-only index and base + 2 deltas: kernel ≡ scalar ≡ full sort."""
+    """Base-only index, base + 2 deltas and base + 15 deltas:
+    kernel ≡ scalar ≡ full sort ≡ the merged rebuild."""
     engine = _build(AllFieldsEngine, ranker=ranker,
                     num_segments=num_segments)
     assert len(engine.corpus.columnar_index().segments) == num_segments
+    kernel_pages = {}
     for query in QUERIES:
         for page in (1, 2, 3):
             kernel = engine.search(query, page=page)
@@ -111,6 +114,12 @@ def test_kernel_is_byte_identical_to_scalar(num_segments, ranker):
             assert _page(kernel) == _page(scalar), (query, page)
             assert _page(kernel) == _page(reference), (query, page)
             assert kernel.total_matches == scalar.total_matches
+            kernel_pages[query, page] = _page(kernel)
+
+    assert engine.corpus.merge_segments() == (num_segments > 1)
+    assert len(engine.corpus.columnar_index().segments) == 1
+    for (query, page), want in kernel_pages.items():
+        assert _page(engine.search(query, page=page)) == want, (query, page)
 
 
 def test_kernel_engages_for_plain_queries():

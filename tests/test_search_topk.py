@@ -58,24 +58,36 @@ def test_topk_matches_full_sort_single_shard(corpus):
 
 
 def test_topk_matches_full_sort_across_delta_segments(corpus):
-    """The headline differential: kernels scattered over a base and two
-    delta segments vs. the full sort, byte-identical across pages."""
+    """The headline differential: kernels looped over a base and two (or
+    fifteen) delta segments vs. the full sort, byte-identical across
+    pages — and again after the deltas are merged away."""
     reference = build_engine(corpus, full_sort=True)
-    segmented = AllFieldsEngine()
-    for start, stop in ((0, 30), (30, 50), (50, 70)):
-        segmented.add_papers(corpus[start:stop])
-        segmented.corpus.columnar_index()
-    assert segmented.corpus.columnar_index().delta_segments == 2
+    wanted = {(query, page): reference.search(query, page=page)
+              for query in QUERIES for page in (1, 2, 3)}
+    layouts = {
+        2: (0, 30, 50, 70),
+        15: (0, 10, *range(14, 71, 4)),
+    }
+    for deltas, bounds in layouts.items():
+        segmented = AllFieldsEngine()
+        for start, stop in zip(bounds, bounds[1:]):
+            segmented.add_papers(corpus[start:stop])
+            segmented.corpus.columnar_index()
+        assert segmented.corpus.columnar_index().delta_segments == deltas
 
-    for query in QUERIES:
-        for page in (1, 2, 3):
-            want = reference.search(query, page=page)
-            got = segmented.search(query, page=page)
-            assert page_tuple(got.results) == page_tuple(want.results), (
-                f"page mismatch for {query!r} page {page}"
-            )
-            assert got.total_matches == want.total_matches
-            assert got.num_pages == want.num_pages
+        for merged in (False, True):
+            if merged:
+                assert segmented.corpus.merge_segments()
+                assert segmented.corpus.columnar_index().delta_segments == 0
+            for (query, page), want in wanted.items():
+                got = segmented.search(query, page=page)
+                assert page_tuple(got.results) == \
+                    page_tuple(want.results), (
+                    f"page mismatch for {query!r} page {page} "
+                    f"({deltas} deltas, merged={merged})"
+                )
+                assert got.total_matches == want.total_matches
+                assert got.num_pages == want.num_pages
 
 
 def test_deterministic_tiebreak_orders_by_paper_id(corpus):
