@@ -9,6 +9,7 @@ the primitives the aggregation engine and the search engines build on.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.docstore.documents import (
@@ -477,9 +478,13 @@ class Collection:
                     seen.append(item)
         return seen
 
-    def all_documents(self) -> Iterator[dict[str, Any]]:
-        """Iterate copies of every stored document (for pipelines/dumps)."""
-        for document in self._documents.values():
+    def all_documents(self, start: int = 0) -> Iterator[dict[str, Any]]:
+        """Iterate copies of the stored documents, in insertion order.
+
+        ``start`` skips that many leading documents without copying
+        them (an index extending itself reads only the appended rows).
+        """
+        for document in islice(self._documents.values(), start, None):
             yield deep_copy_document(document)
 
     def __len__(self) -> int:

@@ -20,10 +20,11 @@ class AllFieldsEngine(SearchEngineBase):
 
     def search(self, query: str, page: int = 1) -> SearchResults:
         parsed = parse_query(query)
-        match_stage = match_filter(parsed, ALL_SEARCH_FIELDS,
-                                   expander=self.expander)
         paged, total, seconds = self._run_pipeline(
-            parsed, match_stage, ALL_SEARCH_FIELDS, page,
+            parsed,
+            lambda: match_filter(parsed, ALL_SEARCH_FIELDS,
+                                 expander=self.expander),
+            ALL_SEARCH_FIELDS, page,
             match_plan=MatchPlan.terms_over_fields(
                 parsed, ALL_SEARCH_FIELDS
             ),

@@ -47,8 +47,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.docstore.collection import Collection, apply_projection
-from repro.docstore.documents import deep_set
+from repro.docstore.collection import Collection
 from repro.search.indexing import field_text
 from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
@@ -491,7 +490,7 @@ class ColumnarIndex:
         """
         indexed = self.num_rows
         segments = list(self.segments)
-        delta = collection.find({}).to_list()[indexed:]
+        delta = list(collection.all_documents(start=indexed))
         if delta:
             segments.append(Segment(delta, self.field_names, indexed))
         return type(self)(stamp, segments, self.field_names)
@@ -543,18 +542,22 @@ class ColumnarIndex:
 
     def fetch(self, entries: list[tuple[float, str, int]],
               projection: dict[str, int]) -> list[dict[str, Any]]:
-        """Materialize page documents exactly like ``$project``+``$function``.
+        """The page's rows: ``projection``'s top-level fields + ``score``.
 
-        ``apply_projection`` deep-copies the kept values, so returned
-        pages never alias the index's snapshot.
+        Each row is a fresh dict whose values *are* the segment's stored
+        values — a read-only view, not the deep copy ``$project`` makes.
+        Segment rows are immutable for the life of the segment, so
+        callers must only read what they are handed: the engines'
+        formatters build every string, list and dict of a
+        ``SearchResult`` anew and never write into a row.
         """
         page = []
         for score, _paper_id, row in entries:
             segment = self._segment_for(row)
-            document = apply_projection(
-                segment.documents[row - segment.offset], projection
-            )
-            deep_set(document, "score", score)
+            stored = segment.documents[row - segment.offset]
+            document = {name: stored[name] for name in projection
+                        if name in stored}
+            document["score"] = score
             page.append(document)
         return page
 

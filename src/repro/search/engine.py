@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.docstore.aggregation import (
     AggregationResult,
@@ -218,17 +218,20 @@ class SearchEngineBase:
         return AggregationResult(documents, stages), total
 
     def _run_pipeline(self, parsed: ParsedQuery,
-                      match_stage: dict[str, Any],
+                      match_stage: Callable[[], dict[str, Any]],
                       rank_fields: list[str],
                       page: int,
                       match_plan: columnar.MatchPlan | None = None
                       ) -> tuple[AggregationResult, int, float]:
         """Execute the canonical pipeline; returns (page, total, seconds).
 
-        The ``$match``/``$project``/``$function`` prefix always runs;
-        ranking then takes the top-k path — a bounded heap of the
-        ``page * PAGE_SIZE`` best candidates — unless ``full_sort`` asks
-        for the reference full ``$sort``.
+        A kernel-eligible query runs on the columnar index and never
+        builds its ``$match`` document (``match_stage`` is only called
+        on the scalar path).  There the ``$match``/``$project``/
+        ``$function`` prefix always runs; ranking then takes the top-k
+        path — a bounded heap of the ``page * PAGE_SIZE`` best
+        candidates — unless ``full_sort`` asks for the reference full
+        ``$sort``.
         """
         if page < 1:
             raise QueryError("pages are 1-based")
@@ -259,7 +262,7 @@ class SearchEngineBase:
         )
         started = time.perf_counter()
         prefix = [
-            {"$match": match_stage},
+            {"$match": match_stage()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
             {"$function": {"name": function_name, "as": "score"}},
         ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import QueryError
 from repro.text.stemmer import stem
@@ -30,6 +31,11 @@ class QueryTerm:
         return self.text if self.exact else stem(self.text)
 
     def regex(self) -> re.Pattern[str]:
+        """The compiled match regex, built once per term."""
+        return self._compiled
+
+    @cached_property
+    def _compiled(self) -> re.Pattern[str]:
         return re.compile(self.pattern, re.IGNORECASE)
 
 
@@ -47,6 +53,19 @@ class ParsedQuery:
         for term in self.terms:
             result.extend(term.text.split())
         return result
+
+    @cached_property
+    def matcher(self) -> re.Pattern[str]:
+        """One any-term alternation, compiled once per query.
+
+        ``search`` returns the leftmost match of any term and, where two
+        terms match from the same start, the earlier term's — the span a
+        term-by-term scan picks; ``sub`` visits what ``highlight`` marks.
+        """
+        return re.compile(
+            "|".join(f"(?:{term.pattern})" for term in self.terms),
+            re.IGNORECASE,
+        )
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -18,28 +18,21 @@ HIGHLIGHT_CLOSE = "]]"
 SNIPPET_RADIUS = 80
 
 
+def _mark(match: re.Match[str]) -> str:
+    return f"{HIGHLIGHT_OPEN}{match.group(0)}{HIGHLIGHT_CLOSE}"
+
+
 def highlight(text: str, parsed: ParsedQuery) -> str:
     """Wrap every query-term match in highlight markers."""
     if not text:
         return ""
-    combined = "|".join(
-        f"(?:{term.pattern})" for term in parsed.terms
-    )
-    pattern = re.compile(combined, re.IGNORECASE)
-    return pattern.sub(
-        lambda match: f"{HIGHLIGHT_OPEN}{match.group(0)}{HIGHLIGHT_CLOSE}",
-        text,
-    )
+    return parsed.matcher.sub(_mark, text)
 
 
 def first_match_span(text: str, parsed: ParsedQuery) -> tuple[int, int] | None:
     """(start, end) of the earliest term match in ``text``."""
-    best: tuple[int, int] | None = None
-    for term in parsed.terms:
-        match = term.regex().search(text)
-        if match and (best is None or match.start() < best[0]):
-            best = (match.start(), match.end())
-    return best
+    match = parsed.matcher.search(text)
+    return match.span() if match else None
 
 
 def snippet(text: str, parsed: ParsedQuery,

@@ -25,23 +25,23 @@ def _matching_tables(document: dict[str, Any],
     """Tables of ``document`` with at least one matching caption or cell."""
     matches = []
     patterns = [term.regex() for term in parsed.terms]
+    any_term = parsed.matcher.search
     for table in document.get("tables", []):
         caption = table.get("caption", "")
-        caption_hit = any(p.search(caption) for p in patterns)
+        caption_hit = any_term(caption) is not None
         highlighted_rows = []
         cell_hits = 0
         for row in table.get("rows", []):
-            texts = [cell.get("text", "") for cell in row.get("cells", [])]
-            row_hits = sum(
-                1 for text in texts for p in patterns if p.search(text)
-            )
-            cell_hits += row_hits
-            highlighted_rows.append([
-                highlight(text, parsed) if any(
-                    p.search(text) for p in patterns
-                ) else text
-                for text in texts
-            ])
+            highlighted = []
+            for cell in row.get("cells", []):
+                text = cell.get("text", "")
+                # Most cells match no term: one any-term search rejects
+                # them; only a matching cell is counted term by term.
+                if any_term(text):
+                    cell_hits += sum(1 for p in patterns if p.search(text))
+                    text = highlight(text, parsed)
+                highlighted.append(text)
+            highlighted_rows.append(highlighted)
         if caption_hit or cell_hits:
             matches.append({
                 "table_id": table.get("table_id"),
@@ -62,9 +62,9 @@ class TableSearchEngine(SearchEngineBase):
 
     def search(self, query: str, page: int = 1) -> SearchResults:
         parsed = parse_query(query)
-        match_stage = match_filter(parsed, _TABLE_FIELDS)
         paged, total, seconds = self._run_pipeline(
-            parsed, match_stage, _TABLE_FIELDS, page,
+            parsed, lambda: match_filter(parsed, _TABLE_FIELDS),
+            _TABLE_FIELDS, page,
             match_plan=MatchPlan.terms_over_fields(parsed, _TABLE_FIELDS),
         )
         results = []

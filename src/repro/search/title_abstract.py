@@ -41,12 +41,14 @@ class TitleAbstractCaptionEngine(SearchEngineBase):
                 "at least one of title/abstract/caption must be searched"
             )
 
-        # Inclusive fields: AND of per-field "at least one term" clauses.
-        clauses = [
-            field_match_filter(parsed, _FIELD_MAP[name])
-            for name, parsed in queries.items()
-        ]
-        match_stage = clauses[0] if len(clauses) == 1 else {"$and": clauses}
+        def match_stage() -> dict:
+            # Inclusive fields: AND of per-field "at least one term"
+            # clauses.
+            clauses = [
+                field_match_filter(parsed, _FIELD_MAP[name])
+                for name, parsed in queries.items()
+            ]
+            return clauses[0] if len(clauses) == 1 else {"$and": clauses}
 
         # Ranking uses the union of all entered terms over the three fields.
         merged = ParsedQuery(

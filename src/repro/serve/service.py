@@ -43,7 +43,6 @@ from repro.analysis.pipeline_check import (
     PipelineCostEstimate,
     estimate_pipeline_cost,
 )
-from repro.docstore.executor import executor_width
 from repro.serve.admission import ReadWriteLock, WorkerPool, retry_call
 from repro.serve.cache import Flight, ResultCache, request_key
 from repro.serve.metrics import ServiceMetrics
@@ -545,7 +544,6 @@ class QueryService:
             "workers": self._pool.num_workers,
             "max_queue": self._pool.max_queue,
             "pending": self._pool.pending,
-            "executor_width": executor_width(),
         }
         snapshot["max_request_cost"] = self.config.max_request_cost
         snapshot["versions"] = {

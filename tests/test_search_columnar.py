@@ -370,6 +370,49 @@ def test_append_only_mutation_extends_into_delta_segments():
     assert [_page(offline.search(q)) for q in QUERIES] == kernel_pages
 
 
+def _columns(segment):
+    """Every array of a segment as plain Python values (for equality)."""
+    def plain(value):
+        return value.tolist() if hasattr(value, "tolist") else value
+
+    cols = segment.cols
+    return (segment.offset,
+            [plain(getattr(cols, slot)) for slot in cols.__slots__
+             if slot != "fields"],
+            {name: [plain(getattr(fc, slot)) for slot in fc.__slots__]
+             for name, fc in cols.fields.items()})
+
+
+def test_extend_copies_only_the_appended_rows(monkeypatch):
+    """Regression: a 4-row extend of a 1,000-row index deep-copied all
+    1,004 stored documents to keep the last four."""
+    import repro.docstore.collection as collection_module
+
+    engine = _build(AllFieldsEngine, num_papers=1000)
+    base = engine.corpus.columnar_index()
+    _append_papers(engine, 1000, 4)
+    appended = engine.collection.find({}).to_list()[1000:]
+    assert [doc["paper_id"] for doc in appended] == \
+        [f"p{i:05d}" for i in range(1000, 1004)]
+
+    copied = []
+    real_copy = collection_module.deep_copy_document
+    monkeypatch.setattr(
+        collection_module, "deep_copy_document",
+        lambda document: copied.append(document) or real_copy(document),
+    )
+    extended = base.extend(engine.collection, engine.corpus._stamp())
+    monkeypatch.undo()
+
+    assert len(copied) == 4
+    assert extended.segments[:-1] == base.segments
+    delta = extended.segments[-1]
+    assert delta.documents == appended
+    assert _columns(delta) == _columns(
+        columnar.Segment(appended, base.field_names, 1000)
+    )
+
+
 def test_equal_scores_across_base_and_delta_order_like_a_rebuild():
     """Ties merge by ``paper_id``, not by which segment holds the row."""
     template = _make_paper(random.Random(3), 0)

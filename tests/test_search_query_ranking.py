@@ -1,7 +1,9 @@
 """Tests for query parsing, ranking features, and snippets."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
@@ -11,7 +13,12 @@ from repro.search.query import (
     parse_query,
 )
 from repro.search.ranking import RankingFunction, min_window
-from repro.search.snippets import highlight, snippet
+from repro.search.snippets import (
+    SNIPPET_RADIUS,
+    first_match_span,
+    highlight,
+    snippet,
+)
 from repro.docstore.matching import matches
 from repro.text.stemmer import stem
 from repro.text.tfidf import TfIdfModel
@@ -163,3 +170,96 @@ def test_min_window_bounds(positions):
     assert window is not None
     flat = [p for ps in positions for p in ps]
     assert 1 <= window <= max(flat) - min(flat) + 1
+
+
+# -- one compiled matcher per query ≡ the term-by-term scan -----------------
+
+#: Each family's members collide: a shared stem, one a prefix of
+#: another, a phrase starting with a single-word member — so matches
+#: that start at the same character and end at different ones are the
+#: common case, not the rare one.
+_MATCHER_FAMILIES = [
+    ["side", "sides", "side effects", "Side", "SIDE EFFECTS of"],
+    ["mask", "masks", "mask of", "MASKED", "Masks"],
+    ["covid", "covid-19", "COVID-19", "covid 19", "Covid"],
+    ["vaccin", "vaccine", "vaccinated", "Vaccine", "vaccine dose"],
+]
+_MATCHER_GLUE = [" ", " ", " ", "  ", ", ", "-", "\n", " ("]
+
+
+@st.composite
+def _text_and_query(draw):
+    """A short text and 1–4 mixed loose / quoted terms of one family."""
+    family = draw(st.sampled_from(_MATCHER_FAMILIES)) + ["of", "the"]
+    pieces = draw(st.lists(st.sampled_from(family), min_size=1, max_size=8))
+    glue = draw(st.lists(st.sampled_from(_MATCHER_GLUE),
+                         min_size=len(pieces), max_size=len(pieces)))
+    terms = [
+        f'"{term}"' if draw(st.booleans()) else term.split()[0]
+        for term in draw(st.lists(st.sampled_from(family),
+                                  min_size=1, max_size=4))
+    ]
+    text = "".join(piece + sep for piece, sep in zip(pieces, glue))
+    return text, parse_query(" ".join(terms))
+
+
+def _term_regexes(parsed):
+    return [re.compile(term.pattern, re.IGNORECASE) for term in parsed.terms]
+
+
+def _reference_span(text, parsed, pos=0):
+    """The reference: every term's own regex, leftmost start wins and
+    the earlier term keeps a tie."""
+    best = None
+    for regex in _term_regexes(parsed):
+        match = regex.search(text, pos)
+        if match and (best is None or match.start() < best[0]):
+            best = (match.start(), match.end())
+    return best
+
+
+def _reference_highlight(text, parsed):
+    pieces, pos = [], 0
+    while (span := _reference_span(text, parsed, pos)) is not None:
+        pieces += [text[pos:span[0]], "[[", text[span[0]:span[1]], "]]"]
+        pos = span[1]
+    return "".join(pieces) + text[pos:]
+
+
+def _reference_snippet(text, parsed, radius):
+    span = _reference_span(text, parsed)
+    if span is None:
+        return ""
+    start = max(0, span[0] - radius)
+    end = min(len(text), span[1] + radius)
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    while end < len(text) and not text[end].isspace():
+        end += 1
+    return ("..." if start > 0 else "") \
+        + _reference_highlight(text[start:end].strip(), parsed) \
+        + ("..." if end < len(text) else "")
+
+
+@settings(max_examples=300)
+@given(_text_and_query(), st.sampled_from([3, 20, SNIPPET_RADIUS]))
+# Equal-start ties with different ends, either term first.
+@example(("side effects of", parse_query('"side" "side effects"')), 3)
+@example(("side effects of", parse_query('"side effects" "side"')), 3)
+@example(("the sides", parse_query('"side" side')), 3)
+# A later term matching further left; a shared stem; case folding.
+@example(("Masks of COVID-19 vaccinated", parse_query("vaccin covid mask")),
+         3)
+@example(("MASKED masks mask", parse_query('masks "mask"')), 20)
+def test_query_matcher_equals_the_per_term_scan(text_and_query, radius):
+    text, parsed = text_and_query
+    assert first_match_span(text, parsed) == _reference_span(text, parsed)
+    assert highlight(text, parsed) == _reference_highlight(text, parsed)
+    assert snippet(text, parsed, radius) == \
+        _reference_snippet(text, parsed, radius)
+
+
+def test_term_and_query_regexes_compile_once():
+    parsed = parse_query('masks "side effects" icu')
+    assert all(term.regex() is term.regex() for term in parsed.terms)
+    assert parsed.matcher is parsed.matcher
