@@ -1,22 +1,22 @@
-"""E16 — parallel scatter-gather: serial vs. parallel shard fan-out.
+"""E16 — sharded scatter-gather: the ranked pipeline by shard count.
 
 The paper's sharded MongoDB back end scatter-gathers reads across
-shards concurrently; PR 2 gives ``ShardedCollection`` the same shape
-(shared executor fan-out + per-shard top-k merge).  This experiment
-measures what that buys on the engines' ranked ``$match → $project →
-$function → $sort → $limit`` pipeline over a sharded store at shards ∈
-{1, 4, 8}, plus the single-flight stampede protection in the serving
-tier.
+shards; ``ShardedCollection`` keeps that shape (per-shard ``$match``
+pushdown + per-shard top-k heaps + one bounded merge).  This experiment
+runs the engines' ranked ``$match → $project → $function → $sort →
+$limit`` pipeline over a sharded store at shards ∈ {1, 4, 8} against a
+single unsharded ``Collection``, plus the single-flight stampede
+protection in the serving tier.
 
 Emits ``BENCH_e16_scatter_gather.json`` (machine-readable trajectory;
 the CI bench-smoke job uploads it as an artifact).
 
-Honesty note: the per-shard work is pure-Python matching/scoring, so
-under the GIL thread fan-out buys concurrency, not CPU parallelism.  We
-report measured ratios either way; the correctness claim (byte-identical
-pages) is asserted unconditionally.  The search engines themselves no
-longer shard in-process — cores are spent on replica processes
-(EXPERIMENTS.md, "Trial: in-process search fan-out").
+The shards are visited in a plain loop on the calling thread: the
+per-shard work is pure-Python matching/scoring under the GIL, and a
+thread pool over it was faster in no measured cell (EXPERIMENTS.md,
+"Trial: the docstore thread pool").  Cores are spent on replica
+processes.  The correctness claim (identical pages at every shard
+count) is asserted unconditionally.
 """
 
 import os
@@ -28,7 +28,8 @@ from benchlib import print_table
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import WIDTH_ENV, shutdown_executor
+from repro.docstore.aggregation import AggregationPipeline
+from repro.docstore.collection import Collection
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.sharding import ShardedCollection
 from repro.search.all_fields import AllFieldsEngine
@@ -88,12 +89,18 @@ def _build(corpus, num_shards):
     return store
 
 
+def _aggregate(store, pipeline, registry):
+    if isinstance(store, ShardedCollection):
+        return store.aggregate(pipeline, registry)
+    return AggregationPipeline(pipeline, registry).run(store)
+
+
 def _drive(store, registry, pipelines):
     """Cold ranked-aggregation throughput over the query mix."""
     started = time.perf_counter()
     for _ in range(ROUNDS):
         for pipeline in pipelines:
-            store.aggregate(pipeline, registry)
+            _aggregate(store, pipeline, registry)
     seconds = time.perf_counter() - started
     total = ROUNDS * len(pipelines)
     return total / seconds, seconds
@@ -101,53 +108,43 @@ def _drive(store, registry, pipelines):
 
 def _page_ids(store, registry, pipeline):
     return [(doc["paper_id"], doc["score"])
-            for doc in store.aggregate(pipeline, registry).documents]
+            for doc in _aggregate(store, pipeline, registry).documents]
 
 
-def test_e16_serial_vs_parallel_shard_fanout(corpus, monkeypatch):
-    rows = []
+def test_e16_ranked_aggregation_by_shard_count(corpus):
     registry, pipelines = _ranked_pipelines(corpus)
-    reference_page = None
+    single = Collection("publications")
+    single.insert_many([build_search_document(p) for p in corpus])
+
+    def measure(store):
+        rps, seconds = _drive(store, registry, pipelines)
+        pages = [_page_ids(store, registry, pipeline)
+                 for pipeline in pipelines]
+        return rps, seconds, pages
+
+    single_rps, single_seconds, reference_pages = measure(single)
+    RESULTS["single_collection"] = {"rps": single_rps,
+                                    "seconds": single_seconds}
+    rows = [["single Collection", single_rps]]
     for num_shards in SHARD_COUNTS:
-        store = _build(corpus, num_shards)
-
-        monkeypatch.setenv(WIDTH_ENV, "1")
-        shutdown_executor()
-        serial_rps, serial_seconds = _drive(store, registry, pipelines)
-        serial_page = _page_ids(store, registry, pipelines[0])
-
-        monkeypatch.delenv(WIDTH_ENV, raising=False)
-        shutdown_executor()
-        parallel_rps, parallel_seconds = _drive(store, registry, pipelines)
-        parallel_page = _page_ids(store, registry, pipelines[0])
-
-        # Correctness before speed: identical pages either way, and at
-        # every shard count.
-        assert parallel_page == serial_page
-        reference_page = reference_page or serial_page
-        assert serial_page == reference_page
-        ratio = parallel_rps / serial_rps
-        rows.append([num_shards, serial_rps, parallel_rps, ratio])
+        rps, seconds, pages = measure(_build(corpus, num_shards))
+        # Correctness before speed: the unsharded collection's pages,
+        # at every shard count.
+        assert pages == reference_pages
+        rows.append([num_shards, rps])
         RESULTS["scatter_gather"].append({
             "shards": num_shards,
-            "serial_rps": serial_rps,
-            "serial_seconds": serial_seconds,
-            "parallel_rps": parallel_rps,
-            "parallel_seconds": parallel_seconds,
-            "speedup": ratio,
+            "rps": rps,
+            "seconds": seconds,
         })
-    shutdown_executor()
 
     print_table(
-        "E16: ranked aggregation, serial vs parallel scatter-gather",
-        ["shards", "serial req/s", "parallel req/s", "speedup"],
+        "E16: ranked aggregation by store shard count",
+        ["shards", "req/s"],
         rows,
-        note="pure-Python shard work holds the GIL, so the ratio reflects "
-             "fan-out overhead rather than core scaling",
+        note="shards are visited in a loop on the calling thread; pages "
+             "identical everywhere",
     )
-    # Sanity floor only: the parallel path must not collapse throughput.
-    for _, serial_rps, parallel_rps, ratio in rows:
-        assert ratio > 0.1
 
 
 def test_e16_preflight_validation_overhead(corpus):
@@ -206,7 +203,6 @@ def test_e16_preflight_validation_overhead(corpus):
         "overhead_fraction": fraction,
     }
     assert fraction < 0.01
-    shutdown_executor()
 
 
 def test_e16_single_flight_stampede(corpus):

@@ -25,7 +25,6 @@ import pytest
 from benchlib import print_table
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import WIDTH_ENV, shutdown_executor
 from repro.search.all_fields import AllFieldsEngine
 
 QUERIES = ["vaccine side effects", "covid symptoms", "antibody dosage",
@@ -76,10 +75,8 @@ def _pages(engine):
     ]
 
 
-def test_e20_kernel_vs_scalar_single_core(corpus, monkeypatch):
+def test_e20_kernel_vs_scalar_single_core(corpus):
     """The headline: batch kernels vs the per-document closure."""
-    monkeypatch.setenv(WIDTH_ENV, "1")
-    shutdown_executor()
     engine = _build(corpus)
 
     kernel_rps, kernel_seconds = _drive(engine)
@@ -93,7 +90,6 @@ def test_e20_kernel_vs_scalar_single_core(corpus, monkeypatch):
     scalar_rps, scalar_seconds = _drive(engine)
     scalar_pages = _pages(engine)
     engine.use_columnar = True
-    shutdown_executor()
 
     assert kernel_pages == scalar_pages
     speedup = kernel_rps / scalar_rps
@@ -131,7 +127,6 @@ def test_e20_tfidf_vs_bm25_throughput(corpus):
         RESULTS.setdefault("rankers", {})[ranker] = {
             "rps": rps, "seconds": seconds,
         }
-    shutdown_executor()
 
     print_table(
         "E20: kernel throughput by ranking function",

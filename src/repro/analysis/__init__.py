@@ -4,13 +4,13 @@ Three correctness tools for the concurrent serving/docstore tiers:
 
 * :mod:`repro.analysis.lint` — a visitor-based AST lint framework with
   repo-specific concurrency rules (unguarded shared state, blocking
-  calls under locks, nested fan-out, nondeterministic rank functions)
+  calls under locks, nondeterministic rank functions)
   plus generic hygiene rules, a suppression comment syntax, and a
   checked-in baseline so CI fails only on *new* findings.
 * :mod:`repro.analysis.racecheck` — instrumented drop-in ``Lock`` /
   ``RLock`` / ``Condition`` wrappers (enabled via ``REPRO_RACECHECK=1``)
-  that build a global lock-order graph, report cycles (potential
-  deadlocks), and flag executor fan-outs performed while holding a lock.
+  that build a global lock-order graph and report cycles (potential
+  deadlocks) and self-deadlocks.
 * :mod:`repro.analysis.pipeline_check` — a pre-flight validator for
   aggregation pipelines: stage names, expression operators, ``$function``
   resolution against the registry, shape errors, and perf warnings —

@@ -14,9 +14,9 @@
   analyses assume **no effects** for it (conservative: unknown callees
   never manufacture findings);
 * **transitive analyses** — memoized, cycle-safe DFS answering "can
-  this function block?", "which locks can it end up holding?", and
-  "can it fan out?", each with a provenance chain so findings can show
-  the full path from symptom to root cause.
+  this function block?" and "which locks can it end up holding?", each
+  with a provenance chain so findings can show the full path from
+  symptom to root cause.
 
 The analyses are deliberately an *under*-approximation on call-graph
 cycles (a function currently on the DFS stack contributes nothing to
@@ -82,7 +82,6 @@ class ProjectIndex:
                                   | None] = {}
         self._locks_memo: dict[str, dict[str,
                                          tuple[ChainStep, ...]]] = {}
-        self._fanout_memo: dict[str, tuple[ChainStep, ...] | None] = {}
         self._visiting: set[str] = set()
 
     # -- imported-guard lock resolution ------------------------------------
@@ -118,8 +117,7 @@ class ProjectIndex:
 
         if not (any(needs_work((a.lock, *a.held))
                     for a in fn.lock_acquires)
-                or any(needs_work(c.locks_held) for c in fn.calls)
-                or any(needs_work(f.locks_held) for f in fn.fanouts)):
+                or any(needs_work(c.locks_held) for c in fn.calls)):
             return fn
 
         def held(identities: tuple[str, ...]) -> tuple[str, ...]:
@@ -139,8 +137,6 @@ class ProjectIndex:
             lock_acquires=tuple(acquires),
             calls=tuple(replace(c, locks_held=held(c.locks_held))
                         for c in fn.calls),
-            fanouts=tuple(replace(f, locks_held=held(f.locks_held))
-                          for f in fn.fanouts),
         )
 
     def _lock_identity(self, raw: str) -> str | None:
@@ -372,39 +368,6 @@ class ProjectIndex:
         finally:
             self._visiting.discard(key)
         self._locks_memo[key] = result
-        return result
-
-    def fanout_chain(self, key: str) -> tuple[ChainStep, ...] | None:
-        """A chain to a ``scatter``/``scatter_first`` site, if any."""
-        if key in self._fanout_memo:
-            return self._fanout_memo[key]
-        if key in self._visiting:
-            return None
-        fn = self.functions.get(key)
-        if fn is None:
-            return None
-        self._visiting.add(key)
-        try:
-            result: tuple[ChainStep, ...] | None = None
-            path, _ = self.location(key)
-            if fn.fanouts:
-                site = fn.fanouts[0]
-                result = (ChainStep(key, path, site.lineno,
-                                    f"fans out via {site.kind}()"),)
-            else:
-                for call in fn.calls:
-                    callee_key = self.resolve_call(key, call.callee)
-                    if callee_key is None:
-                        continue
-                    sub = self.fanout_chain(callee_key)
-                    if sub is not None:
-                        result = (ChainStep(key, path, call.lineno,
-                                            f"calls {callee_key}"),
-                                  *sub)
-                        break
-        finally:
-            self._visiting.discard(key)
-        self._fanout_memo[key] = result
         return result
 
     # -- lock-order graph --------------------------------------------------

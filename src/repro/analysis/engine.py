@@ -50,7 +50,7 @@ from repro.analysis.lint import (
 from repro.analysis.summaries import ModuleSummary, summarize_module
 
 #: Bump when rule logic or summary shape changes: invalidates the cache.
-ENGINE_VERSION = "3"
+ENGINE_VERSION = "4"
 
 DEFAULT_CACHE_DIR = ".repro-analysis-cache"
 

@@ -11,10 +11,9 @@ The operator/stage vocabularies are imported from the evaluator modules
 (:data:`repro.docstore.aggregation.STAGE_NAMES` etc.), so the validator
 cannot drift from what the engine actually implements.
 
-A malformed pipeline otherwise fails on the first shard mid-scatter —
-after the fan-out has already burned executor slots on every other
-shard, and with the error surfacing as whichever shard happened to run
-first.  Validation is O(pipeline size), independent of data.
+A malformed pipeline otherwise fails part-way through the first shard's
+scan, as an evaluator error rather than a structured report of every
+problem at once.  Validation is O(pipeline size), independent of data.
 """
 
 from __future__ import annotations

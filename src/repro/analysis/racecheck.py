@@ -1,4 +1,4 @@
-"""Runtime lock-order and fan-out race checking.
+"""Runtime lock-order race checking.
 
 Drop-in instrumented ``Lock`` / ``RLock`` / ``Condition`` wrappers.  The
 serve/docstore modules create their locks through the factory functions
@@ -14,10 +14,7 @@ What the report flags:
 * **cycles** — lock A taken while holding B somewhere, and B taken
   while holding A somewhere else: a potential deadlock even if the two
   paths have never yet interleaved;
-* **violations** — hazards observed directly: an executor fan-out
-  (``scatter``/``scatter_first``) started while the calling thread
-  holds a tracked lock (blocks every other thread for the whole
-  scatter, and can deadlock the bounded pool), or a non-reentrant lock
+* **violations** — hazards observed directly: a non-reentrant lock
   re-acquired by its owning thread (self-deadlock).
 
 Wire-up: ``tests/conftest.py`` asserts a clean report at session end,
@@ -241,28 +238,6 @@ def make_condition(name: str) -> "TrackedCondition | threading.Condition":
     return threading.Condition()
 
 
-# -- fan-out hook (called by repro.docstore.executor) ----------------------
-
-def note_fanout(description: str = "scatter") -> None:
-    """Record a fan-out started while the caller holds tracked locks.
-
-    Holding a lock across a multi-shard fan-out blocks every other
-    thread for the whole scatter and, on the bounded pool, can deadlock
-    when a worker needs that same lock.  The executor calls this on
-    entry to ``scatter``/``scatter_first`` when checking is enabled.
-    """
-    held = [entry.name for entry in _held_stack()]
-    if not held:
-        return
-    with _state_lock:
-        _violations.append({
-            "kind": "fanout_while_locked",
-            "locks": held,
-            "description": description,
-            "stack": _stack_summary(),
-        })
-
-
 # -- reporting -------------------------------------------------------------
 
 @dataclass
@@ -301,15 +276,9 @@ class RaceCheckReport:
                 cycle + [cycle[0]]
             ))
         for violation in self.violations:
-            if violation["kind"] == "fanout_while_locked":
-                lines.append(
-                    "  fan-out while holding "
-                    + ", ".join(violation["locks"])
-                )
-            else:
-                lines.append(
-                    f"  {violation['kind']}: {violation.get('lock', '?')}"
-                )
+            lines.append(
+                f"  {violation['kind']}: {violation.get('lock', '?')}"
+            )
         return "\n".join(lines)
 
 

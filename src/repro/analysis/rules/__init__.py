@@ -13,7 +13,6 @@ from repro.analysis.rules.concurrency import (
     AbandonedFutureGather,
     BlockingCallInAsync,
     BlockingCallUnderLock,
-    NestedFanOut,
     NondeterministicRankFunction,
     UnguardedSharedState,
 )
@@ -25,7 +24,6 @@ from repro.analysis.rules.generic import (
 from repro.analysis.rules.interprocedural import (
     StaticLockOrderCycle,
     TransitiveBlockingInAsync,
-    TransitiveFanoutUnderLock,
 )
 from repro.analysis.rules.perf import PerDocumentScoringLoop
 from repro.analysis.rules.resources import ResourceLeak
@@ -36,7 +34,6 @@ __all__ = [
     "UnguardedSharedState",
     "BlockingCallInAsync",
     "BlockingCallUnderLock",
-    "NestedFanOut",
     "NondeterministicRankFunction",
     "AbandonedFutureGather",
     "MutableDefaultArg",
@@ -46,7 +43,6 @@ __all__ = [
     "ResourceLeak",
     "TransitiveBlockingInAsync",
     "StaticLockOrderCycle",
-    "TransitiveFanoutUnderLock",
 ]
 
 
@@ -58,7 +54,6 @@ def default_rules() -> list[LintRule]:
         SwallowedAggregationError(),
         UnguardedSharedState(),
         BlockingCallUnderLock(),
-        NestedFanOut(),
         NondeterministicRankFunction(),
         AbandonedFutureGather(),
         BlockingCallInAsync(),
@@ -73,6 +68,5 @@ def project_rules() -> list[ProjectRule]:
     rules: list[ProjectRule] = [
         TransitiveBlockingInAsync(),
         StaticLockOrderCycle(),
-        TransitiveFanoutUnderLock(),
     ]
     return sorted(rules, key=lambda rule: rule.rule_id)

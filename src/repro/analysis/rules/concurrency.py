@@ -1,8 +1,8 @@
 """Concurrency lint rules tuned to this repo's serving/docstore tiers.
 
-All four rules reason about the same two primitives the codebase builds
-on: mutual exclusion via ``with <lock>:`` blocks, and shard fan-out via
-:func:`repro.docstore.executor.scatter` / ``scatter_first``.
+They reason about the primitives the codebase builds on: mutual
+exclusion via ``with <lock>:`` blocks, futures handed out by worker
+pools, the event loop, and the rank functions the pipelines call.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ _SETUP_METHODS = frozenset({
     "__init__", "__new__", "__post_init__", "__del__", "__enter__",
     "__exit__",
 })
-
-_FANOUT_CALLS = frozenset({"scatter", "scatter_first"})
 
 
 def _terminal_name(node: ast.expr) -> str | None:
@@ -198,8 +196,7 @@ class _AccessCollector(ast.NodeVisitor):
             self._record(node.id, node.lineno, is_write=False)
 
     # Nested defs share the enclosing function's lock context only when
-    # they run inline; treat them as part of the same function (closures
-    # passed to scatter() are covered by the nested-fan-out rule).
+    # they run inline; treat them as part of the same function.
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         for statement in node.body:
             self.visit(statement)
@@ -396,77 +393,6 @@ class BlockingCallUnderLock(LintRule):
                     isinstance(keyword.value, ast.Constant):
                 return keyword.value.value is False
         return False
-
-
-class NestedFanOut(LintRule):
-    """REP203: a scatter() task that itself scatters on the shared pool."""
-
-    rule_id = "REP203"
-    severity = "error"
-    description = (
-        "a task submitted to the shared shard executor performs its own "
-        "fan-out; nested submissions to a bounded pool can deadlock "
-        "(the executor runs nested fan-outs inline, so this also "
-        "silently serializes)"
-    )
-
-    def check(self, source: Source) -> Iterator[Finding]:
-        local_defs: dict[str, ast.FunctionDef] = {
-            node.name: node
-            for node in ast.walk(source.tree)
-            if isinstance(node, ast.FunctionDef)
-        }
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _terminal_name(node.func)
-            if name not in _FANOUT_CALLS or not node.args:
-                continue
-            for task in self._task_bodies(node.args[0], local_defs):
-                yield from self._scan_task(source, task, local_defs)
-
-    @staticmethod
-    def _task_bodies(tasks_expr: ast.expr,
-                     local_defs: dict[str, ast.FunctionDef]
-                     ) -> list[ast.AST]:
-        candidates: list[ast.expr] = []
-        if isinstance(tasks_expr, (ast.List, ast.Tuple, ast.Set)):
-            candidates = list(tasks_expr.elts)
-        elif isinstance(tasks_expr, (ast.ListComp, ast.GeneratorExp,
-                                     ast.SetComp)):
-            candidates = [tasks_expr.elt]
-        bodies: list[ast.AST] = []
-        for candidate in candidates:
-            if isinstance(candidate, ast.Lambda):
-                bodies.append(candidate.body)
-            elif isinstance(candidate, ast.Name) and \
-                    candidate.id in local_defs:
-                bodies.append(local_defs[candidate.id])
-        return bodies
-
-    def _scan_task(self, source: Source, body: ast.AST,
-                   local_defs: dict[str, ast.FunctionDef],
-                   depth: int = 0,
-                   visited: set[str] | None = None) -> Iterator[Finding]:
-        visited = visited if visited is not None else set()
-        for node in ast.walk(body):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _terminal_name(node.func)
-            if name in _FANOUT_CALLS:
-                yield self.finding(
-                    source, node,
-                    "fan-out inside a task already running on the shard "
-                    "executor (nested scatter)",
-                )
-            elif isinstance(node.func, ast.Name) and depth < 2 and \
-                    node.func.id in local_defs and \
-                    node.func.id not in visited:
-                visited.add(node.func.id)
-                yield from self._scan_task(
-                    source, local_defs[node.func.id], local_defs,
-                    depth + 1, visited,
-                )
 
 
 class AbandonedFutureGather(LintRule):

@@ -22,9 +22,6 @@ _HANDOFF = frozenset({"run_in_executor", "submit", "map", "create_task",
                       "ensure_future", "call_soon",
                       "call_soon_threadsafe"})
 
-#: Fan-out entry points (same set the summaries record).
-_FANOUT = frozenset({"scatter", "scatter_first"})
-
 
 class TransitiveBlockingInAsync(ProjectRule):
     """REP208: an ``async def`` reaches a blocking call through sync code.
@@ -103,49 +100,3 @@ class StaticLockOrderCycle(ProjectRule):
                 anchor.path, anchor.lineno,
                 f"static lock-order cycle {order}: {detail}",
             )
-
-
-class TransitiveFanoutUnderLock(ProjectRule):
-    """REP210: fan-out reachable while a lock is held.
-
-    ``scatter``/``scatter_first`` wait on a bounded executor; doing so
-    while holding a lock couples lock hold time to pool latency and can
-    deadlock outright when tasks need the same lock.  Racecheck's
-    ``note_fanout`` catches this at runtime on exercised paths; this is
-    the static complement, and it also follows call chains (the fan-out
-    may be several frames below the ``with``).
-    """
-
-    rule_id = "REP210"
-    severity = "error"
-    description = "fan-out while holding a lock (transitively)"
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for key, fn in index.functions.items():
-            path = index.module_of(key).path
-            for site in fn.fanouts:
-                if site.locks_held:
-                    yield self.finding(
-                        path, site.lineno,
-                        f"{fn.qualname}() fans out via {site.kind}() "
-                        f"while holding "
-                        f"{', '.join(site.locks_held)}",
-                    )
-            for call in fn.calls:
-                if not call.locks_held:
-                    continue
-                if call.callee.rsplit(".", 1)[-1] in _FANOUT:
-                    continue  # direct site: reported above
-                callee_key = index.resolve_call(key, call.callee)
-                if callee_key is None:
-                    continue
-                chain = index.fanout_chain(callee_key)
-                if chain is None:
-                    continue
-                yield self.finding(
-                    path, call.lineno,
-                    f"{fn.qualname}() holds "
-                    f"{', '.join(call.locks_held)} across "
-                    f"{call.callee}(), which fans out: "
-                    f"{format_chain(chain)}",
-                )

@@ -3,7 +3,7 @@
 One :class:`ModuleSummary` is derived from one module's AST alone — no
 cross-module information — so the analysis engine can cache it under a
 content hash and rebuild only edited files.  Everything the
-interprocedural rules (REP208–REP210) need from a function is distilled
+interprocedural rules (REP208, REP209) need from a function is distilled
 here:
 
 * **call sites** — every call the function body makes directly (nested
@@ -16,13 +16,11 @@ here:
   synchronous socket/file I/O, ...);
 * **lock acquisitions** — every ``with <lock>:`` entry, resolved to a
   stable *lock identity*, plus the identities already held at that point
-  (the static lock-order edges);
-* **fan-outs** — ``scatter``/``scatter_first`` call sites and the locks
-  held across them.
+  (the static lock-order edges).
 
 Lock identity
     Locks created through the :mod:`repro.analysis.racecheck` factories
-    (``make_lock("docstore.executor")``) take the factory's string name,
+    (``make_lock("docstore.object_id")``) take the factory's string name,
     so the static lock-order graph and the runtime racecheck graph speak
     the same vocabulary and can be cross-checked.  Plain ``threading``
     locks are qualified by where they are bound (``module.Class.attr``,
@@ -45,8 +43,6 @@ _LOCK_FACTORIES = frozenset({"make_lock", "make_rlock", "make_condition"})
 #: Plain stdlib lock constructors (``threading.Lock()`` etc.).
 _PLAIN_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore",
                                "BoundedSemaphore"})
-
-_FANOUT_CALLS = frozenset({"scatter", "scatter_first"})
 
 #: Socket-style methods that block the calling thread (REP206's list).
 _SOCKET_ATTRS = frozenset({
@@ -154,15 +150,6 @@ class LockAcquire:
 
 
 @dataclass(frozen=True)
-class FanoutSite:
-    """One ``scatter``/``scatter_first`` call site."""
-
-    kind: str
-    lineno: int
-    locks_held: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
     """Everything interprocedural analysis needs from one function."""
 
@@ -173,7 +160,6 @@ class FunctionSummary:
     calls: tuple[CallSite, ...] = ()
     blocking: tuple[BlockingSite, ...] = ()
     lock_acquires: tuple[LockAcquire, ...] = ()
-    fanouts: tuple[FanoutSite, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,10 +211,6 @@ class ModuleSummary:
                     LockAcquire(lock=a["lock"], lineno=a["lineno"],
                                 held=tuple(a["held"]))
                     for a in raw["lock_acquires"]),
-                fanouts=tuple(
-                    FanoutSite(kind=f["kind"], lineno=f["lineno"],
-                               locks_held=tuple(f["locks_held"]))
-                    for f in raw["fanouts"]),
             )
 
         return cls(
@@ -406,7 +388,7 @@ class _LockEnv:
 # -- function body walk ----------------------------------------------------
 
 class _BodyScanner:
-    """Collect one function's call/blocking/lock/fan-out sites.
+    """Collect one function's call/blocking/lock sites.
 
     Nested ``def``/``lambda`` bodies are skipped everywhere: their code
     runs when *called* (often on an executor thread or as deferred task
@@ -428,7 +410,6 @@ class _BodyScanner:
         self.calls: list[CallSite] = []
         self.blocking: list[BlockingSite] = []
         self.lock_acquires: list[LockAcquire] = []
-        self.fanouts: list[FanoutSite] = []
         self._held: list[str] = []
 
     def scan(self, function: ast.FunctionDef | ast.AsyncFunctionDef
@@ -493,12 +474,6 @@ class _BodyScanner:
         callee = self._callee_expr(node.func)
         if callee is None:
             return
-        terminal = callee.rsplit(".", 1)[-1]
-        if terminal in _FANOUT_CALLS:
-            self.fanouts.append(FanoutSite(
-                kind=terminal, lineno=node.lineno,
-                locks_held=tuple(self._held),
-            ))
         reason = blocking_call_reason(node, self.time_sleep_names)
         if reason is not None:
             self.blocking.append(BlockingSite(reason=reason,
@@ -568,7 +543,6 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
             calls=tuple(scanner.calls),
             blocking=tuple(scanner.blocking),
             lock_acquires=tuple(scanner.lock_acquires),
-            fanouts=tuple(scanner.fanouts),
         )
         # Nested defs become sibling entries (qualified by the parent),
         # preserving access to the enclosing lock scope — the closure

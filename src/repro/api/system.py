@@ -414,14 +414,11 @@ class CovidKG:
 
     def statistics(self) -> dict[str, Any]:
         """One-call system dashboard."""
-        from repro.docstore.executor import executor_width  # noqa: PLC0415
-
         return {
             "publications": len(self.store),
             "kg": self.graph.statistics(),
             "storage_bytes": self.storage().total_bytes,
             "shard_sizes": self.store.shard_sizes(),
-            "executor_width": executor_width(),
             "ranker": self.config.ranker,
             "pending_reviews": len(self.review_queue.pending()),
             "registered_models": len(self.registry),

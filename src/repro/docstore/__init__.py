@@ -22,12 +22,6 @@ from repro.docstore.aggregation import (
 from repro.docstore.collection import Collection
 from repro.docstore.database import Client, Database
 from repro.docstore.documents import ObjectId, deep_get, deep_set
-from repro.docstore.executor import (
-    executor_width,
-    scatter,
-    scatter_first,
-    shutdown_executor,
-)
 from repro.docstore.matching import matches
 from repro.docstore.sharding import HashSharder, RangeSharder, ShardedCollection
 
@@ -43,10 +37,6 @@ __all__ = [
     "HashSharder",
     "RangeSharder",
     "ShardedCollection",
-    "executor_width",
-    "scatter",
-    "scatter_first",
-    "shutdown_executor",
     "top_k_documents",
     "top_k_tagged",
 ]

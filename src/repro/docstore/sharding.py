@@ -5,13 +5,15 @@ The paper's back end is a *sharded* MongoDB cluster (Section 2, "Storage").
 
 * deterministic shard-key routing for writes,
 * targeted reads when a query pins the shard key, scatter-gather otherwise
-  — with the per-shard work fanned out **concurrently** on the shared
-  :mod:`repro.docstore.executor` pool and merged in shard order, exactly
-  as a mongos router scatter-gathers,
+  — the target shards are visited in a plain loop, in shard order, on
+  the calling thread, and the partials merged in that order (the
+  per-shard work is pure Python under the GIL; cores are spent on
+  replica processes, not threads — EXPERIMENTS.md, "Trial: the docstore
+  thread pool"),
 * aggregation pipelines whose per-document prefix (``$match`` /
-  ``$project`` / ``$addFields`` / ``$function``) runs per shard in
-  parallel, with ranked (``$sort`` + ``$limit``) results merged through
-  a bounded heap instead of a full re-sort,
+  ``$project`` / ``$addFields`` / ``$function``) runs per shard, with
+  ranked (``$sort`` + ``$limit``) results merged through a bounded heap
+  instead of a full re-sort,
 * per-shard storage accounting (the E11 experiment reports shard skew),
 * rebalancing when shards are added.
 """
@@ -32,7 +34,6 @@ from repro.docstore.aggregation import (
 )
 from repro.docstore.collection import Collection, Cursor
 from repro.docstore.documents import deep_get
-from repro.docstore.executor import scatter, scatter_first
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.matching import equality_constraints
 from repro.errors import ShardingError
@@ -44,7 +45,7 @@ _MISSING = object()
 VALIDATE_ENV = "REPRO_VALIDATE_PIPELINES"
 
 #: Stages operating on one document at a time — safe to push down to the
-#: shards and run concurrently (the scatter half of scatter-gather).
+#: shards (the scatter half of scatter-gather).
 _PER_DOCUMENT_STAGES = frozenset(
     {"$match", "$project", "$addFields", "$function"}
 )
@@ -187,8 +188,8 @@ class ShardedCollection:
     def insert_many(self, documents: Iterable[dict[str, Any]]) -> list[Any]:
         """Route a batch by grouping per target shard, then bulk-insert.
 
-        One ``Collection.insert_many`` per touched shard (fanned out
-        concurrently) instead of one routed ``insert_one`` per document.
+        One ``Collection.insert_many`` per touched shard, in shard
+        order, instead of one routed ``insert_one`` per document.
         A document missing the shard key keeps its per-document error
         semantics: every document *before* it in the batch is inserted,
         then :class:`ShardingError` is raised.  Returned ids are in the
@@ -208,35 +209,24 @@ class ShardedCollection:
             groups.setdefault(shard_index, []).append((position, document))
 
         ids: dict[int, Any] = {}
-
-        def insert_group(shard_index: int) -> None:
-            positions = [pos for pos, _ in groups[shard_index]]
-            batch = [doc for _, doc in groups[shard_index]]
-            for position, doc_id in zip(
-                positions, self.shards[shard_index].insert_many(batch)
-            ):
+        for shard_index, group in sorted(groups.items()):
+            doc_ids = self.shards[shard_index].insert_many(
+                [document for _, document in group]
+            )
+            for (position, _), doc_id in zip(group, doc_ids):
                 ids[position] = doc_id
-
-        scatter([
-            lambda index=shard_index: insert_group(index)
-            for shard_index in sorted(groups)
-        ])
         if routing_error is not None:
             raise routing_error
         return [ids[position] for position in sorted(ids)]
 
     def delete_many(self, query: dict[str, Any]) -> int:
-        return sum(scatter([
-            lambda s=shard: s.delete_many(query)
-            for shard in self._target_shards(query)
-        ]))
+        return sum(shard.delete_many(query)
+                   for shard in self._target_shards(query))
 
     def update_many(self, query: dict[str, Any],
                     update: dict[str, Any]) -> int:
-        return sum(scatter([
-            lambda s=shard: s.update_many(query, update)
-            for shard in self._target_shards(query)
-        ]))
+        return sum(shard.update_many(query, update)
+                   for shard in self._target_shards(query))
 
     # -- reads -----------------------------------------------------------
 
@@ -244,16 +234,14 @@ class ShardedCollection:
              projection: dict[str, int] | None = None) -> Cursor:
         """Scatter-gather (or targeted) find across shards.
 
-        Per-shard scans run concurrently on the shared executor; the
-        partials are concatenated in shard order, so results are
-        identical to a serial shard-by-shard visit.
+        The target shards are scanned one after another and the
+        partials concatenated in shard order.
         """
         query = query or {}
-        partials = scatter([
-            lambda s=shard: s.find(query).to_list()
-            for shard in self._target_shards(query)
-        ])
-        documents = [doc for partial in partials for doc in partial]
+        documents = [
+            document for shard in self._target_shards(query)
+            for document in shard.find(query).to_list()
+        ]
         cursor = Cursor(documents)
         if projection is not None:
             cursor.project(projection)
@@ -261,40 +249,35 @@ class ShardedCollection:
 
     def find_one(self, query: dict[str, Any] | None = None
                  ) -> dict[str, Any] | None:
-        """First matching document; non-targeted lookups short-circuit.
+        """First matching document, in shard order.
 
-        A scatter-gather ``find_one`` races every shard and takes the
-        first shard to report a hit (completed-first iteration); the
-        remaining queued scans are cancelled rather than run to
-        completion.
+        A non-targeted lookup asks the shards one after another and
+        stops at the first hit, so with matches on several shards the
+        lowest-numbered shard's document is returned, every time.
         """
-        shards = self._target_shards(query or {})
-        if len(shards) == 1:
-            return shards[0].find_one(query)
-        return scatter_first(
-            [lambda s=shard: s.find_one(query) for shard in shards],
-            accept=lambda result: result is not None,
-        )
+        for shard in self._target_shards(query or {}):
+            document = shard.find_one(query)
+            if document is not None:
+                return document
+        return None
 
     def count(self, query: dict[str, Any] | None = None) -> int:
         if not query:
             return sum(len(shard) for shard in self.shards)
-        return sum(scatter([
-            lambda s=shard: s.count(query)
-            for shard in self._target_shards(query)
-        ]))
+        return sum(shard.count(query)
+                   for shard in self._target_shards(query))
 
     # -- aggregation -----------------------------------------------------
 
     def aggregate(self, stages: list[dict[str, Any]],
                   registry: FunctionRegistry | None = None,
                   validate: bool | None = None) -> AggregationResult:
-        """Run an aggregation pipeline with parallel shard fan-out.
+        """Run an aggregation pipeline, its per-document prefix per shard.
 
         The leading run of per-document stages (``$match`` /
-        ``$project`` / ``$addFields`` / ``$function``) executes on every
-        shard concurrently — including the indexed ``$match`` pushdown
-        each shard applies locally.  When the remainder is a ranked page
+        ``$project`` / ``$addFields`` / ``$function``) executes on each
+        shard in turn — including the indexed ``$match`` pushdown each
+        shard applies locally.  When the remainder is a ranked page
         (``$sort`` then ``$limit``, optionally with a ``$skip``), the
         per-shard partials are reduced to bounded heaps of the top
         ``skip+limit`` candidates and merged with one more bounded heap,
@@ -306,8 +289,8 @@ class ShardedCollection:
         ``validate=True`` (or ``REPRO_VALIDATE_PIPELINES=1``) runs the
         pre-flight validator first, so a malformed pipeline raises
         :class:`~repro.analysis.pipeline_check.PipelineValidationError`
-        *before* any shard fan-out instead of mid-scatter on whichever
-        shard happens to run first.
+        *before* any shard is visited instead of part-way through the
+        first one.
         """
         if _validate_by_default() if validate is None else validate:
             from repro.analysis.pipeline_check import ensure_valid_pipeline
@@ -323,15 +306,16 @@ class ShardedCollection:
             split += 1
         prefix, suffix = stages[:split], stages[split:]
         if not prefix:
-            return pipeline.run(self._gather_all())
+            return pipeline.run(self.all_documents())
 
         sort_spec, top_k, consumed = self._ranked_page_plan(suffix)
         prefix_pipeline = AggregationPipeline(prefix, pipeline.registry)
 
-        def run_shard(shard_index: int) -> tuple[
+        shard_results: list[tuple[
             list[StageStats], list[tuple[tuple[int, int], dict[str, Any]]]
-        ]:
-            partial = prefix_pipeline.run(self.shards[shard_index])
+        ]] = []
+        for shard_index, shard in enumerate(self.shards):
+            partial = prefix_pipeline.run(shard)
             tagged = [
                 ((shard_index, position), document)
                 for position, document in enumerate(partial.documents)
@@ -340,12 +324,7 @@ class ShardedCollection:
                 # Per-shard bounded heap: only the shard's own top
                 # skip+limit candidates survive to the merge.
                 tagged = top_k_tagged(tagged, sort_spec, top_k)
-            return partial.stages, tagged
-
-        shard_results = scatter([
-            lambda index=shard_index: run_shard(index)
-            for shard_index in range(len(self.shards))
-        ])
+            shard_results.append((partial.stages, tagged))
         stats = _merge_stage_stats([result[0] for result in shard_results])
 
         if sort_spec is not None:
@@ -409,13 +388,6 @@ class ShardedCollection:
         for shard in self.shards:
             yield from shard.all_documents()
 
-    def _gather_all(self) -> list[dict[str, Any]]:
-        """Materialize every document, scanning shards concurrently."""
-        partials = scatter([
-            lambda s=shard: list(s.all_documents()) for shard in self.shards
-        ])
-        return [document for partial in partials for document in partial]
-
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
@@ -435,13 +407,11 @@ class ShardedCollection:
     def rebalance(self, num_shards: int) -> None:
         """Re-shard all documents onto ``num_shards`` shards.
 
-        Both halves fan out on the executor: the old shards drain
-        concurrently, and each new shard bulk-loads its re-routed group
-        concurrently (each group touches exactly one target shard, so
-        the parallel loads never contend).
+        The old shards drain in shard order, then each new shard
+        bulk-loads its re-routed group.
         """
         new_sharder = self.sharder.with_shards(num_shards)
-        documents = self._gather_all()
+        documents = list(self.all_documents())
         # Fresh shards restart their counters at zero; carry the old total
         # forward (plus one for the rebalance itself) so the collection
         # version never moves backwards.
@@ -467,11 +437,8 @@ class ShardedCollection:
             groups.setdefault(
                 self.sharder.shard_for(key_value), []
             ).append(document)
-        scatter([
-            lambda index=shard_index:
-                self.shards[index].insert_many(groups[index])
-            for shard_index in sorted(groups)
-        ])
+        for shard_index, group in sorted(groups.items()):
+            self.shards[shard_index].insert_many(group)
         self.advance_version(version_floor)
 
     @property
@@ -484,8 +451,9 @@ def _merge_stage_stats(per_shard: list[list[StageStats]]
                        ) -> list[StageStats]:
     """Fold per-shard prefix statistics into one entry per stage.
 
-    Document counts sum across shards; ``seconds`` is the slowest
-    shard's time — the wall-clock cost of the parallel stage.
+    Document counts and ``seconds`` both sum across shards: the shards
+    are visited one after another, so a stage costs the sum of their
+    times.
     """
     if not per_shard:
         return []
@@ -496,6 +464,6 @@ def _merge_stage_stats(per_shard: list[list[StageStats]]
             template.stage,
             sum(stat.docs_in for stat in stats),
             sum(stat.docs_out for stat in stats),
-            max(stat.seconds for stat in stats),
+            sum(stat.seconds for stat in stats),
         ))
     return merged

@@ -415,7 +415,7 @@ def render_prometheus(service_stats: dict[str, Any],
         emit("covidkg_service_errors_total", "counter", count,
              {"engine": engine})
     for counter in ("shed", "cost_rejected", "deadline_exceeded",
-                    "retries", "collapsed_misses", "negative_hits"):
+                    "collapsed_misses", "negative_hits"):
         emit(f"covidkg_service_{counter}_total", "counter",
              service_stats[counter])
     cache = service_stats["cache"]

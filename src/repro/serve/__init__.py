@@ -7,7 +7,7 @@ meta-profile) concurrently, with result caching, bounded admission, and
 per-request observability.
 """
 
-from repro.serve.admission import ReadWriteLock, WorkerPool, retry_call
+from repro.serve.admission import ReadWriteLock, WorkerPool
 from repro.serve.cache import (
     CacheStats,
     Flight,
@@ -46,5 +46,4 @@ __all__ = [
     "canonical_params",
     "canonical_text",
     "request_key",
-    "retry_call",
 ]

@@ -1,15 +1,13 @@
-"""Admission control: bounded worker pool, deadlines, retry, RW-lock.
+"""Admission control: bounded worker pool, deadlines, RW-lock.
 
-The serving tier must degrade predictably under overload.  Three rules:
+The serving tier must degrade predictably under overload.  Two rules:
 
 * the dispatch queue is **bounded** — a request that cannot be queued is
   shed immediately with :class:`ServiceOverloadedError` (fail fast beats
   unbounded queueing, whose latency grows without limit);
 * every request may carry a **deadline** — work whose deadline passed
   while it waited is dropped at dequeue with
-  :class:`DeadlineExceededError` rather than executed uselessly;
-* transient backend errors are **retried with exponential backoff**
-  before the failure is surfaced.
+  :class:`DeadlineExceededError` rather than executed uselessly.
 """
 
 from __future__ import annotations
@@ -28,35 +26,6 @@ from repro.errors import (
 )
 
 _SHUTDOWN = object()
-
-
-def retry_call(fn: Callable[[], Any], *, retries: int = 2,
-               backoff_seconds: float = 0.05,
-               retry_on: tuple[type[BaseException], ...] = (),
-               deadline: float | None = None,
-               on_retry: Callable[[], None] | None = None,
-               sleep: Callable[[float], None] = time.sleep) -> Any:
-    """Call ``fn``, retrying transient failures with exponential backoff.
-
-    ``retries`` is the number of *re*-attempts after the first call.  A
-    retry never starts past ``deadline`` (monotonic seconds) — the last
-    error is raised instead of sleeping through the caller's budget.
-    """
-    attempt = 0
-    while True:
-        try:
-            return fn()
-        except retry_on:
-            if attempt >= retries:
-                raise
-            delay = backoff_seconds * (2 ** attempt)
-            if deadline is not None \
-                    and time.monotonic() + delay >= deadline:
-                raise
-            if on_retry is not None:
-                on_retry()
-            sleep(delay)
-            attempt += 1
 
 
 class ReadWriteLock:

@@ -179,7 +179,6 @@ class ServiceMetrics:
         self.shed = 0
         self.cost_rejected = 0
         self.deadline_exceeded = 0
-        self.retries = 0
         self.collapsed_misses = 0
         self.negative_hits = 0
         self.overall = LatencyHistogram(histogram_capacity)
@@ -205,10 +204,6 @@ class ServiceMetrics:
     def record_deadline_exceeded(self) -> None:
         with self._lock:
             self.deadline_exceeded += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
 
     def record_collapsed(self) -> None:
         """A miss collapsed onto another request's in-flight computation."""
@@ -240,7 +235,6 @@ class ServiceMetrics:
             shed = self.shed
             cost_rejected = self.cost_rejected
             deadline_exceeded = self.deadline_exceeded
-            retries = self.retries
             collapsed_misses = self.collapsed_misses
             negative_hits = self.negative_hits
         return {
@@ -250,7 +244,6 @@ class ServiceMetrics:
             "shed": shed,
             "cost_rejected": cost_rejected,
             "deadline_exceeded": deadline_exceeded,
-            "retries": retries,
             "collapsed_misses": collapsed_misses,
             "negative_hits": negative_hits,
             "latency": {

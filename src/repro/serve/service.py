@@ -13,8 +13,7 @@ Request path (every engine the web front end exposes):
 3. a leader miss is **admitted** to a bounded worker pool (shed with
    :class:`ServiceOverloadedError` when the queue is full, dropped with
    :class:`DeadlineExceededError` when its deadline lapses in queue);
-4. execution runs under a reader lock (ingest takes the writer side),
-   with transient shard errors retried with backoff;
+4. execution runs under a reader lock (ingest takes the writer side);
 5. counters and latency histograms record the outcome for
    :meth:`QueryService.stats`.
 
@@ -37,13 +36,12 @@ from repro.errors import (
     RequestTooExpensiveError,
     ServiceClosedError,
     ServiceOverloadedError,
-    ShardingError,
 )
 from repro.analysis.pipeline_check import (
     PipelineCostEstimate,
     estimate_pipeline_cost,
 )
-from repro.serve.admission import ReadWriteLock, WorkerPool, retry_call
+from repro.serve.admission import ReadWriteLock, WorkerPool
 from repro.serve.cache import Flight, ResultCache, request_key
 from repro.serve.metrics import ServiceMetrics
 
@@ -102,8 +100,6 @@ class ServeConfig:
     cache_ttl_seconds: float = 300.0
     negative_ttl_seconds: float = 30.0
     default_timeout_seconds: float | None = None
-    retries: int = 2
-    retry_backoff_seconds: float = 0.05
     histogram_capacity: int = 2048
     #: Pre-flight validate every engine's pipeline before it runs
     #: (cheap — O(pipeline size); rejects malformed requests up front).
@@ -330,8 +326,7 @@ class QueryService:
                 raise exc
         try:
             future = self._pool.submit(
-                lambda: self._execute(engine, params, key, started,
-                                      deadline, flight),
+                lambda: self._execute(engine, params, key, started, flight),
                 deadline=deadline,
             )
         except ServiceOverloadedError as exc:
@@ -644,8 +639,7 @@ class QueryService:
         return None
 
     def _execute(self, engine: str, params: dict[str, Any],
-                 key: Any, started: float, deadline: float | None,
-                 flight: Flight) -> ServedResult:
+                 key: Any, started: float, flight: Flight) -> ServedResult:
         runner = self._dispatch[engine]
         versions = flight.versions
         shared = self.shared_cache
@@ -670,14 +664,7 @@ class QueryService:
         try:
             with self._data_lock.read_locked():
                 versions = self._versions(engine)
-                value = retry_call(
-                    lambda: runner(**params),
-                    retries=self.config.retries,
-                    backoff_seconds=self.config.retry_backoff_seconds,
-                    retry_on=(ShardingError,),
-                    deadline=deadline,
-                    on_retry=self.metrics.record_retry,
-                )
+                value = runner(**params)
         except Exception as exc:
             # A deterministic request error (bad query) is worth
             # remembering; transient failures must stay uncached.  The

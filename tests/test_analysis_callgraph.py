@@ -140,7 +140,6 @@ def test_unknown_callees_stay_conservative():
     assert index.resolve_call(caller, "?.method") is None
     # And unknowns contribute no effects.
     assert index.blocking_chain(caller) is None
-    assert index.fanout_chain(caller) is None
 
 
 def test_method_on_external_base_is_unknown_not_absent():
@@ -260,16 +259,3 @@ def test_lambda_bodies_are_deferred_not_attributed():
         ),
     })
     assert index.blocking_chain("pkg.defer:dispatch") is None
-
-
-def test_fanout_chain_tracks_scatter_through_helpers():
-    index = _index({
-        "src/pkg/fan.py": (
-            "from repro.docstore.executor import scatter\n"
-            "def wide(tasks):\n    return scatter(tasks)\n"
-            "def indirect(tasks):\n    return wide(tasks)\n"
-        ),
-    })
-    chain = index.fanout_chain("pkg.fan:indirect")
-    assert chain is not None
-    assert chain[-1].note == "fans out via scatter()"

@@ -217,7 +217,7 @@ def test_emitted_sarif_is_valid_and_round_trips(tmp_path):
 
     run = document["runs"][0]
     advertised = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"REP208", "REP209", "REP210", "REP211"} <= advertised
+    assert {"REP208", "REP209", "REP211"} <= advertised
     assert {r["ruleId"] for r in run["results"]} == \
         {"REP208", "REP211"}
     for res in run["results"]:

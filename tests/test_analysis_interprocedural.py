@@ -1,4 +1,4 @@
-"""Fixture corpora for REP208–REP210 and the static/runtime cross-check.
+"""Fixture corpora for REP208/209/211 and the static/runtime cross-check.
 
 Each scenario writes a small package to ``tmp_path``, runs the full
 engine (per-file rules + project rules) over it, and asserts on exactly
@@ -206,62 +206,6 @@ def test_rep209_same_attr_name_in_two_classes_is_no_cycle(tmp_path):
         "            pass\n"
     )})
     assert _rules(findings, "REP209") == []
-
-
-# -- REP210: fan-out while holding a lock ----------------------------------
-
-REP210_POSITIVE = {
-    "pkg/fan.py": (
-        "import threading\n\n"
-        "from repro.docstore.executor import scatter\n\n"
-        "_lock = threading.Lock()\n\n\n"
-        "def wide(tasks):\n"
-        "    return scatter(tasks)\n\n\n"
-        "def bad(tasks):\n"
-        "    with _lock:\n"
-        "        return wide(tasks)\n"
-    ),
-}
-
-
-def test_rep210_flags_transitive_fanout_under_lock(tmp_path):
-    findings = _rules(_analyze(tmp_path, REP210_POSITIVE), "REP210")
-    assert len(findings) == 1
-    (finding,) = findings
-    assert "wide()" in finding.message
-    assert "pkg.fan._lock" in finding.message
-
-
-def test_rep210_flags_direct_fanout_under_lock(tmp_path):
-    findings = _analyze(tmp_path, {"pkg/fan.py": (
-        "import threading\n\n"
-        "from repro.docstore.executor import scatter\n\n"
-        "_lock = threading.Lock()\n\n\n"
-        "def bad(tasks):\n"
-        "    with _lock:\n"
-        "        return scatter(tasks)\n"
-    )})
-    assert len(_rules(findings, "REP210")) == 1
-
-
-def test_rep210_fanout_after_lock_released_is_clean(tmp_path):
-    findings = _analyze(tmp_path, {"pkg/fan.py": (
-        "import threading\n\n"
-        "from repro.docstore.executor import scatter\n\n"
-        "_lock = threading.Lock()\n\n\n"
-        "def good(tasks):\n"
-        "    with _lock:\n"
-        "        snapshot = list(tasks)\n"
-        "    return scatter(snapshot)\n"
-    )})
-    assert _rules(findings, "REP210") == []
-
-
-def test_rep210_suppression_comment_works(tmp_path):
-    files = {"pkg/fan.py": REP210_POSITIVE["pkg/fan.py"].replace(
-        "        return wide(tasks)",
-        "        return wide(tasks)  # lint: allow=REP210")}
-    assert _rules(_analyze(tmp_path, files), "REP210") == []
 
 
 # -- REP211: resource leaks (fixture corpus beyond the minimal one) --------

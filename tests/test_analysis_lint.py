@@ -76,16 +76,6 @@ def slow():
     with _lock:
         time.sleep(0.1)
 """,
-    "REP203": """
-from repro.docstore.executor import scatter
-
-
-def fan(items):
-    return scatter([
-        lambda item=item: scatter([lambda: item])
-        for item in items
-    ])
-""",
     "REP204": """
 import random
 

@@ -94,34 +94,6 @@ def test_three_lock_cycle_detected(checking):
     assert sorted(report.cycles[0]) == ["A", "B", "C"]
 
 
-def test_fanout_while_holding_a_lock_is_a_violation(checking):
-    guard = make_lock("G")
-    with guard:
-        racecheck.note_fanout("scatter")
-    report = racecheck.report()
-    violation = report.violations[0]
-    assert violation["kind"] == "fanout_while_locked"
-    assert violation["locks"] == ["G"]
-    assert not report.clean
-
-
-def test_fanout_with_no_locks_held_is_clean(checking):
-    make_lock("G")  # constructed but never held across the fan-out
-    racecheck.note_fanout("scatter")
-    assert racecheck.report().clean
-
-
-def test_executor_scatter_reports_held_lock(checking):
-    from repro.docstore.executor import scatter
-
-    guard = make_lock("held.during.scatter")
-    with guard:
-        assert scatter([lambda: 1, lambda: 2]) == [1, 2]
-    report = racecheck.report()
-    assert any(v["kind"] == "fanout_while_locked"
-               for v in report.violations)
-
-
 def test_reacquiring_a_plain_lock_is_a_self_deadlock(checking):
     # Exercised via the bookkeeping hook: really acquiring twice would
     # hang the test, which is exactly what the checker is for.

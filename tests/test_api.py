@@ -124,11 +124,9 @@ class TestCovidKGSystem:
         stats = system.statistics()
         assert set(stats) == {
             "publications", "kg", "storage_bytes", "shard_sizes",
-            "executor_width", "ranker", "pending_reviews",
-            "registered_models",
+            "ranker", "pending_reviews", "registered_models",
         }
         assert stats["storage_bytes"] > 0
-        assert stats["executor_width"] >= 1
         assert stats["ranker"] == "tfidf"
 
     def test_untrained_system_still_ingests(self, corpus):

@@ -1,203 +1,21 @@
 """Regression tests for the concurrency bugs the linter flagged.
 
-Each test here pins a specific fix: the executor's shutdown-under-lock
-deadlock (both the explicit teardown and the width-change rebuild),
-the fan-out paths that used to raise before quiescing (or mask a falsy
-winner), the admission pool's submit/shutdown race, and the
-metrics/cache snapshot methods that used to read shared counters with
-no lock at all.  The deadlock tests run the risky sequence on a helper
-thread and fail via join-timeout instead of hanging the suite.
+Each test here pins a specific fix: the admission pool's
+submit/shutdown race, and the metrics/cache snapshot methods that used
+to read shared counters with no lock at all.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.docstore import executor as executor_module
-from repro.docstore.executor import (
-    scatter,
-    scatter_first,
-    shutdown_executor,
-)
-from repro.errors import (
-    ServiceClosedError,
-    ServiceOverloadedError,
-    ShardingError,
-)
+from repro.errors import ServiceClosedError, ServiceOverloadedError
 from repro.serve.admission import WorkerPool
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
-
-
-@pytest.fixture(autouse=True)
-def _fresh_executor(monkeypatch):
-    monkeypatch.setenv(executor_module.WIDTH_ENV, "4")
-    shutdown_executor()
-    yield
-    shutdown_executor()
-
-
-def test_shutdown_while_tasks_are_running_does_not_deadlock():
-    """shutdown(wait=True) must not hold the module lock.
-
-    A worker may re-enter the module lock (a fan-out resubmitting on a
-    rebuilt pool does); a shutdown that waits for that worker while
-    holding the same lock deadlocks the pair.  The fix swaps the pool
-    reference under the lock and blocks outside it.
-    """
-    release = threading.Event()
-    results: list[list[int]] = []
-
-    def slow(value: int) -> int:
-        release.wait(timeout=5.0)
-        return value
-
-    fanout = threading.Thread(
-        target=lambda: results.append(
-            scatter([lambda v=v: slow(v) for v in range(4)])
-        )
-    )
-    fanout.start()
-    time.sleep(0.05)  # let the workers start and block on the event
-
-    shutter = threading.Thread(target=shutdown_executor)
-    shutter.start()
-    time.sleep(0.05)
-    release.set()
-    shutter.join(timeout=5.0)
-    fanout.join(timeout=5.0)
-    assert not shutter.is_alive(), "shutdown_executor deadlocked"
-    assert not fanout.is_alive()
-    assert results == [[0, 1, 2, 3]]
-
-
-def test_width_change_rebuild_retires_old_pool_outside_module_lock(
-        monkeypatch):
-    """A width-change rebuild must not shut the old pool down under
-    the module lock.
-
-    ``shutdown`` (even ``wait=False``) takes the pool's internal locks
-    and may wake workers that re-enter this module; the probe below
-    asserts the module lock is free while it runs.  Pre-fix code called
-    ``doomed.shutdown`` inside ``with _lock:`` and the probe times out.
-    """
-    assert scatter([lambda: 1, lambda: 2]) == [1, 2]  # build at width 4
-    probes: list[bool] = []
-    real_shutdown = ThreadPoolExecutor.shutdown
-
-    def probing_shutdown(self, wait=True, *, cancel_futures=False):
-        acquired = executor_module._lock.acquire(timeout=1.0)
-        if acquired:
-            executor_module._lock.release()
-        probes.append(acquired)
-        return real_shutdown(self, wait=wait,
-                             cancel_futures=cancel_futures)
-
-    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", probing_shutdown)
-    monkeypatch.setenv(executor_module.WIDTH_ENV, "3")
-    executor_module.get_executor()  # width changed: rebuild + retire
-    assert probes, "width change did not retire the old pool"
-    assert all(probes), \
-        "old pool shutdown ran while the module lock was held"
-
-
-@pytest.mark.parametrize("raw, expected", [
-    ("0", executor_module.DEFAULT_WIDTH),   # 0 = "auto"
-    ("-3", 1),                              # negative = explicit serial
-    ("garbage", executor_module.DEFAULT_WIDTH),
-    ("", executor_module.DEFAULT_WIDTH),
-    ("6", 6),
-])
-def test_executor_width_env_semantics(monkeypatch, raw, expected):
-    monkeypatch.setenv(executor_module.WIDTH_ENV, raw)
-    assert executor_module.executor_width() == expected
-
-
-def test_executor_width_defaults_when_env_unset(monkeypatch):
-    monkeypatch.delenv(executor_module.WIDTH_ENV, raising=False)
-    assert executor_module.executor_width() == executor_module.DEFAULT_WIDTH
-
-
-def test_scatter_quiesces_before_raising():
-    """A failed fan-out must not raise while sibling tasks still run.
-
-    Pre-fix code consumed ``future.result()`` in submission order, so
-    the first exception propagated while the slow task was still
-    mutating — here that would flip ``finished`` *after* scatter
-    returned.
-    """
-    release = threading.Event()
-    slow_started = threading.Event()
-    finished: list[bool] = [False]
-
-    def failer():
-        # Raise only once the sibling is *running* (so it cannot just
-        # be cancelled) — the interesting case is a started task.
-        assert slow_started.wait(timeout=5.0)
-        raise RuntimeError("shard 0 exploded")
-
-    def slow():
-        slow_started.set()
-        release.wait(timeout=5.0)
-        finished[0] = True
-        return 1
-
-    threading.Timer(0.2, release.set).start()
-    with pytest.raises(RuntimeError, match="shard 0 exploded"):
-        scatter([failer, slow])
-    finished_at_raise = finished[0]
-    time.sleep(0.3)  # a still-running task would mutate in this window
-    assert finished_at_raise, \
-        "scatter raised before the started sibling task finished"
-    assert finished == [finished_at_raise]
-
-
-def test_scatter_raises_first_error_after_quiesce():
-    """Multiple failures: the first (in task order) wins, once settled."""
-    def fail_a():
-        raise RuntimeError("first")
-
-    def fail_b():
-        time.sleep(0.05)
-        raise ValueError("second")
-
-    with pytest.raises(RuntimeError, match="first"):
-        scatter([fail_a, fail_b, lambda: 1])
-
-
-def test_scatter_first_falsy_accepted_result_wins():
-    """An accepted falsy winner must not be masked by a shard error.
-
-    Pre-fix code tracked the winner by value, so an accepted ``None``
-    looked like "nobody accepted" and an unrelated shard error was
-    raised instead.
-    """
-    failed = threading.Event()
-
-    def failer():
-        failed.set()
-        raise ShardingError("shard 1 down")
-
-    def winner():
-        failed.wait(timeout=5.0)
-        time.sleep(0.05)  # let the failure settle first
-        return None
-
-    result = scatter_first([failer, winner], accept=lambda value: True)
-    assert result is None
-
-
-def test_scatter_first_still_raises_when_nothing_accepted():
-    def failer():
-        raise ShardingError("shard 1 down")
-
-    with pytest.raises(ShardingError):
-        scatter_first([failer, lambda: 0],
-                      accept=lambda value: value is Ellipsis)
 
 
 def test_worker_pool_submit_shutdown_race_settles_every_future():
@@ -291,7 +109,6 @@ def test_service_metrics_snapshot_under_concurrent_updates():
         for _ in range(200):
             metrics.record_request("all_fields")
             metrics.record_shed()
-            metrics.record_retry()
             metrics.record_negative_hit()
             metrics.record_latency("all_fields", 0.001)
 
@@ -310,7 +127,6 @@ def test_service_metrics_snapshot_under_concurrent_updates():
         assert not thread.is_alive()
     final = metrics.snapshot()
     assert final["shed"] == 600
-    assert final["retries"] == 600
     assert final["negative_hits"] == 600
     assert final["total_requests"] == 600
 

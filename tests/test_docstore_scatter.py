@@ -1,36 +1,45 @@
-"""Differential tests: parallel scatter-gather vs. the serial reference.
+"""Differential tests: ``ShardedCollection`` vs. one plain ``Collection``.
 
-``REPRO_EXECUTOR_WIDTH=1`` forces every fan-out down the inline serial
-path, which is the reference implementation; the parallel path must
-return byte-identical results for every multi-shard operation.
+The oracle is a single unsharded ``Collection`` holding the same
+documents: at 1, 4 and 8 shards every multi-shard operation must give
+the answer the oracle gives.  Where the oracle's order is insertion
+order and the store's is shard order (``find``), the comparison is on
+the multiset and the shard-order concatenation is asserted separately.
 """
+
+import threading
 
 import pytest
 
-from repro.docstore.executor import WIDTH_ENV, shutdown_executor
-from repro.docstore.sharding import ShardedCollection
+from repro.docstore.aggregation import AggregationPipeline, StageStats
+from repro.docstore.collection import Collection
+from repro.docstore.sharding import ShardedCollection, _merge_stage_stats
 from repro.errors import ShardingError
 
-NUM_SHARDS = 5
+SHARD_COUNTS = (1, 4, 8)
 
 
-def build_store():
-    store = ShardedCollection("papers", shard_key="paper_id",
-                             num_shards=NUM_SHARDS)
-    store.create_index("year")
-    store.insert_many([
+def documents():
+    return [
         {"paper_id": f"p{i:03d}", "year": 2019 + (i % 4),
          "cites": (i * 7) % 23, "group": i % 3}
         for i in range(80)
-    ])
+    ]
+
+
+def build_oracle():
+    oracle = Collection("papers")
+    oracle.create_index("year")
+    oracle.insert_many(documents())
+    return oracle
+
+
+def build_store(num_shards):
+    store = ShardedCollection("papers", shard_key="paper_id",
+                              num_shards=num_shards)
+    store.create_index("year")
+    store.insert_many(documents())
     return store
-
-
-@pytest.fixture(autouse=True)
-def clean_pool():
-    shutdown_executor()
-    yield
-    shutdown_executor()
 
 
 def scrub(value):
@@ -43,54 +52,82 @@ def scrub(value):
     return value
 
 
-def differential(monkeypatch, operation):
-    """Run ``operation`` on the parallel path, then on the serial one."""
-    monkeypatch.delenv(WIDTH_ENV, raising=False)
-    parallel = operation(build_store())
-    monkeypatch.setenv(WIDTH_ENV, "1")
-    serial = operation(build_store())
-    return scrub(parallel), scrub(serial)
+def by_id(docs):
+    return sorted(docs, key=lambda doc: doc["paper_id"])
+
+
+def differential(operation):
+    """``operation`` on the oracle, then on a store per shard count."""
+    expected = scrub(operation(build_oracle()))
+    return expected, [scrub(operation(build_store(num_shards)))
+                      for num_shards in SHARD_COUNTS]
+
+
+def aggregate(target, stages):
+    if isinstance(target, ShardedCollection):
+        return target.aggregate(stages).documents
+    return AggregationPipeline(stages).run(target).documents
 
 
 class TestDifferentialReads:
-    def test_find_identical(self, monkeypatch):
-        parallel, serial = differential(
-            monkeypatch,
-            lambda store: store.find({"year": {"$gte": 2020}}).to_list(),
+    def test_find_identical(self):
+        query = {"year": {"$gte": 2020}}
+        expected, sharded = differential(
+            lambda target: by_id(target.find(query).to_list())
         )
-        assert parallel == serial
-        assert len(parallel) > 0
+        assert len(expected) > 0
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_find_all_identical(self, monkeypatch):
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.find().to_list()
+    def test_find_all_identical(self):
+        expected, sharded = differential(
+            lambda target: by_id(target.find().to_list())
         )
-        assert parallel == serial
-        assert len(parallel) == 80
+        assert len(expected) == 80
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_count_identical(self, monkeypatch):
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.count({"group": 1})
+    @pytest.mark.parametrize("query", [None, {"year": {"$gte": 2020}}])
+    def test_find_concatenates_in_shard_order(self, query):
+        store = build_store(4)
+        assert store.find(query).to_list() == [
+            document for shard in store.shards
+            for document in shard.find(query).to_list()
+        ]
+
+    def test_count_identical(self):
+        expected, sharded = differential(
+            lambda target: target.count({"group": 1})
         )
-        assert parallel == serial > 0
+        assert expected > 0
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_find_one_targeted(self, monkeypatch):
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.find_one({"paper_id": "p042"})
+    def test_find_one_targeted(self):
+        expected, sharded = differential(
+            lambda target: target.find_one({"paper_id": "p042"})
         )
-        assert parallel == serial
-        assert parallel["paper_id"] == "p042"
+        assert expected["paper_id"] == "p042"
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_find_one_scatter_returns_a_match(self, monkeypatch):
-        # Non-targeted find_one races shards: any matching document is a
-        # correct answer, so assert the contract rather than identity.
-        monkeypatch.delenv(WIDTH_ENV, raising=False)
-        store = build_store()
-        hit = store.find_one({"group": 2})
-        assert hit is not None and hit["group"] == 2
-        assert store.find_one({"year": 1900}) is None
+    def test_find_one_scatter_returns_a_match(self):
+        for num_shards in SHARD_COUNTS:
+            store = build_store(num_shards)
+            hit = store.find_one({"group": 2})
+            assert hit is not None and hit["group"] == 2
+            assert store.find_one({"year": 1900}) is None
 
-    def test_aggregate_ranked_page_identical(self, monkeypatch):
+    def test_find_one_untargeted_returns_lowest_shard_match(self):
+        # The thread pool returned whichever shard finished first; the
+        # loop asks the shards in order and stops at the first hit.
+        store = build_store(8)
+        query = {"group": 2}
+        per_shard = [shard.find_one(query) for shard in store.shards]
+        assert sum(hit is not None for hit in per_shard) >= 2
+        lowest = next(hit for hit in per_shard if hit is not None)
+        for _ in range(20):
+            assert store.find_one(query) == lowest
+
+    def test_aggregate_ranked_page_identical(self):
+        # ``cites`` repeats (80 documents, 23 values): equal-score ties
+        # fall to the ``paper_id`` key, so the page is a total order.
         stages = [
             {"$match": {"year": {"$gte": 2020}}},
             {"$project": {"paper_id": 1, "cites": 1, "year": 1}},
@@ -98,61 +135,144 @@ class TestDifferentialReads:
             {"$skip": 5},
             {"$limit": 10},
         ]
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.aggregate(stages).documents
+        expected, sharded = differential(
+            lambda target: aggregate(target, stages)
         )
-        assert parallel == serial
-        assert len(parallel) == 10
+        assert len(expected) == 10
+        assert len({doc["cites"] for doc in expected}) < len(expected)
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_aggregate_full_sort_identical(self, monkeypatch):
+    def test_aggregate_full_sort_identical(self):
         stages = [
             {"$match": {"group": {"$in": [0, 2]}}},
             {"$sort": {"cites": -1, "paper_id": 1}},
         ]
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.aggregate(stages).documents
+        expected, sharded = differential(
+            lambda target: aggregate(target, stages)
         )
-        assert parallel == serial
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_aggregate_group_suffix_identical(self, monkeypatch):
+    def test_aggregate_group_suffix_identical(self):
         stages = [
             {"$match": {"year": {"$gte": 2019}}},
             {"$group": {"_id": "$group", "total": {"$sum": "$cites"}}},
             {"$sort": {"_id": 1}},
         ]
-        parallel, serial = differential(
-            monkeypatch, lambda store: store.aggregate(stages).documents
+        expected, sharded = differential(
+            lambda target: aggregate(target, stages)
         )
-        assert parallel == serial
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
 
 class TestDifferentialWrites:
-    def test_update_many_identical(self, monkeypatch):
-        def operation(store):
-            updated = store.update_many({"group": 0},
-                                        {"$set": {"flag": True}})
-            return updated, store.find({"flag": True}).to_list()
+    def test_update_many_identical(self):
+        def operation(target):
+            updated = target.update_many({"group": 0},
+                                         {"$set": {"flag": True}})
+            return updated, by_id(target.find({"flag": True}).to_list())
 
-        parallel, serial = differential(monkeypatch, operation)
-        assert parallel == serial
-        assert parallel[0] > 0
+        expected, sharded = differential(operation)
+        assert expected[0] > 0
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_delete_many_identical(self, monkeypatch):
-        def operation(store):
-            deleted = store.delete_many({"year": 2019})
-            return deleted, store.count()
+    def test_delete_many_identical(self):
+        def operation(target):
+            deleted = target.delete_many({"year": 2019})
+            return deleted, by_id(target.find().to_list())
 
-        parallel, serial = differential(monkeypatch, operation)
-        assert parallel == serial
+        expected, sharded = differential(operation)
+        assert expected[0] > 0
+        assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_rebalance_identical(self, monkeypatch):
-        def operation(store):
-            store.rebalance(NUM_SHARDS + 3)
-            return sorted(doc["paper_id"] for doc in store.find().to_list())
+    def test_rebalance_identical(self):
+        expected = scrub(by_id(build_oracle().find().to_list()))
+        store = build_store(4)
+        for num_shards in (8, 3):
+            before = store.version
+            store.rebalance(num_shards)
+            assert len(store.shards) == num_shards
+            assert store.version > before
+            assert scrub(by_id(store.find().to_list())) == expected
+            # every document sits where targeted routing looks for it
+            for document in expected:
+                query = {"paper_id": document["paper_id"]}
+                assert scrub(store.find_one(query)) == document
 
-        parallel, serial = differential(monkeypatch, operation)
-        assert parallel == serial
-        assert len(parallel) == 80
+
+class TestShardFailureStopsTheLoop:
+    """Shard *k* raising propagates; no shard after *k* is visited."""
+
+    FAILING = 2
+
+    def test_update_many_leaves_later_shards_untouched(self, monkeypatch):
+        store = build_store(4)
+        versions = [shard.version for shard in store.shards]
+
+        def boom(query, update):
+            raise RuntimeError("shard down")
+
+        monkeypatch.setattr(store.shards[self.FAILING], "update_many", boom)
+        with pytest.raises(RuntimeError, match="shard down"):
+            store.update_many({"group": 0}, {"$set": {"flag": True}})
+        for index, shard in enumerate(store.shards):
+            flagged = shard.count({"flag": True})
+            if index < self.FAILING:
+                assert flagged == shard.count({"group": 0}) > 0
+            else:
+                assert flagged == 0
+                assert shard.version == versions[index]
+
+    def test_insert_many_leaves_later_shards_untouched(self, monkeypatch):
+        store = ShardedCollection("t", shard_key="k", num_shards=4)
+        batch = [{"k": f"key{i}"} for i in range(40)]
+        routed = [0] * 4
+        for document in batch:
+            routed[store.sharder.shard_for(document["k"])] += 1
+        assert all(routed)
+
+        def boom(batch):
+            raise RuntimeError("shard down")
+
+        monkeypatch.setattr(store.shards[self.FAILING], "insert_many", boom)
+        with pytest.raises(RuntimeError, match="shard down"):
+            store.insert_many(batch)
+        assert store.shard_sizes() == [
+            routed[index] if index < self.FAILING else 0
+            for index in range(4)
+        ]
+
+
+def test_sharded_operations_start_no_threads():
+    before = set(threading.enumerate())
+    store = build_store(8)
+    store.find({"group": 1}).to_list()
+    store.count({"group": 1})
+    store.find_one({"group": 2})
+    store.update_many({"group": 0}, {"$set": {"flag": True}})
+    store.aggregate([{"$match": {"group": 1}},
+                     {"$sort": {"cites": -1, "paper_id": 1}},
+                     {"$limit": 5}])
+    store.delete_many({"year": 2019})
+    store.rebalance(4)
+    # no ``repro-shard`` pool worker, nor any other thread
+    assert set(threading.enumerate()) == before
+
+
+def test_merge_stage_stats_sums_counts_and_seconds():
+    # The shards are visited one after another: a prefix stage costs the
+    # sum of its shards' times, not the slowest shard's.
+    per_shard = [
+        [StageStats("$match(indexed)", 10, 4, 0.25),
+         StageStats("$project", 4, 4, 0.5)],
+        [StageStats("$match(indexed)", 30, 6, 1.0),
+         StageStats("$project", 6, 6, 0.125)],
+    ]
+    merged = _merge_stage_stats(per_shard)
+    assert [(s.stage, s.docs_in, s.docs_out, s.seconds) for s in merged] == [
+        ("$match(indexed)", 40, 10, 1.25),
+        ("$project", 10, 10, 0.625),
+    ]
+    assert _merge_stage_stats([]) == []
 
 
 class TestInsertManyGrouping:

@@ -107,32 +107,6 @@ class TestServiceIngest:
             assert again.value["accepted"] == 0
             assert len(system.store) == 12
 
-    def test_search_and_commit_never_enter_the_docstore_pool(self, stack):
-        """All six engines and an ingest commit, on an index holding two
-        deltas, run on the threads that admitted them."""
-        from repro.docstore import executor
-
-        system, service, held = stack
-        service.query("all_fields", query="covid")  # builds the base
-        for batch in (held[:4], held[4:8]):
-            service.submit_ingest(batch).result(timeout=30)
-            service.query("all_fields", query="covid")
-        assert system.search_corpus.columnar_index().delta_segments >= 2
-        executor.shutdown_executor()
-        for engine, params in [
-            ("all_fields", {"query": "vaccine"}),
-            ("title_abstract", {"abstract": "vaccine"}),
-            ("table", {"query": "dosage"}),
-            ("kg", {"query": "side effects"}),
-            ("kg_query", {"query": "what is under Vaccines", "nl": True}),
-            ("meta_profile", {}),
-        ]:
-            assert not service.query(engine, **params).cached
-        receipt = service.submit_ingest(held[8:12]).result(timeout=30)
-        assert receipt.value["accepted"] == 4
-        assert not service.query("all_fields", query="vaccine").cached
-        assert executor._executor is None
-
     def test_negative_cache_unnegatives_after_ingest(self, stack):
         system, service, held = stack
         bad_query = 'MATCH (v:"Vaccines" RETURN v'  # unbalanced paren

@@ -9,7 +9,6 @@ to the full-sort reference.
 import pytest
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.executor import shutdown_executor
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.engine import PAGE_SIZE
 
@@ -21,13 +20,6 @@ def corpus():
     config = GeneratorConfig(seed=77, papers_per_week=15,
                              tables_per_paper=(0, 2))
     return CorpusGenerator(config).papers(70)
-
-
-@pytest.fixture(autouse=True)
-def clean_pool():
-    shutdown_executor()
-    yield
-    shutdown_executor()
 
 
 def build_engine(corpus, full_sort=False):

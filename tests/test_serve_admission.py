@@ -1,4 +1,4 @@
-"""Unit tests for admission control: pool, deadlines, retry, RW-lock."""
+"""Unit tests for admission control: pool, deadlines, RW-lock."""
 
 import threading
 import time
@@ -9,9 +9,8 @@ from repro.errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
-    ShardingError,
 )
-from repro.serve.admission import ReadWriteLock, WorkerPool, retry_call
+from repro.serve.admission import ReadWriteLock, WorkerPool
 
 
 class TestWorkerPool:
@@ -73,55 +72,6 @@ class TestWorkerPool:
             WorkerPool(num_workers=0)
         with pytest.raises(ValueError):
             WorkerPool(max_queue=0)
-
-
-class TestRetryCall:
-    def test_transient_errors_retried_with_backoff(self):
-        attempts = []
-        sleeps = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ShardingError("transient")
-            return "ok"
-
-        result = retry_call(flaky, retries=3, backoff_seconds=0.01,
-                            retry_on=(ShardingError,),
-                            sleep=sleeps.append)
-        assert result == "ok"
-        assert len(attempts) == 3
-        assert sleeps == [0.01, 0.02]  # exponential
-
-    def test_retries_exhausted_raises_last_error(self):
-        def always_fails():
-            raise ShardingError("still down")
-
-        with pytest.raises(ShardingError):
-            retry_call(always_fails, retries=2, backoff_seconds=0.0,
-                       retry_on=(ShardingError,), sleep=lambda _: None)
-
-    def test_non_transient_errors_not_retried(self):
-        attempts = []
-
-        def boom():
-            attempts.append(1)
-            raise ValueError("logic bug")
-
-        with pytest.raises(ValueError):
-            retry_call(boom, retries=5, retry_on=(ShardingError,),
-                       sleep=lambda _: None)
-        assert len(attempts) == 1
-
-    def test_no_retry_past_deadline(self):
-        def always_fails():
-            raise ShardingError("down")
-
-        with pytest.raises(ShardingError):
-            retry_call(always_fails, retries=10, backoff_seconds=60.0,
-                       retry_on=(ShardingError,),
-                       deadline=time.monotonic() + 0.01,
-                       sleep=lambda _: None)
 
 
 class TestReadWriteLock:

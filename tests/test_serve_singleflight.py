@@ -6,7 +6,6 @@ import pytest
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore import executor as executor_module
 from repro.errors import QueryError
 from repro.serve.cache import ResultCache
 from repro.serve.service import QueryService, ServeConfig
@@ -194,34 +193,3 @@ class TestServiceSingleFlight:
         assert len(computations) == 1
         assert stats["negative_hits"] == 3
         assert stats["cache"]["negative_hits"] == 3
-
-    def test_two_delta_search_makes_no_pool_tasks(self, monkeypatch):
-        papers = _corpus(28)
-        system = CovidKG(CovidKGConfig(num_shards=2))
-        system.ingest(papers[:20])
-        submitted = []
-        submit_task = executor_module._submit_task
-
-        def counting_submit(executor, task):
-            submitted.append(task)
-            return submit_task(executor, task)
-
-        monkeypatch.setattr(executor_module, "_submit_task",
-                            counting_submit)
-        monkeypatch.setenv(executor_module.WIDTH_ENV, "4")
-
-        with QueryService(system, ServeConfig(num_workers=2)) as service:
-            service.query("all_fields", query="vaccine")
-            for batch in (papers[20:24], papers[24:]):
-                service.ingest(batch)
-                service.query("all_fields", query="vaccine")
-            index = system.search_corpus.columnar_index()
-            assert (index.delta_segments, index.delta_rows) == (2, 8)
-            for engine, params in [
-                ("all_fields", {"query": "covid"}),
-                ("title_abstract", {"abstract": "vaccine"}),
-                ("table", {"query": "dosage"}),
-            ]:
-                assert not service.query(engine, **params).cached
-        # Every segment was scored on the worker that admitted the search.
-        assert submitted == []
