@@ -8,6 +8,9 @@ A pipeline is a list of stage documents streamed over a collection:
   use the $match stage first to minimize the amount of data being passed
   through all the latter stages").
 * ``{"$project": {field: 0|1 | expression}}`` — prune or compute fields.
+  A plain inclusion/exclusion right after a pushed-down ``$match`` reads
+  the collection's stored rows, so each matched document is copied once,
+  already projected.
 * ``{"$addFields": {field: expression}}`` — add computed fields.
 * ``{"$function": {"name": ..., "args": [paths/exprs], "as": field}}`` —
   call a registered Python function per document (the paper's custom JS
@@ -361,7 +364,15 @@ class AggregationPipeline:
             if stages and "$match" in stages[0]:
                 started = time.perf_counter()
                 docs_in = len(source)
-                documents = source.find(stages[0]["$match"]).to_list()
+                query = stages[0]["$match"]
+                if len(stages) > 1 and _is_plain_projection(
+                        stages[1].get("$project")):
+                    # apply_projection deep-copies everything it keeps,
+                    # so the unprojected copy is never materialised: the
+                    # stored rows go straight into the $project stage.
+                    documents = list(source.scan(query))
+                else:
+                    documents = source.find(query).to_list()
                 stats.append(StageStats(
                     "$match(indexed)", docs_in, len(documents),
                     time.perf_counter() - started,
@@ -391,8 +402,7 @@ class AggregationPipeline:
 
     def _stage_project(self, documents: list[dict[str, Any]],
                        spec: dict[str, Any]) -> list[dict[str, Any]]:
-        simple = all(value in (0, 1, True, False) for value in spec.values())
-        if simple:
+        if _is_plain_projection(spec):
             return [apply_projection(doc, spec) for doc in documents]
         results = []
         for document in documents:
@@ -688,6 +698,13 @@ class AggregationPipeline:
         if acc == "$last":
             return values[-1] if values else None
         raise AggregationError(f"unknown accumulator {acc}")
+
+
+def _is_plain_projection(spec: Any) -> bool:
+    """True for an inclusion/exclusion ``$project`` (no expressions)."""
+    return isinstance(spec, dict) and all(
+        value in (0, 1, True, False) for value in spec.values()
+    )
 
 
 def _freeze_key(value: Any) -> Any:

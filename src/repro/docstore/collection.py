@@ -114,17 +114,22 @@ def _sort_key(value: Any) -> tuple[int, Any]:
 
 def apply_projection(document: dict[str, Any],
                      projection: dict[str, int]) -> dict[str, Any]:
-    """Apply a MongoDB-style inclusion or exclusion projection."""
+    """Apply a MongoDB-style inclusion or exclusion projection.
+
+    The result shares nothing with ``document``: every kept value is
+    deep-copied (``_id`` included), so a caller may pass a stored row.
+    Included fields come out in the projection's own order.
+    """
     if not projection:
         return deep_copy_document(document)
-    includes = {k for k, v in projection.items() if v and k != "_id"}
-    excludes = {k for k, v in projection.items() if not v and k != "_id"}
+    includes = [k for k, v in projection.items() if v and k != "_id"]
+    excludes = [k for k, v in projection.items() if not v and k != "_id"]
     if includes and excludes:
         raise QueryError("cannot mix inclusion and exclusion in a projection")
     if includes:
         result: dict[str, Any] = {}
         if projection.get("_id", 1) and "_id" in document:
-            result["_id"] = document["_id"]
+            result["_id"] = deep_copy_document({"v": document["_id"]})["v"]
         for path in includes:
             value = deep_get(document, path, _MISSING)
             if value is not _MISSING:
@@ -434,19 +439,31 @@ class Collection:
                         candidates=best[0])
         return plan
 
-    def find(self, query: dict[str, Any] | None = None,
-             projection: dict[str, int] | None = None) -> Cursor:
-        """All matching documents, as a lazily-shaped :class:`Cursor`."""
+    def scan(self, query: dict[str, Any] | None = None
+             ) -> Iterator[dict[str, Any]]:
+        """Yield the *stored* documents matching ``query``, uncopied.
+
+        The one read loop under ``find``, ``count`` and the aggregation
+        ``$match`` pushdown: candidates come from the indexes and every
+        document examined counts into ``scan_count``.  The rows are the
+        collection's own state — read-only for the caller, who copies
+        whatever it hands on (reads copy on the way out, once).
+        """
         query = query or {}
-        results = []
         for doc_id in self._candidates(query):
             document = self._documents.get(doc_id)
             if document is None:
                 continue
             self.scan_count += 1
             if matches(document, query):
-                results.append(deep_copy_document(document))
-        cursor = Cursor(results)
+                yield document
+
+    def find(self, query: dict[str, Any] | None = None,
+             projection: dict[str, int] | None = None) -> Cursor:
+        """All matching documents, as a lazily-shaped :class:`Cursor`."""
+        cursor = Cursor(
+            [deep_copy_document(document) for document in self.scan(query)]
+        )
         if projection is not None:
             cursor.project(projection)
         return cursor
@@ -463,7 +480,7 @@ class Collection:
     def count(self, query: dict[str, Any] | None = None) -> int:
         if not query:
             return len(self._documents)
-        return len(self.find(query))
+        return sum(1 for _ in self.scan(query))
 
     def distinct(self, path: str,
                  query: dict[str, Any] | None = None) -> list[Any]:

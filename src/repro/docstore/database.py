@@ -92,10 +92,14 @@ class Database:
         shards = source.shards
         documents: list[dict[str, Any]] | None = None
         if remaining and "$match" in remaining[0]:
-            shards = source._target_shards(remaining[0]["$match"])
-            documents = []
-            for shard in shards:
-                documents.extend(shard.find(remaining[0]["$match"]).to_list())
+            # Stored rows: every path below hands them to ``aggregate``
+            # as a list source, whose copy is the only one made.
+            query = remaining[0]["$match"]
+            shards = source._target_shards(query)
+            documents = [
+                document for shard in shards
+                for document in shard.scan(query)
+            ]
             remaining = remaining[1:]
 
         if remaining and "$group" in remaining[0] and \

@@ -23,7 +23,10 @@ JavaScript functions do.  ``scorer`` hoists every piece of query-side
 state (term words, stems, IDFs, synonym expansions, per-field average
 lengths) out of the per-document loop: the returned closure tokenizes and
 stems each field exactly once per document and shares the token/stem
-lists between TF counting and proximity-window extraction.
+lists between TF counting and proximity-window extraction.  Document
+tokens are stemmed with the memoized :func:`repro.text.stemmer.stem`,
+like the query words and the index builders, so a word costs one
+Porter pass per process, not one per occurrence.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Any
 from repro.docstore.documents import deep_get
 from repro.search.indexing import FIELD_WEIGHTS
 from repro.search.query import ParsedQuery
-from repro.text.stemmer import PorterStemmer, stem
+from repro.text.stemmer import stem
 from repro.text.tfidf import TfIdfModel
 from repro.text.tokenizer import tokenize
 
@@ -44,14 +47,6 @@ from repro.text.tokenizer import tokenize
 PROXIMITY_WEIGHT = 2.0
 #: Weight of static (query-independent) document features.
 STATIC_WEIGHT = 0.1
-
-#: The scalar ``$function`` closure stems matched documents with the
-#: uncached reference stemmer, as before :func:`stem` was memoized: with
-#: the cache a quoted-phrase query answers ~2.7x faster, and bench_e2e's
-#: distinct-request pools (160 phrases for a ``--smoke`` run) run out
-#: mid-window and fail the run.  Switch this to ``stem`` once the pools
-#: have grown (ROADMAP, ``benchmark`` issue).
-_stem_document_token = PorterStemmer().stem
 
 #: Okapi BM25 defaults (Robertson & Walker); tunable per system via
 #: ``CovidKGConfig.bm25_k1`` / ``bm25_b``.
@@ -344,8 +339,7 @@ class RankingFunction:
                 if not text:
                     continue
                 tokens = tokenize(text)
-                stemmed_tokens = [_stem_document_token(token)
-                                  for token in tokens]
+                stemmed_tokens = [stem(token) for token in tokens]
                 counts = Counter(stemmed_tokens)
                 dl = len(tokens)
                 field_total = 0.0

@@ -8,7 +8,9 @@ from repro.docstore.aggregation import (
     evaluate_expression,
 )
 from repro.docstore.collection import Collection
+from repro.docstore.documents import ObjectId
 from repro.docstore.functions import FunctionRegistry
+from repro.docstore.sharding import ShardedCollection
 from repro.errors import AggregationError
 
 DOCS = [
@@ -234,3 +236,97 @@ class TestValidation:
     def test_multi_key_stage_rejected(self):
         with pytest.raises(AggregationError):
             AggregationPipeline([{"$match": {}, "$limit": 1}])
+
+
+# -- no aliasing: nothing reachable from a result is stored state ---------
+
+PAPERS = [
+    {"paper_id": f"p{number}", "year": 2020 + number % 2,
+     "title": f"title {number}", "body": ["intro", "methods"],
+     "tables": [{"caption": f"table {number}",
+                 "rows": [["dose", number], ["arm", "placebo"]]}],
+     "static_rank": {"year": 2020 + number % 2, "num_tables": 1}}
+    for number in range(12)
+]
+
+#: Every shape of second stage: only the plain ``$project`` ones read the
+#: stored rows; all the others still get ``find``'s copies.
+SECOND_STAGES = {
+    "include": [{"$project": {"tables": 1, "title": 1,
+                              "static_rank.year": 1}},
+                {"$function": {"name": "scribbler", "as": "score"}}],
+    "include, no _id": [{"$project": {"tables.rows": 1, "_id": 0}}],
+    "exclude": [{"$project": {"body": 0}},
+                {"$function": {"name": "scribbler", "as": "score"}}],
+    "empty $project": [{"$project": {}}],
+    "$function": [{"$function": {"name": "scribbler", "as": "score"}}],
+    "$addFields": [{"$addFields": {"first_table": "$tables.0"}}],
+    "$unwind": [{"$unwind": "$tables"}],
+    "expression $project": [{"$project": {"tables": 1,
+                                          "rank": "$static_rank"}}],
+    "nothing": [],
+}
+
+
+def _scribble(value):
+    """Mutate every container (and ObjectId) reachable from ``value``."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _scribble(item)
+        value.clear()
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value[:] = ["scribbled"]
+    elif isinstance(value, ObjectId):
+        value.value = -1
+
+
+def _scribbler(document):
+    """A ``$function`` that vandalises the document it is handed."""
+    for table in document.get("tables", []):
+        if isinstance(table, dict) and "rows" in table:
+            table["rows"].append(["scribbled"])
+    document["seen"] = True
+    return len(document)
+
+
+def _stored(source):
+    shards = source.shards if isinstance(source, ShardedCollection) \
+        else [source]
+    return [repr(sorted(document.items()))
+            for shard in shards for document in shard._documents.values()]
+
+
+def _sources():
+    plain = Collection("papers")
+    sharded = ShardedCollection("papers", "paper_id", num_shards=3)
+    for source in (plain, sharded):
+        source.create_index("year")
+        source.insert_many(PAPERS)
+    return {"plain": plain, "sharded": sharded}
+
+
+@pytest.mark.parametrize("layout", ["plain", "sharded"])
+@pytest.mark.parametrize("shape", list(SECOND_STAGES))
+def test_aggregate_results_never_alias_stored_documents(layout, shape):
+    source = _sources()[layout]
+    registry = FunctionRegistry()
+    registry.register("scribbler", _scribbler)
+    stages = [{"$match": {"year": 2021}}] + SECOND_STAGES[shape]
+
+    def run():
+        if layout == "sharded":
+            return source.aggregate(stages, registry)
+        return aggregate(source, stages, registry)
+
+    stored = _stored(source)
+    first = run()
+    assert len(first.documents) >= 6
+    snapshot = repr(first.documents)
+    assert _stored(source) == stored  # the $function scribbled on copies
+    _scribble(first.documents)
+    assert _stored(source) == stored
+    assert repr(run().documents) == snapshot
+    assert _stored(source) == stored

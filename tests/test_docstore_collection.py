@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.docstore.collection import Collection
+from repro.docstore import collection as collection_module
+from repro.docstore.collection import Collection, apply_projection
 from repro.docstore.documents import ObjectId
 from repro.errors import DocumentError, DuplicateKeyError
 
@@ -86,6 +87,29 @@ class TestFind:
     def test_projection_exclusion(self, papers):
         doc = papers.find_one({"title": "masks"}, {"tags": 0, "_id": 0})
         assert doc == {"title": "masks", "year": 2020, "cites": 50}
+
+    def test_projection_emits_fields_in_its_own_order(self):
+        # Eight included paths: iterating them as a set put them in an
+        # order that changed with PYTHONHASHSEED.
+        names = ["h", "g", "f", "e", "d", "c", "b", "a"]
+        collection = Collection()
+        collection.insert_one({name: 1 for name in sorted(names)})
+        projection = {name: 1 for name in names}
+        assert list(collection.find_one({}, projection)) == ["_id"] + names
+        assert list(collection.find_one({}, {**projection, "_id": 0})) \
+            == names
+
+    def test_projection_shares_nothing_with_the_document(self):
+        collection = Collection()
+        collection.insert_one({"rows": [[1, 2]], "meta": {"k": [3]}})
+        stored = next(collection.scan())
+        for projection in ({"rows": 1, "meta.k": 1}, {"meta": 0}, {}):
+            projected = apply_projection(stored, projection)
+            assert projected["_id"] == stored["_id"]
+            assert projected["_id"] is not stored["_id"]
+            projected["rows"][0].append("scribbled")
+            projected.get("meta", {}).get("k", []).append("scribbled")
+        assert stored["rows"] == [[1, 2]] and stored["meta"] == {"k": [3]}
 
     def test_count_and_len(self, papers):
         assert papers.count() == 4
@@ -185,6 +209,27 @@ class TestIndexes:
         papers.scan_count = 0
         papers.find({"year": 2021}).to_list()
         assert papers.scan_count == 2  # only the indexed bucket was scanned
+
+    def test_count_scans_like_find_and_copies_nothing(self, papers,
+                                                      monkeypatch):
+        papers.create_index("year")
+        for query, examined in (({"year": 2021}, 2),
+                                ({"cites": {"$gt": 60}}, 4)):
+            papers.scan_count = 0
+            matched = len(papers.find(query))
+            assert papers.scan_count == examined
+            with monkeypatch.context() as patched:
+                patched.setattr(collection_module, "deep_copy_document",
+                                lambda document: pytest.fail("copied"))
+                assert papers.count(query) == matched
+            assert papers.scan_count == 2 * examined
+
+    def test_scan_yields_the_stored_rows_find_copies_them(self, papers):
+        rows = list(papers.scan({"year": 2020}))
+        copies = papers.find({"year": 2020}).to_list()
+        assert rows == copies
+        assert all(row is papers._documents[row["_id"]] for row in rows)
+        assert not any(copy is row for copy, row in zip(copies, rows))
 
     def test_unindexed_query_scans_everything(self, papers):
         papers.scan_count = 0

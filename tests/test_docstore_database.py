@@ -153,6 +153,47 @@ class TestShardedGroupMerge:
         reference = self.reference(docs, stages)
         assert sharded.documents == reference.documents
 
+    def test_leading_match_copies_each_document_once(self, monkeypatch):
+        """The pushdown gathers stored rows; ``run`` makes the one copy."""
+        from repro.docstore import aggregation, collection
+
+        db, docs = self.build(num_docs=30)
+        coll = db.sharded_collection("papers", shard_key="pid")
+        stored = [row for shard in coll.shards for row in shard.scan()]
+        snapshot = self.canonical(stored)
+        match = {"$match": {"year": {"$gte": 2020}}}
+        matched = sum(doc["year"] >= 2020 for doc in docs)
+        for rest in ([{"$addFields": {"tags": {"$literal": ["x"]}}},
+                      {"$project": {"_id": 0, "pid": "$pid",
+                                    "tags": "$tags"}}],
+                     [{"$group": {"_id": "$year",
+                                  "cites": {"$sum": "$cites"}}}]):
+            copied = []
+            real_copy = aggregation.deep_copy_document
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    collection, "deep_copy_document",
+                    lambda document: pytest.fail("find copied a row"))
+                patched.setattr(
+                    aggregation, "deep_copy_document",
+                    lambda doc: copied.append(doc) or real_copy(doc))
+                scanned = coll.total_scan_count
+                result = db.aggregate("papers", [match] + rest)
+            assert coll.total_scan_count - scanned == len(docs)
+            assert self.canonical(result.documents) == self.canonical(
+                self.reference(docs, [match] + rest).documents)
+            assert sum(any(doc is row for row in stored)
+                       for doc in copied) == matched
+            # Nothing in the result is stored state.
+            for document in result.documents:
+                for value in document.values():
+                    if isinstance(value, list):
+                        value.append("scribbled")
+                document.clear()
+            assert self.canonical(
+                row for shard in coll.shards for row in shard.scan()
+            ) == snapshot
+
     def test_avg_falls_back_but_stays_correct(self):
         db, docs = self.build()
         stages = [{"$group": {"_id": "$year",

@@ -7,7 +7,10 @@ bytes of every page — snippets and ``extras["tables"]`` included — equal
 the scalar ``$match → $project → $function`` pipeline's and the full
 sort's, whatever the segment layout; nothing a caller can reach from a
 page aliases a stored row; and a request compiles at most one regex per
-term plus one for the query.
+term plus one for the query.  Quoted phrases never reach the kernels:
+their pages come from the scalar pipeline, whose ``$project`` reads the
+collection's stored rows — same bytes as the pipeline run over
+``find``'s copies, stemmed by the memoized ``stem``.
 """
 
 from __future__ import annotations
@@ -19,18 +22,28 @@ import threading
 import pytest
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+from repro.docstore.collection import Collection
 from repro.docstore.functions import FunctionRegistry
 from repro.gateway.routes import encode_value
+from repro.search import engine as engine_module
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.corpus import SearchCorpus
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
+from repro.text.stemmer import PorterStemmer, stem
+from repro.text.tokenizer import tokenize
 
 #: One, two and three kernel-eligible terms.  In the 60 generated papers
 #: every one has more than two pages of matches in some engine, the
 #: table words fill ``extras["tables"]`` and "patients cohort" matches no
 #: table at all (the empty page).
 QUERIES = ["vaccine", "patients cohort", "vaccine efficacy doses"]
+
+#: Quoted terms fail the kernel planner.  A whole phrase (24 matches in
+#: all_fields and tables: three pages), one quoted word beside a loose
+#: one (proximity bonus; 40 matches), a phrase beside a loose word.
+PHRASE_QUERIES = ['"vaccine efficacy"', '"patients" cohort',
+                  '"vaccine efficacy" doses']
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +72,10 @@ def _engines(papers, ranker="tfidf", num_segments=1):
     return corpus, engines
 
 
-def _searches(engines, pages=(1, 2, 3)):
+def _searches(engines, pages=(1, 2, 3), queries=QUERIES):
     """Every (label, SearchResults) of the query × page × engine grid."""
     all_fields, title_abstract, tables = engines
-    for query in QUERIES:
+    for query in queries:
         for page in pages:
             yield (f"all_fields {query!r} p{page}",
                    all_fields.search(query, page=page))
@@ -110,6 +123,65 @@ def test_whole_pages_are_byte_identical_on_every_path(papers, ranker):
     assert _wire_pages(engines) == kernel  # base + 2 deltas
     assert corpus.merge_segments()
     assert _wire_pages(engines) == kernel  # the merged rebuild
+
+
+# -- quoted phrases: the scalar pipeline over stored rows --------------------
+
+@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
+def test_quoted_phrase_pages_are_byte_identical_on_every_path(
+        papers, ranker, monkeypatch):
+    grid = {"queries": PHRASE_QUERIES, "pages": (1, 2)}
+    corpus, engines = _engines(papers, ranker)
+    stored = [json.dumps(document, sort_keys=True, default=str)
+              for document in corpus.collection.scan()]
+    top_k = _wire_pages(engines, **grid)
+    stages = {stats.stage
+              for _, results in _searches(engines, **grid)
+              for stats in results.stage_stats}
+    assert stages == {"$match(indexed)", "$project", "$function",
+                      "$sort(top-k)"}
+    # Not vacuous: most cells have a page 1 and the phrase has a page 2.
+    assert sum(b'"results":[]' not in wire for wire in top_k.values()) >= 12
+    assert b'"results":[]' not in top_k["all_fields '\"vaccine efficacy\"' p2"]
+
+    # The same prefix over find()'s copies in place of the stored rows.
+    real_aggregate = engine_module.aggregate
+    over_copies = []
+
+    def aggregate_over_find(source, stages, registry=None):
+        if isinstance(source, Collection):
+            over_copies.append(stages[0]["$match"])
+            source = source.find(stages[0]["$match"]).to_list()
+            stages = stages[1:]
+        return real_aggregate(source, stages, registry)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine_module, "aggregate", aggregate_over_find)
+        assert _wire_pages(engines, **grid) == top_k
+    assert len(over_copies) == len(top_k)
+
+    for engine in engines:
+        engine.full_sort = True
+    assert _wire_pages(engines, **grid) == top_k  # full $sort
+    assert [json.dumps(document, sort_keys=True, default=str)
+            for document in corpus.collection.scan()] == stored
+
+    _, engines = _engines(papers, ranker, num_segments=3)
+    assert _wire_pages(engines, **grid) == top_k  # ingested in 3 batches
+
+
+def test_memoized_stem_is_the_reference_stemmer_on_the_corpus(papers):
+    corpus, _ = _engines(papers)
+    tokens = {
+        token
+        for document in corpus.collection.scan()
+        for text in document["search"].values()
+        for token in tokenize(text)
+    }
+    assert len(tokens) > 500
+    reference = PorterStemmer().stem
+    assert {token: stem(token) for token in tokens} \
+        == {token: reference(token) for token in tokens}
 
 
 # -- no aliasing, no mutation ----------------------------------------------
