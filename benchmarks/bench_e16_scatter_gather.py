@@ -33,9 +33,10 @@ from repro.docstore.collection import Collection
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.sharding import ShardedCollection
 from repro.search.all_fields import AllFieldsEngine
+from repro.search.columnar import MatchPlan
 from repro.search.engine import PAGE_SIZE, PROJECTED_FIELDS, SORT_SPEC
 from repro.search.indexing import ALL_SEARCH_FIELDS, build_search_document
-from repro.search.query import match_filter, parse_query
+from repro.search.query import parse_query
 from repro.serve.service import QueryService, ServeConfig
 
 SHARD_COUNTS = (1, 4, 8)
@@ -73,7 +74,8 @@ def _ranked_pipelines(corpus):
             engine.ranking.scorer(parsed, ALL_SEARCH_FIELDS),
         )
         pipelines.append([
-            {"$match": match_filter(parsed, ALL_SEARCH_FIELDS)},
+            {"$match": MatchPlan.terms_over_fields(
+                parsed, ALL_SEARCH_FIELDS).match_document()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
             {"$function": {"name": f"rank_{number}", "as": "score"}},
             {"$sort": SORT_SPEC},
@@ -148,12 +150,11 @@ def test_e16_ranked_aggregation_by_shard_count(corpus):
 
 
 def test_e16_preflight_validation_overhead(corpus):
-    """Pre-flight validation is noise next to a sharded scatter-gather.
+    """``validate_pipeline`` is noise next to a sharded scatter-gather.
 
-    ``ShardedCollection.aggregate(..., validate=True)`` checks the
-    pipeline once on the router before fanning out; the check must stay
-    <1% of the aggregation wall time or "fail fast" quietly becomes
-    "run slow".
+    A caller that takes pipelines from outside validates once before
+    ``ShardedCollection.aggregate``; the check must stay <1% of the
+    aggregation wall time or "fail fast" quietly becomes "run slow".
     """
     from repro.analysis.pipeline_check import validate_pipeline
 
@@ -181,13 +182,8 @@ def test_e16_preflight_validation_overhead(corpus):
         return fastest
 
     validate_s = best(lambda: validate_pipeline(pipeline, registry), 20)
-    execute_s = best(
-        lambda: collection.aggregate(pipeline, registry, validate=False),
-        5,
-    )
-    checked = collection.aggregate(pipeline, registry, validate=True)
-    unchecked = collection.aggregate(pipeline, registry, validate=False)
-    assert checked.documents == unchecked.documents
+    assert validate_pipeline(pipeline, registry) == []
+    execute_s = best(lambda: collection.aggregate(pipeline, registry), 5)
 
     fraction = validate_s / execute_s
     print_table(
@@ -195,7 +191,7 @@ def test_e16_preflight_validation_overhead(corpus):
         ["validate us", "sharded aggregate ms", "overhead"],
         [[f"{validate_s * 1e6:.1f}", f"{execute_s * 1e3:.2f}",
           f"{fraction * 100:.3f}%"]],
-        note="router validates once, before any shard fan-out",
+        note="one validate_pipeline call, before any shard is visited",
     )
     RESULTS["preflight_validation"] = {
         "validate_seconds": validate_s,

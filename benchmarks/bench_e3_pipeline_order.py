@@ -121,9 +121,9 @@ def test_e3_stage_ordering(medium_corpus, benchmark):
 def test_e3_preflight_validation_overhead(medium_corpus, benchmark):
     """Pre-flight ``validate_pipeline`` must cost <1% of execution.
 
-    The serving tier can validate every pipeline before dispatch
-    (``ServeConfig.validate_pipelines``); this pins down that the check
-    is pure dict-walking noise next to the aggregation itself.
+    A caller that takes pipelines from outside validates them before
+    dispatch; this pins down that the check is pure dict-walking noise
+    next to the aggregation itself.
     Measured on this corpus: ~5 us validation vs ~3 ms execution,
     i.e. ~0.2% — recorded here so a regression (e.g. an accidentally
     quadratic expression walk) fails the bench.

@@ -30,14 +30,12 @@ __all__ = [
     "PipelineIssue",
     "PipelineValidationError",
     "default_rules",
-    "lint_paths",
     "validate_pipeline",
     "ensure_valid_pipeline",
 ]
 
 _LAZY = {
     "Finding": ("repro.analysis.lint", "Finding"),
-    "lint_paths": ("repro.analysis.lint", "lint_paths"),
     "default_rules": ("repro.analysis.rules", "default_rules"),
     "PipelineIssue": ("repro.analysis.pipeline_check", "PipelineIssue"),
     "PipelineValidationError": (

@@ -1,18 +1,19 @@
-"""The analysis engine: parallel parsing, caching, config, assembly.
+"""The analysis engine: parsing, caching, config, assembly.
 
-``lint_paths`` re-reads and re-parses every file on every run, which
-was fine at 40 files and is not at 160+.  The engine splits analysis
-into a *per-file* step — parse, run the per-file rules, build the
-module summary and suppression index — and a *project* step that
-stitches summaries into a :class:`~repro.analysis.callgraph.ProjectIndex`
-and runs the interprocedural rules.
+Re-reading and re-parsing every file on every run was fine at 40 files
+and is not at 160+.  The engine splits analysis into a *per-file* step
+— parse, run the per-file rules, build the module summary and
+suppression index — and a *project* step that stitches summaries into
+a :class:`~repro.analysis.callgraph.ProjectIndex` and runs the
+interprocedural rules.
 
 The per-file step is pure in the file's content, so its output is
 cached under ``.repro-analysis-cache/`` keyed by a content hash (plus
 an engine version stamped with the rule set, so rule changes invalidate
 everything).  A warm run touches each file only to hash it.  Per-file
-work runs on a thread pool; findings come out in the same deterministic
-order regardless of parallelism or cache state.
+work runs in a plain loop — the GIL serializes ``ast`` work, so a
+thread pool was measured slower (EXPERIMENTS.md) — and findings come
+out in the same deterministic order whatever the cache state.
 
 Severity overrides and rule disabling live in ``pyproject.toml``::
 
@@ -33,7 +34,6 @@ import dataclasses
 import hashlib
 import json
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -227,13 +227,13 @@ def analyze_paths(paths: Sequence[str | Path],
                   project_rules: Sequence[ProjectRule] | None = None,
                   config: AnalysisConfig | None = None,
                   use_cache: bool = True,
-                  cache_dir: str | Path = DEFAULT_CACHE_DIR,
-                  jobs: int | None = None) -> AnalysisResult:
+                  cache_dir: str | Path = DEFAULT_CACHE_DIR
+                  ) -> AnalysisResult:
     """Analyze every Python file under ``paths``, project rules included.
 
-    The drop-in successor to :func:`repro.analysis.lint.lint_paths`:
-    same path semantics and finding order, plus interprocedural rules,
-    caching, and severity config.
+    Paths in findings are made relative to ``root`` (default: the
+    current directory) with forward slashes, so baselines are portable
+    across machines and OSes.
     """
     if rules is None:
         from repro.analysis.rules import default_rules
@@ -253,7 +253,6 @@ def analyze_paths(paths: Sequence[str | Path],
 
     files = iter_python_files(paths)
     texts: dict[str, str] = {}
-    jobs = jobs or 8
 
     def load_one(file_path: Path) -> FileRecord:
         try:
@@ -279,8 +278,7 @@ def analyze_paths(paths: Sequence[str | Path],
             tmp.replace(entry)
         return record
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        records = list(pool.map(load_one, files))
+    records = [load_one(file_path) for file_path in files]
 
     index = ProjectIndex(
         record.summary for record in records

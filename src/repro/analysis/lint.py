@@ -259,42 +259,6 @@ def lint_source(source: Source,
     return findings
 
 
-def lint_paths(paths: Sequence[str | Path],
-               rules: Iterable[LintRule] | None = None,
-               root: str | Path | None = None) -> list[Finding]:
-    """Lint every Python file under ``paths`` with ``rules``.
-
-    Paths in findings are made relative to ``root`` (default: the
-    current directory) with forward slashes, so baselines are portable
-    across machines and OSes.
-    """
-    if rules is None:
-        from repro.analysis.rules import default_rules
-
-        rules = default_rules()
-    rules = list(rules)
-    root = Path(root) if root is not None else Path.cwd()
-    findings: list[Finding] = []
-    for file_path in iter_python_files(paths):
-        try:
-            relative = file_path.resolve().relative_to(root.resolve())
-        except ValueError:
-            relative = file_path
-        text = file_path.read_text(encoding="utf-8")
-        try:
-            source = Source(relative.as_posix(), text)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                rule="REP000", severity="error",
-                path=relative.as_posix(), line=exc.lineno or 1,
-                message=f"file does not parse: {exc.msg}",
-            ))
-            continue
-        findings.extend(lint_source(source, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
 # -- baselines -------------------------------------------------------------
 
 def load_baseline(path: str | Path) -> Counter:

@@ -32,8 +32,8 @@ from repro.embeddings.word2vec import Word2Vec
 from repro.errors import PersistenceError
 
 #: Config keys older saves carry that no longer exist.  Pages were
-#: byte-identical at any value of either, so they are ignored on load.
-RETIRED_CONFIG_KEYS = ("search_shards", "columnar")
+#: byte-identical at any value of each, so they are ignored on load.
+RETIRED_CONFIG_KEYS = ("search_shards", "columnar", "validate_pipelines")
 
 
 def save_system(system: CovidKG, directory: str | Path) -> Path:
@@ -99,16 +99,7 @@ def load_system(directory: str | Path) -> CovidKG:
     if kg_path.exists():
         from repro.kg.graph import KnowledgeGraph
 
-        system.graph = KnowledgeGraph.load(kg_path)
-        # Re-point every graph consumer at the restored instance.
-        # Missing any one of these leaves that surface answering from
-        # the empty seeded graph forever: KGQL did exactly that until
-        # the differential reload tests caught it.
-        system.matcher.graph = system.graph
-        system.matcher.invalidate_cache()
-        system.fusion.graph = system.graph
-        system.kg_search.graph = system.graph
-        system.kgql.graph = system.graph
+        system.adopt_graph(KnowledgeGraph.load(kg_path))
 
     w2v_path = directory / "word2vec.npz"
     if w2v_path.exists():
@@ -147,9 +138,7 @@ def load_system(directory: str | Path) -> CovidKG:
                         f"{exc}"
                     ) from exc
                 document.pop("_id", None)  # store assigns fresh ids
-                system.store.insert_one(document)
-                system.search_corpus.add_paper(document)
-                system._ingested_papers.append(document)
+                system._retain(document)
 
     versions_path = directory / "versions.json"
     if versions_path.exists():

@@ -33,6 +33,7 @@ from repro.errors import ModelError
 from repro.kg.bias import BiasInterrogator, BiasReport
 from repro.kg.enrichment import EnrichmentPipeline, EnrichmentReport
 from repro.kg.fusion import FusionEngine
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.matching import NodeMatcher
 from repro.kg.metaprofile import MetaProfile, build_side_effect_profile
 from repro.kg.ontology import seed_covid_graph
@@ -73,10 +74,6 @@ class CovidKGConfig:
     ranker: str = "tfidf"
     bm25_k1: float = 1.5
     bm25_b: float = 0.75
-    #: Pre-flight validate every search pipeline before execution
-    #: (stage names, operators, ``$function`` resolution against the
-    #: system registry); see :mod:`repro.analysis.pipeline_check`.
-    validate_pipelines: bool = False
 
 
 class CovidKG:
@@ -127,7 +124,7 @@ class CovidKG:
         Used at construction *and* by snapshot rollback
         (:mod:`repro.ingest.snapshots`), so a rolled-back system keeps
         its ranker (BM25 ``k1``/``b``, field-length stats rebuilt from
-        the retained documents) and validation mode.
+        the retained documents).
         """
         shared: dict[str, Any] = {
             "registry": self.functions,
@@ -136,20 +133,36 @@ class CovidKG:
             "bm25_k1": self.config.bm25_k1,
             "bm25_b": self.config.bm25_b,
         }
-        engines: dict[str, Any] = {
+        return {
             "all_fields": AllFieldsEngine(**shared),
             "title_abstract": TitleAbstractCaptionEngine(**shared),
             "table": TableSearchEngine(**shared),
         }
-        if self.config.validate_pipelines:
-            for engine in engines.values():
-                engine.validate_pipelines = True
-        return engines
 
     @property
     def search_corpus(self) -> SearchCorpus:
         """The analysed corpus the three search engines share."""
         return self.all_fields.corpus
+
+    def adopt_graph(self, graph: KnowledgeGraph) -> None:
+        """Answer from ``graph``: re-point the system and every consumer.
+
+        The one place that lists the graph's holders (reload and
+        snapshot rollback both swap the graph) — a holder missed here
+        keeps answering from the replaced graph forever.
+        """
+        self.graph = graph
+        self.matcher.graph = graph
+        self.matcher.invalidate_cache()
+        self.fusion.graph = graph
+        self.kg_search.graph = graph
+        self.kgql.graph = graph
+
+    def _retain(self, enriched: dict[str, Any]) -> None:
+        """Keep one enriched paper: store it, index it, remember it."""
+        self.store.insert_one(enriched)
+        self.search_corpus.add_paper(enriched)
+        self._ingested_papers.append(enriched)
 
     # -- training (№4) ---------------------------------------------------------
 
@@ -233,10 +246,7 @@ class CovidKG:
                 {"paper_id": paper["paper_id"]}
             ) is not None:
                 continue
-            enriched = self._classify_tables(paper)
-            self.store.insert_one(enriched)
-            self.search_corpus.add_paper(enriched)
-            self._ingested_papers.append(enriched)
+            self._retain(self._classify_tables(paper))
             accepted.append(paper)
         report = EnrichmentReport()
         for paper in accepted:

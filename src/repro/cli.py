@@ -403,7 +403,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         args.paths,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        jobs=args.jobs,
     )
     findings = result.findings
     if args.update_baseline:
@@ -687,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--cache-dir",
                          default=".repro-analysis-cache",
                          help="per-file analysis cache directory")
-    analyze.add_argument("--jobs", type=int, default=None,
-                         help="parallel per-file analysis workers")
     analyze.set_defaults(func=_cmd_analyze)
     return parser
 

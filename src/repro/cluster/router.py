@@ -72,6 +72,10 @@ _HOP_HEADERS = frozenset({"connection", "host", "content-length"})
 #: beside the router's ``X-Request-Id``.
 _RELAY_OWN_HEADERS = frozenset({"connection", "x-request-id"})
 
+#: Socket timeouts (seconds) of a health probe and of a forwarded request.
+PROBE_TIMEOUT = 1.0
+FORWARD_TIMEOUT = 30.0
+
 
 @dataclass
 class ReplicaSpec:
@@ -89,11 +93,9 @@ class RouterConfig:
     port: int = 0
     #: Seconds between health-probe sweeps.
     probe_interval: float = 0.25
-    probe_timeout: float = 1.0
     #: Consecutive failed probes before a replica is ejected.
     fail_threshold: int = 3
     vnodes: int = DEFAULT_VNODES
-    forward_timeout: float = 30.0
     max_header_bytes: int = 16384
     #: Bodies past this are refused with 413 before being buffered;
     #: deliberately above the replica gateway's own (authoritative)
@@ -301,7 +303,7 @@ class Router:
         client = clients.get(spec.replica_id)
         if client is None:
             client = GatewayClient(spec.host, spec.port,
-                                   timeout=self.config.probe_timeout,
+                                   timeout=PROBE_TIMEOUT,
                                    reconnect_wait=0.0)
             clients[spec.replica_id] = client
         try:
@@ -525,7 +527,7 @@ class Router:
             # reconnect_wait=0: a dead replica should fail over to the
             # next one immediately, not be re-dialled for a second.
             client = GatewayClient(spec.host, spec.port,
-                                   timeout=self.config.forward_timeout,
+                                   timeout=FORWARD_TIMEOUT,
                                    reconnect_wait=0.0)
             backends[spec.replica_id] = client
         return client

@@ -41,6 +41,9 @@ from repro.errors import GatewayError
 
 logger = logging.getLogger("repro.cluster.runner")
 
+#: Seconds every replica gets to load its system and register.
+STARTUP_TIMEOUT = 120.0
+
 
 @dataclass
 class ClusterConfig:
@@ -55,7 +58,6 @@ class ClusterConfig:
     shards: int = 4
     seed: int = 0
     workers: int = 4
-    startup_timeout: float = 120.0
     probe_interval: float = 0.25
     fail_threshold: int = 3
     #: Where replica stdout/stderr logs land; ``None`` uses the scratch
@@ -161,7 +163,7 @@ class ClusterRunner:
         """Block until every replica registered with the coordinator."""
         assert self.cache_server is not None
         client = SharedCacheClient(self.cache_server.address)
-        deadline = time.monotonic() + self.config.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         try:
             while True:
                 records = client.list_replicas()
@@ -181,7 +183,7 @@ class ClusterRunner:
                     raise GatewayError(
                         f"only {len(records)} of "
                         f"{self.config.replicas} replicas registered "
-                        f"within {self.config.startup_timeout:.0f}s")
+                        f"within {STARTUP_TIMEOUT:.0f}s")
                 time.sleep(0.1)
         finally:
             client.close()

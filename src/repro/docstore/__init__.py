@@ -20,7 +20,6 @@ from repro.docstore.aggregation import (
     top_k_tagged,
 )
 from repro.docstore.collection import Collection
-from repro.docstore.database import Client, Database
 from repro.docstore.documents import ObjectId, deep_get, deep_set
 from repro.docstore.matching import matches
 from repro.docstore.sharding import HashSharder, RangeSharder, ShardedCollection
@@ -28,8 +27,6 @@ from repro.docstore.sharding import HashSharder, RangeSharder, ShardedCollection
 __all__ = [
     "AggregationPipeline",
     "Collection",
-    "Client",
-    "Database",
     "ObjectId",
     "deep_get",
     "deep_set",

@@ -64,7 +64,7 @@ class FunctionRegistry:
     def with_defaults(cls) -> "FunctionRegistry":
         """A fresh registry seeded from :data:`default_registry`.
 
-        Each ``Database``/``CovidKG`` gets one of these, so ``$function``
+        Each ``CovidKG`` gets one of these, so ``$function``
         registrations made inside one system cannot leak into another —
         while functions registered on ``default_registry`` *before* the
         system was created remain visible to it.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from typing import Any, Iterable, Iterator
 
@@ -40,19 +39,11 @@ from repro.errors import ShardingError
 
 _MISSING = object()
 
-#: Environment variable enabling pre-flight pipeline validation by
-#: default (``aggregate(..., validate=...)`` overrides per call).
-VALIDATE_ENV = "REPRO_VALIDATE_PIPELINES"
-
 #: Stages operating on one document at a time — safe to push down to the
 #: shards (the scatter half of scatter-gather).
 _PER_DOCUMENT_STAGES = frozenset(
     {"$match", "$project", "$addFields", "$function"}
 )
-
-
-def _validate_by_default() -> bool:
-    return os.environ.get(VALIDATE_ENV, "") == "1"
 
 
 class HashSharder:
@@ -270,8 +261,8 @@ class ShardedCollection:
     # -- aggregation -----------------------------------------------------
 
     def aggregate(self, stages: list[dict[str, Any]],
-                  registry: FunctionRegistry | None = None,
-                  validate: bool | None = None) -> AggregationResult:
+                  registry: FunctionRegistry | None = None
+                  ) -> AggregationResult:
         """Run an aggregation pipeline, its per-document prefix per shard.
 
         The leading run of per-document stages (``$match`` /
@@ -285,17 +276,7 @@ class ShardedCollection:
         byte-identical to the serial pipeline (stable-sort tie order
         included).  Any other remainder runs serially on the gathered
         partials.
-
-        ``validate=True`` (or ``REPRO_VALIDATE_PIPELINES=1``) runs the
-        pre-flight validator first, so a malformed pipeline raises
-        :class:`~repro.analysis.pipeline_check.PipelineValidationError`
-        *before* any shard is visited instead of part-way through the
-        first one.
         """
-        if _validate_by_default() if validate is None else validate:
-            from repro.analysis.pipeline_check import ensure_valid_pipeline
-
-            ensure_valid_pipeline(stages, registry)
         pipeline = AggregationPipeline(stages, registry)
         if len(self.shards) == 1:
             return pipeline.run(self.shards[0])

@@ -252,9 +252,8 @@ def resolve(path: str) -> Endpoint | None:
     return ROUTES.get(path.rstrip("/") or "/")
 
 
-def timeout_seconds(request: Request,
-                    default_ms: float | None) -> float | None:
-    """The request deadline: ``timeout_ms`` param, header, or default.
+def timeout_seconds(request: Request) -> float | None:
+    """The request deadline: ``timeout_ms`` param or header, else none.
 
     The value propagates into ``QueryService.submit(timeout_seconds=)``
     — a request still queued when it lapses fails with
@@ -265,7 +264,7 @@ def timeout_seconds(request: Request,
     if raw is None:
         raw = request.headers.get("x-timeout-ms")
     if raw is None:
-        return None if default_ms is None else default_ms / 1000.0
+        return None
     try:
         value = float(raw)
     except ValueError:

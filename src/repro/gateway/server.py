@@ -74,6 +74,10 @@ from repro.serve.service import GatewayConfig, QueryService, ServedResult
 logger = logging.getLogger("repro.gateway")
 access_logger = logging.getLogger("repro.gateway.access")
 
+#: ``Retry-After`` value (seconds) sent with connection-cap and
+#: overload 503s.
+RETRY_AFTER_SECONDS = 1
+
 
 @dataclass
 class _Pending:
@@ -257,8 +261,7 @@ class Gateway:
             503, "too_many_connections",
             "connection limit reached; retry shortly", request_id,
         )
-        response.headers["Retry-After"] = str(
-            self.config.retry_after_seconds)
+        response.headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
         try:
             writer.write(build_response(response, request_id=request_id,
                                         keep_alive=False))
@@ -480,14 +483,12 @@ class Gateway:
                     response.headers["Allow"] = "POST"
                     return response
                 params = endpoint.params(request)
-                timeout = timeout_seconds(
-                    request, self.config.default_timeout_ms)
+                timeout = timeout_seconds(request)
                 future = self.service.submit_ingest(
                     timeout_seconds=timeout, **params)
             else:
                 params = endpoint.params(request)
-                timeout = timeout_seconds(
-                    request, self.config.default_timeout_ms)
+                timeout = timeout_seconds(request)
                 future = self.service.submit(
                     endpoint.engine, timeout_seconds=timeout, **params)
             if not future.done():
@@ -523,8 +524,7 @@ class Gateway:
     def _error(self, exc: BaseException, request_id: str) -> Response:
         response = error_response(exc, request_id)
         if isinstance(exc, ServiceOverloadedError):
-            response.headers["Retry-After"] = str(
-                self.config.retry_after_seconds)
+            response.headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
         return response
 
     def _local_endpoint(self, endpoint: Endpoint,

@@ -7,13 +7,13 @@ retained enriched documents through fresh engines reproduces the saved
 state bit-for-bit (the differential tests assert byte-identical query
 pages), while costing O(corpus) memory only for the graph JSON.
 
-``rollback`` swaps the rebuilt store/engines/graph into the live
-:class:`~repro.api.system.CovidKG` **after** the rebuild finishes, and
-then advances every version counter past its pre-rollback value.  Two
-consequences:
+``rollback`` advances every replacement's version counter past its
+pre-rollback value, then swaps fresh store/engines into the live
+:class:`~repro.api.system.CovidKG` and refills them through the
+system's own write path.  Two consequences:
 
-* callers holding the serving tier's write lock see an atomic flip —
-  no query can observe a half-rebuilt system;
+* the caller holds the serving tier's write lock for the whole
+  rebuild, so no query can observe a half-rebuilt system;
 * every cached result (positive or negative) keyed on the old
   snapshots invalidates immediately, because no counter ever repeats.
 """
@@ -88,7 +88,8 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     from repro.kg.graph import KnowledgeGraph
 
     old = system_versions(system)
-    retained = list(system._ingested_papers[:snapshot.num_papers])
+    retained = system._ingested_papers[:snapshot.num_papers]
+    graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
 
     store = ShardedCollection(
         "publications", shard_key=system.config.shard_key,
@@ -96,33 +97,22 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     )
     store.create_index("paper_id", unique=True)
     engines = system._build_search_engines()
-    corpus = engines["all_fields"].corpus
-    for document in retained:
-        store.insert_one(document)
-        corpus.add_paper(document)
-    graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
+    # No counter may ever repeat a pre-rollback value, or a cached page
+    # computed against the discarded state could read as fresh: every
+    # replacement starts past its predecessor before it becomes visible.
+    store.advance_version(old["store"] + 1)
+    graph.advance_version(old["kg"] + 1)
+    engines["all_fields"].collection.advance_version(
+        max(old["all_fields"], old["title_abstract"], old["table"]) + 1)
 
-    # Atomic flip: every reference swap below is a plain attribute
-    # assignment; a reader admitted after this block sees only the
-    # rebuilt state (readers are excluded anyway by the write lock).
     system.store = store
     system.all_fields = engines["all_fields"]
     system.title_abstract = engines["title_abstract"]
     system.tables = engines["table"]
-    system.graph = graph
-    system.matcher.graph = graph
-    system.matcher.invalidate_cache()
-    system.fusion.graph = graph
-    system.kg_search.graph = graph
-    system.kgql.graph = graph
-    system._ingested_papers = retained
-
-    # No counter may ever repeat a pre-rollback value, or a cached page
-    # computed against the discarded state could read as fresh.
-    system.store.advance_version(old["store"] + 1)
-    system.graph.advance_version(old["kg"] + 1)
-    corpus.collection.advance_version(
-        max(old["all_fields"], old["title_abstract"], old["table"]) + 1)
+    system._ingested_papers = []
+    for document in retained:
+        system._retain(document)
+    system.adopt_graph(graph)
 
 
 class SnapshotStore:

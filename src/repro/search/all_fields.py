@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.search.columnar import MatchPlan
 from repro.search.engine import SearchEngineBase, SearchResult, SearchResults
 from repro.search.indexing import ALL_SEARCH_FIELDS
-from repro.search.query import match_filter, parse_query
+from repro.search.query import parse_query
 from repro.search.snippets import field_snippets
 
 
@@ -22,12 +22,9 @@ class AllFieldsEngine(SearchEngineBase):
         parsed = parse_query(query)
         paged, total, seconds = self._run_pipeline(
             parsed,
-            lambda: match_filter(parsed, ALL_SEARCH_FIELDS,
-                                 expander=self.expander),
+            MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS,
+                                        expander=self.expander),
             ALL_SEARCH_FIELDS, page,
-            match_plan=MatchPlan.terms_over_fields(
-                parsed, ALL_SEARCH_FIELDS
-            ),
         )
         results = []
         for document in paged.documents:

@@ -74,35 +74,70 @@ _ALNUM_RE = re.compile(r"[a-z0-9]+\Z")
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """The ``$match`` stage as CNF: AND of clauses, OR of atoms inside.
+    """What a query matches, stated once, as CNF: AND of clauses, OR of
+    atoms inside.
 
     Each atom is ``(field, term)`` — "term's regex matches this field".
     Both engine shapes reduce to this: all-fields/table search ANDs
     per-term OR-over-fields clauses; title/abstract/caption ANDs
-    per-field OR-over-terms clauses.
+    per-field OR-over-terms clauses.  The kernel planner
+    (:func:`build_query_spec`) and the scalar pipeline's ``$match``
+    (:meth:`match_document`) both read the same clauses.
     """
 
     clauses: tuple[tuple[tuple[str, QueryTerm], ...], ...]
 
     @classmethod
-    def terms_over_fields(cls, parsed: ParsedQuery,
-                          fields: Iterable[str]) -> "MatchPlan":
-        """AND over terms; each term may match any of ``fields``."""
+    def terms_over_fields(cls, parsed: ParsedQuery, fields: Iterable[str],
+                          expander=None) -> "MatchPlan":
+        """AND over terms; each term may match any of ``fields``.
+
+        With a :class:`~repro.search.synonyms.SynonymExpander`, a loose
+        term is also satisfied by any of its synonyms (quoted terms stay
+        literal), widening recall the way the ranking's synonym support
+        widens scoring.
+        """
         fields = tuple(fields)
-        return cls(tuple(
-            tuple((field, term) for field in fields)
-            for term in parsed.terms
-        ))
+        clauses = []
+        for term in parsed.terms:
+            alternatives = [term]
+            if expander is not None and not term.exact:
+                # ``exact``: matched by its own literal-prefix pattern,
+                # never by a stem — which also keeps it off the kernels.
+                alternatives.extend(
+                    QueryTerm(text=synonym, exact=True,
+                              pattern=r"\b" + re.escape(synonym) + r"\w*")
+                    for synonym, _weight in expander.expand(term.text)
+                )
+            clauses.append(tuple(
+                (field, alternative)
+                for field in fields for alternative in alternatives
+            ))
+        return cls(tuple(clauses))
 
     @classmethod
     def fields_over_terms(
         cls, field_queries: Iterable[tuple[str, ParsedQuery]]
     ) -> "MatchPlan":
-        """AND over searched fields; each needs at least one of its terms."""
+        """AND over searched fields; each needs at least one of its terms.
+
+        This is the *inclusive field* semantics of Section 2.1.1: "if a
+        user searches on a field there must be a document that matches at
+        least one term in that field".
+        """
         return cls(tuple(
             tuple((field, term) for term in parsed.terms)
             for field, parsed in field_queries
         ))
+
+    def match_document(self) -> dict[str, Any]:
+        """The ``$match`` stage document the scalar pipeline runs."""
+        clauses = []
+        for clause in self.clauses:
+            atoms = [{field: {"$regex": term.pattern, "$options": "i"}}
+                     for field, term in clause]
+            clauses.append(atoms[0] if len(atoms) == 1 else {"$or": atoms})
+        return clauses[0] if len(clauses) == 1 else {"$and": clauses}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.docstore.aggregation import (
     AggregationResult,
@@ -101,11 +101,6 @@ class SearchEngineBase:
     #: Reference path for differential tests: full ``$sort`` instead of
     #: the bounded top-k selection.  Results are identical either way.
     full_sort: bool = False
-
-    #: Pre-flight validate the pipeline (stage names, operators,
-    #: ``$function`` resolution) before executing it.  Off by default;
-    #: the serving tier turns it on via ``ServeConfig.validate_pipelines``.
-    validate_pipelines: bool = False
 
     #: Engage the columnar numpy kernels whenever a query is eligible
     #: (see :func:`repro.search.columnar.build_query_spec`); ``False``
@@ -218,27 +213,24 @@ class SearchEngineBase:
         return AggregationResult(documents, stages), total
 
     def _run_pipeline(self, parsed: ParsedQuery,
-                      match_stage: Callable[[], dict[str, Any]],
+                      match_plan: columnar.MatchPlan,
                       rank_fields: list[str],
-                      page: int,
-                      match_plan: columnar.MatchPlan | None = None
-                      ) -> tuple[AggregationResult, int, float]:
+                      page: int) -> tuple[AggregationResult, int, float]:
         """Execute the canonical pipeline; returns (page, total, seconds).
 
-        A kernel-eligible query runs on the columnar index and never
-        builds its ``$match`` document (``match_stage`` is only called
-        on the scalar path).  There the ``$match``/``$project``/
-        ``$function`` prefix always runs; ranking then takes the top-k
-        path — a bounded heap of the ``page * PAGE_SIZE`` best
-        candidates — unless ``full_sort`` asks for the reference full
-        ``$sort``.
+        ``match_plan`` is the one statement of what the query matches:
+        a kernel-eligible query hands it to the columnar planner, every
+        other query runs it as the ``$match`` document of the
+        ``$match``/``$project``/``$function`` prefix.  Ranking then
+        takes the top-k path — a bounded heap of the ``page * PAGE_SIZE``
+        best candidates — unless ``full_sort`` asks for the reference
+        full ``$sort``.
         """
         if page < 1:
             raise QueryError("pages are 1-based")
         skip = (page - 1) * PAGE_SIZE
         top_k = page * PAGE_SIZE
-        if match_plan is not None and self.use_columnar \
-                and not self.full_sort:
+        if self.use_columnar and not self.full_sort:
             spec = columnar.build_query_spec(
                 parsed, match_plan, rank_fields, self.ranking,
                 ALL_SEARCH_FIELDS,
@@ -262,20 +254,11 @@ class SearchEngineBase:
         )
         started = time.perf_counter()
         prefix = [
-            {"$match": match_stage()},
+            {"$match": match_plan.match_document()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
             {"$function": {"name": function_name, "as": "score"}},
         ]
         try:
-            if self.validate_pipelines:
-                from repro.analysis.pipeline_check import \
-                    ensure_valid_pipeline
-
-                ensure_valid_pipeline(
-                    prefix + [{"$sort": SORT_SPEC}, {"$skip": skip},
-                              {"$limit": PAGE_SIZE}],
-                    self.registry,
-                )
             paged, total = self._rank_local(prefix, skip, top_k)
         finally:
             self.registry.unregister(function_name)

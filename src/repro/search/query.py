@@ -94,46 +94,3 @@ def parse_query(query: str) -> ParsedQuery:
         for token in tokens
     )
     return ParsedQuery(raw=query, terms=terms)
-
-
-def match_filter(parsed: ParsedQuery, fields: list[str],
-                 expander=None) -> dict:
-    """The ``$match`` document: AND over terms, OR over fields per term.
-
-    With a :class:`~repro.search.synonyms.SynonymExpander`, a loose term
-    is also satisfied by any of its synonyms (quoted terms stay literal),
-    widening recall the way the ranking's synonym support widens scoring.
-    """
-    clauses = []
-    for term in parsed.terms:
-        patterns = [term.pattern]
-        if expander is not None and not term.exact:
-            for synonym, _weight in expander.expand(term.text):
-                patterns.append(r"\b" + re.escape(synonym) + r"\w*")
-        clauses.append({
-            "$or": [
-                {field: {"$regex": pattern, "$options": "i"}}
-                for field in fields
-                for pattern in patterns
-            ]
-        })
-    if len(clauses) == 1:
-        return clauses[0]
-    return {"$and": clauses}
-
-
-def field_match_filter(parsed: ParsedQuery, field: str) -> dict:
-    """A ``$match`` clause demanding at least one term inside ``field``.
-
-    This is the *inclusive field* semantics of Section 2.1.1: "if a user
-    searches on a field there must be a document that matches at least one
-    term in that field".
-    """
-    if len(parsed.terms) == 1:
-        return {field: {"$regex": parsed.terms[0].pattern, "$options": "i"}}
-    return {
-        "$or": [
-            {field: {"$regex": term.pattern, "$options": "i"}}
-            for term in parsed.terms
-        ]
-    }

@@ -14,7 +14,7 @@ from typing import Any
 
 from repro.search.columnar import MatchPlan
 from repro.search.engine import SearchEngineBase, SearchResult, SearchResults
-from repro.search.query import ParsedQuery, match_filter, parse_query
+from repro.search.query import ParsedQuery, parse_query
 from repro.search.snippets import highlight, snippet
 
 _TABLE_FIELDS = ["search.table_captions", "search.table_text"]
@@ -63,9 +63,8 @@ class TableSearchEngine(SearchEngineBase):
     def search(self, query: str, page: int = 1) -> SearchResults:
         parsed = parse_query(query)
         paged, total, seconds = self._run_pipeline(
-            parsed, lambda: match_filter(parsed, _TABLE_FIELDS),
+            parsed, MatchPlan.terms_over_fields(parsed, _TABLE_FIELDS),
             _TABLE_FIELDS, page,
-            match_plan=MatchPlan.terms_over_fields(parsed, _TABLE_FIELDS),
         )
         results = []
         for document in paged.documents:

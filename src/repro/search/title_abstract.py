@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.errors import QueryError
 from repro.search.columnar import MatchPlan
 from repro.search.engine import SearchEngineBase, SearchResult, SearchResults
-from repro.search.query import ParsedQuery, field_match_filter, parse_query
+from repro.search.query import ParsedQuery, parse_query
 from repro.search.snippets import highlight, snippet
 
 _FIELD_MAP = {
@@ -41,15 +41,6 @@ class TitleAbstractCaptionEngine(SearchEngineBase):
                 "at least one of title/abstract/caption must be searched"
             )
 
-        def match_stage() -> dict:
-            # Inclusive fields: AND of per-field "at least one term"
-            # clauses.
-            clauses = [
-                field_match_filter(parsed, _FIELD_MAP[name])
-                for name, parsed in queries.items()
-            ]
-            return clauses[0] if len(clauses) == 1 else {"$and": clauses}
-
         # Ranking uses the union of all entered terms over the three fields.
         merged = ParsedQuery(
             raw=" ".join(parsed.raw for parsed in queries.values()),
@@ -59,11 +50,14 @@ class TitleAbstractCaptionEngine(SearchEngineBase):
         )
         rank_fields = [_FIELD_MAP[name] for name in queries]
         paged, total, seconds = self._run_pipeline(
-            merged, match_stage, rank_fields, page,
-            match_plan=MatchPlan.fields_over_terms([
+            merged,
+            # Inclusive fields: AND of per-field "at least one term"
+            # clauses.
+            MatchPlan.fields_over_terms([
                 (_FIELD_MAP[name], parsed)
                 for name, parsed in queries.items()
             ]),
+            rank_fields, page,
         )
 
         results = []

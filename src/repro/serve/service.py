@@ -81,11 +81,6 @@ class GatewayConfig:
     #: Graceful drain: in-flight requests get this long to finish after
     #: shutdown is requested; stragglers are cancelled.
     drain_seconds: float = 5.0
-    #: ``Retry-After`` value (seconds) sent with connection-cap 503s.
-    retry_after_seconds: int = 1
-    #: Default per-request deadline when the client sends no
-    #: ``timeout_ms`` (``None``: inherit ``ServeConfig`` semantics).
-    default_timeout_ms: float | None = None
     #: Emit one structured access-log line per request.
     access_log: bool = True
 
@@ -96,14 +91,8 @@ class ServeConfig:
 
     num_workers: int = 4
     max_queue: int = 64
-    cache_entries: int = 512
-    cache_ttl_seconds: float = 300.0
     negative_ttl_seconds: float = 30.0
-    default_timeout_seconds: float | None = None
     histogram_capacity: int = 2048
-    #: Pre-flight validate every engine's pipeline before it runs
-    #: (cheap — O(pipeline size); rejects malformed requests up front).
-    validate_pipelines: bool = False
     #: Reject leader requests whose worst-case pipeline cost estimate
     #: (see :func:`repro.analysis.pipeline_check.estimate_pipeline_cost`)
     #: exceeds this many work units — *before* it is queued.
@@ -169,8 +158,6 @@ class QueryService:
         self.system = system
         self.config = config or ServeConfig()
         self.cache = ResultCache(
-            max_entries=self.config.cache_entries,
-            ttl_seconds=self.config.cache_ttl_seconds,
             negative_ttl_seconds=self.config.negative_ttl_seconds,
         )
         self.metrics = ServiceMetrics(self.config.histogram_capacity)
@@ -202,10 +189,6 @@ class QueryService:
         self._data_lock = ReadWriteLock()
         self.ingest_engine: Any = None
         self._closed = False
-        if self.config.validate_pipelines:
-            for engine in (system.all_fields, system.title_abstract,
-                           system.tables):
-                engine.validate_pipelines = True
         self._dispatch: dict[str, Callable[..., Any]] = {
             "all_fields": self._run_all_fields,
             "title_abstract": self._run_title_abstract,
@@ -225,9 +208,8 @@ class QueryService:
         Cache hits (and remembered negative results) resolve immediately
         with no queueing; a miss on a key already being computed returns
         a future that collapses onto the in-flight computation.
-        ``timeout_seconds`` (or the config default) becomes an absolute
-        deadline: a request still queued when it passes fails with
-        ``DeadlineExceededError``.
+        ``timeout_seconds`` becomes an absolute deadline: a request still
+        queued when it passes fails with ``DeadlineExceededError``.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -298,9 +280,8 @@ class QueryService:
               timeout_seconds: float | None,
               versions: tuple[int, ...]) -> "Future[ServedResult]":
         """Queue the leader's computation; settle the flight in all paths."""
-        timeout = (timeout_seconds if timeout_seconds is not None
-                   else self.config.default_timeout_seconds)
-        deadline = None if timeout is None else started + timeout
+        deadline = (None if timeout_seconds is None
+                    else started + timeout_seconds)
         if self.config.max_request_cost is not None:
             try:
                 estimate = self._estimate_cost(engine, params)
@@ -430,9 +411,8 @@ class QueryService:
                     f"{self.config.max_request_cost:.0f} "
                     f"({batch} document(s); split the batch)"
                 )
-        timeout = (timeout_seconds if timeout_seconds is not None
-                   else self.config.default_timeout_seconds)
-        deadline = None if timeout is None else started + timeout
+        deadline = (None if timeout_seconds is None
+                    else started + timeout_seconds)
 
         def run() -> ServedResult:
             try:

@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.engine import analyze_paths
 from repro.analysis.lint import (
     Finding,
     Source,
     format_findings,
-    lint_paths,
     lint_source,
     load_baseline,
     new_findings,
@@ -369,7 +369,8 @@ def test_lint_paths_walks_directories_and_reports_syntax_errors(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "bad.py").write_text("def broken(:\n")
     (tmp_path / "pkg" / "warm.py").write_text(FIXTURES["REP101"])
-    findings = lint_paths([tmp_path], root=tmp_path)
+    findings = analyze_paths([tmp_path], root=tmp_path, project_rules=(),
+                             use_cache=False).findings
     assert [(f.rule, f.path) for f in findings] == [
         ("REP000", "pkg/bad.py"),
         ("REP101", "pkg/warm.py"),
@@ -438,10 +439,10 @@ def test_json_format_is_parseable():
 
 def test_repo_is_clean_against_checked_in_baseline():
     """The CI gate: no findings beyond the checked-in baseline."""
-    findings = lint_paths(
+    findings = analyze_paths(
         [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
-        root=REPO_ROOT,
-    )
+        root=REPO_ROOT, project_rules=(), use_cache=False,
+    ).findings
     baseline = load_baseline(REPO_ROOT / "analysis-baseline.json")
     fresh = new_findings(findings, baseline)
     assert fresh == [], (

@@ -1,4 +1,4 @@
-"""Pre-flight pipeline validation, and its wiring into the stack."""
+"""Pipeline validation, and the search engines' pipeline checked by it."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.analysis.pipeline_check import (
     validate_pipeline,
 )
 from repro.docstore.functions import FunctionRegistry
-from repro.docstore.sharding import ShardedCollection
 from repro.errors import AggregationError
 
 
@@ -188,81 +187,59 @@ def test_warnings_do_not_raise(registry):
     assert [issue.severity for issue in issues] == ["warning"]
 
 
-# -- wiring ----------------------------------------------------------------
+# -- the search engines' constant pipeline, checked once --------------------
 
-def _sharded(num_docs: int = 8) -> ShardedCollection:
-    collection = ShardedCollection("pubs", shard_key="paper_id",
-                                   num_shards=3)
-    collection.insert_many([
-        {"paper_id": f"p{i}", "year": 2019 + (i % 4)}
-        for i in range(num_docs)
-    ])
-    return collection
+@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
+@pytest.mark.parametrize("engine_name",
+                         ["all_fields", "title_abstract", "table"])
+def test_engine_pipelines_are_valid_and_run_as_planned(
+        registry, engine_name, ranker):
+    """Only code builds a search pipeline, so one test validates it.
 
-
-def test_sharded_aggregate_rejects_before_fanout():
-    collection = _sharded()
-    scans_before = collection.total_scan_count
-    with pytest.raises(PipelineValidationError):
-        collection.aggregate([{"$match": {"x": {"$bogus": 1}}}],
-                             validate=True)
-    # Pre-flight means *pre*-flight: no shard was scanned.
-    assert collection.total_scan_count == scans_before
-
-
-def test_sharded_aggregate_env_default(monkeypatch):
-    collection = _sharded()
-    monkeypatch.setenv("REPRO_VALIDATE_PIPELINES", "1")
-    with pytest.raises(PipelineValidationError):
-        collection.aggregate([{"$bogus": {}}])
-    # Explicit validate=False overrides the environment.
-    result = collection.aggregate([{"$match": {"year": {"$gte": 2020}}}],
-                                  validate=False)
-    assert len(result.documents) > 0
-
-
-def test_sharded_aggregate_valid_pipeline_unaffected():
-    collection = _sharded()
-    checked = collection.aggregate(
-        [{"$match": {"year": {"$gte": 2020}}}, {"$sort": {"paper_id": 1}}],
-        validate=True,
-    )
-    unchecked = collection.aggregate(
-        [{"$match": {"year": {"$gte": 2020}}}, {"$sort": {"paper_id": 1}}],
-        validate=False,
-    )
-    assert checked.documents == unchecked.documents
-
-
-def test_engine_validate_pipelines_flag():
+    ``pipeline_plan`` is what admission prices; the scalar path must
+    execute exactly its stages (``$skip``/``$limit`` as a slice).
+    """
     from repro.corpus.generator import CorpusGenerator
     from repro.search.all_fields import AllFieldsEngine
+    from repro.search.table_search import TableSearchEngine
+    from repro.search.title_abstract import TitleAbstractCaptionEngine
 
-    engine = AllFieldsEngine()
-    engine.add_papers(CorpusGenerator().papers(6))
-    engine.validate_pipelines = True
-    results = engine.search("covid", page=1)  # $function resolves
-    assert results.total_matches >= 0
+    engine = {"all_fields": AllFieldsEngine,
+              "title_abstract": TitleAbstractCaptionEngine,
+              "table": TableSearchEngine}[engine_name](ranker=ranker)
+    engine.add_papers(CorpusGenerator().papers(12))
+    plan = engine.pipeline_plan(page=2)
+    assert validate_pipeline(plan, registry) == []
+    planned = [next(iter(stage)) for stage in plan]
+    assert planned[4:] == ["$skip", "$limit"]
+
+    engine.use_columnar = False
+    for full_sort in (False, True):
+        engine.full_sort = full_sort
+        results = (engine.search(abstract="covid patients", page=2)
+                   if engine_name == "title_abstract"
+                   else engine.search("covid patients", page=2))
+        executed = [stats.stage.split("(")[0]
+                    for stats in results.stage_stats]
+        assert executed == planned[:4]
 
 
-def test_covidkg_config_validate_pipelines_flag():
-    from repro.api.system import CovidKG, CovidKGConfig
+def test_match_plan_documents_validate(registry):
+    """The ``$match`` the scalar path really runs, phrase and synonyms
+    included, passes the validator inside the planned pipeline."""
+    from repro.search.all_fields import AllFieldsEngine
+    from repro.search.columnar import MatchPlan
+    from repro.search.query import parse_query
+    from repro.search.synonyms import SynonymExpander
 
-    system = CovidKG(CovidKGConfig(validate_pipelines=True))
-    assert system.all_fields.validate_pipelines
-    assert system.title_abstract.validate_pipelines
-    assert system.tables.validate_pipelines
-
-
-def test_serve_config_validate_pipelines_flag():
-    from repro.api.system import CovidKG
-    from repro.corpus.generator import CorpusGenerator
-    from repro.serve.service import QueryService, ServeConfig
-
-    system = CovidKG()
-    system.ingest(CorpusGenerator().papers(6))
-    with QueryService(system,
-                      ServeConfig(validate_pipelines=True)) as service:
-        assert system.all_fields.validate_pipelines
-        page = service.query("all_fields", query="covid")
-        assert page.engine == "all_fields"
+    plan = AllFieldsEngine().pipeline_plan()
+    parsed = parse_query('"covid" vaccine')
+    for match_plan in (
+            MatchPlan.terms_over_fields(parsed, ["search.title",
+                                                 "search.abstract"],
+                                        expander=SynonymExpander()),
+            MatchPlan.fields_over_terms([("search.title", parsed),
+                                         ("search.abstract", parsed)])):
+        assert validate_pipeline(
+            [{"$match": match_plan.match_document()}] + plan[1:],
+            registry) == []

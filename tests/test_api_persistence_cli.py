@@ -140,7 +140,8 @@ class TestSystemPersistence:
                                                        tmp_path):
         """Every save made before the keys were retired carries them."""
         directory = save_system(built_system, tmp_path / "old")
-        self._patch_config(directory, search_shards=3, columnar=True)
+        self._patch_config(directory, search_shards=3, columnar=True,
+                           validate_pipelines=True)
         restored = load_system(directory)
         for query in ("vaccine", "side effects", '"side effects"'):
             for page in (1, 2):

@@ -238,6 +238,49 @@ class TestValidation:
             AggregationPipeline([{"$match": {}, "$limit": 1}])
 
 
+class TestRegistryIsolation:
+    """Each system owns a registry seeded from the defaults, so
+    ``$function`` registrations cannot leak across systems."""
+
+    def test_default_registry_seeds_new_registries(self):
+        from repro.docstore.functions import default_registry
+
+        default_registry.register("seeded_fn", lambda doc: 42)
+        try:
+            seeded = FunctionRegistry.with_defaults()
+            assert "seeded_fn" in seeded
+            # ... but it is a copy: later global additions don't appear,
+            # and its own registrations stay out of the next one.
+            default_registry.register("late_fn", lambda doc: 0)
+            try:
+                assert "late_fn" not in seeded
+            finally:
+                default_registry.unregister("late_fn")
+            seeded.register("only_here", lambda doc: 1)
+            assert "only_here" not in FunctionRegistry.with_defaults()
+        finally:
+            default_registry.unregister("seeded_fn")
+
+    def test_covidkg_systems_are_isolated(self):
+        from repro.api.system import CovidKG
+
+        system_a = CovidKG()
+        system_b = CovidKG()
+        system_a.functions.register("system_a_rank", lambda doc: 0.0)
+        assert "system_a_rank" not in system_b.functions
+        # The three engines of one system share that system's registry.
+        assert system_a.all_fields.registry is system_a.functions
+        assert system_a.tables.registry is system_a.functions
+
+    def test_registry_copy_is_independent(self):
+        original = FunctionRegistry()
+        original.register("f", lambda doc: 1)
+        clone = original.copy()
+        clone.register("g", lambda doc: 2)
+        assert "f" in clone
+        assert "g" not in original
+
+
 # -- no aliasing: nothing reachable from a result is stored state ---------
 
 PAPERS = [

@@ -858,7 +858,8 @@ class TestErrorMapping:
 def test_gateway_package_has_no_blocking_async_findings():
     """REP206 (blocking call in ``async def``) over the gateway code:
     the subsystem that motivated the rule must itself be clean."""
-    from repro.analysis.lint import lint_paths
-    findings = lint_paths(
-        [REPO_ROOT / "src" / "repro" / "gateway"], root=REPO_ROOT)
+    from repro.analysis.engine import analyze_paths
+    findings = analyze_paths(
+        [REPO_ROOT / "src" / "repro" / "gateway"], root=REPO_ROOT,
+        project_rules=(), use_cache=False).findings
     assert findings == [], "\n".join(str(f) for f in findings)

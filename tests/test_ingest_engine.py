@@ -48,6 +48,26 @@ def _pages(system):
     return pages
 
 
+def _graph_holders(system):
+    """``(holder class, graph)`` for every attribute, anywhere under
+    ``vars(system)``, that holds a knowledge graph."""
+    from repro.kg.graph import KnowledgeGraph
+
+    holders, seen, frontier = [], set(), [system]
+    while frontier:
+        holder = frontier.pop()
+        if id(holder) in seen:
+            continue
+        seen.add(id(holder))
+        for value in vars(holder).values():
+            if isinstance(value, KnowledgeGraph):
+                holders.append((type(holder).__name__, value))
+            elif type(value).__module__.startswith("repro.") \
+                    and hasattr(value, "__dict__"):
+                frontier.append(value)
+    return holders
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return _corpus(50)
@@ -146,6 +166,47 @@ class TestRollback:
             after = system_versions(system)
             for name, value in after.items():
                 assert value > before[name], name
+
+    def test_no_holder_keeps_a_replaced_graph(self, corpus, tmp_path):
+        """After ``rollback`` and after ``load_system`` every graph
+        consumer answers from (and fusion writes into) the one restored
+        graph: the detoured system then tracks a reference that never
+        took the detour through one more ingest."""
+        from repro.api.persistence import load_system, save_system
+
+        kgql = 'MATCH (v:"Vaccines")-[parent_of*1..2]->(e) RETURN e'
+
+        def answers(system):
+            result = system.query_graph(kgql)
+            return (_pages(system), system.graph.statistics(),
+                    result.total_matches,
+                    [[row.bindings[var]["label"] for var in result.columns]
+                     for row in result.rows])
+
+        reference = _fresh_system(corpus[:40])
+        system = _fresh_system(corpus[:30])
+        with IngestEngine(system, tmp_path / "wal") as engine:
+            engine.commit_batch(corpus[30:40])
+            engine.commit_batch(corpus[40:50])
+            discarded = system.graph
+            engine.rollback("batch-000001")
+        reloaded = load_system(save_system(reference, tmp_path / "saved"))
+        for detoured in (system, reloaded):
+            holders = _graph_holders(detoured)
+            assert {name for name, _graph in holders} >= {
+                "CovidKG", "NodeMatcher", "FusionEngine",
+                "KGSearchEngine", "KGQLEngine"}
+            assert all(graph is detoured.graph for _name, graph in holders)
+            assert detoured.graph is not discarded
+            assert answers(detoured) == answers(reference)
+            label = next(node.label for node in detoured.graph.walk()
+                         if node.provenance)
+            assert detoured.matcher.match(label).node \
+                is detoured.graph.find_by_label(label)[0]
+        for each in (reference, system, reloaded):
+            each.ingest(corpus[40:45])
+        assert answers(system) == answers(reference)
+        assert answers(reloaded) == answers(reference)
 
     def test_rollback_drops_newer_snapshots(self, corpus, tmp_path):
         system = _fresh_system(corpus[:30])

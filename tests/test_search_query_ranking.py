@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
-from repro.search.query import (
-    field_match_filter,
-    match_filter,
-    parse_query,
-)
+from repro.search import columnar
+from repro.search.columnar import MatchPlan
+from repro.search.indexing import ALL_SEARCH_FIELDS
+from repro.search.query import parse_query
 from repro.search.ranking import RankingFunction, min_window
 from repro.search.snippets import (
     SNIPPET_RADIUS,
@@ -19,6 +18,7 @@ from repro.search.snippets import (
     highlight,
     snippet,
 )
+from repro.search.synonyms import SynonymExpander
 from repro.docstore.matching import matches
 from repro.text.stemmer import stem
 from repro.text.tfidf import TfIdfModel
@@ -58,25 +58,102 @@ class TestMatchFilter:
 
     def test_single_term_any_field(self):
         parsed = parse_query("masks")
-        filt = match_filter(parsed, ["search.title", "search.abstract"])
+        filt = MatchPlan.terms_over_fields(
+            parsed, ["search.title", "search.abstract"]).match_document()
         assert matches(self.DOC, filt)
 
     def test_and_across_terms(self):
         parsed = parse_query("masks respirators")
-        filt = match_filter(parsed, ["search.title", "search.abstract"])
+        filt = MatchPlan.terms_over_fields(
+            parsed, ["search.title", "search.abstract"]).match_document()
         assert matches(self.DOC, filt)
         missing = parse_query("masks ventilators")
-        filt2 = match_filter(missing, ["search.title", "search.abstract"])
+        filt2 = MatchPlan.terms_over_fields(
+            missing, ["search.title", "search.abstract"]).match_document()
         assert not matches(self.DOC, filt2)
 
     def test_field_filter_inclusive_semantics(self):
         parsed = parse_query("masks ventilators")
         # At least ONE term must hit the given field.
-        assert matches(self.DOC, field_match_filter(parsed, "search.title"))
+        assert matches(self.DOC, MatchPlan.fields_over_terms(
+            [("search.title", parsed)]).match_document())
         absent = parse_query("ventilators oxygen")
-        assert not matches(
-            self.DOC, field_match_filter(absent, "search.title")
-        )
+        assert not matches(self.DOC, MatchPlan.fields_over_terms(
+            [("search.title", absent)]).match_document())
+
+
+# -- one match statement, two executors -------------------------------------
+
+@pytest.fixture(scope="module")
+def generated_engine():
+    from repro.corpus.generator import CorpusGenerator
+    from repro.search.all_fields import AllFieldsEngine
+
+    engine = AllFieldsEngine()
+    engine.add_papers(CorpusGenerator().papers(40))
+    return engine
+
+
+def _matched_ids(engine, plan):
+    return sorted(document["paper_id"] for document in
+                  engine.collection.find(plan.match_document()))
+
+
+#: Lowercase alphanumerics only (kernel-eligible); most hit some of the
+#: 40 generated papers, "zebra" none, "vaccin" is a stem-prefix.
+_KERNEL_WORDS = st.sampled_from(
+    "vaccine vaccin efficacy doses fever patients cohort children "
+    "masks transmission 95 2 symptomatic infection zebra".split())
+_FIELDS = st.lists(st.sampled_from(ALL_SEARCH_FIELDS), min_size=1,
+                   max_size=3, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(_KERNEL_WORDS, min_size=1, max_size=3),
+       fields=_FIELDS, over_terms=st.booleans())
+def test_match_document_finds_the_kernels_candidates(
+        generated_engine, words, fields, over_terms):
+    """``collection.find(plan.match_document())`` ≡ the kernel's rows,
+    for both plan shapes."""
+    engine = generated_engine
+    parsed = parse_query(" ".join(words))
+    plan = (MatchPlan.fields_over_terms([(name, parsed)
+                                         for name in fields])
+            if over_terms else MatchPlan.terms_over_fields(parsed, fields))
+    spec = columnar.build_query_spec(parsed, plan, fields, engine.ranking,
+                                     ALL_SEARCH_FIELDS)
+    assert spec is not None
+    index = engine.corpus.columnar_index()
+    total, ranked = index.rank(spec, index.num_rows)
+    assert total == len(ranked)
+    assert sorted(paper_id for _score, paper_id, _row in ranked) \
+        == _matched_ids(engine, plan)
+
+
+def test_match_document_goldens(generated_engine):
+    """Matched sets recorded at the last commit that built the ``$match``
+    document with ``match_filter`` / ``field_match_filter``."""
+    def cord(*numbers):
+        return [f"cord-{number:07d}" for number in numbers]
+
+    phrase = parse_query('"side effects" fever')
+    assert _matched_ids(generated_engine, MatchPlan.terms_over_fields(
+        phrase, ALL_SEARCH_FIELDS)) == cord(18, 19, 22, 24)
+    assert _matched_ids(generated_engine, MatchPlan.fields_over_terms([
+        ("search.table_captions", parse_query('"side effects" doses')),
+        ("search.abstract", parse_query("cohort")),
+    ])) == cord(3, 5, 14, 18, 22, 24, 37)
+
+    for query, literal, expanded in [
+            ("inoculation fever", [], cord(17, 18, 19, 22, 24)),
+            ("efficacy children", cord(12, 15, 22, 26),
+             cord(2, 12, 15, 22, 26))]:
+        parsed = parse_query(query)
+        assert _matched_ids(generated_engine, MatchPlan.terms_over_fields(
+            parsed, ALL_SEARCH_FIELDS)) == literal
+        assert _matched_ids(generated_engine, MatchPlan.terms_over_fields(
+            parsed, ALL_SEARCH_FIELDS, expander=SynonymExpander()
+        )) == expanded
 
 
 class TestMinWindow:

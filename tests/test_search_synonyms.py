@@ -4,7 +4,8 @@ import pytest
 
 from repro.embeddings.word2vec import Word2Vec
 from repro.search.all_fields import AllFieldsEngine
-from repro.search.query import match_filter, parse_query
+from repro.search.columnar import MatchPlan
+from repro.search.query import parse_query
 from repro.search.ranking import RankingFunction
 from repro.search.synonyms import (
     CURATED_WEIGHT,
@@ -70,19 +71,22 @@ class TestSynonymMatching:
 
     def test_match_filter_without_expander_misses(self):
         parsed = parse_query("vaccine")
-        filt = match_filter(parsed, ["search.title"])
+        filt = MatchPlan.terms_over_fields(
+            parsed, ["search.title"]).match_document()
         assert not matches(self.DOC, filt)
 
     def test_match_filter_with_expander_hits(self):
         parsed = parse_query("vaccine")
-        filt = match_filter(parsed, ["search.title"],
-                            expander=SynonymExpander())
+        filt = MatchPlan.terms_over_fields(
+            parsed, ["search.title"],
+            expander=SynonymExpander()).match_document()
         assert matches(self.DOC, filt)
 
     def test_exact_terms_do_not_expand(self):
         parsed = parse_query('"vaccine"')
-        filt = match_filter(parsed, ["search.title"],
-                            expander=SynonymExpander())
+        filt = MatchPlan.terms_over_fields(
+            parsed, ["search.title"],
+            expander=SynonymExpander()).match_document()
         assert not matches(self.DOC, filt)
 
 
