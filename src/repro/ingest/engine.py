@@ -340,6 +340,7 @@ class IngestEngine:
             "delta_rows": dict.fromkeys(
                 ("all_fields", "title_abstract", "table"),
                 self.system.search_corpus.delta_rows),
+            "delta_segments": self.system.search_corpus.delta_segments,
         }
 
     def close(self) -> None:

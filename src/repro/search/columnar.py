@@ -31,7 +31,11 @@ moves.  Invalidation is **incremental for append-only motion**: when the
 stamp advanced by inserts alone (version and document count moved in
 lockstep), the new rows land in a small *delta segment* appended to
 the existing immutable base — queries score every segment in turn
-and merge exactly; any other mutation triggers a full rebuild.  A
+and merge exactly; any other mutation triggers a full rebuild.  The
+delta tier is size-tiered: the arriving rows first absorb every
+trailing delta smaller than twice their number
+(:meth:`ColumnarIndex.extend`), so a query visits at most
+``⌊log2(delta rows)⌋ + 1`` deltas however many commits made them.  A
 background merge (the streaming-ingest tier's
 ``SearchCorpus.merge_segments``) periodically folds deltas back into
 one base segment; the merged index is byte-identical to a from-scratch
@@ -472,9 +476,9 @@ class Segment:
 
     ``offset`` is the segment's first global row; local kernel rows map
     to global rows by addition.  Segments never mutate after
-    construction — extending an index appends a *new* segment, so a
-    query holding an older index object keeps scoring a consistent
-    snapshot.
+    construction — extending an index builds a *new* segment (over the
+    appended rows and the small deltas they fold in), so a query
+    holding an older index object keeps scoring a consistent snapshot.
     """
 
     __slots__ = ("cols", "documents", "offset")
@@ -496,8 +500,9 @@ class ColumnarIndex:
     A fresh build is one tokenize/stem pass over the corpus — about the
     cost of a single scalar query — amortized across every query until
     the next docstore mutation moves the stamp.  Append-only motion is
-    much cheaper: :meth:`extend` tokenizes only the new rows into one
-    delta segment and shares the existing arrays.  Index objects are
+    much cheaper: :meth:`extend` tokenizes the new rows (and the
+    smaller deltas they fold in) into one delta segment and shares the
+    other arrays.  Index objects are
     immutable snapshots; extend/merge produce *new* objects, and the
     corpus swaps them in with a single atomic attribute assignment.
     """
@@ -520,14 +525,30 @@ class ColumnarIndex:
 
         Only sound for append-only motion (the corpus checks the stamp
         arithmetic before calling).  The result shares this index's
-        segments — ``self`` stays fully usable by queries already
-        holding it.
+        surviving segments — ``self`` stays fully usable by queries
+        already holding it.
+
+        The delta tier stays geometric (the logarithmic method): the
+        appended run absorbs every trailing delta — never
+        ``segments[0]``, the base — that has fewer than twice its rows,
+        growing as it goes, and one new segment is built over the
+        folded rows (the same stored rows: no copy).  So for any
+        sequence of batch sizes each older delta holds at least twice
+        the rows of the next newer one, ``delta_segments ≤
+        ⌊log2(delta_rows)⌋ + 1``, and a row is re-analysed at most that
+        many times before the base merge takes it.
         """
-        indexed = self.num_rows
+        offset = self.num_rows
         segments = list(self.segments)
-        delta = list(collection.all_documents(start=indexed))
-        if delta:
-            segments.append(Segment(delta, self.field_names, indexed))
+        run = list(collection.all_documents(start=offset))
+        if run:
+            # Per-segment loop, bounded by the delta tier's depth.
+            while (len(segments) > 1
+                   and segments[-1].num_rows < 2 * len(run)):
+                folded = segments.pop()
+                run = folded.documents + run
+                offset = folded.offset
+            segments.append(Segment(run, self.field_names, offset))
         return type(self)(stamp, segments, self.field_names)
 
     @property

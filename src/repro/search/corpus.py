@@ -90,9 +90,10 @@ class SearchCorpus:
         whole rank + page fetch against it rather than re-fetching
         mid-query, so a concurrent refresh can never swap the arrays
         out from under a running kernel.  When the stamp advanced by
-        inserts alone the refresh is incremental — only the new rows
-        are tokenized, into a delta segment; anything else rebuilds
-        from scratch.
+        inserts alone the refresh is incremental — the new rows (and
+        any smaller trailing deltas they fold in, see
+        ``ColumnarIndex.extend``) are tokenized into a delta segment;
+        anything else rebuilds from scratch.
         """
         stamp = self._stamp()
         index = self._columnar
@@ -111,6 +112,12 @@ class SearchCorpus:
         """Rows currently served from delta segments (merge debt)."""
         index = self._columnar
         return index.delta_rows if index is not None else 0
+
+    @property
+    def delta_segments(self) -> int:
+        """Segments a search visits beyond the base."""
+        index = self._columnar
+        return index.delta_segments if index is not None else 0
 
     def merge_segments(self) -> bool:
         """Fold delta segments back into one base segment.

@@ -147,6 +147,26 @@ class TestRollback:
             assert _pages(system) == reference
             assert len(system.store) == 40
 
+    def test_rollback_after_folds_rebuilds_the_index(self, corpus,
+                                                     tmp_path):
+        system = _fresh_system(corpus[:30])
+        system.search("covid")  # materialize the base columnar index
+        base = system.search_corpus.columnar_index()
+        with IngestEngine(system, tmp_path) as engine:
+            for start in range(30, 46, 4):
+                engine.commit_batch(corpus[start:start + 4])
+                system.search("covid")
+                if start == 34:
+                    reference = _pages(system)
+            folded = system.search_corpus.columnar_index()
+            assert folded.segments[0] is base.segments[0]
+            assert [s.num_rows for s in folded.segments] == [30, 16]
+            engine.rollback("batch-000002")
+            assert _pages(system) == reference
+            rebuilt = system.search_corpus.columnar_index()
+            assert [s.num_rows for s in rebuilt.segments] == [38]
+            assert rebuilt.segments[0] is not base.segments[0]
+
     def test_rollback_to_base_empties_streamed_corpus(self, corpus,
                                                       tmp_path):
         system = _fresh_system(corpus[:30])
@@ -390,3 +410,11 @@ class TestMergeAndCheckpoint:
             assert stats["wal_segments"] >= 1
             assert set(stats["delta_rows"]) == \
                 {"all_fields", "title_abstract", "table"}
+            assert stats["delta_segments"] == 0  # no index built yet
+            system.search("covid")
+            engine.commit_batch(corpus[35:40])
+            engine.commit_batch(corpus[40:44])
+            system.search("covid")
+            stats = engine.stats()
+            assert stats["delta_rows"]["all_fields"] == 9
+            assert stats["delta_segments"] == 1  # the 4 folded the 5 in

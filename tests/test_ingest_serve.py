@@ -163,6 +163,13 @@ class TestServiceIngest:
         assert "batch-000001" in stats["snapshots"]
         assert set(stats["delta_rows"]) == \
             {"all_fields", "title_abstract", "table"}
+        assert stats["delta_segments"] == 0  # no kernel search yet
+        service.query("all_fields", query="antibody")
+        service.submit_ingest(held[5:9]).result(timeout=30)
+        service.query("all_fields", query="antibody")
+        stats = service.stats()["ingest"]
+        assert stats["delta_rows"]["all_fields"] == 4
+        assert stats["delta_segments"] == 1
 
 
 class TestGatewayIngest:

@@ -28,6 +28,7 @@ from repro.search.ranking import (
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
 from repro.text.tfidf import TfIdfModel
+from tests.segment_layouts import install_segments
 
 WORDS = ("covid vaccine vaccinated spike protein trial mask masks "
          "transmission antibody variant lockdown serology genome "
@@ -66,19 +67,16 @@ def _make_paper(rng: random.Random, i: int) -> dict:
 def _build(engine_cls, num_papers=120, seed=11, num_segments=1, **kwargs):
     """An engine over ``num_papers`` generated papers.
 
-    ``num_segments > 1`` indexes them in that many slices with a search
-    after each, so the columnar index holds a base segment plus
-    ``num_segments - 1`` delta segments over the very same rows.
+    ``num_segments > 1`` serves them from that many equal slices: a
+    base segment plus ``num_segments - 1`` delta segments over the very
+    same rows.
     """
     rng = random.Random(seed)
     engine = engine_cls(FunctionRegistry(), **kwargs)
-    papers = [_make_paper(rng, i) for i in range(num_papers)]
-    bounds = [num_papers * k // num_segments
-              for k in range(num_segments + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        engine.add_papers(papers[start:stop])
-        if num_segments > 1:
-            engine.corpus.columnar_index()
+    engine.add_papers([_make_paper(rng, i) for i in range(num_papers)])
+    if num_segments > 1:
+        install_segments(engine.corpus, [num_papers * k // num_segments
+                                         for k in range(num_segments + 1)])
     return engine
 
 
@@ -353,12 +351,21 @@ def test_append_only_mutation_extends_into_delta_segments():
     extended = engine.corpus.columnar_index()
 
     # Incremental, not a rebuild: base segment arrays shared, only the
-    # 15 new rows tokenized into one delta.
+    # 15 new rows tokenized, into the delta tier.
     assert extended is not base
     assert extended.segments[0] is base.segments[0]
-    assert extended.delta_segments == 1
     assert extended.delta_rows == 15
     assert extended.num_rows == 75
+
+    # A run more than half their size folds the 15 in rather than
+    # adding a segment; the base is still the same object.
+    _append_papers(engine, 75, 8, seed=78)
+    kernel_pages = [_page(engine.search(q)) for q in QUERIES]
+    folded = engine.corpus.columnar_index()
+    assert folded.segments[0] is base.segments[0]
+    assert folded.delta_rows == 23
+    assert [s.num_rows for s in folded.segments] == [60, 23]
+    assert [s.num_rows for s in extended.segments] == [60, 15]
 
     # Byte identity against the scalar path and an offline rebuild.
     engine.use_columnar = False
@@ -366,6 +373,7 @@ def test_append_only_mutation_extends_into_delta_segments():
     engine.use_columnar = True
     offline = _build(AllFieldsEngine, num_papers=60)
     _append_papers(offline, 60, 15)
+    _append_papers(offline, 75, 8, seed=78)
     offline.corpus._columnar = None  # force a from-scratch build
     assert [_page(offline.search(q)) for q in QUERIES] == kernel_pages
 

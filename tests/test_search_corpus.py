@@ -22,6 +22,7 @@ from repro.search.corpus import SearchCorpus
 from repro.search.indexing import build_search_document, field_text
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
+from tests.segment_layouts import install_segments
 
 #: Kernel-eligible queries and quoted phrases (scalar ``$function`` path).
 QUERIES = ["vaccine", "dose", "patients treatment", "covid vaccine",
@@ -57,13 +58,13 @@ def _all_pages(all_fields, title_abstract, tables):
 @pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
 def test_shared_corpus_pages_equal_three_standalone_engines(
         papers, ranker, num_segments):
-    """Shared corpus, ingested in ``num_segments`` batches with a search
-    between (base + delta segments), vs base-only standalone engines."""
+    """Shared corpus served from ``num_segments`` equal slices (base +
+    delta segments), vs base-only standalone engines."""
     system = CovidKG(CovidKGConfig(ranker=ranker))
+    system.ingest(papers)
     step = len(papers) // num_segments
-    for start in range(0, len(papers), step):
-        system.ingest(papers[start:start + step])
-        system.search_corpus.columnar_index()
+    install_segments(system.search_corpus,
+                     range(0, len(papers) + 1, step))
     assert len(system.search_corpus.columnar_index().segments) == \
         num_segments
     engines = (system.all_fields, system.title_abstract, system.tables)

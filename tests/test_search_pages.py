@@ -32,6 +32,7 @@ from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
 from repro.text.stemmer import PorterStemmer, stem
 from repro.text.tokenizer import tokenize
+from tests.segment_layouts import install_segments
 
 #: One, two and three kernel-eligible terms.  In the 60 generated papers
 #: every one has more than two pages of matches in some engine, the
@@ -63,11 +64,9 @@ def _engines(papers, ranker="tfidf", num_segments=1):
         for engine_cls in (AllFieldsEngine, TitleAbstractCaptionEngine,
                            TableSearchEngine)
     ]
-    bounds = [len(papers) * k // num_segments
-              for k in range(num_segments + 1)]
-    for start, stop in zip(bounds, bounds[1:]):
-        corpus.add_papers(papers[start:stop])
-        corpus.columnar_index()
+    corpus.add_papers(papers)
+    install_segments(corpus, [len(papers) * k // num_segments
+                              for k in range(num_segments + 1)])
     assert len(corpus.columnar_index().segments) == num_segments
     return corpus, engines
 
@@ -167,7 +166,7 @@ def test_quoted_phrase_pages_are_byte_identical_on_every_path(
             for document in corpus.collection.scan()] == stored
 
     _, engines = _engines(papers, ranker, num_segments=3)
-    assert _wire_pages(engines, **grid) == top_k  # ingested in 3 batches
+    assert _wire_pages(engines, **grid) == top_k  # served from 3 segments
 
 
 def test_memoized_stem_is_the_reference_stemmer_on_the_corpus(papers):

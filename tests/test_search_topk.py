@@ -11,6 +11,7 @@ import pytest
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.engine import PAGE_SIZE
+from tests.segment_layouts import install_segments
 
 QUERIES = ["vaccine", "covid symptoms", "antibody trial", "dosage"]
 
@@ -61,10 +62,8 @@ def test_topk_matches_full_sort_across_delta_segments(corpus):
         15: (0, 10, *range(14, 71, 4)),
     }
     for deltas, bounds in layouts.items():
-        segmented = AllFieldsEngine()
-        for start, stop in zip(bounds, bounds[1:]):
-            segmented.add_papers(corpus[start:stop])
-            segmented.corpus.columnar_index()
+        segmented = build_engine(corpus)
+        install_segments(segmented.corpus, bounds)
         assert segmented.corpus.columnar_index().delta_segments == deltas
 
         for merged in (False, True):
