@@ -27,13 +27,26 @@ pipelines), :mod:`repro.text` (tokenizer/stemmer/TF-IDF/normalizer),
 :mod:`repro.search` (the three engines), :mod:`repro.kg` (the knowledge
 graph, fusion, meta-profiles), :mod:`repro.api` (the system facade),
 :mod:`repro.serve` (the concurrent query-serving tier).
+
+The names in ``__all__`` are imported on first access
+(:mod:`repro._lazy`): ``import repro`` itself loads no subpackage, so a
+process that only routes, coordinates or lints — the cluster router,
+the cache server, ``repro-covidkg analyze`` — never pays for numpy and
+the engines it does not run.
 """
 
-from repro.api.system import CovidKG, CovidKGConfig
-from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.kg.graph import KnowledgeGraph
-from repro.kg.ontology import seed_covid_graph
-from repro.serve.service import QueryService, ServeConfig
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api.system import CovidKG, CovidKGConfig
+    from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+    from repro.kg.graph import KnowledgeGraph
+    from repro.kg.ontology import seed_covid_graph
+    from repro.serve.service import QueryService, ServeConfig
 
 __version__ = "1.0.0"
 
@@ -48,3 +61,11 @@ __all__ = [
     "seed_covid_graph",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.api.system": ("CovidKG", "CovidKGConfig"),
+    "repro.corpus.generator": ("CorpusGenerator", "GeneratorConfig"),
+    "repro.kg.graph": ("KnowledgeGraph",),
+    "repro.kg.ontology": ("seed_covid_graph",),
+    "repro.serve.service": ("QueryService", "ServeConfig"),
+})

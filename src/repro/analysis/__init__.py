@@ -23,7 +23,7 @@ must not drag the AST tooling (or anything heavier) into every process.
 
 from __future__ import annotations
 
-from typing import Any
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Finding",
@@ -34,27 +34,10 @@ __all__ = [
     "ensure_valid_pipeline",
 ]
 
-_LAZY = {
-    "Finding": ("repro.analysis.lint", "Finding"),
-    "default_rules": ("repro.analysis.rules", "default_rules"),
-    "PipelineIssue": ("repro.analysis.pipeline_check", "PipelineIssue"),
-    "PipelineValidationError": (
-        "repro.analysis.pipeline_check", "PipelineValidationError"
-    ),
-    "validate_pipeline": (
-        "repro.analysis.pipeline_check", "validate_pipeline"
-    ),
-    "ensure_valid_pipeline": (
-        "repro.analysis.pipeline_check", "ensure_valid_pipeline"
-    ),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(name) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.lint": ("Finding",),
+    "repro.analysis.pipeline_check": (
+        "PipelineIssue", "PipelineValidationError",
+        "ensure_valid_pipeline", "validate_pipeline"),
+    "repro.analysis.rules": ("default_rules",),
+})

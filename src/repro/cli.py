@@ -31,14 +31,28 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from typing import TYPE_CHECKING
 
-from repro.api.persistence import load_system, save_system
-from repro.api.system import CovidKG, CovidKGConfig
-from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.corpus.loader import load_papers_jsonl, save_papers_jsonl
+if TYPE_CHECKING:
+    from repro.api.system import CovidKG
+
+#: When this module was imported — first thing ``python -m repro.cli``
+#: does after interpreter start-up, before any command's own imports —
+#: so a process can report how long its boot took.
+_IMPORTED_AT = time.monotonic()
+
+
+def _load_system(path: str) -> CovidKG:
+    from repro.api.persistence import load_system
+
+    return load_system(path)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+    from repro.corpus.loader import save_papers_jsonl
+
     generator = CorpusGenerator(GeneratorConfig(
         seed=args.seed, papers_per_week=args.papers_per_week,
     ))
@@ -49,6 +63,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from repro.api.persistence import save_system
+    from repro.api.system import CovidKG, CovidKGConfig
+    from repro.corpus.loader import load_papers_jsonl
+
     papers = load_papers_jsonl(args.corpus)
     system = CovidKG(CovidKGConfig(num_shards=args.shards,
                                    seed=args.seed,
@@ -67,7 +85,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     results = system.search(args.query, page=args.page)
     print(f"{results.total_matches} matches "
           f"(page {results.page}/{max(1, results.num_pages)}, "
@@ -80,7 +98,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     results = system.search_tables(args.query, page=args.page)
     print(f"{results.total_matches} papers with matching tables")
     for result in results:
@@ -91,7 +109,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_kg(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     hits = system.search_graph(args.query, top_k=args.top)
     if not hits:
         print("no matching knowledge-graph nodes")
@@ -103,7 +121,7 @@ def _cmd_kg(args: argparse.Namespace) -> int:
 
 
 def _cmd_kg_query(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     if args.explain:
         explained = system.explain_graph_query(args.query, nl=args.nl)
         print(f"query: {explained['query']}")
@@ -127,7 +145,7 @@ def _cmd_kg_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     for key, value in system.statistics().items():
         print(f"{key}: {value}")
     return 0
@@ -169,7 +187,7 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
     if not args.system:
         print("serve-stats needs --system PATH or --url http://host:port")
         return 2
-    system = load_system(args.system)
+    system = _load_system(args.system)
     config = ServeConfig(
         num_workers=args.workers,
         max_request_cost=args.max_cost,
@@ -208,11 +226,15 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         level=logging.INFO,
         format="%(asctime)s %(name)s %(message)s",
     )
+    load_started = time.monotonic()
     if args.system:
-        system = load_system(args.system)
+        system = _load_system(args.system)
     else:
         # No saved system: build a synthetic one in-process so smoke
         # tests and demos can start a gateway with zero setup.
+        from repro.api.system import CovidKG, CovidKGConfig
+        from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+
         print(f"no --system given; generating {args.generate} synthetic "
               f"papers across {args.shards} shard(s) ...", flush=True)
         system = CovidKG(CovidKGConfig(num_shards=args.shards))
@@ -220,6 +242,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             seed=args.seed, papers_per_week=25,
         )).papers(args.generate)
         system.ingest(papers)
+    load_seconds = time.monotonic() - load_started
     gateway_config = GatewayConfig(
         host=args.host,
         port=args.port,
@@ -250,7 +273,9 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     engine = IngestEngine(system, ingest_dir)
     replica_id = getattr(args, "replica_id", None)
     try:
+        replay_started = time.monotonic()
         replayed = engine.replay()
+        replay_seconds = time.monotonic() - replay_started
         if replayed:
             print(f"replayed {replayed} committed ingest batch(es) "
                   f"from {ingest_dir}", flush=True)
@@ -263,6 +288,13 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 if service.shared_cache is not None and replica_id:
                     service.shared_cache.register(
                         replica_id, args.host, port, pid=os.getpid())
+                # process_time() counts from process start, so it holds
+                # the import chain a slow boot is usually made of.
+                logging.getLogger("repro.gateway").info(
+                    "gateway ready in %.3f s wall, %.3f s cpu since "
+                    "process start (load %.3f s, replay %.3f s)",
+                    time.monotonic() - _IMPORTED_AT, time.process_time(),
+                    load_seconds, replay_seconds)
 
             try:
                 return run_gateway(service, gateway_config,
@@ -316,6 +348,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Commit batches of papers: over HTTP (--url) or locally (--system)."""
+    from repro.corpus.loader import load_papers_jsonl
     from repro.errors import ReproError
 
     papers = load_papers_jsonl(args.corpus)
@@ -357,7 +390,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
             from repro.ingest.engine import IngestEngine
 
-            system = load_system(args.system)
+            system = _load_system(args.system)
             wal_dir = args.ingest_dir or str(Path(args.system) / "ingest")
             with IngestEngine(system, wal_dir) as engine:
                 replayed = engine.replay()
@@ -453,7 +486,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_bias(args: argparse.Namespace) -> int:
-    system = load_system(args.system)
+    system = _load_system(args.system)
     report = system.interrogate_bias(num_clusters=args.clusters)
     print(f"topic balance:  {report.topic_balance:.3f}")
     print(f"source balance: {report.source_balance:.3f}")

@@ -30,7 +30,7 @@ into every import of the serving tier.
 
 from __future__ import annotations
 
-from typing import Any
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HashRing",
@@ -43,26 +43,10 @@ __all__ = [
     "ClusterConfig",
 ]
 
-_LAZY = {
-    "HashRing": ("repro.cluster.ring", "HashRing"),
-    "Router": ("repro.cluster.router", "Router"),
-    "RouterConfig": ("repro.cluster.router", "RouterConfig"),
-    "ReplicaSpec": ("repro.cluster.router", "ReplicaSpec"),
-    "SharedCacheClient": ("repro.cluster.cacheclient",
-                          "SharedCacheClient"),
-    "SharedCacheServer": ("repro.cluster.cacheserver",
-                          "SharedCacheServer"),
-    "ClusterRunner": ("repro.cluster.runner", "ClusterRunner"),
-    "ClusterConfig": ("repro.cluster.runner", "ClusterConfig"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cluster.cacheclient": ("SharedCacheClient",),
+    "repro.cluster.cacheserver": ("SharedCacheServer",),
+    "repro.cluster.ring": ("HashRing",),
+    "repro.cluster.router": ("ReplicaSpec", "Router", "RouterConfig"),
+    "repro.cluster.runner": ("ClusterConfig", "ClusterRunner"),
+})

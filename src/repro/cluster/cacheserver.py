@@ -64,7 +64,9 @@ class SharedCacheServer:
         self._entries: "OrderedDict[tuple[bytes, bytes], _Entry]" = \
             OrderedDict()
         self._replicas: dict[str, dict[str, Any]] = {}
-        self._lock = racecheck.make_lock("cluster.cacheserver")
+        # One condition guards all shared state; REGISTER notifies it so
+        # an in-process runner can wait for its replicas without polling.
+        self._lock = racecheck.make_condition("cluster.cacheserver")
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_threads: set[threading.Thread] = set()
@@ -306,6 +308,7 @@ class SharedCacheServer:
         }
         with self._lock:
             self._replicas[replica_id] = record
+            self._lock.notify_all()
         logger.info("replica %s registered at %s:%d",
                     replica_id, host, port)
         return wire.OP_OK, []
@@ -324,6 +327,15 @@ class SharedCacheServer:
             replicas = sorted(self._replicas.values(),
                               key=lambda r: r["replica_id"])
         return wire.OP_OK, [json.dumps(replicas).encode("utf-8")]
+
+    def wait_for_replicas(self, count: int,
+                          timeout: float) -> list[dict[str, Any]]:
+        """The registry in registration order, once it holds ``count``
+        records or ``timeout`` seconds passed, whichever is first."""
+        with self._lock:
+            self._lock.wait_for(
+                lambda: len(self._replicas) >= count, timeout)
+            return list(self._replicas.values())
 
     def _op_stats(self) -> tuple[int, list[bytes]]:
         with self._lock:

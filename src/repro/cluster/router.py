@@ -55,9 +55,9 @@ from repro.gateway.http import (
     Request,
     Response,
     build_response,
+    error_payload,
     parse_request_head,
 )
-from repro.gateway.routes import error_payload
 
 logger = logging.getLogger("repro.cluster.router")
 

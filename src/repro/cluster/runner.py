@@ -29,12 +29,12 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.cacheclient import SharedCacheClient
 from repro.cluster.cacheserver import SharedCacheServer
 from repro.cluster.router import ReplicaSpec, Router, RouterConfig
 from repro.errors import GatewayError
@@ -76,6 +76,9 @@ class ClusterRunner:
         self.router: Router | None = None
         self.processes: dict[str, subprocess.Popen] = {}
         self.log_paths: dict[str, Path] = {}
+        #: Set (by ``run_cluster``'s signal handlers) to abandon a boot
+        #: in progress; ``start`` then stops what it spawned and raises.
+        self.stop_requested = threading.Event()
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._log_handles: list[Any] = []
 
@@ -95,6 +98,7 @@ class ClusterRunner:
 
     def _start(self) -> "ClusterRunner":
         config = self.config
+        started = time.monotonic()
         self._scratch = tempfile.TemporaryDirectory(
             prefix="covidkg-cluster-")
         scratch = Path(self._scratch.name)
@@ -105,12 +109,21 @@ class ClusterRunner:
         log_dir.mkdir(parents=True, exist_ok=True)
         for index in range(config.replicas):
             self._spawn_replica(f"r{index}", system_dir, log_dir)
-        specs = self._await_registration()
+        records = self._await_registration()
+        registered = time.monotonic() - started
+        specs = [ReplicaSpec(
+            replica_id=record["replica_id"],
+            host=record["host"], port=record["port"],
+            pid=record.get("pid", 0),
+        ) for record in sorted(records, key=lambda r: r["replica_id"])]
         self.router = Router(specs, RouterConfig(
             host=config.host, port=config.port,
             probe_interval=config.probe_interval,
             fail_threshold=config.fail_threshold,
         )).start()
+        logger.info("cluster ready in %.3f s (last replica %s registered "
+                    "at +%.3f s)", time.monotonic() - started,
+                    records[-1]["replica_id"], registered)
         return self
 
     def _build_system(self, directory: Path) -> Path:
@@ -159,34 +172,36 @@ class ClusterRunner:
         logger.info("replica %s spawned (pid %d, log %s)",
                     replica_id, process.pid, log_path)
 
-    def _await_registration(self) -> list[ReplicaSpec]:
-        """Block until every replica registered with the coordinator."""
+    def _await_registration(self) -> list[dict[str, Any]]:
+        """Block until every replica registered with the coordinator;
+        return their records in registration order.
+
+        Waits on the in-process server's own registry (woken by each
+        REGISTER) in slices short enough to notice a dead replica, a
+        stop request or the deadline promptly.
+        """
         assert self.cache_server is not None
-        client = SharedCacheClient(self.cache_server.address)
         deadline = time.monotonic() + STARTUP_TIMEOUT
-        try:
-            while True:
-                records = client.list_replicas()
-                if len(records) >= self.config.replicas:
-                    return [ReplicaSpec(
-                        replica_id=record["replica_id"],
-                        host=record["host"], port=record["port"],
-                        pid=record.get("pid", 0),
-                    ) for record in records]
-                for replica_id, process in self.processes.items():
-                    if process.poll() is not None:
-                        raise GatewayError(
-                            f"replica {replica_id} exited with code "
-                            f"{process.returncode} before registering "
-                            f"(log: {self.log_paths[replica_id]})")
-                if time.monotonic() > deadline:
+        while True:
+            records = self.cache_server.wait_for_replicas(
+                self.config.replicas, timeout=0.05)
+            if len(records) >= self.config.replicas:
+                return records
+            if self.stop_requested.is_set():
+                raise GatewayError(
+                    f"stopped with {len(records)} of "
+                    f"{self.config.replicas} replicas registered")
+            for replica_id, process in self.processes.items():
+                if process.poll() is not None:
                     raise GatewayError(
-                        f"only {len(records)} of "
-                        f"{self.config.replicas} replicas registered "
-                        f"within {STARTUP_TIMEOUT:.0f}s")
-                time.sleep(0.1)
-        finally:
-            client.close()
+                        f"replica {replica_id} exited with code "
+                        f"{process.returncode} before registering "
+                        f"(log: {self.log_paths[replica_id]})")
+            if time.monotonic() > deadline:
+                raise GatewayError(
+                    f"only {len(records)} of "
+                    f"{self.config.replicas} replicas registered "
+                    f"within {STARTUP_TIMEOUT:.0f}s")
 
     def kill_replica(self, replica_id: str) -> None:
         """SIGKILL one replica (failover tests/benchmarks)."""
@@ -227,33 +242,33 @@ class ClusterRunner:
 
 def run_cluster(config: ClusterConfig) -> int:
     """Blocking CLI entry point: serve the cluster until SIGTERM/SIGINT."""
-    import threading
-
     runner = ClusterRunner(config)
-    try:
-        runner.start()
-    except GatewayError as exc:
-        print(f"cluster failed to start: {exc}", file=sys.stderr,
-              flush=True)
-        runner.stop()
-        return 1
-    stop = threading.Event()
 
     def _signalled(signum: int, frame: Any) -> None:
-        stop.set()
+        runner.stop_requested.set()
 
+    # Installed before the first replica is spawned: a signal during
+    # boot must stop the replicas too, not orphan them.
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
             signal.signal(signum, _signalled)
         except (ValueError, OSError):  # pragma: no cover - non-main thread
             pass
-    assert runner.cache_server is not None
-    print(f"cluster ready: router on "
-          f"http://{config.host}:{runner.router_port} "
-          f"({config.replicas} replica(s), shared cache on "
-          f"{runner.cache_server.address})", flush=True)
-    stop.wait()
-    print("cluster stopping ...", flush=True)
-    runner.stop()
+    try:
+        runner.start()  # stops whatever it spawned before it raises
+    except GatewayError as exc:
+        if not runner.stop_requested.is_set():
+            print(f"cluster failed to start: {exc}", file=sys.stderr,
+                  flush=True)
+            return 1
+    else:
+        assert runner.cache_server is not None
+        print(f"cluster ready: router on "
+              f"http://{config.host}:{runner.router_port} "
+              f"({config.replicas} replica(s), shared cache on "
+              f"{runner.cache_server.address})", flush=True)
+        runner.stop_requested.wait()
+        print("cluster stopping ...", flush=True)
+        runner.stop()
     print("cluster stopped", flush=True)
     return 0

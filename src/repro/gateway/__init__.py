@@ -22,24 +22,38 @@ Endpoints::
 Every error is a machine-readable JSON body
 ``{"error": {"code", "message", "request_id"}}`` with a typed status
 (429 priced-out, 503 shed, 504 deadline, 400 bad request, ...).
+
+The names in ``__all__`` are imported on first access
+(:mod:`repro._lazy`): the wire modules (:mod:`~repro.gateway.http`,
+:mod:`~repro.gateway.client`) depend on nothing but
+:mod:`repro.errors`, and the cluster router imports exactly those two
+— it must not load the server, the routes and through them the
+engines just because they share this package.
 """
 
-from repro.gateway.client import ClientResponse, GatewayClient
-from repro.gateway.http import (
-    Request,
-    Response,
-    build_response,
-    parse_request_head,
-)
-from repro.gateway.routes import (
-    ERROR_STATUS,
-    all_error_classes,
-    map_error,
-    render_prometheus,
-    serialize_served,
-)
-from repro.gateway.server import BackgroundGateway, Gateway, run_gateway
-from repro.serve.service import GatewayConfig
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.gateway.client import ClientResponse, GatewayClient
+    from repro.gateway.http import (
+        Request,
+        Response,
+        build_response,
+        parse_request_head,
+    )
+    from repro.gateway.routes import (
+        ERROR_STATUS,
+        all_error_classes,
+        map_error,
+        render_prometheus,
+        serialize_served,
+    )
+    from repro.gateway.server import BackgroundGateway, Gateway, run_gateway
+    from repro.serve.service import GatewayConfig
 
 __all__ = [
     "ERROR_STATUS",
@@ -58,3 +72,14 @@ __all__ = [
     "run_gateway",
     "serialize_served",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.gateway.client": ("ClientResponse", "GatewayClient"),
+    "repro.gateway.http": ("Request", "Response", "build_response",
+                           "parse_request_head"),
+    "repro.gateway.routes": ("ERROR_STATUS", "all_error_classes",
+                             "map_error", "render_prometheus",
+                             "serialize_served"),
+    "repro.gateway.server": ("BackgroundGateway", "Gateway", "run_gateway"),
+    "repro.serve.service": ("GatewayConfig",),
+})

@@ -164,6 +164,19 @@ class Response:
     close: bool = False  # force Connection: close
 
 
+def error_payload(status: int, code: str, message: str,
+                  request_id: str) -> Response:
+    """An error response not backed by an exception (404, cap sheds)."""
+    return Response(
+        status=status,
+        payload={"error": {
+            "code": code,
+            "message": message,
+            "request_id": request_id,
+        }},
+    )
+
+
 def encode_json(payload: Any) -> bytes:
     """The gateway's one JSON wire form: compact, ASCII, ``str`` fallback."""
     return json.dumps(payload, default=str,

@@ -24,7 +24,7 @@ from typing import Any
 
 import repro.errors as errors_module
 from repro.errors import BadRequestError, ReproError
-from repro.gateway.http import Request, Response, encode_json
+from repro.gateway.http import Request, Response, encode_json, error_payload
 from repro.kg.search import KGSearchHit
 from repro.kgql import KGQLResult
 from repro.search.engine import SearchResults
@@ -88,27 +88,8 @@ def map_error(exc: BaseException) -> tuple[int, str]:
 
 def error_response(exc: BaseException, request_id: str) -> Response:
     status, code = map_error(exc)
-    return Response(
-        status=status,
-        payload={"error": {
-            "code": code,
-            "message": str(exc) or type(exc).__name__,
-            "request_id": request_id,
-        }},
-    )
-
-
-def error_payload(status: int, code: str, message: str,
-                  request_id: str) -> Response:
-    """An error response not backed by an exception (404, cap sheds)."""
-    return Response(
-        status=status,
-        payload={"error": {
-            "code": code,
-            "message": message,
-            "request_id": request_id,
-        }},
-    )
+    return error_payload(status, code, str(exc) or type(exc).__name__,
+                         request_id)
 
 
 # -- parameter validation ---------------------------------------------------
