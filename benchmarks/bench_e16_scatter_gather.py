@@ -149,58 +149,6 @@ def test_e16_ranked_aggregation_by_shard_count(corpus):
     )
 
 
-def test_e16_preflight_validation_overhead(corpus):
-    """``validate_pipeline`` is noise next to a sharded scatter-gather.
-
-    A caller that takes pipelines from outside validates once before
-    ``ShardedCollection.aggregate``; the check must stay <1% of the
-    aggregation wall time or "fail fast" quietly becomes "run slow".
-    """
-    from repro.analysis.pipeline_check import validate_pipeline
-
-    collection = ShardedCollection("papers", shard_key="paper_id",
-                                   num_shards=4)
-    collection.insert_many([build_search_document(p) for p in corpus])
-    registry = FunctionRegistry()
-    registry.register(
-        "rank",
-        lambda doc: len(doc.get("search", {}).get("body", "")),
-    )
-    pipeline = [
-        {"$match": {"search.body": {"$regex": "vaccine"}}},
-        {"$function": {"name": "rank", "as": "score"}},
-        {"$sort": {"score": -1}},
-        {"$limit": 10},
-    ]
-
-    def best(fn, repeats):
-        fastest = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            fastest = min(fastest, time.perf_counter() - started)
-        return fastest
-
-    validate_s = best(lambda: validate_pipeline(pipeline, registry), 20)
-    assert validate_pipeline(pipeline, registry) == []
-    execute_s = best(lambda: collection.aggregate(pipeline, registry), 5)
-
-    fraction = validate_s / execute_s
-    print_table(
-        "E16: pre-flight validation vs sharded aggregation",
-        ["validate us", "sharded aggregate ms", "overhead"],
-        [[f"{validate_s * 1e6:.1f}", f"{execute_s * 1e3:.2f}",
-          f"{fraction * 100:.3f}%"]],
-        note="one validate_pipeline call, before any shard is visited",
-    )
-    RESULTS["preflight_validation"] = {
-        "validate_seconds": validate_s,
-        "aggregate_seconds": execute_s,
-        "overhead_fraction": fraction,
-    }
-    assert fraction < 0.01
-
-
 def test_e16_single_flight_stampede(corpus):
     """N concurrent identical misses -> exactly one computation."""
     hammer = 16

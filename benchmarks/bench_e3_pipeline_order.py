@@ -118,50 +118,6 @@ def test_e3_stage_ordering(medium_corpus, benchmark):
     benchmark(lambda: _match_first(collection, registry))
 
 
-def test_e3_preflight_validation_overhead(medium_corpus, benchmark):
-    """Pre-flight ``validate_pipeline`` must cost <1% of execution.
-
-    A caller that takes pipelines from outside validates them before
-    dispatch; this pins down that the check is pure dict-walking noise
-    next to the aggregation itself.
-    Measured on this corpus: ~5 us validation vs ~3 ms execution,
-    i.e. ~0.2% — recorded here so a regression (e.g. an accidentally
-    quadratic expression walk) fails the bench.
-    """
-    from repro.analysis.pipeline_check import validate_pipeline
-
-    registry = _registry()
-    collection = _collection(medium_corpus, 300)
-    pipeline = [
-        {"$match": MATCH},
-        {"$project": PROJECT},
-        {"$function": {"name": "rank", "as": "score"}},
-        {"$sort": {"score": -1}},
-        {"$limit": 10},
-    ]
-    assert validate_pipeline(pipeline, registry) == []
-
-    validate_s, _ = _timed(
-        lambda c, r: validate_pipeline(pipeline, r),
-        collection, registry, repeats=20,
-    )
-    execute_s, _ = _timed(
-        lambda c, r: aggregate(c, pipeline, r),
-        collection, registry, repeats=5,
-    )
-    fraction = validate_s / execute_s
-    print_table(
-        "E3c: pre-flight validation overhead",
-        ["validate us", "execute ms", "overhead"],
-        [[f"{validate_s * 1e6:.1f}", f"{execute_s * 1e3:.2f}",
-          f"{fraction * 100:.3f}%"]],
-        note="validation is static dict-walking; <1% of aggregation time",
-    )
-    assert fraction < 0.01
-
-    benchmark(lambda: validate_pipeline(pipeline, registry))
-
-
 def test_e3_match_pushdown_uses_index(medium_corpus, benchmark):
     """A leading $match can also use collection indexes (pushdown)."""
     collection = Collection("indexed")

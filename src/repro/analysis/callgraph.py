@@ -37,8 +37,9 @@ from repro.analysis.summaries import (
 )
 
 #: Callee terminals that hand work to an executor instead of blocking
-#: the caller — exempt from REP208's transitive blocking search.
-_EXECUTOR_HANDOFF = frozenset({"run_in_executor", "submit", "map",
+#: the caller — exempt from REP208: a reference to a blocking function
+#: handed to these is the *point*, not a bug.
+EXECUTOR_HANDOFF = frozenset({"run_in_executor", "submit", "map",
                                "create_task", "ensure_future",
                                "call_soon", "call_soon_threadsafe"})
 
@@ -317,7 +318,7 @@ class ProjectIndex:
                     if call.awaited:
                         continue
                     if call.callee.rsplit(".", 1)[-1] in \
-                            _EXECUTOR_HANDOFF:
+                            EXECUTOR_HANDOFF:
                         continue
                     callee_key = self.resolve_call(key, call.callee)
                     if callee_key is None or \

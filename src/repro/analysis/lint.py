@@ -1,33 +1,26 @@
-"""Custom AST lint framework: findings, suppressions, baselines.
+"""Custom AST lint framework: findings, rules, suppression comments.
 
-The engine is deliberately small: a rule is an object with a ``rule_id``
-and a ``check(source)`` generator; the framework handles file discovery,
-parsing, suppression comments, stable ordering, and baseline diffing.
+The framework is deliberately small: a rule is an object with a
+``rule_id`` and a ``check(source)`` generator; the framework handles
+file discovery, parsing and suppression comments.
 
 Suppressing a finding
-    Append ``# lint: allow=<rule-id>`` (comma-separate several ids, or
-    ``allow=all``) to the flagged line, or put the comment alone on the
-    line directly above it.  For decorated defs and multi-line
-    statements, a comment on the ``def``/opening line (or above the
-    first decorator) suppresses findings reported anywhere in the
-    statement header — rules anchor findings to different lines of the
-    same statement (the decorator, the ``def``, an argument default),
-    and one suppression should cover them all.
-
-Baselines
-    A baseline is a JSON file recording accepted findings as
-    ``(rule, path, source-line-text)`` triples — line *text*, not line
-    numbers, so unrelated edits that shift code do not resurrect old
-    findings.  :func:`new_findings` returns only findings not covered by
-    the baseline (multiset semantics: two identical lines need two
-    baseline entries).
+    Append ``# lint: allow=<rule-id>`` (comma-separate several ids) and
+    the reason to the flagged line, or put the comment alone on the
+    line directly above it.  For a multi-line statement, a comment on
+    (or above) its opening line suppresses findings reported anywhere
+    in the statement header — a rule anchors a finding at the call it
+    flags, which may sit lines below where the statement starts.  This
+    is the only way to excuse a finding, and an allowance that excuses
+    nothing is reported (``REP000``) by
+    :func:`repro.analysis.engine.analyze_paths`.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from collections import Counter
+import io
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -45,21 +38,6 @@ class Finding:
     path: str  # repo-relative, forward slashes
     line: int  # 1-based
     message: str
-    snippet: str = ""  # stripped source line (baseline matching key)
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline identity: stable across unrelated line-number drift."""
-        return (self.rule, self.path, self.snippet)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-            "snippet": self.snippet,
-        }
 
     def __str__(self) -> str:
         return (f"{self.path}:{self.line}: {self.rule} "
@@ -72,20 +50,14 @@ class Source:
     def __init__(self, path: str, text: str) -> None:
         self.path = path
         self.text = text
-        self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=path)
         self._suppressions: SuppressionIndex | None = None
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
     @property
     def suppressions(self) -> "SuppressionIndex":
         if self._suppressions is None:
-            self._suppressions = SuppressionIndex.from_ast(
-                self.lines, self.tree)
+            self._suppressions = SuppressionIndex.from_source(
+                self.text, self.tree)
         return self._suppressions
 
 
@@ -108,7 +80,6 @@ class LintRule:
             path=source.path,
             line=lineno,
             message=message,
-            snippet=source.line_text(lineno).strip(),
         )
 
 
@@ -117,10 +88,8 @@ class ProjectRule:
 
     Unlike :class:`LintRule`, which sees one file, a project rule runs
     once against the :class:`~repro.analysis.callgraph.ProjectIndex`
-    after every module summary is built.  Findings come back with empty
-    snippets; the engine fills those in (it already holds every file's
-    text) and applies suppression via the per-file
-    :class:`SuppressionIndex`.
+    after every module summary is built; the engine applies
+    suppression via the per-file :class:`SuppressionIndex`.
     """
 
     rule_id: str = ""
@@ -135,14 +104,12 @@ class ProjectRule:
                        path=path, line=lineno, message=message)
 
 
-def _allowed_rules(line: str) -> set[str] | None:
-    """The rule ids a source line's suppression comment allows, if any."""
-    marker = line.find(SUPPRESS_MARKER)
-    if marker < 0 or "#" not in line[:marker]:
+def _allowed_rules(comment: str) -> set[str] | None:
+    """The rule ids a comment allows, if it is a suppression comment."""
+    _, marker, rest = comment.partition(SUPPRESS_MARKER)
+    if not marker:
         return None
-    spec = line[marker + len(SUPPRESS_MARKER):].split()[0] if \
-        line[marker + len(SUPPRESS_MARKER):].split() else ""
-    return {rule.strip() for rule in spec.split(",") if rule.strip()}
+    return {rule for rule in "".join(rest.split()[:1]).split(",") if rule}
 
 
 class SuppressionIndex:
@@ -150,83 +117,66 @@ class SuppressionIndex:
 
     ``allowed`` maps line numbers carrying a suppression comment to the
     rule ids they permit.  ``owner`` maps every line inside a
-    *multi-line statement header* (decorators, a ``def``'s argument
-    list, a parenthesized ``with``) to ``(stmt_line, first_line)`` —
-    the ``def``/opening line and the first line including decorators —
-    so a suppression on the opening line covers findings anywhere in
-    the header.  Serializable, so the analysis cache can keep it
-    without re-parsing the file.
+    *multi-line statement header* (a call spread over several lines, a
+    parenthesized ``with``) to the statement's opening line, so a
+    suppression there covers findings anywhere in the header.  ``used``
+    records every ``(comment line, rule id)`` that excused a finding,
+    so :meth:`unused` can name the ones that did not.
     """
 
     def __init__(self, allowed: dict[int, frozenset[str]],
-                 owner: dict[int, tuple[int, int]]) -> None:
+                 owner: dict[int, int]) -> None:
         self.allowed = allowed
         self.owner = owner
+        self.used: set[tuple[int, str]] = set()
 
     @classmethod
-    def from_ast(cls, lines: Sequence[str],
-                 tree: ast.AST) -> "SuppressionIndex":
+    def from_source(cls, text: str, tree: ast.AST) -> "SuppressionIndex":
         allowed: dict[int, frozenset[str]] = {}
-        for lineno, line in enumerate(lines, start=1):
-            rules = _allowed_rules(line)
-            if rules is not None:
-                allowed[lineno] = frozenset(rules)
-        owner: dict[int, tuple[int, int]] = {}
+        # Real comments only: the marker also appears in docstrings and
+        # help strings, which excuse nothing.
+        if SUPPRESS_MARKER in text:
+            for token in tokenize.generate_tokens(
+                    io.StringIO(text).readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                rules = _allowed_rules(token.string)
+                if rules is not None:
+                    allowed[token.start[0]] = frozenset(rules)
+        owner: dict[int, int] = {}
         # ast.walk is breadth-first: outer statements register their
         # spans first and inner ones overwrite, so the innermost
         # statement owns each header line.
         for node in ast.walk(tree):
             if not isinstance(node, ast.stmt):
                 continue
-            first = _stmt_first_line(node)
             body = getattr(node, "body", None)
             if isinstance(body, list) and body and \
                     isinstance(body[0], ast.stmt):
-                header_end = _stmt_first_line(body[0]) - 1
+                header_end = body[0].lineno - 1
             else:
                 header_end = node.end_lineno or node.lineno
-            if header_end <= first:
-                continue  # single-line header: base lookup suffices
-            for lineno in range(first, header_end + 1):
-                owner[lineno] = (node.lineno, first)
+            for lineno in range(node.lineno + 1, header_end + 1):
+                owner[lineno] = node.lineno
         return cls(allowed, owner)
 
     def allows(self, rule: str, lineno: int) -> bool:
         candidates = [lineno, lineno - 1]
-        span = self.owner.get(lineno)
-        if span is not None:
-            stmt_line, first = span
-            candidates += [stmt_line, first, first - 1]
+        opening = self.owner.get(lineno)
+        if opening is not None:
+            candidates += [opening, opening - 1]
         for candidate in candidates:
-            allowed = self.allowed.get(candidate)
-            if allowed and (rule in allowed or "all" in allowed):
+            if rule in self.allowed.get(candidate, ()):
+                self.used.add((candidate, rule))
                 return True
         return False
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "allowed": {str(line): sorted(rules)
-                        for line, rules in self.allowed.items()},
-            "owner": {str(line): list(span)
-                      for line, span in self.owner.items()},
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "SuppressionIndex":
-        return cls(
-            allowed={int(line): frozenset(rules)
-                     for line, rules in payload["allowed"].items()},
-            owner={int(line): (span[0], span[1])
-                   for line, span in payload["owner"].items()},
+    def unused(self) -> list[tuple[int, str]]:
+        """Every ``(comment line, rule id)`` that excused no finding."""
+        return sorted(
+            (line, rule) for line, rules in self.allowed.items()
+            for rule in rules if (line, rule) not in self.used
         )
-
-
-def _stmt_first_line(node: ast.stmt) -> int:
-    """A statement's first physical line, decorators included."""
-    first = node.lineno
-    for decorator in getattr(node, "decorator_list", []):
-        first = min(first, decorator.lineno)
-    return first
 
 
 def is_suppressed(source: Source, finding: Finding) -> bool:
@@ -259,56 +209,8 @@ def lint_source(source: Source,
     return findings
 
 
-# -- baselines -------------------------------------------------------------
-
-def load_baseline(path: str | Path) -> Counter:
-    """The accepted-finding multiset from a baseline file (empty if absent)."""
-    path = Path(path)
-    if not path.exists():
-        return Counter()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return Counter(
-        (entry["rule"], entry["path"], entry.get("snippet", ""))
-        for entry in payload.get("findings", [])
-    )
-
-
-def save_baseline(path: str | Path, findings: Iterable[Finding]) -> None:
-    """Write the current findings as the new accepted baseline."""
-    payload = {
-        "version": 1,
-        "comment": (
-            "Accepted repro.analysis lint findings. CI fails only on "
-            "findings NOT listed here; regenerate with "
-            "`repro-covidkg analyze --update-baseline`."
-        ),
-        "findings": [finding.to_json() for finding in findings],
-    }
-    Path(path).write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def new_findings(findings: Iterable[Finding],
-                 baseline: Counter) -> list[Finding]:
-    """Findings not covered by the baseline (multiset semantics)."""
-    remaining = Counter(baseline)
-    fresh = []
-    for finding in findings:
-        if remaining[finding.key()] > 0:
-            remaining[finding.key()] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
-def format_findings(findings: Sequence[Finding],
-                    output_format: str = "text") -> str:
-    """Render findings for the CLI (``text`` or ``json``)."""
-    if output_format == "json":
-        return json.dumps(
-            [finding.to_json() for finding in findings], indent=2
-        )
+def format_findings(findings: Sequence[Finding]) -> str:
+    """Render findings for the CLI, one per line plus a summary."""
     lines = [str(finding) for finding in findings]
     errors = sum(1 for f in findings if f.severity == "error")
     warnings = len(findings) - errors

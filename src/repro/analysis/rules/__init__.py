@@ -13,14 +13,9 @@ from repro.analysis.rules.concurrency import (
     AbandonedFutureGather,
     BlockingCallInAsync,
     BlockingCallUnderLock,
-    NondeterministicRankFunction,
     UnguardedSharedState,
 )
-from repro.analysis.rules.generic import (
-    BareExcept,
-    MutableDefaultArg,
-    SwallowedAggregationError,
-)
+from repro.analysis.rules.generic import SwallowedAggregationError
 from repro.analysis.rules.interprocedural import (
     StaticLockOrderCycle,
     TransitiveBlockingInAsync,
@@ -34,10 +29,7 @@ __all__ = [
     "UnguardedSharedState",
     "BlockingCallInAsync",
     "BlockingCallUnderLock",
-    "NondeterministicRankFunction",
     "AbandonedFutureGather",
-    "MutableDefaultArg",
-    "BareExcept",
     "PerDocumentScoringLoop",
     "SwallowedAggregationError",
     "ResourceLeak",
@@ -49,12 +41,9 @@ __all__ = [
 def default_rules() -> list[LintRule]:
     """One instance of every per-file rule, in stable rule-id order."""
     rules = [
-        MutableDefaultArg(),
-        BareExcept(),
         SwallowedAggregationError(),
         UnguardedSharedState(),
         BlockingCallUnderLock(),
-        NondeterministicRankFunction(),
         AbandonedFutureGather(),
         BlockingCallInAsync(),
         PerDocumentScoringLoop(),

@@ -2,7 +2,7 @@
 
 They reason about the primitives the codebase builds on: mutual
 exclusion via ``with <lock>:`` blocks, futures handed out by worker
-pools, the event loop, and the rank functions the pipelines call.
+pools, and the event loop.
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ import ast
 from typing import Iterator
 
 from repro.analysis.lint import Finding, LintRule, Source
-from repro.analysis.summaries import zero_timeout
-
-#: A `with` context expression counts as a lock guard when its terminal
-#: name looks like a mutex (``self._lock``, ``ObjectId._lock``,
-#: ``self._condition``, a bare module-level ``_lock`` ...).
-_LOCKISH = ("lock", "condition", "mutex")
+from repro.analysis.summaries import (
+    LOCKISH,
+    attr_chain,
+    blocking_call_reason,
+    call_chain,
+    collect_imports,
+)
 
 #: Method calls that mutate their receiver (so ``self._entries.pop(...)``
 #: counts as a *write* to ``self._entries``).
@@ -46,7 +47,7 @@ def _is_lock_guard(expr: ast.expr) -> bool:
     if name is None:
         return False
     lowered = name.lower()
-    return any(token in lowered for token in _LOCKISH)
+    return any(token in lowered for token in LOCKISH)
 
 
 def _lock_guard_name(with_node: ast.With) -> str | None:
@@ -54,19 +55,6 @@ def _lock_guard_name(with_node: ast.With) -> str | None:
         if _is_lock_guard(item.context_expr):
             return _terminal_name(item.context_expr)
     return None
-
-
-def _attr_chain(node: ast.expr) -> list[str]:
-    """``a.b.c`` -> ``["a", "b", "c"]`` (empty when not a pure chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
 
 
 class _Access:
@@ -85,7 +73,7 @@ class _Access:
 
 def _first_level_attr(node: ast.Attribute, owner: str) -> str | None:
     """The ``X`` in ``<owner>.X[.anything]``; None for other receivers."""
-    chain = _attr_chain(node)
+    chain = attr_chain(node)
     if len(chain) >= 2 and chain[0] == owner:
         return chain[1]
     return None
@@ -114,7 +102,7 @@ class _AccessCollector(ast.NodeVisitor):
         if name is None or name not in self.names:
             return
         lowered = name.lower()
-        if any(token in lowered for token in _LOCKISH):
+        if any(token in lowered for token in LOCKISH):
             return
         self.accesses.append(_Access(
             name, self.function, lineno, is_write, self.lock_depth > 0,
@@ -323,56 +311,36 @@ class BlockingCallUnderLock(LintRule):
     })
 
     def check(self, source: Source) -> Iterator[Finding]:
-        time_sleep_names = self._imported_names(
-            source.tree, "time", {"sleep"}
-        )
         yield from self._walk(
             source, source.tree, guard=None,
-            time_sleep_names=time_sleep_names,
+            imports=collect_imports(source.tree),
         )
 
-    @staticmethod
-    def _imported_names(tree: ast.Module, module: str,
-                        wanted: set[str]) -> frozenset[str]:
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == module:
-                for alias in node.names:
-                    if alias.name in wanted:
-                        names.add(alias.asname or alias.name)
-        return frozenset(names)
-
     def _walk(self, source: Source, node: ast.AST, guard: str | None,
-              time_sleep_names: frozenset[str]) -> Iterator[Finding]:
+              imports: dict[str, str]) -> Iterator[Finding]:
         for child in ast.iter_child_nodes(node):
             child_guard = guard
             if isinstance(child, ast.With):
                 child_guard = _lock_guard_name(child) or guard
             if guard is not None and isinstance(child, ast.Call):
-                blocked = self._blocking_reason(child, time_sleep_names)
+                blocked = self._blocking_reason(child, imports)
                 if blocked is not None:
                     yield self.finding(
                         source, child,
                         f"{blocked} while holding {guard!r}",
                     )
-            yield from self._walk(
-                source, child, child_guard, time_sleep_names
-            )
+            yield from self._walk(source, child, child_guard, imports)
 
     def _blocking_reason(self, call: ast.Call,
-                         time_sleep_names: frozenset[str]) -> str | None:
+                         imports: dict[str, str]) -> str | None:
         func = call.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                return "file I/O (open)"
-            if func.id in time_sleep_names:
-                return "time.sleep"
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        chain = _attr_chain(func)
+        chain = call_chain(func, imports)
+        if chain == ["open"]:
+            return "file I/O (open)"
         if chain[:2] == ["time", "sleep"]:
             return "time.sleep"
+        if not isinstance(func, ast.Attribute):
+            return None
         if chain and chain[0] in ("socket", "requests", "urllib",
                                   "http", "httpx"):
             return f"network I/O ({'.'.join(chain)})"
@@ -495,26 +463,15 @@ class BlockingCallInAsync(LintRule):
         "equivalent or push the work onto an executor"
     )
 
-    #: Socket-style methods that block the calling thread.
-    _SOCKET_ATTRS = frozenset({
-        "recv", "recv_into", "recvfrom", "send", "sendall", "sendto",
-        "accept", "connect",
-    })
-
     def check(self, source: Source) -> Iterator[Finding]:
-        time_sleep_names = BlockingCallUnderLock._imported_names(
-            source.tree, "time", {"sleep"}
-        )
+        imports = collect_imports(source.tree)
         for node in ast.walk(source.tree):
             if isinstance(node, ast.AsyncFunctionDef):
-                yield from self._scan_async_body(
-                    source, node, time_sleep_names
-                )
+                yield from self._scan_async_body(source, node, imports)
 
     def _scan_async_body(self, source: Source,
                          function: ast.AsyncFunctionDef,
-                         time_sleep_names: frozenset[str]
-                         ) -> Iterator[Finding]:
+                         imports: dict[str, str]) -> Iterator[Finding]:
         # Direct children only, skipping nested sync defs (their bodies
         # run wherever they are *called* — often an executor thread —
         # and nested async defs are visited by the outer walk).
@@ -535,7 +492,7 @@ class BlockingCallInAsync(LintRule):
                 )
                 continue
             if isinstance(node, ast.Call) and not awaited:
-                reason = self._blocking_reason(node, time_sleep_names)
+                reason = blocking_call_reason(node, imports)
                 if reason is not None:
                     yield self.finding(
                         source, node,
@@ -545,125 +502,3 @@ class BlockingCallInAsync(LintRule):
             stack.extend(
                 (child, False) for child in ast.iter_child_nodes(node)
             )
-
-    def _blocking_reason(self, call: ast.Call,
-                         time_sleep_names: frozenset[str]) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                return "file I/O (open)"
-            if func.id in time_sleep_names:
-                return "time.sleep"
-            return None
-        if not isinstance(func, ast.Attribute):
-            return None
-        chain = _attr_chain(func)
-        if chain[:2] == ["time", "sleep"]:
-            return "time.sleep"
-        if chain and chain[0] == "subprocess":
-            return f"subprocess ({'.'.join(chain)})"
-        if chain and chain[0] in ("socket", "requests", "urllib",
-                                  "http", "httpx"):
-            return f"synchronous network I/O ({'.'.join(chain)})"
-        if func.attr == "result" and not zero_timeout(call):
-            return "Future.result()"
-        if func.attr in self._SOCKET_ATTRS and chain and \
-                chain[0] not in ("self",):
-            return f"synchronous socket op .{func.attr}()"
-        if func.attr == "acquire" and not call.args and \
-                not call.keywords:
-            return "bare lock acquire()"
-        if func.attr == "join" and not call.args:
-            return "thread join"
-        return None
-
-
-class NondeterministicRankFunction(LintRule):
-    """REP204: clock/RNG use in a registered ``$function`` callable."""
-
-    rule_id = "REP204"
-    severity = "error"
-    description = (
-        "a function registered with a FunctionRegistry uses time or "
-        "randomness, so repeated pipeline runs (and per-shard partials) "
-        "rank differently"
-    )
-
-    _NONDETERMINISTIC_ROOTS = ("random", "secrets", "uuid")
-    _TIME_CALLS = frozenset({
-        "time", "monotonic", "perf_counter", "time_ns", "process_time",
-    })
-    _DATETIME_CALLS = frozenset({"now", "utcnow", "today"})
-
-    def check(self, source: Source) -> Iterator[Finding]:
-        nondeterministic_imports = self._nondeterministic_imports(
-            source.tree
-        )
-        for registered, name in self._registered_functions(source.tree):
-            for node in ast.walk(registered):
-                reason = self._reason(node, nondeterministic_imports)
-                if reason is not None:
-                    yield self.finding(
-                        source, node,
-                        f"registered $function {name!r} uses {reason}; "
-                        "pipeline rankings become nondeterministic",
-                    )
-
-    @staticmethod
-    def _nondeterministic_imports(tree: ast.Module) -> frozenset[str]:
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and \
-                    node.module in ("random", "time", "secrets", "uuid"):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name)
-        return frozenset(names)
-
-    def _registered_functions(self, tree: ast.Module):
-        defs: dict[str, ast.FunctionDef] = {
-            node.name: node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                for decorator in node.decorator_list:
-                    target = decorator.func if \
-                        isinstance(decorator, ast.Call) else decorator
-                    if isinstance(target, ast.Attribute) and \
-                            target.attr == "register":
-                        yield node, node.name
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "register":
-                receiver = _terminal_name(node.func.value) or ""
-                if "registr" not in receiver.lower() and \
-                        receiver != "functions":
-                    continue
-                for arg in node.args[1:2]:
-                    if isinstance(arg, ast.Name) and arg.id in defs:
-                        yield defs[arg.id], arg.id
-                    elif isinstance(arg, ast.Lambda):
-                        yield arg, "<lambda>"
-
-    def _reason(self, node: ast.AST,
-                imported: frozenset[str]) -> str | None:
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in imported:
-            return f"{func.id}() (imported from a nondeterministic module)"
-        if not isinstance(func, ast.Attribute):
-            return None
-        chain = _attr_chain(func)
-        if not chain:
-            return None
-        if any(part in self._NONDETERMINISTIC_ROOTS for part in
-               chain[:-1]):
-            return ".".join(chain)
-        if chain[0] == "time" and chain[-1] in self._TIME_CALLS:
-            return ".".join(chain)
-        if func.attr in self._DATETIME_CALLS and any(
-                "date" in part for part in chain[:-1]):
-            return ".".join(chain)
-        return None

@@ -1,4 +1,4 @@
-"""Generic hygiene rules (not concurrency-specific)."""
+"""Hygiene rules ``ruff`` has no equivalent for (CI runs both)."""
 
 from __future__ import annotations
 
@@ -6,67 +6,6 @@ import ast
 from typing import Iterator
 
 from repro.analysis.lint import Finding, LintRule, Source
-
-
-class MutableDefaultArg(LintRule):
-    """REP101: ``def f(x=[])`` — the default is shared across calls."""
-
-    rule_id = "REP101"
-    severity = "warning"
-    description = (
-        "a mutable default argument is created once and shared by every "
-        "call; use None and construct inside the body"
-    )
-
-    _MUTABLE_CALLS = frozenset({"list", "dict", "set", "defaultdict",
-                                "Counter", "OrderedDict"})
-
-    def _is_mutable(self, default: ast.expr | None) -> bool:
-        if default is None:
-            return False
-        if isinstance(default, (ast.List, ast.Dict, ast.Set,
-                                ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        if isinstance(default, ast.Call):
-            name = default.func.id if isinstance(default.func, ast.Name) \
-                else getattr(default.func, "attr", "")
-            return name in self._MUTABLE_CALLS
-        return False
-
-    def check(self, source: Source) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    name = getattr(node, "name", "<lambda>")
-                    yield self.finding(
-                        source, default,
-                        f"mutable default argument in {name}()",
-                    )
-
-
-class BareExcept(LintRule):
-    """REP102: ``except:`` catches SystemExit/KeyboardInterrupt too."""
-
-    rule_id = "REP102"
-    severity = "warning"
-    description = (
-        "a bare except swallows KeyboardInterrupt and SystemExit; catch "
-        "Exception (or something narrower) instead"
-    )
-
-    def check(self, source: Source) -> Iterator[Finding]:
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    source, node, "bare except clause",
-                )
 
 
 class SwallowedAggregationError(LintRule):

@@ -13,14 +13,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analysis import racecheck
-from repro.analysis.callgraph import ProjectIndex, format_chain
+from repro.analysis.callgraph import (
+    EXECUTOR_HANDOFF,
+    ProjectIndex,
+    format_chain,
+)
 from repro.analysis.lint import Finding, ProjectRule
-
-#: Call terminals that move work off the calling thread; a reference to
-#: a blocking function handed to these is the *point*, not a bug.
-_HANDOFF = frozenset({"run_in_executor", "submit", "map", "create_task",
-                      "ensure_future", "call_soon",
-                      "call_soon_threadsafe"})
 
 
 class TransitiveBlockingInAsync(ProjectRule):
@@ -46,7 +44,7 @@ class TransitiveBlockingInAsync(ProjectRule):
             for call in fn.calls:
                 if call.awaited:
                     continue
-                if call.callee.rsplit(".", 1)[-1] in _HANDOFF:
+                if call.callee.rsplit(".", 1)[-1] in EXECUTOR_HANDOFF:
                     continue
                 callee_key = index.resolve_call(key, call.callee)
                 if callee_key is None:

@@ -41,8 +41,8 @@ class PerDocumentScoringLoop(LintRule):
     Flags ``for`` loops inside scoring/ranking functions under
     ``repro/search`` whose body calls scoring work per iteration.
     Reference implementations kept for the differential tests carry a
-    ``# lint: allow=REP207`` escape (or live in the checked-in
-    baseline); new per-document loops must use the columnar kernels.
+    ``# lint: allow=REP207`` escape; new per-document loops must use
+    the columnar kernels.
     """
 
     rule_id = "REP207"

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.analysis.lint import Finding, LintRule, Source
+from repro.analysis.summaries import attr_chain
 
 #: Constructor terminals that hand back something needing release.
 _EXECUTOR_CTORS = frozenset({"ThreadPoolExecutor",
@@ -34,23 +35,11 @@ _RELEASE_METHODS = frozenset({"close", "shutdown", "terminate",
                               "detach", "release", "__exit__"})
 
 
-def _attr_chain(node: ast.expr) -> list[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
 def _acquire_kind(value: ast.expr) -> str | None:
     """What kind of resource a RHS expression acquires, if any."""
     if not isinstance(value, ast.Call):
         return None
-    chain = _attr_chain(value.func)
+    chain = attr_chain(value.func)
     terminal = chain[-1] if chain else ""
     if terminal in _EXECUTOR_CTORS:
         return "executor"

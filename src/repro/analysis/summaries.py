@@ -1,10 +1,8 @@
-"""Per-function summaries: the cacheable unit of interprocedural analysis.
+"""Per-function summaries: the unit of interprocedural analysis.
 
 One :class:`ModuleSummary` is derived from one module's AST alone — no
-cross-module information — so the analysis engine can cache it under a
-content hash and rebuild only edited files.  Everything the
-interprocedural rules (REP208, REP209) need from a function is distilled
-here:
+cross-module information.  Everything the interprocedural rules
+(REP208, REP209) need from a function is distilled here:
 
 * **call sites** — every call the function body makes directly (nested
   ``def``/``lambda`` bodies are deferred work and deliberately excluded),
@@ -31,8 +29,8 @@ Lock identity
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
 
 #: Lock-ish terminal names (mirrors the REP201/REP202 heuristic).
 LOCKISH = ("lock", "condition", "mutex")
@@ -64,16 +62,39 @@ def attr_chain(node: ast.expr) -> list[str]:
     return []
 
 
-def imported_names(tree: ast.AST, module: str,
-                   wanted: set[str]) -> frozenset[str]:
-    """Local aliases of ``from <module> import <wanted>`` in ``tree``."""
-    names = set()
+def collect_imports(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted target for every absolute import in ``tree``."""
+    imports: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in wanted:
-                    names.add(alias.asname or alias.name)
-    return frozenset(names)
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    # `import a.b.c` binds `a`; attribute chains resolve
+                    # the rest at lookup time.
+                    imports[alias.name.split(".")[0]] = \
+                        alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
+                node.module:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                imports[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    return imports
+
+
+def call_chain(func: ast.expr, imports: dict[str, str]) -> list[str]:
+    """``func``'s dotted chain with its import alias resolved.
+
+    ``t.sleep`` under ``import time as t`` and ``nap`` under ``from time
+    import sleep as nap`` both give ``["time", "sleep"]``.
+    """
+    chain = attr_chain(func)
+    if chain and chain[0] in imports:
+        return [*imports[chain[0]].split("."), *chain[1:]]
+    return chain
 
 
 def zero_timeout(call: ast.Call) -> bool:
@@ -85,25 +106,22 @@ def zero_timeout(call: ast.Call) -> bool:
 
 
 def blocking_call_reason(call: ast.Call,
-                         time_sleep_names: frozenset[str]) -> str | None:
+                         imports: dict[str, str]) -> str | None:
     """Why ``call`` blocks the calling thread, or ``None`` if it doesn't.
 
-    The classification REP206 applies inside ``async def`` bodies; the
-    summaries reuse it verbatim so REP208's transitive reachability and
-    REP206's local rule can never disagree about what "blocking" means.
+    The one classification REP206 applies inside ``async def`` bodies
+    and the summaries record for REP208's transitive reachability, so
+    the two can never disagree about what "blocking" means.
+    ``imports`` is the module's :func:`collect_imports` table.
     """
     func = call.func
-    if isinstance(func, ast.Name):
-        if func.id == "open":
-            return "file I/O (open)"
-        if func.id in time_sleep_names:
-            return "time.sleep"
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    chain = attr_chain(func)
+    chain = call_chain(func, imports)
+    if chain == ["open"]:
+        return "file I/O (open)"
     if chain[:2] == ["time", "sleep"]:
         return "time.sleep"
+    if not isinstance(func, ast.Attribute):
+        return None
     if chain and chain[0] == "subprocess":
         return f"subprocess ({'.'.join(chain)})"
     if chain and chain[0] in ("socket", "requests", "urllib",
@@ -173,7 +191,7 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """One module's contribution to the project index (cacheable)."""
+    """One module's contribution to the project index."""
 
     name: str  # dotted module name ("repro.gateway.server")
     path: str  # repo-relative, forward slashes
@@ -184,50 +202,14 @@ class ModuleSummary:
     #: modules' imported-guard provisionals (``@pkg.locks.A``) can be
     #: resolved by the project index.
     locks: dict[str, str] = field(default_factory=dict)
+    #: Every racecheck factory name bound anywhere in the module
+    #: (``make_lock("serve.cache")`` -> ``"serve.cache"``).
+    named_locks: tuple[str, ...] = ()
 
     def all_functions(self) -> Iterator[FunctionSummary]:
         yield from self.functions.values()
         for cls in self.classes.values():
             yield from cls.methods.values()
-
-    # -- (de)serialization for the on-disk summary cache -------------------
-
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        def fn(raw: dict[str, Any]) -> FunctionSummary:
-            return FunctionSummary(
-                name=raw["name"], qualname=raw["qualname"],
-                lineno=raw["lineno"], is_async=raw["is_async"],
-                calls=tuple(CallSite(callee=c["callee"],
-                                     lineno=c["lineno"],
-                                     awaited=c["awaited"],
-                                     locks_held=tuple(c["locks_held"]))
-                            for c in raw["calls"]),
-                blocking=tuple(BlockingSite(**b) for b in raw["blocking"]),
-                lock_acquires=tuple(
-                    LockAcquire(lock=a["lock"], lineno=a["lineno"],
-                                held=tuple(a["held"]))
-                    for a in raw["lock_acquires"]),
-            )
-
-        return cls(
-            name=payload["name"], path=payload["path"],
-            imports=dict(payload["imports"]),
-            functions={name: fn(raw)
-                       for name, raw in payload["functions"].items()},
-            classes={
-                name: ClassSummary(
-                    name=raw["name"], bases=tuple(raw["bases"]),
-                    methods={m: fn(f)
-                             for m, f in raw["methods"].items()},
-                )
-                for name, raw in payload["classes"].items()
-            },
-            locks=dict(payload.get("locks", {})),
-        )
 
 
 # -- module naming ---------------------------------------------------------
@@ -303,17 +285,26 @@ class _LockEnv:
         self.module = module
         self.module_locks: dict[str, str] = {}
         self.class_locks: dict[str, dict[str, str]] = {}
-        #: Import aliases (from :func:`_collect_imports`).  A guard that
+        #: Every racecheck factory name seen, wherever it was bound.
+        self.named: set[str] = set()
+        #: Import aliases (from :func:`collect_imports`).  A guard that
         #: is an imported name gets the *provisional* identity
         #: ``@<dotted target>``; :class:`~repro.analysis.callgraph.\
         #: ProjectIndex` resolves it against the defining module's lock
         #: table (and drops it when the target is not a lock).
         self.imports: dict[str, str] = {}
 
+    def lock_binding(self, value: ast.expr) -> str | None:
+        """:func:`_lock_binding`, remembering every factory name seen."""
+        bound = _lock_binding(value)
+        if bound:
+            self.named.add(bound)
+        return bound
+
     def collect_module(self, tree: ast.Module) -> None:
         for node in tree.body:
             for target, value in _binding_pairs(node):
-                bound = _lock_binding(value)
+                bound = self.lock_binding(value)
                 if bound is None or not isinstance(target, ast.Name):
                     continue
                 self.module_locks[target.id] = \
@@ -323,7 +314,7 @@ class _LockEnv:
         attrs: dict[str, str] = {}
         for node in ast.walk(cls):
             for target, value in _binding_pairs(node):
-                bound = _lock_binding(value)
+                bound = self.lock_binding(value)
                 if bound is None:
                     continue
                 chain = attr_chain(target) if \
@@ -400,12 +391,11 @@ class _BodyScanner:
     """
 
     def __init__(self, env: _LockEnv, class_name: str | None,
-                 qualname: str, time_sleep_names: frozenset[str],
+                 qualname: str,
                  local_scopes: list[dict[str, str]]) -> None:
         self.env = env
         self.class_name = class_name
         self.qualname = qualname
-        self.time_sleep_names = time_sleep_names
         self.local_scopes = local_scopes
         self.calls: list[CallSite] = []
         self.blocking: list[BlockingSite] = []
@@ -442,7 +432,7 @@ class _BodyScanner:
 
     def _track_local_locks(self, node: ast.stmt) -> None:
         for target, value in _binding_pairs(node):
-            bound = _lock_binding(value)
+            bound = self.env.lock_binding(value)
             if bound is None or not isinstance(target, ast.Name):
                 continue
             self.local_scopes[-1][target.id] = \
@@ -474,7 +464,7 @@ class _BodyScanner:
         callee = self._callee_expr(node.func)
         if callee is None:
             return
-        reason = blocking_call_reason(node, self.time_sleep_names)
+        reason = blocking_call_reason(node, self.env.imports)
         if reason is not None:
             self.blocking.append(BlockingSite(reason=reason,
                                               lineno=node.lineno))
@@ -495,36 +485,13 @@ class _BodyScanner:
 
 # -- module summarization --------------------------------------------------
 
-def _collect_imports(tree: ast.Module) -> dict[str, str]:
-    imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    imports[alias.asname] = alias.name
-                else:
-                    # `import a.b.c` binds `a`; attribute chains resolve
-                    # the rest at lookup time.
-                    imports[alias.name.split(".")[0]] = \
-                        alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
-                node.module:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = \
-                    f"{node.module}.{alias.name}"
-    return imports
-
-
 def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
     """Distill one parsed module into its :class:`ModuleSummary`."""
     module = module_name_for(path)
-    imports = _collect_imports(tree)
+    imports = collect_imports(tree)
     env = _LockEnv(module)
     env.imports = imports
     env.collect_module(tree)
-    time_sleep_names = imported_names(tree, "time", {"sleep"})
 
     functions: dict[str, FunctionSummary] = {}
     classes: dict[str, ClassSummary] = {}
@@ -535,7 +502,7 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
                            ) -> FunctionSummary:
         own_scope: dict[str, str] = {}
         scanner = _BodyScanner(env, class_name, qualname,
-                               time_sleep_names, scopes + [own_scope])
+                               scopes + [own_scope])
         scanner.scan(node)
         summary = FunctionSummary(
             name=node.name, qualname=qualname, lineno=node.lineno,
@@ -584,6 +551,7 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
         name=module, path=path, imports=imports,
         functions=functions, classes=classes,
         locks=dict(env.module_locks),
+        named_locks=tuple(sorted(env.named)),
     )
 
 

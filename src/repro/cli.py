@@ -422,67 +422,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Run the full analysis; fail only on non-baseline findings."""
-    from repro.analysis.engine import analyze_paths, changed_files
-    from repro.analysis.lint import (
-        format_findings,
-        load_baseline,
-        new_findings,
-        save_baseline,
-    )
-    from repro.analysis.rules import default_rules, project_rules
+    """Run the full analysis; any finding fails the run."""
+    from repro.analysis.engine import analyze_paths
+    from repro.analysis.lint import format_findings
 
-    result = analyze_paths(
-        args.paths,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
-    findings = result.findings
-    if args.update_baseline:
-        save_baseline(args.baseline, findings)
-        print(f"baseline updated: {len(findings)} finding(s) accepted "
-              f"in {args.baseline}")
-        return 0
-    fresh = new_findings(findings, load_baseline(args.baseline))
-    if args.changed_only:
-        changed = changed_files(".", args.since)
-        if changed is None:
-            print("analyze: --changed-only could not query git; "
-                  "reporting all findings", file=sys.stderr)
-        else:
-            fresh = [f for f in fresh if f.path in changed]
-
-    if args.format == "sarif":
-        from repro.analysis.sarif import dump_sarif
-
-        metadata = [(rule.rule_id, rule.severity, rule.description)
-                    for rule in [*default_rules(), *project_rules()]]
-        report = dump_sarif(fresh, metadata)
-    elif args.format == "json":
-        report = format_findings(fresh, "json")
-    else:
-        report = None
-
-    if report is not None:
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(report, encoding="utf-8")
-            print(f"wrote {len(fresh)} finding(s) to {args.output}")
-        else:
-            print(report)
-    else:
-        known = len(findings) - len(fresh)
-        if fresh:
-            print(format_findings(fresh))
-        if known:
-            print(f"({known} baseline finding(s) suppressed; regenerate "
-                  f"with --update-baseline)")
-        if not fresh:
-            cached = (f" ({result.cache_hits}/{result.files} files "
-                      f"from cache)") if result.cache_hits else ""
-            print(f"analyze: clean{cached}")
-    return 1 if fresh else 0
+    result = analyze_paths(args.paths)
+    if result.findings:
+        print(format_findings(result.findings))
+    verdict = f"{len(result.findings)} finding(s)" \
+        if result.findings else "clean"
+    print(f"analyze: {verdict} ({result.census()})")
+    return 1 if result.findings else 0
 
 
 def _cmd_bias(args: argparse.Namespace) -> int:
@@ -691,34 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="run the custom concurrency/hygiene lints "
-             "(exit 1 on findings not in the baseline)",
+        help="run the custom concurrency lints (exit 1 on any finding "
+             "without an inline '# lint: allow=' excuse)",
     )
     analyze.add_argument("--paths", nargs="+",
                          default=["src/repro", "benchmarks"],
                          help="files/directories to lint")
-    analyze.add_argument("--baseline", default="analysis-baseline.json",
-                         help="accepted-findings file (CI fails only on "
-                              "new findings)")
-    analyze.add_argument("--format", choices=("text", "json", "sarif"),
-                         default="text")
-    analyze.add_argument("--output", default=None,
-                         help="write the json/sarif report to this "
-                              "file instead of stdout")
-    analyze.add_argument("--update-baseline", action="store_true",
-                         help="accept the current findings as the new "
-                              "baseline")
-    analyze.add_argument("--changed-only", action="store_true",
-                         help="report only findings in files changed "
-                              "vs --since (plus untracked files)")
-    analyze.add_argument("--since", default="HEAD",
-                         help="git ref --changed-only diffs against")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="ignore and do not write the per-file "
-                              "analysis cache")
-    analyze.add_argument("--cache-dir",
-                         default=".repro-analysis-cache",
-                         help="per-file analysis cache directory")
     analyze.set_defaults(func=_cmd_analyze)
     return parser
 

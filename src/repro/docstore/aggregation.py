@@ -45,21 +45,11 @@ from repro.errors import AggregationError
 
 _MISSING = object()
 
-#: Every stage name the pipeline engine implements (the validator in
-#: :mod:`repro.analysis.pipeline_check` checks against this same set, so
-#: the two can never drift apart).
+#: Every stage name the pipeline engine implements.
 STAGE_NAMES = frozenset(
     {"$match", "$project", "$addFields", "$function", "$sort", "$skip",
      "$limit", "$count", "$unwind", "$group", "$lookup", "$facet",
      "$sample", "$bucket", "$sortByCount", "$replaceRoot"}
-)
-
-#: Every expression operator :func:`_evaluate_operator` implements.
-EXPRESSION_OPERATORS = frozenset(
-    {"$literal", "$add", "$subtract", "$multiply", "$divide", "$concat",
-     "$size", "$toLower", "$toUpper", "$cond", "$ifNull", "$eq", "$ne",
-     "$gt", "$gte", "$lt", "$lte", "$in", "$arrayElemAt", "$filter",
-     "$map", "$minExpr", "$maxExpr", "$function"}
 )
 
 #: Every accumulator ``$group``/``$bucket`` outputs support.

@@ -32,14 +32,6 @@ _ALL_OPS = _COMPARISON_OPS | frozenset(
      "$elemMatch", "$not", "$where"}
 )
 
-#: Logical connectives that take a list of sub-queries.
-LOGICAL_OPERATORS = frozenset({"$and", "$or", "$nor"})
-
-#: Every per-field query operator this module evaluates (public so the
-#: pre-flight validator in :mod:`repro.analysis.pipeline_check` stays in
-#: sync with the evaluator).
-QUERY_OPERATORS = frozenset(_ALL_OPS)
-
 _TYPE_NAMES: dict[str, type | tuple[type, ...]] = {
     "double": float,
     "string": str,

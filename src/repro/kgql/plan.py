@@ -13,7 +13,7 @@ on this workload:
   so filters prune bindings before later expansions multiply them.
 
 :func:`estimate_kgql_cost` prices a plan the same way
-:func:`repro.analysis.pipeline_check.estimate_pipeline_cost` prices an
+:func:`repro.docstore.cost.estimate_pipeline_cost` prices an
 aggregation pipeline — worst-case work units, never under-charging —
 and returns the same :class:`PipelineCostEstimate` shape, so the
 serving tier's existing ``max_request_cost`` gate applies unchanged.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.analysis.pipeline_check import PipelineCostEstimate, StageCost
+from repro.docstore.cost import PipelineCostEstimate, StageCost
 from repro.kg.graph import KnowledgeGraph
 from repro.kgql.ast import (
     INVERSE_EDGE,

@@ -421,7 +421,7 @@ def _proximity_bonus(cols: SegmentColumns, spec: QuerySpec,
         # The window scan itself stays scalar: it only runs on the
         # (typically small) all-terms-present intersection, and must be
         # the very min_window the reference scorer uses.
-        for j in np.nonzero(present)[0]:  # lint: allow=REP207
+        for j in np.nonzero(present)[0]:
             positions = [
                 fc.positions[
                     fc.pos_starts[tp[j]]:fc.pos_starts[tp[j] + 1]

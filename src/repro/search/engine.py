@@ -143,7 +143,7 @@ class SearchEngineBase:
         """The canonical pipeline shape one search at ``page`` executes.
 
         For admission-control pricing
-        (:func:`repro.analysis.pipeline_check.estimate_pipeline_cost`):
+        (:func:`repro.docstore.cost.estimate_pipeline_cost`):
         the ``$match`` spec is elided because worst-case pricing assumes
         the filter passes everything anyway, and the ``$function`` name
         is symbolic — scorers are registered per invocation.
@@ -173,15 +173,14 @@ class SearchEngineBase:
         priced at the scalar factor — over-charging a request that will
         be rejected anyway is harmless.
         """
-        from repro.analysis.pipeline_check import (
+        from repro.docstore.cost import (
             FUNCTION_COST_FACTOR,
             KERNEL_FUNCTION_COST_FACTOR,
         )
 
         if not self.use_columnar or self.full_sort:
             return FUNCTION_COST_FACTOR
-        # Query-side loop, bounded by query count — not per-document.
-        for query in queries:  # lint: allow=REP207
+        for query in queries:
             if not query:
                 continue
             try:

@@ -237,12 +237,16 @@ class RankingFunction:
             return 0.0
         stemmed_tokens = [stem(token) for token in tokenize(text)]
         score = 0.0
+        # lint: allow=REP207 PAPER.md §1.8's reference ranker
         for term in parsed.terms:
+            # lint: allow=REP207 PAPER.md §1.8's reference ranker
             for word in term.text.split():
                 score += self.tfidf.tfidf(stem(word), stemmed_tokens)
             if self.expander is None or term.exact:
                 continue
+            # lint: allow=REP207 PAPER.md §1.8's reference ranker
             for synonym, weight in self.expander.expand(term.text):
+                # lint: allow=REP207 PAPER.md §1.8's reference ranker
                 for word in synonym.split():
                     score += weight * self.tfidf.tfidf(
                         stem(word), stemmed_tokens
@@ -332,6 +336,7 @@ class RankingFunction:
         def rank(document: dict[str, Any]) -> float:
             total = 0.0
             best_proximity = 0.0
+            # lint: allow=REP207 PAPER.md §1.8's reference ranker
             for field_name, weight, avgdl in field_plan:
                 text = deep_get(document, field_name, "") or ""
                 if isinstance(text, list):
@@ -343,6 +348,7 @@ class RankingFunction:
                 counts = Counter(stemmed_tokens)
                 dl = len(tokens)
                 field_total = 0.0
+                # lint: allow=REP207 PAPER.md §1.8's reference ranker
                 for planned in plan.words:
                     tf = counts.get(planned.stemmed, 0)
                     if not tf:

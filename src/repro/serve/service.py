@@ -30,16 +30,16 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.docstore.cost import (
+    PipelineCostEstimate,
+    estimate_pipeline_cost,
+)
 from repro.errors import (
     DeadlineExceededError,
     QueryError,
     RequestTooExpensiveError,
     ServiceClosedError,
     ServiceOverloadedError,
-)
-from repro.analysis.pipeline_check import (
-    PipelineCostEstimate,
-    estimate_pipeline_cost,
 )
 from repro.serve.admission import ReadWriteLock, WorkerPool
 from repro.serve.cache import Flight, ResultCache, request_key
@@ -94,7 +94,7 @@ class ServeConfig:
     negative_ttl_seconds: float = 30.0
     histogram_capacity: int = 2048
     #: Reject leader requests whose worst-case pipeline cost estimate
-    #: (see :func:`repro.analysis.pipeline_check.estimate_pipeline_cost`)
+    #: (see :func:`repro.docstore.cost.estimate_pipeline_cost`)
     #: exceeds this many work units — *before* it is queued.
     #: ``None`` disables pricing.
     max_request_cost: float | None = None

@@ -29,7 +29,7 @@ def _analyze(tmp_path: Path, files: dict[str, str]) -> list[Finding]:
         target = tmp_path / name
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text, encoding="utf-8")
-    result = analyze_paths([tmp_path], root=tmp_path, use_cache=False)
+    result = analyze_paths([tmp_path], root=tmp_path)
     return result.findings
 
 
@@ -41,9 +41,9 @@ def _rules(findings: list[Finding], rule: str) -> list[Finding]:
 
 REP208_POSITIVE = {
     "pkg/low.py": (
-        "import time\n\n\n"
+        "import time as t\n\n\n"
         "def slow():\n"
-        "    time.sleep(1)\n"
+        "    t.sleep(1)\n"
     ),
     "pkg/mid.py": (
         "from pkg.low import slow\n\n\n"
@@ -379,6 +379,6 @@ def test_rep209_is_clean_on_the_real_repo_like_runtime_racecheck():
     # production locks); the static graph over src/repro must agree.
     repo_root = Path(__file__).resolve().parent.parent
     result = analyze_paths([repo_root / "src" / "repro"],
-                           root=repo_root, use_cache=False)
+                           root=repo_root)
     rep209 = _rules(result.findings, "REP209")
     assert rep209 == [], [str(f) for f in rep209]

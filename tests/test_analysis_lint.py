@@ -1,9 +1,9 @@
-"""The custom lint framework: rules, suppression, baselines.
+"""The custom lint framework: rules and the one suppression form.
 
 Each fixture is a minimal module designed to trigger exactly one rule
 exactly once; the corpus doubles as living documentation of what the
-rules mean.  The final test runs the real linter over the real repo and
-compares against the checked-in baseline — the same gate CI applies.
+rules mean.  The final test runs the real linter over the real repo —
+the same gate CI applies: no finding without an inline excuse.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from repro.analysis.lint import (
     Source,
     format_findings,
     lint_source,
-    load_baseline,
-    new_findings,
-    save_baseline,
 )
 from repro.analysis.rules import default_rules
 
@@ -28,17 +25,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: rule id -> fixture module expected to trigger it exactly once.
 FIXTURES = {
-    "REP101": """
-def fetch(cache={}):
-    return cache
-""",
-    "REP102": """
-def swallow(fn):
-    try:
-        return fn()
-    except:
-        return None
-""",
     "REP103": """
 from repro.errors import AggregationError
 
@@ -76,30 +62,16 @@ def slow():
     with _lock:
         time.sleep(0.1)
 """,
-    "REP204": """
-import random
-
-from repro.docstore.functions import FunctionRegistry
-
-registry = FunctionRegistry()
-
-
-def rank(doc):
-    return random.random()
-
-
-registry.register("rank", rank)
-""",
     "REP205": """
 def gather(futures):
     return [future.result() for future in futures]
 """,
     "REP206": """
-import time
+import time as t
 
 
 async def handler(request):
-    time.sleep(0.1)
+    t.sleep(0.1)
     return request
 """,
     "REP211": """
@@ -263,104 +235,77 @@ def drain(futures):
     assert [f.rule for f in _lint_text(text)] == ["REP205"]
 
 
-def test_findings_carry_location_and_snippet():
-    (finding,) = _lint_text(FIXTURES["REP101"])
+def test_findings_carry_location():
+    (finding,) = _lint_text(FIXTURES["REP103"])
     assert finding.path == "fixture.py"
-    assert finding.line == 2
+    assert finding.line == 8
     assert finding.severity == "warning"
-    assert "cache={}" in finding.snippet
-    assert str(finding).startswith("fixture.py:2: REP101 [warning]")
+    assert str(finding).startswith("fixture.py:8: REP103 [warning]")
 
 
 # -- suppression -----------------------------------------------------------
 
 def test_same_line_suppression():
-    text = FIXTURES["REP101"].replace(
-        "def fetch(cache={}):", "def fetch(cache={}):  # lint: allow=REP101"
+    text = FIXTURES["REP103"].replace(
+        "    except AggregationError:",
+        "    except AggregationError:  # lint: allow=REP103 probe",
     )
     assert _lint_text(text) == []
 
 
 def test_line_above_suppression():
-    text = FIXTURES["REP101"].replace(
-        "def fetch(cache={}):",
-        "# lint: allow=REP101\ndef fetch(cache={}):",
-    )
-    assert _lint_text(text) == []
-
-
-def test_allow_all_suppression():
-    text = FIXTURES["REP102"].replace(
-        "    except:", "    except:  # lint: allow=all"
+    text = FIXTURES["REP103"].replace(
+        "    except AggregationError:",
+        "    # lint: allow=REP103\n    except AggregationError:",
     )
     assert _lint_text(text) == []
 
 
 def test_suppressing_a_different_rule_does_not_hide_the_finding():
-    text = FIXTURES["REP101"].replace(
-        "def fetch(cache={}):", "def fetch(cache={}):  # lint: allow=REP102"
+    text = FIXTURES["REP103"].replace(
+        "    except AggregationError:",
+        "    except AggregationError:  # lint: allow=REP202",
     )
-    assert [f.rule for f in _lint_text(text)] == ["REP101"]
+    assert [f.rule for f in _lint_text(text)] == ["REP103"]
+
+
+_MULTI_LINE_GATHER = """
+def gather(futures):
+    return sorted(  # lint: allow=REP205
+        future.result()
+        for future in futures
+    )
+"""
 
 
 def test_suppression_on_opening_line_covers_multi_line_header():
-    # REP101 anchors at the default *expression*, two lines below the
-    # `def`; the comment on the opening line must still cover it.
-    text = """
-def fetch(  # lint: allow=REP101
-    size,
-    cache={},
-):
-    return cache
-"""
-    assert _lint_text(text) == []
-    assert [f.rule for f in _lint_text(text.replace(
-        "  # lint: allow=REP101", ""))] == ["REP101"]
-
-
-def test_suppression_above_decorator_covers_decorated_def():
-    text = """
-import functools
-
-
-# lint: allow=REP101
-@functools.lru_cache(maxsize=None)
-def fetch(cache={}):
-    return cache
-"""
-    assert _lint_text(text) == []
-
-
-def test_suppression_on_def_line_of_decorated_def():
-    text = """
-import functools
-
-
-@functools.lru_cache(
-    maxsize=None,
-)
-def fetch(  # lint: allow=REP101
-    cache={},
-):
-    return cache
-"""
-    assert _lint_text(text) == []
+    # REP205 anchors at the `.result()` call, a line below where the
+    # statement opens; the comment on the opening line must cover it.
+    assert _lint_text(_MULTI_LINE_GATHER) == []
+    assert [f.rule for f in _lint_text(_MULTI_LINE_GATHER.replace(
+        "  # lint: allow=REP205", ""))] == ["REP205"]
 
 
 def test_header_suppression_does_not_leak_into_the_body():
     # The opening-line comment covers the statement *header* only;
     # findings in the body still fire.
     text = """
-def swallow(  # lint: allow=REP102
-    fn,
-    cache={},  # lint: allow=REP101
-):
-    try:
-        return fn()
-    except:
-        return None
+def drain(pools):
+    for pool in sorted(  # lint: allow=REP205
+        pools
+    ):
+        for future in pool:
+            future.result()
 """
-    assert [f.rule for f in _lint_text(text)] == ["REP102"]
+    assert [f.rule for f in _lint_text(text)] == ["REP205"]
+
+
+def test_a_marker_inside_a_string_is_not_a_suppression():
+    # Docstrings and help texts quote the marker; only a real comment
+    # excuses anything (here: the line above the flagged one).
+    text = FIXTURES["REP103"].replace(
+        "        return fn()", "        return fn('# lint: allow=REP103')")
+    assert [f.rule for f in _lint_text(text)] == ["REP103"]
 
 
 # -- file discovery and syntax errors --------------------------------------
@@ -368,87 +313,34 @@ def swallow(  # lint: allow=REP102
 def test_lint_paths_walks_directories_and_reports_syntax_errors(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "bad.py").write_text("def broken(:\n")
-    (tmp_path / "pkg" / "warm.py").write_text(FIXTURES["REP101"])
-    findings = analyze_paths([tmp_path], root=tmp_path, project_rules=(),
-                             use_cache=False).findings
+    (tmp_path / "pkg" / "warm.py").write_text(FIXTURES["REP103"])
+    findings = analyze_paths([tmp_path], root=tmp_path,
+                             project_rules=()).findings
     assert [(f.rule, f.path) for f in findings] == [
         ("REP000", "pkg/bad.py"),
-        ("REP101", "pkg/warm.py"),
+        ("REP103", "pkg/warm.py"),
     ]
 
 
-# -- baselines -------------------------------------------------------------
-
-def test_baseline_roundtrip_suppresses_known_findings(tmp_path):
-    findings = _lint_text(FIXTURES["REP101"])
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, findings)
-    assert new_findings(findings, load_baseline(baseline_path)) == []
-
-
-def test_new_findings_only_reports_what_the_baseline_lacks(tmp_path):
-    old = _lint_text(FIXTURES["REP101"])
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, old)
-    fresh = _lint_text(FIXTURES["REP102"])
-    result = new_findings(old + fresh, load_baseline(baseline_path))
-    assert [f.rule for f in result] == ["REP102"]
-
-
-def test_baseline_matching_survives_line_drift(tmp_path):
-    findings = _lint_text(FIXTURES["REP101"])
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, findings)
-    # The same offending line, pushed down by an unrelated edit.
-    drifted = _lint_text("\n\n# a new comment\n" + FIXTURES["REP101"])
-    assert drifted[0].line != findings[0].line
-    assert new_findings(drifted, load_baseline(baseline_path)) == []
-
-
-def test_baseline_uses_multiset_semantics():
-    findings = _lint_text(FIXTURES["REP101"])
-    baseline = load_baseline("/nonexistent")
-    baseline.update([findings[0].key()])
-    # Two identical findings, one baseline entry: one is still new.
-    assert len(new_findings(findings * 2, baseline)) == 1
-
-
-def test_missing_baseline_means_everything_is_new(tmp_path):
-    findings = _lint_text(FIXTURES["REP101"])
-    assert new_findings(
-        findings, load_baseline(tmp_path / "absent.json")
-    ) == findings
-
-
-# -- output formats --------------------------------------------------------
+# -- output ----------------------------------------------------------------
 
 def test_text_format_includes_summary_line():
-    rendered = format_findings(_lint_text(FIXTURES["REP101"]))
+    rendered = format_findings(_lint_text(FIXTURES["REP103"]))
     assert "1 finding(s): 0 error(s), 1 warning(s)" in rendered
-
-
-def test_json_format_is_parseable():
-    import json
-
-    rendered = format_findings(_lint_text(FIXTURES["REP102"]), "json")
-    payload = json.loads(rendered)
-    assert payload[0]["rule"] == "REP102"
 
 
 # -- the real repo ---------------------------------------------------------
 
-def test_repo_is_clean_against_checked_in_baseline():
-    """The CI gate: no findings beyond the checked-in baseline."""
+def test_repo_is_clean():
+    """The CI gate: no finding, and no excuse that excuses nothing."""
     findings = analyze_paths(
         [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks"],
-        root=REPO_ROOT, project_rules=(), use_cache=False,
+        root=REPO_ROOT,
     ).findings
-    baseline = load_baseline(REPO_ROOT / "analysis-baseline.json")
-    fresh = new_findings(findings, baseline)
-    assert fresh == [], (
-        "new lint findings (fix them or run "
-        "`repro-covidkg analyze --update-baseline`):\n"
-        + "\n".join(str(f) for f in fresh)
+    assert findings == [], (
+        "lint findings (fix them, or excuse each with an inline "
+        "`# lint: allow=<rule> <reason>`):\n"
+        + "\n".join(str(f) for f in findings)
     )
 
 

@@ -861,5 +861,5 @@ def test_gateway_package_has_no_blocking_async_findings():
     from repro.analysis.engine import analyze_paths
     findings = analyze_paths(
         [REPO_ROOT / "src" / "repro" / "gateway"], root=REPO_ROOT,
-        project_rules=(), use_cache=False).findings
+        project_rules=()).findings
     assert findings == [], "\n".join(str(f) for f in findings)

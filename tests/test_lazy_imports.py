@@ -88,12 +88,23 @@ def test_thin_commands_run_without_numpy():
         repro.cli.main(["--help"])
     except SystemExit as exc:
         assert exc.code == 0
-    assert repro.cli.main(["analyze", "--paths", "src/repro/cluster",
-                           "--no-cache"]) == 0
+    assert repro.cli.main(["analyze", "--paths",
+                           "src/repro/cluster"]) == 0
     assert "numpy" not in sys.modules
     """)
     assert "usage: repro-covidkg" in out
-    assert "analyze: clean" in out
+    assert "analyze: clean (" in out
+    assert " named locks, " in out
+
+
+@pytest.mark.parametrize("chain", [
+    "import repro.gateway.server, repro.ingest.engine",  # a replica
+    "import repro.cli, repro.cluster.runner",  # the router
+])
+def test_serving_processes_do_not_import_their_own_linter(chain):
+    loaded = [name for name in _loaded(chain)
+              if name.startswith("repro.analysis")]
+    assert loaded == ["repro.analysis", "repro.analysis.racecheck"]
 
 
 # -- the lazy surface is the old surface ------------------------------------
@@ -138,11 +149,7 @@ SURFACE = {
     },
     "repro.analysis": {
         "Finding": "repro.analysis.lint",
-        "PipelineIssue": "repro.analysis.pipeline_check",
-        "PipelineValidationError": "repro.analysis.pipeline_check",
         "default_rules": "repro.analysis.rules",
-        "validate_pipeline": "repro.analysis.pipeline_check",
-        "ensure_valid_pipeline": "repro.analysis.pipeline_check",
     },
 }
 

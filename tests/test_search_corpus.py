@@ -153,7 +153,7 @@ def test_list_valued_field_counts_the_same_everywhere(papers, monkeypatch):
 
 def test_admission_pricing_follows_the_planner(papers):
     """``rank_cost_factor`` and ``build_query_spec`` share one predicate."""
-    from repro.analysis.pipeline_check import KERNEL_FUNCTION_COST_FACTOR
+    from repro.docstore.cost import KERNEL_FUNCTION_COST_FACTOR
 
     engine = AllFieldsEngine(FunctionRegistry())
     engine.add_papers(papers[:30])

@@ -249,3 +249,40 @@ class TestCrossEngineRanking:
         engine.add_papers([title_paper, body_paper])
         results = engine.search("remdesivir")
         assert [r.paper_id for r in results] == ["in-title", "in-body"]
+
+
+# -- the engines' constant pipeline, checked once ---------------------------
+
+@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
+@pytest.mark.parametrize("engine_name",
+                         ["all_fields", "title_abstract", "table"])
+def test_engine_pipelines_are_valid_and_run_as_planned(engine_name, ranker):
+    """Only code builds a search pipeline, so one test checks it.
+
+    ``pipeline_plan`` is what admission prices: the aggregation engine
+    must accept it as written, and the scalar path must execute exactly
+    its stages (``$skip``/``$limit`` as a slice).
+    """
+    from repro.docstore.aggregation import aggregate
+    from repro.docstore.functions import FunctionRegistry
+
+    engine = {"all_fields": AllFieldsEngine,
+              "title_abstract": TitleAbstractCaptionEngine,
+              "table": TableSearchEngine}[engine_name](ranker=ranker)
+    engine.add_papers(CorpusGenerator().papers(12))
+    plan = engine.pipeline_plan(page=2)
+    registry = FunctionRegistry()
+    registry.register("rank", lambda doc: 1.0)
+    aggregate(engine.collection, plan, registry)
+    planned = [next(iter(stage)) for stage in plan]
+    assert planned[4:] == ["$skip", "$limit"]
+
+    engine.use_columnar = False
+    for full_sort in (False, True):
+        engine.full_sort = full_sort
+        results = (engine.search(abstract="covid patients", page=2)
+                   if engine_name == "title_abstract"
+                   else engine.search("covid patients", page=2))
+        executed = [stats.stage.split("(")[0]
+                    for stats in results.stage_stats]
+        assert executed == planned[:4]

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.pipeline_check import estimate_pipeline_cost
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+from repro.docstore.cost import estimate_pipeline_cost
 from repro.errors import RequestTooExpensiveError
 from repro.serve.service import QueryService, ServeConfig
 
