@@ -106,9 +106,11 @@ def test_e15_cached_vs_cold_throughput(system):
              latency["p50_ms"], latency["p95_ms"], latency["p99_ms"],
              latency["max_ms"]],
         ],
-        note=f"single-flight collapsed {stats['collapsed_misses']}, "
-             f"negative hits {stats['negative_hits']} (cache-warm "
-             f"workload: most requests hit before they can collapse)",
+        note=f"single-flight collapsed {stats['collapsed_misses']} "
+             f"(cache-warm workload: most requests hit before they can "
+             f"collapse); negative hits {stats['negative_hits']} (no bad "
+             f"requests here; the bad-request storm is EXPERIMENTS.md "
+             f"'Trial: the idle parts')",
     )
 
     # The acceptance criteria.

@@ -7,7 +7,7 @@ Layout of a saved system:
     <directory>/
         config.json          CovidKGConfig fields
         kg.json              the knowledge graph
-        publications.jsonl   the (enriched) publication store
+        publications.jsonl   the (enriched) publications, insertion order
         word2vec.npz         trained embeddings + vocabulary (if trained)
         classifier.npz       trained metadata SVM (if trained)
         manifest.json        model-registry index
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.classify.svm_model import SvmMetadataClassifier
-from repro.docstore.documents import ObjectId
 from repro.embeddings.word2vec import Word2Vec
 from repro.errors import PersistenceError
 
@@ -46,13 +45,12 @@ def save_system(system: CovidKG, directory: str | Path) -> Path:
 
     system.graph.save(directory / "kg.json")
 
+    # Insertion order, so a reloaded system re-ingests the papers in the
+    # order the saved one did (meta_profile / interrogate_bias depend on
+    # it); the store's ``_id`` is not written.
     with open(directory / "publications.jsonl", "w",
               encoding="utf-8") as handle:
-        for document in system.store.all_documents():
-            document = dict(document)
-            oid = document.get("_id")
-            if isinstance(oid, ObjectId):
-                document["_id"] = str(oid)
+        for document in system.ingested_papers():
             handle.write(json.dumps(document, separators=(",", ":")))
             handle.write("\n")
 
@@ -137,7 +135,9 @@ def load_system(directory: str | Path) -> CovidKG:
                         f"corrupt publications file at line {line_number}: "
                         f"{exc}"
                     ) from exc
-                document.pop("_id", None)  # store assigns fresh ids
+                # Older saves wrote the stored ``_id``; the store
+                # assigns fresh ids either way.
+                document.pop("_id", None)
                 system._retain(document)
 
     versions_path = directory / "versions.json"

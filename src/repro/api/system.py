@@ -113,7 +113,6 @@ class CovidKG:
         self.classifier: (
             SvmMetadataClassifier | NeuralMetadataClassifier | None
         ) = None
-        self._ingested_papers: list[dict[str, Any]] = []
 
     def _build_search_engines(self) -> dict[str, Any]:
         """Fresh Section 2.1 engines configured exactly per the config.
@@ -159,10 +158,34 @@ class CovidKG:
         self.kgql.graph = graph
 
     def _retain(self, enriched: dict[str, Any]) -> None:
-        """Keep one enriched paper: store it, index it, remember it."""
+        """Keep one enriched paper: store it and index it."""
         self.store.insert_one(enriched)
         self.search_corpus.add_paper(enriched)
-        self._ingested_papers.append(enriched)
+
+    def ingested_papers(self) -> list[dict[str, Any]]:
+        """Copies of the stored papers in insertion order, ``_id`` dropped.
+
+        The store is the one record of what was ingested: its rows
+        sorted by ``_id`` (ids increase with every insert) are the
+        papers in the order :meth:`_retain` kept them.
+        """
+        rows = sorted(self.store.all_documents(), key=lambda row: row["_id"])
+        for row in rows:
+            del row["_id"]
+        return rows
+
+    def versions(self) -> dict[str, int]:
+        """Every invalidation counter a query result can depend on.
+
+        Snapshots, ingest receipts and ``/v1/healthz`` all report this.
+        """
+        return {
+            "store": self.store.version,
+            "kg": self.graph.version,
+            "all_fields": self.all_fields.collection.version,
+            "title_abstract": self.title_abstract.collection.version,
+            "table": self.tables.collection.version,
+        }
 
     # -- training (№4) ---------------------------------------------------------
 
@@ -328,7 +351,7 @@ class CovidKG:
     def meta_profile(self, papers: list[dict[str, Any]] | None = None
                      ) -> MetaProfile:
         """Figure 6's vaccine x dosage x paper side-effect profile."""
-        source = papers if papers is not None else self._ingested_papers
+        source = papers if papers is not None else self.ingested_papers()
         if not source:
             raise ModelError("no papers ingested yet")
         return build_side_effect_profile(source)
@@ -406,10 +429,11 @@ class CovidKG:
         concentration, thin KG provenance, and contested numeric claims;
         see :mod:`repro.kg.bias`.
         """
-        if not self._ingested_papers:
+        papers = self.ingested_papers()
+        if not papers:
             raise ModelError("no papers ingested yet")
         return BiasInterrogator().interrogate(
-            self._ingested_papers, graph=self.graph,
+            papers, graph=self.graph,
             pipeline=self.enrichment, num_clusters=num_clusters,
             seed=seed,
         )

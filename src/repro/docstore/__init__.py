@@ -7,11 +7,15 @@ reproduces the parts of that stack the system actually exercises:
 
 * a MongoDB-style query language (:mod:`repro.docstore.matching`),
 * collections with CRUD + update operators (:mod:`repro.docstore.collection`),
-* secondary and inverted text indexes (:mod:`repro.docstore.indexes`),
+* hash secondary indexes (:mod:`repro.docstore.indexes`),
 * hash/range sharding with a router (:mod:`repro.docstore.sharding`),
-* the aggregation pipeline engine with ``$match``, ``$project``,
-  ``$function`` and friends (:mod:`repro.docstore.aggregation`),
-* JSONL persistence and storage accounting (:mod:`repro.docstore.persistence`).
+* the aggregation pipeline engine with the ten stages PAPER.md §2 lists
+  — ``$match``, ``$project``, ``$function`` and friends
+  (:mod:`repro.docstore.aggregation`),
+* storage accounting (:mod:`repro.docstore.persistence`).
+
+The inverted text index is :mod:`repro.search.columnar`; JSONL
+persistence of the store is :func:`repro.api.persistence.save_system`.
 """
 
 from repro.docstore.aggregation import (

@@ -45,14 +45,14 @@ from repro.errors import AggregationError
 
 _MISSING = object()
 
-#: Every stage name the pipeline engine implements.
+#: Every stage name the pipeline engine implements: the ten PAPER.md
+#: §2 lists for the MongoDB substitution.
 STAGE_NAMES = frozenset(
     {"$match", "$project", "$addFields", "$function", "$sort", "$skip",
-     "$limit", "$count", "$unwind", "$group", "$lookup", "$facet",
-     "$sample", "$bucket", "$sortByCount", "$replaceRoot"}
+     "$limit", "$count", "$unwind", "$group"}
 )
 
-#: Every accumulator ``$group``/``$bucket`` outputs support.
+#: Every accumulator ``$group`` outputs support.
 ACCUMULATORS = frozenset(
     {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first",
      "$last", "$count"}
@@ -490,133 +490,6 @@ class AggregationPipeline:
                 clone = deep_copy_document(document)
                 deep_set(clone, path, item)
                 results.append(clone)
-        return results
-
-    def _stage_lookup(self, documents: list[dict[str, Any]],
-                      spec: dict[str, Any]) -> list[dict[str, Any]]:
-        """Left outer join: ``{"from", "localField", "foreignField", "as"}``.
-
-        ``from`` is a :class:`Collection` or a list of documents (pipelines
-        are constructed in code, so passing the object directly mirrors
-        how the server resolves a collection name).
-        """
-        source = spec.get("from")
-        local = spec.get("localField")
-        foreign = spec.get("foreignField")
-        output = spec.get("as")
-        if source is None or not local or not foreign or not output:
-            raise AggregationError(
-                "$lookup requires from/localField/foreignField/as"
-            )
-        if isinstance(source, Collection):
-            foreign_docs = list(source.all_documents())
-        else:
-            foreign_docs = [deep_copy_document(doc) for doc in source]
-        by_key: dict[Any, list[dict[str, Any]]] = {}
-        for doc in foreign_docs:
-            key = _freeze_key(deep_get(doc, foreign))
-            by_key.setdefault(key, []).append(doc)
-        for document in documents:
-            key = _freeze_key(deep_get(document, local))
-            deep_set(document, output, [
-                deep_copy_document(doc) for doc in by_key.get(key, [])
-            ])
-        return documents
-
-    def _stage_facet(self, documents: list[dict[str, Any]],
-                     spec: dict[str, Any]) -> list[dict[str, Any]]:
-        """Run several sub-pipelines over the same input; one output doc."""
-        result: dict[str, Any] = {}
-        for name, stages in spec.items():
-            sub = AggregationPipeline(stages, self.registry)
-            result[name] = sub.run(
-                [deep_copy_document(doc) for doc in documents]
-            ).documents
-        return [result]
-
-    def _stage_sample(self, documents: list[dict[str, Any]],
-                      spec: dict[str, Any]) -> list[dict[str, Any]]:
-        """Uniform sample without replacement: ``{"size": n[, "seed": s]}``."""
-        import numpy as np  # local: the only stage needing an RNG
-
-        size = int(spec.get("size", 0))
-        if size <= 0:
-            raise AggregationError("$sample requires a positive size")
-        if size >= len(documents):
-            return documents
-        rng = np.random.default_rng(spec.get("seed", 0))
-        chosen = rng.choice(len(documents), size=size, replace=False)
-        return [documents[int(i)] for i in sorted(chosen)]
-
-    def _stage_bucket(self, documents: list[dict[str, Any]],
-                      spec: dict[str, Any]) -> list[dict[str, Any]]:
-        """Histogram by boundaries, with optional accumulator outputs."""
-        boundaries = spec.get("boundaries")
-        if not boundaries or sorted(boundaries) != list(boundaries):
-            raise AggregationError("$bucket requires sorted boundaries")
-        group_by = spec.get("groupBy")
-        default = spec.get("default", _MISSING)
-        output_spec = spec.get("output", {"count": {"$count": {}}})
-        members: dict[Any, list[dict[str, Any]]] = {}
-        for document in documents:
-            value = evaluate_expression(group_by, document, self.registry)
-            bucket: Any = _MISSING
-            if value is not None:
-                for lo, hi in zip(boundaries, boundaries[1:]):
-                    try:
-                        if lo <= value < hi:
-                            bucket = lo
-                            break
-                    except TypeError:
-                        break
-            if bucket is _MISSING:
-                if default is _MISSING:
-                    raise AggregationError(
-                        f"value {value!r} outside $bucket boundaries and "
-                        "no default given"
-                    )
-                bucket = default
-            members.setdefault(bucket, []).append(document)
-        results = []
-        for bucket in sorted(members, key=_sort_key):
-            out: dict[str, Any] = {"_id": bucket}
-            for field_name, acc_spec in output_spec.items():
-                acc, expr = next(iter(acc_spec.items()))
-                out[field_name] = self._accumulate(
-                    acc, expr, members[bucket]
-                )
-            results.append(out)
-        return results
-
-    def _stage_sortByCount(self, documents: list[dict[str, Any]],
-                           spec: Any) -> list[dict[str, Any]]:
-        """Group by an expression and sort by descending count."""
-        counts: dict[Any, tuple[Any, int]] = {}
-        for document in documents:
-            value = evaluate_expression(spec, document, self.registry)
-            frozen = _freeze_key(value)
-            raw, count = counts.get(frozen, (value, 0))
-            counts[frozen] = (raw, count + 1)
-        ranked = sorted(
-            counts.values(),
-            key=lambda pair: (-pair[1], _sort_key(pair[0])),
-        )
-        return [{"_id": value, "count": count} for value, count in ranked]
-
-    def _stage_replaceRoot(self, documents: list[dict[str, Any]],
-                           spec: dict[str, Any]) -> list[dict[str, Any]]:
-        """Promote a sub-document to the root: ``{"newRoot": expr}``."""
-        new_root = spec.get("newRoot")
-        if new_root is None:
-            raise AggregationError("$replaceRoot requires newRoot")
-        results = []
-        for document in documents:
-            value = evaluate_expression(new_root, document, self.registry)
-            if not isinstance(value, dict):
-                raise AggregationError(
-                    f"$replaceRoot produced a non-document: {value!r}"
-                )
-            results.append(value)
         return results
 
     _ACCUMULATORS = ACCUMULATORS

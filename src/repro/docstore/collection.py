@@ -21,12 +21,8 @@ from repro.docstore.documents import (
     document_bytes,
     validate_document,
 )
-from repro.docstore.indexes import FieldIndex, SortedFieldIndex, TextIndex
-from repro.docstore.matching import (
-    equality_constraints,
-    matches,
-    range_constraints,
-)
+from repro.docstore.indexes import FieldIndex
+from repro.docstore.matching import equality_constraints, matches
 from repro.errors import DocumentError, DuplicateKeyError, QueryError
 
 _MISSING = object()
@@ -157,8 +153,6 @@ class Collection:
         self.name = name
         self._documents: dict[Any, dict[str, Any]] = {}
         self._field_indexes: dict[str, FieldIndex] = {}
-        self._sorted_indexes: dict[str, SortedFieldIndex] = {}
-        self._text_index: TextIndex | None = None
         self.scan_count = 0
         self._version = 0
 
@@ -194,28 +188,6 @@ class Collection:
         self._field_indexes[path] = index
         return index
 
-    def create_sorted_index(self, path: str) -> SortedFieldIndex:
-        """Create (or return) an order-preserving index for range queries."""
-        if path in self._sorted_indexes:
-            return self._sorted_indexes[path]
-        index = SortedFieldIndex(path)
-        for doc_id, document in self._documents.items():
-            index.add(doc_id, document)
-        self._sorted_indexes[path] = index
-        return index
-
-    def create_text_index(self, paths: Iterable[str]) -> TextIndex:
-        """Create an inverted text index over one or more field paths."""
-        index = TextIndex(paths)
-        for doc_id, document in self._documents.items():
-            index.add(doc_id, document)
-        self._text_index = index
-        return index
-
-    @property
-    def text_index(self) -> TextIndex | None:
-        return self._text_index
-
     # -- writes ---------------------------------------------------------
 
     def insert_one(self, document: dict[str, Any]) -> Any:
@@ -233,10 +205,6 @@ class Collection:
             for index in added:
                 index.remove(doc_id)
             raise
-        for sorted_index in self._sorted_indexes.values():
-            sorted_index.add(doc_id, document)
-        if self._text_index is not None:
-            self._text_index.add(doc_id, document)
         self._documents[doc_id] = document
         self._version += 1
         return doc_id
@@ -265,10 +233,6 @@ class Collection:
         del self._documents[doc_id]
         for index in self._field_indexes.values():
             index.remove(doc_id)
-        for sorted_index in self._sorted_indexes.values():
-            sorted_index.remove(doc_id)
-        if self._text_index is not None:
-            self._text_index.remove(doc_id)
         self._version += 1
 
     def update_one(self, query: dict[str, Any],
@@ -374,10 +338,6 @@ class Collection:
         document = self._documents[doc_id]
         for index in self._field_indexes.values():
             index.update(doc_id, document)
-        for sorted_index in self._sorted_indexes.values():
-            sorted_index.update(doc_id, document)
-        if self._text_index is not None:
-            self._text_index.update(doc_id, document)
 
     # -- reads ---------------------------------------------------------
 
@@ -389,14 +349,6 @@ class Collection:
             if index is None:
                 continue
             ids = index.lookup(value)
-            if best is None or len(ids) < len(best):
-                best = ids
-        for path, bounds in range_constraints(query).items():
-            sorted_index = self._sorted_indexes.get(path)
-            if sorted_index is None:
-                continue
-            lo, lo_inclusive, hi, hi_inclusive = bounds
-            ids = sorted_index.range(lo, lo_inclusive, hi, hi_inclusive)
             if best is None or len(ids) < len(best):
                 best = ids
         if best is None:
@@ -419,23 +371,16 @@ class Collection:
             "index": None,
             "candidates": len(self._documents),
         }
-        best: tuple[int, str, str] | None = None
+        best: tuple[int, str] | None = None
         for path, value in equality_constraints(query).items():
             index = self._field_indexes.get(path)
             if index is None:
                 continue
             size = len(index.lookup(value))
             if best is None or size < best[0]:
-                best = (size, "hash_index", path)
-        for path, bounds in range_constraints(query).items():
-            sorted_index = self._sorted_indexes.get(path)
-            if sorted_index is None:
-                continue
-            size = len(sorted_index.range(*bounds))
-            if best is None or size < best[0]:
-                best = (size, "sorted_index", path)
+                best = (size, path)
         if best is not None:
-            plan.update(strategy=best[1], index=best[2],
+            plan.update(strategy="hash_index", index=best[1],
                         candidates=best[0])
         return plan
 

@@ -30,9 +30,6 @@ KERNEL_FUNCTION_COST_FACTOR = 1.0
 #: unknowable statically.
 UNWIND_FANOUT = 4.0
 
-#: Per-document multiplier for ``$lookup`` (hash-join build + probe).
-LOOKUP_COST_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class StageCost:
@@ -96,7 +93,7 @@ def estimate_pipeline_cost(pipeline: Any,
         if not isinstance(stage, dict) or len(stage) != 1:
             index += 1
             continue
-        name, spec = next(iter(stage.items()))
+        name = next(iter(stage))
         if name == "$sort":
             # A $sort feeding $skip/$limit is executed as a bounded
             # top-k merge (PR 2); price n*log2(k), not n*log2(n).
@@ -123,36 +120,13 @@ def estimate_pipeline_cost(pipeline: Any,
         elif name == "$count":
             cost = docs
             docs_out = 1.0 if docs else 0.0
-        elif name == "$sample":
-            size = spec.get("size") if isinstance(spec, dict) else None
-            cost = docs
-            docs_out = min(docs, float(size)) \
-                if isinstance(size, (int, float)) and size > 0 else docs
         elif name == "$unwind":
             cost = docs * UNWIND_FANOUT
             docs_out = docs * UNWIND_FANOUT
-        elif name == "$group" or name == "$sortByCount" or name == "$bucket":
-            # Worst case: every document forms its own group.
-            cost = docs
-            docs_out = docs
-        elif name == "$lookup":
-            cost = docs * LOOKUP_COST_FACTOR
-            docs_out = docs
-        elif name == "$facet":
-            # Every facet replays the full input through its own
-            # sub-pipeline; the stage itself emits one document.
-            cost = docs
-            if isinstance(spec, dict):
-                for sub_stages in spec.values():
-                    sub = estimate_pipeline_cost(
-                        sub_stages, [docs],
-                        function_cost_factor=function_cost_factor,
-                    )
-                    cost += sub.total_cost
-            docs_out = 1.0 if docs else 0.0
         else:
-            # $match/$project/$addFields/$replaceRoot and anything new:
-            # one cheap touch per document, worst case passes them all.
+            # $match/$project/$addFields/$group and anything new: one
+            # cheap touch per document, worst case passes them all (or
+            # puts each in its own group).
             cost = docs
             docs_out = docs
         stage_costs.append(StageCost(name, docs, docs_out, cost))

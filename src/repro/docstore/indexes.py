@@ -1,24 +1,18 @@
-"""Secondary and inverted-text indexes for collections.
+"""Secondary indexes for collections.
 
-Two index flavors back the store:
-
-* :class:`FieldIndex` — a hash index from a field's value to document ids,
-  optionally unique.  Values must be hashable; list values index each
-  element (multikey, as in MongoDB).
-* :class:`TextIndex` — an inverted index from stemmed terms to document
-  ids, covering one or more text fields.  The search engines' ``$match``
-  stages consult it to avoid full scans.
+:class:`FieldIndex` is a hash index from a field's value to document ids,
+optionally unique.  Values must be hashable; list values index each
+element (multikey, as in MongoDB).  The inverted text index the search
+engines read is :mod:`repro.search.columnar`, not part of the store.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Iterable
+from typing import Any
 
 from repro.docstore.documents import deep_get
-from repro.errors import DuplicateKeyError, IndexError_
-from repro.text.stemmer import stem
-from repro.text.tokenizer import tokenize
+from repro.errors import DuplicateKeyError
 
 _MISSING = object()
 
@@ -81,183 +75,3 @@ class FieldIndex:
 
     def __len__(self) -> int:
         return len(self._doc_keys)
-
-
-class SortedFieldIndex:
-    """Order-preserving index over one field, for range scans.
-
-    Keys are kept in a sorted list (bisect maintenance); ``range`` answers
-    ``lo <= value <= hi`` lookups in O(log n + hits).  Only scalar,
-    mutually comparable values are indexed; documents whose field is
-    missing or non-scalar stay out of the index.  Consequently a sorted
-    index must only be created on fields that hold scalars — array fields
-    (multikey semantics) are NOT supported and would make range-planned
-    queries miss documents.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._keys: list[Any] = []        # sorted, parallel to _ids
-        self._ids: list[Any] = []
-        self._doc_key: dict[Any, Any] = {}
-
-    def _key_for(self, document: dict[str, Any]) -> Any:
-        value = deep_get(document, self.path, _MISSING)
-        if value is _MISSING or isinstance(value, (list, dict)):
-            return _MISSING
-        if isinstance(value, bool) or value is None:
-            return _MISSING
-        return value
-
-    def add(self, doc_id: Any, document: dict[str, Any]) -> None:
-        import bisect
-
-        key = self._key_for(document)
-        if key is _MISSING:
-            return
-        try:
-            position = bisect.bisect_left(self._keys, key)
-        except TypeError:
-            return  # not comparable with existing keys: skip
-        self._keys.insert(position, key)
-        self._ids.insert(position, doc_id)
-        self._doc_key[doc_id] = key
-
-    def remove(self, doc_id: Any) -> None:
-        import bisect
-
-        key = self._doc_key.pop(doc_id, _MISSING)
-        if key is _MISSING:
-            return
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            if self._ids[position] == doc_id:
-                del self._keys[position]
-                del self._ids[position]
-                return
-            position += 1
-
-    def update(self, doc_id: Any, document: dict[str, Any]) -> None:
-        self.remove(doc_id)
-        self.add(doc_id, document)
-
-    def lookup(self, value: Any) -> set[Any]:
-        return self.range(value, True, value, True)
-
-    def range(self, lo: Any, lo_inclusive: bool,
-              hi: Any, hi_inclusive: bool) -> set[Any]:
-        """Ids with ``lo <(=) value <(=) hi``; None bounds are open."""
-        import bisect
-
-        start = 0
-        end = len(self._keys)
-        if lo is not None:
-            start = (bisect.bisect_left(self._keys, lo) if lo_inclusive
-                     else bisect.bisect_right(self._keys, lo))
-        if hi is not None:
-            end = (bisect.bisect_right(self._keys, hi) if hi_inclusive
-                   else bisect.bisect_left(self._keys, hi))
-        return set(self._ids[start:end])
-
-    def __len__(self) -> int:
-        return len(self._doc_key)
-
-
-class TextIndex:
-    """Inverted index over the concatenated text of several fields.
-
-    Terms are tokenized and Porter-stemmed, mirroring the stemming-match
-    behaviour of the paper's search engines.  Postings record per-document
-    term frequency so ranking functions can reuse the index.
-    """
-
-    def __init__(self, paths: Iterable[str]) -> None:
-        self.paths = list(paths)
-        if not self.paths:
-            raise IndexError_("TextIndex requires at least one field path")
-        self._postings: dict[str, dict[Any, int]] = defaultdict(dict)
-        self._doc_terms: dict[Any, set[str]] = {}
-        self._doc_lengths: dict[Any, int] = {}
-
-    def _terms_for(self, document: dict[str, Any]) -> list[str]:
-        terms: list[str] = []
-        for path in self.paths:
-            value = deep_get(document, path, "")
-            terms.extend(self._extract(value))
-        return terms
-
-    def _extract(self, value: Any) -> list[str]:
-        if isinstance(value, str):
-            return [stem(token) for token in tokenize(value)]
-        if isinstance(value, list):
-            terms: list[str] = []
-            for item in value:
-                terms.extend(self._extract(item))
-            return terms
-        if isinstance(value, dict):
-            terms = []
-            for item in value.values():
-                terms.extend(self._extract(item))
-            return terms
-        return []
-
-    def add(self, doc_id: Any, document: dict[str, Any]) -> None:
-        terms = self._terms_for(document)
-        seen: set[str] = set()
-        for term in terms:
-            postings = self._postings[term]
-            postings[doc_id] = postings.get(doc_id, 0) + 1
-            seen.add(term)
-        self._doc_terms[doc_id] = seen
-        self._doc_lengths[doc_id] = len(terms)
-
-    def remove(self, doc_id: Any) -> None:
-        for term in self._doc_terms.pop(doc_id, set()):
-            postings = self._postings.get(term)
-            if postings:
-                postings.pop(doc_id, None)
-                if not postings:
-                    del self._postings[term]
-        self._doc_lengths.pop(doc_id, None)
-
-    def update(self, doc_id: Any, document: dict[str, Any]) -> None:
-        self.remove(doc_id)
-        self.add(doc_id, document)
-
-    def lookup(self, term: str) -> set[Any]:
-        """Ids of documents containing (a stem of) ``term``."""
-        return set(self._postings.get(stem(term.lower()), {}))
-
-    def lookup_all(self, terms: Iterable[str]) -> set[Any]:
-        """Ids of documents containing *all* of ``terms`` (AND semantics)."""
-        result: set[Any] | None = None
-        for term in terms:
-            ids = self.lookup(term)
-            result = ids if result is None else (result & ids)
-            if not result:
-                return set()
-        return result if result is not None else set()
-
-    def lookup_any(self, terms: Iterable[str]) -> set[Any]:
-        """Ids of documents containing *any* of ``terms`` (OR semantics)."""
-        result: set[Any] = set()
-        for term in terms:
-            result |= self.lookup(term)
-        return result
-
-    def term_frequency(self, term: str, doc_id: Any) -> int:
-        return self._postings.get(stem(term.lower()), {}).get(doc_id, 0)
-
-    def document_frequency(self, term: str) -> int:
-        return len(self._postings.get(stem(term.lower()), {}))
-
-    def document_length(self, doc_id: Any) -> int:
-        return self._doc_lengths.get(doc_id, 0)
-
-    @property
-    def num_documents(self) -> int:
-        return len(self._doc_terms)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self._postings)

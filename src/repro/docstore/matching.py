@@ -288,44 +288,3 @@ def equality_constraints(query: dict[str, Any]) -> dict[str, Any]:
         elif not isinstance(spec, dict):
             constraints[key] = spec
     return constraints
-
-
-def range_constraints(query: dict[str, Any]
-                      ) -> dict[str, tuple[Any, bool, Any, bool]]:
-    """Extract ``field: (lo, lo_inclusive, hi, hi_inclusive)`` bounds.
-
-    Only top-level operator documents made purely of range/equality
-    operators contribute; the planner uses these for sorted-index scans.
-    Missing bounds are ``None``.
-    """
-    constraints: dict[str, tuple[Any, bool, Any, bool]] = {}
-    for key, spec in query.items():
-        if key.startswith("$") or not _is_operator_doc(spec):
-            continue
-        if not set(spec) <= {"$gt", "$gte", "$lt", "$lte", "$eq"}:
-            continue
-        lo = hi = None
-        lo_inclusive = hi_inclusive = True
-        if "$eq" in spec:
-            lo = hi = spec["$eq"]
-        if "$gt" in spec:
-            lo, lo_inclusive = spec["$gt"], False
-        if "$gte" in spec:
-            lo, lo_inclusive = spec["$gte"], True
-        if "$lt" in spec:
-            hi, hi_inclusive = spec["$lt"], False
-        if "$lte" in spec:
-            hi, hi_inclusive = spec["$lte"], True
-        constraints[key] = (lo, lo_inclusive, hi, hi_inclusive)
-    return constraints
-
-
-def is_missing(value: Any) -> bool:
-    """Expose the module's missing sentinel check for other layers."""
-    return value is _MISSING
-
-
-def ensure_valid_query(query: dict[str, Any]) -> dict[str, Any]:
-    """Validate a query eagerly so errors surface at call time, not scan time."""
-    matches({}, query)  # evaluation on the empty doc exercises operator names
-    return query

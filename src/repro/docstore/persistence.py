@@ -1,151 +1,18 @@
-"""JSONL persistence and storage accounting.
+"""Storage accounting.
 
-Collections snapshot to JSON-lines files (one document per line) and can
-replay an append-only operation log on top of the last snapshot — the same
-checkpoint + oplog shape a real deployment would use.  Storage accounting
-(serialized bytes, per-shard distribution) backs the E11 experiment, which
-scales the paper's "450k publications ≈ 965 GB" claim down to the synthetic
-corpus and extrapolates bytes/document.
+Serialized bytes and their per-shard distribution back the E11
+experiment, which scales the paper's "450k publications ≈ 965 GB" claim
+down to the synthetic corpus and extrapolates bytes/document.  JSONL
+persistence of the store is :func:`repro.api.persistence.save_system`'s
+``publications.jsonl``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any
 
 from repro.docstore.collection import Collection
-from repro.docstore.documents import ObjectId
 from repro.docstore.sharding import ShardedCollection
-from repro.errors import PersistenceError
-
-
-def _encode(document: dict[str, Any]) -> str:
-    def default(value: Any) -> Any:
-        if isinstance(value, ObjectId):
-            return str(value)
-        raise TypeError(f"not JSON serializable: {value!r}")
-
-    return json.dumps(document, default=default, separators=(",", ":"))
-
-
-def _decode(line: str) -> dict[str, Any]:
-    document = json.loads(line)
-    raw_id = document.get("_id")
-    if isinstance(raw_id, str) and raw_id.startswith("oid:"):
-        document["_id"] = ObjectId.parse(raw_id)
-    return document
-
-
-def _meta_path(path: Path) -> Path:
-    return path.with_suffix(path.suffix + ".meta.json")
-
-
-def save_collection(collection: Collection, path: str | Path) -> int:
-    """Snapshot every document to a JSONL file; returns bytes written.
-
-    A ``<path>.meta.json`` sidecar records the collection's mutation
-    counter so :func:`load_collection` can resume *past* it — replaying
-    the inserts alone resets the counter, and a restored collection
-    whose version restarted from zero could alias cached results
-    computed against the pre-save process (the serving tier keys its
-    cache on these counters).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    written = 0
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        for document in collection.all_documents():
-            line = _encode(document)
-            handle.write(line + "\n")
-            written += len(line) + 1
-    os.replace(tmp_path, path)
-    meta_tmp = _meta_path(path).with_suffix(".tmp")
-    with open(meta_tmp, "w", encoding="utf-8") as handle:
-        json.dump({"version": collection.version,
-                   "documents": len(collection)}, handle)
-    os.replace(meta_tmp, _meta_path(path))
-    return written
-
-
-def load_collection(path: str | Path,
-                    name: str | None = None) -> Collection:
-    """Rebuild a collection from a JSONL snapshot.
-
-    When the version sidecar written by :func:`save_collection` is
-    present, the restored collection's mutation counter advances to one
-    past the saved value (snapshots from older code without a sidecar
-    load as before).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise PersistenceError(f"snapshot not found: {path}")
-    collection = Collection(name or path.stem)
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                collection.insert_one(_decode(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise PersistenceError(
-                    f"corrupt snapshot {path}:{line_number}: {exc}"
-                ) from exc
-    meta_path = _meta_path(path)
-    if meta_path.exists():
-        try:
-            with open(meta_path, encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise PersistenceError(
-                f"corrupt snapshot sidecar {meta_path}: {exc}"
-            ) from exc
-        collection.advance_version(int(meta.get("version", 0)) + 1)
-    return collection
-
-
-class OperationLog:
-    """Append-only log of write operations for replay on top of a snapshot."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-
-    def append(self, op: str, payload: dict[str, Any]) -> None:
-        record = {"op": op, **payload}
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(_encode(record) + "\n")
-
-    def replay(self, collection: Collection) -> int:
-        """Apply every logged operation; returns the number applied."""
-        if not self.path.exists():
-            return 0
-        applied = 0
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = _decode(line)
-                op = record.pop("op", None)
-                if op == "insert":
-                    collection.insert_one(record["document"])
-                elif op == "delete":
-                    collection.delete_many(record["query"])
-                elif op == "update":
-                    collection.update_many(record["query"], record["update"])
-                else:
-                    raise PersistenceError(f"unknown logged op {op!r}")
-                applied += 1
-        return applied
-
-    def truncate(self) -> None:
-        if self.path.exists():
-            self.path.unlink()
 
 
 @dataclass

@@ -109,7 +109,6 @@ class ShardedCollection:
             for i in range(self.sharder.num_shards)
         ]
         self._index_specs: list[tuple[str, bool]] = []
-        self._text_index_paths: list[str] | None = None
         self._version_offset = 0
 
     # -- versioning -------------------------------------------------------
@@ -165,11 +164,6 @@ class ShardedCollection:
         self._index_specs.append((path, unique))
         for shard in self.shards:
             shard.create_index(path, unique=unique)
-
-    def create_text_index(self, paths: Iterable[str]) -> None:
-        self._text_index_paths = list(paths)
-        for shard in self.shards:
-            shard.create_text_index(self._text_index_paths)
 
     # -- writes -------------------------------------------------------------
 
@@ -405,9 +399,6 @@ class ShardedCollection:
         for path, unique in self._index_specs:
             for shard in self.shards:
                 shard.create_index(path, unique=unique)
-        if self._text_index_paths:
-            for shard in self.shards:
-                shard.create_text_index(self._text_index_paths)
         groups: dict[int, list[dict[str, Any]]] = {}
         for document in documents:
             key_value = deep_get(document, self.shard_key, _MISSING)

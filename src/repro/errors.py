@@ -28,10 +28,6 @@ class AggregationError(ReproError):
     """An aggregation pipeline is malformed or a stage failed to evaluate."""
 
 
-class IndexError_(ReproError):
-    """An index definition is invalid or an indexed lookup failed."""
-
-
 class ShardingError(ReproError):
     """Shard configuration or routing failed."""
 

@@ -42,7 +42,6 @@ ERROR_STATUS: dict[type[BaseException], tuple[int, str]] = {
     errors_module.DuplicateKeyError: (409, "duplicate_key"),
     errors_module.QueryError: (400, "bad_query"),
     errors_module.AggregationError: (500, "aggregation_failed"),
-    errors_module.IndexError_: (500, "index_failed"),
     errors_module.ShardingError: (500, "sharding_failed"),
     errors_module.PersistenceError: (500, "persistence_failed"),
     errors_module.ParseError: (400, "unparseable_input"),

@@ -6,7 +6,6 @@ from repro.ingest.snapshots import (
     Snapshot,
     SnapshotStore,
     restore_snapshot,
-    system_versions,
     take_snapshot,
 )
 from repro.ingest.wal import (
@@ -35,6 +34,5 @@ __all__ = [
     "iter_frames",
     "restore_snapshot",
     "scan_segment",
-    "system_versions",
     "take_snapshot",
 ]

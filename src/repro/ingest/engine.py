@@ -44,7 +44,6 @@ from repro.ingest.snapshots import (
     Snapshot,
     SnapshotStore,
     restore_snapshot,
-    system_versions,
     take_snapshot,
 )
 from repro.ingest.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
@@ -188,7 +187,7 @@ class IngestEngine:
             # Capture the receipt's view of the world while the write
             # lock still excludes other commits — outside it, seq and
             # the version counters could describe a *later* batch.
-            versions = system_versions(self.system)
+            versions = self.system.versions()
         with self._state_lock:
             self._docs_since_merge += accepted
             merge_due = self._docs_since_merge >= self.merge_threshold

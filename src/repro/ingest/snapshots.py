@@ -3,9 +3,10 @@
 A snapshot is *logical*, not a byte copy: the ingested-paper count, the
 knowledge graph serialized to JSON, and the live version counters.
 That is sufficient because re-indexing is deterministic — replaying the
-retained enriched documents through fresh engines reproduces the saved
-state bit-for-bit (the differential tests assert byte-identical query
-pages), while costing O(corpus) memory only for the graph JSON.
+store's first ``num_papers`` rows in insertion order (the store is the
+one record of what was ingested) through fresh engines reproduces the
+saved state bit-for-bit (the differential tests assert byte-identical
+query pages), while costing O(corpus) memory only for the graph JSON.
 
 ``rollback`` advances every replacement's version counter past its
 pre-rollback value, then swaps fresh store/engines into the live
@@ -38,7 +39,7 @@ class Snapshot:
     name: str
     #: Committed-batch sequence number (``0`` is the pre-ingest base).
     seq: int
-    #: ``len(system._ingested_papers)`` at snapshot time.
+    #: ``len(system.store)`` at snapshot time.
     num_papers: int
     #: ``graph.to_json()`` serialized (a string: immutable by design).
     graph_json: str
@@ -51,25 +52,14 @@ class Snapshot:
                 "versions": dict(self.versions)}
 
 
-def system_versions(system: "CovidKG") -> dict[str, int]:
-    """Every invalidation counter a query result can depend on."""
-    return {
-        "store": system.store.version,
-        "kg": system.graph.version,
-        "all_fields": system.all_fields.collection.version,
-        "title_abstract": system.title_abstract.collection.version,
-        "table": system.tables.collection.version,
-    }
-
-
 def take_snapshot(system: "CovidKG", name: str, seq: int) -> Snapshot:
     return Snapshot(
         name=name,
         seq=seq,
-        num_papers=len(system._ingested_papers),
+        num_papers=len(system.store),
         graph_json=json.dumps(system.graph.to_json(),
                               separators=(",", ":")),
-        versions=system_versions(system),
+        versions=system.versions(),
     )
 
 
@@ -77,18 +67,19 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     """Rewind ``system`` to ``snapshot`` in place.
 
     The caller is responsible for exclusion (the serving tier holds its
-    write lock).  The rebuild is deterministic: the retained *enriched*
-    documents replay through fresh engines exactly as the original
-    ingest indexed them (classification already happened before they
-    were stored), and the graph restores from its serialized snapshot.
+    write lock).  The rebuild is deterministic: the store's first
+    ``snapshot.num_papers`` *enriched* documents, in insertion order,
+    replay through fresh engines exactly as the original ingest indexed
+    them (classification already happened before they were stored), and
+    the graph restores from its serialized snapshot.
     Ranker configuration comes from ``system.config`` — a BM25 system
     rolls back to a BM25 system, field-length stats included.
     """
     from repro.docstore.sharding import ShardedCollection
     from repro.kg.graph import KnowledgeGraph
 
-    old = system_versions(system)
-    retained = system._ingested_papers[:snapshot.num_papers]
+    old = system.versions()
+    retained = system.ingested_papers()[:snapshot.num_papers]
     graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
 
     store = ShardedCollection(
@@ -109,7 +100,6 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     system.all_fields = engines["all_fields"]
     system.title_abstract = engines["title_abstract"]
     system.tables = engines["table"]
-    system._ingested_papers = []
     for document in retained:
         system._retain(document)
     system.adopt_graph(graph)

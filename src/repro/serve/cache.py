@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from repro.analysis import racecheck
@@ -78,8 +78,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
     expirations: int = 0
-    collapsed: int = 0
-    negative_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -88,8 +86,6 @@ class CacheStats:
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "expirations": self.expirations,
-            "collapsed": self.collapsed,
-            "negative_hits": self.negative_hits,
         }
 
 
@@ -98,7 +94,6 @@ class _Entry:
     value: Any
     versions: VersionSnapshot
     expires_at: float
-    stored_at: float = field(default=0.0)
     #: The value's encoded form, attached by whoever serves hits over a
     #: wire (:meth:`ResultCache.attach_wire`).  It lives and dies with
     #: the entry, so every way an entry goes — LRU, TTL, version
@@ -159,56 +154,6 @@ class ResultCache:
         with self._lock:
             return self.stats.as_dict()
 
-    def _fresh_negative(self, key: CacheKey, versions: VersionSnapshot,
-                        now: float) -> _NegativeEntry | None:
-        """The key's negative entry iff still valid; drops it otherwise.
-
-        The single invalidation point for remembered failures: *every*
-        lookup path (:meth:`get` and :meth:`claim` alike) funnels
-        through here, so a version bump — a document fix, a
-        ``touch()``, a rollback — un-negatives the key on the very next
-        lookup no matter which engine path performs it.  Caller holds
-        the lock.
-        """
-        negative = self._negatives.get(key)  # lint: allow=REP201
-        if negative is None:
-            return None
-        if negative.versions != versions or now >= negative.expires_at:
-            del self._negatives[key]
-            return None
-        return negative
-
-    def get(self, key: CacheKey,
-            versions: VersionSnapshot) -> tuple[bool, Any]:
-        """Look up ``key`` against the current data ``versions``.
-
-        Returns ``(hit, value)``.  An entry computed against different
-        versions (data changed since) or past its TTL is removed and
-        reported as a miss.  Stale negative entries for the key are
-        dropped as a side effect (fresh ones are :meth:`claim`'s to
-        replay — this positive-only lookup just reports a miss).
-        """
-        now = self._clock()
-        with self._lock:
-            self._fresh_negative(key, versions, now)
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                return False, None
-            if entry.versions != versions:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                self.stats.misses += 1
-                return False, None
-            if now >= entry.expires_at:
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                return False, None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return True, entry.value
-
     def put(self, key: CacheKey, versions: VersionSnapshot,
             value: Any) -> None:
         now = self._clock()
@@ -219,7 +164,7 @@ class ResultCache:
             self._negatives.pop(key, None)
             self._entries[key] = _Entry(
                 value=value, versions=versions,
-                expires_at=now + self.ttl_seconds, stored_at=now,
+                expires_at=now + self.ttl_seconds,
             )
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
@@ -229,23 +174,25 @@ class ResultCache:
     # -- single-flight ----------------------------------------------------
 
     def claim(self, key: CacheKey, versions: VersionSnapshot
-              ) -> tuple[str, Any]:
+              ) -> tuple[str, Any, bytes | None]:
         """Resolve a lookup into one of four outcomes, atomically.
 
-        * ``("hit", value)`` — a fresh positive entry exists;
-        * ``("negative", exception)`` — a fresh negative entry exists:
-          replay the remembered failure without recomputing;
-        * ``("follower", flight)`` — the same key+versions is already
-          being computed: wait on ``flight.future`` instead of working;
-        * ``("leader", flight)`` — this caller must compute, then call
-          :meth:`complete` or :meth:`fail` on the returned flight.
-        """
-        status, payload, _ = self.claim_wire(key, versions)
-        return status, payload
+        * ``("hit", value, wire)`` — a fresh positive entry exists;
+          ``wire`` is its attached encoded form (:meth:`attach_wire`),
+          or ``None``;
+        * ``("negative", exception, None)`` — a fresh negative entry
+          exists: replay the remembered failure without recomputing;
+        * ``("follower", flight, None)`` — the same key+versions is
+          already being computed: wait on ``flight.future`` instead of
+          working;
+        * ``("leader", flight, None)`` — this caller must compute, then
+          call :meth:`complete` or :meth:`fail` on the returned flight.
 
-    def claim_wire(self, key: CacheKey, versions: VersionSnapshot
-                   ) -> tuple[str, Any, bytes | None]:
-        """:meth:`claim`, plus the hit entry's attached bytes (if any)."""
+        The one lookup path, so it is also the one invalidation point:
+        an entry — positive or negative — computed against other
+        versions (a document fix, a ``touch()``, a rollback) or past its
+        TTL is dropped here and the lookup falls through.
+        """
         now = self._clock()
         with self._lock:
             entry = self._entries.get(key)
@@ -260,13 +207,14 @@ class ResultCache:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
                     return "hit", entry.value, entry.wire
-            negative = self._fresh_negative(key, versions, now)
+            negative = self._negatives.get(key)
             if negative is not None:
-                self.stats.negative_hits += 1
-                return "negative", negative.exception, None
+                if negative.versions == versions and \
+                        now < negative.expires_at:
+                    return "negative", negative.exception, None
+                del self._negatives[key]
             flight = self._inflight.get(key)
             if flight is not None and flight.versions == versions:
-                self.stats.collapsed += 1
                 return "follower", flight, None
             flight = Flight(key, versions)
             self._inflight[key] = flight

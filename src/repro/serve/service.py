@@ -221,7 +221,7 @@ class QueryService:
         self.metrics.record_request(engine)
         key = request_key(engine, params)
         versions = self._versions(engine)
-        status, payload, wire = self.cache.claim_wire(key, versions)
+        status, payload, wire = self.cache.claim(key, versions)
         if status == "hit":
             self.metrics.record_latency(engine,
                                         time.monotonic() - started)
@@ -479,7 +479,6 @@ class QueryService:
         and ``ingest.replaying`` to keep a still-recovering replica out
         of the ring.
         """
-        system = self.system
         ingest: dict[str, Any] = {
             "attached": self.ingest_engine is not None,
             "pending": self._ingest_pool.pending,
@@ -489,14 +488,7 @@ class QueryService:
         else:
             ingest.update({"replaying": False, "replayed_batches": 0})
         return {
-            "versions": {
-                "store": system.store.version,
-                "kg": system.graph.version,
-                "all_fields": system.all_fields.collection.version,
-                "title_abstract":
-                    system.title_abstract.collection.version,
-                "table": system.tables.collection.version,
-            },
+            "versions": self.system.versions(),
             "ingest": ingest,
             "admission": {"pending": self._pool.pending},
         }

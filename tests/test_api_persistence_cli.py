@@ -160,6 +160,27 @@ class TestSystemPersistence:
         with pytest.raises(PersistenceError, match="bogus"):
             load_system(directory)
 
+    def test_corrupt_publications_line_is_a_persistence_error(
+            self, built_system, tmp_path):
+        directory = save_system(built_system, tmp_path / "torn")
+        with open(directory / "publications.jsonl", "a",
+                  encoding="utf-8") as handle:
+            handle.write("not json at all\n")
+        with pytest.raises(PersistenceError, match="line"):
+            load_system(directory)
+
+    def test_rows_saved_with_store_ids_still_load(self, built_system,
+                                                  tmp_path):
+        """Earlier saves wrote each row's ``_id``; it is ignored on load."""
+        directory = save_system(built_system, tmp_path / "ids")
+        path = directory / "publications.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps({**row, "_id": f"oid:{n:016d}"}) + "\n"
+            for n, row in enumerate(rows, start=1)))
+        restored = load_system(directory)
+        assert restored.ingested_papers() == built_system.ingested_papers()
+
 
 class TestCli:
     def test_generate_build_query_cycle(self, tmp_path, capsys):

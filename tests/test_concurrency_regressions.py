@@ -135,12 +135,14 @@ def test_cache_stats_snapshot_races_with_lookups():
     cache = ResultCache(max_entries=8, ttl_seconds=60.0)
     versions = (1,)
 
-    def churn():
+    def churn(thread):
         for i in range(300):
-            key = ("q", (i % 16,))
-            hit, _ = cache.get(key, versions)
-            if not hit:
-                cache.put(key, versions, i)
+            # Keys private to the thread: no claim is ever a follower,
+            # so every lookup counts as exactly one hit or one miss.
+            key = ("q", (thread, i % 16))
+            status, flight, _ = cache.claim(key, versions)
+            if status == "leader":
+                cache.complete(flight, versions, i)
 
     def read():
         for _ in range(300):
@@ -148,7 +150,7 @@ def test_cache_stats_snapshot_races_with_lookups():
             assert set(stats) >= {"hits", "misses"}
             assert all(v >= 0 for v in stats.values())
 
-    threads = ([threading.Thread(target=churn) for _ in range(3)]
+    threads = ([threading.Thread(target=churn, args=(n,)) for n in range(3)]
                + [threading.Thread(target=read) for _ in range(2)])
     for thread in threads:
         thread.start()

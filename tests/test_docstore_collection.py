@@ -263,11 +263,6 @@ class TestIndexes:
         assert len(results) == 2
         assert papers.scan_count == 2
 
-    def test_text_index_lookup(self, papers):
-        index = papers.create_text_index(["title"])
-        assert len(index.lookup("vaccine")) == 1  # stems to 'vaccin'
-        assert len(index.lookup("vaccines")) == 1
-
 
 class TestStorage:
     def test_storage_bytes_grows_with_documents(self):

@@ -1,13 +1,10 @@
-"""Tests for docstore extensions: new stages, upserts, sorted indexes."""
+"""Tests for docstore extensions: upserts, array expressions, and the
+stages the engine no longer knows."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.docstore.aggregation import aggregate
 from repro.docstore.collection import Collection
-from repro.docstore.indexes import SortedFieldIndex
-from repro.docstore.matching import range_constraints
 from repro.errors import AggregationError
 
 PAPERS = [
@@ -21,142 +18,22 @@ PAPERS = [
      "cites": 10},
 ]
 
-JOURNALS = [
-    {"name": "JAMA", "impact": 51.3},
-    {"name": "BMJ", "impact": 30.2},
-]
 
+class TestRetiredStages:
+    """Stages outside PAPER.md §2's list are unknown to the engine."""
 
-class TestLookup:
-    def test_join_attaches_matches(self):
-        result = aggregate(PAPERS, [
-            {"$lookup": {"from": JOURNALS, "localField": "journal",
-                         "foreignField": "name", "as": "journal_info"}},
-            {"$sort": {"_id": 1}},
-        ])
-        assert result.documents[0]["journal_info"][0]["impact"] == 51.3
-        assert result.documents[3]["journal_info"] == []  # Cell: no match
-
-    def test_join_from_collection(self):
-        coll = Collection("journals")
-        coll.insert_many([dict(j) for j in JOURNALS])
-        result = aggregate(PAPERS, [
-            {"$lookup": {"from": coll, "localField": "journal",
-                         "foreignField": "name", "as": "info"}},
-        ])
-        assert any(doc["info"] for doc in result.documents)
-
-    def test_missing_args_rejected(self):
-        with pytest.raises(AggregationError):
-            aggregate(PAPERS, [{"$lookup": {"from": JOURNALS}}])
-
-
-class TestFacet:
-    def test_parallel_subpipelines(self):
-        result = aggregate(PAPERS, [
-            {"$facet": {
-                "by_year": [{"$sortByCount": "$year"}],
-                "top_cited": [{"$sort": {"cites": -1}}, {"$limit": 1},
-                              {"$project": {"title": 1, "_id": 0}}],
-            }},
-        ])
-        assert len(result.documents) == 1
-        facets = result.documents[0]
-        assert facets["top_cited"] == [{"title": "vaccines"}]
-        assert {row["_id"]: row["count"] for row in facets["by_year"]} == {
-            2020: 2, 2021: 2,
-        }
-
-    def test_facets_do_not_interfere(self):
-        result = aggregate(PAPERS, [
-            {"$facet": {
-                "mutate": [{"$addFields": {"cites": 0}}],
-                "original": [{"$sort": {"_id": 1}},
-                             {"$project": {"cites": 1, "_id": 0}}],
-            }},
-        ])
-        original = result.documents[0]["original"]
-        assert original[0]["cites"] == 50  # untouched by the sibling facet
-
-
-class TestSample:
-    def test_sample_size(self):
-        result = aggregate(PAPERS, [{"$sample": {"size": 2, "seed": 1}}])
-        assert len(result.documents) == 2
-
-    def test_sample_larger_than_input_returns_all(self):
-        result = aggregate(PAPERS, [{"$sample": {"size": 99}}])
-        assert len(result.documents) == 4
-
-    def test_sample_deterministic_with_seed(self):
-        a = aggregate(PAPERS, [{"$sample": {"size": 2, "seed": 7}}])
-        b = aggregate(PAPERS, [{"$sample": {"size": 2, "seed": 7}}])
-        assert a.documents == b.documents
-
-    def test_invalid_size(self):
-        with pytest.raises(AggregationError):
-            aggregate(PAPERS, [{"$sample": {"size": 0}}])
-
-
-class TestBucket:
-    def test_histogram(self):
-        result = aggregate(PAPERS, [
-            {"$bucket": {"groupBy": "$cites",
-                         "boundaries": [0, 50, 100, 200]}},
-        ])
-        assert result.documents == [
-            {"_id": 0, "count": 1},
-            {"_id": 50, "count": 2},
-            {"_id": 100, "count": 1},
-        ]
-
-    def test_out_of_range_needs_default(self):
-        with pytest.raises(AggregationError):
-            aggregate(PAPERS, [
-                {"$bucket": {"groupBy": "$cites", "boundaries": [0, 20]}},
-            ])
-
-    def test_default_bucket(self):
-        result = aggregate(PAPERS, [
-            {"$bucket": {"groupBy": "$cites", "boundaries": [0, 20],
-                         "default": "other"}},
-        ])
-        by_id = {doc["_id"]: doc["count"] for doc in result.documents}
-        assert by_id == {0: 1, "other": 3}
-
-    def test_custom_output_accumulators(self):
-        result = aggregate(PAPERS, [
-            {"$bucket": {"groupBy": "$year", "boundaries": [2020, 2021, 2022],
-                         "output": {"total": {"$sum": "$cites"},
-                                    "titles": {"$push": "$title"}}}},
-        ])
-        first = result.documents[0]
-        assert first["_id"] == 2020 and first["total"] == 60
-        assert set(first["titles"]) == {"masks", "ventilators"}
-
-    def test_unsorted_boundaries_rejected(self):
-        with pytest.raises(AggregationError):
-            aggregate(PAPERS, [
-                {"$bucket": {"groupBy": "$cites", "boundaries": [10, 5]}},
-            ])
-
-
-class TestSortByCountAndReplaceRoot:
-    def test_sort_by_count(self):
-        result = aggregate(PAPERS, [{"$sortByCount": "$journal"}])
-        assert result.documents[0] == {"_id": "JAMA", "count": 2}
-        assert len(result.documents) == 3
-
-    def test_replace_root(self):
-        docs = [{"wrapper": {"inner": {"v": 1}}}]
-        result = aggregate(docs, [
-            {"$replaceRoot": {"newRoot": "$wrapper.inner"}},
-        ])
-        assert result.documents == [{"v": 1}]
-
-    def test_replace_root_non_document_rejected(self):
-        with pytest.raises(AggregationError):
-            aggregate(PAPERS, [{"$replaceRoot": {"newRoot": "$title"}}])
+    @pytest.mark.parametrize("stage", [
+        {"$lookup": {"from": [], "localField": "journal",
+                     "foreignField": "name", "as": "info"}},
+        {"$facet": {"a": [{"$match": {}}]}},
+        {"$sample": {"size": 2}},
+        {"$bucket": {"groupBy": "$cites", "boundaries": [0, 100]}},
+        {"$sortByCount": "$journal"},
+        {"$replaceRoot": {"newRoot": "$title"}},
+    ], ids=lambda stage: next(iter(stage)).lstrip("$"))
+    def test_unknown_stage(self, stage):
+        with pytest.raises(AggregationError, match="unknown stage"):
+            aggregate(PAPERS, [stage])
 
 
 class TestUpsert:
@@ -211,84 +88,6 @@ class TestFindOneAndUpdate:
         doc = coll.find_one_and_update({"k": "a"}, {"$set": {"x": 1}},
                                        upsert=True)
         assert doc["x"] == 1
-
-
-class TestSortedIndex:
-    def test_range_lookup(self):
-        index = SortedFieldIndex("year")
-        for i, year in enumerate([2019, 2020, 2020, 2021, 2022]):
-            index.add(i, {"year": year})
-        assert index.range(2020, True, 2021, True) == {1, 2, 3}
-        assert index.range(2020, False, None, True) == {3, 4}
-        assert index.range(None, True, 2020, False) == {0}
-
-    def test_skips_non_scalars(self):
-        index = SortedFieldIndex("v")
-        index.add(1, {"v": [1, 2]})
-        index.add(2, {"v": {"nested": 1}})
-        index.add(3, {"v": None})
-        index.add(4, {})
-        assert len(index) == 0
-
-    def test_remove_and_update(self):
-        index = SortedFieldIndex("v")
-        index.add(1, {"v": 5})
-        index.add(2, {"v": 5})
-        index.remove(1)
-        assert index.lookup(5) == {2}
-        index.update(2, {"v": 9})
-        assert index.lookup(5) == set()
-        assert index.lookup(9) == {2}
-
-    def test_collection_range_query_uses_index(self):
-        coll = Collection()
-        coll.insert_many([{"year": 2015 + i % 8} for i in range(80)])
-        coll.create_sorted_index("year")
-        coll.scan_count = 0
-        results = coll.find({"year": {"$gte": 2021}}).to_list()
-        assert len(results) == 20
-        assert coll.scan_count == 20  # only the indexed range scanned
-
-    def test_collection_index_survives_updates(self):
-        coll = Collection()
-        ids = coll.insert_many([{"year": 2020}, {"year": 2021}])
-        coll.create_sorted_index("year")
-        coll.update_one({"_id": ids[0]}, {"$set": {"year": 2022}})
-        coll.scan_count = 0
-        assert coll.count({"year": {"$gt": 2021}}) == 1
-        assert coll.scan_count == 1
-
-    def test_range_constraints_extraction(self):
-        query = {"a": {"$gte": 1, "$lt": 5}, "b": {"$eq": 3},
-                 "c": {"$regex": "x"}, "d": 7}
-        constraints = range_constraints(query)
-        assert constraints["a"] == (1, True, 5, False)
-        assert constraints["b"] == (3, True, 3, True)
-        assert "c" not in constraints
-        assert "d" not in constraints
-
-
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=50),
-       st.integers(0, 100), st.integers(0, 100))
-def test_sorted_index_range_matches_bruteforce(values, lo, hi):
-    if lo > hi:
-        lo, hi = hi, lo
-    index = SortedFieldIndex("v")
-    for i, value in enumerate(values):
-        index.add(i, {"v": value})
-    expected = {i for i, value in enumerate(values) if lo <= value <= hi}
-    assert index.range(lo, True, hi, True) == expected
-
-
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=40),
-       st.integers(1, 10), st.integers(0, 5))
-def test_sample_is_subset_without_replacement(values, size, seed):
-    docs = [{"_id": i, "v": value} for i, value in enumerate(values)]
-    result = aggregate(docs, [{"$sample": {"size": size, "seed": seed}}])
-    ids = [doc["_id"] for doc in result.documents]
-    assert len(ids) == len(set(ids))
-    assert len(ids) == min(size, len(docs))
-    assert set(ids) <= {doc["_id"] for doc in docs}
 
 
 class TestArrayExpressions:

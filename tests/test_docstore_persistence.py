@@ -1,95 +1,8 @@
-"""Tests for JSONL snapshots, the operation log, and storage accounting."""
-
-import pytest
+"""Tests for storage accounting (the E11 statistic)."""
 
 from repro.docstore.collection import Collection
-from repro.docstore.documents import ObjectId
-from repro.docstore.persistence import (
-    OperationLog,
-    StorageReport,
-    load_collection,
-    save_collection,
-    storage_report,
-)
+from repro.docstore.persistence import StorageReport, storage_report
 from repro.docstore.sharding import ShardedCollection
-from repro.errors import PersistenceError
-
-
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        collection = Collection("papers")
-        collection.insert_many([
-            {"title": "a", "year": 2020},
-            {"title": "b", "nested": {"deep": [1, 2]}},
-        ])
-        path = tmp_path / "papers.jsonl"
-        written = save_collection(collection, path)
-        assert written > 0
-        loaded = load_collection(path)
-        assert len(loaded) == 2
-        assert loaded.find_one({"title": "b"})["nested"]["deep"] == [1, 2]
-
-    def test_object_ids_survive_roundtrip(self, tmp_path):
-        collection = Collection()
-        doc_id = collection.insert_one({"x": 1})
-        path = tmp_path / "c.jsonl"
-        save_collection(collection, path)
-        loaded = load_collection(path)
-        restored = loaded.find_one({"x": 1})
-        assert isinstance(restored["_id"], ObjectId)
-        assert restored["_id"] == doc_id
-
-    def test_missing_snapshot_raises(self, tmp_path):
-        with pytest.raises(PersistenceError):
-            load_collection(tmp_path / "absent.jsonl")
-
-    def test_corrupt_snapshot_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ok": 1}\nnot json at all\n')
-        with pytest.raises(PersistenceError):
-            load_collection(path)
-
-
-class TestOperationLog:
-    def test_replay_applies_operations(self, tmp_path):
-        log = OperationLog(tmp_path / "oplog.jsonl")
-        log.append("insert", {"document": {"_id": "a", "v": 1}})
-        log.append("insert", {"document": {"_id": "b", "v": 2}})
-        log.append("update", {"query": {"_id": "a"},
-                              "update": {"$inc": {"v": 10}}})
-        log.append("delete", {"query": {"_id": "b"}})
-        collection = Collection()
-        applied = log.replay(collection)
-        assert applied == 4
-        assert collection.count() == 1
-        assert collection.find_one({"_id": "a"})["v"] == 11
-
-    def test_replay_missing_log_is_noop(self, tmp_path):
-        log = OperationLog(tmp_path / "never.jsonl")
-        assert log.replay(Collection()) == 0
-
-    def test_unknown_op_raises(self, tmp_path):
-        log = OperationLog(tmp_path / "oplog.jsonl")
-        log.append("frobnicate", {})
-        with pytest.raises(PersistenceError):
-            log.replay(Collection())
-
-    def test_truncate(self, tmp_path):
-        log = OperationLog(tmp_path / "oplog.jsonl")
-        log.append("insert", {"document": {"v": 1}})
-        log.truncate()
-        assert log.replay(Collection()) == 0
-
-    def test_snapshot_plus_log_recovery(self, tmp_path):
-        # The deployment shape: checkpoint, more writes, crash, recover.
-        collection = Collection()
-        collection.insert_one({"_id": "base", "v": 0})
-        save_collection(collection, tmp_path / "snap.jsonl")
-        log = OperationLog(tmp_path / "oplog.jsonl")
-        log.append("insert", {"document": {"_id": "later", "v": 1}})
-        recovered = load_collection(tmp_path / "snap.jsonl")
-        log.replay(recovered)
-        assert recovered.count() == 2
 
 
 class TestStorageReport:
@@ -118,50 +31,3 @@ class TestStorageReport:
         report = storage_report(Collection())
         assert report.bytes_per_document == 0.0
         assert report.shard_skew == 1.0
-
-
-class TestVersionSidecar:
-    """The mutation counter must survive the snapshot roundtrip.
-
-    Replaying the inserts alone resets the counter, and a restored
-    collection whose version restarted from zero could alias cached
-    results computed in the pre-save process.
-    """
-
-    def test_version_resumes_past_saved_value(self, tmp_path):
-        collection = Collection("papers")
-        collection.insert_many([{"title": "a"}, {"title": "b"}])
-        collection.update_many({"title": "a"}, {"$set": {"seen": 1}})
-        saved_version = collection.version
-        path = tmp_path / "papers.jsonl"
-        save_collection(collection, path)
-
-        loaded = load_collection(path)
-        assert loaded.version > saved_version
-
-    def test_sidecar_written_next_to_snapshot(self, tmp_path):
-        collection = Collection("papers")
-        collection.insert_one({"title": "a"})
-        path = tmp_path / "papers.jsonl"
-        save_collection(collection, path)
-        sidecar = tmp_path / "papers.jsonl.meta.json"
-        assert sidecar.exists()
-
-    def test_snapshot_without_sidecar_still_loads(self, tmp_path):
-        """Back-compat: snapshots from older code have no sidecar."""
-        collection = Collection("papers")
-        collection.insert_one({"title": "a"})
-        path = tmp_path / "papers.jsonl"
-        save_collection(collection, path)
-        (tmp_path / "papers.jsonl.meta.json").unlink()
-        loaded = load_collection(path)
-        assert len(loaded) == 1
-
-    def test_corrupt_sidecar_raises(self, tmp_path):
-        collection = Collection("papers")
-        collection.insert_one({"title": "a"})
-        path = tmp_path / "papers.jsonl"
-        save_collection(collection, path)
-        (tmp_path / "papers.jsonl.meta.json").write_text("{not json")
-        with pytest.raises(PersistenceError):
-            load_collection(path)

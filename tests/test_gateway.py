@@ -660,6 +660,49 @@ class TestInlineLane:
                 assert box["response"].status == 200
 
 
+def _error_sans_request_id(response):
+    error = dict(response.json()["error"])
+    assert error.pop("request_id") == response.request_id
+    return response.status, error
+
+
+class TestRepeatedBadRequest:
+    """A repeated bad request fails the same way every time: the first
+    is computed, the repeat replays the negative cache's answer (kept
+    by EXPERIMENTS.md "Trial: the idle parts")."""
+
+    def test_malformed_kgql_twice(self, fresh):
+        service, cl = fresh
+        answers = [cl.get("/v1/kg/query", params={"query": "MATCH ("})
+                   for _ in range(2)]
+        first, second = (_error_sans_request_id(a) for a in answers)
+        assert first == second
+        assert first[0] == 400 and first[1]["code"] == "kgql_syntax"
+        stats = service.stats()
+        assert stats["errors"]["kg_query"] == 1  # computed once ...
+        assert stats["negative_hits"] == 1       # ... replayed once
+        metrics = cl.get("/v1/metrics").text
+        assert 'covidkg_service_errors_total{engine="kg_query"} 1' \
+            in metrics
+        assert "covidkg_service_negative_hits_total 1" in metrics
+
+    def test_over_budget_search_twice(self, system):
+        config = ServeConfig(num_workers=2, max_request_cost=0.5)
+        with QueryService(system, config) as service, \
+                BackgroundGateway(service) as gw, \
+                GatewayClient("127.0.0.1", gw.port) as cl:
+            answers = [cl.get("/v1/search/all_fields",
+                              params={"query": "vaccine"})
+                       for _ in range(2)]
+            first, second = (_error_sans_request_id(a) for a in answers)
+            assert first == second
+            assert first[0] == 429
+            assert first[1]["code"] == "request_too_expensive"
+            stats = service.stats()
+            assert stats["cost_rejected"] == 1  # priced once ...
+            assert stats["negative_hits"] == 1  # ... replayed once
+
+
 # -- the per-connection idle watchdog --------------------------------------
 
 class TestIdleTimeout:

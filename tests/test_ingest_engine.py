@@ -12,7 +12,6 @@ from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.errors import IngestRejectedError, SnapshotNotFoundError
 from repro.ingest.engine import IngestEngine
-from repro.ingest.snapshots import system_versions
 
 QUERIES = ["covid vaccine", "antibody response", "clinical trial",
            "side effects"]
@@ -83,7 +82,7 @@ class TestCommit:
             assert receipt.seq == 1
             assert receipt.snapshot == "batch-000001"
             assert receipt.batch_id == "ingest-000001"
-            assert receipt.versions == system_versions(system)
+            assert receipt.versions == system.versions()
             after = system.search("covid", page=1).total_matches
             assert after >= before
             assert len(system.store) == 40
@@ -181,9 +180,9 @@ class TestRollback:
         system = _fresh_system(corpus[:30])
         with IngestEngine(system, tmp_path) as engine:
             engine.commit_batch(corpus[30:40])
-            before = system_versions(system)
+            before = system.versions()
             engine.rollback("base")
-            after = system_versions(system)
+            after = system.versions()
             for name, value in after.items():
                 assert value > before[name], name
 

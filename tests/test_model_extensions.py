@@ -82,27 +82,19 @@ class TestExplain:
         assert plan["index"] == "journal"
         assert plan["candidates"] < 80
 
-    def test_sorted_index_plan_for_ranges(self):
-        coll = self.collection()
-        coll.create_sorted_index("year")
-        plan = coll.explain({"year": {"$gte": 2021}})
-        assert plan["strategy"] == "sorted_index"
-        assert plan["index"] == "year"
-        assert plan["candidates"] == 20
-
     def test_cheapest_index_wins(self):
         coll = self.collection()
         coll.create_index("journal")
-        coll.create_sorted_index("year")
-        # Equality on year (via sorted index) narrows to 10; journal to ~27.
+        coll.create_index("year")
+        # Equality on year narrows to 10; journal to ~27.
         plan = coll.explain({"journal": "J1", "year": {"$eq": 2020}})
         assert plan["index"] == "year"
         assert plan["candidates"] == 10
 
     def test_explain_matches_actual_scan(self):
         coll = self.collection()
-        coll.create_sorted_index("year")
-        plan = coll.explain({"year": {"$gte": 2021}})
+        coll.create_index("year")
+        plan = coll.explain({"year": 2021})
         coll.scan_count = 0
-        coll.find({"year": {"$gte": 2021}}).to_list()
+        coll.find({"year": 2021}).to_list()
         assert coll.scan_count == plan["candidates"]

@@ -76,7 +76,7 @@ def test_shared_corpus_pages_equal_three_standalone_engines(
                            TableSearchEngine)
     ]
     for engine in standalone:
-        engine.add_papers(system._ingested_papers)
+        engine.add_papers(system.ingested_papers())
     assert len({id(engine.corpus) for engine in standalone}) == 3
 
     shared_pages = _all_pages(*engines)

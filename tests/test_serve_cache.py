@@ -32,15 +32,18 @@ class TestCanonicalization:
         assert ("top_k", 5) in key[1]
 
 
+def _status(cache, key, versions):
+    return cache.claim(key, versions)[0]
+
+
 class TestResultCache:
     def test_miss_then_hit(self):
         cache = ResultCache(max_entries=4)
         key = request_key("all_fields", {"query": "covid", "page": 1})
-        hit, _ = cache.get(key, (1,))
-        assert not hit
-        cache.put(key, (1,), "page-one")
-        hit, value = cache.get(key, (1,))
-        assert hit and value == "page-one"
+        status, flight, _ = cache.claim(key, (1,))
+        assert status == "leader"
+        cache.complete(flight, (1,), "page-one")
+        assert cache.claim(key, (1,)) == ("hit", "page-one", None)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
@@ -48,18 +51,16 @@ class TestResultCache:
         cache = ResultCache()
         key = request_key("all_fields", {"query": "covid", "page": 1})
         cache.put(key, (1,), "stale")
-        hit, value = cache.get(key, (2,))
-        assert not hit and value is None
+        assert _status(cache, key, (2,)) == "leader"
         assert cache.stats.invalidations == 1
         # The stale entry is evicted, not resurrected at the old version.
-        hit, _ = cache.get(key, (1,))
-        assert not hit
+        assert key not in cache
 
     def test_lru_eviction_order(self):
         cache = ResultCache(max_entries=2)
         cache.put(("e", ("a",)), (0,), 1)
         cache.put(("e", ("b",)), (0,), 2)
-        cache.get(("e", ("a",)), (0,))  # touch "a": "b" becomes LRU
+        _status(cache, ("e", ("a",)), (0,))  # touch "a": "b" becomes LRU
         cache.put(("e", ("c",)), (0,), 3)
         assert ("e", ("a",)) in cache
         assert ("e", ("b",)) not in cache
@@ -71,10 +72,9 @@ class TestResultCache:
         cache = ResultCache(ttl_seconds=10.0, clock=lambda: clock[0])
         cache.put(("e", ("q",)), (0,), "fresh")
         clock[0] = 9.9
-        assert cache.get(("e", ("q",)), (0,))[0]
+        assert _status(cache, ("e", ("q",)), (0,)) == "hit"
         clock[0] = 10.1
-        hit, _ = cache.get(("e", ("q",)), (0,))
-        assert not hit
+        assert _status(cache, ("e", ("q",)), (0,)) == "leader"
         assert cache.stats.expirations == 1
 
     def test_bad_capacity_rejected(self):
@@ -89,16 +89,15 @@ class TestResultCache:
 
 
 class TestNegativeInvalidation:
-    """Every lookup path drops a negative the moment versions move.
+    """``claim`` drops a negative the moment versions move.
 
-    Regression suite for the staleness sweep: ``get`` and ``claim``
-    used to disagree about stale negatives, so a fixed document could
-    keep replaying a cached error on one engine path but not another.
-    Both now funnel through one invalidation point.
+    Regression suite for the staleness sweep: a fixed document must
+    never keep replaying a cached error.  ``claim`` is the one lookup
+    path and so the one invalidation point.
     """
 
     def _negative(self, cache, key, versions):
-        status, flight = cache.claim(key, versions)
+        status, flight, _ = cache.claim(key, versions)
         assert status == "leader"
         cache.fail(flight, ValueError("bad query"), negative=True,
                    versions=versions)
@@ -108,10 +107,9 @@ class TestNegativeInvalidation:
         cache = ResultCache()
         key = request_key("kg_query", {"query": "MATCH ("})
         self._negative(cache, key, (1,))
-        status, exc = cache.claim(key, (1,))
+        status, exc, _ = cache.claim(key, (1,))
         assert status == "negative"
         assert isinstance(exc, ValueError)
-        assert cache.stats.negative_hits == 1
 
     def test_version_bump_unnegatives_claim_path(self):
         cache = ResultCache()
@@ -119,47 +117,29 @@ class TestNegativeInvalidation:
         self._negative(cache, key, (1,))
         # The document was fixed: the ingest bumped the counters, so
         # the next claim must recompute, not replay the stale failure.
-        status, _ = cache.claim(key, (2,))
-        assert status == "leader"
-        assert cache.stats.negative_hits == 0
+        assert _status(cache, key, (2,)) == "leader"
         # And the stale entry is gone even for the old snapshot.
-        status, _ = cache.claim(key, (1,))
-        assert status == "leader"
-
-    def test_version_bump_unnegatives_get_path(self):
-        cache = ResultCache()
-        key = request_key("all_fields", {"query": "covid"})
-        self._negative(cache, key, (1,))
-        hit, _ = cache.get(key, (2,))  # positive-only lookup path
-        assert not hit
-        # get() dropped the stale negative as a side effect; the claim
-        # path agrees instead of replaying it.
-        status, _ = cache.claim(key, (1,))
-        assert status == "leader"
+        assert _status(cache, key, (1,)) == "leader"
 
     def test_successful_put_supersedes_negative(self):
         cache = ResultCache()
         key = request_key("all_fields", {"query": "covid"})
         self._negative(cache, key, (1,))
         cache.put(key, (1,), "recovered")
-        status, value = cache.claim(key, (1,))
-        assert status == "hit"
-        assert value == "recovered"
+        assert cache.claim(key, (1,)) == ("hit", "recovered", None)
 
     def test_negative_stamped_with_execution_time_versions(self):
         cache = ResultCache()
         key = request_key("kg_query", {"query": "MATCH ("})
-        status, flight = cache.claim(key, (1,))
+        status, flight, _ = cache.claim(key, (1,))
         assert status == "leader"
         # An ingest landed between claim and execution; the failure was
         # observed at (2,).  Stamping it with the stale claim-time
         # snapshot would make it dead on arrival.
         cache.fail(flight, ValueError("still bad"), negative=True,
                    versions=(2,))
-        status, _ = cache.claim(key, (2,))
-        assert status == "negative"
-        status, _ = cache.claim(key, (1,))
-        assert status == "leader"
+        assert _status(cache, key, (2,)) == "negative"
+        assert _status(cache, key, (1,)) == "leader"
 
     def test_negative_expires_by_ttl(self):
         now = [0.0]
@@ -168,8 +148,7 @@ class TestNegativeInvalidation:
         key = request_key("kg_query", {"query": "MATCH ("})
         self._negative(cache, key, (1,))
         now[0] = 6.0
-        status, _ = cache.claim(key, (1,))
-        assert status == "leader"
+        assert _status(cache, key, (1,)) == "leader"
 
 
 def _wire_slots(cache):
@@ -185,16 +164,14 @@ class TestAttachedWire:
     def _hit_entry(self, cache, key=KEY, value=None, versions=(1,)):
         value = value if value is not None else {"page": key}
         cache.put(key, versions, value)
-        assert cache.claim_wire(key, versions) == ("hit", value, None)
+        assert cache.claim(key, versions) == ("hit", value, None)
         cache.attach_wire(key, value, b"{}")
         return value
 
     def test_later_hits_carry_the_attached_bytes(self):
         cache = ResultCache()
         value = self._hit_entry(cache)
-        assert cache.claim_wire(self.KEY, (1,)) == ("hit", value, b"{}")
-        # claim() keeps its two-tuple shape for everyone else.
-        assert cache.claim(self.KEY, (1,)) == ("hit", value)
+        assert cache.claim(self.KEY, (1,)) == ("hit", value, b"{}")
         assert _wire_slots(cache) == 1
 
     def test_an_entry_that_is_never_hit_holds_no_bytes(self):
@@ -216,13 +193,12 @@ class TestAttachedWire:
         self._hit_entry(cache)
         cache.put(self.KEY, (1,), "recomputed")
         assert _wire_slots(cache) == 0
-        assert cache.claim_wire(self.KEY, (1,)) == \
-            ("hit", "recomputed", None)
+        assert cache.claim(self.KEY, (1,)) == ("hit", "recomputed", None)
 
     def test_version_invalidation_drops_the_bytes(self):
         cache = ResultCache()
         self._hit_entry(cache)
-        status, _, wire = cache.claim_wire(self.KEY, (2,))
+        status, _, wire = cache.claim(self.KEY, (2,))
         assert (status, wire) == ("leader", None)
         assert _wire_slots(cache) == 0 and self.KEY not in cache
 
@@ -231,7 +207,7 @@ class TestAttachedWire:
         cache = ResultCache(ttl_seconds=10.0, clock=lambda: clock[0])
         self._hit_entry(cache)
         clock[0] = 10.1
-        assert cache.claim_wire(self.KEY, (1,))[0] == "leader"
+        assert _status(cache, self.KEY, (1,)) == "leader"
         assert _wire_slots(cache) == 0 and self.KEY not in cache
 
     def test_lru_eviction_drops_the_bytes(self):
@@ -243,4 +219,4 @@ class TestAttachedWire:
         cache.put(third, (1,), "c")  # evicts the least recently used
         assert first not in cache
         assert _wire_slots(cache) == 1
-        assert cache.claim_wire(second, (1,))[2] == b"{}"
+        assert cache.claim(second, (1,))[2] == b"{}"

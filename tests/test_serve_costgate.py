@@ -82,14 +82,6 @@ class TestEstimatePipelineCost:
         estimate = estimate_pipeline_cost([{"$count": "n"}], [10])
         assert estimate.documents_out == 1
 
-    def test_facet_replays_input_per_subpipeline(self):
-        estimate = estimate_pipeline_cost(
-            [{"$facet": {"a": [{"$match": {}}], "b": [{"$match": {}}]}}],
-            [50],
-        )
-        assert estimate.total_cost == pytest.approx(150.0)  # 50 + 50 + 50
-        assert estimate.documents_out == 1
-
     def test_search_pipeline_shape_prices_end_to_end(self, system):
         engine = system.all_fields
         estimate = estimate_pipeline_cost(
