@@ -4,8 +4,9 @@
 The paper sells COVIDKG on *trustworthiness*: the graph is built from
 vetted sources, kept fresh non-stop, and interrogated for bias.  This
 walkthrough is the curator's day: ingest several weeks of publications,
-audit freshness and bias, browse the graph interactively, drill into a
-node's provenance, and persist the system for the next shift.
+audit freshness and bias, browse the graph with KGQL (the same queries
+``/v1/kg/query`` serves), drill into a node's provenance, and persist
+the system for the next shift.
 
 Run:  python examples/operations.py
 """
@@ -54,20 +55,27 @@ def main() -> None:
         print(f"  {flag}")
 
     print("\n--- browsing the graph (№9/№10) ---")
-    session = system.browse()
-    view = session.enter("Vaccines")
-    print(view.render()[:400])
-    session.bookmark("vaccines")
-    view = session.jump("side effects")
-    print(f"jumped to: {' > '.join(view.breadcrumbs)}")
+    under = system.query_graph("what is under Vaccines", nl=True)
+    print(f"{under.query}: {under.total_matches} nodes")
+    for row in under.rows[:6]:
+        node = row.bindings["c"]
+        print(f"  {node['rendered_path']}  ({len(node['papers'])} papers)")
+    # Clicking a node: its children are one parent_of hop from its id.
+    hit = system.search_graph("side effects", top_k=1)[0]
+    children = system.query_graph(
+        f'MATCH (x)-[parent_of]->(c) WHERE x.id = "{hit.node.node_id}" '
+        'RETURN c')
+    print(f"clicked {hit.rendered_path()}: "
+          f"{', '.join(row.bindings['c']['label'] for row in children.rows)}")
 
     print("\n--- provenance drill-down ---")
-    node = session.current
-    explanation = system.explain_node(node.node_id, max_papers=3)
-    print(f"{explanation['total_papers']} papers support "
-          f"{' > '.join(explanation['path'])}")
-    for paper in explanation["papers"]:
-        print(f"  {paper['paper_id']} ({paper['publish_time']}, "
+    row = system.query_graph(
+        f'MATCH (v) WHERE v.id = "{hit.node.node_id}" RETURN v').rows[0]
+    print(f"{len(row.papers)} papers support "
+          f"{' > '.join(row.bindings['v']['path'])}")
+    for paper_id in row.papers[:3]:
+        paper = system.store.find_one({"paper_id": paper_id})
+        print(f"  {paper_id} ({paper['publish_time']}, "
               f"{paper['journal']}): {paper['title'][:60]}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -356,12 +356,6 @@ class CovidKG:
             raise ModelError("no papers ingested yet")
         return build_side_effect_profile(source)
 
-    def browse(self) -> "BrowserSession":
-        """An interactive browsing session over the KG (№9/№10)."""
-        from repro.kg.browse import BrowserSession  # noqa: PLC0415
-
-        return BrowserSession(self.graph)
-
     def serve(self, config: "ServeConfig | None" = None) -> "QueryService":
         """Wrap this system in the concurrent query-serving tier.
 
@@ -374,52 +368,6 @@ class CovidKG:
         from repro.serve.service import QueryService  # noqa: PLC0415
 
         return QueryService(self, config)
-
-    def explain_node(self, node_id: str,
-                     max_papers: int = 5) -> dict[str, Any]:
-        """Provenance drill-down: the papers behind a KG node.
-
-        "The nodes along the path provide access to the publications,
-        where the result is coming from" — for each linked paper this
-        returns its title, date, journal, and a snippet around the
-        node's label when the text mentions it.
-        """
-        from repro.search.query import parse_query  # noqa: PLC0415
-        from repro.search.snippets import snippet  # noqa: PLC0415
-
-        node = self.graph.node(node_id)
-        path = [item.label for item in self.graph.path_to(node_id)]
-        papers = []
-        try:
-            parsed = parse_query(node.label)
-        except Exception:  # label with no searchable tokens
-            parsed = None
-        for paper_id in self.graph.papers_for(node_id)[:max_papers]:
-            stored = self.store.find_one({"paper_id": paper_id})
-            if stored is None:
-                continue
-            entry = {
-                "paper_id": paper_id,
-                "title": stored.get("title", ""),
-                "journal": stored.get("journal", ""),
-                "publish_time": stored.get("publish_time", ""),
-            }
-            if parsed is not None:
-                search_fields = stored.get("search", {})
-                for field_name in ("abstract", "body", "table_captions"):
-                    excerpt = snippet(
-                        search_fields.get(field_name, ""), parsed
-                    )
-                    if excerpt:
-                        entry["snippet"] = excerpt
-                        break
-            papers.append(entry)
-        return {
-            "node": node.to_json(),
-            "path": path,
-            "papers": papers,
-            "total_papers": len(self.graph.papers_for(node_id)),
-        }
 
     def interrogate_bias(self, num_clusters: int = 8,
                          seed: int = 0) -> BiasReport:

@@ -6,9 +6,9 @@ search engines as aggregation pipelines (paper Section 2).  This package
 reproduces the parts of that stack the system actually exercises:
 
 * a MongoDB-style query language (:mod:`repro.docstore.matching`),
-* collections with CRUD + update operators (:mod:`repro.docstore.collection`),
+* insert-only collections with indexed reads (:mod:`repro.docstore.collection`),
 * hash secondary indexes (:mod:`repro.docstore.indexes`),
-* hash/range sharding with a router (:mod:`repro.docstore.sharding`),
+* hash sharding with a router (:mod:`repro.docstore.sharding`),
 * the aggregation pipeline engine with the ten stages PAPER.md §2 lists
   — ``$match``, ``$project``, ``$function`` and friends
   (:mod:`repro.docstore.aggregation`),
@@ -26,7 +26,7 @@ from repro.docstore.aggregation import (
 from repro.docstore.collection import Collection
 from repro.docstore.documents import ObjectId, deep_get, deep_set
 from repro.docstore.matching import matches
-from repro.docstore.sharding import HashSharder, RangeSharder, ShardedCollection
+from repro.docstore.sharding import HashSharder, ShardedCollection
 
 __all__ = [
     "AggregationPipeline",
@@ -36,7 +36,6 @@ __all__ = [
     "deep_set",
     "matches",
     "HashSharder",
-    "RangeSharder",
     "ShardedCollection",
     "top_k_documents",
     "top_k_tagged",

@@ -37,8 +37,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.docstore.collection import Collection, apply_projection, _sort_key
-from repro.docstore.documents import deep_copy_document, deep_get, deep_set
+from repro.docstore.collection import Collection, apply_projection
+from repro.docstore.documents import (
+    ObjectId,
+    deep_copy_document,
+    deep_get,
+    deep_set,
+)
 from repro.docstore.functions import FunctionRegistry, default_registry
 from repro.docstore.matching import matches
 from repro.errors import AggregationError
@@ -57,6 +62,21 @@ ACCUMULATORS = frozenset(
     {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first",
      "$last", "$count"}
 )
+
+
+def _sort_key(value: Any) -> tuple[int, Any]:
+    """Total order across mixed types: None < numbers < strings < rest."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (1, value)
+    if isinstance(value, str):
+        return (2, value)
+    if isinstance(value, ObjectId):
+        return (3, value.value)
+    return (4, str(value))
 
 
 class _Descending:
@@ -246,79 +266,11 @@ def _evaluate_operator(op: str, operand: Any, document: dict[str, Any],
     if op == "$lte":
         left, right = (ev(item) for item in operand)
         return left is not None and right is not None and left <= right
-    if op == "$in":
-        needle, haystack = (ev(item) for item in operand)
-        if not isinstance(haystack, list):
-            raise AggregationError("$in expression requires an array")
-        return needle in haystack
-    if op == "$arrayElemAt":
-        array, index = (ev(item) for item in operand)
-        if not isinstance(array, list):
-            raise AggregationError("$arrayElemAt requires an array")
-        if not -len(array) <= index < len(array):
-            return None
-        return array[int(index)]
-    if op == "$filter":
-        array = ev(operand["input"])
-        if not isinstance(array, list):
-            raise AggregationError("$filter requires an array input")
-        variable = operand.get("as", "this")
-        condition = operand["cond"]
-        return [
-            item for item in array
-            if _eval_with_variable(condition, document, variable, item,
-                                   registry)
-        ]
-    if op == "$map":
-        array = ev(operand["input"])
-        if not isinstance(array, list):
-            raise AggregationError("$map requires an array input")
-        variable = operand.get("as", "this")
-        body = operand["in"]
-        return [
-            _eval_with_variable(body, document, variable, item, registry)
-            for item in array
-        ]
-    if op == "$minExpr":
-        values = [v for v in (ev(item) for item in operand)
-                  if v is not None]
-        return min(values) if values else None
-    if op == "$maxExpr":
-        values = [v for v in (ev(item) for item in operand)
-                  if v is not None]
-        return max(values) if values else None
     if op == "$function":
         name = operand["name"]
         args = [ev(arg) for arg in operand.get("args", [])]
         return registry.get(name)(*args)
     raise AggregationError(f"unknown expression operator {op}")
-
-
-def _eval_with_variable(expression: Any, document: dict[str, Any],
-                        variable: str, value: Any,
-                        registry: FunctionRegistry) -> Any:
-    """Evaluate with ``$$<variable>`` references bound to ``value``.
-
-    Implements the variable scoping $filter/$map need: the expression
-    may reference the loop item as ``"$$this"`` (or the custom ``as``
-    name), possibly with a trailing path (``"$$this.rate"``).
-    """
-    marker = f"$${variable}"
-
-    def substitute(expr: Any) -> Any:
-        if isinstance(expr, str) and expr.startswith(marker):
-            remainder = expr[len(marker):]
-            if not remainder:
-                return {"$literal": value}
-            if remainder.startswith("."):
-                return {"$literal": deep_get(value, remainder[1:])}
-        if isinstance(expr, dict):
-            return {key: substitute(item) for key, item in expr.items()}
-        if isinstance(expr, list):
-            return [substitute(item) for item in expr]
-        return expr
-
-    return evaluate_expression(substitute(expression), document, registry)
 
 
 class AggregationPipeline:

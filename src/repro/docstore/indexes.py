@@ -47,8 +47,7 @@ class FieldIndex:
         keys = self._keys_for(document)
         if self.unique:
             for key in keys:
-                existing = self._buckets.get(key)
-                if existing and existing - {doc_id}:
+                if self._buckets.get(key):
                     raise DuplicateKeyError(
                         f"duplicate value {key!r} for unique index "
                         f"on {self.path!r}"
@@ -58,16 +57,14 @@ class FieldIndex:
         self._doc_keys[doc_id] = keys
 
     def remove(self, doc_id: Any) -> None:
+        """Drop ``doc_id``'s keys: an insert that fails on a later unique
+        index rolls back the entries it already added."""
         for key in self._doc_keys.pop(doc_id, []):
             bucket = self._buckets.get(key)
             if bucket:
                 bucket.discard(doc_id)
                 if not bucket:
                     del self._buckets[key]
-
-    def update(self, doc_id: Any, document: dict[str, Any]) -> None:
-        self.remove(doc_id)
-        self.add(doc_id, document)
 
     def lookup(self, value: Any) -> set[Any]:
         """Document ids whose indexed field equals ``value``."""

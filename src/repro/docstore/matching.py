@@ -17,7 +17,7 @@ holding an array matches when *any* element matches.
 from __future__ import annotations
 
 import re
-from typing import Any, Callable
+from typing import Any
 
 from repro.docstore.documents import deep_get
 from repro.errors import QueryError
@@ -255,25 +255,6 @@ def _spec_matches_missing(spec: dict[str, Any]) -> bool:
             continue
         return False
     return True
-
-
-def make_predicate(query: dict[str, Any]) -> Callable[[dict[str, Any]], bool]:
-    """Bind ``query`` into a reusable document predicate."""
-    return lambda document: matches(document, query)
-
-
-def used_paths(query: dict[str, Any]) -> set[str]:
-    """The dotted field paths a query touches (for index selection)."""
-    paths: set[str] = set()
-    for key, spec in query.items():
-        if key in ("$and", "$or", "$nor"):
-            for sub in spec:
-                paths |= used_paths(sub)
-        elif key == "$not":
-            paths |= used_paths(spec)
-        elif not key.startswith("$"):
-            paths.add(key)
-    return paths
 
 
 def equality_constraints(query: dict[str, Any]) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Sharding: hash/range shard-key routing over multiple collections.
+"""Sharding: hash shard-key routing over multiple collections.
 
 The paper's back end is a *sharded* MongoDB cluster (Section 2, "Storage").
 :class:`ShardedCollection` reproduces the behaviour the system depends on:
@@ -14,8 +14,9 @@ The paper's back end is a *sharded* MongoDB cluster (Section 2, "Storage").
   ``$project`` / ``$addFields`` / ``$function``) runs per shard, with
   ranked (``$sort`` + ``$limit``) results merged through a bounded heap
   instead of a full re-sort,
-* per-shard storage accounting (the E11 experiment reports shard skew),
-* rebalancing when shards are added.
+* per-shard storage accounting (the E11 experiment reports shard skew).
+
+Like :class:`~repro.docstore.collection.Collection`, it is insert-only.
 """
 
 from __future__ import annotations
@@ -59,56 +60,18 @@ class HashSharder:
         digest = hashlib.sha1(payload.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.num_shards
 
-    def with_shards(self, num_shards: int) -> "HashSharder":
-        return HashSharder(num_shards)
-
-
-class RangeSharder:
-    """Route documents to shards by ordered split points.
-
-    ``boundaries`` are the upper-exclusive split values; ``len(boundaries)+1``
-    shards result.  Values must be mutually comparable with the boundaries.
-    """
-
-    def __init__(self, boundaries: list[Any]) -> None:
-        if sorted(boundaries) != list(boundaries):
-            raise ShardingError("range boundaries must be sorted")
-        self.boundaries = list(boundaries)
-        self.num_shards = len(boundaries) + 1
-
-    def shard_for(self, key_value: Any) -> int:
-        for index, boundary in enumerate(self.boundaries):
-            try:
-                if key_value < boundary:
-                    return index
-            except TypeError as exc:
-                raise ShardingError(
-                    f"shard-key value {key_value!r} not comparable with "
-                    f"boundary {boundary!r}"
-                ) from exc
-        return len(self.boundaries)
-
-    def with_shards(self, num_shards: int) -> "RangeSharder":
-        raise ShardingError(
-            "range sharders cannot be resized automatically; supply new "
-            "boundaries instead"
-        )
-
 
 class ShardedCollection:
     """A collection transparently partitioned over N shard collections."""
 
     def __init__(self, name: str, shard_key: str,
-                 sharder: HashSharder | RangeSharder | None = None,
                  num_shards: int = 4) -> None:
         self.name = name
         self.shard_key = shard_key
-        self.sharder = sharder or HashSharder(num_shards)
+        self.sharder = HashSharder(num_shards)
         self.shards: list[Collection] = [
-            Collection(f"{name}.shard{i}")
-            for i in range(self.sharder.num_shards)
+            Collection(f"{name}.shard{i}") for i in range(num_shards)
         ]
-        self._index_specs: list[tuple[str, bool]] = []
         self._version_offset = 0
 
     # -- versioning -------------------------------------------------------
@@ -117,9 +80,8 @@ class ShardedCollection:
     def version(self) -> int:
         """Monotonic mutation counter across every shard.
 
-        The sum of the per-shard counters plus an offset that keeps the
-        value monotonic through :meth:`rebalance` (which rebuilds the
-        shard list) and :meth:`advance_version` (restore-from-disk).
+        The sum of the per-shard counters plus the offset
+        :meth:`advance_version` (restore-from-disk) adds.
         """
         return self._version_offset + sum(
             shard.version for shard in self.shards
@@ -161,7 +123,6 @@ class ShardedCollection:
             raise ShardingError(
                 "unique indexes must include the shard key"
             )
-        self._index_specs.append((path, unique))
         for shard in self.shards:
             shard.create_index(path, unique=unique)
 
@@ -203,15 +164,6 @@ class ShardedCollection:
         if routing_error is not None:
             raise routing_error
         return [ids[position] for position in sorted(ids)]
-
-    def delete_many(self, query: dict[str, Any]) -> int:
-        return sum(shard.delete_many(query)
-                   for shard in self._target_shards(query))
-
-    def update_many(self, query: dict[str, Any],
-                    update: dict[str, Any]) -> int:
-        return sum(shard.update_many(query, update)
-                   for shard in self._target_shards(query))
 
     # -- reads -----------------------------------------------------------
 
@@ -378,45 +330,6 @@ class ShardedCollection:
 
     def storage_bytes(self) -> int:
         return sum(self.shard_storage_bytes())
-
-    def rebalance(self, num_shards: int) -> None:
-        """Re-shard all documents onto ``num_shards`` shards.
-
-        The old shards drain in shard order, then each new shard
-        bulk-loads its re-routed group.
-        """
-        new_sharder = self.sharder.with_shards(num_shards)
-        documents = list(self.all_documents())
-        # Fresh shards restart their counters at zero; carry the old total
-        # forward (plus one for the rebalance itself) so the collection
-        # version never moves backwards.
-        version_floor = self.version + 1
-        self._version_offset = 0
-        self.sharder = new_sharder
-        self.shards = [
-            Collection(f"{self.name}.shard{i}") for i in range(num_shards)
-        ]
-        for path, unique in self._index_specs:
-            for shard in self.shards:
-                shard.create_index(path, unique=unique)
-        groups: dict[int, list[dict[str, Any]]] = {}
-        for document in documents:
-            key_value = deep_get(document, self.shard_key, _MISSING)
-            if key_value is _MISSING:
-                raise ShardingError(
-                    f"document missing shard key {self.shard_key!r}"
-                )
-            groups.setdefault(
-                self.sharder.shard_for(key_value), []
-            ).append(document)
-        for shard_index, group in sorted(groups.items()):
-            self.shards[shard_index].insert_many(group)
-        self.advance_version(version_floor)
-
-    @property
-    def total_scan_count(self) -> int:
-        """Aggregate scan counter across shards (for experiments)."""
-        return sum(shard.scan_count for shard in self.shards)
 
 
 def _merge_stage_stats(per_shard: list[list[StageStats]]

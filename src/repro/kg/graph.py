@@ -33,8 +33,6 @@ class _DerivedIndexes:
     version: int
     #: node_id -> stemmed label terms (keyword search, KGQL CONTAINS).
     stems: dict[str, frozenset[str]]
-    #: category -> node ids carrying it, in walk (creation) order.
-    by_category: dict[str, tuple[str, ...]]
     #: node_id -> distance from the root (root = 0).
     depths: dict[str, int]
     #: widest child list in the graph (KGQL traversal fan-out bound).
@@ -156,14 +154,10 @@ class KnowledgeGraph:
         derived = self._derived
         if derived is None or derived.version != self._version:
             stems: dict[str, frozenset[str]] = {}
-            by_category: dict[str, list[str]] = {}
             depths: dict[str, int] = {self.root_id: 0}
             max_branching = 0
             for node in self.walk():
                 stems[node.node_id] = stem_terms(node.label)
-                if node.category is not None:
-                    by_category.setdefault(
-                        node.category, []).append(node.node_id)
                 depth = depths[node.node_id]
                 for child_id in node.children:
                     depths[child_id] = depth + 1
@@ -171,8 +165,6 @@ class KnowledgeGraph:
             derived = _DerivedIndexes(
                 version=self._version,
                 stems=stems,
-                by_category={category: tuple(ids)
-                             for category, ids in by_category.items()},
                 depths=depths,
                 max_branching=max_branching,
             )
@@ -188,13 +180,6 @@ class KnowledgeGraph:
         until :meth:`touch`/structural writes bump the counter.
         """
         return self._indexes().stems
-
-    def nodes_by_category(self, category: str) -> list[KGNode]:
-        """Nodes tagged ``category``, in creation (walk) order, via the
-        version-stamped category index."""
-        return [self._nodes[node_id]
-                for node_id in self._indexes().by_category.get(
-                    category, ())]
 
     def depth_map(self) -> dict[str, int]:
         """Cached ``node_id -> depth`` (root = 0) for every node."""
@@ -234,9 +219,6 @@ class KnowledgeGraph:
 
     def leaves(self, start_id: str | None = None) -> list[KGNode]:
         return [node for node in self.walk(start_id) if node.is_leaf]
-
-    def subtree_labels(self, start_id: str) -> list[str]:
-        return [node.label for node in self.walk(start_id)]
 
     def papers_for(self, node_id: str) -> list[str]:
         """Provenance of a node and every descendant."""

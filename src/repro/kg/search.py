@@ -5,6 +5,9 @@ matching nodes also highlights the path to the matching nodes.  The user
 can then either browse the graph ... or click the papers linked off these
 nodes."  A hit therefore carries the node, the full root-to-node path, a
 rendered path string with the match marked, and the provenance papers.
+Browsing from a node is a one-hop KGQL ``parent_of`` / ``child_of``
+query (:mod:`repro.kgql`), whose node payloads carry the same path,
+rendered path and papers.
 """
 
 from __future__ import annotations
@@ -18,10 +21,15 @@ from repro.kg.node import KGNode, stem_terms
 HIGHLIGHT_OPEN = "[["
 HIGHLIGHT_CLOSE = "]]"
 
-#: Back-compat alias: the stemming normal form now lives in
-#: :func:`repro.kg.node.stem_terms` so the graph's per-node stem cache
-#: and KGQL share it without importing the search engine.
-_stems = stem_terms
+
+def render_path(path: list[KGNode]) -> str:
+    """``COVID-19 > Vaccines > [[Pfizer]]`` — the UI's highlighted path.
+
+    The one renderer: KG search hits and KGQL node payloads both use it.
+    """
+    parts = [node.label for node in path[:-1]]
+    parts.append(f"{HIGHLIGHT_OPEN}{path[-1].label}{HIGHLIGHT_CLOSE}")
+    return " > ".join(parts)
 
 
 @dataclass
@@ -38,12 +46,8 @@ class KGSearchHit:
         return [node.label for node in self.path]
 
     def rendered_path(self) -> str:
-        """``COVID-19 > Vaccines > [[Pfizer]]`` — the UI's highlighted path."""
-        parts = [node.label for node in self.path[:-1]]
-        parts.append(
-            f"{HIGHLIGHT_OPEN}{self.path[-1].label}{HIGHLIGHT_CLOSE}"
-        )
-        return " > ".join(parts)
+        """The UI's highlighted root path (:func:`render_path`)."""
+        return render_path(self.path)
 
 
 class KGSearchEngine:
@@ -80,17 +84,3 @@ class KGSearchEngine:
             ))
         hits.sort(key=lambda hit: -hit.score)
         return hits[:top_k]
-
-    def browse(self, node_id: str) -> dict:
-        """The click-a-node payload: node, parent, children, papers."""
-        node = self.graph.node(node_id)
-        parent = self.graph.parent(node_id)
-        return {
-            "node": node.to_json(),
-            "parent": parent.to_json() if parent else None,
-            "children": [
-                child.to_json() for child in self.graph.children(node_id)
-            ],
-            "path": [n.label for n in self.graph.path_to(node_id)],
-            "papers": self.graph.papers_for(node_id),
-        }

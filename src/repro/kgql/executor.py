@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import KGQLError
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.node import KGNode, normalize_label, stem_terms
-from repro.kg.search import HIGHLIGHT_CLOSE, HIGHLIGHT_OPEN
+from repro.kg.node import normalize_label, stem_terms
+from repro.kg.search import render_path
 from repro.kgql.ast import (
     BoolOp,
     Comparison,
@@ -329,7 +329,7 @@ class KGQLEngine:
             "category": node.category,
             "depth": len(path) - 1,
             "path": [item.label for item in path],
-            "rendered_path": _render_path(path),
+            "rendered_path": render_path(path),
             "papers": sorted(self.graph.papers_for(node_id)),
         }
 
@@ -359,15 +359,6 @@ class KGQLEngine:
                      for var in dict.fromkeys(stage.returns)]),
             ))
         return rows, total
-
-
-def _render_path(path: Iterable[KGNode]) -> str:
-    """``COVID-19 > Vaccines > [[Pfizer]]`` — the UI's highlighted path."""
-    nodes = list(path)
-    parts = [node.label for node in nodes[:-1]]
-    parts.append(
-        f"{HIGHLIGHT_OPEN}{nodes[-1].label}{HIGHLIGHT_CLOSE}")
-    return " > ".join(parts)
 
 
 def _row_papers(per_var: list[list[str]]) -> list[str]:

@@ -76,10 +76,13 @@ class SearchCorpus:
         """True when the stamp moved by document inserts alone.
 
         ``add_paper`` bumps the collection version and the model's
-        document count in lockstep (+1 each per paper); any other
-        mutation — delete, update, ``touch``, ``advance_version`` —
-        moves the version without the count, failing this check and
-        forcing a full rebuild.
+        document count in lockstep (+1 each per paper).  The collection
+        is insert-only, so the one move that fails this check and forces
+        a full rebuild is ``advance_version``.  Its one caller, snapshot
+        restore, advances a fresh corpus that has no index yet — so in a
+        running system only the first build and :meth:`merge_segments`
+        rebuild.  The check stays as the guard against any version move
+        without a matching insert.
         """
         return new[0] - old[0] == new[1] - old[1] > 0
 

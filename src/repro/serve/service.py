@@ -50,8 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kg.enrichment import EnrichmentReport
 
 #: Engines a request may target.
-ENGINES = ("all_fields", "title_abstract", "table", "kg", "kg_query",
-           "meta_profile")
+ENGINES = ("all_fields", "title_abstract", "table", "kg", "kg_query")
 
 
 @dataclass
@@ -195,7 +194,6 @@ class QueryService:
             "table": self._run_table,
             "kg": self._run_kg,
             "kg_query": self._run_kg_query,
-            "meta_profile": self._run_meta_profile,
         }
 
     # -- public API -------------------------------------------------------
@@ -551,18 +549,16 @@ class QueryService:
             return (system.title_abstract.collection.version,)
         if engine == "table":
             return (system.tables.collection.version,)
-        if engine in ("kg", "kg_query"):
-            return (system.graph.version,)
-        # meta_profile reads the ingested corpus.
-        return (system.store.version,)
+        # kg and kg_query read the graph.
+        return (system.graph.version,)
 
     def _estimate_cost(self, engine: str, params: dict[str, Any]
                        ) -> PipelineCostEstimate | None:
         """Worst-case work units for one request, before it is queued.
 
         Search engines are priced from their canonical pipeline shape
-        against per-shard index sizes; ``kg``/``meta_profile`` are
-        priced as one cheap pass over the graph/corpus.  Returns
+        against per-shard index sizes; ``kg`` is priced as one cheap
+        pass over the graph, ``kg_query`` by its KGQL plan.  Returns
         ``None`` only for engines with nothing to price (e.g. a
         replaced dispatch entry in tests).
         """
@@ -604,10 +600,6 @@ class QueryService:
                 text = translate(text).kgql
             return estimate_kgql_cost(plan_query(parse(text)),
                                       system.graph)
-        if engine == "meta_profile":
-            # One pass over the ingested corpus.
-            return estimate_pipeline_cost([{"$match": {}}],
-                                          system.store.shard_sizes())
         return None
 
     def _execute(self, engine: str, params: dict[str, Any],
@@ -679,6 +671,3 @@ class QueryService:
 
     def _run_kg_query(self, query: str, nl: bool = False) -> Any:
         return self.system.query_graph(query, nl=nl)
-
-    def _run_meta_profile(self) -> Any:
-        return self.system.meta_profile()

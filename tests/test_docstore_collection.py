@@ -1,13 +1,14 @@
-"""Tests for Collection CRUD, cursors, update operators, and indexes."""
+"""Tests for the insert-only Collection: inserts, reads, and indexes."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.docstore import collection as collection_module
+from repro.docstore.aggregation import aggregate
 from repro.docstore.collection import Collection, apply_projection
 from repro.docstore.documents import ObjectId
-from repro.errors import DocumentError, DuplicateKeyError
+from repro.errors import DuplicateKeyError
 
 
 @pytest.fixture()
@@ -64,20 +65,25 @@ class TestFind:
     def test_find_one_returns_none_when_absent(self, papers):
         assert papers.find_one({"title": "nope"}) is None
 
+    # Ordering and paging are pipeline stages over the collection.
+
     def test_sort_ascending_and_descending(self, papers):
-        asc = [d["cites"] for d in papers.find().sort("cites")]
-        desc = [d["cites"] for d in papers.find().sort("cites", -1)]
+        asc = [d["cites"]
+               for d in aggregate(papers, [{"$sort": {"cites": 1}}])]
+        desc = [d["cites"]
+                for d in aggregate(papers, [{"$sort": {"cites": -1}}])]
         assert asc == sorted(asc)
         assert desc == sorted(desc, reverse=True)
 
     def test_multi_key_sort(self, papers):
-        results = papers.find().sort([("year", 1), ("cites", -1)]).to_list()
+        results = aggregate(papers, [{"$sort": {"year": 1, "cites": -1}}])
         assert [(d["year"], d["cites"]) for d in results] == [
             (2020, 50), (2020, 10), (2021, 120), (2021, 80),
         ]
 
     def test_skip_limit(self, papers):
-        page = papers.find().sort("cites").skip(1).limit(2).to_list()
+        page = aggregate(papers, [{"$sort": {"cites": 1}}, {"$skip": 1},
+                                  {"$limit": 2}])
         assert [d["cites"] for d in page] == [50, 80]
 
     def test_projection_inclusion(self, papers):
@@ -116,92 +122,6 @@ class TestFind:
         assert papers.count({"year": 2020}) == 2
         assert len(papers) == 4
 
-    def test_distinct(self, papers):
-        assert set(papers.distinct("year")) == {2020, 2021}
-        assert set(papers.distinct("tags")) == {"ppe", "mrna", "delta"}
-
-
-class TestUpdate:
-    def test_set_and_unset(self, papers):
-        papers.update_one({"title": "masks"},
-                          {"$set": {"reviewed": True},
-                           "$unset": {"tags": ""}})
-        doc = papers.find_one({"title": "masks"})
-        assert doc["reviewed"] is True
-        assert "tags" not in doc
-
-    def test_inc_and_mul(self, papers):
-        papers.update_one({"title": "masks"}, {"$inc": {"cites": 5}})
-        papers.update_one({"title": "masks"}, {"$mul": {"cites": 2}})
-        assert papers.find_one({"title": "masks"})["cites"] == 110
-
-    def test_inc_creates_missing_field(self, papers):
-        papers.update_one({"title": "masks"}, {"$inc": {"downloads": 3}})
-        assert papers.find_one({"title": "masks"})["downloads"] == 3
-
-    def test_min_max(self, papers):
-        papers.update_one({"title": "masks"}, {"$min": {"cites": 10}})
-        assert papers.find_one({"title": "masks"})["cites"] == 10
-        papers.update_one({"title": "masks"}, {"$max": {"cites": 99}})
-        assert papers.find_one({"title": "masks"})["cites"] == 99
-
-    def test_push_and_each(self, papers):
-        papers.update_one({"title": "masks"}, {"$push": {"tags": "new"}})
-        papers.update_one({"title": "masks"},
-                          {"$push": {"tags": {"$each": ["a", "b"]}}})
-        assert papers.find_one({"title": "masks"})["tags"] == [
-            "ppe", "new", "a", "b",
-        ]
-
-    def test_add_to_set(self, papers):
-        papers.update_one({"title": "masks"}, {"$addToSet": {"tags": "ppe"}})
-        assert papers.find_one({"title": "masks"})["tags"] == ["ppe"]
-
-    def test_pull(self, papers):
-        papers.update_one({"title": "variants"}, {"$pull": {"tags": "mrna"}})
-        assert papers.find_one({"title": "variants"})["tags"] == ["delta"]
-
-    def test_pop(self, papers):
-        papers.update_one({"title": "variants"}, {"$pop": {"tags": 1}})
-        assert papers.find_one({"title": "variants"})["tags"] == ["mrna"]
-
-    def test_rename(self, papers):
-        papers.update_one({"title": "masks"}, {"$rename": {"cites": "c"}})
-        doc = papers.find_one({"title": "masks"})
-        assert doc["c"] == 50 and "cites" not in doc
-
-    def test_update_many(self, papers):
-        modified = papers.update_many({"year": 2021},
-                                      {"$set": {"recent": True}})
-        assert modified == 2
-        assert papers.count({"recent": True}) == 2
-
-    def test_update_rejects_plain_document(self, papers):
-        with pytest.raises(DocumentError):
-            papers.update_one({"title": "masks"}, {"title": "replaced"})
-
-    def test_update_rejects_id_change(self, papers):
-        with pytest.raises(DocumentError):
-            papers.update_one({"title": "masks"}, {"$set": {"_id": "x"}})
-
-    def test_replace_one(self, papers):
-        papers.replace_one({"title": "masks"}, {"title": "replaced"})
-        assert papers.find_one({"title": "replaced"}) is not None
-        assert papers.find_one({"title": "masks"}) is None
-
-
-class TestDelete:
-    def test_delete_one(self, papers):
-        assert papers.delete_one({"year": 2020}) == 1
-        assert papers.count({"year": 2020}) == 1
-
-    def test_delete_many(self, papers):
-        assert papers.delete_many({"year": 2021}) == 2
-        assert papers.count() == 2
-
-    def test_delete_nothing(self, papers):
-        assert papers.delete_many({"year": 1900}) == 0
-
 
 class TestIndexes:
     def test_index_accelerates_equality(self, papers):
@@ -236,16 +156,18 @@ class TestIndexes:
         papers.find({"cites": {"$gt": 0}}).to_list()
         assert papers.scan_count == 4
 
-    def test_index_stays_consistent_after_update(self, papers):
-        papers.create_index("year")
-        papers.update_one({"title": "masks"}, {"$set": {"year": 2022}})
-        assert {d["title"] for d in papers.find({"year": 2022})} == {"masks"}
-        assert papers.count({"year": 2020}) == 1
-
-    def test_index_stays_consistent_after_delete(self, papers):
-        papers.create_index("year")
-        papers.delete_many({"year": 2020})
-        assert papers.count({"year": 2020}) == 0
+    def test_cheapest_index_wins(self):
+        collection = Collection()
+        collection.insert_many([
+            {"year": 2015 + i % 8, "journal": f"J{i % 3}"}
+            for i in range(80)
+        ])
+        collection.create_index("journal")
+        collection.create_index("year")
+        # Equality on year narrows to 10 candidates; journal to ~27.
+        collection.scan_count = 0
+        collection.find({"journal": "J1", "year": {"$eq": 2020}}).to_list()
+        assert collection.scan_count == 10
 
     def test_unique_index_rejects_duplicates(self):
         collection = Collection()
@@ -255,6 +177,20 @@ class TestIndexes:
             collection.insert_one({"doi": "10.1/a"})
         # Failed insert must not leave ghosts behind.
         assert collection.count() == 1
+
+    def test_failed_unique_insert_leaves_no_ghost_in_earlier_index(self):
+        collection = Collection()
+        collection.create_index("doi", unique=True)
+        collection.create_index("pmid", unique=True)
+        collection.insert_one({"doi": "10.1/a", "pmid": 1})
+        # Passes the doi index, then fails on pmid: the doi entry it
+        # added must be rolled back ...
+        with pytest.raises(DuplicateKeyError):
+            collection.insert_one({"doi": "10.1/b", "pmid": 1})
+        # ... so a later insert reusing that doi succeeds.
+        collection.insert_one({"doi": "10.1/b", "pmid": 2})
+        assert collection.count({"doi": "10.1/b"}) == 1
+        assert collection.count() == 2
 
     def test_multikey_index_over_arrays(self, papers):
         papers.create_index("tags")
@@ -272,19 +208,23 @@ class TestStorage:
         assert collection.storage_bytes() > empty + 900
 
 
-@given(st.lists(st.integers(-100, 100), min_size=1, max_size=30))
+_MIXED = st.one_of(st.none(), st.booleans(), st.integers(-100, 100),
+                   st.floats(-100, 100, allow_nan=False),
+                   st.text(max_size=3))
+
+
+def _type_rank(value):
+    if value is None:
+        return (0, 0)
+    if isinstance(value, (bool, int, float)):
+        return (1, value)
+    return (2, value)
+
+
+@given(st.lists(_MIXED, min_size=1, max_size=30))
 def test_sort_matches_python_sorted(values):
+    """``$sort`` orders mixed types None < numbers < strings, stably."""
     collection = Collection()
     collection.insert_many([{"v": value} for value in values])
-    result = [d["v"] for d in collection.find().sort("v")]
-    assert result == sorted(values)
-
-
-@given(st.lists(st.integers(0, 10), min_size=1, max_size=30),
-       st.integers(0, 10))
-def test_delete_many_removes_exactly_matching(values, target):
-    collection = Collection()
-    collection.insert_many([{"v": value} for value in values])
-    deleted = collection.delete_many({"v": target})
-    assert deleted == values.count(target)
-    assert collection.count() == len(values) - deleted
+    result = [d["v"] for d in aggregate(collection, [{"$sort": {"v": 1}}])]
+    assert result == sorted(values, key=_type_rank)

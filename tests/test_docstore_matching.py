@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.docstore.matching import (
-    equality_constraints,
-    matches,
-    make_predicate,
-    used_paths,
-)
+from repro.docstore.matching import equality_constraints, matches
 from repro.errors import QueryError
 
 DOC = {
@@ -160,18 +155,6 @@ class TestErrors:
 
 
 class TestHelpers:
-    def test_make_predicate(self):
-        predicate = make_predicate({"year": {"$gte": 2021}})
-        assert predicate(DOC)
-        assert not predicate({"year": 2000})
-
-    def test_used_paths(self):
-        query = {
-            "a": 1,
-            "$or": [{"b.c": 2}, {"d": {"$gt": 1}}],
-        }
-        assert used_paths(query) == {"a", "b.c", "d"}
-
     def test_equality_constraints(self):
         query = {"a": 1, "b": {"$eq": 2}, "c": {"$gt": 3}, "$or": []}
         assert equality_constraints(query) == {"a": 1, "b": 2}

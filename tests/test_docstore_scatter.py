@@ -164,63 +164,10 @@ class TestDifferentialReads:
         assert sharded == [expected] * len(SHARD_COUNTS)
 
 
-class TestDifferentialWrites:
-    def test_update_many_identical(self):
-        def operation(target):
-            updated = target.update_many({"group": 0},
-                                         {"$set": {"flag": True}})
-            return updated, by_id(target.find({"flag": True}).to_list())
-
-        expected, sharded = differential(operation)
-        assert expected[0] > 0
-        assert sharded == [expected] * len(SHARD_COUNTS)
-
-    def test_delete_many_identical(self):
-        def operation(target):
-            deleted = target.delete_many({"year": 2019})
-            return deleted, by_id(target.find().to_list())
-
-        expected, sharded = differential(operation)
-        assert expected[0] > 0
-        assert sharded == [expected] * len(SHARD_COUNTS)
-
-    def test_rebalance_identical(self):
-        expected = scrub(by_id(build_oracle().find().to_list()))
-        store = build_store(4)
-        for num_shards in (8, 3):
-            before = store.version
-            store.rebalance(num_shards)
-            assert len(store.shards) == num_shards
-            assert store.version > before
-            assert scrub(by_id(store.find().to_list())) == expected
-            # every document sits where targeted routing looks for it
-            for document in expected:
-                query = {"paper_id": document["paper_id"]}
-                assert scrub(store.find_one(query)) == document
-
-
 class TestShardFailureStopsTheLoop:
     """Shard *k* raising propagates; no shard after *k* is visited."""
 
     FAILING = 2
-
-    def test_update_many_leaves_later_shards_untouched(self, monkeypatch):
-        store = build_store(4)
-        versions = [shard.version for shard in store.shards]
-
-        def boom(query, update):
-            raise RuntimeError("shard down")
-
-        monkeypatch.setattr(store.shards[self.FAILING], "update_many", boom)
-        with pytest.raises(RuntimeError, match="shard down"):
-            store.update_many({"group": 0}, {"$set": {"flag": True}})
-        for index, shard in enumerate(store.shards):
-            flagged = shard.count({"flag": True})
-            if index < self.FAILING:
-                assert flagged == shard.count({"group": 0}) > 0
-            else:
-                assert flagged == 0
-                assert shard.version == versions[index]
 
     def test_insert_many_leaves_later_shards_untouched(self, monkeypatch):
         store = ShardedCollection("t", shard_key="k", num_shards=4)
@@ -248,12 +195,9 @@ def test_sharded_operations_start_no_threads():
     store.find({"group": 1}).to_list()
     store.count({"group": 1})
     store.find_one({"group": 2})
-    store.update_many({"group": 0}, {"$set": {"flag": True}})
     store.aggregate([{"$match": {"group": 1}},
                      {"$sort": {"cites": -1, "paper_id": 1}},
                      {"$limit": 5}])
-    store.delete_many({"year": 2019})
-    store.rebalance(4)
     # no ``repro-shard`` pool worker, nor any other thread
     assert set(threading.enumerate()) == before
 

@@ -8,7 +8,7 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
-FAST_EXAMPLES = ["kg_fusion.py", "meta_profiles.py"]
+FAST_EXAMPLES = ["kg_fusion.py", "meta_profiles.py", "operations.py"]
 
 
 @pytest.mark.parametrize("script", FAST_EXAMPLES)

@@ -153,17 +153,6 @@ class TestKGSearch:
         with pytest.raises(QueryError):
             KGSearchEngine(seed_covid_graph()).search("  ")
 
-    def test_browse_payload(self):
-        graph = seed_covid_graph()
-        engine = KGSearchEngine(graph)
-        vaccines = graph.find_by_label("Vaccines")[0]
-        payload = engine.browse(vaccines.node_id)
-        assert payload["node"]["label"] == "Vaccines"
-        assert payload["parent"]["label"] == "COVID-19"
-        assert any(
-            child["label"] == "Pfizer" for child in payload["children"]
-        )
-
 
 class TestMetaProfile:
     def test_extract_records_from_generated_tables(self, papers):

@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.api.system import CovidKG, CovidKGConfig
+from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.errors import KGQLError
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.node import stem_terms
@@ -299,3 +301,84 @@ class TestSemantics:
         result = engine.query(
             'MATCH (a:"Vaccines")-[parent_of]->(b) RETURN b, a LIMIT 1')
         assert result.columns == ["b", "a"]
+
+
+# -- click a node: browsing is one parent_of / child_of hop ----------------
+
+def _fused_graph():
+    """The seed graph after 20 generated papers were ingested and fused."""
+    system = CovidKG(CovidKGConfig(num_shards=2))
+    system.ingest(CorpusGenerator(GeneratorConfig(seed=27)).papers(20))
+    return system.graph
+
+
+class TestClickANode:
+    """Every answer a node click needs is one KGQL query from its id.
+
+    Children are ``MATCH (x)-[parent_of]->(c) WHERE x.id = ...``, the
+    parent the same query over ``child_of``, and every returned payload
+    carries the node's root path and provenance papers.
+    """
+
+    @staticmethod
+    def _expect(graph, nodes):
+        return [
+            (node.node_id,
+             [item.label for item in graph.path_to(node.node_id)],
+             sorted(graph.papers_for(node.node_id)))
+            for node in sorted(nodes, key=lambda n: _numeric_id(n.node_id))
+        ]
+
+    @staticmethod
+    def _click(engine, etype, node_id, var):
+        result = engine.query(
+            f'MATCH (x)-[{etype}]->({var}) WHERE x.id = "{node_id}" '
+            f'RETURN {var}')
+        return [row.bindings[var] for row in result.rows]
+
+    def _answer(self, engine, etype, node_id, var):
+        return [(payload["id"], payload["path"], payload["papers"])
+                for payload in self._click(engine, etype, node_id, var)]
+
+    @pytest.mark.parametrize("build", [seed_covid_graph, _fused_graph],
+                             ids=["seed", "after-ingest"])
+    def test_one_hop_queries_equal_the_graph(self, build):
+        graph = build()
+        engine = KGQLEngine(graph)
+        if build is _fused_graph:
+            # The ingest grew the graph and gave it provenance.
+            assert len(graph) > len(seed_covid_graph())
+            assert graph.papers_for(graph.root_id)
+        for node in graph.walk():
+            node_id = node.node_id
+            assert self._answer(engine, "parent_of", node_id, "c") == \
+                self._expect(graph, graph.children(node_id))
+            parent = graph.parent(node_id)
+            assert self._answer(engine, "child_of", node_id, "p") == \
+                self._expect(graph, [parent] if parent else [])
+
+    def test_root_is_where_a_click_starts(self):
+        graph = seed_covid_graph()
+        engine = KGQLEngine(graph)
+        root = graph.node(graph.root_id)
+        assert root.label == "COVID-19"
+        assert self._click(engine, "child_of", root.node_id, "p") == []
+        children = self._click(engine, "parent_of", root.node_id, "c")
+        assert any(child["label"] == "Vaccines" for child in children)
+        assert all(child["depth"] == 1 for child in children)
+
+    def test_entering_a_child_extends_the_path(self):
+        graph = seed_covid_graph()
+        engine = KGQLEngine(graph)
+        children = self._click(engine, "parent_of", graph.root_id, "c")
+        vaccines = next(c for c in children if c["label"] == "Vaccines")
+        assert vaccines["path"] == ["COVID-19", "Vaccines"]
+
+    def test_node_payload_names_parent_and_children(self):
+        graph = seed_covid_graph()
+        engine = KGQLEngine(graph)
+        vaccines = graph.find_by_label("Vaccines")[0].node_id
+        parents = self._click(engine, "child_of", vaccines, "p")
+        assert [parent["label"] for parent in parents] == ["COVID-19"]
+        children = self._click(engine, "parent_of", vaccines, "c")
+        assert any(child["label"] == "Pfizer" for child in children)

@@ -1,9 +1,8 @@
-"""Tests for fit-time validation/early stopping and query explain plans."""
+"""Tests for fit-time validation and early stopping."""
 
 import numpy as np
 import pytest
 
-from repro.docstore.collection import Collection
 from repro.errors import ModelError
 from repro.neural.layers import Dense
 from repro.neural.model import Sequential
@@ -59,42 +58,3 @@ class TestValidationAndEarlyStopping:
         with pytest.raises(ModelError):
             model().fit(x, y, epochs=2, patience=1)
 
-
-class TestExplain:
-    def collection(self):
-        coll = Collection("papers")
-        coll.insert_many([
-            {"year": 2015 + i % 8, "journal": f"J{i % 3}"}
-            for i in range(80)
-        ])
-        return coll
-
-    def test_full_scan_without_indexes(self):
-        plan = self.collection().explain({"year": 2020})
-        assert plan["strategy"] == "full_scan"
-        assert plan["candidates"] == 80
-
-    def test_hash_index_plan(self):
-        coll = self.collection()
-        coll.create_index("journal")
-        plan = coll.explain({"journal": "J1"})
-        assert plan["strategy"] == "hash_index"
-        assert plan["index"] == "journal"
-        assert plan["candidates"] < 80
-
-    def test_cheapest_index_wins(self):
-        coll = self.collection()
-        coll.create_index("journal")
-        coll.create_index("year")
-        # Equality on year narrows to 10; journal to ~27.
-        plan = coll.explain({"journal": "J1", "year": {"$eq": 2020}})
-        assert plan["index"] == "year"
-        assert plan["candidates"] == 10
-
-    def test_explain_matches_actual_scan(self):
-        coll = self.collection()
-        coll.create_index("year")
-        plan = coll.explain({"year": 2021})
-        coll.scan_count = 0
-        coll.find({"year": 2021}).to_list()
-        assert coll.scan_count == plan["candidates"]

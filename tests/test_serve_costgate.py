@@ -130,7 +130,6 @@ class TestServiceCostGate:
                 ("title_abstract", {"abstract": "vaccine"}),
                 ("table", {"query": "dosage"}),
                 ("kg", {"query": "side effects"}),
-                ("meta_profile", {}),
             ]:
                 with pytest.raises(RequestTooExpensiveError):
                     service.query(engine, **params)

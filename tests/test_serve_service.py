@@ -65,14 +65,13 @@ class TestAnswersMatchDirect:
         assert [h.node.node_id for h in served.value] == \
             [h.node.node_id for h in direct]
 
-    def test_meta_profile(self, service, system):
-        direct = system.meta_profile()
-        served = service.query("meta_profile")
-        assert served.value.to_json() == direct.to_json()
-
     def test_unknown_engine_rejected(self, service):
         with pytest.raises(QueryError):
             service.query("regex_all_the_things", query="x")
+        # meta_profile is a library call (CovidKG.meta_profile), not an
+        # engine: no route serves it.
+        with pytest.raises(QueryError, match="unknown engine"):
+            service.submit("meta_profile")
 
 
 class TestCaching:
