@@ -7,9 +7,11 @@
   fully-qualified name (``"repro.gateway.server:Gateway.serve"`` —
   ``module:qualname``, the colon keeps module paths and class nesting
   from aliasing);
-* **call resolution** — ``self.m()`` via project-local MRO walk, bare
-  names via local defs → classes → imports, dotted chains via import
-  substitution and longest-module-prefix lookup.  Anything that cannot
+* **call resolution** — ``self.m()`` via project-local MRO walk,
+  ``self.<attr>.m()`` via the class the attribute was constructed from
+  (``self.latency = LatencyHistogram()``), bare names via local defs →
+  classes → imports, dotted chains via import substitution and
+  longest-module-prefix lookup.  Anything that cannot
   be pinned to a project function resolves to ``None`` and the
   analyses assume **no effects** for it (conservative: unknown callees
   never manufacture findings);
@@ -21,8 +23,7 @@
 The analyses are deliberately an *under*-approximation on call-graph
 cycles (a function currently on the DFS stack contributes nothing to
 its callers), which keeps them terminating and deterministic; a linter
-must never loop, and recursive lock acquisition is racecheck's job at
-runtime.
+must never loop.  Recursive lock acquisition is therefore not reported.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from repro.analysis.summaries import (
+    ClassSummary,
     FunctionSummary,
     LockAcquire,
     ModuleSummary,
@@ -93,9 +95,9 @@ class ProjectIndex:
         Summaries are per-module, so a ``with A:`` over an *imported*
         ``A`` records the provisional identity ``@pkg.locks.A``.  With
         every module in hand we can ask the defining module what ``A``
-        actually is: its factory name when it is a lock, nothing when
-        it is not (the acquire is dropped — an imported context manager
-        is not evidence of locking).
+        actually is: its binding-site identity when it is a lock, nothing
+        when it is not (the acquire is dropped — an imported context
+        manager is not evidence of locking).
         """
         for name, module in self.modules.items():
             rebuilt_fns = {
@@ -186,10 +188,15 @@ class ProjectIndex:
         parts = callee.split(".")
         class_name = self._class_of(caller)
         if parts[0] in ("self", "cls"):
-            if class_name is None or len(parts) != 2:
+            if class_name is None or len(parts) not in (2, 3):
                 return None
-            return self._resolve_method(module.name, class_name,
-                                        parts[1])
+            if len(parts) == 2:
+                return self._resolve_method(module.name, class_name,
+                                            parts[1])
+            owner = self._attribute_class(module.name, class_name,
+                                          parts[1])
+            return self._resolve_method(*owner, parts[2]) if owner \
+                else None
         if len(parts) == 1:
             return self._resolve_bare(module, caller, parts[0])
         if parts[0] in module.imports:
@@ -237,12 +244,12 @@ class ProjectIndex:
             return None
         return None
 
-    def _resolve_method(self, module_name: str, class_name: str,
-                        method: str) -> str | None:
-        """Method lookup along project-visible bases (approximate MRO).
+    def _mro(self, module_name: str, class_name: str
+             ) -> Iterator[tuple[ModuleSummary, ClassSummary]]:
+        """A class and its project-visible bases (approximate MRO).
 
-        Bases outside the project stop the walk for that branch —
-        the method may live there, which makes the callee *unknown*,
+        Bases outside the project stop the walk for that branch — a
+        method or attribute may live there, which makes it *unknown*,
         not absent.
         """
         seen: set[tuple[str, str]] = set()
@@ -256,17 +263,33 @@ class ProjectIndex:
             cls = module.classes.get(cls_name) if module else None
             if cls is None:
                 continue
-            if method in cls.methods:
-                return f"{mod_name}:{cls_name}.{method}"
+            yield module, cls
             for base in cls.bases:
                 resolved = self._resolve_class(module, base)
                 if resolved is not None:
                     queue.append(resolved)
+
+    def _resolve_method(self, module_name: str, class_name: str,
+                        method: str) -> str | None:
+        for module, cls in self._mro(module_name, class_name):
+            if method in cls.methods:
+                return f"{module.name}:{cls.name}.{method}"
+        return None
+
+    def _attribute_class(self, module_name: str, class_name: str,
+                         attr: str) -> tuple[str, str] | None:
+        """The project class ``self.<attr>`` was constructed from."""
+        for module, cls in self._mro(module_name, class_name):
+            if attr in cls.attributes:
+                constructor = cls.attributes[attr]
+                return self._resolve_class(module, constructor) \
+                    if constructor else None
         return None
 
     def _resolve_class(self, module: ModuleSummary,
-                       base: str) -> tuple[str, str] | None:
-        parts = base.split(".")
+                       name: str) -> tuple[str, str] | None:
+        """(module, class) a dotted name written in ``module`` denotes."""
+        parts = name.split(".")
         if len(parts) == 1:
             if parts[0] in module.classes:
                 return (module.name, parts[0])
@@ -378,10 +401,12 @@ class ProjectIndex:
                                    tuple[ChainStep, ...]]:
         """Static held→acquired edges with one provenance chain each.
 
-        Same vocabulary as racecheck's runtime graph: an edge ``(A, B)``
-        means some path acquires ``B`` while holding ``A`` — either
-        lexically in one function or across a call boundary (call site
-        holds ``A``, callee transitively acquires ``B``).
+        An edge ``(A, B)`` means some path acquires ``B`` while holding
+        ``A`` — either lexically in one function or across a call
+        boundary (call site holds ``A``, callee transitively acquires
+        ``B``).  Locks are named by binding site; a lock taken inside
+        a helper the ``with`` statement only calls into (the
+        ``ReadWriteLock`` guards' ``__enter__``) is invisible here.
         """
         edges: dict[tuple[str, str], tuple[ChainStep, ...]] = {}
         for key, fn in self.functions.items():

@@ -28,7 +28,7 @@ from repro.analysis.lint import (
     iter_python_files,
     lint_source,
 )
-from repro.analysis.summaries import summarize_module
+from repro.analysis.summaries import is_lock_constructor, summarize_module
 
 
 @dataclass
@@ -46,10 +46,13 @@ class AnalysisResult:
         async_defs = sum(1 for fn in functions if fn.is_async)
         spawns = sum(1 for fn in functions for call in fn.calls
                      if call.callee.rsplit(".", 1)[-1] == "Thread")
-        locks = {name for module in self.index.modules.values()
-                 for name in module.named_locks}
+        locks = sum(len(module.locks) + sum(
+            is_lock_constructor(constructor)
+            for cls in module.classes.values()
+            for constructor in cls.attributes.values())
+            for module in self.index.modules.values())
         return (f"{self.files} files; {async_defs} async defs, "
-                f"{len(locks)} named locks, {spawns} thread spawn "
+                f"{locks} locks, {spawns} thread spawn "
                 f"sites; rules {' '.join(self.rules)}")
 
 

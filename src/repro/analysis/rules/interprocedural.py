@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis import racecheck
 from repro.analysis.callgraph import (
     EXECUTOR_HANDOFF,
     ProjectIndex,
@@ -64,15 +63,44 @@ class TransitiveBlockingInAsync(ProjectRule):
                 )
 
 
+def find_cycles(edges: set[tuple[str, str]]) -> list[list[str]]:
+    """Distinct elementary cycles in the lock-order graph (DFS)."""
+    graph: dict[str, list[str]] = {}
+    for a, b in edges:
+        graph.setdefault(a, []).append(b)
+    cycles: list[list[str]] = []
+    seen_sets: set[frozenset[str]] = set()
+
+    def dfs(node: str, path: list[str], on_path: set[str]) -> None:
+        for successor in graph.get(node, ()):
+            if successor in on_path:
+                start = path.index(successor)
+                cycle = path[start:]
+                marker = frozenset(cycle)
+                if marker not in seen_sets:
+                    seen_sets.add(marker)
+                    cycles.append(cycle)
+                continue
+            path.append(successor)
+            on_path.add(successor)
+            dfs(successor, path, on_path)
+            on_path.discard(successor)
+            path.pop()
+
+    for start in sorted(graph):
+        dfs(start, [start], {start})
+    return cycles
+
+
 class StaticLockOrderCycle(ProjectRule):
     """REP209: a lock-order cycle visible at compile time.
 
     Builds the static held→acquired edge graph (lexical ``with``
     nesting plus call sites made while holding a lock, expanded through
-    each callee's transitive acquisitions) and runs the *same* cycle
-    detector racecheck applies to its runtime graph — the two layers
-    speak one vocabulary (racecheck factory names) and are
-    cross-checked in the test suite.
+    each callee's transitive acquisitions — ``self.<attr>.method()``
+    included when the attribute's class is known) and reports every
+    cycle :func:`find_cycles` finds in it.  A lock is named by its
+    binding site (``repro.serve.metrics.GatewayMetrics._lock``).
     """
 
     rule_id = "REP209"
@@ -81,7 +109,7 @@ class StaticLockOrderCycle(ProjectRule):
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         edges = index.lock_order_edges()
-        for cycle in racecheck.find_cycles(set(edges)):
+        for cycle in find_cycles(set(edges)):
             pairs = [(cycle[i], cycle[(i + 1) % len(cycle)])
                      for i in range(len(cycle))]
             sites = [edges[pair] for pair in pairs if pair in edges]

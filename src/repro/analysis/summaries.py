@@ -14,15 +14,15 @@ cross-module information.  Everything the interprocedural rules
   synchronous socket/file I/O, ...);
 * **lock acquisitions** — every ``with <lock>:`` entry, resolved to a
   stable *lock identity*, plus the identities already held at that point
-  (the static lock-order edges).
+  (the static lock-order edges);
+* **typed attributes** — per class, each ``self.<attr> = <Name>(...)``
+  binding as the raw constructor expression (``LatencyHistogram``,
+  ``threading.Lock``); the project index resolves the name to a project
+  class, so ``self.<attr>.method()`` gets a callee.
 
 Lock identity
-    Locks created through the :mod:`repro.analysis.racecheck` factories
-    (``make_lock("docstore.object_id")``) take the factory's string name,
-    so the static lock-order graph and the runtime racecheck graph speak
-    the same vocabulary and can be cross-checked.  Plain ``threading``
-    locks are qualified by where they are bound (``module.Class.attr``,
-    ``module.attr``, ``module.func.var``) so same-named locks in
+    A lock is named by where it is bound (``module.Class.attr``,
+    ``module.attr``, ``module.func.var``), so same-named locks in
     different classes never alias into false cycles.
 """
 
@@ -35,12 +35,9 @@ from typing import Iterator
 #: Lock-ish terminal names (mirrors the REP201/REP202 heuristic).
 LOCKISH = ("lock", "condition", "mutex")
 
-#: The racecheck factory callables whose string argument names the lock.
-_LOCK_FACTORIES = frozenset({"make_lock", "make_rlock", "make_condition"})
-
-#: Plain stdlib lock constructors (``threading.Lock()`` etc.).
-_PLAIN_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore",
-                               "BoundedSemaphore"})
+#: Stdlib lock constructors (``threading.Lock()`` etc.).
+_LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore",
+                         "BoundedSemaphore"})
 
 #: Socket-style methods that block the calling thread (REP206's list).
 _SOCKET_ATTRS = frozenset({
@@ -187,6 +184,10 @@ class ClassSummary:
     name: str
     bases: tuple[str, ...] = ()  # dotted base expressions, as written
     methods: dict[str, FunctionSummary] = field(default_factory=dict)
+    #: ``self.<attr>`` and class-body bindings -> the raw constructor
+    #: expression (``"LatencyHistogram"``); ``""`` when the attribute is
+    #: bound to anything else or to more than one constructor.
+    attributes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,6 @@ class ModuleSummary:
     #: modules' imported-guard provisionals (``@pkg.locks.A``) can be
     #: resolved by the project index.
     locks: dict[str, str] = field(default_factory=dict)
-    #: Every racecheck factory name bound anywhere in the module
-    #: (``make_lock("serve.cache")`` -> ``"serve.cache"``).
-    named_locks: tuple[str, ...] = ()
 
     def all_functions(self) -> Iterator[FunctionSummary]:
         yield from self.functions.values()
@@ -235,26 +233,16 @@ def module_name_for(path: str) -> str:
 
 # -- lock identity resolution ----------------------------------------------
 
-def _lock_binding(value: ast.expr) -> str | None:
-    """The lock identity a RHS expression creates, if it creates one.
-
-    ``make_lock("X")`` (any receiver) -> ``"X"``;
-    ``threading.Lock()`` -> ``""`` (caller qualifies by binding site);
-    anything else -> ``None`` (not a lock construction).
-    """
+def constructor_of(value: ast.expr) -> str:
+    """``threading.Lock`` for ``threading.Lock()``; ``""`` if no call."""
     if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    name = func.id if isinstance(func, ast.Name) else \
-        func.attr if isinstance(func, ast.Attribute) else ""
-    if name in _LOCK_FACTORIES:
-        if value.args and isinstance(value.args[0], ast.Constant) and \
-                isinstance(value.args[0].value, str):
-            return value.args[0].value
         return ""
-    if name in _PLAIN_LOCK_CTORS:
-        return ""
-    return None
+    return ".".join(attr_chain(value.func))
+
+
+def is_lock_constructor(constructor: str) -> bool:
+    """True when a raw constructor expression builds a stdlib lock."""
+    return constructor.rsplit(".", 1)[-1] in _LOCK_CTORS
 
 
 def _binding_pairs(node: ast.stmt) -> Iterator[tuple[ast.expr, ast.expr]]:
@@ -274,19 +262,17 @@ def _binding_pairs(node: ast.stmt) -> Iterator[tuple[ast.expr, ast.expr]]:
 class _LockEnv:
     """Lexically scoped lock-name bindings for one module.
 
-    ``module_locks`` maps module-global names, ``class_locks`` maps
-    ``self.<attr>`` per class (collected from every method's
-    ``self.X = make_lock(...)`` assignments), and function scopes stack
-    so closures see enclosing bindings (the racecheck-test workload
-    shape: locks made in the test, used in nested defs).
+    ``module_locks`` maps module-global names, ``class_locks`` holds
+    each class's lock attributes (``self.X = threading.Lock()`` in any
+    method, or ``X = threading.Lock()`` in the class body), and function
+    scopes stack so closures see enclosing bindings (locks made in a
+    function, used in nested defs).
     """
 
     def __init__(self, module: str) -> None:
         self.module = module
         self.module_locks: dict[str, str] = {}
-        self.class_locks: dict[str, dict[str, str]] = {}
-        #: Every racecheck factory name seen, wherever it was bound.
-        self.named: set[str] = set()
+        self.class_locks: dict[str, set[str]] = {}
         #: Import aliases (from :func:`collect_imports`).  A guard that
         #: is an imported name gets the *provisional* identity
         #: ``@<dotted target>``; :class:`~repro.analysis.callgraph.\
@@ -294,35 +280,37 @@ class _LockEnv:
         #: table (and drops it when the target is not a lock).
         self.imports: dict[str, str] = {}
 
-    def lock_binding(self, value: ast.expr) -> str | None:
-        """:func:`_lock_binding`, remembering every factory name seen."""
-        bound = _lock_binding(value)
-        if bound:
-            self.named.add(bound)
-        return bound
-
     def collect_module(self, tree: ast.Module) -> None:
         for node in tree.body:
             for target, value in _binding_pairs(node):
-                bound = self.lock_binding(value)
-                if bound is None or not isinstance(target, ast.Name):
-                    continue
-                self.module_locks[target.id] = \
-                    bound or f"{self.module}.{target.id}"
+                if isinstance(target, ast.Name) and \
+                        is_lock_constructor(constructor_of(value)):
+                    self.module_locks[target.id] = \
+                        f"{self.module}.{target.id}"
 
-    def collect_class(self, cls: ast.ClassDef) -> None:
-        attrs: dict[str, str] = {}
+    def collect_class(self, cls: ast.ClassDef) -> dict[str, str]:
+        """``cls``'s attribute constructors, noting which are locks."""
+        attributes: dict[str, str] = {}
+
+        def bind(name: str, value: ast.expr) -> None:
+            constructor = constructor_of(value)
+            if attributes.setdefault(name, constructor) != constructor:
+                attributes[name] = ""
+
+        for node in cls.body:
+            for target, value in _binding_pairs(node):
+                if isinstance(target, ast.Name):
+                    bind(target.id, value)
         for node in ast.walk(cls):
             for target, value in _binding_pairs(node):
-                bound = self.lock_binding(value)
-                if bound is None:
-                    continue
                 chain = attr_chain(target) if \
                     isinstance(target, ast.Attribute) else []
                 if len(chain) == 2 and chain[0] in ("self", "cls"):
-                    attrs[chain[1]] = \
-                        bound or f"{self.module}.{cls.name}.{chain[1]}"
-        self.class_locks[cls.name] = attrs
+                    bind(chain[1], value)
+        self.class_locks[cls.name] = {
+            name for name, constructor in attributes.items()
+            if is_lock_constructor(constructor)}
+        return attributes
 
     def resolve_guard(self, expr: ast.expr, class_name: str | None,
                       function_qualname: str,
@@ -346,9 +334,6 @@ class _LockEnv:
                 return f"@{self.imports[name]}"
             return f"{self.module}.{name}"
         if chain[0] in ("self", "cls") and len(chain) == 2:
-            attrs = self.class_locks.get(class_name or "", {})
-            if chain[1] in attrs:
-                return attrs[chain[1]]
             return f"{self.module}.{class_name or '?'}.{chain[1]}"
         if chain[0] in self.imports:
             return f"@{'.'.join([self.imports[chain[0]], *chain[1:]])}"
@@ -372,7 +357,7 @@ class _LockEnv:
             return any(chain[0] in scope for scope in local_scopes) \
                 or chain[0] in self.module_locks
         if chain[0] in ("self", "cls") and len(chain) == 2:
-            return chain[1] in self.class_locks.get(class_name or "", {})
+            return chain[1] in self.class_locks.get(class_name or "", ())
         return False
 
 
@@ -432,11 +417,10 @@ class _BodyScanner:
 
     def _track_local_locks(self, node: ast.stmt) -> None:
         for target, value in _binding_pairs(node):
-            bound = self.env.lock_binding(value)
-            if bound is None or not isinstance(target, ast.Name):
-                continue
-            self.local_scopes[-1][target.id] = \
-                bound or f"{self.env.module}.{self.qualname}.{target.id}"
+            if isinstance(target, ast.Name) and \
+                    is_lock_constructor(constructor_of(value)):
+                self.local_scopes[-1][target.id] = \
+                    f"{self.env.module}.{self.qualname}.{target.id}"
 
     def _visit_with(self, node: ast.With) -> None:
         acquired: list[str] = []
@@ -512,8 +496,7 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
             lock_acquires=tuple(scanner.lock_acquires),
         )
         # Nested defs become sibling entries (qualified by the parent),
-        # preserving access to the enclosing lock scope — the closure
-        # workload racecheck's own tests exercise.
+        # preserving access to the enclosing lock scope.
         for child in ast.walk(node):
             if child is node:
                 continue
@@ -532,7 +515,7 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
             functions[node.name] = summarize_function(
                 node, node.name, None, [])
         elif isinstance(node, ast.ClassDef):
-            env.collect_class(node)
+            attributes = env.collect_class(node)
             methods: dict[str, FunctionSummary] = {}
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef,
@@ -545,13 +528,13 @@ def summarize_module(path: str, tree: ast.Module) -> ModuleSummary:
                 bases=tuple(".".join(attr_chain(base))
                             for base in node.bases if attr_chain(base)),
                 methods=methods,
+                attributes=attributes,
             )
 
     return ModuleSummary(
         name=module, path=path, imports=imports,
         functions=functions, classes=classes,
         locks=dict(env.module_locks),
-        named_locks=tuple(sorted(env.named)),
     )
 
 

@@ -24,7 +24,6 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.analysis import racecheck
 from repro.cluster import protocol as wire
 from repro.errors import GatewayError
 
@@ -60,7 +59,7 @@ class SharedCacheClient:
         self.breaker_seconds = breaker_seconds
         self._clock = clock
         self._local = threading.local()
-        self._lock = racecheck.make_lock("cluster.cacheclient")
+        self._lock = threading.Lock()
         self._broken_until = 0.0
         self.stats = {
             "hits": 0, "misses": 0, "puts": 0, "invalidations": 0,

@@ -32,7 +32,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.analysis import racecheck
 from repro.cluster import protocol as wire
 
 logger = logging.getLogger("repro.cluster.cache")
@@ -66,7 +65,7 @@ class SharedCacheServer:
         self._replicas: dict[str, dict[str, Any]] = {}
         # One condition guards all shared state; REGISTER notifies it so
         # an in-process runner can wait for its replicas without polling.
-        self._lock = racecheck.make_condition("cluster.cacheserver")
+        self._lock = threading.Condition()
         self._sock: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_threads: set[threading.Thread] = set()

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Any
 from urllib.parse import urlencode
 
-from repro.analysis import racecheck
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import BadRequestError, PayloadTooLargeError
 from repro.gateway.client import ClientResponse, GatewayClient
@@ -146,7 +145,7 @@ class Router:
     def __init__(self, replicas: list[ReplicaSpec],
                  config: RouterConfig | None = None) -> None:
         self.config = config or RouterConfig()
-        self._lock = racecheck.make_lock("cluster.router")
+        self._lock = threading.Lock()
         self._states: dict[str, _ReplicaState] = {}
         self._ring = HashRing(vnodes=self.config.vnodes)
         self._sock: socket.socket | None = None

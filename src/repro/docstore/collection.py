@@ -211,10 +211,6 @@ class Collection:
                  ) -> dict[str, Any] | None:
         return self.find(query, projection).first()
 
-    def find_by_id(self, doc_id: Any) -> dict[str, Any] | None:
-        document = self._documents.get(doc_id)
-        return deep_copy_document(document) if document is not None else None
-
     def count(self, query: dict[str, Any] | None = None) -> int:
         if not query:
             return len(self._documents)

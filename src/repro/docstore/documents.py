@@ -10,9 +10,9 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import threading
 from typing import Any
 
-from repro.analysis import racecheck
 from repro.errors import DocumentError
 
 _MISSING = object()
@@ -27,7 +27,7 @@ class ObjectId:
     """
 
     _counter = itertools.count(1)
-    _lock = racecheck.make_lock("docstore.object_id")
+    _lock = threading.Lock()
 
     __slots__ = ("value",)
 
@@ -102,11 +102,6 @@ def deep_get(document: Any, path: str, default: Any = None) -> Any:
         if value is _MISSING:
             return default
     return value
-
-
-def path_exists(document: Any, path: str) -> bool:
-    """True when the dotted ``path`` resolves to any value (even None)."""
-    return deep_get(document, path, _MISSING) is not _MISSING
 
 
 def deep_set(document: dict[str, Any], path: str, value: Any) -> None:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis import racecheck
 from repro.errors import IngestRejectedError
 from repro.ingest.quality_gate import gate_batch
 from repro.ingest.snapshots import (
@@ -99,7 +98,7 @@ class IngestEngine:
         self._data_lock = data_lock or ReadWriteLock()
         self._seq = 0
         self._ids = itertools.count(1)
-        self._state_lock = racecheck.make_lock("ingest.engine")
+        self._state_lock = threading.Lock()
         self._docs_since_merge = 0
         self._merges = 0
         self._replaying = False

@@ -18,7 +18,6 @@ from concurrent.futures import Future
 from queue import Empty, Full, Queue
 from typing import Any, Callable
 
-from repro.analysis import racecheck
 from repro.errors import (
     DeadlineExceededError,
     ServiceClosedError,
@@ -37,7 +36,7 @@ class ReadWriteLock:
     """
 
     def __init__(self) -> None:
-        self._condition = racecheck.make_condition("serve.admission.rwlock")
+        self._condition = threading.Condition()
         self._readers = 0
         self._writer = False
         self._writers_waiting = 0
@@ -117,7 +116,7 @@ class WorkerPool:
         self.max_queue = max_queue
         self._queue: Queue[Any] = Queue(maxsize=max_queue)
         self._closed = False
-        self._lock = racecheck.make_lock("serve.admission.pool")
+        self._lock = threading.Lock()
         self._threads = [
             threading.Thread(target=self._worker_loop,
                              name=f"{name}-worker-{i}", daemon=True)

@@ -26,13 +26,13 @@ correct and bounded:
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-from repro.analysis import racecheck
 
 #: Cache key: (engine name, canonical parameter tuple).
 CacheKey = tuple[str, tuple[Any, ...]]
@@ -142,7 +142,7 @@ class ResultCache:
         self._negatives: OrderedDict[Hashable, _NegativeEntry] = \
             OrderedDict()
         self._inflight: dict[Hashable, Flight] = {}
-        self._lock = racecheck.make_lock("serve.cache")
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def stats_snapshot(self) -> dict[str, int]:

@@ -8,10 +8,10 @@ requests the service has handled.
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from typing import Any
 
-from repro.analysis import racecheck
 
 #: Percentiles ``snapshot()`` reports, as (label, fraction).
 REPORTED_PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
@@ -35,7 +35,7 @@ class LatencyHistogram:
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
-        self._lock = racecheck.make_lock("serve.metrics.histogram")
+        self._lock = threading.Lock()
 
     def observe(self, seconds: float) -> None:
         with self._lock:
@@ -103,7 +103,7 @@ class GatewayMetrics:
     """
 
     def __init__(self, histogram_capacity: int = 2048) -> None:
-        self._lock = racecheck.make_lock("serve.metrics.gateway")
+        self._lock = threading.Lock()
         self.connections_open = 0
         self.connections_peak = 0
         self.connections_total = 0
@@ -172,7 +172,7 @@ class ServiceMetrics:
     """All counters/histograms for one :class:`QueryService`."""
 
     def __init__(self, histogram_capacity: int = 2048) -> None:
-        self._lock = racecheck.make_lock("serve.metrics.service")
+        self._lock = threading.Lock()
         self._histogram_capacity = histogram_capacity
         self.requests: Counter[str] = Counter()
         self.errors: Counter[str] = Counter()

@@ -108,6 +108,41 @@ def test_self_method_resolution_walks_project_bases():
         "pkg.base:Base.shared"
 
 
+def test_typed_attribute_calls_resolve_to_the_constructed_class():
+    index = _index({
+        "src/pkg/parts.py": (
+            "class Histogram:\n"
+            "    def snapshot(self):\n        return 1\n"
+        ),
+        "src/pkg/owner.py": (
+            "from pkg import parts\n"
+            "from pkg.parts import Histogram\n"
+            "class Base:\n"
+            "    def __init__(self):\n"
+            "        self.inherited = parts.Histogram()\n"
+            "class Owner(Base):\n"
+            "    def __init__(self, given):\n"
+            "        self.latency = Histogram()\n"
+            "        self.either = Histogram()\n"
+            "        self.either = given\n"
+            "        self.helper = make_histogram()\n"
+            "    def run(self):\n"
+            "        self.latency.snapshot()\n"
+        ),
+    })
+    caller = "pkg.owner:Owner.run"
+    assert index.resolve_call(caller, "self.latency.snapshot") == \
+        "pkg.parts:Histogram.snapshot"
+    assert index.resolve_call(caller, "self.inherited.snapshot") == \
+        "pkg.parts:Histogram.snapshot"
+    # Bound to two things, to a function's result, or never bound:
+    # unknown, so it contributes no effects.
+    for callee in ("self.either.snapshot", "self.helper.snapshot",
+                   "self.missing.snapshot", "self.latency.missing",
+                   "self.latency.snapshot.deeper"):
+        assert index.resolve_call(caller, callee) is None, callee
+
+
 def test_constructor_call_resolves_to_init():
     index = _index({
         "src/pkg/thing.py": (
@@ -190,9 +225,9 @@ def test_blocking_chain_crosses_modules_with_provenance():
 def test_transitive_locks_aggregate_through_calls():
     index = _index({
         "src/pkg/locks.py": (
-            "from repro.analysis import racecheck\n"
-            "A = racecheck.make_lock('A')\n"
-            "B = racecheck.make_lock('B')\n"
+            "import threading\n"
+            "A = threading.Lock()\n"
+            "B = threading.Lock()\n"
             "def take_b():\n"
             "    with B:\n        pass\n"
             "def outer():\n"
@@ -201,10 +236,10 @@ def test_transitive_locks_aggregate_through_calls():
         ),
     })
     locks = index.transitive_locks("pkg.locks:outer")
-    assert set(locks) == {"A", "B"}
+    assert set(locks) == {"pkg.locks.A", "pkg.locks.B"}
     edges = index.lock_order_edges()
-    assert ("A", "B") in edges
-    assert ("B", "A") not in edges
+    assert ("pkg.locks.A", "pkg.locks.B") in edges
+    assert ("pkg.locks.B", "pkg.locks.A") not in edges
 
 
 def test_plain_locks_are_qualified_by_binding_site():
@@ -230,13 +265,13 @@ def test_plain_locks_are_qualified_by_binding_site():
     assert set(p_locks).isdisjoint(q_locks)
 
 
-def test_tuple_assigned_racecheck_locks_resolve_by_factory_name():
-    # The racecheck test-suite shape: a, b = make_lock("A"), make_lock("B")
+def test_tuple_assigned_locks_resolve_by_binding_site():
+    # a, b = Lock(), Lock() in a function, used by a nested def.
     index = _index({
         "src/pkg/tup.py": (
-            "from repro.analysis.racecheck import make_lock\n"
+            "import threading\n"
             "def workload():\n"
-            "    a, b = make_lock('A'), make_lock('B')\n"
+            "    a, b = threading.Lock(), threading.Lock()\n"
             "    def ab():\n"
             "        with a:\n"
             "            with b:\n                pass\n"
@@ -244,8 +279,9 @@ def test_tuple_assigned_racecheck_locks_resolve_by_factory_name():
         ),
     })
     locks = index.transitive_locks("pkg.tup:workload.ab")
-    assert set(locks) == {"A", "B"}
-    assert ("A", "B") in index.lock_order_edges()
+    assert set(locks) == {"pkg.tup.workload.a", "pkg.tup.workload.b"}
+    assert ("pkg.tup.workload.a", "pkg.tup.workload.b") in \
+        index.lock_order_edges()
 
 
 def test_lambda_bodies_are_deferred_not_attributed():

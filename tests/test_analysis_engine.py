@@ -75,18 +75,18 @@ def test_allow_naming_no_rule_is_stale_but_an_unrun_rule_is_not(tmp_path):
 def test_census_counts_come_from_the_summaries(tmp_path):
     _write_corpus(tmp_path, {**CORPUS, "pkg/locks.py": (
         "import threading\n\n"
-        "from repro.analysis import racecheck\n\n\n"
+        "REGISTRY = threading.Lock()\n\n\n"
         "class Box:\n"
-        "    _ids = racecheck.make_lock('box.ids')\n\n"
+        "    _ids = threading.Lock()\n\n"
         "    def __init__(self):\n"
-        "        self._lock = racecheck.make_lock('box')\n"
-        "        self._plain = threading.Lock()\n"
+        "        self._lock = threading.RLock()\n"
+        "        self._ready = threading.Condition()\n"
         "        self._thread = threading.Thread(target=self.run)\n\n"
         "    def run(self):\n"
         "        pass\n"
     )})
     result = analyze_paths([tmp_path], root=tmp_path, project_rules=())
     assert result.census().startswith(
-        "4 files; 1 async defs, 2 named locks, 1 thread spawn sites; "
+        "4 files; 1 async defs, 4 locks, 1 thread spawn sites; "
         "rules REP103 ")
     assert "REP208" not in result.census()

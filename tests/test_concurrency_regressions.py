@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from repro.errors import ServiceClosedError, ServiceOverloadedError
 from repro.serve.admission import WorkerPool
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import LatencyHistogram, ServiceMetrics
@@ -23,43 +22,32 @@ def test_worker_pool_submit_shutdown_race_settles_every_future():
 
     Pre-fix code enqueued outside the closed-check lock, so a task
     could land in the queue *after* the shutdown sentinels (and after
-    the shutdown drain) — its future never resolved.  Hammer the
-    interleaving; any lost future fails the ``result(timeout=...)``.
+    the shutdown drain) — its future never resolved.  Force that
+    interleaving: the enqueue waits until ``shutdown(wait=True)`` has
+    returned.  With the fix the enqueue holds the lock shutdown needs,
+    so the wait times out, the task is queued first and runs.
     """
-    for _ in range(15):
-        pool = WorkerPool(num_workers=2, max_queue=32)
-        futures: list = []
-        futures_lock = threading.Lock()
-        start = threading.Barrier(5)
+    pool = WorkerPool(num_workers=2, max_queue=4)
+    enqueuing, shut_down = threading.Event(), threading.Event()
+    put_nowait = pool._queue.put_nowait
 
-        def submitter():
-            start.wait(timeout=5.0)
-            while True:
-                try:
-                    future = pool.submit(lambda: 1)
-                except ServiceClosedError:
-                    return
-                except ServiceOverloadedError:
-                    continue
-                with futures_lock:
-                    futures.append(future)
+    def late_put_nowait(item):
+        enqueuing.set()
+        shut_down.wait(timeout=0.5)
+        put_nowait(item)
 
-        def shutter():
-            start.wait(timeout=5.0)
-            pool.shutdown(wait=True)
-
-        threads = [threading.Thread(target=submitter) for _ in range(4)]
-        threads.append(threading.Thread(target=shutter))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-        for future in futures:
-            try:
-                assert future.result(timeout=2.0) == 1
-            except ServiceClosedError:
-                pass  # failed by the shutdown drain: still settled
+    pool._queue.put_nowait = late_put_nowait
+    futures: list = []
+    submitter = threading.Thread(
+        target=lambda: futures.append(pool.submit(lambda: 1)))
+    submitter.start()
+    assert enqueuing.wait(timeout=5.0)
+    pool.shutdown(wait=True)
+    shut_down.set()
+    submitter.join(timeout=5.0)
+    assert not submitter.is_alive()
+    (future,) = futures
+    assert future.result(timeout=2.0) == 1
 
 
 def _hammer(worker, num_threads: int = 4) -> None:

@@ -29,12 +29,12 @@ class TestInsert:
         collection = Collection()
         doc_id = collection.insert_one({"x": 1})
         assert isinstance(doc_id, ObjectId)
-        assert collection.find_by_id(doc_id)["x"] == 1
+        assert collection.find_one({"_id": doc_id})["x"] == 1
 
     def test_insert_respects_explicit_id(self):
         collection = Collection()
         collection.insert_one({"_id": "custom", "x": 1})
-        assert collection.find_by_id("custom")["x"] == 1
+        assert collection.find_one({"_id": "custom"})["x"] == 1
 
     def test_duplicate_id_rejected(self):
         collection = Collection()
@@ -47,7 +47,7 @@ class TestInsert:
         original = {"nested": {"v": 1}}
         doc_id = collection.insert_one(original)
         original["nested"]["v"] = 999
-        assert collection.find_by_id(doc_id)["nested"]["v"] == 1
+        assert collection.find_one({"_id": doc_id})["nested"]["v"] == 1
 
     def test_reads_are_copies(self, papers):
         doc = papers.find_one({"title": "masks"})

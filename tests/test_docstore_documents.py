@@ -10,7 +10,6 @@ from repro.docstore.documents import (
     deep_set,
     deep_unset,
     document_bytes,
-    path_exists,
     validate_document,
 )
 from repro.errors import DocumentError
@@ -66,11 +65,6 @@ class TestDeepGet:
 
     def test_index_out_of_range(self):
         assert deep_get(self.DOC, "scores.99") is None
-
-    def test_path_exists(self):
-        assert path_exists(self.DOC, "meta.year")
-        assert not path_exists(self.DOC, "meta.month")
-        assert path_exists({"x": None}, "x")  # None still exists
 
 
 class TestDeepSet:

@@ -4,8 +4,7 @@ Every test here talks to a real socket on an ephemeral port via
 :class:`BackgroundGateway` + the stdlib :class:`GatewayClient` — no
 mocked transports — so keep-alive reuse, backpressure, overload
 shedding, and graceful drain are exercised exactly as a deployment
-would see them.  The suite also runs under ``REPRO_RACECHECK=1`` in CI
-(the gateway metrics and the serving tier share instrumented locks).
+would see them.
 """
 
 from __future__ import annotations

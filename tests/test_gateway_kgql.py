@@ -1,8 +1,7 @@
 """End-to-end ``/v1/kg/query`` tests over real sockets.
 
 Same harness as ``tests/test_gateway.py`` (BackgroundGateway on an
-ephemeral port + the stdlib keep-alive client); runs in the CI
-racecheck shard alongside the other gateway suites.
+ephemeral port + the stdlib keep-alive client).
 """
 
 from __future__ import annotations
