@@ -345,7 +345,7 @@ class CovidKG:
 
     def explain_graph_query(self, query: str,
                             nl: bool = False) -> dict[str, Any]:
-        """The KGQL logical plan + admission cost, without executing."""
+        """The KGQL logical plan, without executing."""
         return self.kgql.explain(query, nl=nl)
 
     def meta_profile(self, papers: list[dict[str, Any]] | None = None
@@ -361,9 +361,7 @@ class CovidKG:
 
         Returns a :class:`~repro.serve.service.QueryService` with result
         caching, bounded admission, and request metrics — the layer the
-        covidkg.org front end would talk to.  Pass a
-        :class:`~repro.serve.service.ServeConfig` with
-        ``max_request_cost`` set to enable pre-admission cost pricing.
+        covidkg.org front end would talk to.
         """
         from repro.serve.service import QueryService  # noqa: PLC0415
 
@@ -387,9 +385,6 @@ class CovidKG:
         )
 
     # -- operations -------------------------------------------------------
-
-    def review_pending(self):
-        return self.review_queue.pending()
 
     def storage(self) -> StorageReport:
         return storage_report(self.store)

@@ -142,19 +142,6 @@ class SvmMetadataClassifier:
         matrix = self._standardize(self.feature_matrix(dataset))
         return self._svm.decision_function(matrix)
 
-    # -- sklearn-style array interface (for the generic CV harness) --------
-
-    def fit_arrays(self, features: np.ndarray,
-                   labels: np.ndarray) -> "SvmMetadataClassifier":
-        matrix = self._standardize(np.asarray(features), fit=True)
-        matrix, labels = self._balance(matrix, np.asarray(labels))
-        self._svm.fit(matrix, labels)
-        return self
-
-    def predict_arrays(self, features: np.ndarray) -> np.ndarray:
-        matrix = self._standardize(np.asarray(features))
-        return self._svm.predict(matrix)
-
     # -- serialization ------------------------------------------------------
 
     def save(self, path) -> None:

@@ -126,8 +126,6 @@ def _cmd_kg_query(args: argparse.Namespace) -> int:
         explained = system.explain_graph_query(args.query, nl=args.nl)
         print(f"query: {explained['query']}")
         print(explained["plan"])
-        print(f"estimated cost: {explained['estimated_cost']:.0f} "
-              f"work units")
         return 0
     result = system.query_graph(args.query, nl=args.nl)
     if args.nl:
@@ -188,10 +186,7 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
         print("serve-stats needs --system PATH or --url http://host:port")
         return 2
     system = _load_system(args.system)
-    config = ServeConfig(
-        num_workers=args.workers,
-        max_request_cost=args.max_cost,
-    )
+    config = ServeConfig(num_workers=args.workers)
     with QueryService(system, config) as service:
         # Warm the cache once so the concurrent burst below exercises
         # hits; firing all requests cold would just stampede misses.
@@ -252,7 +247,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     config = ServeConfig(
         num_workers=args.workers,
         max_queue=args.max_queue,
-        max_request_cost=args.max_cost,
         gateway=gateway_config,
         shared_cache=getattr(args, "shared_cache", None),
     )
@@ -500,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="translate a natural-language question "
                                "through the template front end first")
     kg_query.add_argument("--explain", action="store_true",
-                          help="print the logical plan and admission "
-                               "cost without executing")
+                          help="print the logical plan without "
+                               "executing")
     kg_query.add_argument("query")
     kg_query.set_defaults(func=_cmd_kg_query)
 
@@ -528,9 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_stats.add_argument("--requests", type=int, default=50,
                              help="number of requests to issue")
     serve_stats.add_argument("--workers", type=int, default=4)
-    serve_stats.add_argument("--max-cost", type=float, default=None,
-                             help="reject requests whose estimated "
-                                  "pipeline cost exceeds this budget")
     serve_stats.add_argument("query", nargs="?", default="covid")
     serve_stats.set_defaults(func=_cmd_serve_stats)
 
@@ -555,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument("--max-queue", type=int, default=64)
     gateway.add_argument("--max-connections", type=int, default=1024)
     gateway.add_argument("--drain-seconds", type=float, default=5.0)
-    gateway.add_argument("--max-cost", type=float, default=None,
-                         help="reject requests priced over this budget")
     gateway.add_argument("--ingest-dir", default=None,
                          help="directory for the ingest WAL + snapshots "
                               "(committed batches replay on restart; "

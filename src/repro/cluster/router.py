@@ -664,26 +664,3 @@ class Router:
             "stats": stats,
         }
 
-
-def run_router(replicas: list[ReplicaSpec],
-               config: RouterConfig | None = None) -> int:
-    """Blocking CLI entry point: route until SIGTERM/SIGINT."""
-    import signal
-
-    router = Router(replicas, config).start()
-    stop = threading.Event()
-
-    def _signalled(signum: int, frame: Any) -> None:
-        stop.set()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _signalled)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
-    print(f"router listening on "
-          f"http://{router.config.host}:{router.port}", flush=True)
-    stop.wait()
-    router.stop()
-    print("router stopped", flush=True)
-    return 0

@@ -80,14 +80,6 @@ class ServiceClosedError(ServiceError):
     """The service has been shut down and accepts no new requests."""
 
 
-class RequestTooExpensiveError(ServiceError):
-    """A request's estimated pipeline cost exceeds the configured budget.
-
-    Raised *before* the request touches the scatter path, so pricing a
-    request never costs more than estimating it.
-    """
-
-
 class KGQLError(QueryError):
     """A KGQL graph query is invalid (syntax, unknown variable, ...).
 

@@ -6,8 +6,8 @@ users.  This package is that network edge for the reproduction: a
 dependency-free HTTP/1.1 server (stdlib ``asyncio`` only) that
 multiplexes thousands of keep-alive connections on one event loop and
 executes every query through the existing
-:class:`~repro.serve.QueryService`, so caching, admission control and
-request pricing apply unchanged behind the socket.
+:class:`~repro.serve.QueryService`, so caching and admission control
+apply unchanged behind the socket.
 
 Endpoints::
 
@@ -21,7 +21,7 @@ Endpoints::
 
 Every error is a machine-readable JSON body
 ``{"error": {"code", "message", "request_id"}}`` with a typed status
-(429 priced-out, 503 shed, 504 deadline, 400 bad request, ...).
+(503 shed, 504 deadline, 400 bad request, ...).
 
 The names in ``__all__`` are imported on first access
 (:mod:`repro._lazy`): the wire modules (:mod:`~repro.gateway.http`,

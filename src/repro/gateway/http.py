@@ -43,7 +43,6 @@ REASON_PHRASES = {
     409: "Conflict",
     413: "Payload Too Large",
     422: "Unprocessable Content",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",

@@ -55,7 +55,6 @@ ERROR_STATUS: dict[type[BaseException], tuple[int, str]] = {
     errors_module.ServiceOverloadedError: (503, "service_overloaded"),
     errors_module.DeadlineExceededError: (504, "deadline_exceeded"),
     errors_module.ServiceClosedError: (503, "service_closed"),
-    errors_module.RequestTooExpensiveError: (429, "request_too_expensive"),
     errors_module.IngestError: (500, "ingest_failed"),
     errors_module.IngestRejectedError: (422, "ingest_rejected"),
     errors_module.WalCorruptionError: (500, "wal_corrupt"),
@@ -393,8 +392,8 @@ def render_prometheus(service_stats: dict[str, Any],
     for engine, count in sorted(service_stats["errors"].items()):
         emit("covidkg_service_errors_total", "counter", count,
              {"engine": engine})
-    for counter in ("shed", "cost_rejected", "deadline_exceeded",
-                    "collapsed_misses", "negative_hits"):
+    for counter in ("shed", "deadline_exceeded", "collapsed_misses",
+                    "negative_hits"):
         emit(f"covidkg_service_{counter}_total", "counter",
              service_stats[counter])
     cache = service_stats["cache"]

@@ -5,9 +5,9 @@ tier, the shape production serving stacks use:
 
 * the **event loop** owns every socket and never computes an answer:
   a parsed request is admitted by :meth:`QueryService.submit` (cache
-  claim, pricing, admission queue — all O(1) bookkeeping), so
-  admission control, single-flight caching and request pricing all
-  apply unchanged behind the gateway.  An
+  claim, admission queue — both O(1) bookkeeping), so admission
+  control and single-flight caching apply unchanged behind the
+  gateway.  An
   answer that is ready once admission returns — an L1 hit, a replayed
   failure, a validation error, a local endpoint — is a finished
   :class:`Response` then and there; a miss is a worker-pool future

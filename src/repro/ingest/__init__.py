@@ -1,6 +1,6 @@
 """Zero-downtime streaming ingest: WAL, snapshots, quality gate, merge."""
 
-from repro.ingest.engine import INGEST_DOC_COST, IngestEngine, IngestReceipt
+from repro.ingest.engine import IngestEngine, IngestReceipt
 from repro.ingest.quality_gate import check_paper, gate_batch
 from repro.ingest.snapshots import (
     Snapshot,
@@ -20,7 +20,6 @@ from repro.ingest.wal import (
 
 __all__ = [
     "DEFAULT_SEGMENT_BYTES",
-    "INGEST_DOC_COST",
     "IngestEngine",
     "IngestReceipt",
     "ReplayBatch",

@@ -51,11 +51,6 @@ from repro.serve.admission import ReadWriteLock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.system import CovidKG
 
-#: Work units one ingested document costs under admission pricing —
-#: validate + classify + index + extract/fuse subtrees is
-#: roughly this many per-document pipeline stages' worth of work.
-INGEST_DOC_COST = 25.0
-
 
 @dataclass
 class IngestReceipt:

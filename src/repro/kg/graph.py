@@ -35,8 +35,6 @@ class _DerivedIndexes:
     stems: dict[str, frozenset[str]]
     #: node_id -> distance from the root (root = 0).
     depths: dict[str, int]
-    #: widest child list in the graph (KGQL traversal fan-out bound).
-    max_branching: int
 
 
 class KnowledgeGraph:
@@ -155,18 +153,15 @@ class KnowledgeGraph:
         if derived is None or derived.version != self._version:
             stems: dict[str, frozenset[str]] = {}
             depths: dict[str, int] = {self.root_id: 0}
-            max_branching = 0
             for node in self.walk():
                 stems[node.node_id] = stem_terms(node.label)
                 depth = depths[node.node_id]
                 for child_id in node.children:
                     depths[child_id] = depth + 1
-                max_branching = max(max_branching, len(node.children))
             derived = _DerivedIndexes(
                 version=self._version,
                 stems=stems,
                 depths=depths,
-                max_branching=max_branching,
             )
             self._derived = derived
         return derived
@@ -184,11 +179,6 @@ class KnowledgeGraph:
     def depth_map(self) -> dict[str, int]:
         """Cached ``node_id -> depth`` (root = 0) for every node."""
         return self._indexes().depths
-
-    def max_branching(self) -> int:
-        """Widest child list in the graph — the worst-case per-hop
-        fan-out KGQL admission pricing assumes for downward traversal."""
-        return self._indexes().max_branching
 
     def path_to(self, node_id: str) -> list[KGNode]:
         """Nodes from the root down to ``node_id`` (inclusive)."""

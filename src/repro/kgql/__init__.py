@@ -12,8 +12,7 @@ every result row.  The pipeline is the classic four-stage one:
   (:mod:`repro.kgql.ast`) with caret-position syntax diagnostics;
 * :mod:`repro.kgql.plan` — the logical plan (scan → expand → filter →
   project) with label-anchored chain orientation and predicate
-  pushdown, plus :func:`~repro.kgql.plan.estimate_kgql_cost`, the
-  admission-control price of a query *before* execution;
+  pushdown;
 * :mod:`repro.kgql.executor` — :class:`~repro.kgql.executor.KGQLEngine`
   evaluates plans against a :class:`~repro.kg.graph.KnowledgeGraph`
   with deterministic row ordering (differentially tested against
@@ -22,9 +21,10 @@ every result row.  The pipeline is the classic four-stage one:
   translating question templates ("side effects of X", "papers linking
   X and Y") into KGQL, mirroring CGEx's template approach.
 
-Served end to end as ``/v1/kg/query`` through the gateway: priced by
-``max_request_cost``, cached under the KG version counter, and mapped
-onto typed HTTP errors (syntax → 400 with caret, cost → 429).
+Served end to end as ``/v1/kg/query`` through the gateway: bounded by
+the parser's hop ceiling and the executor's binding ceiling, cached
+under the KG version counter, and mapped onto typed HTTP errors
+(syntax → 400 with caret).
 """
 
 from repro.kgql.ast import (
@@ -39,7 +39,7 @@ from repro.kgql.ast import (
 from repro.kgql.executor import KGQLEngine, KGQLResult, KGQLRow
 from repro.kgql.nl import NLTranslation, translate
 from repro.kgql.parser import parse
-from repro.kgql.plan import LogicalPlan, estimate_kgql_cost, plan_query
+from repro.kgql.plan import LogicalPlan, plan_query
 
 __all__ = [
     "Chain",
@@ -56,6 +56,5 @@ __all__ = [
     "translate",
     "parse",
     "LogicalPlan",
-    "estimate_kgql_cost",
     "plan_query",
 ]

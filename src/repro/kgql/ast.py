@@ -26,8 +26,8 @@ INVERSE_EDGE = {"child_of": "parent_of", "parent_of": "child_of",
 #: Node fields predicates and projections may reference.
 NODE_FIELDS = ("id", "label", "category", "depth", "papers")
 
-#: Hop-bound ceiling accepted by the *parser*; queries inside the
-#: ceiling can still be rejected by admission-control pricing.
+#: Hop-bound ceiling accepted by the *parser*; a walk inside the
+#: ceiling can still stop at the executor's ``MAX_BINDINGS``.
 MAX_HOPS = 32
 
 

@@ -52,13 +52,12 @@ from repro.kgql.plan import (
     FilterStage,
     ProjectStage,
     ScanStage,
-    estimate_kgql_cost,
     plan_query,
 )
 
-#: Ceiling on intermediate bindings: a backstop for deployments that
-#: run without the admission-control cost gate.  Deterministic for a
-#: given graph snapshot, so the serving tier may negative-cache it.
+#: Ceiling on intermediate bindings, so one traversal cannot grow
+#: without bound.  Deterministic for a given graph snapshot, so the
+#: serving tier may negative-cache it.
 MAX_BINDINGS = 100_000
 
 
@@ -122,20 +121,9 @@ class KGQLEngine:
         return self.execute(parse(kgql), source=kgql)
 
     def explain(self, text: str, nl: bool = False) -> dict[str, Any]:
-        """The logical plan and cost estimate, without executing."""
+        """The logical plan, without executing."""
         kgql = translate(text).kgql if nl else text
-        plan = plan_query(parse(kgql))
-        estimate = estimate_kgql_cost(plan, self.graph)
-        return {
-            "query": kgql,
-            "plan": plan.explain(),
-            "estimated_cost": estimate.total_cost,
-            "stages": [
-                {"stage": stage.stage, "rows_in": stage.documents_in,
-                 "rows_out": stage.documents_out, "cost": stage.cost}
-                for stage in estimate.stages
-            ],
-        }
+        return {"query": kgql, "plan": plan_query(parse(kgql)).explain()}
 
     def execute(self, query: Query,
                 source: str | None = None) -> KGQLResult:

@@ -5,7 +5,7 @@ The paper's interface answers a handful of recurring question shapes
 masks and transmission?").  This module maps those shapes onto KGQL via
 ordered regex templates — first match wins, entity slots are quoted
 into label literals, and the produced query goes through the normal
-parse/plan/price/execute path, so NL questions get the same admission
+parse/plan/execute path, so NL questions get the same admission
 control, caching, and provenance as hand-written KGQL.
 
 Deliberately not a model: translation must be deterministic (the

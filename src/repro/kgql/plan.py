@@ -1,4 +1,4 @@
-"""KGQL logical plans: AST → ordered stages, plus admission pricing.
+"""KGQL logical plans: AST → ordered stages.
 
 The planner is deliberately small but does the two things that matter
 on this workload:
@@ -11,14 +11,6 @@ on this workload:
 * **predicate pushdown** — each top-level ``AND`` conjunct of the WHERE
   clause runs at the earliest stage where all its variables are bound,
   so filters prune bindings before later expansions multiply them.
-
-:func:`estimate_kgql_cost` prices a plan the same way
-:func:`repro.docstore.cost.estimate_pipeline_cost` prices an
-aggregation pipeline — worst-case work units, never under-charging —
-and returns the same :class:`PipelineCostEstimate` shape, so the
-serving tier's existing ``max_request_cost`` gate applies unchanged.
-The dominant term is exactly the one the traversal shape dictates:
-candidate set size × per-hop fan-out × hop bound.
 """
 
 from __future__ import annotations
@@ -26,8 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.docstore.cost import PipelineCostEstimate, StageCost
-from repro.kg.graph import KnowledgeGraph
 from repro.kgql.ast import (
     INVERSE_EDGE,
     BoolOp,
@@ -231,79 +221,3 @@ def plan_query(query: Query) -> LogicalPlan:
     return LogicalPlan(query=query, stages=tuple(stages),
                        named_vars=named_vars)
 
-
-# -- admission pricing -------------------------------------------------------
-
-#: Work units charged per row by the projection stage, on top of the
-#: path-rendering depth term (payload assembly + provenance collection).
-PROJECT_COST_FACTOR = 2.0
-
-
-def _branching(graph: KnowledgeGraph, etype: str) -> float:
-    """Worst-case nodes reached by one hop from one node."""
-    if etype == "child_of":
-        return 1.0  # every node has at most one parent
-    down = float(max(1, graph.max_branching()))
-    if etype == "parent_of":
-        return down
-    return down + 1.0  # related: children plus the parent
-
-
-def estimate_kgql_cost(plan: LogicalPlan,
-                       graph: KnowledgeGraph) -> PipelineCostEstimate:
-    """Worst-case work units for one plan, before any execution.
-
-    Each stage is priced against the current graph: scans against the
-    label index (labeled) or the node count (unlabeled), expansions as
-    ``rows × Σ_h min(branching^h, nodes)`` over the hop range — the
-    traversal fan-out × hop bound × candidate set size product — and
-    projection per surviving row.  Like the pipeline estimator, filters
-    are assumed to pass everything, so the gate never under-charges.
-    """
-    nodes = float(len(graph))
-    max_depth = float(max(graph.depth_map().values(), default=0))
-    rows = 1.0
-    stage_costs: list[StageCost] = []
-    total = 0.0
-    for stage in plan.stages:
-        rows_in = rows
-        if isinstance(stage, ScanStage):
-            if stage.label is not None:
-                candidates = float(len(graph.find_by_label(stage.label)))
-                cost = rows * max(1.0, candidates)
-            else:
-                candidates = nodes
-                cost = rows * candidates + nodes
-            rows = rows * candidates
-            name = f"scan({stage.var})"
-        elif isinstance(stage, ExpandStage):
-            per_hop = _branching(graph, stage.etype)
-            reach = 0.0
-            frontier = 1.0
-            for _ in range(stage.max_hops):
-                frontier = min(frontier * per_hop, nodes)
-                reach += frontier
-            reach = min(reach, nodes) if stage.max_hops else 0.0
-            cost = rows * max(1.0, reach)
-            rows = rows * max(1.0, reach)
-            name = (f"expand({stage.src}-[{stage.etype}"
-                    f"*{stage.min_hops}..{stage.max_hops}]->"
-                    f"{stage.dst})")
-        elif isinstance(stage, FilterStage):
-            cost = rows
-            name = "filter"
-        else:  # ProjectStage
-            kept = rows if stage.limit is None \
-                else min(rows, float(stage.limit))
-            cost = rows + kept * (max_depth + PROJECT_COST_FACTOR)
-            rows = kept
-            name = "project"
-        total += cost
-        stage_costs.append(StageCost(
-            stage=name, documents_in=rows_in, documents_out=rows,
-            cost=cost,
-        ))
-    return PipelineCostEstimate(
-        stages=tuple(stage_costs), total_cost=total,
-        documents_in=nodes, documents_out=rows,
-    )

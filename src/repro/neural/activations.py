@@ -35,9 +35,3 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(np.float64)
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)

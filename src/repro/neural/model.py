@@ -25,12 +25,6 @@ class History:
     stopped_early: bool = False
 
     @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ModelError("no epochs recorded")
-        return self.losses[-1]
-
-    @property
     def total_seconds(self) -> float:
         return sum(self.seconds)
 

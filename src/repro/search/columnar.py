@@ -168,8 +168,7 @@ def kernel_eligible(ranking: RankingFunction,
                     terms: Iterable[QueryTerm]) -> bool:
     """Whether the kernels can reproduce ``ranking`` over ``terms`` exactly.
 
-    The one predicate the planner (:func:`build_query_spec`) and
-    admission pricing (``SearchEngineBase.rank_cost_factor``) share:
+    The one predicate the planner (:func:`build_query_spec`) applies:
 
     * the ranker must be exactly :class:`RankingFunction` or
       :class:`BM25RankingFunction` (a subclass may override anything);

@@ -42,7 +42,7 @@ from repro.errors import QueryError
 from repro.search import columnar
 from repro.search.corpus import SearchCorpus
 from repro.search.indexing import ALL_SEARCH_FIELDS
-from repro.search.query import ParsedQuery, parse_query
+from repro.search.query import ParsedQuery
 from repro.search.ranking import BM25RankingFunction, RankingFunction
 
 PAGE_SIZE = 10
@@ -136,60 +136,6 @@ class SearchEngineBase:
 
     def add_papers(self, papers: list[dict[str, Any]]) -> None:
         self.corpus.add_papers(papers)
-
-    # -- cost estimation ----------------------------------------------------
-
-    def pipeline_plan(self, page: int = 1) -> list[dict[str, Any]]:
-        """The canonical pipeline shape one search at ``page`` executes.
-
-        For admission-control pricing
-        (:func:`repro.docstore.cost.estimate_pipeline_cost`):
-        the ``$match`` spec is elided because worst-case pricing assumes
-        the filter passes everything anyway, and the ``$function`` name
-        is symbolic — scorers are registered per invocation.
-        """
-        skip = (max(1, page) - 1) * PAGE_SIZE
-        return [
-            {"$match": {}},
-            {"$project": {name: 1 for name in PROJECTED_FIELDS}},
-            {"$function": {"name": "rank", "as": "score"}},
-            {"$sort": dict(SORT_SPEC)},
-            {"$skip": skip},
-            {"$limit": PAGE_SIZE},
-        ]
-
-    def shard_document_counts(self) -> list[int]:
-        """Indexed document counts (cost-estimation input)."""
-        return [len(self.collection)]
-
-    def rank_cost_factor(self, queries: list[str | None]) -> float:
-        """The ``$function`` stage's cost multiplier for these queries.
-
-        Admission control prices the scalar ranking closure at
-        ``FUNCTION_COST_FACTOR`` work units per document; when every
-        query would take the columnar kernel path the per-document work
-        collapses to a few array lookups, priced at
-        ``KERNEL_FUNCTION_COST_FACTOR``.  Unparseable/empty queries are
-        priced at the scalar factor — over-charging a request that will
-        be rejected anyway is harmless.
-        """
-        from repro.docstore.cost import (
-            FUNCTION_COST_FACTOR,
-            KERNEL_FUNCTION_COST_FACTOR,
-        )
-
-        if not self.use_columnar or self.full_sort:
-            return FUNCTION_COST_FACTOR
-        for query in queries:
-            if not query:
-                continue
-            try:
-                parsed = parse_query(str(query))
-            except QueryError:
-                return FUNCTION_COST_FACTOR
-            if not columnar.kernel_eligible(self.ranking, parsed.terms):
-                return FUNCTION_COST_FACTOR
-        return KERNEL_FUNCTION_COST_FACTOR
 
     # -- evaluation -------------------------------------------------------------
 

@@ -91,7 +91,3 @@ class SynonymExpander:
                 )
                 seen.add(neighbor)
         return expansions
-
-    def expand_all(self, terms: list[str]) -> dict[str, list[tuple[str,
-                                                                   float]]]:
-        return {term: self.expand(term) for term in terms}

@@ -177,7 +177,6 @@ class ServiceMetrics:
         self.requests: Counter[str] = Counter()
         self.errors: Counter[str] = Counter()
         self.shed = 0
-        self.cost_rejected = 0
         self.deadline_exceeded = 0
         self.collapsed_misses = 0
         self.negative_hits = 0
@@ -195,11 +194,6 @@ class ServiceMetrics:
     def record_shed(self) -> None:
         with self._lock:
             self.shed += 1
-
-    def record_cost_rejected(self) -> None:
-        """A request priced over the cost budget before it was queued."""
-        with self._lock:
-            self.cost_rejected += 1
 
     def record_deadline_exceeded(self) -> None:
         with self._lock:
@@ -233,7 +227,6 @@ class ServiceMetrics:
             errors = dict(self.errors)
             engines = dict(self._per_engine)
             shed = self.shed
-            cost_rejected = self.cost_rejected
             deadline_exceeded = self.deadline_exceeded
             collapsed_misses = self.collapsed_misses
             negative_hits = self.negative_hits
@@ -242,7 +235,6 @@ class ServiceMetrics:
             "total_requests": sum(requests.values()),
             "errors": errors,
             "shed": shed,
-            "cost_rejected": cost_rejected,
             "deadline_exceeded": deadline_exceeded,
             "collapsed_misses": collapsed_misses,
             "negative_hits": negative_hits,

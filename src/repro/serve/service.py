@@ -30,14 +30,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.docstore.cost import (
-    PipelineCostEstimate,
-    estimate_pipeline_cost,
-)
 from repro.errors import (
     DeadlineExceededError,
     QueryError,
-    RequestTooExpensiveError,
     ServiceClosedError,
     ServiceOverloadedError,
 )
@@ -92,11 +87,6 @@ class ServeConfig:
     max_queue: int = 64
     negative_ttl_seconds: float = 30.0
     histogram_capacity: int = 2048
-    #: Reject leader requests whose worst-case pipeline cost estimate
-    #: (see :func:`repro.docstore.cost.estimate_pipeline_cost`)
-    #: exceeds this many work units — *before* it is queued.
-    #: ``None`` disables pricing.
-    max_request_cost: float | None = None
     #: HTTP front-end knobs consumed by :class:`repro.gateway.Gateway`
     #: when this service is exposed over the network.  ``None`` uses
     #: the gateway defaults; the in-process tier ignores it entirely.
@@ -280,29 +270,6 @@ class QueryService:
         """Queue the leader's computation; settle the flight in all paths."""
         deadline = (None if timeout_seconds is None
                     else started + timeout_seconds)
-        if self.config.max_request_cost is not None:
-            try:
-                estimate = self._estimate_cost(engine, params)
-            except QueryError as exc:
-                # Pricing itself rejected the request (e.g. KGQL that
-                # does not parse).  Deterministic, so negative-cache it
-                # — and settle the flight so followers don't hang.
-                self.cache.fail(flight, exc, negative=True)
-                self.metrics.record_error(engine)
-                raise
-            if estimate is not None and \
-                    estimate.total_cost > self.config.max_request_cost:
-                exc = RequestTooExpensiveError(
-                    f"estimated pipeline cost {estimate.total_cost:.0f} "
-                    f"exceeds budget {self.config.max_request_cost:.0f} "
-                    f"(engine {engine!r}, worst-case "
-                    f"{estimate.documents_in:.0f} docs in)"
-                )
-                # Deterministic for this data snapshot: negative-cache
-                # it so retries replay the rejection without re-pricing.
-                self.cache.fail(flight, exc, negative=True)
-                self.metrics.record_cost_rejected()
-                raise exc
         try:
             future = self._pool.submit(
                 lambda: self._execute(engine, params, key, started, flight),
@@ -387,28 +354,12 @@ class QueryService:
         """Admit one ingest batch; returns a future of the receipt.
 
         Runs on the dedicated single-worker ingest pool — never the
-        query pool — under the data write lock.  Admission pricing
-        charges :data:`~repro.ingest.engine.INGEST_DOC_COST` work units
-        per document against ``max_request_cost``, so one oversized
-        batch cannot monopolize the writer any more than an expensive
-        query could a reader.
+        query pool — under the data write lock.
         """
-        from repro.ingest.engine import INGEST_DOC_COST  # noqa: PLC0415
-
         if self._closed:
             raise ServiceClosedError("service is closed")
         started = time.monotonic()
         self.metrics.record_request("ingest")
-        if self.config.max_request_cost is not None:
-            batch = len(papers) if isinstance(papers, list) else 1
-            cost = batch * INGEST_DOC_COST
-            if cost > self.config.max_request_cost:
-                self.metrics.record_cost_rejected()
-                raise RequestTooExpensiveError(
-                    f"estimated ingest cost {cost:.0f} exceeds budget "
-                    f"{self.config.max_request_cost:.0f} "
-                    f"({batch} document(s); split the batch)"
-                )
         deadline = (None if timeout_seconds is None
                     else started + timeout_seconds)
 
@@ -510,7 +461,6 @@ class QueryService:
             "max_queue": self._pool.max_queue,
             "pending": self._pool.pending,
         }
-        snapshot["max_request_cost"] = self.config.max_request_cost
         snapshot["versions"] = {
             "store": self.system.store.version,
             "kg": self.system.graph.version,
@@ -551,56 +501,6 @@ class QueryService:
             return (system.tables.collection.version,)
         # kg and kg_query read the graph.
         return (system.graph.version,)
-
-    def _estimate_cost(self, engine: str, params: dict[str, Any]
-                       ) -> PipelineCostEstimate | None:
-        """Worst-case work units for one request, before it is queued.
-
-        Search engines are priced from their canonical pipeline shape
-        against per-shard index sizes; ``kg`` is priced as one cheap
-        pass over the graph, ``kg_query`` by its KGQL plan.  Returns
-        ``None`` only for engines with nothing to price (e.g. a
-        replaced dispatch entry in tests).
-        """
-        system = self.system
-        try:
-            page = max(1, int(params.get("page", 1)))
-        except (TypeError, ValueError):
-            page = 1
-        search_engines = {
-            "all_fields": system.all_fields,
-            "title_abstract": system.title_abstract,
-            "table": system.tables,
-        }
-        target = search_engines.get(engine)
-        if target is not None:
-            if engine == "title_abstract":
-                queries = [params.get(name)
-                           for name in ("title", "abstract", "caption")]
-            else:
-                queries = [params.get("query")]
-            return estimate_pipeline_cost(
-                target.pipeline_plan(page=page),
-                target.shard_document_counts(),
-                function_cost_factor=target.rank_cost_factor(queries),
-            )
-        if engine == "kg":
-            # Graph search scores every node once.
-            return estimate_pipeline_cost([{"$match": {}}],
-                                          [len(system.graph)])
-        if engine == "kg_query":
-            # Parse + plan the KGQL (translating NL first) and price
-            # the traversal: candidate set × per-hop fan-out × hop
-            # bound.  Syntax errors surface here, pre-admission.
-            from repro.kgql import (  # noqa: PLC0415
-                estimate_kgql_cost, parse, plan_query, translate,
-            )
-            text = str(params.get("query", ""))
-            if params.get("nl"):
-                text = translate(text).kgql
-            return estimate_kgql_cost(plan_query(parse(text)),
-                                      system.graph)
-        return None
 
     def _execute(self, engine: str, params: dict[str, Any],
                  key: Any, started: float, flight: Flight) -> ServedResult:

@@ -106,12 +106,6 @@ class Vocabulary:
             raise ModelError("Vocabulary.build() must run before encode()")
         return [self.index_of(token) for token in tokenize(text)]
 
-    def encode_tokens(self, tokens: Iterable[str]) -> list[int]:
-        """Map pre-tokenized input to indexes."""
-        if not self._fitted:
-            raise ModelError("Vocabulary.build() must run before encode()")
-        return [self.index_of(token) for token in tokens]
-
     def truncated(self, max_terms: int) -> "Vocabulary":
         """A copy restricted to the ``max_terms`` most frequent terms.
 

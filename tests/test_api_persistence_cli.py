@@ -221,6 +221,19 @@ class TestCli:
         assert main(["kg", "--system", system_path,
                      "zzz-not-a-node"]) == 1
 
+    def test_kg_query_explain_prints_the_plan(self, built_system, tmp_path,
+                                              capsys):
+        system_path = str(save_system(built_system, tmp_path / "system"))
+        query = 'MATCH (v:"Vaccines")-[parent_of*1..2]->(e) RETURN e'
+        assert main(["kg-query", "--system", system_path, "--explain",
+                     query]) == 0
+        assert capsys.readouterr().out == (
+            f"query: {query}\n"
+            "scan    v <- label 'Vaccines'\n"
+            "expand  v -[parent_of*1..2]-> e\n"
+            "project e\n"
+        )
+
 
 class TestDifferentialReload:
     """Pre/post-reload page identity — the staleness bugfix sweep.

@@ -50,44 +50,39 @@ def test_worker_pool_submit_shutdown_race_settles_every_future():
     assert future.result(timeout=2.0) == 1
 
 
-def _hammer(worker, num_threads: int = 4) -> None:
-    threads = [threading.Thread(target=worker) for _ in range(num_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
+def _snapshot_on_a_thread(read):
+    """Start ``read`` on a thread; returns (thread, results list)."""
+    results: list = []
+    reader = threading.Thread(target=lambda: results.append(read()))
+    reader.start()
+    return reader, results
 
 
 def test_histogram_snapshot_is_internally_consistent_under_writes():
+    """``snapshot`` must not read a half-applied ``observe``.
+
+    An earlier snapshot read ``count`` and ``total`` with no lock, so a
+    snapshot taken mid-``observe`` reported a mean from a torn pair.
+    Force that interleaving: hold the histogram's lock with an
+    observation half applied (count bumped, total not yet) and take a
+    snapshot on another thread.  It must wait for the lock, and once
+    the observation completes it must see the whole of it.
+    """
     histogram = LatencyHistogram(capacity=64)
-    stop = threading.Event()
-    inconsistencies: list[dict] = []
-
-    def write():
-        while not stop.is_set():
-            histogram.observe(0.001)
-
-    def read():
-        for _ in range(300):
-            snap = histogram.snapshot()
-            if snap["count"] and snap["mean_ms"] is None:
-                inconsistencies.append(snap)
-            if snap["count"] and abs(snap["mean_ms"] - 1.0) > 1e-6:
-                # every sample is exactly 1ms; any drift means the mean
-                # was computed from a count/total pair torn by a writer
-                inconsistencies.append(snap)
-
-    writers = [threading.Thread(target=write) for _ in range(3)]
-    for thread in writers:
-        thread.start()
-    try:
-        _hammer(read, num_threads=2)
-    finally:
-        stop.set()
-        for thread in writers:
-            thread.join(timeout=10.0)
-    assert inconsistencies == []
+    histogram.observe(0.001)
+    with histogram._lock:
+        histogram.count += 1
+        reader, snapshots = _snapshot_on_a_thread(histogram.snapshot)
+        reader.join(timeout=0.2)
+        returned_early = not reader.is_alive()
+        histogram.total += 0.001
+        histogram._samples.append(0.001)
+    reader.join(timeout=5.0)
+    assert not returned_early, "snapshot read a half-applied observe"
+    (snapshot,) = snapshots
+    assert snapshot["count"] == 2
+    assert snapshot["mean_ms"] == pytest.approx(1.0)
+    assert snapshot["max_ms"] == pytest.approx(1.0)
 
 
 def test_service_metrics_snapshot_under_concurrent_updates():
@@ -120,33 +115,32 @@ def test_service_metrics_snapshot_under_concurrent_updates():
 
 
 def test_cache_stats_snapshot_races_with_lookups():
+    """``stats_snapshot`` must not read a half-applied ``claim``.
+
+    A claim that finds a stale entry counts an invalidation and then a
+    miss under one lock hold, so no consistent snapshot shows more
+    invalidations than misses.  An earlier version read the counters
+    lock-free.  Force the interleaving: hold the cache's lock with such
+    a claim half applied (invalidation counted, miss not yet) and take
+    the snapshot on another thread.  It must wait for the lock, and see
+    both counts once the claim completes.
+    """
     cache = ResultCache(max_entries=8, ttl_seconds=60.0)
-    versions = (1,)
-
-    def churn(thread):
-        for i in range(300):
-            # Keys private to the thread: no claim is ever a follower,
-            # so every lookup counts as exactly one hit or one miss.
-            key = ("q", (thread, i % 16))
-            status, flight, _ = cache.claim(key, versions)
-            if status == "leader":
-                cache.complete(flight, versions, i)
-
-    def read():
-        for _ in range(300):
-            stats = cache.stats_snapshot()
-            assert set(stats) >= {"hits", "misses"}
-            assert all(v >= 0 for v in stats.values())
-
-    threads = ([threading.Thread(target=churn, args=(n,)) for n in range(3)]
-               + [threading.Thread(target=read) for _ in range(2)])
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-    final = cache.stats_snapshot()
-    assert final["hits"] + final["misses"] == 900
+    key = ("q", (("query", "vaccine"),))
+    _, flight, _ = cache.claim(key, (1,))
+    cache.complete(flight, (1,), "page")
+    with cache._lock:
+        del cache._entries[key]
+        cache.stats.invalidations += 1
+        reader, snapshots = _snapshot_on_a_thread(cache.stats_snapshot)
+        reader.join(timeout=0.2)
+        returned_early = not reader.is_alive()
+        cache.stats.misses += 1
+    reader.join(timeout=5.0)
+    assert not returned_early, "stats_snapshot read a half-applied claim"
+    (stats,) = snapshots
+    assert stats["invalidations"] == 1
+    assert stats["misses"] == 2
 
 
 # -- PR 8: leaks the interprocedural rules (REP208-REP211) surfaced --------

@@ -685,22 +685,6 @@ class TestRepeatedBadRequest:
             in metrics
         assert "covidkg_service_negative_hits_total 1" in metrics
 
-    def test_over_budget_search_twice(self, system):
-        config = ServeConfig(num_workers=2, max_request_cost=0.5)
-        with QueryService(system, config) as service, \
-                BackgroundGateway(service) as gw, \
-                GatewayClient("127.0.0.1", gw.port) as cl:
-            answers = [cl.get("/v1/search/all_fields",
-                              params={"query": "vaccine"})
-                       for _ in range(2)]
-            first, second = (_error_sans_request_id(a) for a in answers)
-            assert first == second
-            assert first[0] == 429
-            assert first[1]["code"] == "request_too_expensive"
-            stats = service.stats()
-            assert stats["cost_rejected"] == 1  # priced once ...
-            assert stats["negative_hits"] == 1  # ... replayed once
-
 
 # -- the per-connection idle watchdog --------------------------------------
 

@@ -32,7 +32,7 @@ def system():
 
 @pytest.fixture(scope="module")
 def gateway(system):
-    config = ServeConfig(num_workers=2, max_request_cost=100_000.0)
+    config = ServeConfig(num_workers=2)
     with QueryService(system, config) as service:
         with BackgroundGateway(service) as gw:
             yield gw
@@ -99,14 +99,26 @@ class TestKgQueryRoute:
             "/v1/kg/query", params={"query": QUERY, "nl": "maybe"})
         assert response.status == 400
 
-    def test_expensive_traversal_rejected_with_429(self, client):
-        response = client.kg_query(
-            'MATCH (a)-[related*1..32]->(b)-[related*1..32]->(c) '
-            'RETURN a, b, c'
-        )
-        assert response.status == 429
-        assert response.json()["error"]["code"] == \
-            "request_too_expensive"
+    def test_walk_past_binding_ceiling_is_400_and_replays(self):
+        """The executor's binding ceiling is the traversal backstop: a
+        walk that outgrows it is a deterministic ``bad_kgql``, and the
+        repeat replays from the negative cache without re-walking."""
+        own = CovidKG(CovidKGConfig(num_shards=1))
+        own.ingest(CorpusGenerator(GeneratorConfig(seed=29)).papers(4))
+        own.kgql.max_bindings = 10
+        walk = 'MATCH (a)-[related*1..4]->(b) RETURN a, b'
+        with QueryService(own, ServeConfig(num_workers=1)) as service, \
+                BackgroundGateway(service) as gw, \
+                GatewayClient("127.0.0.1", gw.port) as cl:
+            first, second = (cl.kg_query(walk) for _ in range(2))
+            for response in (first, second):
+                assert response.status == 400
+                error = response.json()["error"]
+                assert error["code"] == "bad_kgql"
+                assert "10 intermediate bindings" in error["message"]
+            stats = service.stats()
+            assert stats["errors"]["kg_query"] == 1  # walked once ...
+            assert stats["negative_hits"] == 1       # ... replayed once
 
 
 class TestErrorMapExhaustiveness:

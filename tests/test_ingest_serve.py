@@ -1,9 +1,9 @@
 """Streaming ingest through the serving tier and the HTTP gateway.
 
-Covers the serve-side contract (dedicated writer pool, admission
-pricing, cache invalidation on commit *and* rollback, negative-cache
-un-negativing) and the full wire path: ``POST /v1/ingest`` with typed
-error mapping, reads flowing concurrently with commits.
+Covers the serve-side contract (dedicated writer pool, cache
+invalidation on commit *and* rollback, negative-cache un-negativing)
+and the full wire path: ``POST /v1/ingest`` with typed error mapping,
+reads flowing concurrently with commits.
 """
 
 import threading
@@ -13,7 +13,7 @@ import pytest
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.errors import KGQLSyntaxError, RequestTooExpensiveError
+from repro.errors import KGQLSyntaxError
 from repro.gateway.client import GatewayClient
 from repro.gateway.server import BackgroundGateway
 from repro.ingest.engine import IngestEngine
@@ -76,20 +76,6 @@ class TestServiceIngest:
         bad.pop("title")
         with pytest.raises(IngestRejectedError):
             service.submit_ingest([bad]).result(timeout=30)
-
-    def test_admission_prices_per_document(self, stack, tmp_path):
-        system, service, held = stack
-        priced = QueryService(system, ServeConfig(
-            num_workers=1, max_request_cost=100.0))
-        priced.attach_ingest(service.ingest_engine)
-        try:
-            with pytest.raises(RequestTooExpensiveError):
-                priced.submit_ingest(held[:10])  # 250 units > 100
-            receipt = priced.submit_ingest(
-                held[:2]).result(timeout=30)  # 50 units fits
-            assert receipt.value["accepted"] == 2
-        finally:
-            priced.close()
 
     def test_redelivery_without_an_engine_accepts_nothing(self):
         """The bare ``system.ingest`` path counts what landed, not what

@@ -1,9 +1,8 @@
 """The ``kg_query`` engine through :class:`QueryService`.
 
 Covers the serving contract for declarative graph queries: result
-caching keyed on the KG version (invalidated by ``touch()``), admission
-pricing of traversal cost before execution, and negative caching of
-deterministic KGQL errors.
+caching keyed on the KG version (invalidated by ``touch()``) and
+negative caching of deterministic KGQL errors.
 """
 
 from __future__ import annotations
@@ -12,10 +11,7 @@ import pytest
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.errors import (
-    KGQLSyntaxError,
-    RequestTooExpensiveError,
-)
+from repro.errors import KGQLSyntaxError
 from repro.kgql import KGQLResult
 from repro.serve.service import ENGINES, QueryService, ServeConfig
 
@@ -78,49 +74,3 @@ class TestServing:
                 svc.query("kg_query", query="MATCH (v:")
             assert svc.stats()["negative_hits"] == before + 1
 
-
-class TestAdmissionPricing:
-    def test_oversized_hop_bound_rejected_before_execution(self, system):
-        config = ServeConfig(num_workers=1, max_request_cost=50.0)
-        with QueryService(system, config) as svc:
-            with pytest.raises(RequestTooExpensiveError):
-                svc.query(
-                    "kg_query",
-                    query='MATCH (a)-[related*1..32]->(b) RETURN a, b',
-                )
-            assert svc.stats()["cost_rejected"] == 1
-
-    def test_cheap_query_admitted_under_same_budget(self, system):
-        estimate = None
-        config = ServeConfig(num_workers=1, max_request_cost=None)
-        with QueryService(system, config) as svc:
-            estimate = svc._estimate_cost(
-                "kg_query", {"query": QUERY, "nl": False})
-        assert estimate is not None
-        config = ServeConfig(num_workers=1,
-                             max_request_cost=estimate.total_cost + 1)
-        with QueryService(system, config) as svc:
-            served = svc.query("kg_query", query=QUERY)
-            assert served.value.total_matches > 0
-
-    def test_bad_kgql_rejected_at_pricing_settles_flight(self, system):
-        # With pricing enabled the parse error fires in _lead, before
-        # any worker runs — the flight must still settle so a repeat
-        # replays from the negative cache instead of hanging.
-        config = ServeConfig(num_workers=1, max_request_cost=1e9)
-        with QueryService(system, config) as svc:
-            with pytest.raises(KGQLSyntaxError):
-                svc.query("kg_query", query="MATCH (")
-            with pytest.raises(KGQLSyntaxError):
-                svc.query("kg_query", query="MATCH (")
-            assert svc.stats()["negative_hits"] == 1
-            assert svc.cache.inflight == 0
-
-    def test_nl_questions_are_priced_after_translation(self, system):
-        config = ServeConfig(num_workers=1, max_request_cost=1e9)
-        with QueryService(system, config) as svc:
-            estimate = svc._estimate_cost(
-                "kg_query",
-                {"query": "papers linking masks and fever", "nl": True})
-            assert estimate is not None
-            assert estimate.total_cost > 0

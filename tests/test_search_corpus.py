@@ -150,17 +150,3 @@ def test_list_valued_field_counts_the_same_everywhere(papers, monkeypatch):
     for stemmed in title.stem_index:
         assert corpus.tfidf.document_frequency(stemmed) > 0
 
-
-def test_admission_pricing_follows_the_planner(papers):
-    """``rank_cost_factor`` and ``build_query_spec`` share one predicate."""
-    from repro.docstore.cost import KERNEL_FUNCTION_COST_FACTOR
-
-    engine = AllFieldsEngine(FunctionRegistry())
-    engine.add_papers(papers[:30])
-    for query in QUERIES + ["covid-19", "19", "naïve", "vaccin"]:
-        took_kernel = any(
-            stats.stage.startswith("$columnar")
-            for stats in engine.search(query).stage_stats)
-        priced_kernel = (engine.rank_cost_factor([query])
-                         == KERNEL_FUNCTION_COST_FACTOR)
-        assert priced_kernel == took_kernel, query

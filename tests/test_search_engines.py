@@ -259,30 +259,31 @@ class TestCrossEngineRanking:
 def test_engine_pipelines_are_valid_and_run_as_planned(engine_name, ranker):
     """Only code builds a search pipeline, so one test checks it.
 
-    ``pipeline_plan`` is what admission prices: the aggregation engine
-    must accept it as written, and the scalar path must execute exactly
-    its stages (``$skip``/``$limit`` as a slice).
+    The scalar path executes exactly ``$match``, ``$project``,
+    ``$function`` and ``$sort`` (top-k or full), and pages by slicing
+    the sorted run — there is no ``$skip``/``$limit`` stage.
     """
-    from repro.docstore.aggregation import aggregate
-    from repro.docstore.functions import FunctionRegistry
-
     engine = {"all_fields": AllFieldsEngine,
               "title_abstract": TitleAbstractCaptionEngine,
               "table": TableSearchEngine}[engine_name](ranker=ranker)
     engine.add_papers(CorpusGenerator().papers(12))
-    plan = engine.pipeline_plan(page=2)
-    registry = FunctionRegistry()
-    registry.register("rank", lambda doc: 1.0)
-    aggregate(engine.collection, plan, registry)
-    planned = [next(iter(stage)) for stage in plan]
-    assert planned[4:] == ["$skip", "$limit"]
-
     engine.use_columnar = False
+
+    def search(page):
+        if engine_name == "title_abstract":
+            return engine.search(abstract="covid patients", page=page)
+        return engine.search("covid patients", page=page)
+
+    pages = []
     for full_sort in (False, True):
         engine.full_sort = full_sort
-        results = (engine.search(abstract="covid patients", page=2)
-                   if engine_name == "title_abstract"
-                   else engine.search("covid patients", page=2))
+        results = search(2)
         executed = [stats.stage.split("(")[0]
                     for stats in results.stage_stats]
-        assert executed == planned[:4]
+        assert executed == ["$match", "$project", "$function", "$sort"]
+        pages.append([hit.paper_id for hit in results])
+    assert pages[0] == pages[1]
+    first = [hit.paper_id for hit in search(1)]
+    assert not set(first) & set(pages[0])
+    assert len(first) + len(pages[0]) == min(results.total_matches,
+                                             2 * PAGE_SIZE)
