@@ -45,7 +45,7 @@ from repro.docstore.documents import (
     deep_set,
 )
 from repro.docstore.functions import FunctionRegistry, default_registry
-from repro.docstore.matching import matches
+from repro.docstore.matching import compile_filter
 from repro.errors import AggregationError
 
 _MISSING = object()
@@ -340,7 +340,8 @@ class AggregationPipeline:
 
     def _stage_match(self, documents: list[dict[str, Any]],
                      spec: dict[str, Any]) -> list[dict[str, Any]]:
-        return [doc for doc in documents if matches(doc, spec)]
+        predicate = compile_filter(spec)
+        return [doc for doc in documents if predicate(doc)]
 
     def _stage_project(self, documents: list[dict[str, Any]],
                        spec: dict[str, Any]) -> list[dict[str, Any]]:

@@ -22,7 +22,11 @@ from repro.docstore.documents import (
     validate_document,
 )
 from repro.docstore.indexes import FieldIndex
-from repro.docstore.matching import equality_constraints, matches
+from repro.docstore.matching import (
+    Predicate,
+    compile_filter,
+    equality_constraints,
+)
 from repro.errors import DuplicateKeyError, QueryError
 
 _MISSING = object()
@@ -53,10 +57,6 @@ class Cursor:
 
     def to_list(self) -> list[dict[str, Any]]:
         return self._materialize()
-
-    def first(self) -> dict[str, Any] | None:
-        results = self._materialize()
-        return results[0] if results else None
 
 
 def apply_projection(document: dict[str, Any],
@@ -183,17 +183,24 @@ class Collection:
              ) -> Iterator[dict[str, Any]]:
         """Yield the *stored* documents matching ``query``, uncopied.
 
-        The one read loop under ``find``, ``count`` and the aggregation
-        ``$match`` pushdown: candidates come from the indexes and every
-        document examined counts into ``scan_count``.  The rows are the
-        collection's own state — read-only for the caller, who copies
-        whatever it hands on (reads copy on the way out, once).
+        The one read loop under ``find``, ``find_one``, ``count`` and the
+        aggregation ``$match`` pushdown: the filter is compiled once
+        (so a malformed one raises here, even on an empty collection),
+        candidates come from the indexes and every document examined
+        counts into ``scan_count``.  The rows are the collection's own
+        state — read-only for the caller, who copies whatever it hands
+        on (reads copy on the way out, once).
         """
         query = query or {}
-        for doc_id in self._candidates(query):
+        predicate = compile_filter(query)
+        return self._scan(self._candidates(query), predicate)
+
+    def _scan(self, candidates: Iterable[Any], predicate: Predicate
+              ) -> Iterator[dict[str, Any]]:
+        for doc_id in candidates:
             document = self._documents[doc_id]
             self.scan_count += 1
-            if matches(document, query):
+            if predicate(document):
                 yield document
 
     def find(self, query: dict[str, Any] | None = None,
@@ -209,7 +216,12 @@ class Collection:
     def find_one(self, query: dict[str, Any] | None = None,
                  projection: dict[str, int] | None = None
                  ) -> dict[str, Any] | None:
-        return self.find(query, projection).first()
+        """The first match in scan order, the only document copied."""
+        for document in self.scan(query):
+            if projection is None:
+                return deep_copy_document(document)
+            return apply_projection(document, projection)
+        return None
 
     def count(self, query: dict[str, Any] | None = None) -> int:
         if not query:

@@ -144,6 +144,30 @@ class TestIndexes:
                 assert papers.count(query) == matched
             assert papers.scan_count == 2 * examined
 
+    def test_find_one_copies_only_the_row_it_returns(self, monkeypatch):
+        collection = Collection()
+        collection.insert_many([{"group": 1, "n": n} for n in range(50)])
+        copies = []
+
+        def counting_copy(document):
+            copies.append(document["n"])
+            return dict(document)
+
+        monkeypatch.setattr(collection_module, "deep_copy_document",
+                            counting_copy)
+        collection.scan_count = 0
+        assert collection.find_one({"group": 1})["n"] == 0
+        assert copies == [0]
+        assert collection.scan_count == 1  # stopped at the first match
+        assert collection.find_one({"group": 2}) is None
+        assert copies == [0]
+
+    def test_find_one_projection_shares_nothing_with_the_row(self, papers):
+        doc = papers.find_one({"title": "variants"}, {"tags": 1, "_id": 0})
+        doc["tags"].append("mutated")
+        assert papers.find_one({"title": "variants"})["tags"] == [
+            "mrna", "delta"]
+
     def test_scan_yields_the_stored_rows_find_copies_them(self, papers):
         rows = list(papers.scan({"year": 2020}))
         copies = papers.find({"year": 2020}).to_list()

@@ -1,10 +1,19 @@
 """Tests for the MongoDB-style query language."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.docstore.matching import equality_constraints, matches
+from repro.docstore.aggregation import aggregate
+from repro.docstore.collection import Collection
+from repro.docstore.matching import (
+    compile_filter,
+    equality_constraints,
+    matches,
+)
+from repro.docstore.sharding import ShardedCollection
 from repro.errors import QueryError
 
 DOC = {
@@ -56,6 +65,19 @@ class TestComparisons:
     def test_ne(self):
         assert matches(DOC, {"year": {"$ne": 1999}})
         assert not matches(DOC, {"year": {"$ne": 2021}})
+
+    @pytest.mark.parametrize("operand, expected",
+                             [("x", False), ("z", True)])
+    def test_ne_on_an_array_agrees_with_nin_and_not_eq(self, operand,
+                                                        expected):
+        doc = {"tags": ["x", "y"]}
+        assert matches(doc, {"tags": {"$ne": operand}}) is expected
+        assert matches(doc, {"tags": {"$nin": [operand]}}) is expected
+        assert matches(doc, {"tags": {"$not": {"$eq": operand}}}) is expected
+
+    def test_ne_compares_the_whole_array_too(self):
+        assert not matches({"tags": ["x"]}, {"tags": {"$ne": ["x"]}})
+        assert matches({"tags": ["x"]}, {"tags": {"$ne": ["y"]}})
 
     def test_in_nin(self):
         assert matches(DOC, {"year": {"$in": [2020, 2021]}})
@@ -152,6 +174,55 @@ class TestErrors:
     def test_query_must_be_dict(self):
         with pytest.raises(QueryError):
             matches(DOC, ["not", "a", "dict"])
+
+
+MALFORMED = [
+    {"a": {"$bogus": 1}},
+    {"$bogus": []},
+    {"a": {"$in": 3}},
+    {"a": {"$all": "x"}},
+    {"a": {"$type": "nonsense"}},
+    {"a": {"$not": 5}},
+    {"a": {"$where": "this.a > 1"}},
+    {"a": {"$elemMatch": {"$gt": 1}}},
+    {"$and": {"a": 1}},
+    {"$or": [{"a": 1}, {"b": {"$bogus": 1}}]},
+    {"$where": "true"},
+]
+
+
+class TestCompileTimeValidation:
+    @pytest.mark.parametrize("query", MALFORMED)
+    def test_malformed_filter_raises_on_every_collection(self, query):
+        full = Collection("full")
+        full.insert_one({"a": 1, "b": 2})
+        sharded = ShardedCollection("sharded", "a", num_shards=2)
+        for collection in (Collection("empty"), full, sharded):
+            with pytest.raises(QueryError):
+                collection.find(query)
+            with pytest.raises(QueryError):
+                collection.find_one(query)
+            with pytest.raises(QueryError):
+                collection.count(query)
+        with pytest.raises(QueryError):
+            compile_filter(query)
+
+    def test_malformed_match_stage_raises_without_documents(self):
+        with pytest.raises(QueryError):
+            aggregate([], [{"$match": {"a": {"$bogus": 1}}}])
+
+    def test_invalid_regex_raises_at_compile_time(self):
+        query = {"a": {"$regex": "(unclosed"}}
+        with pytest.raises(re.error):
+            compile_filter(query)
+        with pytest.raises(re.error):
+            Collection("empty").find(query)
+
+    def test_compiled_predicate_is_reusable(self):
+        recent = compile_filter({"year": {"$gte": 2021},
+                                 "tags": {"$regex": "^VAC", "$options": "i"}})
+        assert [recent(doc) for doc in (DOC, {"year": 2022}, DOC)] == [
+            True, False, True]
 
 
 class TestHelpers:
