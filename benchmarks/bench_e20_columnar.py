@@ -3,14 +3,12 @@
 PR 7 moves eligible search queries off the scalar ``$function`` closure
 onto contiguous posting arrays (:mod:`repro.search.columnar`):
 ``$match`` becomes a binary search over a sorted atom dictionary,
-TF-IDF/BM25 scoring becomes a handful of vectorized gathers, and top-k
+TF-IDF scoring becomes a handful of vectorized gathers, and top-k
 becomes one ``lexsort``.  This experiment measures what that buys:
 
 * kernel vs scalar throughput on one core (the ISSUE's >= 3x target,
   asserted at >= 10k documents — warm kernel searches are typically
-  two orders of magnitude faster);
-* TF-IDF vs BM25 kernel throughput (the selectable ranker must not
-  price differently).
+  two orders of magnitude faster).
 
 Correctness is asserted before any speed claim: every measured
 configuration must return byte-identical result pages.
@@ -50,8 +48,8 @@ def corpus():
     return CorpusGenerator(config).papers(NUM_PAPERS)
 
 
-def _build(corpus, **kwargs):
-    engine = AllFieldsEngine(**kwargs)
+def _build(corpus):
+    engine = AllFieldsEngine()
     engine.add_papers(corpus)
     return engine
 
@@ -113,29 +111,3 @@ def test_e20_kernel_vs_scalar_single_core(corpus):
         # Reduced shapes must still never regress past the scalar path.
         assert speedup > 1.0
 
-
-def test_e20_tfidf_vs_bm25_throughput(corpus):
-    """The selectable ranker: both run as kernels at the same price."""
-    rows = []
-    for ranker in ("tfidf", "bm25"):
-        engine = _build(corpus, ranker=ranker)
-        rps, seconds = _drive(engine)
-        stages = [stats.stage
-                  for stats in engine.search(QUERIES[0]).stage_stats]
-        assert f"$columnar({ranker})" in stages, stages
-        rows.append([ranker, rps])
-        RESULTS.setdefault("rankers", {})[ranker] = {
-            "rps": rps, "seconds": seconds,
-        }
-
-    print_table(
-        "E20: kernel throughput by ranking function",
-        ["ranker", "req/s"],
-        rows,
-        note="both rankers batch the same gathers; BM25 adds one "
-             "length-normalization term",
-    )
-    tfidf_rps = RESULTS["rankers"]["tfidf"]["rps"]
-    bm25_rps = RESULTS["rankers"]["bm25"]["rps"]
-    # Same kernel shape: neither ranker may cost a multiple of the other.
-    assert 0.2 < bm25_rps / tfidf_rps < 5.0

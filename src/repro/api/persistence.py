@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Any
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.classify.svm_model import SvmMetadataClassifier
@@ -32,7 +33,47 @@ from repro.errors import PersistenceError
 
 #: Config keys older saves carry that no longer exist.  Pages were
 #: byte-identical at any value of each, so they are ignored on load.
-RETIRED_CONFIG_KEYS = ("search_shards", "columnar", "validate_pipelines")
+#: (The two ranker parameters only ever tuned the retired ranker, and a
+#: save that selected it is refused; see :func:`_load_config`.)
+RETIRED_CONFIG_KEYS = ("search_shards", "columnar", "validate_pipelines",
+                       "bm25_k1", "bm25_b")
+
+
+def _read_object(path: Path) -> dict[str, Any]:
+    """The JSON object saved in ``path``; ``PersistenceError`` otherwise."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            value = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise PersistenceError(f"corrupt {path}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise PersistenceError(
+            f"corrupt {path}: expected a JSON object, "
+            f"found {type(value).__name__}"
+        )
+    return value
+
+
+def _load_config(config_path: Path) -> CovidKGConfig:
+    """The saved :class:`CovidKGConfig`, retired keys dropped."""
+    saved = _read_object(config_path)
+    for key in RETIRED_CONFIG_KEYS:
+        saved.pop(key, None)
+    # Saves made while the ranker was selectable name it.  TF-IDF is the
+    # one ranker left, so such a save loads as it was; any other ranker
+    # would not answer with the pages that were saved.
+    ranker = saved.pop("ranker", "tfidf")
+    if ranker != "tfidf":
+        raise PersistenceError(
+            f"{config_path} selects ranker {ranker!r}; only the TF-IDF "
+            f"ranker remains (BM25 was retired), so its pages would differ"
+        )
+    unknown = sorted(set(saved) - {f.name for f in fields(CovidKGConfig)})
+    if unknown:
+        raise PersistenceError(
+            f"unknown config key(s) in {config_path}: {', '.join(unknown)}"
+        )
+    return CovidKGConfig(**saved)
 
 
 def save_system(system: CovidKG, directory: str | Path) -> Path:
@@ -80,18 +121,7 @@ def load_system(directory: str | Path) -> CovidKG:
     config_path = directory / "config.json"
     if not config_path.exists():
         raise PersistenceError(f"no saved system at {directory}")
-    with open(config_path, encoding="utf-8") as handle:
-        saved = json.load(handle)
-    for key in RETIRED_CONFIG_KEYS:
-        saved.pop(key, None)
-    unknown = sorted(set(saved) - {f.name for f in fields(CovidKGConfig)})
-    if unknown:
-        raise PersistenceError(
-            f"unknown config key(s) in {config_path}: {', '.join(unknown)}"
-        )
-    config = CovidKGConfig(**saved)
-
-    system = CovidKG(config)
+    system = CovidKG(_load_config(config_path))
 
     kg_path = directory / "kg.json"
     if kg_path.exists():
@@ -142,13 +172,7 @@ def load_system(directory: str | Path) -> CovidKG:
 
     versions_path = directory / "versions.json"
     if versions_path.exists():
-        with open(versions_path, encoding="utf-8") as handle:
-            try:
-                versions = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise PersistenceError(
-                    f"corrupt versions file: {exc}"
-                ) from exc
+        versions = _read_object(versions_path)
         # The rebuild above re-ran every insert, so the counters already
         # moved; advance to at least one past the saved values so no
         # cache entry from the previous process can ever read as fresh.

@@ -67,13 +67,6 @@ class CovidKGConfig:
     classifier: str = "svm"
     classifier_epochs: int = 4
     seed: int = 0
-    #: Ranking function for the three search engines: ``"tfidf"`` (the
-    #: paper's TF-IDF + proximity + static scorer) or ``"bm25"``
-    #: (Okapi BM25 with per-field length normalization, tuned by
-    #: ``bm25_k1``/``bm25_b``).  Either runs on the columnar kernels.
-    ranker: str = "tfidf"
-    bm25_k1: float = 1.5
-    bm25_b: float = 0.75
 
 
 class CovidKG:
@@ -121,16 +114,11 @@ class CovidKG:
         analyses a paper once (:attr:`search_corpus`).
 
         Used at construction *and* by snapshot rollback
-        (:mod:`repro.ingest.snapshots`), so a rolled-back system keeps
-        its ranker (BM25 ``k1``/``b``, field-length stats rebuilt from
-        the retained documents).
+        (:mod:`repro.ingest.snapshots`).
         """
         shared: dict[str, Any] = {
             "registry": self.functions,
             "corpus": SearchCorpus(),
-            "ranker": self.config.ranker,
-            "bm25_k1": self.config.bm25_k1,
-            "bm25_b": self.config.bm25_b,
         }
         return {
             "all_fields": AllFieldsEngine(**shared),
@@ -396,7 +384,6 @@ class CovidKG:
             "kg": self.graph.statistics(),
             "storage_bytes": self.storage().total_bytes,
             "shard_sizes": self.store.shard_sizes(),
-            "ranker": self.config.ranker,
             "pending_reviews": len(self.review_queue.pending()),
             "registered_models": len(self.registry),
         }

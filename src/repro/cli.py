@@ -68,11 +68,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     from repro.corpus.loader import load_papers_jsonl
 
     papers = load_papers_jsonl(args.corpus)
-    system = CovidKG(CovidKGConfig(num_shards=args.shards,
-                                   seed=args.seed,
-                                   ranker=args.ranker,
-                                   bm25_k1=args.bm25_k1,
-                                   bm25_b=args.bm25_b))
+    system = CovidKG(CovidKGConfig(num_shards=args.shards, seed=args.seed))
     training = papers[: max(1, len(papers) // 3)]
     print(f"training on {len(training)} papers ...")
     system.train(training, word2vec_epochs=args.epochs)
@@ -459,14 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--shards", type=int, default=4)
     build.add_argument("--epochs", type=int, default=2)
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--ranker", choices=("tfidf", "bm25"),
-                       default="tfidf",
-                       help="search ranking function (default: the "
-                            "paper's TF-IDF+proximity scorer)")
-    build.add_argument("--bm25-k1", type=float, default=1.5,
-                       help="BM25 term-frequency saturation (k1)")
-    build.add_argument("--bm25-b", type=float, default=0.75,
-                       help="BM25 length-normalization strength (b)")
     build.set_defaults(func=_cmd_build)
 
     for name, func, help_text in (

@@ -145,22 +145,3 @@ class WdcTableGenerator:
             table=table, domain=domain, orientation=orientation,
             metadata_lines=metadata_lines,
         )
-
-    def labeled_tuples(self, count: int, orientation: str = "horizontal",
-                       ) -> list[tuple[list[str], bool]]:
-        """Flat (tuple, is_metadata) pairs ready for classifier training.
-
-        Horizontal tables contribute their rows; vertical tables contribute
-        their *transposed* rows (i.e. original columns), exactly what
-        :func:`repro.tables.orientation.rows_for_classification` yields.
-        """
-        pairs: list[tuple[list[str], bool]] = []
-        for index in range(count):
-            generated = self.generate(index, orientation=orientation)
-            if orientation == "horizontal":
-                rows = generated.table.row_texts()
-            else:
-                rows = generated.table.transposed().row_texts()
-            for position, row in enumerate(rows):
-                pairs.append((row, position in generated.metadata_lines))
-        return pairs

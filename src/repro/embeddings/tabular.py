@@ -7,16 +7,15 @@ Figure 3's BiGRU ensemble runs two parallel paths over a table tuple:
 * **cell-wise** — each whole *cell* becomes one step whose vector is the
   mean of its term embeddings (after the Section 3.4 numeric substitution).
 
-:class:`TabularEmbedder` produces both index sequences (for trainable
-embedding layers) and dense vector sequences (for pre-trained, frozen
-vectors), padded/truncated to fixed lengths so batches are rectangular.
+:class:`TabularEmbedder` produces both index sequences for the
+embedding layers (which may start from pre-trained Word2Vec vectors),
+padded/truncated to fixed lengths so batches are rectangular.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.embeddings.word2vec import Word2Vec
 from repro.errors import ModelError
 from repro.text.normalize import NumericNormalizer
 from repro.text.tokenizer import tokenize
@@ -27,14 +26,12 @@ class TabularEmbedder:
     """Turn table tuples into padded term- and cell-level sequences."""
 
     def __init__(self, vocabulary: Vocabulary, max_terms: int = 24,
-                 max_cells: int = 8,
-                 word2vec: Word2Vec | None = None) -> None:
+                 max_cells: int = 8) -> None:
         if max_terms < 1 or max_cells < 1:
             raise ModelError("max_terms and max_cells must be positive")
         self.vocabulary = vocabulary
         self.max_terms = max_terms
         self.max_cells = max_cells
-        self.word2vec = word2vec
         self._normalizer = NumericNormalizer()
 
     # -- index sequences (inputs to trainable Embedding layers) -------------
@@ -75,32 +72,3 @@ class TabularEmbedder:
 
     def batch_cell_indices(self, tuples: list[list[str]]) -> np.ndarray:
         return np.stack([self.cell_token_indices(cells) for cells in tuples])
-
-    # -- dense vectors (pre-trained Word2Vec path) --------------------------
-
-    def _require_word2vec(self) -> Word2Vec:
-        if self.word2vec is None:
-            raise ModelError("TabularEmbedder was built without a Word2Vec")
-        return self.word2vec
-
-    def cell_vectors(self, cells: list[str]) -> np.ndarray:
-        """Tuple -> (max_cells, dim): mean term vector per cell."""
-        word2vec = self._require_word2vec()
-        vectors = np.zeros((self.max_cells, word2vec.dim))
-        for position, cell in enumerate(cells[: self.max_cells]):
-            vectors[position] = word2vec.text_vector(
-                self._normalizer.normalize(cell)
-            )
-        return vectors
-
-    def tuple_vector(self, cells: list[str]) -> np.ndarray:
-        """A single dense vector for the whole tuple (mean of cells)."""
-        word2vec = self._require_word2vec()
-        non_empty = [cell for cell in cells if cell]
-        if not non_empty:
-            return np.zeros(word2vec.dim)
-        vectors = [
-            word2vec.text_vector(self._normalizer.normalize(cell))
-            for cell in non_empty
-        ]
-        return np.mean(vectors, axis=0)

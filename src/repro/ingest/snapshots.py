@@ -72,8 +72,6 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     replay through fresh engines exactly as the original ingest indexed
     them (classification already happened before they were stored), and
     the graph restores from its serialized snapshot.
-    Ranker configuration comes from ``system.config`` — a BM25 system
-    rolls back to a BM25 system, field-length stats included.
     """
     from repro.docstore.sharding import ShardedCollection
     from repro.kg.graph import KnowledgeGraph

@@ -38,19 +38,3 @@ class BinaryCrossEntropy:
         clipped = np.clip(probabilities, _EPSILON, 1.0 - _EPSILON)
         grad = (clipped - targets) / (clipped * (1.0 - clipped))
         return grad / targets.size
-
-
-class MeanSquaredError:
-    """Mean squared error."""
-
-    def forward(self, predictions: np.ndarray,
-                targets: np.ndarray) -> float:
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def backward(self, predictions: np.ndarray,
-                 targets: np.ndarray) -> np.ndarray:
-        predictions = np.asarray(predictions, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        return 2.0 * (predictions - targets) / targets.size

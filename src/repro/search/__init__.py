@@ -19,18 +19,12 @@ from repro.search.all_fields import AllFieldsEngine
 from repro.search.engine import SearchResult, SearchResults
 from repro.search.indexing import build_search_document
 from repro.search.query import ParsedQuery, parse_query
-from repro.search.ranking import (
-    BM25RankingFunction,
-    FieldLengthStats,
-    RankingFunction,
-)
+from repro.search.ranking import RankingFunction
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
 
 __all__ = [
     "AllFieldsEngine",
-    "BM25RankingFunction",
-    "FieldLengthStats",
     "SearchResult",
     "SearchResults",
     "build_search_document",

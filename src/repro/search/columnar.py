@@ -57,7 +57,6 @@ from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
     PROXIMITY_WEIGHT,
     STATIC_WEIGHT,
-    BM25RankingFunction,
     RankingFunction,
     min_window,
     static_score,
@@ -151,17 +150,14 @@ class QuerySpec:
     ``clauses`` drive candidate selection (atoms as ``(field, root,
     word)``), ``words`` carry the scoring stems with their query-side
     IDFs in scalar accumulation order, ``fields`` the rank fields with
-    weight and BM25 ``avgdl``, and ``prox_stems`` the per-term stems for
-    the proximity window (``None`` for single-term queries).
+    their weights, and ``prox_stems`` the per-term stems for the
+    proximity window (``None`` for single-term queries).
     """
 
     clauses: tuple[tuple[tuple[str, str, str], ...], ...]
     words: tuple[tuple[str, float], ...]
-    fields: tuple[tuple[str, float, float], ...]
+    fields: tuple[tuple[str, float], ...]
     prox_stems: tuple[str, ...] | None
-    ranker: str = "tfidf"
-    k1: float = 1.5
-    b: float = 0.75
 
 
 def kernel_eligible(ranking: RankingFunction,
@@ -170,14 +166,14 @@ def kernel_eligible(ranking: RankingFunction,
 
     The one predicate the planner (:func:`build_query_spec`) applies:
 
-    * the ranker must be exactly :class:`RankingFunction` or
-      :class:`BM25RankingFunction` (a subclass may override anything);
+    * the ranker must be exactly :class:`RankingFunction` (a subclass
+      may override anything);
     * no synonym expander (expansion changes both match and score);
     * no quoted phrases (their regexes cross token boundaries);
     * every term's stem root *and* literal word must be pure lowercase
       ASCII alphanumerics, where regex-prefix == atom-prefix.
     """
-    if type(ranking) not in (RankingFunction, BM25RankingFunction):
+    if type(ranking) is not RankingFunction:
         return False
     if ranking.expander is not None:
         return False
@@ -223,9 +219,6 @@ def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
         tuple(target for _kind, target in plan.proximity)
         if plan.proximity is not None else None
     )
-    if isinstance(ranking, BM25RankingFunction):
-        return QuerySpec(tuple(clauses), tuple(words), fields, prox_stems,
-                         ranker="bm25", k1=ranking.k1, b=ranking.b)
     return QuerySpec(tuple(clauses), tuple(words), fields, prox_stems)
 
 
@@ -235,18 +228,15 @@ class FieldColumns:
     """One segment-field's postings in CSR numpy layout."""
 
     __slots__ = ("stem_index", "post_starts", "post_rows", "post_tfs",
-                 "pos_starts", "positions", "doc_lengths",
+                 "pos_starts", "positions",
                  "atoms", "atom_starts", "atom_rows", "max_atom_len")
 
     def __init__(self, texts: list[str]) -> None:
         postings: dict[str, list[tuple[int, list[int]]]] = {}
         atom_rows: dict[str, list[int]] = {}
-        doc_lengths = []
         for row, text in enumerate(texts):
-            tokens = tokenize(text)
-            doc_lengths.append(len(tokens))
             occurrences: dict[str, list[int]] = {}
-            for position, token in enumerate(tokens):
+            for position, token in enumerate(tokenize(text)):
                 occurrences.setdefault(stem(token), []).append(position)
             for stemmed, positions in occurrences.items():
                 postings.setdefault(stemmed, []).append((row, positions))
@@ -269,7 +259,6 @@ class FieldColumns:
         self.post_tfs = np.asarray(tfs, dtype=np.int64)
         self.pos_starts = np.asarray(pos_starts, dtype=np.int64)
         self.positions = np.asarray(flat_positions, dtype=np.int64)
-        self.doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
         sorted_atoms = sorted(atom_rows)
         self.max_atom_len = max((len(a) for a in sorted_atoms), default=0)
         self.atoms = np.asarray(sorted_atoms, dtype="<U1") \
@@ -370,9 +359,8 @@ def _gather_tf(cols: SegmentColumns, fc: FieldColumns, stemmed: str,
 
 
 def _field_word_scores(cols: SegmentColumns, fc: FieldColumns,
-                       spec: QuerySpec, cand: "np.ndarray",
-                       avgdl: float) -> "np.ndarray":
-    """Σ over query words of the word score, in scalar accumulation order."""
+                       spec: QuerySpec, cand: "np.ndarray") -> "np.ndarray":
+    """Σ over query words of ``(1 + log tf) * idf``, in scalar order."""
     acc = np.zeros(len(cand), dtype=np.float64)
     for stemmed, idf in spec.words:
         tf = _gather_tf(cols, fc, stemmed, cand)
@@ -382,13 +370,7 @@ def _field_word_scores(cols: SegmentColumns, fc: FieldColumns,
         if not nz.any():
             continue
         contrib = np.zeros(len(cand), dtype=np.float64)
-        if spec.ranker == "bm25":
-            tf_nz = tf[nz].astype(np.float64)
-            dl_nz = fc.doc_lengths[cand][nz].astype(np.float64)
-            norm = spec.k1 * (1.0 - spec.b + spec.b * (dl_nz / avgdl))
-            contrib[nz] = idf * (tf_nz * (spec.k1 + 1.0)) / (tf_nz + norm)
-        else:
-            contrib[nz] = (1.0 + cols.log_table[tf[nz]]) * idf
+        contrib[nz] = (1.0 + cols.log_table[tf[nz]]) * idf
         acc = acc + contrib
     return acc
 
@@ -397,7 +379,7 @@ def _proximity_bonus(cols: SegmentColumns, spec: QuerySpec,
                      cand: "np.ndarray") -> "np.ndarray":
     """Best per-field 1/min-window bonus per candidate row."""
     best = np.zeros(len(cand), dtype=np.float64)
-    for name, _weight, _avgdl in spec.fields:
+    for name, _weight in spec.fields:
         fc = cols.fields.get(name)
         if fc is None:
             continue
@@ -449,13 +431,11 @@ def score_segment(cols: SegmentColumns, spec: QuerySpec, top_k: int
         return 0, []
     scores = np.zeros(total, dtype=np.float64)
     # Per-field, not per-document: each iteration is one batch kernel.
-    for name, weight, avgdl in spec.fields:  # lint: allow=REP207
+    for name, weight in spec.fields:  # lint: allow=REP207
         fc = cols.fields.get(name)
         if fc is None:
             continue
-        scores = scores + weight * _field_word_scores(
-            cols, fc, spec, cand, avgdl
-        )
+        scores = scores + weight * _field_word_scores(cols, fc, spec, cand)
     if spec.prox_stems is not None:
         scores = scores + PROXIMITY_WEIGHT * _proximity_bonus(
             cols, spec, cand

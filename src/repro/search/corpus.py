@@ -5,10 +5,9 @@ pipeline-expressed engines (Section 2.1): the engines differ in what
 they match, rank and format, not in what they index.  A
 :class:`SearchCorpus` therefore owns everything that is a function of
 the documents alone — the flattened ``search.*`` collection, TF-IDF
-document frequencies, BM25 field-length totals and the version-stamped
-columnar posting snapshot — so each paper is validated, flattened,
-tokenized, stemmed, stored and column-indexed once, however many
-engines read it.  An engine built without a corpus makes its own.
+document frequencies and the version-stamped columnar posting snapshot
+— so each paper is validated, flattened, tokenized, stemmed, stored and
+column-indexed once, however many engines read it.  An engine built without a corpus makes its own.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.search.indexing import (
     build_search_document,
     field_text,
 )
-from repro.search.ranking import FieldLengthStats
 from repro.text.stemmer import stem
 from repro.text.tfidf import TfIdfModel
 from repro.text.tokenizer import tokenize
@@ -34,7 +32,6 @@ class SearchCorpus:
     def __init__(self) -> None:
         self.collection = Collection("publications")
         self.tfidf = TfIdfModel()
-        self.field_stats = FieldLengthStats()
         # Version-stamped columnar index; refreshed lazily whenever the
         # docstore/model stamp moves — extended with delta segments for
         # append-only motion, fully rebuilt otherwise.  A refresh race
@@ -51,10 +48,10 @@ class SearchCorpus:
         document = build_search_document(paper)
         stems = []
         for field_name in ALL_SEARCH_FIELDS:
-            tokens = tokenize(field_text(document, field_name))
-            self.field_stats.observe(field_name, len(tokens))
-            stems.extend(stem(token) for token in tokens)
-        self.field_stats.add_document()
+            stems.extend(
+                stem(token)
+                for token in tokenize(field_text(document, field_name))
+            )
         self.tfidf.add_document_tokens(stems)
         self.collection.insert_one(document)
 

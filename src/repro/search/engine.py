@@ -43,7 +43,7 @@ from repro.search import columnar
 from repro.search.corpus import SearchCorpus
 from repro.search.indexing import ALL_SEARCH_FIELDS
 from repro.search.query import ParsedQuery
-from repro.search.ranking import BM25RankingFunction, RankingFunction
+from repro.search.ranking import RankingFunction
 
 PAGE_SIZE = 10
 
@@ -108,26 +108,14 @@ class SearchEngineBase:
     use_columnar: bool = True
 
     def __init__(self, registry: FunctionRegistry | None = None,
-                 expander=None, ranker: str = "tfidf",
-                 bm25_k1: float = 1.5, bm25_b: float = 0.75,
+                 expander=None,
                  corpus: SearchCorpus | None = None) -> None:
         self.corpus = SearchCorpus() if corpus is None else corpus
         self.collection = self.corpus.collection
         self.tfidf = self.corpus.tfidf
         self.registry = registry or FunctionRegistry()
         self.expander = expander
-        self.ranker = ranker
-        if ranker == "bm25":
-            self.ranking: RankingFunction = BM25RankingFunction(
-                self.tfidf, expander=expander,
-                stats=self.corpus.field_stats, k1=bm25_k1, b=bm25_b,
-            )
-        elif ranker == "tfidf":
-            self.ranking = RankingFunction(self.tfidf, expander=expander)
-        else:
-            raise QueryError(
-                f"unknown ranker {ranker!r} (expected 'tfidf' or 'bm25')"
-            )
+        self.ranking = RankingFunction(self.tfidf, expander=expander)
         self._rank_serial = itertools.count(1)
 
     def add_paper(self, paper: dict[str, Any]) -> None:
@@ -151,7 +139,7 @@ class SearchEngineBase:
         )
         seconds = time.perf_counter() - kernel_started
         stages = [
-            StageStats(f"$columnar({spec.ranker})", index.num_rows,
+            StageStats("$columnar(tfidf)", index.num_rows,
                        total, seconds),
             StageStats("$sort(top-k)", total, len(documents), 0.0),
         ]

@@ -31,7 +31,7 @@ def field_text(document: dict[str, Any], dotted: str) -> str:
     """The text of one (dotted) search field; list values are joined.
 
     The single reader every analysis pass shares — TF-IDF document
-    frequencies, BM25 field lengths and the columnar postings must all
+    frequencies, the scalar scorer and the columnar postings must all
     count exactly the same tokens.
     """
     value: Any = document

@@ -12,18 +12,17 @@ Score per document =
                       best field; multi-term queries only)
   + static score     (publication-level features: recency, table count)
 
-``word_score`` is pluggable: :class:`RankingFunction` uses the paper's
-TF-IDF weighting, :class:`BM25RankingFunction` swaps in Okapi BM25 with
-per-field length normalization (``CovidKGConfig.ranker = "bm25"``).  The
-proximity and static terms are shared so the two rankers stay comparable.
+``word_score`` is the paper's TF-IDF weighting, ``(1 + log tf) * idf``;
+the columnar kernels (:mod:`repro.search.columnar`) compute the same
+formula over posting arrays.
 
 Instances are registered as ``$function`` stages so engines invoke them
 from inside the aggregation pipeline exactly as the paper's custom
 JavaScript functions do.  ``scorer`` hoists every piece of query-side
-state (term words, stems, IDFs, synonym expansions, per-field average
-lengths) out of the per-document loop: the returned closure tokenizes and
-stems each field exactly once per document and shares the token/stem
-lists between TF counting and proximity-window extraction.  Document
+state (term words, stems, IDFs, synonym expansions, field weights) out
+of the per-document loop: the returned closure tokenizes and stems each
+field exactly once per document and shares the token/stem lists between
+TF counting and proximity-window extraction.  Document
 tokens are stemmed with the memoized :func:`repro.text.stemmer.stem`,
 like the query words and the index builders, so a word costs one
 Porter pass per process, not one per occurrence.
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.docstore.documents import deep_get
-from repro.search.indexing import FIELD_WEIGHTS
+from repro.search.indexing import FIELD_WEIGHTS, field_text
 from repro.search.query import ParsedQuery
 from repro.text.stemmer import stem
 from repro.text.tfidf import TfIdfModel
@@ -47,11 +46,6 @@ from repro.text.tokenizer import tokenize
 PROXIMITY_WEIGHT = 2.0
 #: Weight of static (query-independent) document features.
 STATIC_WEIGHT = 0.1
-
-#: Okapi BM25 defaults (Robertson & Walker); tunable per system via
-#: ``CovidKGConfig.bm25_k1`` / ``bm25_b``.
-BM25_K1 = 1.5
-BM25_B = 0.75
 
 
 def min_window(positions_per_term: list[list[int]]) -> int | None:
@@ -98,45 +92,6 @@ def static_score(document: dict[str, Any]) -> float:
     num_tables = deep_get(document, "static_rank.num_tables", 0) or 0
     recency = max(0, int(year) - 2019)
     return recency + 0.5 * min(num_tables, 4)
-
-
-def bm25_idf(num_documents: int, document_frequency: int) -> float:
-    """The non-negative ("plus one") BM25 IDF."""
-    return math.log(
-        1.0 + (num_documents - document_frequency + 0.5)
-        / (document_frequency + 0.5)
-    )
-
-
-class FieldLengthStats:
-    """Per-field token totals for BM25 average-length normalization.
-
-    The owning engine observes every indexed document's per-field token
-    count; ``average_length`` is then ``total_tokens / documents`` over
-    the whole corpus (documents missing the field count as length 0,
-    like any search over them would find).
-    """
-
-    __slots__ = ("_totals", "_documents")
-
-    def __init__(self) -> None:
-        self._totals: dict[str, int] = {}
-        self._documents = 0
-
-    def observe(self, field: str, num_tokens: int) -> None:
-        self._totals[field] = self._totals.get(field, 0) + num_tokens
-
-    def add_document(self) -> None:
-        self._documents += 1
-
-    @property
-    def num_documents(self) -> int:
-        return self._documents
-
-    def average_length(self, field: str) -> float:
-        if not self._documents:
-            return 0.0
-        return self._totals.get(field, 0) / self._documents
 
 
 @dataclass(frozen=True)
@@ -294,21 +249,11 @@ class RankingFunction:
         )
         return QueryPlan(words=tuple(words), proximity=proximity)
 
-    def _field_norm(self, field: str) -> float:
-        """Per-field normalizer (BM25 average length; unused by TF-IDF)."""
-        return 1.0
+    def field_plan(self, fields: list[str]) -> list[tuple[str, float]]:
+        """``(field, weight)`` per ranked field, for both executors."""
+        return [(name, self.field_weights.get(name, 1.0)) for name in fields]
 
-    def field_plan(self, fields: list[str]
-                   ) -> list[tuple[str, float, float]]:
-        """``(field, weight, avgdl)`` per ranked field, for both executors."""
-        return [
-            (name, self.field_weights.get(name, 1.0),
-             self._field_norm(name))
-            for name in fields
-        ]
-
-    def _word_score(self, tf: int, dl: int, avgdl: float,
-                    planned: PlannedWord) -> float:
+    def _word_score(self, tf: int, planned: PlannedWord) -> float:
         """Score of one query word with term frequency ``tf > 0``."""
         idf = planned.idf
         if idf is None:  # unfitted model: preserve NotFittedError
@@ -337,23 +282,20 @@ class RankingFunction:
             total = 0.0
             best_proximity = 0.0
             # lint: allow=REP207 PAPER.md §1.8's reference ranker
-            for field_name, weight, avgdl in field_plan:
-                text = deep_get(document, field_name, "") or ""
-                if isinstance(text, list):
-                    text = " ".join(str(part) for part in text)
+            for field_name, weight in field_plan:
+                text = field_text(document, field_name)
                 if not text:
                     continue
                 tokens = tokenize(text)
                 stemmed_tokens = [stem(token) for token in tokens]
                 counts = Counter(stemmed_tokens)
-                dl = len(tokens)
                 field_total = 0.0
                 # lint: allow=REP207 PAPER.md §1.8's reference ranker
                 for planned in plan.words:
                     tf = counts.get(planned.stemmed, 0)
                     if not tf:
                         continue
-                    value = self._word_score(tf, dl, avgdl, planned)
+                    value = self._word_score(tf, planned)
                     if planned.weight is not None:
                         value = planned.weight * value
                     field_total += value
@@ -369,49 +311,3 @@ class RankingFunction:
             return total
 
         return rank
-
-
-class BM25RankingFunction(RankingFunction):
-    """Okapi BM25 word scoring under the shared ranking skeleton.
-
-    Replaces the TF-IDF word score with
-
-        idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl / avgdl))
-
-    where ``idf = log(1 + (N - df + 0.5) / (df + 0.5))`` and ``avgdl``
-    is the corpus-average token length of the field being scored (from
-    ``stats``; without stats the normalizer degrades to ``avgdl = 1``).
-    Field weights, synonym expansion, the proximity bonus, and the
-    static score are inherited unchanged so ``ranker="tfidf"`` and
-    ``ranker="bm25"`` rank over identical feature sets.
-    """
-
-    def __init__(self, tfidf: TfIdfModel,
-                 field_weights: dict[str, float] | None = None,
-                 expander=None,
-                 stats: FieldLengthStats | None = None,
-                 k1: float = BM25_K1, b: float = BM25_B) -> None:
-        super().__init__(tfidf, field_weights, expander)
-        self.stats = stats
-        self.k1 = float(k1)
-        self.b = float(b)
-
-    def _word_idf(self, stemmed: str) -> float | None:
-        if self.tfidf.num_documents == 0:
-            return None
-        return bm25_idf(self.tfidf.num_documents,
-                        self.tfidf.document_frequency(stemmed))
-
-    def _field_norm(self, field: str) -> float:
-        if self.stats is None:
-            return 1.0
-        return self.stats.average_length(field)
-
-    def _word_score(self, tf: int, dl: int, avgdl: float,
-                    planned: PlannedWord) -> float:
-        idf = planned.idf
-        if idf is None:  # unfitted model: preserve NotFittedError
-            self.tfidf.idf(planned.stemmed)
-            idf = 0.0
-        norm = self.k1 * (1.0 - self.b + self.b * (dl / avgdl))
-        return idf * (tf * (self.k1 + 1.0)) / (tf + norm)

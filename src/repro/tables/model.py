@@ -8,7 +8,7 @@ post-processor emits.  Rows optionally carry ground-truth metadata labels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ParseError
 
@@ -126,17 +126,6 @@ class Table:
         rows = [Row.from_texts(column) for column in columns]
         return Table(rows=rows, caption=self.caption,
                      paper_id=self.paper_id, table_id=self.table_id)
-
-    def all_text(self) -> str:
-        """Caption plus every cell, for indexing by the table search engine."""
-        parts = [self.caption] if self.caption else []
-        for row in self.rows:
-            parts.extend(cell.text for cell in row.cells if cell.text)
-        return " ".join(parts)
-
-    def iter_cells(self) -> Iterator[Cell]:
-        for row in self.rows:
-            yield from row.cells
 
     def to_json(self) -> dict[str, Any]:
         data: dict[str, Any] = {

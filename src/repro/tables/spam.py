@@ -132,7 +132,3 @@ class SpamTableClassifier:
             raise NotFittedError("inconsistent classifier state")
         features = (spam_features(table) - self._mean) / self._std
         return bool(self._svm.predict(features[None, :])[0])
-
-    def filter_clean(self, tables: list[Table]) -> list[Table]:
-        """Tables that survive the spam filter (vocabulary feed)."""
-        return [table for table in tables if not self.is_spam(table)]

@@ -69,12 +69,6 @@ class TfIdfModel:
             return 0.0
         return (1.0 + math.log(tf)) * self.idf(term)
 
-    def score_document(self, query_terms: Iterable[str],
-                       document: str) -> float:
-        """Sum of TF-IDF contributions of every query term in ``document``."""
-        tokens = tokenize(document)
-        return sum(self.tfidf(term, tokens) for term in query_terms)
-
     def vector(self, document: str, vocabulary: list[str]) -> list[float]:
         """Dense TF-IDF vector of ``document`` over ``vocabulary`` order."""
         tokens = tokenize(document)

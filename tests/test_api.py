@@ -124,10 +124,9 @@ class TestCovidKGSystem:
         stats = system.statistics()
         assert set(stats) == {
             "publications", "kg", "storage_bytes", "shard_sizes",
-            "ranker", "pending_reviews", "registered_models",
+            "pending_reviews", "registered_models",
         }
         assert stats["storage_bytes"] > 0
-        assert stats["ranker"] == "tfidf"
 
     def test_untrained_system_still_ingests(self, corpus):
         kg = CovidKG(CovidKGConfig(num_shards=2))

@@ -182,26 +182,6 @@ class TestWdc:
         with pytest.raises(SchemaError):
             WdcTableGenerator().generate(0, orientation="diagonal")
 
-    def test_labeled_tuples_have_one_metadata_per_table(self):
-        pairs = WdcTableGenerator(seed=2).labeled_tuples(
-            5, orientation="horizontal"
-        )
-        positives = sum(1 for _, label in pairs if label)
-        assert positives == 5
-        assert len(pairs) > 10
-
-    def test_labeled_tuples_vertical_transposes(self):
-        pairs = WdcTableGenerator(seed=2).labeled_tuples(
-            3, orientation="vertical"
-        )
-        positives = [tuple_ for tuple_, label in pairs if label]
-        assert len(positives) == 3
-        # Metadata tuples are attribute-name rows: mostly non-numeric.
-        for tuple_ in positives:
-            numeric = sum(cell.replace(".", "").isdigit()
-                          for cell in tuple_)
-            assert numeric == 0
-
 
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 500))

@@ -125,25 +125,6 @@ class TestTabularEmbedder:
         assert embedder.batch_term_indices(tuples).shape == (2, 5)
         assert embedder.batch_cell_indices(tuples).shape == (2, 3)
 
-    def test_cell_vectors_require_word2vec(self, vocab):
-        embedder = TabularEmbedder(vocab)
-        with pytest.raises(ModelError):
-            embedder.cell_vectors(["pfizer"])
-
-    def test_cell_vectors_shape_and_content(self, vocab, w2v):
-        embedder = TabularEmbedder(vocab, max_cells=3, word2vec=w2v)
-        vectors = embedder.cell_vectors(["pfizer", "ventilator"])
-        assert vectors.shape == (3, w2v.dim)
-        np.testing.assert_allclose(vectors[0], w2v.text_vector("pfizer"))
-        np.testing.assert_array_equal(vectors[2], 0.0)
-
-    def test_tuple_vector_mean(self, vocab, w2v):
-        embedder = TabularEmbedder(vocab, word2vec=w2v)
-        vector = embedder.tuple_vector(["pfizer", "moderna"])
-        manual = (w2v.text_vector("pfizer")
-                  + w2v.text_vector("moderna")) / 2
-        np.testing.assert_allclose(vector, manual)
-
     def test_invalid_lengths(self, vocab):
         with pytest.raises(ModelError):
             TabularEmbedder(vocab, max_terms=0)

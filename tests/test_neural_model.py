@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.neural.layers import Dense, Embedding, Flatten
-from repro.neural.losses import BinaryCrossEntropy, MeanSquaredError
+from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.metrics import accuracy, binary_metrics, f1_score, precision_recall
 from repro.neural.model import Sequential, batches
 from repro.neural.optimizers import SGD, Adam
@@ -40,14 +40,6 @@ class TestLosses:
     def test_bce_shape_mismatch(self):
         with pytest.raises(ModelError):
             BinaryCrossEntropy().forward(np.zeros(2), np.zeros(3))
-
-    def test_mse(self):
-        loss = MeanSquaredError()
-        assert loss.forward(np.array([1.0, 2.0]), np.array([1.0, 4.0])) == 2.0
-        np.testing.assert_allclose(
-            loss.backward(np.array([1.0, 2.0]), np.array([1.0, 4.0])),
-            [0.0, -2.0],
-        )
 
 
 class TestOptimizers:

@@ -1,4 +1,4 @@
-"""The columnar ranking kernels: byte-identity, BM25, invalidation.
+"""The columnar ranking kernels: byte-identity, fallback, invalidation.
 
 The contract under test is strict: for every query the kernel accepts,
 the result page must be *byte-identical* to the scalar ``$function``
@@ -10,7 +10,6 @@ path silently.
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -19,15 +18,9 @@ from repro.docstore.functions import FunctionRegistry
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.query import parse_query
-from repro.search.ranking import (
-    BM25RankingFunction,
-    FieldLengthStats,
-    RankingFunction,
-    bm25_idf,
-)
+from repro.search.ranking import RankingFunction
 from repro.search.table_search import TableSearchEngine
 from repro.search.title_abstract import TitleAbstractCaptionEngine
-from repro.text.tfidf import TfIdfModel
 from tests.segment_layouts import install_segments
 
 WORDS = ("covid vaccine vaccinated spike protein trial mask masks "
@@ -91,12 +84,10 @@ def _stages(results):
 # -- differential: kernel vs scalar vs full sort ---------------------------
 
 @pytest.mark.parametrize("num_segments", [1, 3, 16])
-@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
-def test_kernel_is_byte_identical_to_scalar(num_segments, ranker):
+def test_kernel_is_byte_identical_to_scalar(num_segments):
     """Base-only index, base + 2 deltas and base + 15 deltas:
     kernel ≡ scalar ≡ full sort ≡ the merged rebuild."""
-    engine = _build(AllFieldsEngine, ranker=ranker,
-                    num_segments=num_segments)
+    engine = _build(AllFieldsEngine, num_segments=num_segments)
     assert len(engine.corpus.columnar_index().segments) == num_segments
     kernel_pages = {}
     for query in QUERIES:
@@ -124,7 +115,6 @@ def test_kernel_engages_for_plain_queries():
     engine = _build(AllFieldsEngine)
     results = engine.search("covid vaccine")
     assert any("columnar" in stage for stage in _stages(results))
-    # The stage advertises the active ranker.
     assert "$columnar(tfidf)" in _stages(results)
 
 
@@ -173,8 +163,8 @@ def test_custom_ranking_subclass_falls_back_to_scalar():
     engine = _build(AllFieldsEngine)
 
     class Doubled(RankingFunction):
-        def _word_score(self, tf, dl, avgdl, planned):
-            return 2.0 * super()._word_score(tf, dl, avgdl, planned)
+        def _word_score(self, tf, planned):
+            return 2.0 * super()._word_score(tf, planned)
 
     engine.ranking = Doubled(engine.tfidf)
     results = engine.search("covid")
@@ -186,80 +176,6 @@ def test_full_sort_disables_the_kernel():
     engine.full_sort = True
     results = engine.search("covid")
     assert not any("columnar" in stage for stage in _stages(results))
-
-
-# -- BM25 golden values ----------------------------------------------------
-
-def test_bm25_word_score_matches_hand_computation():
-    """One word, one field: the score is the textbook formula, exactly."""
-    model = TfIdfModel()
-    model.add_document_tokens(["vaccin", "trial", "covid"])
-    model.add_document_tokens(["vaccin", "vaccin", "mask"])
-    model.add_document_tokens(["covid", "mask", "fever"])
-    stats = FieldLengthStats()
-    for length in (3, 3, 3):
-        stats.observe("search.title", length)
-        stats.add_document()
-
-    k1, b = 1.2, 0.6
-    ranking = BM25RankingFunction(
-        model, {"search.title": 1.0}, stats=stats, k1=k1, b=b,
-    )
-    document = {"search": {"title": "vaccine vaccinated trial"}}
-    score = ranking.score(parse_query("vaccine"), document,
-                          ["search.title"])
-
-    # Hand-computed: stem("vaccine") = stem("vaccinated") = "vaccin",
-    # so tf = 2 in a field of length dl = 3 with avgdl = 3.
-    tf, dl, avgdl = 2, 3, 3.0
-    idf = math.log(1.0 + (3 - 2 + 0.5) / (2 + 0.5))
-    norm = k1 * (1.0 - b + b * (dl / avgdl))
-    word = idf * (tf * (k1 + 1.0)) / (tf + norm)
-    # Single-term query: no proximity bonus.  No static_rank: the
-    # static score defaults to recency(2020) = 1.0, weighted by 0.1.
-    assert score == word + 0.1 * 1.0
-
-
-def test_bm25_idf_golden_values():
-    assert bm25_idf(100, 1) == math.log(1.0 + 99.5 / 1.5)
-    assert bm25_idf(100, 100) == math.log(1.0 + 0.5 / 100.5)
-    assert bm25_idf(3, 2) == math.log(1.0 + 1.5 / 2.5)
-
-
-def test_bm25_engine_ranks_by_the_same_formula():
-    """End to end: the engine's BM25 page ordering is reproducible."""
-    engine = _build(AllFieldsEngine, num_papers=50, ranker="bm25",
-                    bm25_k1=1.2, bm25_b=0.5)
-    assert engine.ranking.k1 == 1.2 and engine.ranking.b == 0.5
-    results = engine.search("vaccine trial")
-    assert "$columnar(bm25)" in _stages(results)
-    scores = [hit.score for hit in results.results]
-    assert scores == sorted(scores, reverse=True)
-    # Rescore the top hit through the scalar ranking function.
-    top = results.results[0]
-    documents = engine.collection.find(
-        {"paper_id": top.paper_id}
-    ).to_list()
-    expected = engine.ranking.score(
-        parse_query("vaccine trial"), documents[0],
-        list(engine.ranking.field_weights),
-    )
-    assert top.score == expected
-
-
-def test_tfidf_and_bm25_disagree_on_order_eventually():
-    """The knob is real: the two rankers are not the same function."""
-    tfidf_engine = _build(AllFieldsEngine, ranker="tfidf")
-    bm25_engine = _build(AllFieldsEngine, ranker="bm25")
-    tfidf_scores = _page(tfidf_engine.search("vaccine trial"))
-    bm25_scores = _page(bm25_engine.search("vaccine trial"))
-    assert [s for _, s in tfidf_scores] != [s for _, s in bm25_scores]
-
-
-def test_unknown_ranker_is_rejected():
-    from repro.errors import QueryError
-    with pytest.raises(QueryError):
-        AllFieldsEngine(FunctionRegistry(), ranker="pagerank")
 
 
 # -- invalidation on docstore mutation -------------------------------------
@@ -296,23 +212,21 @@ def test_query_spec_is_picklable():
 
     from repro.search.indexing import ALL_SEARCH_FIELDS
     parsed = parse_query("covid vaccine")
-    for ranker in ("tfidf", "bm25"):
-        engine = _build(AllFieldsEngine, num_papers=30, ranker=ranker)
-        spec = columnar.build_query_spec(
-            parsed,
-            columnar.MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS),
-            ALL_SEARCH_FIELDS,
-            engine.ranking,
-            set(ALL_SEARCH_FIELDS),
-        )
-        assert spec is not None
-        assert pickle.loads(pickle.dumps(spec)) == spec
-        # The kernel spec is the scalar scorer's plan, not a re-derivation.
-        plan = engine.ranking.query_plan(parsed)
-        assert list(spec.words) == [(w.stemmed, w.idf) for w in plan.words]
-        assert spec.prox_stems == tuple(stem for _, stem in plan.proximity)
-        assert list(spec.fields) == \
-            engine.ranking.field_plan(ALL_SEARCH_FIELDS)
+    engine = _build(AllFieldsEngine, num_papers=30)
+    spec = columnar.build_query_spec(
+        parsed,
+        columnar.MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS),
+        ALL_SEARCH_FIELDS,
+        engine.ranking,
+        set(ALL_SEARCH_FIELDS),
+    )
+    assert spec is not None
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    # The kernel spec is the scalar scorer's plan, not a re-derivation.
+    plan = engine.ranking.query_plan(parsed)
+    assert list(spec.words) == [(w.stemmed, w.idf) for w in plan.words]
+    assert spec.prox_stems == tuple(stem for _, stem in plan.proximity)
+    assert list(spec.fields) == engine.ranking.field_plan(ALL_SEARCH_FIELDS)
 
 
 def test_spec_rejected_for_unfitted_model():

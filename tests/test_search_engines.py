@@ -253,10 +253,9 @@ class TestCrossEngineRanking:
 
 # -- the engines' constant pipeline, checked once ---------------------------
 
-@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
 @pytest.mark.parametrize("engine_name",
                          ["all_fields", "title_abstract", "table"])
-def test_engine_pipelines_are_valid_and_run_as_planned(engine_name, ranker):
+def test_engine_pipelines_are_valid_and_run_as_planned(engine_name):
     """Only code builds a search pipeline, so one test checks it.
 
     The scalar path executes exactly ``$match``, ``$project``,
@@ -265,7 +264,7 @@ def test_engine_pipelines_are_valid_and_run_as_planned(engine_name, ranker):
     """
     engine = {"all_fields": AllFieldsEngine,
               "title_abstract": TitleAbstractCaptionEngine,
-              "table": TableSearchEngine}[engine_name](ranker=ranker)
+              "table": TableSearchEngine}[engine_name]()
     engine.add_papers(CorpusGenerator().papers(12))
     engine.use_columnar = False
 

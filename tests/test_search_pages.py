@@ -56,11 +56,11 @@ def papers():
     )).papers(60)
 
 
-def _engines(papers, ranker="tfidf", num_segments=1):
+def _engines(papers, num_segments=1):
     """The three engines on one corpus holding ``num_segments`` segments."""
     corpus = SearchCorpus()
     engines = [
-        engine_cls(FunctionRegistry(), ranker=ranker, corpus=corpus)
+        engine_cls(FunctionRegistry(), corpus=corpus)
         for engine_cls in (AllFieldsEngine, TitleAbstractCaptionEngine,
                            TableSearchEngine)
     ]
@@ -100,13 +100,12 @@ def _wire_pages(engines, **kwargs):
 
 # -- whole pages: kernel ≡ scalar ≡ full sort, over every segment layout ----
 
-@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
-def test_whole_pages_are_byte_identical_on_every_path(papers, ranker):
-    corpus, engines = _engines(papers, ranker)
+def test_whole_pages_are_byte_identical_on_every_path(papers):
+    corpus, engines = _engines(papers)
     kernel = _wire_pages(engines)
     stages = {stats.stage for _, results in _searches(engines, pages=(1,))
               for stats in results.stage_stats}
-    assert stages == {f"$columnar({ranker})", "$sort(top-k)"}
+    assert stages == {"$columnar(tfidf)", "$sort(top-k)"}
     assert sum(b'"results":[]' not in wire for wire in kernel.values()) \
         >= 20  # the grid is not vacuous: pages 2 and 3 exist too
     assert any(b'"tables":[{' in wire for wire in kernel.values())
@@ -118,7 +117,7 @@ def test_whole_pages_are_byte_identical_on_every_path(papers, ranker):
         engine.full_sort = True
     assert _wire_pages(engines) == kernel  # scalar pipeline, full $sort
 
-    corpus, engines = _engines(papers, ranker, num_segments=3)
+    corpus, engines = _engines(papers, num_segments=3)
     assert _wire_pages(engines) == kernel  # base + 2 deltas
     assert corpus.merge_segments()
     assert _wire_pages(engines) == kernel  # the merged rebuild
@@ -126,11 +125,10 @@ def test_whole_pages_are_byte_identical_on_every_path(papers, ranker):
 
 # -- quoted phrases: the scalar pipeline over stored rows --------------------
 
-@pytest.mark.parametrize("ranker", ["tfidf", "bm25"])
 def test_quoted_phrase_pages_are_byte_identical_on_every_path(
-        papers, ranker, monkeypatch):
+        papers, monkeypatch):
     grid = {"queries": PHRASE_QUERIES, "pages": (1, 2)}
-    corpus, engines = _engines(papers, ranker)
+    corpus, engines = _engines(papers)
     stored = [json.dumps(document, sort_keys=True, default=str)
               for document in corpus.collection.scan()]
     top_k = _wire_pages(engines, **grid)
@@ -165,7 +163,7 @@ def test_quoted_phrase_pages_are_byte_identical_on_every_path(
     assert [json.dumps(document, sort_keys=True, default=str)
             for document in corpus.collection.scan()] == stored
 
-    _, engines = _engines(papers, ranker, num_segments=3)
+    _, engines = _engines(papers, num_segments=3)
     assert _wire_pages(engines, **grid) == top_k  # served from 3 segments
 
 

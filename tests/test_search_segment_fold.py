@@ -32,7 +32,7 @@ QUERIES = ["covid", "vaccine trial", "mask"]
 SPEC = columnar.QuerySpec(
     clauses=((("search.abstract", "covid", "covid"),),),
     words=(("covid", 1.0),),
-    fields=(("search.title", 3.0, 1.0), ("search.abstract", 2.0, 1.0)),
+    fields=(("search.title", 3.0), ("search.abstract", 2.0)),
     prox_stems=None,
 )
 

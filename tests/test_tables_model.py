@@ -60,14 +60,6 @@ class TestAccess:
         assert flipped.num_rows == 3
         assert flipped.caption == table.caption
 
-    def test_all_text_includes_caption_and_cells(self):
-        text = sample_table().all_text()
-        assert "Vaccine efficacy" in text
-        assert "Pfizer" in text
-
-    def test_iter_cells(self):
-        assert len(list(sample_table().iter_cells())) == 9
-
 
 class TestSerialization:
     def test_roundtrip(self):

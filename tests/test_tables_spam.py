@@ -85,12 +85,7 @@ class TestHeuristicClassifier:
         classifier = SpamTableClassifier()
         generator = WdcTableGenerator(seed=41)
         tables = [generator.generate(i).table for i in range(20)]
-        assert classifier.filter_clean(tables) == tables
-
-    def test_filter_clean_removes_spam(self):
-        classifier = SpamTableClassifier()
-        mixed = [CLEAN, PROMO_SPAM, KEYWORD_FARM]
-        assert classifier.filter_clean(mixed) == [CLEAN]
+        assert not any(classifier.is_spam(table) for table in tables)
 
 
 class TestTrainedClassifier:

@@ -55,11 +55,6 @@ class TestScoring:
         double = model.tfidf("masks", tokenize("masks masks work"))
         assert double > single
 
-    def test_score_document_sums_terms(self, model):
-        joint = model.score_document(["masks", "covid"], CORPUS[0])
-        solo = model.score_document(["masks"], CORPUS[0])
-        assert joint > solo
-
     def test_vector_matches_pointwise(self, model):
         vocab = ["masks", "covid", "absent"]
         vec = model.vector(CORPUS[0], vocab)
