@@ -170,9 +170,7 @@ class CovidKG:
         return {
             "store": self.store.version,
             "kg": self.graph.version,
-            "all_fields": self.all_fields.collection.version,
-            "title_abstract": self.title_abstract.collection.version,
-            "table": self.tables.collection.version,
+            "corpus": self.search_corpus.collection.version,
         }
 
     # -- training (№4) ---------------------------------------------------------

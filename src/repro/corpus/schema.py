@@ -36,10 +36,6 @@ REQUIRED_FIELDS = ("paper_id", "title", "abstract", "authors",
                    "publish_time", "journal", "body_text", "tables",
                    "figures")
 
-#: Fields the search engines index, in ranking-weight order.
-SEARCHABLE_FIELDS = ("title", "abstract", "body_text.text",
-                     "tables.caption", "figures.caption")
-
 
 def validate_paper(paper: Any) -> dict[str, Any]:
     """Check ``paper`` against the schema; returns it unchanged when valid."""

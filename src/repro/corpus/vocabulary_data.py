@@ -81,9 +81,6 @@ SIDE_EFFECTS_RARE = [
     "myocarditis", "anaphylaxis", "thrombosis", "pericarditis",
     "lymphadenopathy", "bell palsy",
 ]
-SIDE_EFFECTS_CHILDREN = [
-    "rash", "irritability", "loss of appetite", "drowsiness",
-]
 
 #: Symptoms by organ system — the overlapping categorizations Section 4.2
 #: insists must coexist in the KG without being merged.

@@ -31,7 +31,6 @@ MAX_HEADER_COUNT = 64
 #: long queries in a body, but every endpoint also works via GET.
 ALLOWED_METHODS = ("GET", "HEAD", "POST")
 
-CRLF = b"\r\n"
 HEAD_TERMINATOR = b"\r\n\r\n"
 
 REASON_PHRASES = {

@@ -91,8 +91,7 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     # replacement starts past its predecessor before it becomes visible.
     store.advance_version(old["store"] + 1)
     graph.advance_version(old["kg"] + 1)
-    engines["all_fields"].collection.advance_version(
-        max(old["all_fields"], old["title_abstract"], old["table"]) + 1)
+    engines["all_fields"].collection.advance_version(old["corpus"] + 1)
 
     system.store = store
     system.all_fields = engines["all_fields"]

@@ -17,11 +17,6 @@ from __future__ import annotations
 from repro.corpus import vocabulary_data as vd
 from repro.kg.graph import KnowledgeGraph
 
-#: Categories whose children are open sets that fusion may extend.
-EXTENSIBLE_CATEGORIES = (
-    "vaccines", "strains", "side_effects", "symptoms", "treatments",
-)
-
 
 def seed_covid_graph(include_known_entities: bool = True) -> KnowledgeGraph:
     """Build the expert's initial layout.

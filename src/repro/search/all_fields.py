@@ -23,7 +23,7 @@ class AllFieldsEngine(SearchEngineBase):
         paged, total, seconds = self._run_pipeline(
             parsed,
             MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS,
-                                        expander=self.expander),
+                                        expander=self.ranking.expander),
             ALL_SEARCH_FIELDS, page,
         )
         results = []

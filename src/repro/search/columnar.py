@@ -14,9 +14,11 @@ with numpy batch operations:
   runs of the raw text, case-folded) that reproduces the ``$match``
   regex semantics (``\\b(?:stem|word)\\w*``, ``IGNORECASE``) as two
   binary searches per query term;
-* per segment, the precomputed static scores, paper ids, and a
-  ``math.log`` lookup table so kernel TF-IDF values are bit-identical
-  to the scalar ``(1 + log(tf)) * idf``.
+* per segment, the precomputed static scores, paper ids, and a table
+  of :func:`~repro.text.tfidf.tf_weight` by integer tf, so kernel
+  TF-IDF values are bit-identical to the scalar ``tf_weight(tf) * idf``;
+* no scoring state of its own: kernels read the scalar scorer's
+  :class:`~repro.search.ranking.QueryPlan`.
 
 The kernel path only engages when it can reproduce the scalar reference
 **byte-identically** (see :func:`build_query_spec`); everything else —
@@ -44,7 +46,6 @@ rebuild, so either generation may answer a query.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -57,11 +58,13 @@ from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
     PROXIMITY_WEIGHT,
     STATIC_WEIGHT,
+    QueryPlan,
     RankingFunction,
     min_window,
     static_score,
 )
 from repro.text.stemmer import stem
+from repro.text.tfidf import tf_weight
 from repro.text.tokenizer import tokenize
 
 #: The ``$match`` regexes (``\b(?:root|word)\w*``) see every ``\w+`` run
@@ -145,19 +148,15 @@ class MatchPlan:
 
 @dataclass(frozen=True)
 class QuerySpec:
-    """A fully-planned kernel query (plain strings/floats).
+    """A fully-planned kernel query.
 
     ``clauses`` drive candidate selection (atoms as ``(field, root,
-    word)``), ``words`` carry the scoring stems with their query-side
-    IDFs in scalar accumulation order, ``fields`` the rank fields with
-    their weights, and ``prox_stems`` the per-term stems for the
-    proximity window (``None`` for single-term queries).
+    word)``); ``plan`` is the scalar scorer's own query plan, which the
+    kernels score from.
     """
 
     clauses: tuple[tuple[tuple[str, str, str], ...], ...]
-    words: tuple[tuple[str, float], ...]
-    fields: tuple[tuple[str, float], ...]
-    prox_stems: tuple[str, ...] | None
+    plan: QueryPlan
 
 
 def kernel_eligible(ranking: RankingFunction,
@@ -212,14 +211,7 @@ def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
     # One query plan feeds both executors: eligibility rules out
     # synonyms (no weights) and phrases (every proximity entry is a
     # loose stem), and a fitted model leaves no IDF undefined.
-    plan = ranking.query_plan(parsed)
-    words = [(word.stemmed, word.idf) for word in plan.words]
-    fields = tuple(ranking.field_plan(rank_fields))
-    prox_stems = (
-        tuple(target for _kind, target in plan.proximity)
-        if plan.proximity is not None else None
-    )
-    return QuerySpec(tuple(clauses), tuple(words), fields, prox_stems)
+    return QuerySpec(tuple(clauses), ranking.query_plan(parsed, rank_fields))
 
 
 # -- columnar storage -------------------------------------------------------
@@ -298,7 +290,7 @@ class FieldColumns:
 class SegmentColumns:
     """All columnar state of one segment (no raw documents)."""
 
-    __slots__ = ("num_rows", "fields", "paper_ids", "static", "log_table")
+    __slots__ = ("num_rows", "fields", "paper_ids", "static", "tf_weights")
 
     def __init__(self, documents: list[dict[str, Any]],
                  field_names: Iterable[str]) -> None:
@@ -319,10 +311,10 @@ class SegmentColumns:
              if len(fc.post_tfs)),
             default=0,
         )
-        # Bit-exact (1 + log(tf)): index the scalar path's math.log by
-        # integer tf instead of trusting np.log to agree to the ULP.
-        self.log_table = np.asarray(
-            [0.0] + [math.log(tf) for tf in range(1, max_tf + 1)],
+        # Bit-exact: tabulate the scalar path's own tf_weight by integer
+        # tf instead of trusting np.log to agree to the ULP.
+        self.tf_weights = np.asarray(
+            [0.0] + [tf_weight(tf) for tf in range(1, max_tf + 1)],
             dtype=np.float64,
         )
 
@@ -360,17 +352,17 @@ def _gather_tf(cols: SegmentColumns, fc: FieldColumns, stemmed: str,
 
 def _field_word_scores(cols: SegmentColumns, fc: FieldColumns,
                        spec: QuerySpec, cand: "np.ndarray") -> "np.ndarray":
-    """Σ over query words of ``(1 + log tf) * idf``, in scalar order."""
+    """Σ over query words of ``tf_weight(tf) * idf``, in scalar order."""
     acc = np.zeros(len(cand), dtype=np.float64)
-    for stemmed, idf in spec.words:
-        tf = _gather_tf(cols, fc, stemmed, cand)
+    for planned in spec.plan.words:
+        tf = _gather_tf(cols, fc, planned.stemmed, cand)
         if tf is None:
             continue
         nz = tf > 0
         if not nz.any():
             continue
         contrib = np.zeros(len(cand), dtype=np.float64)
-        contrib[nz] = (1.0 + cols.log_table[tf[nz]]) * idf
+        contrib[nz] = cols.tf_weights[tf[nz]] * planned.idf
         acc = acc + contrib
     return acc
 
@@ -379,13 +371,13 @@ def _proximity_bonus(cols: SegmentColumns, spec: QuerySpec,
                      cand: "np.ndarray") -> "np.ndarray":
     """Best per-field 1/min-window bonus per candidate row."""
     best = np.zeros(len(cand), dtype=np.float64)
-    for name, _weight in spec.fields:
+    for name, _weight in spec.plan.fields:
         fc = cols.fields.get(name)
         if fc is None:
             continue
         present = np.ones(len(cand), dtype=bool)
         term_postings = []
-        for stemmed in spec.prox_stems:
+        for _kind, stemmed in spec.plan.proximity:
             span = fc.posting_slice(stemmed)
             if span is None:
                 present[:] = False
@@ -431,12 +423,12 @@ def score_segment(cols: SegmentColumns, spec: QuerySpec, top_k: int
         return 0, []
     scores = np.zeros(total, dtype=np.float64)
     # Per-field, not per-document: each iteration is one batch kernel.
-    for name, weight in spec.fields:  # lint: allow=REP207
+    for name, weight in spec.plan.fields:  # lint: allow=REP207
         fc = cols.fields.get(name)
         if fc is None:
             continue
         scores = scores + weight * _field_word_scores(cols, fc, spec, cand)
-    if spec.prox_stems is not None:
+    if spec.plan.proximity is not None:
         scores = scores + PROXIMITY_WEIGHT * _proximity_bonus(
             cols, spec, cand
         )

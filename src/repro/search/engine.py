@@ -114,7 +114,7 @@ class SearchEngineBase:
         self.collection = self.corpus.collection
         self.tfidf = self.corpus.tfidf
         self.registry = registry or FunctionRegistry()
-        self.expander = expander
+        # The expander's one owner: match and score both read it here.
         self.ranking = RankingFunction(self.tfidf, expander=expander)
         self._rank_serial = itertools.count(1)
 

@@ -26,10 +26,6 @@ class QueryTerm:
     exact: bool
     pattern: str  # regex source, compiled with IGNORECASE by consumers
 
-    @property
-    def stemmed(self) -> str:
-        return self.text if self.exact else stem(self.text)
-
     def regex(self) -> re.Pattern[str]:
         """The compiled match regex, built once per term."""
         return self._compiled
@@ -41,18 +37,10 @@ class QueryTerm:
 
 @dataclass(frozen=True)
 class ParsedQuery:
-    """A parsed user query: ordered terms plus convenience views."""
+    """A parsed user query: ordered terms plus their compiled matcher."""
 
     raw: str
     terms: tuple[QueryTerm, ...]
-
-    @property
-    def words(self) -> list[str]:
-        """Every individual word across terms (phrases contribute each)."""
-        result = []
-        for term in self.terms:
-            result.extend(term.text.split())
-        return result
 
     @cached_property
     def matcher(self) -> re.Pattern[str]:

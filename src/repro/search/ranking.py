@@ -12,25 +12,26 @@ Score per document =
                       best field; multi-term queries only)
   + static score     (publication-level features: recency, table count)
 
-``word_score`` is the paper's TF-IDF weighting, ``(1 + log tf) * idf``;
-the columnar kernels (:mod:`repro.search.columnar`) compute the same
-formula over posting arrays.
+``word_score`` is the paper's TF-IDF weighting,
+``tf_weight(tf) * idf`` with :func:`repro.text.tfidf.tf_weight`.
 
-Instances are registered as ``$function`` stages so engines invoke them
-from inside the aggregation pipeline exactly as the paper's custom
-JavaScript functions do.  ``scorer`` hoists every piece of query-side
-state (term words, stems, IDFs, synonym expansions, field weights) out
-of the per-document loop: the returned closure tokenizes and stems each
-field exactly once per document and shares the token/stem lists between
-TF counting and proximity-window extraction.  Document
-tokens are stemmed with the memoized :func:`repro.text.stemmer.stem`,
-like the query words and the index builders, so a word costs one
-Porter pass per process, not one per occurrence.
+:meth:`RankingFunction.query_plan` is the one scoring spec: the words
+with their stems, IDFs and synonym weights, the ``(field, weight)``
+pairs, and the proximity targets.  Both executors read it — the scalar
+closure from :meth:`RankingFunction.scorer`, registered as a
+``$function`` stage so engines invoke it from inside the aggregation
+pipeline exactly as the paper's custom JavaScript functions do, and the
+columnar kernels (:mod:`repro.search.columnar`) over posting arrays.
+The closure tokenizes and stems each field exactly once per document
+and shares the token/stem lists between TF counting and
+proximity-window extraction.  Document tokens are stemmed with the
+memoized :func:`repro.text.stemmer.stem`, like the query words and the
+index builders, so a word costs one Porter pass per process, not one
+per occurrence.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any
@@ -39,7 +40,7 @@ from repro.docstore.documents import deep_get
 from repro.search.indexing import FIELD_WEIGHTS, field_text
 from repro.search.query import ParsedQuery
 from repro.text.stemmer import stem
-from repro.text.tfidf import TfIdfModel
+from repro.text.tfidf import TfIdfModel, tf_weight
 from repro.text.tokenizer import tokenize
 
 #: Weight of the proximity bonus relative to TF-IDF matter.
@@ -102,7 +103,7 @@ class PlannedWord:
     down-weight for an expansion.  ``idf`` is ``None`` only when the
     model has seen no documents — the per-document loop then defers to
     the model so an unfitted scorer still raises ``NotFittedError`` the
-    moment a term actually occurs, exactly like the unhoisted code did.
+    moment a term actually occurs.
     """
 
     stemmed: str
@@ -112,9 +113,12 @@ class PlannedWord:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Everything about a query the per-document loop must not re-derive."""
+    """The one scoring spec: everything about a query that the scalar
+    closure and the columnar kernels read, and neither re-derives."""
 
     words: tuple[PlannedWord, ...]
+    #: ``(field, weight)`` per ranked field, in accumulation order.
+    fields: tuple[tuple[str, float], ...]
     #: Per original term: ("loose", stem) or ("exact", lowercased words);
     #: ``None`` for single-term queries (no proximity bonus).
     proximity: tuple[tuple[str, Any], ...] | None
@@ -127,24 +131,13 @@ class RankingFunction:
     query term also contributes down-weighted TF-IDF mass for its
     synonyms ("the ranking function incorporates matching terms and
     synonyms") — a document saying "immunization" gains score for the
-    query "vaccine", below what a literal match earns.
+    query "vaccine", below what a literal match earns.  Quoted (exact)
+    terms never expand: the user asked for that literal phrase.
     """
 
-    def __init__(self, tfidf: TfIdfModel,
-                 field_weights: dict[str, float] | None = None,
-                 expander=None) -> None:
+    def __init__(self, tfidf: TfIdfModel, expander=None) -> None:
         self.tfidf = tfidf
-        self.field_weights = dict(field_weights or FIELD_WEIGHTS)
         self.expander = expander
-
-    # -- per-field machinery ------------------------------------------------
-
-    def _term_positions(self, parsed: ParsedQuery,
-                        tokens: list[str]) -> list[list[int]]:
-        stemmed_tokens = [stem(token) for token in tokens]
-        return self._planned_positions(
-            self._proximity_plan(parsed), tokens, stemmed_tokens
-        )
 
     @staticmethod
     def _proximity_plan(parsed: ParsedQuery
@@ -181,47 +174,6 @@ class RankingFunction:
             positions.append(hits)
         return positions
 
-    def field_score(self, parsed: ParsedQuery, text: str) -> float:
-        """TF-IDF mass of the query terms inside one field's text.
-
-        Quoted (exact) terms never expand to synonyms — the user asked
-        for that literal phrase.  (Reference implementation; the hot
-        path runs the hoisted closure from :meth:`scorer`.)
-        """
-        if not text:
-            return 0.0
-        stemmed_tokens = [stem(token) for token in tokenize(text)]
-        score = 0.0
-        # lint: allow=REP207 PAPER.md §1.8's reference ranker
-        for term in parsed.terms:
-            # lint: allow=REP207 PAPER.md §1.8's reference ranker
-            for word in term.text.split():
-                score += self.tfidf.tfidf(stem(word), stemmed_tokens)
-            if self.expander is None or term.exact:
-                continue
-            # lint: allow=REP207 PAPER.md §1.8's reference ranker
-            for synonym, weight in self.expander.expand(term.text):
-                # lint: allow=REP207 PAPER.md §1.8's reference ranker
-                for word in synonym.split():
-                    score += weight * self.tfidf.tfidf(
-                        stem(word), stemmed_tokens
-                    )
-        return score
-
-    def proximity_bonus(self, parsed: ParsedQuery, text: str) -> float:
-        """1/window bonus; 0 when not every term occurs in the text."""
-        if len(parsed.terms) < 2 or not text:
-            return 0.0
-        tokens = tokenize(text)
-        window = min_window(self._term_positions(parsed, tokens))
-        if window is None:
-            return 0.0
-        return 1.0 / window
-
-    def static_score(self, document: dict[str, Any]) -> float:
-        """Query-independent document weight."""
-        return static_score(document)
-
     # -- query-time planning ------------------------------------------------
 
     def _word_idf(self, stemmed: str) -> float | None:
@@ -229,8 +181,10 @@ class RankingFunction:
             return None
         return self.tfidf.idf(stemmed)
 
-    def query_plan(self, parsed: ParsedQuery) -> QueryPlan:
-        """Hoist term/stem/IDF/synonym state out of the document loop."""
+    def query_plan(self, parsed: ParsedQuery,
+                   fields: list[str] | None = None) -> QueryPlan:
+        """Hoist term/stem/IDF/synonym/field state out of the document
+        loop; ``fields`` defaults to every weighted search field."""
         words: list[PlannedWord] = []
         for term in parsed.terms:
             for word in term.text.split():
@@ -247,42 +201,38 @@ class RankingFunction:
         proximity = (
             self._proximity_plan(parsed) if len(parsed.terms) >= 2 else None
         )
-        return QueryPlan(words=tuple(words), proximity=proximity)
-
-    def field_plan(self, fields: list[str]) -> list[tuple[str, float]]:
-        """``(field, weight)`` per ranked field, for both executors."""
-        return [(name, self.field_weights.get(name, 1.0)) for name in fields]
+        return QueryPlan(
+            words=tuple(words),
+            fields=tuple((name, FIELD_WEIGHTS.get(name, 1.0))
+                         for name in (fields or FIELD_WEIGHTS)),
+            proximity=proximity,
+        )
 
     def _word_score(self, tf: int, planned: PlannedWord) -> float:
         """Score of one query word with term frequency ``tf > 0``."""
         idf = planned.idf
         if idf is None:  # unfitted model: preserve NotFittedError
             idf = self.tfidf.idf(planned.stemmed)
-        return (1.0 + math.log(tf)) * idf
+        return tf_weight(tf) * idf
 
     # -- document-level score -----------------------------------------------
-
-    def score(self, parsed: ParsedQuery, document: dict[str, Any],
-              fields: list[str] | None = None) -> float:
-        """The full ranking score of ``document`` for ``parsed``."""
-        return self.scorer(parsed, fields)(document)
 
     def scorer(self, parsed: ParsedQuery,
                fields: list[str] | None = None):
         """A single-argument callable for ``$function`` registration.
 
-        All query-side state is computed here, once; the closure only
-        does per-document work (one tokenize + one stem pass per field,
-        shared between TF counting and proximity extraction).
+        All query-side state is :meth:`query_plan`'s, computed once; the
+        closure only does per-document work (one tokenize + one stem
+        pass per field, shared between TF counting and proximity
+        extraction).
         """
-        field_plan = self.field_plan(list(fields or self.field_weights))
-        plan = self.query_plan(parsed)
+        plan = self.query_plan(parsed, fields)
 
         def rank(document: dict[str, Any]) -> float:
             total = 0.0
             best_proximity = 0.0
             # lint: allow=REP207 PAPER.md §1.8's reference ranker
-            for field_name, weight in field_plan:
+            for field_name, weight in plan.fields:
                 text = field_text(document, field_name)
                 if not text:
                     continue

@@ -18,7 +18,7 @@ REPORTED_PERCENTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
 class LatencyHistogram:
-    """Bounded-memory latency tracker with percentile queries.
+    """Bounded-memory latency tracker; :meth:`snapshot` reports it.
 
     Records seconds; reports milliseconds.  The last ``capacity``
     samples form the percentile reservoir — enough resolution for a
@@ -33,7 +33,6 @@ class LatencyHistogram:
         self._cursor = 0
         self.count = 0
         self.total = 0.0
-        self.min: float | None = None
         self.max: float | None = None
         self._lock = threading.Lock()
 
@@ -41,8 +40,6 @@ class LatencyHistogram:
         with self._lock:
             self.count += 1
             self.total += seconds
-            if self.min is None or seconds < self.min:
-                self.min = seconds
             if self.max is None or seconds > self.max:
                 self.max = seconds
             if len(self._samples) < self.capacity:
@@ -50,23 +47,6 @@ class LatencyHistogram:
             else:  # ring buffer: overwrite the oldest sample
                 self._samples[self._cursor] = seconds
                 self._cursor = (self._cursor + 1) % self.capacity
-
-    def percentile(self, fraction: float) -> float | None:
-        """Nearest-rank percentile over the reservoir, in seconds."""
-        with self._lock:
-            if not self._samples:
-                return None
-            ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1,
-                   max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[rank]
-
-    @property
-    def mean(self) -> float | None:
-        with self._lock:
-            if not self.count:
-                return None
-            return self.total / self.count
 
     def snapshot(self) -> dict[str, Any]:
         """Counts and millisecond latency figures for dashboards.

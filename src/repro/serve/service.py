@@ -492,15 +492,10 @@ class QueryService:
 
     def _versions(self, engine: str) -> tuple[int, ...]:
         """The data-version snapshot a result for ``engine`` depends on."""
-        system = self.system
-        if engine == "all_fields":
-            return (system.all_fields.collection.version,)
-        if engine == "title_abstract":
-            return (system.title_abstract.collection.version,)
-        if engine == "table":
-            return (system.tables.collection.version,)
+        if engine in ("all_fields", "title_abstract", "table"):
+            return (self.system.search_corpus.collection.version,)
         # kg and kg_query read the graph.
-        return (system.graph.version,)
+        return (self.system.graph.version,)
 
     def _execute(self, engine: str, params: dict[str, Any],
                  key: Any, started: float, flight: Flight) -> ServedResult:

@@ -13,10 +13,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docstore.functions import FunctionRegistry
+from repro.docstore.matching import compile_filter
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
+from repro.search.indexing import ALL_SEARCH_FIELDS
 from repro.search.query import parse_query
 from repro.search.ranking import RankingFunction
 from repro.search.table_search import TableSearchEngine
@@ -111,6 +115,54 @@ def test_kernel_is_byte_identical_to_scalar(num_segments):
         assert _page(engine.search(query, page=page)) == want, (query, page)
 
 
+#: One generated paper: title, abstract, body and table-caption words
+#: (an empty caption list means no table) and a publication year.
+_PAPER = st.tuples(
+    *[st.lists(st.sampled_from(WORDS), min_size=low, max_size=high)
+      for low, high in ((1, 4), (0, 10), (5, 20), (0, 4))],
+    st.integers(min_value=2019, max_value=2022),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_PAPER, min_size=10, max_size=40),
+       st.lists(st.sampled_from(WORDS + ["vaccin", "zebra"]),
+                min_size=1, max_size=3))
+def test_every_kernel_candidate_is_the_scalar_match_and_score(papers,
+                                                              words):
+    """Not just the page: the kernel's whole candidate set is the scalar
+    ``$match``'s, and every candidate's score ``==`` the scalar closure's."""
+    engine = AllFieldsEngine(FunctionRegistry())
+    engine.add_papers([{
+        "paper_id": f"p{i:03d}", "title": " ".join(title),
+        "abstract": " ".join(abstract),
+        "body_text": [{"section": "s", "text": " ".join(body)}],
+        "publish_time": f"{year}-01-01", "journal": "J",
+        "authors": [{"first": "A", "last": "B"}],
+        "tables": [{"table_id": f"t{i}", "caption": " ".join(caption),
+                    "rows": [{"cells": [{"text": " ".join(caption)}]}]}]
+        if caption else [],
+        "figures": [],
+    } for i, (title, abstract, body, caption, year) in enumerate(papers)])
+    parsed = parse_query(" ".join(words))
+    match_plan = columnar.MatchPlan.terms_over_fields(parsed,
+                                                      ALL_SEARCH_FIELDS)
+    spec = columnar.build_query_spec(parsed, match_plan, ALL_SEARCH_FIELDS,
+                                     engine.ranking, ALL_SEARCH_FIELDS)
+    assert spec is not None
+    (segment,) = engine.corpus.columnar_index().segments
+    total, partials = columnar.score_segment(segment.cols, spec,
+                                             top_k=segment.num_rows)
+
+    matched = compile_filter(match_plan.match_document())
+    rank = engine.ranking.scorer(parsed, ALL_SEARCH_FIELDS)
+    want = {row: rank(document)
+            for row, document in enumerate(segment.documents)
+            if matched(document)}
+    assert total == len(partials) == len(want)
+    assert {row: score for score, _paper_id, row in partials} == want
+
+
 def test_kernel_engages_for_plain_queries():
     engine = _build(AllFieldsEngine)
     results = engine.search("covid vaccine")
@@ -153,8 +205,7 @@ def test_expander_falls_back_to_scalar():
             return [("immunization", 0.5)] if term == "vaccine" else []
 
     engine = _build(AllFieldsEngine)
-    engine.expander = FakeExpander()
-    engine.ranking.expander = engine.expander
+    engine.ranking.expander = FakeExpander()
     results = engine.search("vaccine")
     assert not any("columnar" in stage for stage in _stages(results))
 
@@ -210,7 +261,6 @@ def test_mutation_invalidates_and_new_documents_rank():
 def test_query_spec_is_picklable():
     import pickle
 
-    from repro.search.indexing import ALL_SEARCH_FIELDS
     parsed = parse_query("covid vaccine")
     engine = _build(AllFieldsEngine, num_papers=30)
     spec = columnar.build_query_spec(
@@ -223,16 +273,12 @@ def test_query_spec_is_picklable():
     assert spec is not None
     assert pickle.loads(pickle.dumps(spec)) == spec
     # The kernel spec is the scalar scorer's plan, not a re-derivation.
-    plan = engine.ranking.query_plan(parsed)
-    assert list(spec.words) == [(w.stemmed, w.idf) for w in plan.words]
-    assert spec.prox_stems == tuple(stem for _, stem in plan.proximity)
-    assert list(spec.fields) == engine.ranking.field_plan(ALL_SEARCH_FIELDS)
+    assert spec.plan == engine.ranking.query_plan(parsed, ALL_SEARCH_FIELDS)
 
 
 def test_spec_rejected_for_unfitted_model():
     engine = AllFieldsEngine(FunctionRegistry())
     parsed = parse_query("covid")
-    from repro.search.indexing import ALL_SEARCH_FIELDS
     spec = columnar.build_query_spec(
         parsed,
         columnar.MatchPlan.terms_over_fields(parsed, ALL_SEARCH_FIELDS),

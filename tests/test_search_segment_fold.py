@@ -21,6 +21,7 @@ from repro.docstore.functions import FunctionRegistry
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.indexing import ALL_SEARCH_FIELDS
+from repro.search.ranking import PlannedWord, QueryPlan
 
 WORDS = ("covid vaccine spike protein trial mask transmission antibody "
          "variant dose efficacy fever cough hospital").split()
@@ -31,9 +32,11 @@ QUERIES = ["covid", "vaccine trial", "mask"]
 #: must keep giving the same answer to it however the corpus moves on.
 SPEC = columnar.QuerySpec(
     clauses=((("search.abstract", "covid", "covid"),),),
-    words=(("covid", 1.0),),
-    fields=(("search.title", 3.0), ("search.abstract", 2.0)),
-    prox_stems=None,
+    plan=QueryPlan(
+        words=(PlannedWord("covid", 1.0),),
+        fields=(("search.title", 3.0), ("search.abstract", 2.0)),
+        proximity=None,
+    ),
 )
 
 

@@ -73,8 +73,7 @@ def test_one_versions_dict_for_snapshot_receipt_and_healthz(corpus,
         service.attach_ingest(engine)
         receipt = engine.commit_batch(corpus[10:14])
         versions = system.versions()
-        assert list(versions) == ["store", "kg", "all_fields",
-                                  "title_abstract", "table"]
+        assert list(versions) == ["store", "kg", "corpus"]
         assert receipt.versions == versions
         assert engine.snapshots.latest().versions == versions
         assert service.health()["versions"] == versions

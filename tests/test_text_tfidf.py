@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import NotFittedError
-from repro.text.tfidf import TfIdfModel
+from repro.text.tfidf import TfIdfModel, tf_weight
 from repro.text.tokenizer import tokenize
 
 CORPUS = [
@@ -18,9 +18,16 @@ CORPUS = [
 ]
 
 
+def _fit(documents):
+    model = TfIdfModel()
+    for document in documents:
+        model.add_document_tokens(tokenize(document))
+    return model
+
+
 @pytest.fixture()
 def model():
-    return TfIdfModel().fit(CORPUS)
+    return _fit(CORPUS)
 
 
 class TestIdf:
@@ -42,37 +49,19 @@ class TestIdf:
         assert model.document_frequency("absent") == 0
 
     def test_df_counts_documents_not_occurrences(self):
-        model = TfIdfModel().fit(["masks masks masks"])
+        model = _fit(["masks masks masks"])
         assert model.document_frequency("masks") == 1
 
 
 class TestScoring:
-    def test_term_absent_scores_zero(self, model):
-        assert model.tfidf("vaccine", tokenize(CORPUS[0])) == 0.0
-
-    def test_repeated_term_scores_higher(self, model):
-        single = model.tfidf("masks", tokenize("masks work"))
-        double = model.tfidf("masks", tokenize("masks masks work"))
-        assert double > single
-
-    def test_vector_matches_pointwise(self, model):
-        vocab = ["masks", "covid", "absent"]
-        vec = model.vector(CORPUS[0], vocab)
-        tokens = tokenize(CORPUS[0])
-        assert vec == [model.tfidf(t, tokens) for t in vocab]
-
-    def test_incremental_add_matches_fit(self):
-        incremental = TfIdfModel()
-        for doc in CORPUS:
-            incremental.add_document(doc)
-        fitted = TfIdfModel().fit(CORPUS)
-        assert incremental.idf("masks") == fitted.idf("masks")
+    def test_repeated_term_scores_higher(self):
+        assert tf_weight(2) > tf_weight(1) == 1.0
 
 
 @given(st.lists(st.text(alphabet="abc ", min_size=1, max_size=30),
                 min_size=1, max_size=20))
 def test_idf_monotone_in_document_frequency(docs):
-    model = TfIdfModel().fit(docs)
+    model = _fit(docs)
     terms = {t for doc in docs for t in tokenize(doc)}
     for term in terms:
         # More frequent terms never get a larger IDF than rarer ones.
