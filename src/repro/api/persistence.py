@@ -7,16 +7,17 @@ Layout of a saved system:
     <directory>/
         config.json          CovidKGConfig fields
         kg.json              the knowledge graph
-        publications.jsonl   the (enriched) publications, insertion order
+        publications.jsonl   the (enriched) publications, insertion order,
+                             without the store's derived search fields
         word2vec.npz         trained embeddings + vocabulary (if trained)
         classifier.npz       trained metadata SVM (if trained)
         manifest.json        model-registry index
         versions.json        docstore/KG mutation counters at save time
 
-``load_system`` rebuilds the sharded store, re-indexes all three search
-engines from the stored publications, and re-attaches the trained models,
-so a reloaded system answers queries identically to the one that was
-saved.
+``load_system`` refills the sharded store — the search documents all
+three engines read — from the saved publications and re-attaches the
+trained models, so a reloaded system answers queries identically to the
+one that was saved.
 """
 
 from __future__ import annotations
@@ -108,10 +109,7 @@ def save_system(system: CovidKG, directory: str | Path) -> Path:
     # then never alias a post-reload state (see repro.serve).
     with open(directory / "versions.json", "w",
               encoding="utf-8") as handle:
-        json.dump({
-            "store": system.store.version,
-            "kg": system.graph.version,
-        }, handle, indent=2)
+        json.dump(system.versions(), handle, indent=2)
     return directory
 
 

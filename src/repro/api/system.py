@@ -9,8 +9,9 @@ Lifecycle:
    classifiers, and registers everything in the model registry (№11/№13).
 3. ``ingest(papers)`` runs the full non-stop pipeline per paper: validate,
    re-parse raw HTML tables, classify table rows as metadata/data, store
-   the enriched JSON in the sharded store, index it in all three search
-   engines, extract entity subtrees, and fuse them into the KG (№5/№6/№14).
+   the enriched JSON in the sharded store as the search document all
+   three engines read (one copy per paper), extract entity subtrees, and
+   fuse them into the KG (№5/№6/№14).
 4. Query surfaces: the three search engines (Section 2.1), KG search with
    path highlighting (Section 4.2), and meta-profiles (Figure 6).
 """
@@ -25,6 +26,7 @@ from repro.classify.bigru_model import NeuralMetadataClassifier
 from repro.classify.dataset import MetadataDataset
 from repro.classify.svm_model import SvmMetadataClassifier
 from repro.corpus.schema import full_text, validate_paper
+from repro.docstore.documents import deep_copy_document
 from repro.docstore.functions import FunctionRegistry
 from repro.docstore.persistence import StorageReport, storage_report
 from repro.docstore.sharding import ShardedCollection
@@ -76,20 +78,12 @@ class CovidKG:
         self.config = config or CovidKGConfig()
         # №2: the knowledge graph, expert-seeded.
         self.graph = seed_covid_graph()
-        # №2/№3: sharded JSON publication storage.
-        self.store = ShardedCollection(
-            "publications", shard_key=self.config.shard_key,
-            num_shards=self.config.num_shards,
-        )
-        self.store.create_index("paper_id", unique=True)
-        # Section 2.1: the three search engines, sharing one per-system
+        # Section 2.1: the three search engines share one per-system
         # $function registry (seeded from the global defaults) so ranking
         # functions registered here never leak into another system.
         self.functions = FunctionRegistry.with_defaults()
-        engines = self._build_search_engines()
-        self.all_fields = engines["all_fields"]
-        self.title_abstract = engines["title_abstract"]
-        self.tables = engines["table"]
+        # №2/№3: sharded JSON publication storage, and the engines over it.
+        self._open_store()
         # Section 4: matching/fusion/review/enrichment.
         self.review_queue = ExpertReviewQueue()
         self.matcher = NodeMatcher(self.graph)
@@ -107,24 +101,26 @@ class CovidKG:
             SvmMetadataClassifier | NeuralMetadataClassifier | None
         ) = None
 
-    def _build_search_engines(self) -> dict[str, Any]:
-        """Fresh Section 2.1 engines configured exactly per the config.
+    def _open_store(self) -> None:
+        """A fresh, empty store and the Section 2.1 engines over it.
 
-        All three read one fresh :class:`SearchCorpus`, so every writer
-        analyses a paper once (:attr:`search_corpus`).
-
+        The store is the one holder of paper rows; all three engines
+        read one :class:`SearchCorpus` over it (:attr:`search_corpus`).
         Used at construction *and* by snapshot rollback
         (:mod:`repro.ingest.snapshots`).
         """
+        self.store = ShardedCollection(
+            "publications", shard_key=self.config.shard_key,
+            num_shards=self.config.num_shards,
+        )
+        self.store.create_index("paper_id", unique=True)
         shared: dict[str, Any] = {
             "registry": self.functions,
-            "corpus": SearchCorpus(),
+            "corpus": SearchCorpus(self.store),
         }
-        return {
-            "all_fields": AllFieldsEngine(**shared),
-            "title_abstract": TitleAbstractCaptionEngine(**shared),
-            "table": TableSearchEngine(**shared),
-        }
+        self.all_fields = AllFieldsEngine(**shared)
+        self.title_abstract = TitleAbstractCaptionEngine(**shared)
+        self.tables = TableSearchEngine(**shared)
 
     @property
     def search_corpus(self) -> SearchCorpus:
@@ -146,32 +142,31 @@ class CovidKG:
         self.kgql.graph = graph
 
     def _retain(self, enriched: dict[str, Any]) -> None:
-        """Keep one enriched paper: store it and index it."""
-        self.store.insert_one(enriched)
+        """Keep one enriched paper: one store row, its search document."""
         self.search_corpus.add_paper(enriched)
 
     def ingested_papers(self) -> list[dict[str, Any]]:
-        """Copies of the stored papers in insertion order, ``_id`` dropped.
+        """Copies of the stored papers in insertion order.
 
         The store is the one record of what was ingested: its rows
         sorted by ``_id`` (ids increase with every insert) are the
-        papers in the order :meth:`_retain` kept them.
+        papers in the order :meth:`_retain` kept them, less the keys
+        the store added (``_id``, ``search``, ``static_rank``).
         """
-        rows = sorted(self.store.all_documents(), key=lambda row: row["_id"])
-        for row in rows:
-            del row["_id"]
-        return rows
+        derived = ("_id", "search", "static_rank")
+        return [
+            deep_copy_document({key: value for key, value in row.items()
+                                if key not in derived})
+            for row in sorted(self.store.scan(), key=lambda row: row["_id"])
+        ]
 
     def versions(self) -> dict[str, int]:
         """Every invalidation counter a query result can depend on.
 
-        Snapshots, ingest receipts and ``/v1/healthz`` all report this.
+        Snapshots, ingest receipts, ``/v1/healthz``, ``/v1/stats`` and
+        ``versions.json`` all report this.
         """
-        return {
-            "store": self.store.version,
-            "kg": self.graph.version,
-            "corpus": self.search_corpus.collection.version,
-        }
+        return {"store": self.store.version, "kg": self.graph.version}
 
     # -- training (№4) ---------------------------------------------------------
 
@@ -251,9 +246,8 @@ class CovidKG:
         accepted = []
         for paper in papers:
             paper = validate_paper(paper)
-            if skip_duplicates and self.store.find_one(
-                {"paper_id": paper["paper_id"]}
-            ) is not None:
+            if skip_duplicates and self.store.count(
+                    {"paper_id": paper["paper_id"]}):
                 continue
             self._retain(self._classify_tables(paper))
             accepted.append(paper)

@@ -19,11 +19,7 @@ The inverted text index is :mod:`repro.search.columnar`; JSONL
 persistence of the store is :func:`repro.api.persistence.save_system`.
 """
 
-from repro.docstore.aggregation import (
-    AggregationPipeline,
-    top_k_documents,
-    top_k_tagged,
-)
+from repro.docstore.aggregation import AggregationPipeline, top_k_tagged
 from repro.docstore.collection import Collection
 from repro.docstore.documents import ObjectId, deep_get, deep_set
 from repro.docstore.matching import matches
@@ -38,6 +34,5 @@ __all__ = [
     "matches",
     "HashSharder",
     "ShardedCollection",
-    "top_k_documents",
     "top_k_tagged",
 ]

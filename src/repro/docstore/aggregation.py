@@ -124,19 +124,13 @@ def top_k_tagged(tagged: Iterable[tuple[Any, dict[str, Any]]],
                  k: int) -> list[tuple[Any, dict[str, Any]]]:
     """The leading ``k`` of a stable ``$sort`` over position-tagged docs.
 
-    O(n log k) instead of the full sort's O(n log n); the serving tier's
-    top-k retrieval path and the sharded scatter-gather merge both build
-    on this primitive (per-shard bounded heaps, then one bounded merge).
+    O(n log k) instead of the full sort's O(n log n); the sharded
+    scatter-gather builds its ranked pages on it (per-shard bounded
+    heaps, then one bounded merge).
     """
     if k <= 0:
         return []
     return heapq.nsmallest(k, tagged, key=sort_key_function(spec))
-
-
-def top_k_documents(documents: Iterable[dict[str, Any]],
-                    spec: dict[str, int], k: int) -> list[dict[str, Any]]:
-    """The first ``k`` documents ``{"$sort": spec}`` would emit."""
-    return [doc for _, doc in top_k_tagged(enumerate(documents), spec, k)]
 
 
 @dataclass
@@ -531,8 +525,11 @@ def _freeze_key(value: Any) -> Any:
     return value
 
 
-def aggregate(source: Collection | Iterable[dict[str, Any]],
-              stages: list[dict[str, Any]],
+def aggregate(source: Any, stages: list[dict[str, Any]],
               registry: FunctionRegistry | None = None) -> AggregationResult:
-    """One-shot pipeline execution convenience wrapper."""
+    """Run ``stages`` once over any source (a sharded one scatter-gathers)."""
+    from repro.docstore.sharding import ShardedCollection  # imports us
+
+    if isinstance(source, ShardedCollection):
+        return source.aggregate(stages, registry)
     return AggregationPipeline(stages, registry).run(source)

@@ -228,14 +228,18 @@ class Collection:
             return len(self._documents)
         return sum(1 for _ in self.scan(query))
 
-    def all_documents(self, start: int = 0) -> Iterator[dict[str, Any]]:
-        """Iterate copies of the stored documents, in insertion order.
-
-        ``start`` skips that many leading documents without copying
-        them (an index extending itself reads only the appended rows).
-        """
-        for document in islice(self._documents.values(), start, None):
+    def all_documents(self) -> Iterator[dict[str, Any]]:
+        """Iterate copies of the stored documents, in insertion order."""
+        for document in self._documents.values():
             yield deep_copy_document(document)
+
+    def rows(self, start: int, stop: int) -> Iterator[dict[str, Any]]:
+        """The *stored* rows at insertion positions ``start:stop``.
+
+        Uncopied, like :meth:`scan`; insert-only, so a position names
+        the same row for the collection's whole life.
+        """
+        return islice(self._documents.values(), start, stop)
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -13,7 +13,9 @@ The paper's back end is a *sharded* MongoDB cluster (Section 2, "Storage").
 * aggregation pipelines whose per-document prefix (``$match`` /
   ``$project`` / ``$addFields`` / ``$function``) runs per shard, with
   ranked (``$sort`` + ``$limit``) results merged through a bounded heap
-  instead of a full re-sort,
+  instead of a full re-sort — the search engines' scalar pipeline runs
+  here (:func:`repro.docstore.aggregation.aggregate` hands a sharded
+  source to :meth:`ShardedCollection.aggregate`),
 * per-shard storage accounting (the E11 experiment reports shard skew).
 
 Like :class:`~repro.docstore.collection.Collection`, it is insert-only.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.docstore.aggregation import (
     AggregationPipeline,
@@ -167,6 +169,24 @@ class ShardedCollection:
 
     # -- reads -----------------------------------------------------------
 
+    def scan(self, query: dict[str, Any] | None = None
+             ) -> Iterator[dict[str, Any]]:
+        """:meth:`Collection.scan` (stored rows, uncopied) shard by shard."""
+        query = query or {}
+        for shard in self._target_shards(query):
+            yield from shard.scan(query)
+
+    def rows(self, start: Sequence[int], stop: Sequence[int]
+             ) -> list[dict[str, Any]]:
+        """Shard ``i``'s stored rows ``start[i]:stop[i]``, shard by shard.
+
+        Uncopied, like :meth:`scan`.  ``start`` / ``stop`` are
+        :meth:`shard_sizes` readings, which name the same rows forever
+        in an insert-only store.
+        """
+        return [row for shard, first, last in zip(self.shards, start, stop)
+                for row in shard.rows(first, last)]
+
     def find(self, query: dict[str, Any] | None = None,
              projection: dict[str, int] | None = None) -> Cursor:
         """Scatter-gather (or targeted) find across shards.
@@ -217,30 +237,25 @@ class ShardedCollection:
         shard applies locally.  When the remainder is a ranked page
         (``$sort`` then ``$limit``, optionally with a ``$skip``), the
         per-shard partials are reduced to bounded heaps of the top
-        ``skip+limit`` candidates and merged with one more bounded heap,
-        so no full sort of the match set ever happens; results are
-        byte-identical to the serial pipeline (stable-sort tie order
-        included).  Any other remainder runs serially on the gathered
-        partials.
+        ``skip+limit`` candidates and one more bounded heap merges them
+        and cuts the page (one ``$sort(top-k)`` stage), so no full sort
+        of the match set ever happens; results are byte-identical to the
+        serial pipeline (stable-sort tie order included).  Any other
+        remainder runs serially on the gathered partials.
         """
         pipeline = AggregationPipeline(stages, registry)
-        if len(self.shards) == 1:
-            return pipeline.run(self.shards[0])
-
         split = 0
         while split < len(stages) \
                 and next(iter(stages[split])) in _PER_DOCUMENT_STAGES:
             split += 1
         prefix, suffix = stages[:split], stages[split:]
         if not prefix:
-            return pipeline.run(self.all_documents())
+            return pipeline.run(self.scan())
 
-        sort_spec, top_k, consumed = self._ranked_page_plan(suffix)
+        sort_spec, skip, limit, consumed = self._ranked_page_plan(suffix)
         prefix_pipeline = AggregationPipeline(prefix, pipeline.registry)
-
-        shard_results: list[tuple[
-            list[StageStats], list[tuple[tuple[int, int], dict[str, Any]]]
-        ]] = []
+        per_shard_stats: list[list[StageStats]] = []
+        candidates: list[tuple[tuple[int, int], dict[str, Any]]] = []
         for shard_index, shard in enumerate(self.shards):
             partial = prefix_pipeline.run(shard)
             tagged = [
@@ -250,56 +265,39 @@ class ShardedCollection:
             if sort_spec is not None:
                 # Per-shard bounded heap: only the shard's own top
                 # skip+limit candidates survive to the merge.
-                tagged = top_k_tagged(tagged, sort_spec, top_k)
-            shard_results.append((partial.stages, tagged))
-        stats = _merge_stage_stats([result[0] for result in shard_results])
+                tagged = top_k_tagged(tagged, sort_spec, skip + limit)
+            per_shard_stats.append(partial.stages)
+            candidates.extend(tagged)
+        stats = _merge_stage_stats(per_shard_stats)
 
-        if sort_spec is not None:
+        if sort_spec is None:
+            page = [document for _, document in candidates]
+        else:
             started = time.perf_counter()
-            candidates = [
-                pair for _, tagged in shard_results for pair in tagged
-            ]
-            total_in = sum(
-                partial_stats[-1].docs_out if partial_stats else 0
-                for partial_stats, _ in shard_results
-            )
-            merged = [
+            page = [
                 document for _, document
-                in top_k_tagged(candidates, sort_spec, top_k)
+                in top_k_tagged(candidates, sort_spec, skip + limit)[skip:]
             ]
             stats.append(StageStats(
-                "$sort(top-k merge)", total_in, len(merged),
+                "$sort(top-k)", stats[-1].docs_out, len(page),
                 time.perf_counter() - started,
             ))
-            remainder = suffix[consumed:]
-            if not remainder:
-                return AggregationResult(merged, stats)
-            rest = AggregationPipeline(
-                remainder, pipeline.registry
-            ).run(merged)
-            return AggregationResult(rest.documents, stats + rest.stages)
-
-        gathered = [
-            document for _, tagged in shard_results
-            for _, document in tagged
-        ]
+            suffix = suffix[consumed:]
         if not suffix:
-            return AggregationResult(gathered, stats)
-        rest = AggregationPipeline(suffix, pipeline.registry).run(gathered)
+            return AggregationResult(page, stats)
+        rest = AggregationPipeline(suffix, pipeline.registry).run(page)
         return AggregationResult(rest.documents, stats + rest.stages)
 
     @staticmethod
     def _ranked_page_plan(suffix: list[dict[str, Any]]
-                          ) -> tuple[dict[str, int] | None, int, int]:
+                          ) -> tuple[dict[str, int] | None, int, int, int]:
         """Detect a ``$sort [$skip] $limit`` head: the top-k merge plan.
 
-        Returns ``(sort_spec, k, stages_consumed)`` where ``k`` is the
-        number of leading sorted documents the downstream stages can
-        observe (``skip + limit``); ``(None, 0, 0)`` when the suffix is
-        not a ranked page.
+        Returns ``(sort_spec, skip, limit, stages_consumed)``;
+        ``(None, 0, 0, 0)`` when the suffix is not a ranked page.
         """
         if not suffix or "$sort" not in suffix[0]:
-            return None, 0, 0
+            return None, 0, 0, 0
         sort_spec = suffix[0]["$sort"]
         skip = 0
         cursor = 1
@@ -308,12 +306,8 @@ class ShardedCollection:
             cursor += 1
         if cursor < len(suffix) and "$limit" in suffix[cursor]:
             limit = max(0, int(suffix[cursor]["$limit"]))
-            return sort_spec, skip + limit, 1
-        return None, 0, 0
-
-    def all_documents(self) -> Iterator[dict[str, Any]]:
-        for shard in self.shards:
-            yield from shard.all_documents()
+            return sort_spec, skip, limit, cursor + 1
+        return None, 0, 0, 0
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)

@@ -128,8 +128,7 @@ class IngestEngine:
         """
         rejects = []
         for index, paper in enumerate(papers):
-            if self.system.store.find_one(
-                    {"paper_id": paper["paper_id"]}) is not None:
+            if self.system.store.count({"paper_id": paper["paper_id"]}):
                 rejects.append({
                     "index": index, "paper_id": paper["paper_id"],
                     "error": "paper_id already ingested (set "

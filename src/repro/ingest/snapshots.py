@@ -8,9 +8,9 @@ one record of what was ingested) through fresh engines reproduces the
 saved state bit-for-bit (the differential tests assert byte-identical
 query pages), while costing O(corpus) memory only for the graph JSON.
 
-``rollback`` advances every replacement's version counter past its
-pre-rollback value, then swaps fresh store/engines into the live
-:class:`~repro.api.system.CovidKG` and refills them through the
+``rollback`` opens a fresh store (and the engines over it) on the live
+:class:`~repro.api.system.CovidKG`, advances it and the restored graph
+past their pre-rollback versions, and refills the store through the
 system's own write path.  Two consequences:
 
 * the caller holds the serving tier's write lock for the whole
@@ -73,30 +73,17 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     them (classification already happened before they were stored), and
     the graph restores from its serialized snapshot.
     """
-    from repro.docstore.sharding import ShardedCollection
     from repro.kg.graph import KnowledgeGraph
 
     old = system.versions()
     retained = system.ingested_papers()[:snapshot.num_papers]
     graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
-
-    store = ShardedCollection(
-        "publications", shard_key=system.config.shard_key,
-        num_shards=system.config.num_shards,
-    )
-    store.create_index("paper_id", unique=True)
-    engines = system._build_search_engines()
     # No counter may ever repeat a pre-rollback value, or a cached page
     # computed against the discarded state could read as fresh: every
-    # replacement starts past its predecessor before it becomes visible.
-    store.advance_version(old["store"] + 1)
+    # replacement starts past its predecessor.
     graph.advance_version(old["kg"] + 1)
-    engines["all_fields"].collection.advance_version(old["corpus"] + 1)
-
-    system.store = store
-    system.all_fields = engines["all_fields"]
-    system.title_abstract = engines["title_abstract"]
-    system.tables = engines["table"]
+    system._open_store()
+    system.store.advance_version(old["store"] + 1)
     for document in retained:
         system._retain(document)
     system.adopt_graph(graph)

@@ -24,12 +24,15 @@ The kernel path only engages when it can reproduce the scalar reference
 **byte-identically** (see :func:`build_query_spec`); everything else —
 quoted phrases, synonym expansion, custom ``$function`` rankers,
 non-alphanumeric terms — falls back to the scalar pipeline.  Ordering is
-preserved exactly: score descending, ``paper_id`` ascending, then
-insertion order, the same composite the heap merge uses.
+preserved exactly: score descending, ``paper_id`` ascending, then row,
+the same composite the store's heap merge uses.
 
-The index is version-stamped like the KG derived indexes: it is
-invalidated whenever ``(collection.version, tfidf.num_documents)``
-moves.  Invalidation is **incremental for append-only motion**: when the
+Segments hold the sharded store's own rows, uncopied, shard after
+shard; the page does not depend on that order (the store's unique
+``paper_id`` precedes the row in the merge key).  The index is
+version-stamped like the KG derived indexes: it is invalidated
+whenever ``(store.version, tfidf.num_documents)`` moves.
+Invalidation is **incremental for append-only motion**: when the
 stamp advanced by inserts alone (version and document count moved in
 lockstep), the new rows land in a small *delta segment* appended to
 the existing immutable base — queries score every segment in turn
@@ -52,7 +55,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.docstore.collection import Collection
+from repro.docstore.sharding import ShardedCollection
 from repro.search.indexing import field_text
 from repro.search.query import ParsedQuery, QueryTerm
 from repro.search.ranking import (
@@ -443,7 +446,7 @@ def score_segment(cols: SegmentColumns, spec: QuerySpec, top_k: int
 # -- the index --------------------------------------------------------------
 
 class Segment:
-    """One immutable run of consecutive rows: arrays + raw documents.
+    """One immutable run of rows: arrays + the store's rows they index.
 
     ``offset`` is the segment's first global row; local kernel rows map
     to global rows by addition.  Segments never mutate after
@@ -466,7 +469,7 @@ class Segment:
 
 
 class ColumnarIndex:
-    """The segment list (base + deltas) + the raw documents for page fetch.
+    """The segment list (base + deltas) + the stored rows for page fetch.
 
     A fresh build is one tokenize/stem pass over the corpus — about the
     cost of a single scalar query — amortized across every query until
@@ -485,14 +488,15 @@ class ColumnarIndex:
         self.field_names = field_names
 
     @classmethod
-    def build(cls, collection: Collection, field_names: Iterable[str],
+    def build(cls, collection: ShardedCollection, field_names: Iterable[str],
               stamp: Any) -> "ColumnarIndex":
         field_names = tuple(field_names)
-        base = Segment(collection.find({}).to_list(), field_names, 0)
-        return cls(stamp, [base], field_names)
+        rows = collection.rows([0] * len(stamp[2]), stamp[2])
+        return cls(stamp, [Segment(rows, field_names, 0)], field_names)
 
-    def extend(self, collection: Collection, stamp: Any) -> "ColumnarIndex":
-        """A new index covering rows appended since this one was built.
+    def extend(self, collection: ShardedCollection, stamp: Any
+               ) -> "ColumnarIndex":
+        """A new index covering the rows inserted between the two stamps.
 
         Only sound for append-only motion (the corpus checks the stamp
         arithmetic before calling).  The result shares this index's
@@ -503,7 +507,7 @@ class ColumnarIndex:
         appended run absorbs every trailing delta — never
         ``segments[0]``, the base — that has fewer than twice its rows,
         growing as it goes, and one new segment is built over the
-        folded rows (the same stored rows: no copy).  So for any
+        folded rows (the store's rows: no copy).  So for any
         sequence of batch sizes each older delta holds at least twice
         the rows of the next newer one, ``delta_segments ≤
         ⌊log2(delta_rows)⌋ + 1``, and a row is re-analysed at most that
@@ -511,7 +515,7 @@ class ColumnarIndex:
         """
         offset = self.num_rows
         segments = list(self.segments)
-        run = list(collection.all_documents(start=offset))
+        run = collection.rows(self.stamp[2], stamp[2])
         if run:
             # Per-segment loop, bounded by the delta tier's depth.
             while (len(segments) > 1
@@ -589,12 +593,17 @@ class ColumnarIndex:
         return page
 
 
-def stamp_for(collection: Collection, num_documents: int) -> tuple[int, int]:
-    """The invalidation stamp: docstore version + model document count."""
-    return (collection.version, num_documents)
+def stamp_for(collection: ShardedCollection, num_documents: int
+              ) -> tuple[int, int, tuple[int, ...]]:
+    """Docstore version + model document count + the rows it covers.
+
+    The rows are named by the store's row count per shard (insert-only).
+    """
+    return (collection.version, num_documents,
+            tuple(collection.shard_sizes()))
 
 
-def build_index(collection: Collection, field_names: Iterable[str],
+def build_index(collection: ShardedCollection, field_names: Iterable[str],
                 stamp: Any) -> ColumnarIndex:
     """Convenience wrapper (import surface for the engines)."""
     return ColumnarIndex.build(collection, field_names, stamp)

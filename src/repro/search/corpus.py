@@ -3,18 +3,20 @@
 The paper's design is one parsed-publication store queried by three
 pipeline-expressed engines (Section 2.1): the engines differ in what
 they match, rank and format, not in what they index.  A
-:class:`SearchCorpus` therefore owns everything that is a function of
-the documents alone — the flattened ``search.*`` collection, TF-IDF
-document frequencies and the version-stamped columnar posting snapshot
-— so each paper is validated, flattened, tokenized, stemmed, stored and
-column-indexed once, however many engines read it.  An engine built without a corpus makes its own.
+:class:`SearchCorpus` therefore holds what is a function of the
+documents alone — TF-IDF document frequencies and the version-stamped
+columnar posting snapshot — over the sharded store whose rows *are* the
+flattened ``search.*`` documents, so each paper is validated,
+flattened, tokenized, stemmed, stored and column-indexed once, however
+many engines read it.  An engine built without a corpus makes its own
+over a one-shard store.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.docstore.collection import Collection
+from repro.docstore.sharding import ShardedCollection
 from repro.search import columnar
 from repro.search.indexing import (
     ALL_SEARCH_FIELDS,
@@ -27,10 +29,12 @@ from repro.text.tokenizer import tokenize
 
 
 class SearchCorpus:
-    """Index-side state: documents, term statistics, columnar postings."""
+    """Index-side state over one store: term statistics, columnar postings."""
 
-    def __init__(self) -> None:
-        self.collection = Collection("publications")
+    def __init__(self, collection: ShardedCollection | None = None) -> None:
+        self.collection = collection if collection is not None else \
+            ShardedCollection("publications", shard_key="paper_id",
+                              num_shards=1)
         self.tfidf = TfIdfModel()
         # Version-stamped columnar index; refreshed lazily whenever the
         # docstore/model stamp moves — extended with delta segments for
@@ -44,7 +48,10 @@ class SearchCorpus:
     # -- ingest -------------------------------------------------------------
 
     def add_paper(self, paper: dict[str, Any]) -> None:
-        """Index one CORD-19-style paper."""
+        """Store one CORD-19-style paper as its search document; index it.
+
+        Insert first: a paper the store refuses leaves the model as is.
+        """
         document = build_search_document(paper)
         stems = []
         for field_name in ALL_SEARCH_FIELDS:
@@ -52,8 +59,8 @@ class SearchCorpus:
                 stem(token)
                 for token in tokenize(field_text(document, field_name))
             )
-        self.tfidf.add_document_tokens(stems)
         self.collection.insert_one(document)
+        self.tfidf.add_document_tokens(stems)
 
     def add_papers(self, papers: list[dict[str, Any]]) -> None:
         for paper in papers:
@@ -61,25 +68,26 @@ class SearchCorpus:
 
     # -- columnar snapshot ----------------------------------------------------
 
-    def _stamp(self) -> tuple[int, int]:
+    def _stamp(self) -> tuple[int, int, tuple[int, ...]]:
         return columnar.stamp_for(self.collection, self.tfidf.num_documents)
 
-    def _build_index(self, stamp: tuple[int, int]) -> columnar.ColumnarIndex:
+    def _build_index(self, stamp: tuple[int, int, tuple[int, ...]]
+                     ) -> columnar.ColumnarIndex:
         return columnar.build_index(self.collection, ALL_SEARCH_FIELDS, stamp)
 
     @staticmethod
-    def _append_only_delta(old: tuple[int, int],
-                           new: tuple[int, int]) -> bool:
+    def _append_only_delta(old: tuple[int, ...],
+                           new: tuple[int, ...]) -> bool:
         """True when the stamp moved by document inserts alone.
 
-        ``add_paper`` bumps the collection version and the model's
-        document count in lockstep (+1 each per paper).  The collection
-        is insert-only, so the one move that fails this check and forces
-        a full rebuild is ``advance_version``.  Its one caller, snapshot
-        restore, advances a fresh corpus that has no index yet — so in a
-        running system only the first build and :meth:`merge_segments`
-        rebuild.  The check stays as the guard against any version move
-        without a matching insert.
+        ``add_paper`` bumps the store version and the model's document
+        count in lockstep (+1 each per paper).  The store is insert-only,
+        so the one move that fails this check and forces a full rebuild
+        is ``advance_version``.  Its callers, reload and rollback, advance
+        a store whose corpus has no index yet — so in a running system
+        only the first build and :meth:`merge_segments` rebuild.  The
+        check stays as the guard against any version move without a
+        matching insert.
         """
         return new[0] - old[0] == new[1] - old[1] > 0
 

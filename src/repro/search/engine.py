@@ -9,13 +9,16 @@ Pipeline shape (paper Section 2.1, verbatim design):
 3. a custom ``$function`` stage deriving the ranking score per document;
 4. ranking by score, then pagination "as a list of ten per page".
 
-Step 4 no longer fully sorts the match set: serving page ``p`` only
-requires the top ``p * PAGE_SIZE`` candidates, so the hot path keeps a
-``heapq``-bounded selection (O(n log k)) instead of the full ``$sort``
-(O(n log n)).  Ordering is exact and deterministic — score descending,
-then ``paper_id`` ascending as the tie-break — so the top-k page is
-byte-identical to what the full sort would emit (``full_sort = True``
-restores the reference path; the differential tests compare the two).
+The pipeline runs over the sharded publication store itself
+(``engine.collection``), through its scatter-gather.  Step 4 no longer
+fully sorts the match set: serving page ``p`` only requires the top
+``p * PAGE_SIZE`` candidates, so the store keeps a ``heapq``-bounded
+selection per shard and merges those (O(n log k)) instead of the full
+``$sort`` (O(n log n)).  Ordering is exact and deterministic — score
+descending, then ``paper_id`` ascending as the tie-break — so the top-k
+page is byte-identical to what the full sort would emit (``full_sort =
+True`` restores the reference path; the differential tests compare the
+two).
 
 When a query is expressible as batch array operations the whole
 match/score/top-k path instead runs on the columnar numpy kernels of
@@ -35,7 +38,6 @@ from repro.docstore.aggregation import (
     AggregationResult,
     StageStats,
     aggregate,
-    top_k_documents,
 )
 from repro.docstore.functions import FunctionRegistry
 from repro.errors import QueryError
@@ -154,10 +156,11 @@ class SearchEngineBase:
         ``match_plan`` is the one statement of what the query matches:
         a kernel-eligible query hands it to the columnar planner, every
         other query runs it as the ``$match`` document of the
-        ``$match``/``$project``/``$function`` prefix.  Ranking then
-        takes the top-k path — a bounded heap of the ``page * PAGE_SIZE``
-        best candidates — unless ``full_sort`` asks for the reference
-        full ``$sort``.
+        ``$match``/``$project``/``$function`` prefix, which the store
+        runs on every shard.  Ranking then takes the top-k path — the
+        store's per-shard bounded heaps of the ``page * PAGE_SIZE`` best
+        candidates and one bounded merge that cuts the page — unless
+        ``full_sort`` asks for the reference full ``$sort``.
         """
         if page < 1:
             raise QueryError("pages are 1-based")
@@ -186,37 +189,22 @@ class SearchEngineBase:
             function_name, self.ranking.scorer(parsed, rank_fields)
         )
         started = time.perf_counter()
-        prefix = [
+        stages = [
             {"$match": match_plan.match_document()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
             {"$function": {"name": function_name, "as": "score"}},
+            {"$sort": SORT_SPEC},
         ]
+        if not self.full_sort:
+            stages += [{"$skip": skip}, {"$limit": PAGE_SIZE}]
         try:
-            paged, total = self._rank_local(prefix, skip, top_k)
+            ranked = aggregate(self.collection, stages, self.registry)
         finally:
             self.registry.unregister(function_name)
         seconds = time.perf_counter() - started
-        return paged, total, seconds
-
-    def _rank_local(self, prefix: list[dict[str, Any]], skip: int,
-                    top_k: int) -> tuple[AggregationResult, int]:
-        """Scalar ranking: prefix, then top-k (or full sort)."""
-        matched = aggregate(self.collection, prefix, self.registry)
-        total = len(matched.documents)
+        # Every match is scored once.
+        total = next(stats.docs_out for stats in ranked.stages
+                     if stats.stage == "$function")
         if self.full_sort:
-            ranked = aggregate(
-                matched.documents, [{"$sort": SORT_SPEC}], self.registry
-            )
-            return AggregationResult(
-                ranked.documents[skip:skip + PAGE_SIZE],
-                matched.stages + ranked.stages,
-            ), total
-        heap_started = time.perf_counter()
-        page_documents = top_k_documents(
-            matched.documents, SORT_SPEC, top_k
-        )[skip:]
-        stages = matched.stages + [StageStats(
-            "$sort(top-k)", total, len(page_documents),
-            time.perf_counter() - heap_started,
-        )]
-        return AggregationResult(page_documents, stages), total
+            ranked.documents = ranked.documents[skip:skip + PAGE_SIZE]
+        return ranked, total, seconds

@@ -399,8 +399,7 @@ class QueryService:
         return {
             "accepted": accepted,
             "subtrees": report.subtrees,
-            "versions": {"store": self.system.store.version,
-                         "kg": self.system.graph.version},
+            "versions": self.system.versions(),
         }
 
     def broadcast_versions(self) -> None:
@@ -461,10 +460,7 @@ class QueryService:
             "max_queue": self._pool.max_queue,
             "pending": self._pool.pending,
         }
-        snapshot["versions"] = {
-            "store": self.system.store.version,
-            "kg": self.system.graph.version,
-        }
+        snapshot["versions"] = self.system.versions()
         snapshot["ingest"] = {
             "attached": self.ingest_engine is not None,
             "pending": self._ingest_pool.pending,
@@ -493,7 +489,7 @@ class QueryService:
     def _versions(self, engine: str) -> tuple[int, ...]:
         """The data-version snapshot a result for ``engine`` depends on."""
         if engine in ("all_fields", "title_abstract", "table"):
-            return (self.system.search_corpus.collection.version,)
+            return (self.system.store.version,)
         # kg and kg_query read the graph.
         return (self.system.graph.version,)
 

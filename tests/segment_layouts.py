@@ -19,10 +19,11 @@ def install_segments(corpus: SearchCorpus,
     """Serve ``corpus`` from one segment per ``bounds[i]:bounds[i + 1]``.
 
     ``bounds`` runs from 0 to the collection's size; the first slice is
-    the base, the rest are deltas.  The index carries the corpus's
-    current stamp, so the next ``columnar_index()`` returns it as is.
+    the base, the rest are deltas.  The segments hold the store's own
+    rows, as built ones do.  The index carries the corpus's current
+    stamp, so the next ``columnar_index()`` returns it as is.
     """
-    rows = list(corpus.collection.all_documents())
+    rows = list(corpus.collection.scan())
     assert bounds[0] == 0 and bounds[-1] == len(rows), bounds
     fields = tuple(ALL_SEARCH_FIELDS)
     index = ColumnarIndex(

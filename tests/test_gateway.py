@@ -135,7 +135,7 @@ class TestRouting:
         assert payload["status"] == "ok"
         # The cluster router feeds on these: data-version counters,
         # ingest replay state, and the admission queue depth.
-        assert set(payload["versions"]) == {"store", "kg", "corpus"}
+        assert set(payload["versions"]) == {"store", "kg"}
         assert payload["ingest"]["attached"] is False
         assert payload["ingest"]["replaying"] is False
         assert payload["admission"] == {"pending": 0}

@@ -351,9 +351,10 @@ def _columns(segment):
              for name, fc in cols.fields.items()})
 
 
-def test_extend_copies_only_the_appended_rows(monkeypatch):
+def test_extend_copies_no_rows(monkeypatch):
     """Regression: a 4-row extend of a 1,000-row index deep-copied all
-    1,004 stored documents to keep the last four."""
+    1,004 stored documents to keep the last four.  The delta holds the
+    store's own rows: nothing is copied."""
     import repro.docstore.collection as collection_module
 
     engine = _build(AllFieldsEngine, num_papers=1000)
@@ -372,10 +373,12 @@ def test_extend_copies_only_the_appended_rows(monkeypatch):
     extended = base.extend(engine.collection, engine.corpus._stamp())
     monkeypatch.undo()
 
-    assert len(copied) == 4
+    assert copied == []
     assert extended.segments[:-1] == base.segments
     delta = extended.segments[-1]
     assert delta.documents == appended
+    assert all(row is stored for row, stored in zip(
+        delta.documents, list(engine.collection.scan())[1000:]))
     assert _columns(delta) == _columns(
         columnar.Segment(appended, base.field_names, 1000)
     )

@@ -22,7 +22,7 @@ import threading
 import pytest
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.docstore.collection import Collection
+from repro.docstore.sharding import ShardedCollection
 from repro.docstore.functions import FunctionRegistry
 from repro.gateway.routes import encode_value
 from repro.search import engine as engine_module
@@ -146,7 +146,7 @@ def test_quoted_phrase_pages_are_byte_identical_on_every_path(
     over_copies = []
 
     def aggregate_over_find(source, stages, registry=None):
-        if isinstance(source, Collection):
+        if isinstance(source, ShardedCollection):
             over_copies.append(stages[0]["$match"])
             source = source.find(stages[0]["$match"]).to_list()
             stages = stages[1:]

@@ -5,10 +5,14 @@
 ``save_system`` all go through it, so a system that took a detour
 (rollback, save + reload) audits exactly like one that never did.
 ``CovidKG.versions()`` is the one list of invalidation counters that
-snapshots, ingest receipts and ``/v1/healthz`` report.
+snapshots, ingest receipts, ``/v1/healthz``, ``/v1/stats`` and a save's
+``versions.json`` report.  The store is also the only holder of paper
+rows: its rows are the search documents every engine and every
+columnar segment reads.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,8 +20,9 @@ import pytest
 from repro.api.persistence import load_system, save_system
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+from repro.errors import IngestRejectedError
 from repro.ingest.engine import IngestEngine
-from repro.serve.service import QueryService
+from repro.serve.service import ENGINES, QueryService
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +78,88 @@ def test_one_versions_dict_for_snapshot_receipt_and_healthz(corpus,
         service.attach_ingest(engine)
         receipt = engine.commit_batch(corpus[10:14])
         versions = system.versions()
-        assert list(versions) == ["store", "kg", "corpus"]
+        assert list(versions) == ["store", "kg"]
         assert receipt.versions == versions
         assert engine.snapshots.latest().versions == versions
         assert service.health()["versions"] == versions
+
+
+def test_versions_dict_is_read_not_rebuilt(corpus, tmp_path):
+    """Stats, an engine-less ingest receipt and ``versions.json``."""
+    system = _system(corpus[:10])
+    with QueryService(system) as service:
+        receipt = service.submit_ingest(corpus[10:12]).result().value
+        versions = system.versions()
+        assert receipt["versions"] == versions
+        assert service.stats()["versions"] == versions
+    saved = save_system(system, tmp_path / "saved")
+    assert json.loads((saved / "versions.json").read_text()) == versions
+
+
+def test_reload_never_repeats_a_cache_stamp(corpus, tmp_path):
+    """A rollback shrinks the store; a reload must still move forward.
+
+    The shared cache outlives replica restarts, so a stamp the reloaded
+    system repeats could make a page cached for the undone batch read
+    as fresh again.
+    """
+    system = _system(corpus[:16])
+    with IngestEngine(system, tmp_path / "wal") as engine:
+        engine.commit_batch(corpus[16:20])
+        engine.rollback("base")
+    with QueryService(system) as service:
+        before = {name: service._versions(name) for name in ENGINES}
+    reloaded = load_system(save_system(system, tmp_path / "saved"))
+    with QueryService(reloaded) as service:
+        after = {name: service._versions(name) for name in ENGINES}
+    assert all(after[name] > before[name] for name in ENGINES), \
+        (before, after)
+
+
+def test_a_paper_is_held_once(corpus, tmp_path):
+    system = _system(corpus[:12])
+    with IngestEngine(system, tmp_path / "wal") as engine:
+        system.search("vaccine")
+        engine.commit_batch(corpus[12:16])  # a delta segment too
+        system.search("vaccine")
+    assert system.search_corpus.collection is system.store
+    for engine in (system.all_fields, system.title_abstract, system.tables):
+        assert engine.collection is system.store
+    stored = {id(row) for row in system.store.scan()}
+    held = [row for segment in system.search_corpus.columnar_index().segments
+            for row in segment.documents]
+    assert len(held) == len(stored) == 16
+    assert all(id(row) in stored for row in held)
+    row = system.store.find_one({"paper_id": corpus[0]["paper_id"]})
+    assert set(row) >= {"search", "static_rank"}
+
+
+def test_existence_checks_copy_no_rows(corpus, tmp_path, monkeypatch):
+    import repro.docstore.collection as collection_module
+
+    system = _system(corpus[:8])
+    copied = []
+    real_copy = collection_module.deep_copy_document
+    monkeypatch.setattr(
+        collection_module, "deep_copy_document",
+        lambda document: copied.append(document) or real_copy(document),
+    )
+    report = system.ingest(corpus[:8], skip_duplicates=True)
+    assert report.subtrees == 0
+    with IngestEngine(system, tmp_path / "wal") as engine, \
+            pytest.raises(IngestRejectedError, match="already exist"):
+        engine.commit_batch(corpus[:2])
+    assert copied == []
+
+
+def test_saved_publications_are_the_papers_as_ingested(corpus, tmp_path):
+    """The store's rows carry the search fields; the save does not.
+
+    The digest is the file an earlier layout (a plain paper store beside
+    a separate search collection) wrote for the same papers.
+    """
+    saved = save_system(_system(corpus[:30]), tmp_path / "saved")
+    data = (saved / "publications.jsonl").read_bytes()
+    assert b'"search"' not in data and b'"static_rank"' not in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "e8330e3215092ea5062812092ce80f2a2dff7cb8112dcb3abd86736891ce553c")
