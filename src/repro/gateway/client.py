@@ -2,10 +2,9 @@
 
 Tests, benchmarks, and ``repro-covidkg serve-stats --url`` drive the
 gateway through this instead of an external HTTP library: it reuses one
-socket across requests (so keep-alive behaviour is actually exercised),
-exposes :meth:`GatewayClient.send_raw` for malformed-wire tests, and
-counts its own reconnects so a test can assert a connection was (or was
-not) reused.
+socket across requests (so keep-alive behaviour is actually exercised)
+and counts its own reconnects so a test can assert a connection was (or
+was not) reused.
 """
 
 from __future__ import annotations
@@ -177,23 +176,6 @@ class GatewayClient:
             headers: Mapping[str, str] | None = None) -> ClientResponse:
         return self.request("GET", path, params=params, headers=headers)
 
-    def send_raw(self, raw: bytes) -> ClientResponse:
-        """Ship arbitrary bytes (malformed-request tests)."""
-        return self._round_trip(raw)
-
-    def send_raw_nowait(self, raw: bytes) -> None:
-        """Ship bytes without reading a response (pipelining tests)."""
-        if self._sock is None:
-            self._sock = self._connect()
-        self._sock.sendall(raw)
-
-    def read_response(self, head_only: bool = False) -> ClientResponse:
-        """Read the next in-order response off the connection."""
-        response = self._read_response(head_only=head_only)
-        if not response.keep_alive:
-            self.close()
-        return response
-
     def _round_trip(self, raw: bytes,
                     head_only: bool = False) -> ClientResponse:
         if self._sock is None:
@@ -250,13 +232,6 @@ class GatewayClient:
                 f"/v1/stats returned {response.status}: "
                 f"{response.text[:200]}")
         return response.json()
-
-    def metrics_text(self) -> str:
-        response = self.get("/v1/metrics")
-        if response.status != 200:
-            raise GatewayError(
-                f"/v1/metrics returned {response.status}")
-        return response.text
 
     def search(self, engine: str, **params: Any) -> ClientResponse:
         return self.get(f"/v1/search/{engine}", params=params)

@@ -30,7 +30,10 @@ tier, the shape production serving stacks use:
   a response;
 * **graceful drain**: stop accepting, let in-flight requests finish
   inside ``drain_seconds``, then cancel what remains (idle keep-alive
-  readers included).
+  readers included);
+* **one access-log line per response**, buffered on the loop and
+  written to stderr in one batch per ``ACCESS_LOG_FLUSH_SECONDS``
+  (see :class:`_AccessLog`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import itertools
 import logging
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -72,11 +76,99 @@ from repro.serve.metrics import GatewayMetrics
 from repro.serve.service import GatewayConfig, QueryService, ServedResult
 
 logger = logging.getLogger("repro.gateway")
-access_logger = logging.getLogger("repro.gateway.access")
 
 #: ``Retry-After`` value (seconds) sent with connection-cap and
 #: overload 503s.
 RETRY_AFTER_SECONDS = 1
+
+#: A buffered access-log line reaches stderr at most this long after
+#: the first line of its batch (nginx's ``access_log ... flush=``).
+ACCESS_LOG_FLUSH_SECONDS = 0.1
+
+#: ... or as soon as the batch holds this many characters.
+ACCESS_LOG_BUFFER_CHARS = 64 * 1024
+
+
+class _AccessLog:
+    """The gateway's access-log lines, written to stderr in batches.
+
+    Each line is byte for byte what ``logging``'s ``%(asctime)s
+    %(name)s %(message)s`` format (the served processes'
+    ``basicConfig``) rendered for the ``repro.gateway.access`` logger,
+    stamped when the line is added, not when it is written.  A batch is
+    one ``write`` + ``flush`` to the stream that was ``sys.stderr`` when
+    the log was made (as a ``logging.StreamHandler`` binds it):
+    ``ACCESS_LOG_FLUSH_SECONDS`` after its first line, at
+    ``ACCESS_LOG_BUFFER_CHARS``, or on :meth:`close` (the end of a
+    drain; later lines are written as they come).  A SIGKILL loses at
+    most one flush window of lines.
+
+    Loop-thread only, so no lock.
+    """
+
+    __slots__ = ("_stream", "_lines", "_chars", "_timer", "_closed",
+                 "_second", "_prefix")
+
+    def __init__(self) -> None:
+        self._stream = sys.stderr
+        self._lines: list[str] = []
+        self._chars = 0
+        self._timer: asyncio.TimerHandle | None = None
+        self._closed = False
+        #: The whole second ``_prefix`` renders.
+        self._second = -1
+        self._prefix = ""
+
+    def stamp(self, now: float) -> str:
+        """``logging``'s ``%(asctime)s`` for a record created at ``now``."""
+        second = int(now)
+        if second != self._second:
+            self._second = second
+            self._prefix = time.strftime("%Y-%m-%d %H:%M:%S",
+                                         time.localtime(second))
+        return f"{self._prefix},{int((now - second) * 1000):03d}"
+
+    def add(self, message: str) -> None:
+        line = f"{self.stamp(time.time())} repro.gateway.access " \
+            f"{message}\n"
+        self._lines.append(line)
+        self._chars += len(line)
+        if self._closed or self._chars >= ACCESS_LOG_BUFFER_CHARS:
+            self.flush()
+        elif self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(
+                ACCESS_LOG_FLUSH_SECONDS, self.flush)
+
+    def flush(self) -> None:
+        """Write the batch now.
+
+        The timer calls this, and REP208 does not follow ``call_later``
+        callbacks, so it does nothing but the write (DESIGN.md §6).
+        """
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if not self._lines:
+            return
+        batch = "".join(self._lines)
+        self._lines = []
+        self._chars = 0
+        try:
+            self._stream.write(batch)
+            self._stream.flush()
+        except (OSError, ValueError):
+            # A stream that cannot take the batch (full disk, closed)
+            # loses it; it never fails the request that triggered it.
+            pass
+
+    def close(self) -> None:
+        self._closed = True
+        self.flush()
+
+
+def _peer_text(writer: asyncio.StreamWriter) -> str:
+    peer = writer.get_extra_info("peername")
+    return f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "-"
 
 
 @dataclass
@@ -96,13 +188,16 @@ class _Pending:
 class _Connection:
     """What one connection's reader, writer and idle watchdog share."""
 
-    __slots__ = ("reader", "writer", "pending", "outstanding", "inlined",
-                 "broken", "waiting_since", "idle_expired", "watchdog")
+    __slots__ = ("reader", "writer", "peer", "pending", "outstanding",
+                 "inlined", "broken", "waiting_since", "idle_expired",
+                 "watchdog")
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter, max_inflight: int) -> None:
         self.reader = reader
         self.writer = writer
+        #: ``host:port`` of the client, for the access log.
+        self.peer = _peer_text(writer)
         self.pending: "asyncio.Queue[_Pending | None]" = asyncio.Queue(
             maxsize=max_inflight)
         #: Requests queued for, or held by, the writer.  The reader may
@@ -137,6 +232,7 @@ class Gateway:
         self._draining = False
         self._conn_tasks: set[asyncio.Task] = set()
         self._ids = itertools.count(1)
+        self._access = _AccessLog()
         # readuntil() needs headroom past the header cap so the explicit
         # size check (a clean 400) fires before the stream limit does.
         self._stream_limit = max(self.config.max_header_bytes,
@@ -185,6 +281,7 @@ class Gateway:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
+        self._access.close()
         logger.info("gateway drained (%d request(s) cancelled)",
                     leftovers)
 
@@ -257,18 +354,23 @@ class Gateway:
         """Refuse a connection over the cap: 503 + Retry-After, close."""
         self.metrics.connection_shed()
         request_id = self._next_request_id()
+        started = time.monotonic()
         response = error_payload(
             503, "too_many_connections",
             "connection limit reached; retry shortly", request_id,
         )
         response.headers["Retry-After"] = str(RETRY_AFTER_SECONDS)
+        status = response.status
         try:
             writer.write(build_response(response, request_id=request_id,
                                         keep_alive=False))
             await writer.drain()
         except (ConnectionError, OSError):
-            pass
+            status = 499
         finally:
+            self._access_log(_peer_text(writer), None, request_id,
+                             "connection_shed", status,
+                             time.monotonic() - started)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -433,23 +535,20 @@ class Gateway:
             status = 499  # client closed before the response went out
         elapsed = time.monotonic() - item.started
         self.metrics.request_finished(status, elapsed)
-        self._access_log(item, status, elapsed, conn.writer)
+        self._access_log(conn.peer, item.request, item.request_id,
+                         item.endpoint, status, elapsed)
 
-    def _access_log(self, item: _Pending, status: int, elapsed: float,
-                    writer: asyncio.StreamWriter) -> None:
+    def _access_log(self, peer: str, request: Request | None,
+                    request_id: str, endpoint: str, status: int,
+                    elapsed: float) -> None:
         if not self.config.access_log:
             return
-        peer = writer.get_extra_info("peername")
-        peer_text = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) \
-            else "-"
-        method = item.request.method if item.request else "-"
-        target = item.request.target if item.request else "-"
-        access_logger.info(
-            "request_id=%s peer=%s method=%s target=%s endpoint=%s "
-            "status=%d ms=%.2f",
-            item.request_id, peer_text, method, target, item.endpoint,
-            status, elapsed * 1000.0,
-        )
+        method, target = (request.method, request.target) if request \
+            else ("-", "-")
+        self._access.add(
+            f"request_id={request_id} peer={peer} method={method} "
+            f"target={target} endpoint={endpoint} status={status} "
+            f"ms={elapsed * 1000.0:.2f}")
 
     # -- request handling --------------------------------------------------
 

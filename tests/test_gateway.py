@@ -34,6 +34,7 @@ from repro.gateway.routes import encode_value
 from repro.ingest.engine import IngestEngine
 from repro.serve.cache import request_key
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
+from tests.raw_client import RawGatewayClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,7 +65,7 @@ def gateway(system):
 
 @pytest.fixture()
 def client(gateway):
-    with GatewayClient("127.0.0.1", gateway.port) as cl:
+    with RawGatewayClient("127.0.0.1", gateway.port) as cl:
         yield cl
 
 
@@ -526,7 +527,7 @@ def _raw(target):
 class TestInlineLane:
     def test_ready_answers_queue_behind_a_slow_miss(self, system):
         with _SlowHarness(system, delay=0.2, num_workers=1) as harness:
-            with GatewayClient("127.0.0.1", harness.port) as cl:
+            with RawGatewayClient("127.0.0.1", harness.port) as cl:
                 warm = cl.search("all_fields", query="warm")
                 assert warm.status == 200
                 started = time.monotonic()
@@ -565,7 +566,7 @@ class TestInlineLane:
         config = GatewayConfig(port=0, max_inflight_per_connection=2)
         with _SlowHarness(system, delay=0.5, num_workers=1,
                           gateway_config=config) as harness:
-            with GatewayClient("127.0.0.1", harness.port) as cl:
+            with RawGatewayClient("127.0.0.1", harness.port) as cl:
                 cl.send_raw_nowait(
                     _raw("/v1/search/all_fields?query=slow")
                     + _raw("/v1/healthz") * 8)
@@ -642,7 +643,7 @@ class TestInlineLane:
                     harness.port, "/v1/search/all_fields",
                     {"query": f"slow {i}"}))
                 time.sleep(0.12)
-            with GatewayClient("127.0.0.1", harness.port) as cl:
+            with RawGatewayClient("127.0.0.1", harness.port) as cl:
                 cl.send_raw_nowait(
                     _raw("/v1/search/all_fields?query=shed+me")
                     + _raw("/v1/healthz"))

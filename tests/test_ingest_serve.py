@@ -15,6 +15,7 @@ from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.errors import KGQLSyntaxError
 from repro.gateway.client import GatewayClient
+from tests.raw_client import RawGatewayClient
 from repro.gateway.server import BackgroundGateway
 from repro.ingest.engine import IngestEngine
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
@@ -164,7 +165,7 @@ class TestGatewayIngest:
         system, service, held = stack
         service.config.gateway = GatewayConfig(port=0)
         with BackgroundGateway(service) as background:
-            with GatewayClient("127.0.0.1", background.port) as client:
+            with RawGatewayClient("127.0.0.1", background.port) as client:
                 yield client, held
 
     def test_post_commits_and_search_sees_it(self, gateway):
