@@ -30,7 +30,6 @@ from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.docstore.aggregation import AggregationPipeline
 from repro.docstore.collection import Collection
-from repro.docstore.functions import FunctionRegistry
 from repro.docstore.sharding import ShardedCollection
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.columnar import MatchPlan
@@ -62,26 +61,23 @@ def corpus():
 
 
 def _ranked_pipelines(corpus):
-    """Each query's page-1 pipeline, scorers pre-registered."""
+    """Each query's page-1 pipeline, its scorer inline."""
     engine = AllFieldsEngine()
     engine.add_papers(corpus)
-    registry = FunctionRegistry()
     pipelines = []
-    for number, query in enumerate(QUERIES):
+    for query in QUERIES:
         parsed = parse_query(query)
-        registry.register(
-            f"rank_{number}",
-            engine.ranking.scorer(parsed, ALL_SEARCH_FIELDS),
-        )
         pipelines.append([
             {"$match": MatchPlan.terms_over_fields(
                 parsed, ALL_SEARCH_FIELDS).match_document()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
-            {"$function": {"name": f"rank_{number}", "as": "score"}},
+            {"$function": {
+                "body": engine.ranking.scorer(parsed, ALL_SEARCH_FIELDS),
+                "as": "score"}},
             {"$sort": SORT_SPEC},
             {"$limit": PAGE_SIZE},
         ])
-    return registry, pipelines
+    return pipelines
 
 
 def _build(corpus, num_shards):
@@ -91,36 +87,36 @@ def _build(corpus, num_shards):
     return store
 
 
-def _aggregate(store, pipeline, registry):
+def _aggregate(store, pipeline):
     if isinstance(store, ShardedCollection):
-        return store.aggregate(pipeline, registry)
-    return AggregationPipeline(pipeline, registry).run(store)
+        return store.aggregate(pipeline)
+    return AggregationPipeline(pipeline).run(store)
 
 
-def _drive(store, registry, pipelines):
+def _drive(store, pipelines):
     """Cold ranked-aggregation throughput over the query mix."""
     started = time.perf_counter()
     for _ in range(ROUNDS):
         for pipeline in pipelines:
-            _aggregate(store, pipeline, registry)
+            _aggregate(store, pipeline)
     seconds = time.perf_counter() - started
     total = ROUNDS * len(pipelines)
     return total / seconds, seconds
 
 
-def _page_ids(store, registry, pipeline):
+def _page_ids(store, pipeline):
     return [(doc["paper_id"], doc["score"])
-            for doc in _aggregate(store, pipeline, registry).documents]
+            for doc in _aggregate(store, pipeline).documents]
 
 
 def test_e16_ranked_aggregation_by_shard_count(corpus):
-    registry, pipelines = _ranked_pipelines(corpus)
+    pipelines = _ranked_pipelines(corpus)
     single = Collection("publications")
     single.insert_many([build_search_document(p) for p in corpus])
 
     def measure(store):
-        rps, seconds = _drive(store, registry, pipelines)
-        pages = [_page_ids(store, registry, pipeline)
+        rps, seconds = _drive(store, pipelines)
+        pages = [_page_ids(store, pipeline)
                  for pipeline in pipelines]
         return rps, seconds, pages
 

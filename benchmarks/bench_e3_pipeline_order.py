@@ -19,7 +19,6 @@ from benchlib import print_table
 
 from repro.docstore.aggregation import aggregate
 from repro.docstore.collection import Collection
-from repro.docstore.functions import FunctionRegistry
 from repro.search.indexing import build_search_document
 
 
@@ -30,69 +29,63 @@ def _collection(corpus, size):
     return collection
 
 
-def _registry():
-    registry = FunctionRegistry()
-
-    def rank(document):
-        # A deliberately non-trivial per-document ranking function.
-        text = document.get("search", {}).get("body", "")
-        return sum(1 for token in text.split() if "a" in token)
-
-    registry.register("rank", rank)
-    return registry
+def _rank(document):
+    # A deliberately non-trivial per-document ranking function.
+    text = document.get("search", {}).get("body", "")
+    return sum(1 for token in text.split() if "a" in token)
 
 
+RANK = {"$function": {"body": _rank, "as": "score"}}
 MATCH = {"search.title": {"$regex": r"\bvaccin", "$options": "i"}}
 PROJECT = {"paper_id": 1, "search": 1, "static_rank": 1}
 
 
-def _match_first(collection, registry):
+def _match_first(collection):
     return aggregate(collection, [
         {"$match": MATCH},
         {"$project": PROJECT},
-        {"$function": {"name": "rank", "as": "score"}},
+        RANK,
         {"$sort": {"score": -1}},
         {"$limit": 10},
-    ], registry)
+    ])
 
 
-def _match_late(collection, registry):
+def _match_late(collection):
     return aggregate(collection, [
         {"$project": PROJECT},
-        {"$function": {"name": "rank", "as": "score"}},
+        RANK,
         {"$match": MATCH},
         {"$sort": {"score": -1}},
         {"$limit": 10},
-    ], registry)
+    ])
 
 
-def _no_project(collection, registry):
+def _no_project(collection):
     return aggregate(collection, [
         {"$match": MATCH},
-        {"$function": {"name": "rank", "as": "score"}},
+        RANK,
         {"$sort": {"score": -1}},
         {"$limit": 10},
-    ], registry)
+    ])
 
 
-def _timed(fn, collection, registry, repeats=3):
+def _timed(fn, collection, repeats=3):
     best = float("inf")
     result = None
     for _ in range(repeats):
         started = time.perf_counter()
-        result = fn(collection, registry)
+        result = fn(collection)
         best = min(best, time.perf_counter() - started)
     return best, result
 
 
 def test_e3_stage_ordering(medium_corpus, benchmark):
-    registry = _registry()
     rows = []
     for size in (100, 300):
         collection = _collection(medium_corpus, size)
-        first_s, first = _timed(_match_first, collection, registry)
-        late_s, late = _timed(_match_late, collection, registry)
-        nop_s, _ = _timed(_no_project, collection, registry)
+        first_s, first = _timed(_match_first, collection)
+        late_s, late = _timed(_match_late, collection)
+        nop_s, _ = _timed(_no_project, collection)
         ranked_first = next(
             s.docs_in for s in first.stages if s.stage == "$function"
         )
@@ -115,7 +108,7 @@ def test_e3_stage_ordering(medium_corpus, benchmark):
     )
 
     collection = _collection(medium_corpus, 300)
-    benchmark(lambda: _match_first(collection, registry))
+    benchmark(lambda: _match_first(collection))
 
 
 def test_e3_match_pushdown_uses_index(medium_corpus, benchmark):
@@ -128,12 +121,9 @@ def test_e3_match_pushdown_uses_index(medium_corpus, benchmark):
     target = medium_corpus[0]["journal"]
 
     collection.scan_count = 0
-    result = aggregate(collection, [
-        {"$match": {"journal": target}},
-        {"$count": "n"},
-    ])
+    result = aggregate(collection, [{"$match": {"journal": target}}])
     scanned_indexed = collection.scan_count
-    matched = result.documents[0]["n"]
+    matched = len(result.documents)
 
     print_table(
         "E3b: $match pushdown onto a secondary index",
@@ -144,5 +134,5 @@ def test_e3_match_pushdown_uses_index(medium_corpus, benchmark):
     assert scanned_indexed < 200
 
     benchmark(lambda: aggregate(collection, [
-        {"$match": {"journal": target}}, {"$count": "n"},
+        {"$match": {"journal": target}},
     ]))

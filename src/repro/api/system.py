@@ -27,7 +27,6 @@ from repro.classify.dataset import MetadataDataset
 from repro.classify.svm_model import SvmMetadataClassifier
 from repro.corpus.schema import full_text, validate_paper
 from repro.docstore.documents import deep_copy_document
-from repro.docstore.functions import FunctionRegistry
 from repro.docstore.persistence import StorageReport, storage_report
 from repro.docstore.sharding import ShardedCollection
 from repro.embeddings.word2vec import Word2Vec
@@ -78,10 +77,6 @@ class CovidKG:
         self.config = config or CovidKGConfig()
         # №2: the knowledge graph, expert-seeded.
         self.graph = seed_covid_graph()
-        # Section 2.1: the three search engines share one per-system
-        # $function registry (seeded from the global defaults) so ranking
-        # functions registered here never leak into another system.
-        self.functions = FunctionRegistry.with_defaults()
         # №2/№3: sharded JSON publication storage, and the engines over it.
         self._open_store()
         # Section 4: matching/fusion/review/enrichment.
@@ -114,13 +109,10 @@ class CovidKG:
             num_shards=self.config.num_shards,
         )
         self.store.create_index("paper_id", unique=True)
-        shared: dict[str, Any] = {
-            "registry": self.functions,
-            "corpus": SearchCorpus(self.store),
-        }
-        self.all_fields = AllFieldsEngine(**shared)
-        self.title_abstract = TitleAbstractCaptionEngine(**shared)
-        self.tables = TableSearchEngine(**shared)
+        corpus = SearchCorpus(self.store)
+        self.all_fields = AllFieldsEngine(corpus=corpus)
+        self.title_abstract = TitleAbstractCaptionEngine(corpus=corpus)
+        self.tables = TableSearchEngine(corpus=corpus)
 
     @property
     def search_corpus(self) -> SearchCorpus:

@@ -10,8 +10,9 @@ reproduces the parts of that stack the system actually exercises:
 * insert-only collections with indexed reads (:mod:`repro.docstore.collection`),
 * hash secondary indexes (:mod:`repro.docstore.indexes`),
 * hash sharding with a router (:mod:`repro.docstore.sharding`),
-* the aggregation pipeline engine with the ten stages PAPER.md §2 lists
-  — ``$match``, ``$project``, ``$function`` and friends
+* the aggregation pipeline engine with the six stages the search
+  engines run — ``$match``, ``$project``, ``$function`` (its scorer
+  inline), ``$sort``, ``$skip``, ``$limit``
   (:mod:`repro.docstore.aggregation`),
 * storage accounting (:mod:`repro.docstore.persistence`).
 

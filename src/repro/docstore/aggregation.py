@@ -1,29 +1,25 @@
 """The aggregation pipeline engine.
 
-A pipeline is a list of stage documents streamed over a collection:
+A pipeline is a list of stage documents streamed over a collection.  The
+engine knows the six stages the system runs — the paper's search engines
+are ``$match → $project → $function`` pipelines, ranked and paged by
+``$sort`` / ``$skip`` / ``$limit`` (Section 2.1):
 
 * ``{"$match": <query>}`` — filter with the full query language; when it is
   the *first* stage the engine pushes it down onto the collection's indexes,
   which is exactly the optimization the paper highlights ("it was mindful to
   use the $match stage first to minimize the amount of data being passed
   through all the latter stages").
-* ``{"$project": {field: 0|1 | expression}}`` — prune or compute fields.
-  A plain inclusion/exclusion right after a pushed-down ``$match`` reads
-  the collection's stored rows, so each matched document is copied once,
-  already projected.
-* ``{"$addFields": {field: expression}}`` — add computed fields.
-* ``{"$function": {"name": ..., "args": [paths/exprs], "as": field}}`` —
-  call a registered Python function per document (the paper's custom JS
-  ranking functions).
-* ``{"$sort": {field: 1|-1}}``, ``{"$skip": n}``, ``{"$limit": n}``,
-  ``{"$count": name}``, ``{"$unwind": "$path"}``,
-  ``{"$group": {"_id": expr, out: {"$sum"|"$avg"|"$min"|"$max"|"$push"|
-  "$addToSet"|"$first"|"$last": expr}}}``.
+* ``{"$project": {field: 0|1}}`` — an inclusion or exclusion.  Right
+  after a pushed-down ``$match`` it reads the collection's stored rows,
+  so each matched document is copied once, already projected.
+* ``{"$function": {"body": callable, "as": field}}`` — call ``body`` on
+  each document and store its result under ``as`` (the paper's custom JS
+  ranking functions; like MongoDB's ``$function``, the body is inline).
+* ``{"$sort": {field: 1|-1}}``, ``{"$skip": n}``, ``{"$limit": n}``.
 
-Expressions support ``"$field"`` path references, literals, and operator
-documents ``{"$add": [...]}, {"$multiply": [...]}, {"$concat": [...]},
-{"$size": expr}, {"$toLower"/"$toUpper": expr}, {"$cond": [if, then, else]},
-{"$literal": x}, {"$ifNull": [expr, fallback]}``.
+A malformed stage raises :class:`~repro.errors.AggregationError` when the
+pipeline is built, before any document is read.
 
 Every run returns both the result documents and per-stage statistics
 (documents in/out, wall time), which the E3 benchmark uses to show the
@@ -44,23 +40,13 @@ from repro.docstore.documents import (
     deep_get,
     deep_set,
 )
-from repro.docstore.functions import FunctionRegistry, default_registry
 from repro.docstore.matching import compile_filter
 from repro.errors import AggregationError
 
-_MISSING = object()
-
-#: Every stage name the pipeline engine implements: the ten PAPER.md
-#: §2 lists for the MongoDB substitution.
+#: Every stage name the pipeline engine implements: the ones the search
+#: engines and the paper benches run (DESIGN.md §2).
 STAGE_NAMES = frozenset(
-    {"$match", "$project", "$addFields", "$function", "$sort", "$skip",
-     "$limit", "$count", "$unwind", "$group"}
-)
-
-#: Every accumulator ``$group`` outputs support.
-ACCUMULATORS = frozenset(
-    {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first",
-     "$last", "$count"}
+    {"$match", "$project", "$function", "$sort", "$skip", "$limit"}
 )
 
 
@@ -161,129 +147,33 @@ class AggregationResult:
         return sum(stage.seconds for stage in self.stages)
 
 
-def evaluate_expression(expression: Any, document: dict[str, Any],
-                        registry: FunctionRegistry) -> Any:
-    """Evaluate an aggregation expression against one document."""
-    if isinstance(expression, str) and expression.startswith("$"):
-        return deep_get(document, expression[1:])
-    if isinstance(expression, dict):
-        if len(expression) == 1:
-            op, operand = next(iter(expression.items()))
-            if op.startswith("$"):
-                return _evaluate_operator(op, operand, document, registry)
-        return {
-            key: evaluate_expression(value, document, registry)
-            for key, value in expression.items()
-        }
-    if isinstance(expression, list):
-        return [
-            evaluate_expression(item, document, registry)
-            for item in expression
-        ]
-    return expression
-
-
-def _numbers(values: Iterable[Any]) -> list[float]:
-    result = []
-    for value in values:
-        if value is None:
-            value = 0
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise AggregationError(f"expected number, got {value!r}")
-        result.append(value)
-    return result
-
-
-def _evaluate_operator(op: str, operand: Any, document: dict[str, Any],
-                       registry: FunctionRegistry) -> Any:
-    def ev(expr: Any) -> Any:
-        return evaluate_expression(expr, document, registry)
-
-    if op == "$literal":
-        return operand
-    if op == "$add":
-        return sum(_numbers(ev(item) for item in operand))
-    if op == "$subtract":
-        left, right = (ev(item) for item in operand)
-        return left - right
-    if op == "$multiply":
-        product = 1.0
-        for number in _numbers(ev(item) for item in operand):
-            product *= number
-        return product
-    if op == "$divide":
-        left, right = _numbers(ev(item) for item in operand)
-        if right == 0:
-            raise AggregationError("$divide by zero")
-        return left / right
-    if op == "$concat":
-        parts = [ev(item) for item in operand]
-        if any(part is None for part in parts):
-            return None
-        return "".join(str(part) for part in parts)
-    if op == "$size":
-        value = ev(operand)
-        if not isinstance(value, list):
-            raise AggregationError("$size requires an array")
-        return len(value)
-    if op == "$toLower":
-        value = ev(operand)
-        return "" if value is None else str(value).lower()
-    if op == "$toUpper":
-        value = ev(operand)
-        return "" if value is None else str(value).upper()
-    if op == "$cond":
-        if isinstance(operand, dict):
-            branches = [operand["if"], operand["then"], operand["else"]]
-        else:
-            branches = operand
-        condition, then_expr, else_expr = branches
-        return ev(then_expr) if ev(condition) else ev(else_expr)
-    if op == "$ifNull":
-        value = ev(operand[0])
-        return ev(operand[1]) if value is None else value
-    if op == "$eq":
-        left, right = (ev(item) for item in operand)
-        return left == right
-    if op == "$ne":
-        left, right = (ev(item) for item in operand)
-        return left != right
-    if op == "$gt":
-        left, right = (ev(item) for item in operand)
-        return left is not None and right is not None and left > right
-    if op == "$gte":
-        left, right = (ev(item) for item in operand)
-        return left is not None and right is not None and left >= right
-    if op == "$lt":
-        left, right = (ev(item) for item in operand)
-        return left is not None and right is not None and left < right
-    if op == "$lte":
-        left, right = (ev(item) for item in operand)
-        return left is not None and right is not None and left <= right
-    if op == "$function":
-        name = operand["name"]
-        args = [ev(arg) for arg in operand.get("args", [])]
-        return registry.get(name)(*args)
-    raise AggregationError(f"unknown expression operator {op}")
-
-
 class AggregationPipeline:
     """Compile-once, run-many pipeline over a collection or document list."""
 
-    _STAGE_NAMES = STAGE_NAMES
-
-    def __init__(self, stages: list[dict[str, Any]],
-                 registry: FunctionRegistry | None = None) -> None:
+    def __init__(self, stages: list[dict[str, Any]]) -> None:
         self.stages = stages
-        self.registry = registry or default_registry
         for stage in stages:
             if len(stage) != 1:
                 raise AggregationError(
                     f"each stage must have exactly one key: {stage!r}"
                 )
-            name = next(iter(stage))
-            if name not in self._STAGE_NAMES:
+            name, spec = next(iter(stage.items()))
+            if name not in STAGE_NAMES:
                 raise AggregationError(f"unknown stage {name!r}")
+            if name == "$project" and not (isinstance(spec, dict) and all(
+                    value in (0, 1, True, False)
+                    for value in spec.values())):
+                raise AggregationError(
+                    f"$project takes 0/1 inclusions, not expressions: "
+                    f"{spec!r}"
+                )
+            if name == "$function" and not (
+                    isinstance(spec, dict) and callable(spec.get("body"))
+                    and isinstance(spec.get("as"), str)):
+                raise AggregationError(
+                    f"$function needs a callable 'body' and an 'as': "
+                    f"{spec!r}"
+                )
 
     # -- execution -----------------------------------------------------------
 
@@ -301,8 +191,7 @@ class AggregationPipeline:
                 started = time.perf_counter()
                 docs_in = len(source)
                 query = stages[0]["$match"]
-                if len(stages) > 1 and _is_plain_projection(
-                        stages[1].get("$project")):
+                if len(stages) > 1 and "$project" in stages[1]:
                     # apply_projection deep-copies everything it keeps,
                     # so the unprojected copy is never materialised: the
                     # stored rows go straight into the $project stage.
@@ -338,56 +227,14 @@ class AggregationPipeline:
         return [doc for doc in documents if predicate(doc)]
 
     def _stage_project(self, documents: list[dict[str, Any]],
-                       spec: dict[str, Any]) -> list[dict[str, Any]]:
-        if _is_plain_projection(spec):
-            return [apply_projection(doc, spec) for doc in documents]
-        results = []
-        for document in documents:
-            projected: dict[str, Any] = {}
-            if spec.get("_id", 1) and "_id" in document:
-                projected["_id"] = document["_id"]
-            for path, expression in spec.items():
-                if path == "_id":
-                    continue
-                if expression in (0, False):
-                    continue
-                if expression in (1, True):
-                    value = deep_get(document, path, _MISSING)
-                    if value is not _MISSING:
-                        deep_set(projected, path, value)
-                    continue
-                deep_set(
-                    projected, path,
-                    evaluate_expression(expression, document, self.registry),
-                )
-            results.append(projected)
-        return results
-
-    def _stage_addFields(self, documents: list[dict[str, Any]],
-                         spec: dict[str, Any]) -> list[dict[str, Any]]:
-        for document in documents:
-            for path, expression in spec.items():
-                deep_set(
-                    document, path,
-                    evaluate_expression(expression, document, self.registry),
-                )
-        return documents
+                       spec: dict[str, int]) -> list[dict[str, Any]]:
+        return [apply_projection(doc, spec) for doc in documents]
 
     def _stage_function(self, documents: list[dict[str, Any]],
                         spec: dict[str, Any]) -> list[dict[str, Any]]:
-        name = spec.get("name")
-        if not name:
-            raise AggregationError("$function stage requires a 'name'")
-        function = self.registry.get(name)
-        output = spec.get("as", name)
-        arg_exprs = spec.get("args", ["$$ROOT"])
+        body, output = spec["body"], spec["as"]
         for document in documents:
-            args = [
-                document if expr == "$$ROOT"
-                else evaluate_expression(expr, document, self.registry)
-                for expr in arg_exprs
-            ]
-            deep_set(document, output, function(*args))
+            deep_set(document, output, body(document))
         return documents
 
     def _stage_sort(self, documents: list[dict[str, Any]],
@@ -408,128 +255,12 @@ class AggregationPipeline:
                      spec: int) -> list[dict[str, Any]]:
         return documents[: max(0, int(spec))]
 
-    def _stage_count(self, documents: list[dict[str, Any]],
-                     spec: str) -> list[dict[str, Any]]:
-        return [{str(spec): len(documents)}]
 
-    def _stage_unwind(self, documents: list[dict[str, Any]],
-                      spec: str | dict[str, Any]) -> list[dict[str, Any]]:
-        if isinstance(spec, dict):
-            path = spec["path"]
-            keep_empty = spec.get("preserveNullAndEmptyArrays", False)
-        else:
-            path = spec
-            keep_empty = False
-        if not path.startswith("$"):
-            raise AggregationError("$unwind path must start with '$'")
-        path = path[1:]
-        results = []
-        for document in documents:
-            value = deep_get(document, path, _MISSING)
-            if value is _MISSING or value is None or value == []:
-                if keep_empty:
-                    results.append(document)
-                continue
-            if not isinstance(value, list):
-                results.append(document)
-                continue
-            for item in value:
-                clone = deep_copy_document(document)
-                deep_set(clone, path, item)
-                results.append(clone)
-        return results
-
-    _ACCUMULATORS = ACCUMULATORS
-
-    def _stage_group(self, documents: list[dict[str, Any]],
-                     spec: dict[str, Any]) -> list[dict[str, Any]]:
-        if "_id" not in spec:
-            raise AggregationError("$group requires an _id expression")
-        id_expr = spec["_id"]
-        groups: dict[Any, dict[str, Any]] = {}
-        raw_keys: dict[Any, Any] = {}
-        members: dict[Any, list[dict[str, Any]]] = {}
-        for document in documents:
-            key_value = (
-                None if id_expr is None
-                else evaluate_expression(id_expr, document, self.registry)
-            )
-            frozen = _freeze_key(key_value)
-            if frozen not in groups:
-                groups[frozen] = {"_id": key_value}
-                raw_keys[frozen] = key_value
-                members[frozen] = []
-            members[frozen].append(document)
-        for frozen, docs in members.items():
-            out = groups[frozen]
-            for out_field, acc_spec in spec.items():
-                if out_field == "_id":
-                    continue
-                if not isinstance(acc_spec, dict) or len(acc_spec) != 1:
-                    raise AggregationError(
-                        f"accumulator for {out_field!r} must be a single-key "
-                        "document"
-                    )
-                acc, expr = next(iter(acc_spec.items()))
-                if acc not in self._ACCUMULATORS:
-                    raise AggregationError(f"unknown accumulator {acc}")
-                out[out_field] = self._accumulate(acc, expr, docs)
-        return list(groups.values())
-
-    def _accumulate(self, acc: str, expr: Any,
-                    documents: list[dict[str, Any]]) -> Any:
-        values = [
-            evaluate_expression(expr, document, self.registry)
-            for document in documents
-        ]
-        if acc == "$count":
-            return len(documents)
-        if acc == "$sum":
-            return sum(_numbers(v for v in values if v is not None))
-        if acc == "$avg":
-            numbers = _numbers(v for v in values if v is not None)
-            return sum(numbers) / len(numbers) if numbers else None
-        if acc == "$min":
-            present = [v for v in values if v is not None]
-            return min(present) if present else None
-        if acc == "$max":
-            present = [v for v in values if v is not None]
-            return max(present) if present else None
-        if acc == "$push":
-            return values
-        if acc == "$addToSet":
-            unique: list[Any] = []
-            for value in values:
-                if value not in unique:
-                    unique.append(value)
-            return unique
-        if acc == "$first":
-            return values[0] if values else None
-        if acc == "$last":
-            return values[-1] if values else None
-        raise AggregationError(f"unknown accumulator {acc}")
-
-
-def _is_plain_projection(spec: Any) -> bool:
-    """True for an inclusion/exclusion ``$project`` (no expressions)."""
-    return isinstance(spec, dict) and all(
-        value in (0, 1, True, False) for value in spec.values()
-    )
-
-
-def _freeze_key(value: Any) -> Any:
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze_key(v)) for k, v in value.items()))
-    if isinstance(value, list):
-        return tuple(_freeze_key(item) for item in value)
-    return value
-
-
-def aggregate(source: Any, stages: list[dict[str, Any]],
-              registry: FunctionRegistry | None = None) -> AggregationResult:
+def aggregate(source: Any,
+              stages: list[dict[str, Any]]) -> AggregationResult:
     """Run ``stages`` once over any source (a sharded one scatter-gathers)."""
     from repro.docstore.sharding import ShardedCollection  # imports us
 
     if isinstance(source, ShardedCollection):
-        return source.aggregate(stages, registry)
-    return AggregationPipeline(stages, registry).run(source)
+        return source.aggregate(stages)
+    return AggregationPipeline(stages).run(source)

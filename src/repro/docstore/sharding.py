@@ -11,11 +11,11 @@ The paper's back end is a *sharded* MongoDB cluster (Section 2, "Storage").
   replica processes, not threads — EXPERIMENTS.md, "Trial: the docstore
   thread pool"),
 * aggregation pipelines whose per-document prefix (``$match`` /
-  ``$project`` / ``$addFields`` / ``$function``) runs per shard, with
-  ranked (``$sort`` + ``$limit``) results merged through a bounded heap
-  instead of a full re-sort — the search engines' scalar pipeline runs
-  here (:func:`repro.docstore.aggregation.aggregate` hands a sharded
-  source to :meth:`ShardedCollection.aggregate`),
+  ``$project`` / ``$function``) runs per shard, with ranked
+  (``$sort`` + ``$limit``) results merged through a bounded heap instead
+  of a full re-sort — the search engines' scalar pipeline runs here
+  (:func:`repro.docstore.aggregation.aggregate` hands a sharded source
+  to :meth:`ShardedCollection.aggregate`),
 * per-shard storage accounting (the E11 experiment reports shard skew).
 
 Like :class:`~repro.docstore.collection.Collection`, it is insert-only.
@@ -36,7 +36,6 @@ from repro.docstore.aggregation import (
 )
 from repro.docstore.collection import Collection, Cursor
 from repro.docstore.documents import deep_get
-from repro.docstore.functions import FunctionRegistry
 from repro.docstore.matching import equality_constraints
 from repro.errors import ShardingError
 
@@ -44,9 +43,7 @@ _MISSING = object()
 
 #: Stages operating on one document at a time — safe to push down to the
 #: shards (the scatter half of scatter-gather).
-_PER_DOCUMENT_STAGES = frozenset(
-    {"$match", "$project", "$addFields", "$function"}
-)
+_PER_DOCUMENT_STAGES = frozenset({"$match", "$project", "$function"})
 
 
 class HashSharder:
@@ -226,15 +223,13 @@ class ShardedCollection:
 
     # -- aggregation -----------------------------------------------------
 
-    def aggregate(self, stages: list[dict[str, Any]],
-                  registry: FunctionRegistry | None = None
-                  ) -> AggregationResult:
+    def aggregate(self, stages: list[dict[str, Any]]) -> AggregationResult:
         """Run an aggregation pipeline, its per-document prefix per shard.
 
         The leading run of per-document stages (``$match`` /
-        ``$project`` / ``$addFields`` / ``$function``) executes on each
-        shard in turn — including the indexed ``$match`` pushdown each
-        shard applies locally.  When the remainder is a ranked page
+        ``$project`` / ``$function``) executes on each shard in turn —
+        including the indexed ``$match`` pushdown each shard applies
+        locally.  When the remainder is a ranked page
         (``$sort`` then ``$limit``, optionally with a ``$skip``), the
         per-shard partials are reduced to bounded heaps of the top
         ``skip+limit`` candidates and one more bounded heap merges them
@@ -243,7 +238,7 @@ class ShardedCollection:
         serial pipeline (stable-sort tie order included).  Any other
         remainder runs serially on the gathered partials.
         """
-        pipeline = AggregationPipeline(stages, registry)
+        pipeline = AggregationPipeline(stages)
         split = 0
         while split < len(stages) \
                 and next(iter(stages[split])) in _PER_DOCUMENT_STAGES:
@@ -253,7 +248,7 @@ class ShardedCollection:
             return pipeline.run(self.scan())
 
         sort_spec, skip, limit, consumed = self._ranked_page_plan(suffix)
-        prefix_pipeline = AggregationPipeline(prefix, pipeline.registry)
+        prefix_pipeline = AggregationPipeline(prefix)
         per_shard_stats: list[list[StageStats]] = []
         candidates: list[tuple[tuple[int, int], dict[str, Any]]] = []
         for shard_index, shard in enumerate(self.shards):
@@ -285,7 +280,7 @@ class ShardedCollection:
             suffix = suffix[consumed:]
         if not suffix:
             return AggregationResult(page, stats)
-        rest = AggregationPipeline(suffix, pipeline.registry).run(page)
+        rest = AggregationPipeline(suffix).run(page)
         return AggregationResult(rest.documents, stats + rest.stages)
 
     @staticmethod

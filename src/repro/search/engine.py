@@ -29,7 +29,6 @@ synonym expansion, or custom ranking functions.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -39,7 +38,6 @@ from repro.docstore.aggregation import (
     StageStats,
     aggregate,
 )
-from repro.docstore.functions import FunctionRegistry
 from repro.errors import QueryError
 from repro.search import columnar
 from repro.search.corpus import SearchCorpus
@@ -109,16 +107,13 @@ class SearchEngineBase:
     #: forces the scalar ``$match``/``$project``/``$function`` pipeline.
     use_columnar: bool = True
 
-    def __init__(self, registry: FunctionRegistry | None = None,
-                 expander=None,
+    def __init__(self, expander=None,
                  corpus: SearchCorpus | None = None) -> None:
         self.corpus = SearchCorpus() if corpus is None else corpus
         self.collection = self.corpus.collection
         self.tfidf = self.corpus.tfidf
-        self.registry = registry or FunctionRegistry()
         # The expander's one owner: match and score both read it here.
         self.ranking = RankingFunction(self.tfidf, expander=expander)
-        self._rank_serial = itertools.count(1)
 
     def add_paper(self, paper: dict[str, Any]) -> None:
         """Index one CORD-19-style paper into this engine's corpus."""
@@ -181,26 +176,17 @@ class SearchEngineBase:
                 paged, total = self._rank_columnar(index, spec, skip,
                                                    top_k)
                 return paged, total, time.perf_counter() - started
-        # A per-invocation name: concurrent queries against the same
-        # engine (the serving tier runs readers in parallel) must not
-        # overwrite each other's scorer between register and evaluate.
-        function_name = f"rank_{id(self)}_{next(self._rank_serial)}"
-        self.registry.register(
-            function_name, self.ranking.scorer(parsed, rank_fields)
-        )
         started = time.perf_counter()
         stages = [
             {"$match": match_plan.match_document()},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
-            {"$function": {"name": function_name, "as": "score"}},
+            {"$function": {"body": self.ranking.scorer(parsed, rank_fields),
+                           "as": "score"}},
             {"$sort": SORT_SPEC},
         ]
         if not self.full_sort:
             stages += [{"$skip": skip}, {"$limit": PAGE_SIZE}]
-        try:
-            ranked = aggregate(self.collection, stages, self.registry)
-        finally:
-            self.registry.unregister(function_name)
+        ranked = aggregate(self.collection, stages)
         seconds = time.perf_counter() - started
         # Every match is scored once.
         total = next(stats.docs_out for stats in ranked.stages

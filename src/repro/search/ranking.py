@@ -18,7 +18,7 @@ Score per document =
 :meth:`RankingFunction.query_plan` is the one scoring spec: the words
 with their stems, IDFs and synonym weights, the ``(field, weight)``
 pairs, and the proximity targets.  Both executors read it — the scalar
-closure from :meth:`RankingFunction.scorer`, registered as a
+closure from :meth:`RankingFunction.scorer`, the inline body of a
 ``$function`` stage so engines invoke it from inside the aggregation
 pipeline exactly as the paper's custom JavaScript functions do, and the
 columnar kernels (:mod:`repro.search.columnar`) over posting arrays.

@@ -1,5 +1,5 @@
 """Tests for what the docstore no longer knows: the stages outside
-PAPER.md §2 and the array expression operators."""
+PAPER.md §2 and the expression operators."""
 
 import pytest
 
@@ -36,7 +36,8 @@ class TestRetiredStages:
 
 
 class TestRetiredExpressions:
-    """Array expression operators no pipeline uses are unknown."""
+    """There are no expression operators: a ``$project`` that computes
+    a field is refused when the pipeline is built."""
 
     @pytest.mark.parametrize("expression", [
         {"$in": [1, "$rates"]},
@@ -47,7 +48,6 @@ class TestRetiredExpressions:
         {"$maxExpr": [1, 2]},
     ], ids=lambda expression: next(iter(expression)).lstrip("$"))
     def test_unknown_expression_operator(self, expression):
-        with pytest.raises(AggregationError,
-                           match="unknown expression operator"):
+        with pytest.raises(AggregationError, match="not expressions"):
             aggregate([{"rates": [1, 2]}],
                       [{"$project": {"out": expression}}])

@@ -152,17 +152,6 @@ class TestDifferentialReads:
         )
         assert sharded == [expected] * len(SHARD_COUNTS)
 
-    def test_aggregate_group_suffix_identical(self):
-        stages = [
-            {"$match": {"year": {"$gte": 2019}}},
-            {"$group": {"_id": "$group", "total": {"$sum": "$cites"}}},
-            {"$sort": {"_id": 1}},
-        ]
-        expected, sharded = differential(
-            lambda target: aggregate(target, stages)
-        )
-        assert sharded == [expected] * len(SHARD_COUNTS)
-
 
 class TestShardFailureStopsTheLoop:
     """Shard *k* raising propagates; no shard after *k* is visited."""

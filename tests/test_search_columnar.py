@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.functions import FunctionRegistry
 from repro.docstore.matching import compile_filter
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
@@ -69,7 +68,7 @@ def _build(engine_cls, num_papers=120, seed=11, num_segments=1, **kwargs):
     same rows.
     """
     rng = random.Random(seed)
-    engine = engine_cls(FunctionRegistry(), **kwargs)
+    engine = engine_cls(**kwargs)
     engine.add_papers([_make_paper(rng, i) for i in range(num_papers)])
     if num_segments > 1:
         install_segments(engine.corpus, [num_papers * k // num_segments
@@ -132,7 +131,7 @@ def test_every_kernel_candidate_is_the_scalar_match_and_score(papers,
                                                               words):
     """Not just the page: the kernel's whole candidate set is the scalar
     ``$match``'s, and every candidate's score ``==`` the scalar closure's."""
-    engine = AllFieldsEngine(FunctionRegistry())
+    engine = AllFieldsEngine()
     engine.add_papers([{
         "paper_id": f"p{i:03d}", "title": " ".join(title),
         "abstract": " ".join(abstract),
@@ -277,7 +276,7 @@ def test_query_spec_is_picklable():
 
 
 def test_spec_rejected_for_unfitted_model():
-    engine = AllFieldsEngine(FunctionRegistry())
+    engine = AllFieldsEngine()
     parsed = parse_query("covid")
     spec = columnar.build_query_spec(
         parsed,

@@ -16,7 +16,6 @@ import repro.search.corpus as corpus_module
 from repro.api.persistence import load_system, save_system
 from repro.api.system import CovidKG
 from repro.corpus.generator import CorpusGenerator
-from repro.docstore.functions import FunctionRegistry
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.corpus import SearchCorpus
 from repro.search.indexing import build_search_document, field_text
@@ -70,7 +69,7 @@ def test_shared_corpus_pages_equal_three_standalone_engines(
     assert all(engine.corpus is system.search_corpus for engine in engines)
 
     standalone = [
-        engine_cls(FunctionRegistry())
+        engine_cls()
         for engine_cls in (AllFieldsEngine, TitleAbstractCaptionEngine,
                            TableSearchEngine)
     ]

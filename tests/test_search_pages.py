@@ -23,7 +23,6 @@ import pytest
 
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.docstore.sharding import ShardedCollection
-from repro.docstore.functions import FunctionRegistry
 from repro.gateway.routes import encode_value
 from repro.search import engine as engine_module
 from repro.search.all_fields import AllFieldsEngine
@@ -60,7 +59,7 @@ def _engines(papers, num_segments=1):
     """The three engines on one corpus holding ``num_segments`` segments."""
     corpus = SearchCorpus()
     engines = [
-        engine_cls(FunctionRegistry(), corpus=corpus)
+        engine_cls(corpus=corpus)
         for engine_cls in (AllFieldsEngine, TitleAbstractCaptionEngine,
                            TableSearchEngine)
     ]
@@ -145,12 +144,12 @@ def test_quoted_phrase_pages_are_byte_identical_on_every_path(
     real_aggregate = engine_module.aggregate
     over_copies = []
 
-    def aggregate_over_find(source, stages, registry=None):
+    def aggregate_over_find(source, stages):
         if isinstance(source, ShardedCollection):
             over_copies.append(stages[0]["$match"])
             source = source.find(stages[0]["$match"]).to_list()
             stages = stages[1:]
-        return real_aggregate(source, stages, registry)
+        return real_aggregate(source, stages)
 
     with monkeypatch.context() as patched:
         patched.setattr(engine_module, "aggregate", aggregate_over_find)

@@ -17,7 +17,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docstore.functions import FunctionRegistry
 from repro.search import columnar
 from repro.search.all_fields import AllFieldsEngine
 from repro.search.indexing import ALL_SEARCH_FIELDS
@@ -97,7 +96,7 @@ def _check_shape(index, collection_size):
 ))
 def test_delta_tier_stays_geometric_and_answers_like_one_build(commits):
     """``commits``: (papers in the commit, refresh the index after it)."""
-    engine = AllFieldsEngine(FunctionRegistry())
+    engine = AllFieldsEngine()
     corpus = engine.corpus
     engine.add_papers(PAPERS[:10])
     base = corpus.columnar_index().segments[0]
@@ -132,7 +131,7 @@ def test_delta_tier_stays_geometric_and_answers_like_one_build(commits):
 
 def test_pages_equal_a_one_shot_build_after_every_fold():
     """4-paper commits, the benchmark's shape: every refresh checked."""
-    engine = AllFieldsEngine(FunctionRegistry())
+    engine = AllFieldsEngine()
     corpus = engine.corpus
     engine.add_papers(PAPERS[:20])
     corpus.columnar_index()
@@ -156,7 +155,7 @@ def test_pages_equal_a_one_shot_build_after_every_fold():
 
 
 def test_non_append_mutation_after_folds_rebuilds():
-    engine = AllFieldsEngine(FunctionRegistry())
+    engine = AllFieldsEngine()
     corpus = engine.corpus
     engine.add_papers(PAPERS[:20])
     base = corpus.columnar_index()
