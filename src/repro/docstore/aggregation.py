@@ -164,14 +164,14 @@ class AggregationPipeline:
                     value in (0, 1, True, False)
                     for value in spec.values())):
                 raise AggregationError(
-                    f"$project takes 0/1 inclusions, not expressions: "
+                    "$project takes 0/1 inclusions, not expressions: "
                     f"{spec!r}"
                 )
             if name == "$function" and not (
                     isinstance(spec, dict) and callable(spec.get("body"))
                     and isinstance(spec.get("as"), str)):
                 raise AggregationError(
-                    f"$function needs a callable 'body' and an 'as': "
+                    "$function needs a callable 'body' and an 'as': "
                     f"{spec!r}"
                 )
 
