@@ -10,7 +10,10 @@ Regenerates: wall-clock and per-stage document flow for three pipeline
 layouts over growing corpora — (a) $match first (the paper's design),
 (b) $match after the expensive $function stage, (c) $match first but no
 $project pruning.  Shape to reproduce: (a) fastest; (b) pays the ranking
-function on every document; (c) between the two.
+function on every document; (c) between the two.  E3c counts the rows a
+quoted phrase's $match examines with and without the ``paper_id``
+``$in`` conjunct the search engines put in front of it (the columnar
+atom dictionaries' candidates): the regex runs on those rows only.
 """
 
 import time
@@ -19,7 +22,10 @@ from benchlib import print_table
 
 from repro.docstore.aggregation import aggregate
 from repro.docstore.collection import Collection
-from repro.search.indexing import build_search_document
+from repro.search.all_fields import AllFieldsEngine
+from repro.search.columnar import MatchPlan
+from repro.search.indexing import ALL_SEARCH_FIELDS, build_search_document
+from repro.search.query import parse_query
 
 
 def _collection(corpus, size):
@@ -136,3 +142,34 @@ def test_e3_match_pushdown_uses_index(medium_corpus, benchmark):
     benchmark(lambda: aggregate(collection, [
         {"$match": {"journal": target}},
     ]))
+
+
+def test_e3_phrase_match_examines_only_atom_candidates(medium_corpus):
+    """E3c: rows a phrase pipeline's $match examines (``scan_count``)."""
+    engine = AllFieldsEngine()
+    engine.add_papers(medium_corpus)
+    plan = MatchPlan.terms_over_fields(parse_query('"vaccine efficacy"'),
+                                       ALL_SEARCH_FIELDS)
+    ids = engine.corpus.columnar_index().candidate_ids(plan.prefix_clauses())
+    assert ids is not None  # the phrase's prefix narrows the corpus
+    shards = engine.collection.shards
+    rows = []
+    for strategy, match in (
+            ("regex over every row", plan.match_document()),
+            ("paper_id $in candidates",
+             {"paper_id": {"$in": ids}, **plan.match_document()})):
+        before = sum(shard.scan_count for shard in shards)
+        result = aggregate(engine.collection,
+                           [{"$match": match}, {"$project": PROJECT}, RANK])
+        rows.append([strategy, sum(shard.scan_count for shard in shards)
+                     - before, len(ids), len(result.documents)])
+    print_table(
+        "E3c: index-backed $match for a quoted phrase",
+        ["strategy", "rows examined", "candidates", "rows matched"],
+        rows,
+        note="the candidates come from the columnar atom dictionaries",
+    )
+    (_, full, _, matched), (_, indexed, _, indexed_matched) = rows
+    assert full == len(medium_corpus)
+    assert indexed <= len(ids) < full
+    assert indexed_matched == matched

@@ -19,11 +19,15 @@ are ``$match → $project → $function`` pipelines, ranked and paged by
 * ``{"$sort": {field: 1|-1}}``, ``{"$skip": n}``, ``{"$limit": n}``.
 
 A malformed stage raises :class:`~repro.errors.AggregationError` when the
-pipeline is built, before any document is read.
+pipeline is built, before any document is read; each ``$match`` filter
+is compiled there too, once (a malformed one raises
+:class:`~repro.errors.QueryError`), and a sharded run hands the leading
+one's predicate to every shard.
 
 Every run returns both the result documents and per-stage statistics
 (documents in/out, wall time), which the E3 benchmark uses to show the
-cost of mis-ordered stages.
+cost of mis-ordered stages.  A pushed-down ``$match(indexed)`` counts in
+the rows its scan examined, so an index that narrowed it shows.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.docstore.documents import (
     deep_get,
     deep_set,
 )
-from repro.docstore.matching import compile_filter
+from repro.docstore.matching import Predicate, compile_filter
 from repro.errors import AggregationError
 
 #: Every stage name the pipeline engine implements: the ones the search
@@ -152,7 +156,9 @@ class AggregationPipeline:
 
     def __init__(self, stages: list[dict[str, Any]]) -> None:
         self.stages = stages
-        for stage in stages:
+        #: Stage position -> its ``$match`` filter, compiled.
+        self._filters: dict[int, Predicate] = {}
+        for position, stage in enumerate(stages):
             if len(stage) != 1:
                 raise AggregationError(
                     f"each stage must have exactly one key: {stage!r}"
@@ -174,45 +180,50 @@ class AggregationPipeline:
                     "$function needs a callable 'body' and an 'as': "
                     f"{spec!r}"
                 )
+            if name == "$match":
+                self._filters[position] = compile_filter(spec)
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, source: Collection | Iterable[dict[str, Any]]
-            ) -> AggregationResult:
-        """Execute the pipeline and collect per-stage statistics."""
+    def run(self, source: Collection | Iterable[dict[str, Any]],
+            start: int = 0, stop: int | None = None) -> AggregationResult:
+        """Execute ``stages[start:stop]`` and collect per-stage statistics."""
         stats: list[StageStats] = []
         documents: list[dict[str, Any]]
-        stages = self.stages
+        positions = range(len(self.stages))[start:stop]
 
         if isinstance(source, Collection):
             # $match pushdown: a leading $match runs against the collection
             # (using its indexes) instead of a full materialized scan.
-            if stages and "$match" in stages[0]:
+            if positions and positions[0] in self._filters:
                 started = time.perf_counter()
-                docs_in = len(source)
-                query = stages[0]["$match"]
-                if len(stages) > 1 and "$project" in stages[1]:
+                examined = source.scan_count
+                rows = source.scan(self.stages[positions[0]]["$match"],
+                                   self._filters[positions[0]])
+                if len(positions) > 1 \
+                        and "$project" in self.stages[positions[1]]:
                     # apply_projection deep-copies everything it keeps,
                     # so the unprojected copy is never materialised: the
                     # stored rows go straight into the $project stage.
-                    documents = list(source.scan(query))
+                    documents = list(rows)
                 else:
-                    documents = source.find(query).to_list()
+                    documents = [deep_copy_document(row) for row in rows]
                 stats.append(StageStats(
-                    "$match(indexed)", docs_in, len(documents),
-                    time.perf_counter() - started,
+                    "$match(indexed)", source.scan_count - examined,
+                    len(documents), time.perf_counter() - started,
                 ))
-                stages = stages[1:]
+                positions = positions[1:]
             else:
                 documents = list(source.all_documents())
         else:
             documents = [deep_copy_document(doc) for doc in source]
 
-        for stage in stages:
-            name, spec = next(iter(stage.items()))
+        for position in positions:
+            name, spec = next(iter(self.stages[position].items()))
             started = time.perf_counter()
             docs_in = len(documents)
-            documents = getattr(self, "_stage_" + name[1:])(documents, spec)
+            documents = getattr(self, "_stage_" + name[1:])(
+                documents, self._filters.get(position, spec))
             stats.append(StageStats(
                 name, docs_in, len(documents),
                 time.perf_counter() - started,
@@ -222,8 +233,7 @@ class AggregationPipeline:
     # -- stages ---------------------------------------------------------------
 
     def _stage_match(self, documents: list[dict[str, Any]],
-                     spec: dict[str, Any]) -> list[dict[str, Any]]:
-        predicate = compile_filter(spec)
+                     predicate: Predicate) -> list[dict[str, Any]]:
         return [doc for doc in documents if predicate(doc)]
 
     def _stage_project(self, documents: list[dict[str, Any]],

@@ -25,7 +25,7 @@ from repro.docstore.indexes import FieldIndex
 from repro.docstore.matching import (
     Predicate,
     compile_filter,
-    equality_constraints,
+    key_constraints,
 )
 from repro.errors import DuplicateKeyError, QueryError
 
@@ -168,31 +168,35 @@ class Collection:
     def _candidates(self, query: dict[str, Any]) -> Iterable[Any]:
         """Choose the cheapest candidate id set using available indexes."""
         best: set[Any] | None = None
-        for path, value in equality_constraints(query).items():
+        for path, values in key_constraints(query).items():
             index = self._field_indexes.get(path)
             if index is None:
                 continue
-            ids = index.lookup(value)
+            ids = index.lookup(*values)
             if best is None or len(ids) < len(best):
                 best = ids
         if best is None:
             return list(self._documents)
         return best
 
-    def scan(self, query: dict[str, Any] | None = None
+    def scan(self, query: dict[str, Any] | None = None,
+             predicate: Predicate | None = None
              ) -> Iterator[dict[str, Any]]:
         """Yield the *stored* documents matching ``query``, uncopied.
 
         The one read loop under ``find``, ``find_one``, ``count`` and the
         aggregation ``$match`` pushdown: the filter is compiled once
-        (so a malformed one raises here, even on an empty collection),
-        candidates come from the indexes and every document examined
-        counts into ``scan_count``.  The rows are the collection's own
-        state — read-only for the caller, who copies whatever it hands
-        on (reads copy on the way out, once).
+        (so a malformed one raises here, even on an empty collection) —
+        or handed in as ``predicate``, ``query`` compiled by a caller
+        that scans several collections — candidates come from the
+        indexes and every document examined counts into
+        ``scan_count``.  The rows are the collection's own state —
+        read-only for the caller, who copies whatever it hands on
+        (reads copy on the way out, once).
         """
         query = query or {}
-        predicate = compile_filter(query)
+        if predicate is None:
+            predicate = compile_filter(query)
         return self._scan(self._candidates(query), predicate)
 
     def _scan(self, candidates: Iterable[Any], predicate: Predicate

@@ -66,9 +66,12 @@ class FieldIndex:
                 if not bucket:
                     del self._buckets[key]
 
-    def lookup(self, value: Any) -> set[Any]:
-        """Document ids whose indexed field equals ``value``."""
-        return set(self._buckets.get(_freeze(value), set()))
+    def lookup(self, *values: Any) -> set[Any]:
+        """Document ids whose indexed field equals one of ``values``."""
+        ids: set[Any] = set()
+        for value in values:
+            ids.update(self._buckets.get(_freeze(value), ()))
+        return ids
 
     def __len__(self) -> int:
         return len(self._doc_keys)

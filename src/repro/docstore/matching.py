@@ -125,20 +125,35 @@ def _ordering(compare: Callable[[Any, Any], bool], operand: Any) -> _Test:
     return fanned_out
 
 
+#: Types whose ``==`` agrees with their hash across one another, so a
+#: set finds exactly what a list scan finds (``ObjectId`` also equals
+#: its string form, which hashes differently; dicts and lists do not
+#: hash).
+_SET_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _membership(op: str, operand: Any) -> _Test:
     if not isinstance(operand, (list, tuple)):
         raise QueryError(f"{op} requires a list")
+    members = frozenset(operand) if all(
+        type(item) in _SET_TYPES for item in operand) else None
+
+    def contains(value: Any) -> bool:
+        if members is not None and type(value) in _SET_TYPES:
+            return value in members
+        return value in operand
+
     if op == "$in":
         def is_in(value: Any) -> bool:
             if isinstance(value, list):
-                return any(item in operand for item in value)
-            return value in operand
+                return any(contains(item) for item in value)
+            return contains(value)
         return is_in
 
     def not_in(value: Any) -> bool:
         if isinstance(value, list):
-            return all(item not in operand for item in value)
-        return value not in operand
+            return not any(contains(item) for item in value)
+        return not contains(value)
 
     return not_in
 
@@ -369,15 +384,32 @@ def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
     return compile_filter(query)(document)
 
 
-def equality_constraints(query: dict[str, Any]) -> dict[str, Any]:
-    """Extract top-level ``field == literal`` constraints for index lookup."""
-    constraints: dict[str, Any] = {}
+def key_constraints(query: dict[str, Any]) -> dict[str, list[Any]]:
+    """Top-level paths ``query`` pins to a few values, for index lookup.
+
+    Each path maps to the values one of which it must equal — a
+    literal, an ``$eq`` or an ``$in`` — so the documents holding one of
+    them are every candidate.  A path is left out when a value would
+    match more than its hash bucket: ``None`` (also a missing field), a
+    list or tuple (also the whole array, which is indexed element by
+    element) or a dict.
+
+    >>> key_constraints({"a": 1, "b": {"$in": ["x", "y"]}, "c": [1]})
+    {'a': [1], 'b': ['x', 'y']}
+    """
+    constraints: dict[str, list[Any]] = {}
     for key, spec in query.items():
         if key.startswith("$"):
             continue
-        if _is_operator_doc(spec):
-            if set(spec) == {"$eq"}:
-                constraints[key] = spec["$eq"]
-        elif not isinstance(spec, dict):
-            constraints[key] = spec
+        if not _is_operator_doc(spec):
+            values = [spec]
+        elif "$eq" in spec:
+            values = [spec["$eq"]]
+        elif isinstance(spec.get("$in"), (list, tuple)):
+            values = list(spec["$in"])
+        else:
+            continue
+        if not any(value is None or isinstance(value, (list, tuple, dict))
+                   for value in values):
+            constraints[key] = values
     return constraints

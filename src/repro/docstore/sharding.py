@@ -36,7 +36,7 @@ from repro.docstore.aggregation import (
 )
 from repro.docstore.collection import Collection, Cursor
 from repro.docstore.documents import deep_get
-from repro.docstore.matching import equality_constraints
+from repro.docstore.matching import key_constraints
 from repro.errors import ShardingError
 
 _MISSING = object()
@@ -103,12 +103,14 @@ class ShardedCollection:
         return self.shards[self.sharder.shard_for(key_value)]
 
     def _target_shards(self, query: dict[str, Any]) -> list[Collection]:
-        """Targeted routing when the query pins the shard key, else all."""
-        constraints = equality_constraints(query)
-        if self.shard_key in constraints:
-            value = constraints[self.shard_key]
-            return [self.shards[self.sharder.shard_for(value)]]
-        return self.shards
+        """The shards owning a value the query pins the shard key to
+        (``$eq``, ``$in``, a literal), in shard order; else all."""
+        values = key_constraints(query).get(self.shard_key)
+        if values is None:
+            return self.shards
+        owners = {self.sharder.shard_for(value) for value in values}
+        return [shard for number, shard in enumerate(self.shards)
+                if number in owners]
 
     # -- index management ----------------------------------------------------
 
@@ -226,10 +228,12 @@ class ShardedCollection:
     def aggregate(self, stages: list[dict[str, Any]]) -> AggregationResult:
         """Run an aggregation pipeline, its per-document prefix per shard.
 
-        The leading run of per-document stages (``$match`` /
-        ``$project`` / ``$function``) executes on each shard in turn —
-        including the indexed ``$match`` pushdown each shard applies
-        locally.  When the remainder is a ranked page
+        The pipeline is built (its filters compiled) once.  The leading
+        run of per-document stages (``$match`` / ``$project`` /
+        ``$function``) executes on each shard in turn — including the
+        indexed ``$match`` pushdown each shard applies locally — and a
+        leading ``$match`` that pins the shard key skips the shards
+        owning none of its values.  When the remainder is a ranked page
         (``$sort`` then ``$limit``, optionally with a ``$skip``), the
         per-shard partials are reduced to bounded heaps of the top
         ``skip+limit`` candidates and one more bounded heap merges them
@@ -243,16 +247,22 @@ class ShardedCollection:
         while split < len(stages) \
                 and next(iter(stages[split])) in _PER_DOCUMENT_STAGES:
             split += 1
-        prefix, suffix = stages[:split], stages[split:]
-        if not prefix:
+        if not split:
             return pipeline.run(self.scan())
 
-        sort_spec, skip, limit, consumed = self._ranked_page_plan(suffix)
-        prefix_pipeline = AggregationPipeline(prefix)
+        sort_spec, skip, limit, consumed = self._ranked_page_plan(
+            stages[split:])
+        targets = self.shards
+        if "$match" in stages[0]:
+            # At least one shard runs, so every stage keeps its stats.
+            targets = self._target_shards(stages[0]["$match"]) \
+                or self.shards[:1]
         per_shard_stats: list[list[StageStats]] = []
         candidates: list[tuple[tuple[int, int], dict[str, Any]]] = []
         for shard_index, shard in enumerate(self.shards):
-            partial = prefix_pipeline.run(shard)
+            if shard not in targets:
+                continue
+            partial = pipeline.run(shard, stop=split)
             tagged = [
                 ((shard_index, position), document)
                 for position, document in enumerate(partial.documents)
@@ -277,10 +287,10 @@ class ShardedCollection:
                 "$sort(top-k)", stats[-1].docs_out, len(page),
                 time.perf_counter() - started,
             ))
-            suffix = suffix[consumed:]
-        if not suffix:
+            split += consumed
+        if split == len(stages):
             return AggregationResult(page, stats)
-        rest = AggregationPipeline(suffix).run(page)
+        rest = pipeline.run(page, start=split)
         return AggregationResult(rest.documents, stats + rest.stages)
 
     @staticmethod

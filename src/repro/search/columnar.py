@@ -11,9 +11,9 @@ with numpy batch operations:
   — built once from the stored documents with the exact tokenizer and
   stemmer the scalar scorer uses;
 * per segment and per field, an *atom* dictionary (sorted unique ``\\w+``
-  runs of the raw text, case-folded) that reproduces the ``$match``
-  regex semantics (``\\b(?:stem|word)\\w*``, ``IGNORECASE``) as two
-  binary searches per query term;
+  runs of the raw text, folded by :func:`fold` the way ``IGNORECASE``
+  compares) that reproduces the ``$match`` regex semantics
+  (``\\b(?:stem|word)\\w*``) as two binary searches per query term;
 * per segment, the precomputed static scores, paper ids, and a table
   of :func:`~repro.text.tfidf.tf_weight` by integer tf, so kernel
   TF-IDF values are bit-identical to the scalar ``tf_weight(tf) * idf``;
@@ -25,7 +25,11 @@ The kernel path only engages when it can reproduce the scalar reference
 quoted phrases, synonym expansion, custom ``$function`` rankers,
 non-alphanumeric terms — falls back to the scalar pipeline.  Ordering is
 preserved exactly: score descending, ``paper_id`` ascending, then row,
-the same composite the store's heap merge uses.
+the same composite the store's heap merge uses.  The fallback still
+reads the atom dictionaries: :meth:`ColumnarIndex.candidate_ids` names
+a superset of the rows its ``$match`` accepts (one prefix per atom,
+:meth:`MatchPlan.prefix_clauses`), so the regexes run on those rows
+only.
 
 Segments hold the sharded store's own rows, uncopied, shard after
 shard; the page does not depend on that order (the store's unique
@@ -76,8 +80,64 @@ from repro.text.tokenizer import tokenize
 _ATOM_RE = re.compile(r"\w+")
 
 #: Kernel-eligible roots/words: pure lowercase ASCII alphanumerics, for
-#: which "regex prefix match" and "atom prefix match" provably coincide.
+#: which "the regex matches at an atom's start" and "the :func:`fold`-ed
+#: atom starts with the word" coincide.
 _ALNUM_RE = re.compile(r"[a-z0-9]+\Z")
+_ALNUM_HEAD_RE = re.compile(r"[a-z0-9]+")
+
+#: ``IGNORECASE`` holds two characters equal when their simple lowercase
+#: forms are equal or share one of sre's equivalence classes.
+#: ``str.lower`` is the simple mapping except for U+0130 (İ lowers to
+#: two characters, "i" + U+0307), so that one folds first; the two classes
+#: holding an ASCII letter (i ı, s ſ) fold onto it after.  ``casefold``
+#: would also expand ß and ﬁ into two letters, which the regex never does.
+_FOLD_FIRST = {0x130: "i"}
+_FOLD_CLASSES = {0x131: "i", 0x17F: "s"}
+
+#: ``(field, prefixes)`` atoms in CNF: a row needs, in every clause, an
+#: atom whose field holds a folded ``\w+`` run starting with one of its
+#: prefixes.  ``None`` prefixes admit every row.
+PrefixClauses = tuple[tuple[tuple[str, tuple[str, ...] | None], ...], ...]
+
+
+def fold(text: str) -> str:
+    """``text`` folded character by character the way ``IGNORECASE``
+    compares it with an ASCII letter or digit.
+
+    One character in, one out, and ``\\w`` stays ``\\w``, so a folded
+    ``\\w+`` run starts with a lowercase ASCII-alphanumeric word exactly
+    when the regex, ignoring case, matches that word at the run's start.
+
+    >>> fold("İnfluenza Remdesıvir Straße")
+    'influenza remdesivir straße'
+    """
+    if text.isascii():
+        return text.lower()
+    return text.translate(_FOLD_FIRST).lower().translate(_FOLD_CLASSES)
+
+
+def atom_prefix(word: str) -> str | None:
+    """What every atom a ``\\b``-anchored match of ``word`` lands on starts
+    with, or ``None`` when no ASCII-alphanumeric prefix is safe.
+
+    Matched ignoring case from a word boundary, the first ``\\w`` run of
+    ``word`` starts a ``\\w+`` run of the text, so the folded run starts
+    with the leading ``[a-z0-9]+`` of the folded ``word`` run.
+    """
+    run = _ATOM_RE.search(fold(word))
+    head = _ALNUM_HEAD_RE.match(run.group()) if run else None
+    return head.group() if head else None
+
+
+def _term_prefixes(term: QueryTerm) -> tuple[str, ...] | None:
+    """A term's atom prefixes: one per alternative of its pattern —
+    ``\\b(?:root|word)\\w*`` for a loose term, ``\\b`` + the literal for a
+    quoted one or a synonym."""
+    words = (term.text,) if term.exact else (stem(term.text), term.text)
+    prefixes = [atom_prefix(word) for word in words]
+    if None in prefixes:
+        return None
+    return tuple(dict.fromkeys(prefixes))
 
 # -- match plans ------------------------------------------------------------
 
@@ -139,6 +199,20 @@ class MatchPlan:
             for field, parsed in field_queries
         ))
 
+    def prefix_clauses(self) -> PrefixClauses:
+        """The clauses as ``(field, prefixes)`` atoms for the atom
+        dictionaries: every row the :meth:`match_document` accepts is
+        one :func:`candidate_rows` admits."""
+        # One derivation per term object, however many fields it spans.
+        prefixes = {id(term): term for clause in self.clauses
+                    for _field, term in clause}
+        for key, term in prefixes.items():
+            prefixes[key] = _term_prefixes(term)
+        return tuple(
+            tuple((field, prefixes[id(term)]) for field, term in clause)
+            for clause in self.clauses
+        )
+
     def match_document(self) -> dict[str, Any]:
         """The ``$match`` stage document the scalar pipeline runs."""
         clauses = []
@@ -153,12 +227,12 @@ class MatchPlan:
 class QuerySpec:
     """A fully-planned kernel query.
 
-    ``clauses`` drive candidate selection (atoms as ``(field, root,
-    word)``); ``plan`` is the scalar scorer's own query plan, which the
-    kernels score from.
+    ``clauses`` drive candidate selection (atoms as ``(field, (root,
+    word))``, :meth:`MatchPlan.prefix_clauses`); ``plan`` is the scalar
+    scorer's own query plan, which the kernels score from.
     """
 
-    clauses: tuple[tuple[tuple[str, str, str], ...], ...]
+    clauses: PrefixClauses
     plan: QueryPlan
 
 
@@ -203,18 +277,14 @@ def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,
     indexed = set(indexed_fields)
     if any(field not in indexed for field in rank_fields):
         return None
-    clauses = []
-    for clause in match_plan.clauses:
-        atoms = []
-        for field, term in clause:
-            if field not in indexed or term.exact:
-                return None
-            atoms.append((field, stem(term.text), term.text))
-        clauses.append(tuple(atoms))
+    if any(field not in indexed or term.exact
+           for clause in match_plan.clauses for field, term in clause):
+        return None
     # One query plan feeds both executors: eligibility rules out
     # synonyms (no weights) and phrases (every proximity entry is a
     # loose stem), and a fitted model leaves no IDF undefined.
-    return QuerySpec(tuple(clauses), ranking.query_plan(parsed, rank_fields))
+    return QuerySpec(match_plan.prefix_clauses(),
+                     ranking.query_plan(parsed, rank_fields))
 
 
 # -- columnar storage -------------------------------------------------------
@@ -235,9 +305,8 @@ class FieldColumns:
                 occurrences.setdefault(stem(token), []).append(position)
             for stemmed, positions in occurrences.items():
                 postings.setdefault(stemmed, []).append((row, positions))
-            for atom in set(_ATOM_RE.findall(text)):
-                folded = atom.casefold()
-                rows = atom_rows.setdefault(folded, [])
+            for atom in set(_ATOM_RE.findall(fold(text))):
+                rows = atom_rows.setdefault(atom, [])
                 if not rows or rows[-1] != row:
                     rows.append(row)
         self.stem_index = {s: i for i, s in enumerate(postings)}
@@ -324,16 +393,23 @@ class SegmentColumns:
 
 # -- kernels ----------------------------------------------------------------
 
-def _candidate_rows(cols: SegmentColumns, spec: QuerySpec) -> "np.ndarray":
-    """Rows satisfying the CNF match plan, in insertion (row) order."""
+def candidate_rows(cols: SegmentColumns,
+                   clauses: PrefixClauses) -> "np.ndarray":
+    """Rows the CNF admits, in insertion (row) order.
+
+    Exactly the ``$match`` rows for a kernel query; a superset for any
+    other, whose clause is skipped when an atom has no prefix or no
+    columns (it admits every row).
+    """
     mask = np.ones(cols.num_rows, dtype=bool)
-    for clause in spec.clauses:
+    for clause in clauses:
+        if any(prefixes is None or field not in cols.fields
+               for field, prefixes in clause):
+            continue
         clause_mask = np.zeros(cols.num_rows, dtype=bool)
-        for field, root, word in clause:
-            fc = cols.fields.get(field)
-            if fc is None:
-                continue
-            for prefix in dict.fromkeys((root, word)):
+        for field, prefixes in clause:
+            fc = cols.fields[field]
+            for prefix in prefixes:
                 rows = fc.prefix_rows(prefix)
                 if len(rows):
                     clause_mask[rows] = True
@@ -420,7 +496,7 @@ def score_segment(cols: SegmentColumns, spec: QuerySpec, top_k: int
     descending, paper_id ascending, insertion (row) ascending — the
     exact composite the scalar heap merge sorts by.
     """
-    cand = _candidate_rows(cols, spec)
+    cand = candidate_rows(cols, spec.clauses)
     total = int(cand.size)
     if not total:
         return 0, []
@@ -564,6 +640,16 @@ class ColumnarIndex:
                           for score, paper_id, row in partial)
         merged.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
         return total, merged[:top_k]
+
+    def candidate_ids(self, clauses: PrefixClauses) -> list[Any] | None:
+        """The ``paper_id`` of every row :func:`candidate_rows` admits,
+        segment by segment, or ``None`` when that is every row."""
+        ids = []
+        for segment in self.segments:
+            rows = candidate_rows(segment.cols, clauses)
+            ids.extend(segment.documents[row]["paper_id"]
+                       for row in rows.tolist())
+        return None if len(ids) == self.num_rows else ids
 
     def _segment_for(self, row: int) -> Segment:
         for segment in reversed(self.segments):

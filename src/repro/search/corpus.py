@@ -35,6 +35,9 @@ class SearchCorpus:
         self.collection = collection if collection is not None else \
             ShardedCollection("publications", shard_key="paper_id",
                               num_shards=1)
+        # The columnar prefilter names its rows by paper_id (a no-op on
+        # a store that already indexes it).
+        self.collection.create_index("paper_id")
         self.tfidf = TfIdfModel()
         # Version-stamped columnar index; refreshed lazily whenever the
         # docstore/model stamp moves — extended with delta segments for

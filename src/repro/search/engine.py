@@ -24,7 +24,13 @@ When a query is expressible as batch array operations the whole
 match/score/top-k path instead runs on the columnar numpy kernels of
 :mod:`repro.search.columnar` — byte-identical results, no per-document
 Python — falling back to the scalar pipeline for quoted phrases,
-synonym expansion, or custom ranking functions.
+synonym expansion, or custom ranking functions.  The fallback does not
+scan for its matches: the columnar snapshot's atom dictionaries name a
+superset of them (:meth:`~repro.search.columnar.ColumnarIndex.candidate_ids`),
+and a ``{"paper_id": {"$in": ids}}`` conjunct in front of the unchanged
+``$match`` lets the store read only those rows, each still decided by
+the full regex filter.  ``use_columnar = False`` and ``full_sort = True``
+keep the unindexed scan.
 """
 
 from __future__ import annotations
@@ -152,8 +158,9 @@ class SearchEngineBase:
         a kernel-eligible query hands it to the columnar planner, every
         other query runs it as the ``$match`` document of the
         ``$match``/``$project``/``$function`` prefix, which the store
-        runs on every shard.  Ranking then takes the top-k path — the
-        store's per-shard bounded heaps of the ``page * PAGE_SIZE`` best
+        runs on every shard that owns a candidate of the columnar
+        prefilter.  Ranking then takes the top-k path — the store's
+        per-shard bounded heaps of the ``page * PAGE_SIZE`` best
         candidates and one bounded merge that cuts the page — unless
         ``full_sort`` asks for the reference full ``$sort``.
         """
@@ -161,24 +168,30 @@ class SearchEngineBase:
             raise QueryError("pages are 1-based")
         skip = (page - 1) * PAGE_SIZE
         top_k = page * PAGE_SIZE
-        if self.use_columnar and not self.full_sort:
-            spec = columnar.build_query_spec(
-                parsed, match_plan, rank_fields, self.ranking,
-                ALL_SEARCH_FIELDS,
-            )
+        indexed = self.use_columnar and not self.full_sort
+        spec = columnar.build_query_spec(
+            parsed, match_plan, rank_fields, self.ranking, ALL_SEARCH_FIELDS,
+        ) if indexed else None
+        started = time.perf_counter()
+        ids = None
+        if indexed:
+            # One atomic snapshot per query: the same index object
+            # serves candidate ranking *and* page fetch, so a
+            # concurrent ingest can refresh the corpus's snapshot
+            # without a half-updated view ever being observable.
+            index = self.corpus.columnar_index()
             if spec is not None:
-                started = time.perf_counter()
-                # One atomic snapshot per query: the same index object
-                # serves candidate ranking *and* page fetch, so a
-                # concurrent ingest can refresh the corpus's snapshot
-                # without a half-updated view ever being observable.
-                index = self.corpus.columnar_index()
                 paged, total = self._rank_columnar(index, spec, skip,
                                                    top_k)
                 return paged, total, time.perf_counter() - started
-        started = time.perf_counter()
+            ids = index.candidate_ids(match_plan.prefix_clauses())
+        match = match_plan.match_document()
+        if ids is not None:
+            # The store reads only the rows the atom dictionaries
+            # admit; the regex filter still decides each of them.
+            match = {"paper_id": {"$in": ids}, **match}
         stages = [
-            {"$match": match_plan.match_document()},
+            {"$match": match},
             {"$project": {name: 1 for name in PROJECTED_FIELDS}},
             {"$function": {"body": self.ranking.scorer(parsed, rank_fields),
                            "as": "score"}},

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from repro.docstore.aggregation import aggregate
 from repro.docstore.collection import Collection
+from repro.docstore.documents import ObjectId
 from repro.docstore.matching import (
     compile_filter,
-    equality_constraints,
+    key_constraints,
     matches,
 )
 from repro.docstore.sharding import ShardedCollection
 from repro.errors import QueryError
+from tests.matching_reference import matches as reference_matches
 
 DOC = {
     "title": "Vaccine efficacy study",
@@ -83,6 +85,28 @@ class TestComparisons:
         assert matches(DOC, {"year": {"$in": [2020, 2021]}})
         assert matches(DOC, {"year": {"$nin": [1999]}})
         assert matches(DOC, {"tags": {"$in": ["vaccine", "zzz"]}})
+
+    def test_in_nin_keep_list_equality_where_a_set_would_differ(self):
+        # Hashable operands compile to a set; a dict or list item, or an
+        # ObjectId (equal to its string form, hashed differently), keeps
+        # the list's == comparison.  Same verdicts as the reference.
+        oid = ObjectId(7)
+        cases = [
+            ({"a": {"k": 1}}, [{"k": 1}, [1, 2], 3], True),
+            ({"a": [[1, 2]]}, [{"k": 1}, [1, 2], 3], True),
+            ({"a": 3.0}, [{"k": 1}, [1, 2], 3], True),
+            ({"a": [1, 2]}, [{"k": 1}, [1, 2], 3], False),
+            ({"a": oid}, [str(oid)], True),
+            ({"a": str(oid)}, [oid], True),
+            ({"a": {"k": 1}}, [1, "k"], False),  # no TypeError
+            ({"a": [{"k": 1}, 2]}, [1, "k", 2.0], True),
+            ({"a": True}, [1], True),
+        ]
+        for document, operand, found in cases:
+            for op, want in (("$in", found), ("$nin", not found)):
+                query = {"a": {op: operand}}
+                assert matches(document, query) is want, (document, query)
+                assert reference_matches(document, query) is want
 
     def test_in_requires_list(self):
         with pytest.raises(QueryError):
@@ -226,9 +250,11 @@ class TestCompileTimeValidation:
 
 
 class TestHelpers:
-    def test_equality_constraints(self):
-        query = {"a": 1, "b": {"$eq": 2}, "c": {"$gt": 3}, "$or": []}
-        assert equality_constraints(query) == {"a": 1, "b": 2}
+    def test_key_constraints(self):
+        query = {"a": 1, "b": {"$eq": 2}, "c": {"$gt": 3}, "$or": [],
+                 "d": {"$in": [4, 5], "$ne": 4}, "e": None,
+                 "f": {"$in": [6, None]}, "g": [7], "h": {"$eq": {"k": 8}}}
+        assert key_constraints(query) == {"a": [1], "b": [2], "d": [4, 5]}
 
 
 @given(st.integers(), st.integers())

@@ -11,10 +11,11 @@ import threading
 
 import pytest
 
+from repro.docstore import aggregation
 from repro.docstore.aggregation import AggregationPipeline, StageStats
 from repro.docstore.collection import Collection
 from repro.docstore.sharding import ShardedCollection, _merge_stage_stats
-from repro.errors import ShardingError
+from repro.errors import QueryError, ShardingError
 
 SHARD_COUNTS = (1, 4, 8)
 
@@ -176,6 +177,52 @@ class TestShardFailureStopsTheLoop:
             routed[index] if index < self.FAILING else 0
             for index in range(4)
         ]
+
+
+def test_key_in_reads_only_the_owning_shards_and_their_ids():
+    """``paper_id`` ``$in``: the oracle's answer, from the shards that
+    own an id and, there, from the index (the search engines' columnar
+    prefilter takes this path)."""
+    ids = ["p003", "p017", "p042", "p077"]
+    query = {"paper_id": {"$in": ids}, "year": {"$gte": 2019}}
+    expected, sharded = differential(
+        lambda target: by_id(aggregate(target, [{"$match": query}])))
+    assert [doc["paper_id"] for doc in expected] == ids
+    assert sharded == [expected] * len(SHARD_COUNTS)
+
+    store = build_store(8)
+    store.create_index("paper_id")
+    owners = {store.sharder.shard_for(paper_id) for paper_id in ids}
+    assert len(owners) < len(store.shards)
+    result = store.aggregate([{"$match": query},
+                              {"$project": {"paper_id": 1}}])
+    assert result.stages[0].docs_in == len(ids)  # rows examined
+    assert [shard.scan_count > 0 for shard in store.shards] == [
+        number in owners for number in range(len(store.shards))]
+    assert store.count({"paper_id": {"$in": []}}) == 0
+    assert store.aggregate([{"$match": {"paper_id": {"$in": []}}}]
+                           ).documents == []
+
+
+def test_pipeline_compiles_each_match_once_when_built(monkeypatch):
+    """One compile per ``$match`` stage whatever the shard count, and a
+    malformed one fails when the pipeline is built."""
+    compiled = []
+    real_compile = aggregation.compile_filter
+    monkeypatch.setattr(aggregation, "compile_filter",
+                        lambda query: compiled.append(query)
+                        or real_compile(query))
+    store = build_store(8)
+    store.aggregate([
+        {"$match": {"year": {"$gte": 2020}}},
+        {"$project": {"paper_id": 1, "cites": 1}},
+        {"$match": {"cites": {"$gt": 3}}},
+        {"$sort": {"cites": -1, "paper_id": 1}},
+        {"$limit": 5},
+    ])
+    assert len(compiled) == 2
+    with pytest.raises(QueryError):
+        AggregationPipeline([{"$match": {"year": {"$bogus": 1}}}])
 
 
 def test_sharded_operations_start_no_threads():

@@ -6,6 +6,7 @@ import pytest
 
 import repro.docstore.documents
 import repro.docstore.matching
+import repro.search.columnar
 import repro.serve.service
 import repro.text.normalize
 import repro.text.stemmer
@@ -14,6 +15,7 @@ import repro.text.tokenizer
 MODULES = [
     repro.docstore.documents,
     repro.docstore.matching,
+    repro.search.columnar,
     repro.serve.service,
     repro.text.normalize,
     repro.text.stemmer,

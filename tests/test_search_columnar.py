@@ -114,10 +114,19 @@ def test_kernel_is_byte_identical_to_scalar(num_segments):
         assert _page(engine.search(query, page=page)) == want, (query, page)
 
 
+#: Spellings ``IGNORECASE`` and ``str.casefold`` disagree on: the regex
+#: holds İ and ı equal to i, and ſ to s, but never expands ß or ﬁ into
+#: two letters.  Queried by their ASCII spelling.
+FOLD_WORDS = ["İnfluenza", "Remdesıvirq", "Straßeqq", "ﬁbrosisqq",
+              "Tranſmission"]
+FOLD_QUERIES = ["influenza", "remdesivirq", "strasseqq", "fibrosisqq",
+                "transmission"]
+
 #: One generated paper: title, abstract, body and table-caption words
 #: (an empty caption list means no table) and a publication year.
 _PAPER = st.tuples(
-    *[st.lists(st.sampled_from(WORDS), min_size=low, max_size=high)
+    *[st.lists(st.sampled_from(WORDS + FOLD_WORDS), min_size=low,
+               max_size=high)
       for low, high in ((1, 4), (0, 10), (5, 20), (0, 4))],
     st.integers(min_value=2019, max_value=2022),
 )
@@ -125,7 +134,7 @@ _PAPER = st.tuples(
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_PAPER, min_size=10, max_size=40),
-       st.lists(st.sampled_from(WORDS + ["vaccin", "zebra"]),
+       st.lists(st.sampled_from(WORDS + FOLD_QUERIES + ["vaccin", "zebra"]),
                 min_size=1, max_size=3))
 def test_every_kernel_candidate_is_the_scalar_match_and_score(papers,
                                                               words):

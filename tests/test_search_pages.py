@@ -8,9 +8,10 @@ the scalar ``$match → $project → $function`` pipeline's and the full
 sort's, whatever the segment layout; nothing a caller can reach from a
 page aliases a stored row; and a request compiles at most one regex per
 term plus one for the query.  Quoted phrases never reach the kernels:
-their pages come from the scalar pipeline, whose ``$project`` reads the
-collection's stored rows — same bytes as the pipeline run over
-``find``'s copies, stemmed by the memoized ``stem``.
+their pages come from the scalar pipeline, whose ``$match`` examines
+only the rows the columnar atom dictionaries admit and whose
+``$project`` reads the collection's stored rows — same bytes as the
+pipeline run over ``find``'s copies, stemmed by the memoized ``stem``.
 """
 
 from __future__ import annotations
@@ -136,6 +137,14 @@ def test_quoted_phrase_pages_are_byte_identical_on_every_path(
               for stats in results.stage_stats}
     assert stages == {"$match(indexed)", "$project", "$function",
                       "$sort(top-k)"}
+    # The columnar prefilter: each $match reads only the rows the atom
+    # dictionaries admit, never the whole corpus.
+    examined = [stats.docs_in
+                for _, results in _searches(engines, **grid)
+                for stats in results.stage_stats
+                if stats.stage == "$match(indexed)"]
+    assert len(examined) == len(top_k)
+    assert max(examined) < len(papers)
     # Not vacuous: most cells have a page 1 and the phrase has a page 2.
     assert sum(b'"results":[]' not in wire for wire in top_k.values()) >= 12
     assert b'"results":[]' not in top_k["all_fields '\"vaccine efficacy\"' p2"]

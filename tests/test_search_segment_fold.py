@@ -30,7 +30,7 @@ QUERIES = ["covid", "vaccine trial", "mask"]
 #: A hand-planned kernel query with constant IDFs: an old index object
 #: must keep giving the same answer to it however the corpus moves on.
 SPEC = columnar.QuerySpec(
-    clauses=((("search.abstract", "covid", "covid"),),),
+    clauses=((("search.abstract", ("covid",)),),),
     plan=QueryPlan(
         words=(PlannedWord("covid", 1.0),),
         fields=(("search.title", 3.0), ("search.abstract", 2.0)),
