@@ -40,11 +40,11 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import re
 import socket
 import threading
 from dataclasses import dataclass
 from typing import Any
-from urllib.parse import urlencode
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import BadRequestError, PayloadTooLargeError
@@ -66,10 +66,13 @@ _LOCAL_PATHS = ("/v1/healthz", "/v1/cluster")
 #: Hop-by-hop / recomputed headers never forwarded to a replica.
 _HOP_HEADERS = frozenset({"connection", "host", "content-length"})
 
-#: Replica response headers the relay re-issues itself: the client-side
-#: ``Connection``, and the replica's request id under its own name
-#: beside the router's ``X-Request-Id``.
-_RELAY_OWN_HEADERS = frozenset({"connection", "x-request-id"})
+#: Replica response header lines the relay re-issues itself: the
+#: client-side ``Connection``, and the replica's request id under its
+#: own name beside the router's ``X-Request-Id``.
+_RELAY_OWN_LINES = re.compile(rb"\r\n(?:connection|x-request-id):[^\r\n]*",
+                              re.IGNORECASE)
+_REPLICA_REQUEST_ID = re.compile(
+    rb"\r\nx-request-id:[ \t]*([^\r\n]*?)[ \t]*(?=\r\n|$)", re.IGNORECASE)
 
 #: Socket timeouts (seconds) of a health probe and of a forwarded request.
 PROBE_TIMEOUT = 1.0
@@ -426,6 +429,9 @@ class Router:
         request = parse_request_head(
             head + HEAD_TERMINATOR,
             max_header_bytes=self.config.max_header_bytes)
+        # Every request is routed by its path: reading it here makes a
+        # target ``urlsplit`` refuses this framing step's 400.
+        request.path  # noqa: B018 - read for its BadRequestError
         length = request.content_length
         if length > self.config.max_body_bytes:
             raise PayloadTooLargeError(
@@ -454,26 +460,40 @@ class Router:
 
     @staticmethod
     def routing_key(request: Request) -> bytes:
-        """The affinity key: path + sorted query parameters.
+        """The affinity key: path + the query's pairs, sorted by name.
 
         Sorting makes ``?a=1&b=2`` and ``?b=2&a=1`` the same key, which
         is the same normalization the replica's cache key performs — so
-        ring affinity and L1 residency agree.
+        ring affinity and L1 residency agree.  The pairs are the raw
+        ``name=value`` text between ``&``s (the last value of a repeated
+        name wins), never decoded: for an ``urlencode``d query with
+        identifier names the key is the bytes of
+        ``f"{path}?{urlencode(sorted(params.items()))}"``.
         """
-        query = urlencode(sorted(request.params.items()))
-        return f"{request.path}?{query}".encode("utf-8")
+        query = request.target.partition("?")[2]
+        pairs: dict[str, str] = {}  # name -> its raw "name=value" text
+        for pair in query.split("&"):
+            if pair:
+                name, equals, _ = pair.partition("=")
+                pairs[name] = pair if equals else f"{pair}="
+        joined = "&".join([pairs[name] for name in sorted(pairs)])
+        return f"{request.path}?{joined}".encode("utf-8")
 
     def _handle(self, request: Request,
                 backends: dict[str, GatewayClient]) -> bytes:
         """One request in, the wire bytes of its answer out."""
-        with self._lock:
-            self.stats["requests"] += 1
         request_id = self._next_request_id()
         if request.path in _LOCAL_PATHS:
+            self._count("requests")
             return self._own(request, request_id, self._local(request))
         if request.method == "POST" and request.path == "/v1/ingest":
+            self._count("requests")
             return self._forward_write(request, request_id, backends)
         return self._forward_read(request, request_id, backends)
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.stats[name] += 1
 
     @staticmethod
     def _own(request: Request, request_id: str,
@@ -485,8 +505,7 @@ class Router:
 
     def _no_replicas(self, request: Request, request_id: str,
                      message: str) -> bytes:
-        with self._lock:
-            self.stats["unroutable"] += 1
+        self._count("unroutable")
         response = error_payload(503, "no_replicas", message, request_id)
         response.headers["Retry-After"] = "1"
         return self._own(request, request_id, response)
@@ -497,27 +516,29 @@ class Router:
                *extra: str) -> bytes:
         """A replica's answer, passed on as the bytes it arrived in.
 
-        Status, end-to-end headers and body are the replica's own —
-        ``Content-Length`` included, which for a ``HEAD`` describes the
-        body that was never sent.  The router adds its own request id
-        (the replica's moves to ``X-Replica-Request-Id``), the replica's
-        name, any ``extra`` header lines, and the ``Connection`` of the
-        client-side hop.
+        The replica's status line and header lines are spliced through
+        as they came — ``Content-Length`` included, which for a ``HEAD``
+        describes the body that was never sent — minus its
+        ``Connection`` and ``X-Request-Id`` lines.  After them come the
+        router's own request id, the replica's id as
+        ``X-Replica-Request-Id``, the replica's name, any ``extra``
+        header lines, and the ``Connection`` of the client-side hop.
         """
-        lines = [f"HTTP/1.1 {upstream.status} {upstream.reason}"]
-        for name, value in upstream.headers.items():
-            if name not in _RELAY_OWN_HEADERS:
-                lines.append(f"{name.title()}: {value}")
-        lines += (
+        head = upstream.head
+        replica_request_id = _REPLICA_REQUEST_ID.search(head)
+        own = [
             f"X-Request-Id: {request_id}",
-            f"X-Replica-Request-Id: {upstream.request_id}",
+            "X-Replica-Request-Id: " + (
+                "" if replica_request_id is None
+                else replica_request_id[1].decode("latin-1")),
             f"X-Replica: {replica_id}",
             *extra,
             "Connection: keep-alive" if request.keep_alive
             else "Connection: close",
-        )
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") \
-            + upstream.body
+        ]
+        return _RELAY_OWN_LINES.sub(b"", head) + \
+            ("\r\n" + "\r\n".join(own) + "\r\n\r\n").encode("latin-1") + \
+            upstream.body
 
     def _backend(self, backends: dict[str, GatewayClient],
                  spec: ReplicaSpec) -> GatewayClient:
@@ -539,7 +560,12 @@ class Router:
     def _forward_read(self, request: Request, request_id: str,
                       backends: dict[str, GatewayClient]) -> bytes:
         key = self.routing_key(request)
+        # The one lock of a routed read: it is counted as forwarded
+        # up front, and un-counted on the rare path where no replica
+        # answers.
         with self._lock:
+            self.stats["requests"] += 1
+            self.stats["forwarded"] += 1
             preference = self._ring.preference(key)
             specs = [self._states[replica_id].spec
                      for replica_id in preference
@@ -555,13 +581,12 @@ class Router:
                     body=request.body)
             except (ConnectionError, OSError) as exc:
                 self._mark_unreachable(spec.replica_id, str(exc))
-                with self._lock:
-                    self.stats["failovers"] += 1
+                self._count("failovers")
                 continue
-            with self._lock:
-                self.stats["forwarded"] += 1
             return self._relay(request, request_id, upstream,
                                spec.replica_id)
+        with self._lock:
+            self.stats["forwarded"] -= 1
         return self._no_replicas(
             request, request_id,
             "no healthy replica could serve the request")
@@ -605,8 +630,7 @@ class Router:
                 self._eject(spec.replica_id,
                             f"missed a write: {exc}", diverged=True)
                 continue
-            with self._lock:
-                self.stats["write_fanouts"] += 1
+            self._count("write_fanouts")
             results.append((spec, upstream))
         if not results:
             return self._no_replicas(

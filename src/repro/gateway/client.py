@@ -10,9 +10,9 @@ was not) reused.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 from urllib.parse import urlencode, urlsplit
 
@@ -27,14 +27,43 @@ _CHUNK = 65536
 _IDEMPOTENT = frozenset({"GET", "HEAD"})
 
 
-@dataclass
-class ClientResponse:
-    """One parsed HTTP response."""
+#: The framing fields a response is read by, found in its raw head
+#: without parsing every header line.
+_CONTENT_LENGTH = re.compile(
+    rb"\r\ncontent-length:[ \t]*([0-9]+)[ \t]*(?=\r\n|$)", re.IGNORECASE)
+_CONNECTION_CLOSE = re.compile(
+    rb"\r\nconnection:[ \t]*close[ \t]*(?=\r\n|$)", re.IGNORECASE)
 
-    status: int
-    reason: str
-    headers: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+
+class ClientResponse:
+    """One parsed HTTP response.
+
+    ``head`` is the status line and header lines as they arrived
+    (without the blank line that ends them); ``headers`` is parsed from
+    it, names lower-cased, the first time it is read.  A hop that only
+    forwards the answer (the cluster router) splices ``head`` instead.
+    """
+
+    __slots__ = ("status", "reason", "body", "head", "_headers")
+
+    def __init__(self, status: int, reason: str,
+                 headers: dict[str, str] | None = None,
+                 body: bytes = b"", head: bytes = b"") -> None:
+        self.status = status
+        self.reason = reason
+        self.body = body
+        self.head = head
+        self._headers = headers
+
+    @property
+    def headers(self) -> dict[str, str]:
+        if self._headers is None:
+            headers: dict[str, str] = {}
+            for line in self.head.decode("latin-1").split("\r\n")[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            self._headers = headers
+        return self._headers
 
     def json(self) -> Any:
         return json.loads(self.body.decode("utf-8"))
@@ -49,7 +78,9 @@ class ClientResponse:
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        if self._headers is None:
+            return _CONNECTION_CLOSE.search(self.head) is None
+        return self._headers.get("connection", "").lower() != "close"
 
 
 class GatewayClient:
@@ -196,29 +227,30 @@ class GatewayClient:
         self._buffer += chunk
 
     def _read_response(self, head_only: bool = False) -> ClientResponse:
-        while b"\r\n\r\n" not in self._buffer:
+        end = self._buffer.find(b"\r\n\r\n")
+        while end < 0:
             self._read_more()
-        head, _, self._buffer = self._buffer.partition(b"\r\n\r\n")
-        lines = head.decode("latin-1").split("\r\n")
-        parts = lines[0].split(" ", 2)
+            end = self._buffer.find(b"\r\n\r\n")
+        head = self._buffer[:end]
+        status_line = head.partition(b"\r\n")[0].decode("latin-1")
+        parts = status_line.split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-            raise GatewayError(f"malformed status line {lines[0]!r}")
-        status = int(parts[1])
-        reason = parts[2] if len(parts) == 3 else ""
-        response_headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            response_headers[name.strip().lower()] = value.strip()
+            raise GatewayError(f"malformed status line {status_line!r}")
+        response = ClientResponse(int(parts[1]),
+                                  parts[2] if len(parts) == 3 else "",
+                                  head=head)
+        start = end + 4
         if head_only:  # HEAD: Content-Length describes the absent body
-            return ClientResponse(status=status, reason=reason,
-                                  headers=response_headers)
-        length = int(response_headers.get("content-length", "0"))
-        while len(self._buffer) < length:
+            self._buffer = self._buffer[start:]
+            return response
+        match = _CONTENT_LENGTH.search(head)
+        stop = start + int(match[1] if match is not None else
+                           response.headers.get("content-length", "0"))
+        while len(self._buffer) < stop:
             self._read_more()
-        body, self._buffer = (self._buffer[:length],
-                              self._buffer[length:])
-        return ClientResponse(status=status, reason=reason,
-                              headers=response_headers, body=body)
+        buffer = self._buffer
+        response.body, self._buffer = buffer[start:stop], buffer[stop:]
+        return response
 
     # -- endpoint helpers --------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import SplitResult, parse_qsl, unquote, urlsplit
 
 from repro.errors import BadRequestError
 
@@ -49,17 +49,49 @@ REASON_PHRASES = {
 }
 
 
-@dataclass
 class Request:
-    """One parsed request head (the body is read separately)."""
+    """One parsed request head (the body is read separately).
 
-    method: str
-    target: str
-    path: str
-    params: dict[str, str]
-    version: str
-    headers: dict[str, str]
-    body: bytes = b""
+    ``path`` and ``params`` are derived from ``target`` the first time
+    a caller reads them, so a hop that only forwards the target (the
+    cluster router never reads ``params``) does not pay for decoding
+    it.  A target ``urlsplit`` refuses raises
+    :class:`BadRequestError` from whichever is read first.
+    """
+
+    __slots__ = ("method", "target", "version", "headers", "body",
+                 "_path", "_params")
+
+    def __init__(self, method: str, target: str, version: str,
+                 headers: dict[str, str], body: bytes = b"") -> None:
+        self.method = method
+        self.target = target
+        self.version = version
+        self.headers = headers
+        self.body = body
+        self._path: str | None = None
+        self._params: dict[str, str] | None = None
+
+    def _split_target(self) -> SplitResult:
+        try:
+            return urlsplit(self.target)
+        except ValueError as exc:
+            raise BadRequestError(
+                f"unparseable request target {self.target[:80]!r}: "
+                f"{exc}") from None
+
+    @property
+    def path(self) -> str:
+        if self._path is None:
+            self._path = unquote(self._split_target().path)
+        return self._path
+
+    @property
+    def params(self) -> dict[str, str]:
+        if self._params is None:
+            self._params = dict(parse_qsl(self._split_target().query,
+                                          keep_blank_values=True))
+        return self._params
 
     @property
     def keep_alive(self) -> bool:
@@ -94,7 +126,9 @@ def parse_request_head(head: bytes,
     Raises :class:`BadRequestError` for anything malformed or over the
     limits; the server turns that into a 400 and closes the connection
     (a client that framed one request wrong cannot be trusted to frame
-    the next one right).
+    the next one right).  The target is checked only for its leading
+    ``/`` here; the rest of it is split when ``path`` or ``params`` is
+    first read.
     """
     if len(head) > max_header_bytes:
         raise BadRequestError(
@@ -136,16 +170,7 @@ def parse_request_head(head: bytes,
         headers[name.lower()] = value.strip()
     if "transfer-encoding" in headers:
         raise BadRequestError("chunked transfer coding is not supported")
-    split = urlsplit(target)
-    params = dict(parse_qsl(split.query, keep_blank_values=True))
-    return Request(
-        method=method,
-        target=target,
-        path=unquote(split.path),
-        params=params,
-        version=version,
-        headers=headers,
-    )
+    return Request(method, target, version, headers)
 
 
 @dataclass

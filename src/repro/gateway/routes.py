@@ -20,6 +20,8 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from typing import Any
 
 import repro.errors as errors_module
@@ -322,15 +324,36 @@ def encode_value(value: Any) -> bytes:
     return encode_json(serialize_value(value))
 
 
+def _envelope_head(served: Any, request_id: str) -> bytes:
+    """``encode_json(_envelope(served, request_id))`` without its ``}``.
+
+    Rendered from a template, each field as ``json.dumps`` writes it for
+    a ``ServedResult``'s types: a ``str`` through the encoder's own
+    ASCII escaper, a ``bool`` as ``true`` / ``false``, an ``int`` and a
+    finite ``float`` by ``repr``.  Non-finite ``seconds`` (``NaN``,
+    ``Infinity``) take the ``json.dumps`` path.
+    """
+    seconds = served.seconds
+    if not isfinite(seconds):
+        return encode_json(_envelope(served, request_id))[:-1]
+    return (
+        f'{{"engine":{_json_str(served.engine)},'
+        f'"request_id":{_json_str(request_id)},'
+        f'"cached":{"true" if served.cached else "false"},'
+        f'"collapsed":{"true" if served.collapsed else "false"},'
+        f'"seconds":{seconds!r},'
+        f'"versions":[{",".join(map(repr, served.versions))}]'
+    ).encode("ascii")
+
+
 def encode_served(served: Any, request_id: str, wire: bytes) -> bytes:
     """``encode_json(serialize_served(...))`` around an encoded value.
 
-    Splices ``wire`` (:func:`encode_value` of ``served.value``) into the
-    freshly encoded envelope, so a page is encoded once however often
-    it is served; the bytes equal the one-pass encoding exactly.
+    Splices ``wire`` (:func:`encode_value` of ``served.value``) after
+    the envelope, so a page is encoded once however often it is
+    served; the bytes equal the one-pass encoding exactly.
     """
-    return encode_json(_envelope(served, request_id))[:-1] \
-        + b',"value":' + wire + b"}"
+    return _envelope_head(served, request_id) + b',"value":' + wire + b"}"
 
 
 # -- prometheus rendering ---------------------------------------------------

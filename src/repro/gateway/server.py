@@ -4,11 +4,12 @@ Architecture — a non-blocking I/O tier in front of a bounded worker
 tier, the shape production serving stacks use:
 
 * the **event loop** owns every socket and never computes an answer:
-  a parsed request is admitted by :meth:`QueryService.submit` (cache
+  a parsed request is admitted by :meth:`QueryService.admit` (cache
   claim, admission queue — both O(1) bookkeeping), so admission
   control and single-flight caching apply unchanged behind the
   gateway.  An
-  answer that is ready once admission returns — an L1 hit, a replayed
+  answer that is ready once admission returns — an L1 hit (the
+  claim's ``ServedResult`` itself, no ``Future``), a replayed
   failure, a validation error, a local endpoint — is a finished
   :class:`Response` then and there; a miss is a worker-pool future
   awaited by a handler task via ``asyncio.wrap_future``;
@@ -399,6 +400,9 @@ class Gateway:
             try:
                 request = parse_request_head(
                     head, self.config.max_header_bytes)
+                # Reading the path splits the target: a target
+                # urlsplit refuses is a malformed request like any other.
+                endpoint = resolve(request.path)
                 request.body = await self._read_body(reader, request)
             except BadRequestError as exc:
                 self.metrics.record_parse_error()
@@ -410,7 +414,6 @@ class Gateway:
             except (asyncio.IncompleteReadError, ConnectionError,
                     OSError):
                 return
-            endpoint = resolve(request.path)
             name = endpoint.name if endpoint is not None else "unknown"
             request_id = self._next_request_id()
             started = time.monotonic()
@@ -583,20 +586,22 @@ class Gateway:
                     return response
                 params = endpoint.params(request)
                 timeout = timeout_seconds(request)
-                future = self.service.submit_ingest(
+                served = self.service.submit_ingest(
                     timeout_seconds=timeout, **params)
             else:
                 params = endpoint.params(request)
                 timeout = timeout_seconds(request)
-                future = self.service.submit(
+                # An L1 hit comes back as the ServedResult itself.
+                served = self.service.admit(
                     endpoint.engine, timeout_seconds=timeout, **params)
-            if not future.done():
-                return future
-            # Resolved at admission: skip the task and wrap_future,
-            # whose wake-up crosses the loop's self-pipe even for a
-            # future that is already done.  (timeout=0: this runs on
-            # the loop and must poll, never wait.)
-            served = future.result(timeout=0)
+            if isinstance(served, Future):
+                if not served.done():
+                    return served
+                # Resolved at admission: skip the task and wrap_future,
+                # whose wake-up crosses the loop's self-pipe even for a
+                # future that is already done.  (timeout=0: this runs
+                # on the loop and must poll, never wait.)
+                served = served.result(timeout=0)
             wire = served.wire
             if wire is None:
                 wire = encode_value(served.value)

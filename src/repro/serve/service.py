@@ -199,6 +199,24 @@ class QueryService:
         ``timeout_seconds`` becomes an absolute deadline: a request still
         queued when it passes fails with ``DeadlineExceededError``.
         """
+        answer = self.admit(engine, timeout_seconds=timeout_seconds,
+                            **params)
+        if isinstance(answer, ServedResult):
+            future: "Future[ServedResult]" = Future()
+            future.set_result(answer)
+            return future
+        return answer
+
+    def admit(self, engine: str, *,
+              timeout_seconds: float | None = None,
+              **params: Any) -> "ServedResult | Future[ServedResult]":
+        """:meth:`submit`'s admission step, with a hit left unwrapped.
+
+        An L1 hit is the :class:`ServedResult` itself, straight from the
+        cache claim; every other outcome is the future :meth:`submit`
+        returns.  The gateway's reader calls this, so a hit crosses no
+        ``Future``.
+        """
         if self._closed:
             raise ServiceClosedError("service is closed")
         if engine not in self._dispatch:
@@ -211,18 +229,15 @@ class QueryService:
         versions = self._versions(engine)
         status, payload, wire = self.cache.claim(key, versions)
         if status == "hit":
-            self.metrics.record_latency(engine,
-                                        time.monotonic() - started)
-            future: Future = Future()
-            future.set_result(ServedResult(
+            seconds = time.monotonic() - started
+            self.metrics.record_latency(engine, seconds)
+            return ServedResult(
                 engine=engine, value=payload, cached=True,
-                seconds=time.monotonic() - started, versions=versions,
-                wire=wire,
-            ))
-            return future
+                seconds=seconds, versions=versions, wire=wire,
+            )
         if status == "negative":
             self.metrics.record_negative_hit()
-            future = Future()
+            future: "Future[ServedResult]" = Future()
             future.set_exception(payload)
             return future
         if status == "follower":

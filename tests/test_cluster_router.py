@@ -9,17 +9,28 @@ the subprocess boundary, which ``test_cluster_invalidation`` covers).
 from __future__ import annotations
 
 import socket
+import string
 import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.cluster.router import ReplicaSpec, Router, RouterConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.gateway import BackgroundGateway, GatewayClient
 from repro.gateway.client import ClientResponse
+from repro.gateway.http import (
+    Response,
+    build_response,
+    error_payload,
+    parse_request_head,
+)
 from repro.serve.service import QueryService, ServeConfig
+from tests.raw_client import RawGatewayClient
 
 SEED = 41
 BASE_PAPERS = 24
@@ -212,6 +223,127 @@ class TestRouting:
         assert response.status == 400
         _assert_router_error_shape(response, "bad_request")
 
+    def test_target_urlsplit_refuses_is_router_400(self, cluster, client):
+        """Regression: the connection thread died and the client got b''."""
+        router, _ = cluster
+        with RawGatewayClient("127.0.0.1", router.port) as raw:
+            response = raw.send_raw(
+                b"GET //[abc/x HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert response.status == 400
+        assert not response.keep_alive
+        _assert_router_error_shape(response, "bad_request")
+        assert "//[abc/x" in response.json()["error"]["message"]
+        assert client.healthz().status == 200
+
+
+#: Identifier parameter names, as every client in this repo sends them.
+_NAMES = st.builds(
+    str.__add__, st.sampled_from(string.ascii_letters + "_"),
+    st.text(string.ascii_letters + string.digits + "_", max_size=11))
+_HEX = st.text("0123456789abcdef", min_size=6, max_size=6)
+_VALUES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(["/v1/search/all_fields", "/v1/kg/query",
+                             "/v1/search/title_abstract", "/x"]),
+       params=st.dictionaries(_NAMES, _VALUES, max_size=6))
+def test_ring_key_is_the_sorted_urlencode_of_the_params(path, params):
+    """The raw-pair key equals the decode-and-re-encode key it replaced."""
+    target = f"{path}?{urlencode(params)}"
+    request = parse_request_head(
+        f"GET {target} HTTP/1.1\r\n\r\n".encode("latin-1"))
+    reference = f"{path}?{urlencode(sorted(params.items()))}"
+    assert Router.routing_key(request) == reference.encode("utf-8")
+
+
+def test_ring_key_raw_pair_rules():
+    def key(target):
+        return Router.routing_key(parse_request_head(
+            f"GET {target} HTTP/1.1\r\n\r\n".encode("latin-1")))
+
+    assert key("/p") == key("/p?") == b"/p?"
+    assert key("/p?b=2&a=1") == key("/p?a=1&b=2") == b"/p?a=1&b=2"
+    # The last value of a repeated name wins; empty pairs are skipped;
+    # a bare name is an empty value.
+    assert key("/p?a=1&b=2&a=3") == b"/p?a=3&b=2"
+    assert key("/p?&a=1&&b") == b"/p?a=1&b="
+    # Sorted by name, not by the joined text ("a1=" < "a=" bytewise).
+    assert key("/p?a1=x&a=y") == b"/p?a=y&a1=x"
+
+
+def _reference_relay(request, request_id, upstream, replica_id, *extra):
+    """The relay before it spliced head lines: parse, title-case, rebuild."""
+    lines = [f"HTTP/1.1 {upstream.status} {upstream.reason}"]
+    for name, value in upstream.headers.items():
+        if name not in ("connection", "x-request-id"):
+            lines.append(f"{name.title()}: {value}")
+    lines += (
+        f"X-Request-Id: {request_id}",
+        f"X-Replica-Request-Id: {upstream.request_id}",
+        f"X-Replica: {replica_id}",
+        *extra,
+        "Connection: keep-alive" if request.keep_alive
+        else "Connection: close",
+    )
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") \
+        + upstream.body
+
+
+def _replica_answer(kind, body):
+    """A replica gateway's ``Response`` for one kind of routed answer."""
+    if kind == "not_found":
+        return error_payload(404, "not_found", "no route", "r-1")
+    if kind == "method_not_allowed":
+        response = error_payload(405, "method_not_allowed",
+                                 "ingest requires POST", "r-1")
+        response.headers["Allow"] = "POST"
+        return response
+    if kind == "shed":
+        response = error_payload(503, "service_overloaded", "shed", "r-1")
+        response.headers["Retry-After"] = "1"
+        return response
+    return Response(body=body)  # a hit's, a miss's or an ingest's page
+
+
+def _parsed(raw, head_only):
+    """What the router's backend client reads off ``raw``."""
+    client = GatewayClient("127.0.0.1", 9)
+    client._buffer = raw  # the whole answer is buffered: no socket read
+    return client._read_response(head_only=head_only)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["hit", "miss", "not_found", "shed",
+                             "ingest", "method_not_allowed"]),
+       body=st.binary(max_size=64),
+       replica_request_id=_HEX.map("3215-{}".format),
+       router_request_id=_HEX.map("router-{}".format),
+       replica_id=st.sampled_from(["r0", "r1", "r12"]),
+       replica_keep_alive=st.booleans(),
+       client_keep_alive=st.booleans(),
+       head_only=st.booleans())
+def test_spliced_relay_matches_the_parse_and_rebuild_relay(
+        kind, body, replica_request_id, router_request_id, replica_id,
+        replica_keep_alive, client_keep_alive, head_only):
+    """Same header lines, same order, same bytes as the old relay."""
+    response = _replica_answer(kind, body)
+    extra = ("X-Cluster-Write-Replicas: 3",) if kind == "ingest" else ()
+    raw = build_response(response, request_id=replica_request_id,
+                         keep_alive=replica_keep_alive,
+                         head_only=head_only)
+    method = "HEAD" if head_only else "GET"
+    connection = "" if client_keep_alive else "Connection: close\r\n"
+    request = parse_request_head(
+        f"{method} /v1/search/all_fields?query=x HTTP/1.1\r\n"
+        f"{connection}\r\n".encode("latin-1"))
+    relayed = Router._relay(request, router_request_id,
+                            _parsed(raw, head_only), replica_id, *extra)
+    expected = _reference_relay(request, router_request_id,
+                                _parsed(raw, head_only), replica_id,
+                                *extra)
+    assert relayed == expected
+
 
 class TestRelay:
     """The router passes a replica's answer on as it arrived."""
@@ -310,18 +442,31 @@ class TestRelay:
         replica.service.close()
         replica.service = QueryService(
             replica.system, ServeConfig(num_workers=1, max_queue=1))
+        running, release = threading.Event(), threading.Event()
 
         def slow(query, page=1):
-            time.sleep(0.6)
+            running.set()
+            assert release.wait(timeout=30.0)
             return {"query": query, "page": page}
 
         replica.service._dispatch["all_fields"] = slow
+        # One permit per request the replica's pool admits.
+        admitted = threading.Semaphore(0)
+        pool = replica.service._pool
+        admit = pool.submit
+
+        def counted_submit(*args, **kwargs):
+            future = admit(*args, **kwargs)
+            admitted.release()
+            return future
+
+        pool.submit = counted_submit
         replica.gateway = BackgroundGateway(replica.service)
         replica.start()
         router = Router([replica.spec()],
                         RouterConfig(probe_interval=0.1)).start()
+        threads, statuses = [], []
         try:
-            threads, statuses = [], []
             for i in range(2):  # one on the worker, one in the queue
                 def run(i=i):
                     with GatewayClient("127.0.0.1", router.port) as cl:
@@ -330,7 +475,10 @@ class TestRelay:
                 thread = threading.Thread(target=run, daemon=True)
                 thread.start()
                 threads.append(thread)
-                time.sleep(0.12)
+                assert admitted.acquire(timeout=10.0)
+                if i == 0:
+                    # The worker holds "slow 0" before "slow 1" arrives.
+                    assert running.wait(timeout=10.0)
             with GatewayClient("127.0.0.1", router.port) as cl:
                 shed = cl.search("all_fields", query="shed me")
             with GatewayClient("127.0.0.1", replica.gateway.port) as cl:
@@ -340,10 +488,12 @@ class TestRelay:
             assert shed.headers["retry-after"] == \
                 direct.headers["retry-after"] == "1"
             assert _end_to_end(shed).keys() == _end_to_end(direct).keys()
+            release.set()
             for thread in threads:
                 thread.join(timeout=10.0)
             assert statuses == [200, 200]
         finally:
+            release.set()
             router.stop()
             replica.stop()
 
@@ -399,7 +549,12 @@ class TestWriteDivergence:
         # Recovering from the drain must not bring it back: its corpus
         # is missing the batch.
         replicas[target].gateway.gateway._draining = False
-        time.sleep(0.5)
+        # Two more sweeps begin, so at least one whole sweep probed the
+        # recovered replica.
+        sweeps = router.cluster_snapshot()["stats"]["probe_sweeps"]
+        assert _wait_until(
+            lambda: router.cluster_snapshot()["stats"]["probe_sweeps"]
+            >= sweeps + 2)
         state = _states(router)[target]
         assert not state["in_ring"] and state["diverged"]
         assert router.cluster_snapshot()["in_ring"] == 2

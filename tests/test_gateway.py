@@ -9,16 +9,21 @@ would see them.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import socket
 import struct
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
@@ -30,10 +35,21 @@ from repro.gateway import (
     all_error_classes,
     map_error,
 )
-from repro.gateway.routes import encode_value
+from repro.gateway.http import encode_json
+from repro.gateway.routes import (
+    _envelope,
+    encode_served,
+    encode_value,
+    serialize_served,
+)
 from repro.ingest.engine import IngestEngine
 from repro.serve.cache import request_key
-from repro.serve.service import GatewayConfig, QueryService, ServeConfig
+from repro.serve.service import (
+    GatewayConfig,
+    QueryService,
+    ServeConfig,
+    ServedResult,
+)
 from tests.raw_client import RawGatewayClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -287,6 +303,31 @@ class TestProtocolErrors:
                                  timeout_ms=-5)
         assert response.status == 400
 
+    def test_target_urlsplit_refuses_is_400_counted_and_logged(self,
+                                                               system):
+        """Regression: the gateway dropped the connection with b''."""
+        stream = io.StringIO()
+        with QueryService(system, ServeConfig(num_workers=1)) as service:
+            with contextlib.redirect_stderr(stream):
+                gw = BackgroundGateway(service, GatewayConfig(port=0))
+            with gw, RawGatewayClient("127.0.0.1", gw.port) as cl:
+                response = cl.send_raw(
+                    b"GET //[abc/x HTTP/1.1\r\nHost: x\r\n\r\n")
+                parse_errors = gw.gateway.metrics.snapshot()[
+                    "parse_errors"]
+        assert response.status == 400
+        assert not response.keep_alive
+        error = response.json()["error"]
+        assert error["code"] == "bad_request"
+        assert error["request_id"] == response.request_id
+        assert "//[abc/x" in error["message"]
+        assert parse_errors == 1
+        logged = [line for line in stream.getvalue().splitlines()
+                  if "repro.gateway.access" in line]
+        assert len(logged) == 1
+        assert f"request_id={response.request_id} " in logged[0]
+        assert "endpoint=malformed status=400 " in logged[0]
+
 
 # -- overload, deadlines, and loop responsiveness --------------------------
 
@@ -516,6 +557,50 @@ class TestEncodedPage:
                     assert _wire_slots(service) == 1
         finally:
             engine.close()
+
+
+_SECONDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-7, 1e16, 5e-324, 1.7976931348623157e308,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(engine=st.text(max_size=16), request_id=st.text(max_size=24),
+       seconds=_SECONDS,
+       versions=st.lists(st.integers(), max_size=4).map(tuple),
+       cached=st.booleans(), collapsed=st.booleans(), value=_JSON_VALUES)
+def test_envelope_template_equals_json_dumps(engine, request_id, seconds,
+                                             versions, cached, collapsed,
+                                             value):
+    served = ServedResult(engine=engine, value=value, cached=cached,
+                          seconds=seconds, versions=versions,
+                          collapsed=collapsed)
+    encoded = encode_served(served, request_id, encode_value(value))
+    assert encoded == encode_json(serialize_served(served, request_id))
+    assert encoded.startswith(
+        encode_json(_envelope(served, request_id))[:-1] + b',"value":')
+
+
+def test_a_hit_is_admitted_as_its_served_result(system):
+    """The hit lane's claim result reaches the gateway unwrapped."""
+    with QueryService(system, ServeConfig(num_workers=1)) as service:
+        params = {"query": "vaccine side effects", "page": 1}
+        miss = service.admit("all_fields", **params)
+        assert isinstance(miss, Future)
+        miss.result(timeout=30.0)
+        hit = service.admit("all_fields", **params)
+        assert isinstance(hit, ServedResult) and hit.cached
+        assert hit.value is miss.result().value
+        # submit() still hands every caller a Future, hits included.
+        wrapped = service.submit("all_fields", **params)
+        assert isinstance(wrapped, Future) and wrapped.result().cached
+        assert service.stats()["requests"]["all_fields"] == 3
 
 
 # -- the inline lane: order, backpressure, accounting ----------------------
