@@ -26,7 +26,13 @@ import numpy as np
 from repro.classify.dataset import MetadataDataset
 from repro.embeddings.tabular import TabularEmbedder
 from repro.errors import ModelError, NotFittedError
-from repro.neural.layers import BatchNorm, Dense, Dropout, Embedding
+from repro.neural.layers import (
+    BatchNorm,
+    Dense,
+    Dropout,
+    Embedding,
+    GlobalAveragePooling,
+)
 from repro.neural.losses import BinaryCrossEntropy
 from repro.neural.model import batches
 from repro.neural.optimizers import Adam
@@ -65,19 +71,19 @@ class _SequencePath:
         self.embedding = Embedding(vocab_size, embed_dim, seed=seed,
                                    weights=pretrained)
         self.mode = mode
-        self.rnn = None
         if mode == "bi":
             factory = (Bidirectional.gru if cell == "gru"
                        else Bidirectional.lstm)
-            self.rnn = factory(embed_dim, hidden, seed=seed + 1)
+            self.encoder = factory(embed_dim, hidden, seed=seed + 1)
             context_width = 2 * hidden
         elif mode == "uni":
             from repro.neural.recurrent import GRU, LSTM  # noqa: PLC0415
             rnn_cls = GRU if cell == "gru" else LSTM
-            self.rnn = rnn_cls(embed_dim, hidden, return_sequences=True,
-                               seed=seed + 1)
+            self.encoder = rnn_cls(embed_dim, hidden, return_sequences=True,
+                                   seed=seed + 1)
             context_width = hidden
         else:
+            self.encoder = GlobalAveragePooling()
             context_width = 0
         self.seq_len = seq_len
         self.embed_dim = embed_dim
@@ -90,16 +96,14 @@ class _SequencePath:
 
     @property
     def layers(self):
-        if self.rnn is None:
-            return [self.embedding]
-        return [self.embedding, self.rnn]
+        return [self.embedding, self.encoder]
 
     def forward(self, indices: np.ndarray, training: bool) -> np.ndarray:
         embedded = self.embedding.forward(indices, training)
         self._embedded = embedded
+        contextual = self.encoder.forward(embedded, training)
         if self.mode == "gap":
-            return embedded.mean(axis=1)
-        contextual = self.rnn.forward(embedded, training)
+            return contextual
         enriched = np.concatenate([contextual, embedded], axis=-1)
         return enriched.reshape(len(indices), -1)
 
@@ -108,17 +112,14 @@ class _SequencePath:
             raise ModelError("backward before forward")
         batch = grad_flat.shape[0]
         if self.mode == "gap":
-            grad_embedded = np.repeat(
-                grad_flat[:, None, :], self.seq_len, axis=1
-            ) / self.seq_len
-            self.embedding.backward(grad_embedded)
+            self.embedding.backward(self.encoder.backward(grad_flat))
             return
         grad = grad_flat.reshape(
             batch, self.seq_len, self._context_width + self.embed_dim
         )
         grad_context = grad[:, :, :self._context_width]
         grad_embedded_direct = grad[:, :, self._context_width:]
-        grad_embedded_rnn = self.rnn.backward(grad_context)
+        grad_embedded_rnn = self.encoder.backward(grad_context)
         self.embedding.backward(grad_embedded_rnn + grad_embedded_direct)
 
 

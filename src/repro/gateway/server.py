@@ -7,22 +7,22 @@ tier, the shape production serving stacks use:
   a parsed request is admitted by :meth:`QueryService.admit` (cache
   claim, admission queue — both O(1) bookkeeping), so admission
   control and single-flight caching apply unchanged behind the
-  gateway.  An
-  answer that is ready once admission returns — an L1 hit (the
-  claim's ``ServedResult`` itself, no ``Future``), a replayed
-  failure, a validation error, a local endpoint — is a finished
-  :class:`Response` then and there; a miss is a worker-pool future
-  awaited by a handler task via ``asyncio.wrap_future``;
-* each connection runs a **reader/writer pair**: the reader parses
-  pipelined requests and queues their answers onto a bounded queue
-  (``max_inflight_per_connection`` — when it fills, the reader simply
-  stops consuming the socket and TCP pushes back on the client); the
-  writer flushes responses strictly in request order, as HTTP/1.1
-  requires.  The **inline lane**: a ready answer with nothing
-  outstanding ahead of it on its connection is written by the reader
-  itself, in the loop turn that read the request;
+  gateway.  An answer that is ready once admission returns — an L1
+  hit (the claim's ``ServedResult`` itself, no ``Future``), a
+  replayed failure, a validation error, a local endpoint — is a
+  finished :class:`Response` then and there; a miss is a worker-pool
+  future the connection awaits in place via ``asyncio.wrap_future``;
+* each connection is **one coroutine holding one request at a time**,
+  as the cluster router's thread per connection is: read a request,
+  admit it, await a miss, write the answer, read the next.  Pipelined
+  requests are answered strictly in request order, as HTTP/1.1
+  requires, and wait unread in the socket meanwhile, so a client that
+  pipelines ahead is pushed back by TCP flow control.  The **hit
+  lane**: a ready answer is written in the loop turn that read its
+  request, and every ``ANSWERS_PER_YIELD``-th answer hands the loop to
+  the other connections once;
 * one **idle watchdog** timer per connection closes it quietly once
-  the reader has waited ``idle_timeout_seconds`` for a request head
+  it has waited ``idle_timeout_seconds`` for a request head
   (an idle keep-alive client, or a head that stalled half-sent);
 * **overload degrades loudly, never silently**: connections past the
   global cap get ``503`` + ``Retry-After``; admission-queue sheds
@@ -31,7 +31,7 @@ tier, the shape production serving stacks use:
   a response;
 * **graceful drain**: stop accepting, let in-flight requests finish
   inside ``drain_seconds``, then cancel what remains (idle keep-alive
-  readers included);
+  connections included; a cancelled request is accounted ``499``);
 * **one access-log line per response**, buffered on the loop and
   written to stderr in one batch per ``ACCESS_LOG_FLUSH_SECONDS``
   (see :class:`_AccessLog`).
@@ -48,7 +48,6 @@ import sys
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import (
@@ -88,6 +87,11 @@ ACCESS_LOG_FLUSH_SECONDS = 0.1
 
 #: ... or as soon as the batch holds this many characters.
 ACCESS_LOG_BUFFER_CHARS = 64 * 1024
+
+#: A connection hands the event loop to the others once per this many
+#: answers: a pipelined burst of ready answers never suspends it
+#: otherwise.
+ANSWERS_PER_YIELD = 8
 
 
 class _AccessLog:
@@ -172,43 +176,19 @@ def _peer_text(writer: asyncio.StreamWriter) -> str:
     return f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "-"
 
 
-@dataclass
-class _Pending:
-    """One admitted request waiting for its in-order response slot."""
-
-    #: The finished response, or the handler task that will return it.
-    answer: "Response | asyncio.Task[Response]"
-    request: Request | None  # None for protocol errors (no valid request)
-    request_id: str
-    endpoint: str
-    started: float
-    keep_alive: bool
-    head_only: bool
-
-
 class _Connection:
-    """What one connection's reader, writer and idle watchdog share."""
+    """What one connection's request loop and idle watchdog share."""
 
-    __slots__ = ("reader", "writer", "peer", "pending", "outstanding",
-                 "inlined", "broken", "waiting_since", "idle_expired",
-                 "watchdog")
+    __slots__ = ("reader", "writer", "peer", "waiting_since",
+                 "idle_expired", "watchdog")
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, max_inflight: int) -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
         #: ``host:port`` of the client, for the access log.
         self.peer = _peer_text(writer)
-        self.pending: "asyncio.Queue[_Pending | None]" = asyncio.Queue(
-            maxsize=max_inflight)
-        #: Requests queued for, or held by, the writer.  The reader may
-        #: write a response itself only while this is zero.
-        self.outstanding = 0
-        #: Responses the reader has written itself (the inline lane).
-        self.inlined = 0
-        #: The client went away; responses are accounted 499, not sent.
-        self.broken = False
-        #: When the reader began its current wait for a request head.
+        #: When the loop began its current wait for a request head.
         self.waiting_since: float | None = None
         self.idle_expired = False
         self.watchdog: asyncio.TimerHandle | None = None
@@ -299,27 +279,15 @@ class Gateway:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        conn = _Connection(reader, writer,
-                           self.config.max_inflight_per_connection)
-        write_task = asyncio.create_task(self._write_loop(conn))
+        conn = _Connection(reader, writer)
         self._watch_idle(conn)
         try:
-            await self._read_loop(conn)
-            # put() can wait on a full queue, but the writer is still
-            # consuming, so this always completes.
-            await conn.pending.put(None)
-            await write_task
+            await self._serve(conn)
         except asyncio.CancelledError:
-            # Drain cancelled this connection deliberately; the writer
-            # may be parked on a handler that will never finish inside
-            # the drain deadline — tear everything down, and complete
-            # normally so the streams machinery doesn't log the cancel.
-            write_task.cancel()
-            self._cancel_queued(conn.pending)
-        except BaseException:
-            write_task.cancel()
-            self._cancel_queued(conn.pending)
-            raise
+            # Drain cancelled this connection deliberately (its request,
+            # if any, is accounted); complete normally so the streams
+            # machinery doesn't log the cancel.
+            pass
         finally:
             if conn.watchdog is not None:
                 conn.watchdog.cancel()
@@ -332,10 +300,10 @@ class Gateway:
         """The connection's idle watchdog: one timer, re-armed lazily.
 
         Fires once per ``idle_timeout_seconds`` (not once per request)
-        and measures from the moment the reader last began waiting for
-        a request head: an idle keep-alive connection and a head that
-        stalled half-sent both end the read loop quietly — no 400 — and
-        whatever is still outstanding is answered before the close.
+        and measures from the moment the connection last began waiting
+        for a request head: an idle keep-alive connection and a head
+        that stalled half-sent both end its loop quietly — no 400.  A
+        request being answered is not idle, however long it takes.
         """
         timeout = self.config.idle_timeout_seconds
         waited = 0.0 if conn.waiting_since is None else \
@@ -378,9 +346,10 @@ class Gateway:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_loop(self, conn: _Connection) -> None:
-        """Parse pipelined requests; answer or queue each in order."""
+    async def _serve(self, conn: _Connection) -> None:
+        """Answer the connection's requests one at a time, in order."""
         reader = conn.reader
+        answered = 0
         while not self._draining:
             try:
                 head = await self._read_head(conn)
@@ -419,17 +388,13 @@ class Gateway:
             started = time.monotonic()
             self.metrics.request_started(name)
             answer = self._admit(endpoint, request, request_id)
-            if not isinstance(answer, Response):
-                answer = asyncio.create_task(
-                    self._await_served(answer, request_id))
-            await self._respond(conn, _Pending(
-                answer=answer, request=request, request_id=request_id,
-                endpoint=name, started=started,
-                keep_alive=request.keep_alive,
-                head_only=request.method == "HEAD",
-            ))
-            if not request.keep_alive:
+            if not await self._send(conn, request, request_id, name,
+                                    started, answer) \
+                    or not request.keep_alive:
                 return
+            answered += 1
+            if answered % ANSWERS_PER_YIELD == 0:
+                await asyncio.sleep(0)
 
     @staticmethod
     async def _read_head(conn: _Connection) -> bytes:
@@ -452,94 +417,45 @@ class Gateway:
             )
         return await reader.readexactly(length)
 
-    @staticmethod
-    def _cancel_queued(
-            pending: "asyncio.Queue[_Pending | None]") -> None:
-        """Cancel handler tasks still waiting for their response slot."""
-        while True:
-            try:
-                item = pending.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if item is not None and isinstance(item.answer, asyncio.Task):
-                item.answer.cancel()
-
     async def _reject(self, conn: _Connection,
                       exc: BaseException) -> None:
-        """Answer a malformed request in-order, then close."""
+        """Answer a malformed request, then close."""
         request_id = self._next_request_id()
-        response = error_response(exc, request_id)
-        response.close = True
         self.metrics.request_started("malformed")
-        await self._respond(conn, _Pending(
-            answer=response, request=None, request_id=request_id,
-            endpoint="malformed", started=time.monotonic(),
-            keep_alive=False, head_only=False,
-        ))
+        await self._send(conn, None, request_id, "malformed",
+                         time.monotonic(), error_response(exc, request_id))
 
-    async def _respond(self, conn: _Connection, item: _Pending) -> None:
-        """Write ``item``'s answer now if HTTP/1.1 order allows, else queue.
+    async def _send(self, conn: _Connection, request: Request | None,
+                    request_id: str, endpoint: str, started: float,
+                    answer: "Response | Future[ServedResult]") -> bool:
+        """Await a miss's answer, put it on the wire, account for it.
 
-        The inline lane: a ready response with nothing outstanding ahead
-        of it goes out from the reader in this loop turn — no handler
-        task, no queue hop, no writer wake-up.  Anything else waits its
-        turn behind the writer.
+        Returns whether the response went out.  One that did not — the
+        client went away, or the drain deadline cancelled the request
+        first — is accounted ``499``.
         """
-        if conn.outstanding == 0 and isinstance(item.answer, Response):
-            await self._send(conn, item, item.answer)
-            conn.inlined += 1
-            if conn.inlined % self.config.max_inflight_per_connection == 0:
-                # A pipelined burst of ready answers never suspends the
-                # reader; hand the loop to the other connections as
-                # often as the queue's cap used to make it.
-                await asyncio.sleep(0)
-            return
-        conn.outstanding += 1
-        # Bounded: blocks when max_inflight_per_connection answers are
-        # outstanding, which stops socket reads — backpressure reaches
-        # the client as TCP flow control, not lost requests.
-        await conn.pending.put(item)
-
-    async def _write_loop(self, conn: _Connection) -> None:
-        """Flush responses in request order until the reader signals EOF.
-
-        Runs to the sentinel even when the socket breaks: every admitted
-        task must be awaited (so service work quiesces) and accounted
-        (so the in-flight gauge returns to zero).
-        """
-        while True:
-            item = await conn.pending.get()
-            if item is None:
-                return
-            answer = item.answer
+        sent = False
+        try:
             if not isinstance(answer, Response):
-                answer = await answer  # handler never raises
-            await self._send(conn, item, answer)
-            conn.outstanding -= 1
-
-    async def _send(self, conn: _Connection, item: _Pending,
-                    response: Response) -> None:
-        """Put one response on the wire and account for the request."""
-        status = response.status
-        if not conn.broken:
-            data = build_response(
-                response,
-                request_id=item.request_id,
-                keep_alive=(item.keep_alive and not response.close
-                            and not self._draining),
-                head_only=item.head_only,
-            )
-            try:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                conn.broken = True
-        if conn.broken:
-            status = 499  # client closed before the response went out
-        elapsed = time.monotonic() - item.started
-        self.metrics.request_finished(status, elapsed)
-        self._access_log(conn.peer, item.request, item.request_id,
-                         item.endpoint, status, elapsed)
+                answer = await self._await_served(answer, request_id)
+            conn.writer.write(build_response(
+                answer,
+                request_id=request_id,
+                keep_alive=(request is not None and request.keep_alive
+                            and not answer.close and not self._draining),
+                head_only=request is not None and request.method == "HEAD",
+            ))
+            await conn.writer.drain()
+            sent = True
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            status = answer.status if sent else 499
+            elapsed = time.monotonic() - started
+            self.metrics.request_finished(status, elapsed)
+            self._access_log(conn.peer, request, request_id, endpoint,
+                             status, elapsed)
+        return sent
 
     def _access_log(self, peer: str, request: Request | None,
                     request_id: str, endpoint: str, status: int,
@@ -557,13 +473,13 @@ class Gateway:
 
     def _admit(self, endpoint: Endpoint | None, request: Request,
                request_id: str) -> "Response | Future[ServedResult]":
-        """The synchronous half of a request, run by the reader.
+        """The synchronous half of a request, run by its connection.
 
         Returns the finished response whenever there is one by the time
         admission returns — no route, a local endpoint, a validation or
         admission failure, an L1 hit, a replayed negative entry — and
-        otherwise the pool future a handler task will await.  Every
-        failure becomes a response.
+        otherwise the pool future :meth:`_send` awaits.  Every failure
+        becomes a response.
         """
         try:
             if endpoint is None:
@@ -597,10 +513,10 @@ class Gateway:
             if isinstance(served, Future):
                 if not served.done():
                     return served
-                # Resolved at admission: skip the task and wrap_future,
-                # whose wake-up crosses the loop's self-pipe even for a
-                # future that is already done.  (timeout=0: this runs
-                # on the loop and must poll, never wait.)
+                # Resolved at admission: skip wrap_future, whose wake-up
+                # crosses the loop's self-pipe even for a future that is
+                # already done.  (timeout=0: this runs on the loop and
+                # must poll, never wait.)
                 served = served.result(timeout=0)
             wire = served.wire
             if wire is None:
@@ -615,7 +531,7 @@ class Gateway:
 
     async def _await_served(self, future: "Future[ServedResult]",
                             request_id: str) -> Response:
-        """The handler task of a miss: await the pool, encode the page."""
+        """A miss: await the pool in place, encode the page."""
         try:
             served = await asyncio.wrap_future(future)
             return Response(body=encode_served(

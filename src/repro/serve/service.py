@@ -63,9 +63,6 @@ class GatewayConfig:
     #: Connections past this cap are answered ``503`` + ``Retry-After``
     #: and closed.
     max_connections: int = 1024
-    #: Pipelined requests a single connection may have outstanding; the
-    #: reader stops consuming the socket (TCP backpressure) at the cap.
-    max_inflight_per_connection: int = 8
     #: Request line + headers may not exceed this many bytes (400).
     max_header_bytes: int = 16384
     #: Request bodies past this are rejected with ``413``.
@@ -214,7 +211,7 @@ class QueryService:
 
         An L1 hit is the :class:`ServedResult` itself, straight from the
         cache claim; every other outcome is the future :meth:`submit`
-        returns.  The gateway's reader calls this, so a hit crosses no
+        returns.  The gateway's event loop calls this, so a hit crosses no
         ``Future``.
         """
         if self._closed:

@@ -85,22 +85,41 @@ def client(gateway):
         yield cl
 
 
-def _slow_dispatch(delay):
+def _slow_dispatch(started, release, delay):
     def dispatch(query, page=1):
-        time.sleep(delay)
+        started.release()
+        release.wait(timeout=delay)
         return {"query": query, "page": page}
     return dispatch
 
 
 class _SlowHarness:
-    """A gateway over a deliberately tiny, slow service."""
+    """A gateway over a deliberately tiny, slow service.
 
-    def __init__(self, system, *, delay=0.3, num_workers=1,
+    An ``all_fields`` search signals ``started`` when a worker picks it
+    up, then holds the worker until ``release`` is set or ``delay``
+    seconds pass.  ``admitted`` signals each request the pool queues.
+    """
+
+    def __init__(self, system, *, delay=30.0, num_workers=1,
                  max_queue=8, gateway_config=None):
         self.service = QueryService(system, ServeConfig(
             num_workers=num_workers, max_queue=max_queue,
         ))
-        self.service._dispatch["all_fields"] = _slow_dispatch(delay)
+        self.started = threading.Semaphore(0)
+        self.admitted = threading.Semaphore(0)
+        self.release = threading.Event()
+        self.service._dispatch["all_fields"] = _slow_dispatch(
+            self.started, self.release, delay)
+        pool = self.service._pool
+        submit = pool.submit
+
+        def counted_submit(*args, **kwargs):
+            future = submit(*args, **kwargs)
+            self.admitted.release()
+            return future
+
+        pool.submit = counted_submit
         self.gw = BackgroundGateway(self.service, gateway_config)
 
     def __enter__(self):
@@ -108,6 +127,7 @@ class _SlowHarness:
         return self
 
     def __exit__(self, *exc_info):
+        self.release.set()
         try:
             self.gw.stop()
         finally:
@@ -116,6 +136,21 @@ class _SlowHarness:
     @property
     def port(self):
         return self.gw.port
+
+    def occupy(self, *queries):
+        """GET each query on its own connection, in order.
+
+        Returns the ``(thread, box)`` pairs once the first search holds
+        the worker and the rest are queued behind it.
+        """
+        threads = []
+        for i, query in enumerate(queries):
+            threads.append(_get_in_thread(
+                self.port, "/v1/search/all_fields", {"query": query}))
+            assert self.admitted.acquire(timeout=10.0)
+            if i == 0:
+                assert self.started.acquire(timeout=10.0)
+        return threads
 
 
 def _wait_for(predicate, timeout=5.0):
@@ -333,16 +368,10 @@ class TestProtocolErrors:
 
 class TestOverload:
     def test_saturated_admission_queue_sheds_503(self, system):
-        with _SlowHarness(system, delay=0.6, num_workers=1,
+        with _SlowHarness(system, num_workers=1,
                           max_queue=1) as harness:
-            # Staggered so the worker pops slow-0 before slow-1
-            # arrives: slow-0 occupies the worker, slow-1 the queue ...
-            threads = []
-            for i in range(2):
-                threads.append(_get_in_thread(
-                    harness.port, "/v1/search/all_fields",
-                    {"query": f"slow {i}"}))
-                time.sleep(0.12)
+            # slow-0 occupies the worker, slow-1 the queue ...
+            threads = harness.occupy("slow 0", "slow 1")
             # ... so this submit is shed synchronously with a 503.
             with GatewayClient("127.0.0.1", harness.port) as cl:
                 started = time.monotonic()
@@ -352,6 +381,7 @@ class TestOverload:
             assert shed.json()["error"]["code"] == "service_overloaded"
             assert "retry-after" in shed.headers
             assert elapsed < 0.3, "sheds must be immediate, not hung"
+            harness.release.set()
             for thread, box in threads:
                 thread.join(timeout=10.0)
                 assert box["response"].status == 200
@@ -375,10 +405,7 @@ class TestOverload:
     def test_deadline_lapsed_in_queue_is_504(self, system):
         with _SlowHarness(system, delay=0.5,
                           num_workers=1) as harness:
-            thread, box = _get_in_thread(
-                harness.port, "/v1/search/all_fields",
-                {"query": "slow occupant"})
-            time.sleep(0.15)
+            [(thread, box)] = harness.occupy("slow occupant")
             # Queued behind a 0.5s request with a 50ms budget: the
             # deadline lapses before a worker ever picks it up.
             with GatewayClient("127.0.0.1", harness.port) as cl:
@@ -392,10 +419,7 @@ class TestOverload:
     def test_timeout_header_is_equivalent_to_the_param(self, system):
         with _SlowHarness(system, delay=0.5,
                           num_workers=1) as harness:
-            thread, box = _get_in_thread(
-                harness.port, "/v1/search/all_fields",
-                {"query": "slow occupant"})
-            time.sleep(0.15)
+            [(thread, box)] = harness.occupy("slow occupant")
             with GatewayClient("127.0.0.1", harness.port) as cl:
                 late = cl.get("/v1/search/all_fields",
                               params={"query": "impatient header"},
@@ -407,12 +431,8 @@ class TestOverload:
     def test_slow_fanout_does_not_delay_healthz(self, system):
         """The acceptance criterion: the loop never blocks, so another
         connection's health probe answers while a slow request runs."""
-        with _SlowHarness(system, delay=0.6,
-                          num_workers=1) as harness:
-            thread, box = _get_in_thread(
-                harness.port, "/v1/search/all_fields",
-                {"query": "slow fanout"})
-            time.sleep(0.1)
+        with _SlowHarness(system, num_workers=1) as harness:
+            [(thread, box)] = harness.occupy("slow fanout")
             with GatewayClient("127.0.0.1", harness.port) as probe:
                 for _ in range(3):
                     started = time.monotonic()
@@ -422,6 +442,7 @@ class TestOverload:
                     assert elapsed < 0.25, (
                         f"healthz took {elapsed:.3f}s behind a slow "
                         f"fan-out — the event loop blocked")
+            harness.release.set()
             thread.join(timeout=10.0)
             assert box["response"].status == 200
 
@@ -647,21 +668,19 @@ class TestInlineLane:
             assert payload["cached"]
             assert payload["value"]["query"] == query
 
-    def test_reader_still_stops_at_the_inflight_cap(self, system):
-        config = GatewayConfig(port=0, max_inflight_per_connection=2)
-        with _SlowHarness(system, delay=0.5, num_workers=1,
-                          gateway_config=config) as harness:
+    def test_a_connection_holds_one_request_at_a_time(self, system):
+        with _SlowHarness(system, num_workers=1) as harness:
             with RawGatewayClient("127.0.0.1", harness.port) as cl:
                 cl.send_raw_nowait(
                     _raw("/v1/search/all_fields?query=slow")
                     + _raw("/v1/healthz") * 8)
-                # One with the writer, two queued, one parked in put():
-                # the other five stay unread in the socket.
+                # While the miss computes, the eight requests behind it
+                # stay unread in the socket.
+                assert harness.started.acquire(timeout=10.0)
                 metrics = harness.gw.gateway.metrics
-                assert _wait_for(lambda: metrics.inflight >= 4,
-                                 timeout=0.35)
-                time.sleep(0.05)
-                assert metrics.inflight == 4
+                assert metrics.inflight == 1
+                assert "healthz" not in metrics.snapshot()["requests"]
+                harness.release.set()
                 replies = [cl.read_response() for _ in range(9)]
             assert [reply.status for reply in replies] == [200] * 9
             assert replies[0].json()["value"]["query"] == "slow"
@@ -720,14 +739,10 @@ class TestInlineLane:
         assert replayed.keep_alive
 
     def test_shed_answered_inline_keeps_retry_after(self, system):
-        with _SlowHarness(system, delay=0.6, num_workers=1,
+        with _SlowHarness(system, num_workers=1,
                           max_queue=1) as harness:
-            threads = []
-            for i in range(2):  # one on the worker, one in the queue
-                threads.append(_get_in_thread(
-                    harness.port, "/v1/search/all_fields",
-                    {"query": f"slow {i}"}))
-                time.sleep(0.12)
+            # one on the worker, one in the queue
+            threads = harness.occupy("slow 0", "slow 1")
             with RawGatewayClient("127.0.0.1", harness.port) as cl:
                 cl.send_raw_nowait(
                     _raw("/v1/search/all_fields?query=shed+me")
@@ -739,6 +754,7 @@ class TestInlineLane:
             assert error["request_id"] == shed.request_id
             assert shed.headers["retry-after"] == "1"
             assert shed.keep_alive and health.status == 200
+            harness.release.set()
             for thread, box in threads:
                 thread.join(timeout=10.0)
                 assert box["response"].status == 200
@@ -833,9 +849,7 @@ class TestDrain:
         with _SlowHarness(system, delay=0.4,
                           num_workers=1) as harness:
             port = harness.port
-            thread, box = _get_in_thread(
-                port, "/v1/search/all_fields", {"query": "mid drain"})
-            time.sleep(0.1)
+            [(thread, box)] = harness.occupy("mid drain")
             harness.gw.stop()  # drain: must deliver the response first
             thread.join(timeout=10.0)
             assert "error" not in box, box.get("error")

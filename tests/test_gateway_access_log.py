@@ -23,7 +23,6 @@ import pytest
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.errors import ServiceOverloadedError
 from repro.gateway import BackgroundGateway, GatewayClient
 from repro.gateway.server import ACCESS_LOG_BUFFER_CHARS, _AccessLog
 from repro.serve.service import GatewayConfig, QueryService, ServeConfig
@@ -152,34 +151,35 @@ class TestOneLinePerResponse:
                 return search(query, page=page)
 
             service._dispatch["all_fields"] = dispatch
-            submit, refused = service._pool.submit, threading.Event()
+            submit, admitted = service._pool.submit, threading.Semaphore(0)
 
-            def watched_submit(*args, **kwargs):
-                try:
-                    return submit(*args, **kwargs)
-                except ServiceOverloadedError:
-                    refused.set()
-                    raise
+            def counted_submit(*args, **kwargs):
+                future = submit(*args, **kwargs)
+                admitted.release()
+                return future
 
-            service._pool.submit = watched_submit
+            service._pool.submit = counted_submit
             gw = _gateway(service, stream).start()
             try:
                 with RawGatewayClient("127.0.0.1", gw.port) as holder, \
-                        RawGatewayClient("127.0.0.1", gw.port) as cl:
+                        RawGatewayClient("127.0.0.1", gw.port) as cl, \
+                        RawGatewayClient("127.0.0.1", gw.port) as shedder:
                     holder.send_raw_nowait(
                         b"GET /v1/search/all_fields?query=hold HTTP/1.1"
                         b"\r\nHost: x\r\n\r\n")
                     assert started.wait(timeout=30.0)
-                    # The worker is busy: the first queues, the second
-                    # is shed at admission and answers in order after.
+                    assert admitted.acquire(timeout=30.0)
+                    # The worker is busy: this one queues ...
                     cl.send_raw_nowait(
                         b"GET /v1/search/all_fields?query=queued HTTP/1.1"
-                        b"\r\nHost: x\r\n\r\n"
+                        b"\r\nHost: x\r\n\r\n")
+                    assert admitted.acquire(timeout=30.0)
+                    # ... and the next is shed at admission.
+                    shed = shedder.send_raw(
                         b"GET /v1/search/all_fields?query=shed HTTP/1.1"
                         b"\r\nHost: x\r\n\r\n")
-                    assert refused.wait(timeout=30.0)
                     release.set()
-                    queued, shed = cl.read_response(), cl.read_response()
+                    queued = cl.read_response()
                     held = holder.read_response()
             finally:
                 release.set()
@@ -193,6 +193,52 @@ class TestOneLinePerResponse:
         assert (line["target"], line["endpoint"], line["status"]) == \
             ("/v1/search/all_fields?query=shed", "search.all_fields",
              "503")
+
+    def test_a_request_cancelled_at_the_drain_deadline(self, system):
+        started, release = threading.Event(), threading.Event()
+        stream = io.StringIO()
+        drained = logging.getLogger("repro.gateway")
+        handler = logging.StreamHandler(stream)
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        level = drained.level
+        drained.addHandler(handler)
+        drained.setLevel(logging.INFO)
+        try:
+            with QueryService(system, ServeConfig(num_workers=1)) as service:
+                search = service._dispatch["all_fields"]
+
+                def dispatch(query, page=1):
+                    started.set()
+                    release.wait(timeout=30.0)
+                    return search(query, page=page)
+
+                service._dispatch["all_fields"] = dispatch
+                gw = _gateway(service, stream, GatewayConfig(
+                    port=0, drain_seconds=0.2)).start()
+                try:
+                    with RawGatewayClient("127.0.0.1", gw.port) as cl:
+                        cl.send_raw_nowait(
+                            b"GET /v1/search/all_fields?query=stuck "
+                            b"HTTP/1.1\r\nHost: x\r\n\r\n")
+                        assert started.wait(timeout=30.0)
+                        gw.stop()  # the miss outlives the drain deadline
+                finally:
+                    release.set()
+                    gw.stop()
+        finally:
+            drained.removeHandler(handler)
+            drained.setLevel(level)
+        snapshot = gw.gateway.metrics.snapshot()
+        assert snapshot["requests_inflight"] == 0
+        assert snapshot["responses"] == {"499": 1}
+        lines = stream.getvalue().splitlines()
+        assert lines[-1] == "gateway drained (1 request(s) cancelled)"
+        [line] = [_parse(text) for text in lines
+                  if " repro.gateway.access " in text]
+        assert (line["method"], line["target"], line["endpoint"],
+                line["status"]) == \
+            ("GET", "/v1/search/all_fields?query=stuck",
+             "search.all_fields", "499")
 
     def test_connection_shed(self, system):
         stream = io.StringIO()
