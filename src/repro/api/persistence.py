@@ -99,8 +99,9 @@ def save_system(system: CovidKG, directory: str | Path) -> Path:
     if system.word2vec is not None:
         system.word2vec.save(directory / "word2vec.npz")
     if isinstance(system.classifier, SvmMetadataClassifier):
-        # Only the linear classifier is serializable today; a BiGRU
-        # classifier is retrained from the saved embeddings on reload.
+        # Only the linear classifier is saved.  A reloaded ``bigru``
+        # system has no classifier, so ingest labels rows by the
+        # structural ``<th>`` fallback.
         system.classifier.save(directory / "classifier.npz")
     system.registry.save_manifest(directory / "manifest.json")
 

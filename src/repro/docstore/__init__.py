@@ -5,7 +5,8 @@ knowledge graph itself in a sharded MongoDB cluster and expresses its
 search engines as aggregation pipelines (paper Section 2).  This package
 reproduces the parts of that stack the system actually exercises:
 
-* a MongoDB-style query language, compiled once per read
+* the MongoDB-style filter forms the system sends (literal, ``$in``,
+  ``$regex``, ``$and``, ``$or``), compiled once per read
   (:mod:`repro.docstore.matching`),
 * insert-only collections with indexed reads (:mod:`repro.docstore.collection`),
 * hash secondary indexes (:mod:`repro.docstore.indexes`),

@@ -10,7 +10,7 @@ are ``$match → $project → $function`` pipelines, ranked and paged by
   which is exactly the optimization the paper highlights ("it was mindful to
   use the $match stage first to minimize the amount of data being passed
   through all the latter stages").
-* ``{"$project": {field: 0|1}}`` — an inclusion or exclusion.  Right
+* ``{"$project": {field: 1}}`` — an inclusion (``_id`` may be 0).  Right
   after a pushed-down ``$match`` it reads the collection's stored rows,
   so each matched document is copied once, already projected.
 * ``{"$function": {"body": callable, "as": field}}`` — call ``body`` on
@@ -37,7 +37,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.docstore.collection import Collection, apply_projection
+from repro.docstore.collection import (
+    Collection,
+    apply_projection,
+    is_inclusion,
+)
 from repro.docstore.documents import (
     ObjectId,
     deep_copy_document,
@@ -166,12 +170,10 @@ class AggregationPipeline:
             name, spec = next(iter(stage.items()))
             if name not in STAGE_NAMES:
                 raise AggregationError(f"unknown stage {name!r}")
-            if name == "$project" and not (isinstance(spec, dict) and all(
-                    value in (0, 1, True, False)
-                    for value in spec.values())):
+            if name == "$project" and not is_inclusion(spec):
                 raise AggregationError(
-                    "$project takes 0/1 inclusions, not expressions: "
-                    f"{spec!r}"
+                    "$project takes inclusions (_id may be 0), not "
+                    f"expressions or exclusions: {spec!r}"
                 )
             if name == "$function" and not (
                     isinstance(spec, dict) and callable(spec.get("body"))

@@ -2,9 +2,9 @@
 
 The store is insert-only: documents go in through ``insert_one`` /
 ``insert_many`` and are never updated or deleted in place.  ``find``
-returns a :class:`Cursor` with an optional projection; ordering and
-paging are the aggregation pipeline's ``$sort`` / ``$skip`` / ``$limit``
-stages (:mod:`repro.docstore.aggregation`).
+returns a :class:`Cursor` with an optional inclusion projection;
+ordering and paging are the aggregation pipeline's ``$sort`` /
+``$skip`` / ``$limit`` stages (:mod:`repro.docstore.aggregation`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.docstore.documents import (
     deep_copy_document,
     deep_get,
     deep_set,
-    deep_unset,
     document_bytes,
     validate_document,
 )
@@ -59,34 +58,42 @@ class Cursor:
         return self._materialize()
 
 
+def is_inclusion(projection: Any) -> bool:
+    """True for an inclusion projection: ``{path: 1, ...}``, where
+    ``_id`` may also be 0."""
+    return isinstance(projection, dict) and all(
+        value in (0, 1) if path == "_id" else value == 1
+        for path, value in projection.items()
+    )
+
+
 def apply_projection(document: dict[str, Any],
                      projection: dict[str, int]) -> dict[str, Any]:
-    """Apply a MongoDB-style inclusion or exclusion projection.
+    """Apply a MongoDB-style inclusion projection.
 
-    The result shares nothing with ``document``: every kept value is
-    deep-copied (``_id`` included), so a caller may pass a stored row.
-    Included fields come out in the projection's own order.
+    The named paths come out in the projection's own order, after
+    ``_id`` unless it says ``"_id": 0``; one that names no path but
+    ``_id`` keeps the whole document.  Excluding any other path is a
+    :class:`~repro.errors.QueryError`.  The result shares nothing with
+    ``document``: every kept value is deep-copied (``_id`` included),
+    so a caller may pass a stored row.
     """
-    if not projection:
-        return deep_copy_document(document)
-    includes = [k for k, v in projection.items() if v and k != "_id"]
-    excludes = [k for k, v in projection.items() if not v and k != "_id"]
-    if includes and excludes:
-        raise QueryError("cannot mix inclusion and exclusion in a projection")
-    if includes:
-        result: dict[str, Any] = {}
-        if projection.get("_id", 1) and "_id" in document:
-            result["_id"] = deep_copy_document({"v": document["_id"]})["v"]
-        for path in includes:
-            value = deep_get(document, path, _MISSING)
-            if value is not _MISSING:
-                deep_set(result, path, deep_copy_document({"v": value})["v"])
+    if not is_inclusion(projection):
+        raise QueryError(f"a projection only includes fields: {projection!r}")
+    keep_id = projection.get("_id", 1)
+    includes = [path for path in projection if path != "_id"]
+    if not includes:
+        result = deep_copy_document(document)
+        if not keep_id:
+            result.pop("_id", None)
         return result
-    result = deep_copy_document(document)
-    for path in excludes:
-        deep_unset(result, path)
-    if not projection.get("_id", 1):
-        result.pop("_id", None)
+    result: dict[str, Any] = {}
+    if keep_id and "_id" in document:
+        result["_id"] = deep_copy_document({"v": document["_id"]})["v"]
+    for path in includes:
+        value = deep_get(document, path, _MISSING)
+        if value is not _MISSING:
+            deep_set(result, path, deep_copy_document({"v": value})["v"])
     return result
 
 

@@ -160,26 +160,6 @@ def deep_set(document: dict[str, Any], path: str, value: Any) -> None:
         target[last] = value
 
 
-def deep_unset(document: dict[str, Any], path: str) -> bool:
-    """Remove the value at ``path``; returns True when something was removed."""
-    parts = path.split(".")
-    target: Any = document
-    for part in parts[:-1]:
-        target = _descend(target, part)
-        if target is _MISSING or not isinstance(target, (dict, list)):
-            return False
-    last = parts[-1]
-    if isinstance(target, dict) and last in target:
-        del target[last]
-        return True
-    if isinstance(target, list) and last.isdigit():
-        index = int(last)
-        if 0 <= index < len(target):
-            del target[index]
-            return True
-    return False
-
-
 def document_bytes(document: dict[str, Any]) -> int:
     """Serialized size of a document, used for storage accounting (E11)."""
     return len(json.dumps(document, default=str, separators=(",", ":")))

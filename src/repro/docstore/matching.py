@@ -1,18 +1,23 @@
 """MongoDB-style filters, compiled once into predicates.
 
-Supported operators:
+The filter language is the five forms the system sends: the engines'
+``$match`` (:meth:`repro.search.columnar.MatchPlan.match_document`),
+the ``paper_id`` ``$in`` prefilter in front of it, and ``find_one`` /
+``count`` on a key.
 
-* comparison: ``$eq``, ``$ne``, ``$gt``, ``$gte``, ``$lt``, ``$lte``,
-  ``$in``, ``$nin``
-* element: ``$exists``, ``$type``, ``$size``
-* string: ``$regex`` (with ``$options``)
-* array: ``$all``, ``$elemMatch``
-* logical: ``$and``, ``$or``, ``$nor``, ``$not``
-* evaluation: ``$where`` (a Python callable standing in for JS)
+* ``{path: literal}`` — equality; a field holding an array also matches
+  when one of its elements equals the literal, and ``None`` also
+  matches a missing field;
+* ``{path: {"$in": [...]}}`` — equality with any member, element by
+  element over an array (a ``None`` member matches a missing field);
+* ``{path: {"$regex": pattern, "$options": flags}}`` — ``re.search``
+  over a string, or over the string elements of an array, with the
+  ``i`` / ``m`` / ``s`` flags;
+* ``{"$and": [filter, ...]}`` and ``{"$or": [filter, ...]}``.
 
-Scalar comparisons follow MongoDB's array semantics: a filter on a field
-holding an array matches when *any* element matches; ``$ne`` and
-``$nin`` match an array only when *no* element equals the operand.
+A filter's clauses, and the operators of one field document, must all
+hold.  Any other operator is refused, so a comparison, ``$ne`` or
+``$where`` fails loudly rather than matching something.
 
 :func:`compile_filter` walks a filter once — validating every operator,
 splitting dotted paths, compiling each ``$regex`` with its ``$options``
@@ -24,7 +29,6 @@ raises :class:`~repro.errors.QueryError` (an invalid pattern,
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import Any, Callable
 
@@ -33,46 +37,14 @@ from repro.errors import QueryError
 
 #: A compiled filter: document -> matched.
 Predicate = Callable[[Any], bool]
-#: A compiled field test: the field's value (``_MISSING`` when absent).
+#: A compiled field test: the value of a present field.
 _Test = Callable[[Any], bool]
 
 _MISSING = object()
 
-_ORDERINGS: dict[str, Callable[[Any, Any], bool]] = {
-    "$gt": operator.gt,
-    "$gte": operator.ge,
-    "$lt": operator.lt,
-    "$lte": operator.le,
-}
-
-_TYPE_NAMES: dict[str, type | tuple[type, ...]] = {
-    "double": float,
-    "string": str,
-    "object": dict,
-    "array": list,
-    "bool": bool,
-    "int": int,
-    "number": (int, float),
-    "null": type(None),
-}
-
-
-def _comparable(left: Any, right: Any) -> bool:
-    """MongoDB only compares values of the same BSON type family."""
-    numeric = (int, float)
-    if isinstance(left, bool) or isinstance(right, bool):
-        return isinstance(left, bool) and isinstance(right, bool)
-    if isinstance(left, numeric) and isinstance(right, numeric):
-        return True
-    return type(left) is type(right)
-
 
 def _always(value: Any) -> bool:
     return True
-
-
-def _constant(verdict: bool) -> Callable[[], bool]:
-    return lambda: verdict
 
 
 def _all_of(tests: list[Callable[[Any], bool]]) -> Callable[[Any], bool]:
@@ -101,28 +73,17 @@ def _is_operator_doc(spec: Any) -> bool:
 # -- field tests ------------------------------------------------------------
 
 
-def _equals(operand: Any) -> _Test:
-    def equals(value: Any) -> bool:
+def _literal(spec: Any) -> _Test:
+    """Equality; an array field also matches on containment."""
+    if isinstance(spec, list):
+        return lambda value: value == spec
+
+    def literal(value: Any) -> bool:
         if isinstance(value, list):
-            return value == operand or any(item == operand for item in value)
-        return value == operand
+            return spec in value or value == spec
+        return value == spec
 
-    return equals
-
-
-def _ordering(compare: Callable[[Any, Any], bool], operand: Any) -> _Test:
-    def ordered(value: Any) -> bool:
-        if value is _MISSING or not _comparable(value, operand):
-            return False
-        return compare(value, operand)
-
-    def fanned_out(value: Any) -> bool:
-        # Array fan-out: {"tags": {"$gt": 3}} matches [1, 5].
-        if isinstance(value, list):
-            return ordered(value) or any(ordered(item) for item in value)
-        return ordered(value)
-
-    return fanned_out
+    return literal
 
 
 #: Types whose ``==`` agrees with their hash across one another, so a
@@ -132,9 +93,9 @@ def _ordering(compare: Callable[[Any, Any], bool], operand: Any) -> _Test:
 _SET_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
-def _membership(op: str, operand: Any) -> _Test:
+def _membership(operand: Any) -> _Test:
     if not isinstance(operand, (list, tuple)):
-        raise QueryError(f"{op} requires a list")
+        raise QueryError("$in requires a list")
     members = frozenset(operand) if all(
         type(item) in _SET_TYPES for item in operand) else None
 
@@ -143,35 +104,12 @@ def _membership(op: str, operand: Any) -> _Test:
             return value in members
         return value in operand
 
-    if op == "$in":
-        def is_in(value: Any) -> bool:
-            if isinstance(value, list):
-                return any(contains(item) for item in value)
-            return contains(value)
-        return is_in
-
-    def not_in(value: Any) -> bool:
+    def is_in(value: Any) -> bool:
         if isinstance(value, list):
-            return not any(contains(item) for item in value)
-        return not contains(value)
+            return any(contains(item) for item in value)
+        return contains(value)
 
-    return not_in
-
-
-def _has_type(name: Any) -> _Test:
-    if not isinstance(name, str) or name not in _TYPE_NAMES:
-        raise QueryError(f"unknown $type name {name!r}")
-    expected = _TYPE_NAMES[name]
-    numeric = name in ("int", "double", "number")
-
-    def has_type(value: Any) -> bool:
-        if value is _MISSING:
-            return False
-        if numeric and isinstance(value, bool):
-            return False  # bool is not a number
-        return isinstance(value, expected)
-
-    return has_type
+    return is_in
 
 
 def _regex(pattern: Any, options: Any) -> _Test:
@@ -197,124 +135,37 @@ def _regex(pattern: Any, options: Any) -> _Test:
     return regex
 
 
-def _compile_operator(op: str, operand: Any,
-                      spec: dict[str, Any]) -> _Test:
-    if op == "$eq":
-        return _equals(operand)
-    if op == "$ne":
-        equals = _equals(operand)
-        return lambda value: not equals(value)
-    if op in _ORDERINGS:
-        return _ordering(_ORDERINGS[op], operand)
-    if op in ("$in", "$nin"):
-        return _membership(op, operand)
-    if op == "$exists":
-        wanted = bool(operand)
-        return lambda value: (value is not _MISSING) == wanted
-    if op == "$type":
-        return _has_type(operand)
-    if op == "$size":
-        return lambda value: isinstance(value, list) and len(value) == operand
-    if op == "$regex":
-        return _regex(operand, spec.get("$options", ""))
-    if op == "$all":
-        if not isinstance(operand, (list, tuple)):
-            raise QueryError("$all requires a list")
-        return lambda value: isinstance(value, list) and all(
-            item in value for item in operand
-        )
-    if op == "$elemMatch":
-        sub = compile_filter(operand)
-        return lambda value: isinstance(value, list) and any(
-            isinstance(item, dict) and sub(item) for item in value
-        )
-    if op == "$not":
-        if not isinstance(operand, dict):
-            raise QueryError("$not requires an operator document")
-        inner = _compile_field_spec(operand)
-        return lambda value: not inner(value)
-    if op == "$where":
-        if not callable(operand):
-            raise QueryError("$where requires a callable")
-        return lambda value: bool(operand(value))
-    raise QueryError(f"unknown operator {op}")
-
-
-def _compile_operators(spec: dict[str, Any]) -> dict[str, _Test]:
+def _compile_operators(spec: dict[str, Any]) -> _Test:
     """One test per operator of ``spec``, in order (``$options`` rides
     with ``$regex``)."""
-    return {
-        op: _compile_operator(op, operand, spec)
-        for op, operand in spec.items() if op != "$options"
-    }
-
-
-def _compile_field_spec(spec: Any) -> _Test:
-    """An operator document, or literal equality (arrays match on
-    identity or containment)."""
-    if _is_operator_doc(spec):
-        return _all_of(list(_compile_operators(spec).values()))
-    if isinstance(spec, list):
-        return lambda value: value == spec
-
-    def literal(value: Any) -> bool:
-        if isinstance(value, list):
-            return spec in value or value == spec
-        return value == spec
-
-    return literal
-
-
-def _missing_test(spec: dict[str, Any],
-                  tests: dict[str, _Test]) -> Callable[[], bool]:
-    """What an operator document without ``$exists`` says of a missing
-    field.
-
-    MongoDB semantics: ``$ne``/``$nin`` match missing fields, ordinary
-    comparisons do not, ``$eq: None`` matches missing.  A ``$not``
-    reached before the verdict is settled reads its operand against
-    ``None``.
-    """
-    negated: _Test | None = None
-    verdict = True
+    tests: list[_Test] = []
     for op, operand in spec.items():
-        if op == "$not":
-            negated = tests[op]
-            continue
-        if op == "$ne":
-            holds = operand is not None
-        elif op == "$nin":
-            holds = None not in operand
-        elif op == "$eq":
-            holds = operand is None
-        elif op == "$in":
-            holds = None in operand
-        else:
-            holds = False
-        if not holds:
-            verdict = False
-            break
-    if negated is None:
-        return _constant(verdict)
-    return lambda: negated(None) and verdict
+        if op == "$in":
+            tests.append(_membership(operand))
+        elif op == "$regex":
+            tests.append(_regex(operand, spec.get("$options", "")))
+        elif op != "$options":
+            raise QueryError(f"unknown operator {op}")
+        elif "$regex" not in spec:
+            raise QueryError("$options requires $regex")
+    return _all_of(tests)
 
 
 def _compile_field(path: str, spec: Any) -> Predicate:
     get = path_getter(path, _MISSING)
     if _is_operator_doc(spec):
-        tests = _compile_operators(spec)
-        test = _all_of(list(tests.values()))
-        if "$exists" in spec:
-            return lambda document: test(get(document))
-        missing = _missing_test(spec, tests)
+        test = _compile_operators(spec)
+        # Only an ``$in`` listing None matches a missing field.
+        missing = all(op == "$in" and None in operand
+                      for op, operand in spec.items())
     else:
-        test = _compile_field_spec(spec)
-        missing = _constant(spec is None)  # {"f": None} matches a missing field
+        test = _literal(spec)
+        missing = spec is None
 
     def field_clause(document: Any) -> bool:
         value = get(document)
         if value is _MISSING:
-            return missing()
+            return missing
         return test(value)
 
     return field_clause
@@ -323,33 +174,21 @@ def _compile_field(path: str, spec: Any) -> Predicate:
 # -- filters -----------------------------------------------------------------
 
 
-def _compile_filters(key: str, spec: Any) -> list[Predicate]:
-    if not isinstance(spec, (list, tuple)):
-        raise QueryError(f"{key} requires a list of filters")
-    return [compile_filter(sub) for sub in spec]
-
-
 def _compile_clause(key: str, spec: Any) -> Predicate:
-    if key == "$and":
-        return _all_of(_compile_filters(key, spec))
-    if key in ("$or", "$nor"):
-        alternatives = _compile_filters(key, spec)
-        wanted = key == "$or"
+    if key in ("$and", "$or"):
+        if not isinstance(spec, (list, tuple)):
+            raise QueryError(f"{key} requires a list of filters")
+        filters = [compile_filter(sub) for sub in spec]
+        if key == "$and":
+            return _all_of(filters)
 
         def any_of(document: Any) -> bool:
-            for alternative in alternatives:
+            for alternative in filters:
                 if alternative(document):
-                    return wanted
-            return not wanted
+                    return True
+            return False
 
         return any_of
-    if key == "$not":
-        negated = compile_filter(spec)
-        return lambda document: not negated(document)
-    if key == "$where":
-        if not callable(spec):
-            raise QueryError("top-level $where requires a callable")
-        return lambda document: bool(spec(document))
     if key.startswith("$"):
         raise QueryError(f"unknown top-level operator {key}")
     return _compile_field(key, spec)
@@ -362,7 +201,7 @@ def compile_filter(query: dict[str, Any]) -> Predicate:
     single document is read.  Clauses run in the filter's order and stop
     at the first that fails.
 
-    >>> recent = compile_filter({"year": {"$gte": 2021}})
+    >>> recent = compile_filter({"year": {"$in": [2021, 2022]}})
     >>> recent({"year": 2022}), recent({"year": 2019}), recent({})
     (True, False, False)
     """
@@ -376,7 +215,8 @@ def compile_filter(query: dict[str, Any]) -> Predicate:
 def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
     """True when ``document`` satisfies the MongoDB-style ``query``.
 
-    >>> matches({"a": 5}, {"a": {"$gte": 3}})
+    >>> matches({"title": "Vaccines"}, {"title": {"$regex": "^vacc",
+    ...                                           "$options": "i"}})
     True
     >>> matches({"tags": ["x", "y"]}, {"tags": "x"})
     True
@@ -387,12 +227,12 @@ def matches(document: dict[str, Any], query: dict[str, Any]) -> bool:
 def key_constraints(query: dict[str, Any]) -> dict[str, list[Any]]:
     """Top-level paths ``query`` pins to a few values, for index lookup.
 
-    Each path maps to the values one of which it must equal — a
-    literal, an ``$eq`` or an ``$in`` — so the documents holding one of
-    them are every candidate.  A path is left out when a value would
-    match more than its hash bucket: ``None`` (also a missing field), a
-    list or tuple (also the whole array, which is indexed element by
-    element) or a dict.
+    Each path maps to the values one of which it must equal — a literal
+    or an ``$in`` — so the documents holding one of them are every
+    candidate.  A path is left out when a value would match more than
+    its hash bucket: ``None`` (also a missing field), a list or tuple
+    (also the whole array, which is indexed element by element) or a
+    dict.
 
     >>> key_constraints({"a": 1, "b": {"$in": ["x", "y"]}, "c": [1]})
     {'a': [1], 'b': ['x', 'y']}
@@ -403,8 +243,6 @@ def key_constraints(query: dict[str, Any]) -> dict[str, list[Any]]:
             continue
         if not _is_operator_doc(spec):
             values = [spec]
-        elif "$eq" in spec:
-            values = [spec["$eq"]]
         elif isinstance(spec.get("$in"), (list, tuple)):
             values = list(spec["$in"])
         else:

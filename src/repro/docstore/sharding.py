@@ -104,7 +104,7 @@ class ShardedCollection:
 
     def _target_shards(self, query: dict[str, Any]) -> list[Collection]:
         """The shards owning a value the query pins the shard key to
-        (``$eq``, ``$in``, a literal), in shard order; else all."""
+        (a literal or ``$in``), in shard order; else all."""
         values = key_constraints(query).get(self.shard_key)
         if values is None:
             return self.shards

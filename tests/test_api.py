@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.persistence import load_system, save_system
 from repro.api.registry import ModelRegistry
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
@@ -136,7 +137,7 @@ class TestCovidKGSystem:
 
 
 class TestBiGruFacade:
-    def test_bigru_classifier_option(self, corpus):
+    def test_bigru_classifier_option(self, corpus, tmp_path):
         kg = CovidKG(CovidKGConfig(
             num_shards=2, wdc_training_tables=20,
             vocabulary_size=10_000, classifier="bigru",
@@ -157,6 +158,11 @@ class TestBiGruFacade:
             if "is_metadata" in row
         ]
         assert labeled
+        # Only the SVM is saved: a reloaded BiGRU system has no
+        # classifier and labels rows by the ``<th>`` fallback.
+        reloaded = load_system(save_system(kg, tmp_path / "bigru"))
+        assert reloaded.classifier is None
+        assert not (tmp_path / "bigru" / "classifier.npz").exists()
 
     def test_unknown_classifier_rejected(self, corpus):
         from repro.errors import ModelError

@@ -54,7 +54,7 @@ class TestFunctionStage:
         result = aggregate(DOCS, [
             {"$function": {"body": lambda doc: doc["cites"] * 10,
                            "as": "boosted"}},
-            {"$match": {"boosted": {"$gte": 800}}},
+            {"$match": {"boosted": {"$in": [800, 1200]}}},
         ])
         assert {d["_id"] for d in result} == {2, 3}
 
@@ -116,11 +116,13 @@ REJECTED_STAGES = [
     {"$function": {"name": "rank", "as": "score"}},
     {"$function": {"body": _rank}},
     {"$function": _rank},
-    # $project is an inclusion or exclusion, nothing computed.
+    # $project is an inclusion, nothing computed or excluded.
     {"$project": {"title": "$year"}},
     {"$project": {"title": 2}},
     {"$project": {"double": {"$multiply": ["$cites", 2]}}},
     {"$project": ["title"]},
+    {"$project": {"body": 0}},
+    {"$project": {"title": 1, "tags": 0}},
 ]
 
 
@@ -165,7 +167,6 @@ SECOND_STAGES = {
     "include": [{"$project": {"tables": 1, "title": 1,
                               "static_rank.year": 1}}, SCRIBBLE],
     "include, no _id": [{"$project": {"tables.rows": 1, "_id": 0}}],
-    "exclude": [{"$project": {"body": 0}}, SCRIBBLE],
     "empty $project": [{"$project": {}}, SCRIBBLE],
     "$function": [SCRIBBLE],
     "$function twice": [SCRIBBLE, SCRIBBLE],

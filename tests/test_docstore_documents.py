@@ -8,7 +8,6 @@ from repro.docstore.documents import (
     ObjectId,
     deep_get,
     deep_set,
-    deep_unset,
     document_bytes,
     validate_document,
 )
@@ -92,23 +91,6 @@ class TestDeepSet:
         doc = {"items": [1, 2]}
         with pytest.raises(DocumentError):
             deep_set(doc, "items.bad", 1)
-
-
-class TestDeepUnset:
-    def test_unset_removes(self):
-        doc = {"a": {"b": 1, "c": 2}}
-        assert deep_unset(doc, "a.b")
-        assert doc == {"a": {"c": 2}}
-
-    def test_unset_missing_is_noop(self):
-        doc = {"a": 1}
-        assert not deep_unset(doc, "x.y")
-        assert doc == {"a": 1}
-
-    def test_unset_list_element(self):
-        doc = {"items": [1, 2, 3]}
-        assert deep_unset(doc, "items.1")
-        assert doc["items"] == [1, 3]
 
 
 class TestValidate:

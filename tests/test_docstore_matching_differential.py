@@ -1,12 +1,11 @@
 """The compiled matcher against the reference interpreter.
 
 ``tests/matching_reference.py`` is the interpreter the docstore ran
-before filters were compiled (with ``$ne`` on arrays fixed).  For
-generated documents and well-formed filters over every supported
-operator — nested logically, with ``$not`` / ``$elemMatch`` inside
-field specs — one compiled predicate, reused across documents, must
-give what the reference gives per document: the same value, or the
-same exception type.
+before filters were compiled, cut to the five forms the store keeps.
+For generated documents and well-formed filters over those forms —
+literals, ``$in``, ``$regex`` with or without ``$options``, nested in
+``$and`` / ``$or`` — one compiled predicate, reused across documents,
+must give what the reference gives per document.
 """
 
 import pytest
@@ -21,29 +20,6 @@ PATHS = ("a", "b", "c", "a.b", "a.c", "b.a", "a.0", "a.1", "a.b.c", "z")
 STRINGS = ("a", "A", "ab", "Ba", "b", "")
 PATTERNS = ("A", "^a", "B$", "a|B", r"\bAb", "^$", ".")
 OPTIONS = ("i", "", "m", "s", "im", "is")
-TYPE_NAMES = ("double", "string", "object", "array", "bool", "int",
-              "number", "null")
-
-
-def is_none(value):
-    return value is None
-
-
-def is_list(value):
-    return isinstance(value, list)
-
-
-def positive(value):
-    return value > 0  # raises TypeError on strings, lists, dicts, absence
-
-
-def two_fields(document):
-    return len(document) >= 2
-
-
-def a_is_one(document):
-    return document["a"] == 1  # KeyError when "a" is absent
-
 
 scalars = st.one_of(
     st.none(),
@@ -71,44 +47,25 @@ operator_docs = st.deferred(
 field_specs = st.one_of(values, operator_docs)
 
 # Each operator draws a list of (operator, operand) pairs: a $regex may
-# bring its $options along.
+# bring its $options along, and the $options entry is a $regex that
+# always does.
 OPERATORS = {
-    **{op: st.tuples(st.just(op), values).map(lambda pair: [pair])
-       for op in ("$eq", "$ne", "$gt", "$gte", "$lt", "$lte")},
-    **{op: st.tuples(st.just(op), st.lists(values, max_size=3)).map(
-        lambda pair: [pair]) for op in ("$in", "$nin", "$all")},
-    "$exists": st.builds(lambda flag: [("$exists", flag)], st.booleans()),
-    "$type": st.builds(lambda name: [("$type", name)],
-                       st.sampled_from(TYPE_NAMES)),
-    "$size": st.builds(lambda size: [("$size", size)], st.integers(0, 3)),
+    "$in": st.builds(lambda members: [("$in", members)],
+                     st.lists(values, max_size=3)),
     "$regex": st.builds(
         lambda pattern, options: [("$regex", pattern)] + (
             [("$options", options)] if options is not None else []),
         st.sampled_from(PATTERNS), st.none() | st.sampled_from(OPTIONS)),
-    "$options": st.builds(lambda options: [("$options", options)],
-                          st.sampled_from(OPTIONS)),
-    "$where": st.builds(lambda test: [("$where", test)],
-                        st.sampled_from((is_none, is_list, positive))),
-    "$elemMatch": st.builds(lambda sub: [("$elemMatch", sub)], filters),
-    "$not": st.builds(lambda inner: [("$not", inner)],
-                      operator_docs | st.dictionaries(
-                          st.sampled_from(KEYS), values, max_size=2)),
+    "$options": st.builds(
+        lambda pattern, options: [("$regex", pattern), ("$options", options)],
+        st.sampled_from(PATTERNS), st.sampled_from(OPTIONS)),
 }
 operator_entries = st.one_of(*OPERATORS.values())
 clauses = st.one_of(
     st.tuples(st.sampled_from(PATHS), field_specs),
-    st.tuples(st.sampled_from(("$and", "$or", "$nor")),
+    st.tuples(st.sampled_from(("$and", "$or")),
               st.lists(filters, max_size=3)),
-    st.tuples(st.just("$not"), filters),
-    st.tuples(st.just("$where"), st.sampled_from((two_fields, a_is_one))),
 )
-
-
-def outcome(evaluate, *args):
-    try:
-        return evaluate(*args)
-    except Exception as error:  # the exception type is the outcome
-        return type(error)
 
 
 @settings(max_examples=400, deadline=None,
@@ -117,9 +74,9 @@ def outcome(evaluate, *args):
 def test_compiled_filter_agrees_with_the_reference(docs, query):
     predicate = compile_filter(query)
     for document in docs:
-        expected = outcome(reference_matches, document, query)
-        assert outcome(predicate, document) == expected
-        assert outcome(matches, document, query) == expected
+        expected = reference_matches(document, query)
+        assert predicate(document) == expected
+        assert matches(document, query) == expected
 
 
 field_values = st.lists(
@@ -141,5 +98,4 @@ def test_each_operator_agrees_with_the_reference(op, data):
     query = {"a": dict(entries)}
     predicate = compile_filter(query)
     for document in [{"a": value} for value in data.draw(field_values)] + [{}]:
-        assert outcome(predicate, document) == outcome(
-            reference_matches, document, query)
+        assert predicate(document) == reference_matches(document, query)

@@ -170,3 +170,41 @@ class TestSimilarity:
 
     def test_zero_query_returns_empty(self):
         assert nearest_neighbors(np.zeros(2), np.ones((3, 2))) == []
+
+
+class TestWord2VecSubsampling:
+    SENTENCES = (
+        ["the the the the vaccine dose",
+         "the the the the antibody titer"] * 20
+    )
+
+    def test_subsampling_trains_and_keeps_rare_signal(self):
+        vocabulary = Vocabulary.from_texts(self.SENTENCES,
+                                           drop_stopwords=False)
+        model = Word2Vec(vocabulary, dim=8, seed=2,
+                         subsample=1e-2).fit(self.SENTENCES, epochs=5)
+        assert np.any(model.vector("vaccine"))
+
+    def test_invalid_threshold(self):
+        vocabulary = Vocabulary.from_texts(["a b"], drop_stopwords=False)
+        with pytest.raises(ModelError):
+            Word2Vec(vocabulary, subsample=0.0)
+
+    def test_subsampling_reduces_frequent_word_updates(self):
+        vocabulary = Vocabulary.from_texts(self.SENTENCES,
+                                           drop_stopwords=False)
+        plain = Word2Vec(vocabulary, dim=8, seed=3).fit(
+            self.SENTENCES, epochs=3
+        )
+        subsampled = Word2Vec(vocabulary, dim=8, seed=3,
+                              subsample=1e-3).fit(self.SENTENCES, epochs=3)
+        # With aggressive subsampling, "the" moves less from its init.
+        init = Word2Vec(vocabulary, dim=8, seed=3)
+        the_index = vocabulary.index_of("the")
+        plain_shift = np.linalg.norm(
+            plain.in_vectors[the_index] - init.in_vectors[the_index]
+        )
+        sub_shift = np.linalg.norm(
+            subsampled.in_vectors[the_index] - init.in_vectors[the_index]
+        )
+        assert sub_shift < plain_shift
