@@ -72,17 +72,18 @@ def apply_projection(document: dict[str, Any],
     """Apply a MongoDB-style inclusion projection.
 
     The named paths come out in the projection's own order, after
-    ``_id`` unless it says ``"_id": 0``; one that names no path but
-    ``_id`` keeps the whole document.  Excluding any other path is a
-    :class:`~repro.errors.QueryError`.  The result shares nothing with
-    ``document``: every kept value is deep-copied (``_id`` included),
-    so a caller may pass a stored row.
+    ``_id`` unless it says ``"_id": 0``; ``{"_id": 1}`` keeps ``_id``
+    alone, as in MongoDB, while ``{}`` and ``{"_id": 0}`` name no path
+    and keep the whole document (without ``_id`` for the latter).
+    Excluding any other path is a :class:`~repro.errors.QueryError`.
+    The result shares nothing with ``document``: every kept value is
+    deep-copied (``_id`` included), so a caller may pass a stored row.
     """
     if not is_inclusion(projection):
         raise QueryError(f"a projection only includes fields: {projection!r}")
     keep_id = projection.get("_id", 1)
     includes = [path for path in projection if path != "_id"]
-    if not includes:
+    if not includes and not projection.get("_id"):
         result = deep_copy_document(document)
         if not keep_id:
             result.pop("_id", None)

@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.docstore.sharding import ShardedCollection
 from repro.search.indexing import field_text
-from repro.search.query import ParsedQuery, QueryTerm
+from repro.search.query import ParsedQuery, QueryTerm, fold
 from repro.search.ranking import (
     PROXIMITY_WEIGHT,
     STATIC_WEIGHT,
@@ -79,41 +79,13 @@ from repro.text.tokenizer import tokenize
 #: ``covid-19``).  Atoms therefore get their own dictionary.
 _ATOM_RE = re.compile(r"\w+")
 
-#: Kernel-eligible roots/words: pure lowercase ASCII alphanumerics, for
-#: which "the regex matches at an atom's start" and "the :func:`fold`-ed
-#: atom starts with the word" coincide.
-_ALNUM_RE = re.compile(r"[a-z0-9]+\Z")
+#: The leading ASCII-alphanumeric run of a folded word: its atom prefix.
 _ALNUM_HEAD_RE = re.compile(r"[a-z0-9]+")
-
-#: ``IGNORECASE`` holds two characters equal when their simple lowercase
-#: forms are equal or share one of sre's equivalence classes.
-#: ``str.lower`` is the simple mapping except for U+0130 (İ lowers to
-#: two characters, "i" + U+0307), so that one folds first; the two classes
-#: holding an ASCII letter (i ı, s ſ) fold onto it after.  ``casefold``
-#: would also expand ß and ﬁ into two letters, which the regex never does.
-_FOLD_FIRST = {0x130: "i"}
-_FOLD_CLASSES = {0x131: "i", 0x17F: "s"}
 
 #: ``(field, prefixes)`` atoms in CNF: a row needs, in every clause, an
 #: atom whose field holds a folded ``\w+`` run starting with one of its
 #: prefixes.  ``None`` prefixes admit every row.
 PrefixClauses = tuple[tuple[tuple[str, tuple[str, ...] | None], ...], ...]
-
-
-def fold(text: str) -> str:
-    """``text`` folded character by character the way ``IGNORECASE``
-    compares it with an ASCII letter or digit.
-
-    One character in, one out, and ``\\w`` stays ``\\w``, so a folded
-    ``\\w+`` run starts with a lowercase ASCII-alphanumeric word exactly
-    when the regex, ignoring case, matches that word at the run's start.
-
-    >>> fold("İnfluenza Remdesıvir Straße")
-    'influenza remdesivir straße'
-    """
-    if text.isascii():
-        return text.lower()
-    return text.translate(_FOLD_FIRST).lower().translate(_FOLD_CLASSES)
 
 
 def atom_prefix(word: str) -> str | None:
@@ -123,6 +95,9 @@ def atom_prefix(word: str) -> str | None:
     Matched ignoring case from a word boundary, the first ``\\w`` run of
     ``word`` starts a ``\\w+`` run of the text, so the folded run starts
     with the leading ``[a-z0-9]+`` of the folded ``word`` run.
+
+    >>> atom_prefix("İnfluenza"), atom_prefix("sars-cov-2")
+    ('influenza', 'sars')
     """
     run = _ATOM_RE.search(fold(word))
     head = _ALNUM_HEAD_RE.match(run.group()) if run else None
@@ -246,18 +221,15 @@ def kernel_eligible(ranking: RankingFunction,
       may override anything);
     * no synonym expander (expansion changes both match and score);
     * no quoted phrases (their regexes cross token boundaries);
-    * every term's stem root *and* literal word must be pure lowercase
-      ASCII alphanumerics, where regex-prefix == atom-prefix.
+    * every term must have :attr:`~repro.search.query.QueryTerm.prefixes`
+      (its stem root *and* literal word pure lowercase ASCII
+      alphanumerics), where regex-prefix == atom-prefix.
     """
     if type(ranking) is not RankingFunction:
         return False
     if ranking.expander is not None:
         return False
-    return all(
-        not term.exact and _ALNUM_RE.match(term.text)
-        and _ALNUM_RE.match(stem(term.text))
-        for term in terms
-    )
+    return all(term.prefixes is not None for term in terms)
 
 
 def build_query_spec(parsed: ParsedQuery, match_plan: MatchPlan,

@@ -7,9 +7,7 @@ are marked ``[[term]]`` so any front end can restyle them.
 
 from __future__ import annotations
 
-import re
-
-from repro.search.query import ParsedQuery
+from repro.search.query import ParsedQuery, PrefixMatcher
 
 HIGHLIGHT_OPEN = "[["
 HIGHLIGHT_CLOSE = "]]"
@@ -17,21 +15,33 @@ HIGHLIGHT_CLOSE = "]]"
 #: Characters of context kept on each side of the first match.
 SNIPPET_RADIUS = 80
 
-
-def _mark(match: re.Match[str]) -> str:
-    return f"{HIGHLIGHT_OPEN}{match.group(0)}{HIGHLIGHT_CLOSE}"
+#: ``sub``'s template for the compiled alternation: the match, marked.
+_MARKED = HIGHLIGHT_OPEN + r"\g<0>" + HIGHLIGHT_CLOSE
 
 
 def highlight(text: str, parsed: ParsedQuery) -> str:
     """Wrap every query-term match in highlight markers."""
     if not text:
         return ""
-    return parsed.matcher.sub(_mark, text)
+    matcher = parsed.matcher
+    if not isinstance(matcher, PrefixMatcher):
+        return matcher.sub(_MARKED, text)
+    pieces = []
+    last = 0
+    for start, end in matcher.spans(text):
+        pieces += (text[last:start], HIGHLIGHT_OPEN, text[start:end],
+                   HIGHLIGHT_CLOSE)
+        last = end
+    pieces.append(text[last:])
+    return "".join(pieces)
 
 
 def first_match_span(text: str, parsed: ParsedQuery) -> tuple[int, int] | None:
     """(start, end) of the earliest term match in ``text``."""
-    match = parsed.matcher.search(text)
+    matcher = parsed.matcher
+    if isinstance(matcher, PrefixMatcher):
+        return matcher.first_span(text)
+    match = matcher.search(text)
     return match.span() if match else None
 
 

@@ -10,45 +10,50 @@ the table fields, plus a per-table cell-hit count.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 from repro.search.columnar import MatchPlan
 from repro.search.engine import SearchEngineBase, SearchResult, SearchResults
-from repro.search.query import ParsedQuery, parse_query
+from repro.search.query import ParsedQuery, PrefixMatcher, parse_query
 from repro.search.snippets import highlight, snippet
 
 _TABLE_FIELDS = ["search.table_captions", "search.table_text"]
+
+
+def _term_counts(texts: list[str], parsed: ParsedQuery) -> list[int]:
+    """How many query terms (repeats counted) match each of ``texts``."""
+    matcher = parsed.matcher
+    if isinstance(matcher, PrefixMatcher):
+        return matcher.term_counts(texts)
+    # Most cells match no term: one any-term search rejects them; only a
+    # matching cell is counted term by term.
+    patterns = [term.regex() for term in parsed.terms]
+    return [sum(1 for p in patterns if p.search(text))
+            if matcher.search(text) else 0 for text in texts]
 
 
 def _matching_tables(document: dict[str, Any],
                      parsed: ParsedQuery) -> list[dict[str, Any]]:
     """Tables of ``document`` with at least one matching caption or cell."""
     matches = []
-    patterns = [term.regex() for term in parsed.terms]
-    any_term = parsed.matcher.search
     for table in document.get("tables", []):
         caption = table.get("caption", "")
-        caption_hit = any_term(caption) is not None
-        highlighted_rows = []
-        cell_hits = 0
-        for row in table.get("rows", []):
-            highlighted = []
-            for cell in row.get("cells", []):
-                text = cell.get("text", "")
-                # Most cells match no term: one any-term search rejects
-                # them; only a matching cell is counted term by term.
-                if any_term(text):
-                    cell_hits += sum(1 for p in patterns if p.search(text))
-                    text = highlight(text, parsed)
-                highlighted.append(text)
-            highlighted_rows.append(highlighted)
-        if caption_hit or cell_hits:
+        rows = [[cell.get("text", "") for cell in row.get("cells", [])]
+                for row in table.get("rows", [])]
+        caption_count, *counts = _term_counts(
+            [caption, *chain.from_iterable(rows)], parsed
+        )
+        cell_hits = sum(counts)
+        if caption_count or cell_hits:
+            counted = iter(counts)
             matches.append({
                 "table_id": table.get("table_id"),
                 "caption": highlight(caption, parsed),
-                "rows": highlighted_rows,
+                "rows": [[highlight(text, parsed) if next(counted) else text
+                          for text in row] for row in rows],
                 "cell_hits": cell_hits,
-                "caption_hit": caption_hit,
+                "caption_hit": caption_count > 0,
             })
     # Most relevant tables first: caption match outranks raw cell count.
     matches.sort(

@@ -97,7 +97,7 @@ class TestFind:
                 papers.find_one({"title": "masks"}, projection)
             with pytest.raises(QueryError):
                 papers.find({"title": "masks"}, projection).to_list()
-        # Naming nothing but ``_id`` keeps the whole document.
+        # ``{"_id": 0}`` names no path: the whole document, less ``_id``.
         assert papers.find_one({"title": "masks"}, {"_id": 0}) == {
             "title": "masks", "year": 2020, "cites": 50, "tags": ["ppe"]}
 
@@ -120,9 +120,26 @@ class TestFind:
             projected = apply_projection(stored, projection)
             assert projected["_id"] == stored["_id"]
             assert projected["_id"] is not stored["_id"]
-            projected["rows"][0].append("scribbled")
+            # ``{"_id": 1}`` keeps no ``rows`` to scribble on.
+            for row in projected.get("rows", []):
+                row.append("scribbled")
             projected.get("meta", {}).get("k", []).append("scribbled")
         assert stored["rows"] == [[1, 2]] and stored["meta"] == {"k": [3]}
+
+    def test_id_only_projection_keeps_the_id_alone(self, papers):
+        """As in MongoDB: ``{"_id": 1}`` returns ``{_id}``, while ``{}``
+        and ``{"_id": 0}`` name no path and keep the document."""
+        stored = next(papers.scan())
+        assert apply_projection(stored, {"_id": 1}) == {"_id": stored["_id"]}
+        assert papers.find_one({"title": "masks"}, {"_id": 1}) \
+            == {"_id": stored["_id"]}
+        assert [list(doc) for doc in papers.find({}, {"_id": 1})] \
+            == [["_id"]] * 4
+        assert [list(doc) for doc in aggregate(
+            papers, [{"$project": {"_id": 1}}])] == [["_id"]] * 4
+        assert apply_projection(stored, {}) == stored
+        assert apply_projection(stored, {"_id": 0}) == {
+            key: value for key, value in stored.items() if key != "_id"}
 
     def test_count_and_len(self, papers):
         assert papers.count() == 4

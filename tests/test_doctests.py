@@ -7,6 +7,7 @@ import pytest
 import repro.docstore.documents
 import repro.docstore.matching
 import repro.search.columnar
+import repro.search.query
 import repro.serve.service
 import repro.text.normalize
 import repro.text.stemmer
@@ -16,6 +17,7 @@ MODULES = [
     repro.docstore.documents,
     repro.docstore.matching,
     repro.search.columnar,
+    repro.search.query,
     repro.serve.service,
     repro.text.normalize,
     repro.text.stemmer,

@@ -1,12 +1,14 @@
 """Whole result pages: what they contain and what they are built from.
 
 A kernel page is assembled from read-only views of the columnar
-segments' stored rows (``ColumnarIndex.fetch``) and one compiled matcher
-per query (``ParsedQuery.matcher``).  The contract under test: the wire
-bytes of every page — snippets and ``extras["tables"]`` included — equal
-the scalar ``$match → $project → $function`` pipeline's and the full
-sort's, whatever the segment layout; nothing a caller can reach from a
-page aliases a stored row; and a request compiles at most one regex per
+segments' stored rows (``ColumnarIndex.fetch``) and one matcher per
+query (``ParsedQuery.matcher``), which for plain loose terms is a
+prefix matcher over folded text, not a regex.  The contract under
+test: the wire bytes of every page — snippets and ``extras["tables"]``
+included — equal the scalar ``$match → $project → $function``
+pipeline's and the full sort's, whatever the segment layout; nothing a caller can reach from a
+page aliases a stored row; a plain-terms request compiles no regex on
+any engine, and a quoted-phrase request at most one distinct regex per
 term plus one for the query.  Quoted phrases never reach the kernels:
 their pages come from the scalar pipeline, whose ``$match`` examines
 only the rows the columnar atom dictionaries admit and whose
@@ -242,17 +244,9 @@ def test_pages_never_alias_or_mutate_segment_rows(papers):
     assert _row_snapshot(corpus) == rows
 
 
-# -- one compile per term + one per query, whatever the page holds ---------
+# -- no compile for a plain-terms page; terms + 1 for a phrase page ---------
 
-def test_kernel_request_compiles_each_regex_once(papers, monkeypatch):
-    _, (all_fields, title_abstract, tables) = _engines(papers)
-    requests = [
-        lambda: all_fields.search("vaccine efficacy doses"),
-        lambda: tables.search("vaccine efficacy doses"),
-        lambda: title_abstract.search(abstract="patients cohort baseline"),
-        lambda: title_abstract.search(title="patients", abstract="cohort",
-                                      caption="table"),
-    ]
+def _counting_compiles(monkeypatch) -> list[str]:
     real_compile = re.compile
     calls: list[str] = []
 
@@ -261,10 +255,44 @@ def test_kernel_request_compiles_each_regex_once(papers, monkeypatch):
         return real_compile(pattern, flags)
 
     monkeypatch.setattr(re, "compile", counting_compile)
+    return calls
+
+
+def test_kernel_request_compiles_no_regex(papers, monkeypatch):
+    _, (all_fields, title_abstract, tables) = _engines(papers)
+    requests = [
+        lambda: all_fields.search("vaccine efficacy doses"),
+        lambda: tables.search("vaccine efficacy doses"),
+        lambda: title_abstract.search(abstract="patients cohort baseline"),
+        lambda: title_abstract.search(title="patients", abstract="cohort",
+                                      caption="table"),
+    ]
+    calls = _counting_compiles(monkeypatch)
     for number, request in enumerate(requests):
-        del calls[:]
         results = request()
         assert results.stage_stats[0].stage == "$columnar(tfidf)"
         # Three terms each; all but the AND of three fields fill a page.
         assert len(results.results) == 10 or (number == 3 and results.results)
-        assert len(calls) <= 3 + 1, (number, calls)
+        assert any("[[" in text for hit in results.results
+                   for text in hit.snippets.values())
+        assert calls == [], (number, calls)
+
+
+def test_phrase_request_compiles_each_regex_once(papers, monkeypatch):
+    """A quoted phrase keeps the compiled alternation.  The ``$match``
+    stage compiles one filter per (field, term) atom, and ``re``'s own
+    cache turns repeats into lookups: what must not grow with the page
+    is the number of distinct regexes, one per term plus one."""
+    _, (all_fields, title_abstract, tables) = _engines(papers)
+    requests = [
+        lambda: all_fields.search('"vaccine efficacy" doses'),
+        lambda: tables.search('"vaccine efficacy" doses'),
+        lambda: title_abstract.search(abstract='"vaccine efficacy" doses'),
+    ]
+    calls = _counting_compiles(monkeypatch)
+    for number, request in enumerate(requests):
+        del calls[:]
+        results = request()
+        assert results.stage_stats[0].stage == "$match(indexed)"
+        assert results.results
+        assert len(set(calls)) <= 2 + 1, (number, calls)
