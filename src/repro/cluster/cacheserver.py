@@ -15,11 +15,14 @@ One small stdlib-socket process serves every replica in the cluster:
 * **coordination** — replicas ``REGISTER`` themselves (id, host, port,
   pid) and the router discovers the topology with ``LIST``.
 
-Connections are handled thread-per-client: a cluster has a handful of
-replicas with one connection per worker thread each, so the thread
-count is bounded and tiny, and blocking handlers keep the server free
-of event-loop state.  All shared state sits behind one lock; every
-operation is a few dict moves, so the lock is never held across I/O.
+Connections are handled thread-per-client on the listener shell the
+router stands on too (:class:`~repro.cluster.listener.ThreadedListener`
+binds, accepts and stops; this module only speaks the frame protocol on
+a connection): a cluster has a handful of replicas with one connection
+per worker thread each, so the thread count is bounded and tiny, and
+blocking handlers keep the server free of event-loop state.  All shared
+state sits behind one lock; every operation is a few dict moves, so the
+lock is never held across I/O.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.cluster import protocol as wire
+from repro.cluster.listener import ThreadedListener, stop_on_signals
 
 logger = logging.getLogger("repro.cluster.cache")
 
@@ -66,11 +70,8 @@ class SharedCacheServer:
         # One condition guards all shared state; REGISTER notifies it so
         # an in-process runner can wait for its replicas without polling.
         self._lock = threading.Condition()
-        self._sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: set[threading.Thread] = set()
-        self._conns: set[socket.socket] = set()
-        self._closed = False
+        self._listener = ThreadedListener("cacheserver",
+                                          self._serve_connection)
         self.stats = {
             "gets": 0, "hits": 0, "misses": 0, "puts": 0,
             "invalidations": 0, "purged": 0, "evictions": 0,
@@ -80,55 +81,13 @@ class SharedCacheServer:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "SharedCacheServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.host, self.port))
-            sock.listen(128)
-        except OSError:
-            sock.close()
-            raise
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="cacheserver-accept",
-            daemon=True)
-        self._accept_thread.start()
+        self.port = self._listener.start(self.host, self.port)
         logger.info("shared cache listening on %s:%d",
                     self.host, self.port)
         return self
 
     def stop(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            conns = list(self._conns)
-            conn_threads = list(self._conn_threads)
-        if self._sock is not None:
-            # shutdown() wakes the thread blocked in accept(); close()
-            # alone leaves it parked (and the LISTEN socket alive) on
-            # Linux.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        # Unblock connection threads parked in recv() — shutdown(), not
-        # close(), is what wakes them; each closes its own socket on the
-        # way out, so no accepted socket keeps the port busy past stop().
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for thread in conn_threads:
-            thread.join(timeout=5.0)
+        self._listener.stop()
 
     @property
     def address(self) -> str:
@@ -140,61 +99,33 @@ class SharedCacheServer:
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
 
-    # -- accept/serve loops -----------------------------------------------
-
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while True:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return  # socket closed: shutting down
-            with self._lock:
-                if self._closed:
-                    conn.close()
-                    return
-                self.stats["connections"] += 1
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="cacheserver-conn", daemon=True)
-            with self._lock:
-                self._conn_threads.add(thread)
-            thread.start()
-
     def _serve_connection(self, conn: socket.socket) -> None:
         with self._lock:
-            self._conns.add(conn)
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
+            self.stats["connections"] += 1
+        while True:
+            try:
+                op, fields = wire.read_frame(conn)
+            except (ConnectionError, OSError):
+                return
+            except wire.ProtocolError as exc:
+                with self._lock:
+                    self.stats["errors"] += 1
                 try:
-                    op, fields = wire.read_frame(conn)
-                except (ConnectionError, OSError):
-                    return
-                except wire.ProtocolError as exc:
-                    with self._lock:
-                        self.stats["errors"] += 1
-                    try:
-                        wire.write_frame(conn, wire.OP_ERROR,
-                                         str(exc).encode("utf-8"))
-                    except OSError:
-                        pass
-                    return
-                try:
-                    reply = self._dispatch(op, fields)
-                except wire.ProtocolError as exc:
-                    with self._lock:
-                        self.stats["errors"] += 1
-                    reply = (wire.OP_ERROR, [str(exc).encode("utf-8")])
-                try:
-                    wire.write_frame(conn, reply[0], *reply[1])
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            conn.close()
-            with self._lock:
-                self._conns.discard(conn)
-                self._conn_threads.discard(threading.current_thread())
+                    wire.write_frame(conn, wire.OP_ERROR,
+                                     str(exc).encode("utf-8"))
+                except OSError:
+                    pass
+                return
+            try:
+                reply = self._dispatch(op, fields)
+            except wire.ProtocolError as exc:
+                with self._lock:
+                    self.stats["errors"] += 1
+                reply = (wire.OP_ERROR, [str(exc).encode("utf-8")])
+            try:
+                wire.write_frame(conn, reply[0], *reply[1])
+            except (ConnectionError, OSError):
+                return
 
     # -- operations -------------------------------------------------------
 
@@ -361,19 +292,9 @@ class SharedCacheServer:
 
 def run_cache_server(host: str, port: int) -> int:
     """Blocking CLI entry point: serve until SIGTERM/SIGINT."""
-    import signal
-
     server = SharedCacheServer(host=host, port=port).start()
     stop = threading.Event()
-
-    def _signalled(signum: int, frame: Any) -> None:
-        stop.set()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _signalled)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
+    stop_on_signals(stop)
     print(f"cache server listening on {server.host}:{server.port}",
           flush=True)
     stop.wait()

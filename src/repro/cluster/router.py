@@ -28,11 +28,13 @@ reporting WAL ``replaying`` is kept out of the ring until recovery
 finishes; a previously unreachable — but not diverged — replica that
 answers again rejoins automatically.
 
-Threading: accept loop + thread per client connection + one probe
-thread, all blocking (the router holds no index data and does no
-computation — it is pure I/O plumbing).  Backend connections are owned
-per connection thread, so no socket is ever shared or used under a
-lock.
+Threading: the :class:`~repro.cluster.listener.ThreadedListener` shell
+(shared with the cache server) runs the accept loop and one thread per
+client connection; this module adds the per-connection HTTP framing and
+relay, and one probe thread.  All of it blocks (the router holds no
+index data and does no computation — it is pure I/O plumbing).  Backend
+connections are owned per connection thread, so no socket is ever
+shared or used under a lock.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cluster.listener import ThreadedListener
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import BadRequestError, PayloadTooLargeError
 from repro.gateway.client import ClientResponse, GatewayClient
@@ -151,13 +154,11 @@ class Router:
         self._lock = threading.Lock()
         self._states: dict[str, _ReplicaState] = {}
         self._ring = HashRing(vnodes=self.config.vnodes)
-        self._sock: socket.socket | None = None
+        self._listener = ThreadedListener(
+            "router", self._serve_connection,
+            idle_timeout=self.config.idle_timeout_seconds)
         self.port: int | None = None
-        self._accept_thread: threading.Thread | None = None
         self._probe_thread: threading.Thread | None = None
-        self._conn_threads: set[threading.Thread] = set()
-        self._conns: set[socket.socket] = set()
-        self._closed = threading.Event()
         self._ids = itertools.count(1)
         self.stats = {
             "requests": 0, "forwarded": 0, "failovers": 0,
@@ -223,19 +224,8 @@ class Router:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "Router":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.config.host, self.config.port))
-            sock.listen(128)
-        except OSError:
-            sock.close()
-            raise
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="router-accept", daemon=True)
-        self._accept_thread.start()
+        self.port = self._listener.start(self.config.host,
+                                         self.config.port)
         self._probe_thread = threading.Thread(
             target=self._probe_loop, name="router-probe", daemon=True)
         self._probe_thread.start()
@@ -244,38 +234,9 @@ class Router:
         return self
 
     def stop(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        if self._sock is not None:
-            # shutdown() wakes the thread blocked in accept(); close()
-            # alone leaves it parked (and the LISTEN socket alive) on
-            # Linux.
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        # Unblock connection threads parked in recv() so stop() never
-        # waits out the join timeout: like accept(), a recv() blocked in
-        # another thread only wakes on shutdown(), not close().  Each
-        # thread closes its own socket on the way out.
-        with self._lock:
-            conns = list(self._conns)
-            conn_threads = list(self._conn_threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in (self._accept_thread, self._probe_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
-        for thread in conn_threads:
-            thread.join(timeout=5.0)
+        self._listener.stop()
+        if self._probe_thread is not None:
+            self._probe_thread.join(timeout=5.0)
 
     def __enter__(self) -> "Router":
         return self.start()
@@ -288,7 +249,8 @@ class Router:
     def _probe_loop(self) -> None:
         clients: dict[str, GatewayClient] = {}
         try:
-            while not self._closed.wait(self.config.probe_interval):
+            while not self._listener.closed.wait(
+                    self.config.probe_interval):
                 with self._lock:
                     specs = [state.spec
                              for state in self._states.values()
@@ -358,32 +320,11 @@ class Router:
 
     # -- request plumbing --------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while True:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return  # listener closed: shutting down
-            if self._closed.is_set():
-                conn.close()
-                return
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="router-conn", daemon=True)
-            with self._lock:
-                self._conn_threads.add(thread)
-            thread.start()
-
     def _serve_connection(self, conn: socket.socket) -> None:
         backends: dict[str, GatewayClient] = {}
         buffer = b""
-        with self._lock:
-            self._conns.add(conn)
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(self.config.idle_timeout_seconds)
-            while not self._closed.is_set():
+            while True:
                 try:
                     request, buffer = self._read_request(conn, buffer)
                 except (ConnectionError, OSError):
@@ -403,10 +344,6 @@ class Router:
                 if not request.keep_alive:
                     return
         finally:
-            conn.close()
-            with self._lock:
-                self._conns.discard(conn)
-                self._conn_threads.discard(threading.current_thread())
             for client in backends.values():
                 client.close()
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -36,6 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.cluster.cacheserver import SharedCacheServer
+from repro.cluster.listener import stop_on_signals
 from repro.cluster.router import ReplicaSpec, Router, RouterConfig
 from repro.errors import GatewayError
 
@@ -243,17 +243,9 @@ class ClusterRunner:
 def run_cluster(config: ClusterConfig) -> int:
     """Blocking CLI entry point: serve the cluster until SIGTERM/SIGINT."""
     runner = ClusterRunner(config)
-
-    def _signalled(signum: int, frame: Any) -> None:
-        runner.stop_requested.set()
-
     # Installed before the first replica is spawned: a signal during
     # boot must stop the replicas too, not orphan them.
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _signalled)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
+    stop_on_signals(runner.stop_requested)
     try:
         runner.start()  # stops whatever it spawned before it raises
     except GatewayError as exc:

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.cluster.listener
 import repro.docstore.documents
 import repro.docstore.matching
 import repro.search.columnar
@@ -14,6 +15,7 @@ import repro.text.stemmer
 import repro.text.tokenizer
 
 MODULES = [
+    repro.cluster.listener,
     repro.docstore.documents,
     repro.docstore.matching,
     repro.search.columnar,
