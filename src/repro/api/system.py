@@ -10,8 +10,9 @@ Lifecycle:
 3. ``ingest(papers)`` runs the full non-stop pipeline per paper: validate,
    re-parse raw HTML tables, classify table rows as metadata/data, store
    the enriched JSON in the sharded store as the search document all
-   three engines read (one copy per paper), extract entity subtrees, and
-   fuse them into the KG (№5/№6/№14).
+   three engines read (one copy per paper), extract entity subtrees from
+   that classified copy — its row labels say which cells are the header —
+   and fuse them into the KG (№5/№6/№14).
 4. Query surfaces: the three search engines (Section 2.1), KG search with
    path highlighting (Section 4.2), and meta-profiles (Figure 6).
 """
@@ -241,14 +242,10 @@ class CovidKG:
             if skip_duplicates and self.store.count(
                     {"paper_id": paper["paper_id"]}):
                 continue
-            self._retain(self._classify_tables(paper))
-            accepted.append(paper)
-        report = EnrichmentReport()
-        for paper in accepted:
-            for subtree in self.enrichment.extract_subtrees(paper):
-                report.subtrees += 1
-                report.fusion_results.append(self.fusion.fuse(subtree))
-        return report
+            classified = self._classify_tables(paper)
+            self._retain(classified)
+            accepted.append(classified)
+        return self.enrichment.enrich(accepted)
 
     def _classify_tables(self, paper: dict[str, Any]) -> dict[str, Any]:
         """Re-parse raw HTML tables and classify rows as metadata/data.

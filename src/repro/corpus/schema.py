@@ -14,7 +14,8 @@ fills, used to score experiments):
         "publish_time": "YYYY-MM-DD",
         "journal": str,
         "body_text": [{"section": str, "text": str}],
-        "tables": [{"caption": str, "rows": [...], "html": str}],
+        "tables": [{"caption": str, "html": str,
+                    "rows": [{"cells": [{...}], "is_metadata": bool}]}],
         "figures": [{"caption": str}],
         "ground_truth": {            # generator-only, never indexed
             "topic": str,
@@ -67,9 +68,20 @@ def validate_paper(paper: Any) -> dict[str, Any]:
             raise SchemaError(f"malformed body_text entry {section!r}")
     if not isinstance(paper["tables"], list):
         raise SchemaError("tables must be a list")
-    for table in paper["tables"]:
-        if not isinstance(table, dict) or "rows" not in table:
-            raise SchemaError(f"malformed table entry {table!r}")
+    for position, table in enumerate(paper["tables"]):
+        # The one statement of the table shape every table reader assumes.
+        rows = table.get("rows") if isinstance(table, dict) else None
+        if not isinstance(rows, list):
+            raise SchemaError(f"table {position}: rows must be a list")
+        for index, row in enumerate(rows):
+            cells = row.get("cells") if isinstance(row, dict) else None
+            if not isinstance(cells, list) or not all(
+                    isinstance(cell, dict) for cell in cells):
+                raise SchemaError(f"table {position} row {index}: must be "
+                                  "a dict whose cells are a list of dicts")
+        html = table.get("html")
+        if html is not None and not isinstance(html, str):
+            raise SchemaError(f"table {position}: html must be a string")
     if not isinstance(paper["figures"], list):
         raise SchemaError("figures must be a list")
     for figure in paper["figures"]:

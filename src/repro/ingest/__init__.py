@@ -1,7 +1,7 @@
 """Zero-downtime streaming ingest: WAL, snapshots, quality gate, merge."""
 
 from repro.ingest.engine import IngestEngine, IngestReceipt
-from repro.ingest.quality_gate import check_paper, gate_batch
+from repro.ingest.quality_gate import gate_batch
 from repro.ingest.snapshots import (
     Snapshot,
     SnapshotStore,
@@ -27,7 +27,6 @@ __all__ = [
     "Snapshot",
     "SnapshotStore",
     "WriteAheadLog",
-    "check_paper",
     "encode_record",
     "gate_batch",
     "iter_frames",

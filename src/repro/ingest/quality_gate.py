@@ -2,13 +2,11 @@
 
 Nothing reaches the WAL, the docstore, or the indexes until the whole
 batch passes: schema conformance (:func:`repro.corpus.schema
-.validate_paper`), required-field presence, table shape (every row must
-be a list of cells — the enrichment pipeline and the metadata
-classifier both assume rectangular-ish row lists), and batch-local
-duplicate detection.  Failures are collected per document and surfaced
-as one typed :class:`~repro.errors.IngestRejectedError` so a feed
-operator sees every problem in one response instead of fixing them one
-400 at a time.
+.validate_paper`, which also states the table shape every table reader
+assumes) and batch-local duplicate detection.  Failures are collected
+per document and surfaced as one typed
+:class:`~repro.errors.IngestRejectedError` so a feed operator sees every
+problem in one response instead of fixing them one 400 at a time.
 """
 
 from __future__ import annotations
@@ -17,33 +15,6 @@ from typing import Any
 
 from repro.corpus.schema import validate_paper
 from repro.errors import IngestRejectedError, SchemaError
-
-
-def _check_tables(paper: dict[str, Any]) -> None:
-    """Table-shape checks beyond the base schema's ``rows`` presence."""
-    for position, table in enumerate(paper.get("tables", [])):
-        rows = table.get("rows")
-        if not isinstance(rows, list):
-            raise SchemaError(
-                f"table {position}: rows must be a list, "
-                f"got {type(rows).__name__}")
-        for row_index, row in enumerate(rows):
-            cells = row.get("cells") if isinstance(row, dict) else row
-            if not isinstance(cells, list):
-                raise SchemaError(
-                    f"table {position} row {row_index}: cells must be "
-                    f"a list, got {type(cells).__name__}")
-        html = table.get("html")
-        if html is not None and not isinstance(html, str):
-            raise SchemaError(
-                f"table {position}: html must be a string when present")
-
-
-def check_paper(paper: Any) -> dict[str, Any]:
-    """Validate one paper; returns it unchanged or raises SchemaError."""
-    paper = validate_paper(paper)
-    _check_tables(paper)
-    return paper
 
 
 def gate_batch(papers: list[Any]) -> list[dict[str, Any]]:
@@ -68,7 +39,7 @@ def gate_batch(papers: list[Any]) -> list[dict[str, Any]]:
         paper_id = paper.get("paper_id", "?") \
             if isinstance(paper, dict) else "?"
         try:
-            checked = check_paper(paper)
+            checked = validate_paper(paper)
         except SchemaError as exc:
             rejects.append({"index": index, "paper_id": str(paper_id),
                             "error": str(exc)})

@@ -6,8 +6,8 @@ instances and fuses them:
 * **Tables** are the structured source: side-effect tables yield
   ``Side-effects -> {effect leaves}`` (plus the vaccine from the caption),
   efficacy tables yield ``Vaccines -> {vaccine leaves}``.  Extraction reads
-  the *table content itself* (captions and cells), never the generator's
-  ground-truth block — ground truth exists only to score the result.
+  the *table content itself* (captions, and cells split by the rows'
+  metadata labels), never the generator's ground-truth block.
 * **Body text** contributes pattern-extracted mentions ("received the X
   vaccine", "the X strain dominated").
 * **Topical clusters** group the corpus so enrichment can be run per
@@ -27,6 +27,7 @@ import numpy as np
 from repro.corpus.schema import full_text
 from repro.kg.fusion import ExtractedSubtree, FusionEngine, FusionResult
 from repro.ml.kmeans import KMeans
+from repro.tables.model import header_and_data
 from repro.text.stemmer import stem
 from repro.text.stopwords import STOPWORDS
 from repro.text.tokenizer import tokenize
@@ -129,14 +130,7 @@ class EnrichmentPipeline:
 
         for table in paper.get("tables", []):
             caption = table.get("caption", "")
-            rows = table.get("rows", [])
-            header = [
-                cell.get("text", "") for cell in rows[0].get("cells", [])
-            ] if rows else []
-            data_rows = [
-                [cell.get("text", "") for cell in row.get("cells", [])]
-                for row in rows[1:]
-            ]
+            header, data_rows = header_and_data(table)
             caption_match = _VACCINE_CAPTION_RE.search(caption)
             if caption_match:
                 vaccine = caption_match.group(1)

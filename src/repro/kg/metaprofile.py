@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import GraphError
+from repro.tables.model import header_and_data
 
 _CAPTION_RE = re.compile(
     r"side effects reported after (\w[\w-]*) vaccination", re.IGNORECASE
@@ -128,7 +129,8 @@ def extract_side_effect_records(paper: dict[str, Any]
     """Parse a paper's side-effect tables into records.
 
     Reads only the table content (caption + cells); the dose number comes
-    from the column headers ("Dose 1 (%)", "Dose 2 (%)").
+    from the column labels ("Dose 1 (%)", "Dose 2 (%)") that the rows'
+    ``is_metadata`` labels name (:func:`~repro.tables.model.header_and_data`).
     """
     records = []
     for table in paper.get("tables", []):
@@ -136,17 +138,13 @@ def extract_side_effect_records(paper: dict[str, Any]
         if not caption_match:
             continue
         vaccine = caption_match.group(1)
-        rows = table.get("rows", [])
-        if not rows:
-            continue
-        header = [cell.get("text", "") for cell in rows[0].get("cells", [])]
+        header, data_rows = header_and_data(table)
         dose_columns: dict[int, int] = {}
         for column, text in enumerate(header):
             dose_match = _DOSE_RE.search(text)
             if dose_match:
                 dose_columns[column] = int(dose_match.group(1))
-        for row in rows[1:]:
-            cells = [cell.get("text", "") for cell in row.get("cells", [])]
+        for cells in data_rows:
             if not cells or not cells[0]:
                 continue
             effect = cells[0]

@@ -1,8 +1,9 @@
 """Table data model: cells, rows, tables with clean JSON (de)serialization.
 
 A :class:`Table` is the "semi-structured, clean JSON" form the paper's
-post-processor emits.  Rows optionally carry ground-truth metadata labels
-(``is_metadata``) used to train and evaluate the classifiers.
+post-processor emits.  Rows optionally carry metadata labels
+(``is_metadata``): ground truth for the classifiers, and, once ingest
+classified a table, its header as :func:`header_and_data` reads it.
 """
 
 from __future__ import annotations
@@ -146,3 +147,23 @@ class Table:
             paper_id=data.get("paper_id"),
             table_id=data.get("table_id"),
         )
+
+
+def header_and_data(table: dict[str, Any]
+                    ) -> tuple[list[str], list[list[str]]]:
+    """A stored table's column labels and data lines, by its row labels.
+
+    Rows labelled ``is_metadata`` are header lines, and the last of them
+    gives the column labels; every other row is a data line, in order.
+    A table in which no row carries a label reads its first row as the
+    header.
+    """
+    rows = table.get("rows", [])
+    lines = [[cell.get("text", "") for cell in row.get("cells", [])]
+             for row in rows]
+    labels = [row.get("is_metadata") for row in rows]
+    if all(label is None for label in labels):
+        labels = [index == 0 for index in range(len(rows))]
+    header = [line for line, label in zip(lines, labels) if label]
+    data = [line for line, label in zip(lines, labels) if not label]
+    return (header[-1] if header else []), data

@@ -10,7 +10,11 @@ import pytest
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
-from repro.errors import IngestRejectedError, SnapshotNotFoundError
+from repro.errors import (
+    IngestRejectedError,
+    SchemaError,
+    SnapshotNotFoundError,
+)
 from repro.ingest.engine import IngestEngine
 
 QUERIES = ["covid vaccine", "antibody response", "clinical trial",
@@ -104,11 +108,22 @@ class TestCommit:
 
     def test_malformed_table_rows_rejected(self, corpus, tmp_path):
         system = _fresh_system(corpus[:5])
-        bad = dict(corpus[10])
-        bad["tables"] = [{"caption": "c", "rows": "not-a-list"}]
-        with IngestEngine(system, tmp_path) as engine:
-            with pytest.raises(IngestRejectedError):
-                engine.commit_batch([bad])
+        shapes = {
+            "rows not a list": "not-a-list",
+            "bare-list row": [["Vaccine", "Dose 1 (%)"], ["Pfizer", "12"]],
+            "bare-string cell": [{"cells": ["Vaccine", "Dose 1 (%)"]}],
+        }
+        for shape, rows in shapes.items():
+            bad = dict(corpus[10])
+            bad["tables"] = [{"caption": "c", "rows": rows}]
+            with IngestEngine(system, tmp_path / shape) as engine:
+                with pytest.raises(IngestRejectedError):
+                    engine.commit_batch([bad])
+                assert engine.wal.replay().batches == [], shape
+            # The library path refuses the same shape before storing it.
+            with pytest.raises(SchemaError):
+                system.ingest([bad])
+            assert len(system.store) == 5, shape
 
     def test_store_duplicates_preflighted(self, corpus, tmp_path):
         system = _fresh_system(corpus[:20])
