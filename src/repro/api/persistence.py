@@ -14,10 +14,12 @@ Layout of a saved system:
         manifest.json        model-registry index
         versions.json        docstore/KG mutation counters at save time
 
-``load_system`` refills the sharded store — the search documents all
-three engines read — from the saved publications and re-attaches the
-trained models, so a reloaded system answers queries identically to the
-one that was saved.
+``load_system`` re-attaches the trained models, then hands the saved
+publications, graph and counters to :meth:`CovidKG.restore
+<repro.api.system.CovidKG.restore>` — the rebuild snapshot rollback
+uses too — which refills the sharded store (the search documents all
+three engines read) without gating or classifying the papers again, so
+a reloaded system answers queries identically to the one that was saved.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.classify.svm_model import SvmMetadataClassifier
 from repro.embeddings.word2vec import Word2Vec
 from repro.errors import PersistenceError
+from repro.kg.graph import KnowledgeGraph
 
 #: Config keys older saves carry that no longer exist.  Pages were
 #: byte-identical at any value of each, so they are ignored on load.
@@ -122,12 +125,6 @@ def load_system(directory: str | Path) -> CovidKG:
         raise PersistenceError(f"no saved system at {directory}")
     system = CovidKG(_load_config(config_path))
 
-    kg_path = directory / "kg.json"
-    if kg_path.exists():
-        from repro.kg.graph import KnowledgeGraph
-
-        system.adopt_graph(KnowledgeGraph.load(kg_path))
-
     w2v_path = directory / "word2vec.npz"
     if w2v_path.exists():
         system.word2vec = Word2Vec.load(w2v_path)
@@ -150,31 +147,34 @@ def load_system(directory: str | Path) -> CovidKG:
             restored=True,
         )
 
-    publications_path = directory / "publications.jsonl"
-    if publications_path.exists():
-        with open(publications_path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    document = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise PersistenceError(
-                        f"corrupt publications file at line {line_number}: "
-                        f"{exc}"
-                    ) from exc
-                # Older saves wrote the stored ``_id``; the store
-                # assigns fresh ids either way.
-                document.pop("_id", None)
-                system._retain(document)
-
+    kg_path = directory / "kg.json"
     versions_path = directory / "versions.json"
-    if versions_path.exists():
-        versions = _read_object(versions_path)
-        # The rebuild above re-ran every insert, so the counters already
-        # moved; advance to at least one past the saved values so no
-        # cache entry from the previous process can ever read as fresh.
-        system.store.advance_version(int(versions.get("store", 0)) + 1)
-        system.graph.advance_version(int(versions.get("kg", 0)) + 1)
+    system.restore(
+        _saved_papers(directory / "publications.jsonl"),
+        KnowledgeGraph.load(kg_path) if kg_path.exists() else system.graph,
+        # Past the saved counters: no cache entry from the previous
+        # process can ever read as fresh.
+        _read_object(versions_path) if versions_path.exists() else {})
     return system
+
+
+def _saved_papers(path: Path) -> Iterator[dict[str, Any]]:
+    """The papers of a ``publications.jsonl``, one line at a time."""
+    if not path.exists():
+        return
+    with open(path, encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                document = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise PersistenceError(
+                    f"corrupt publications file at line {line_number}: "
+                    f"{exc}"
+                ) from exc
+            # Older saves wrote the stored ``_id``; the store assigns
+            # fresh ids either way.
+            document.pop("_id", None)
+            yield document

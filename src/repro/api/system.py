@@ -7,12 +7,13 @@ Lifecycle:
 2. ``train(...)`` builds the vocabulary and Word2Vec embeddings
    (pre-trained on WDC + corpus sentences, №4), trains the metadata
    classifiers, and registers everything in the model registry (№11/№13).
-3. ``ingest(papers)`` runs the full non-stop pipeline per paper: validate,
-   re-parse raw HTML tables, classify table rows as metadata/data, store
-   the enriched JSON in the sharded store as the search document all
-   three engines read (one copy per paper), extract entity subtrees from
-   that classified copy — its row labels say which cells are the header —
-   and fuse them into the KG (№5/№6/№14).
+3. ``ingest(papers)`` admits a whole batch or none of it (schema, no paper
+   stored twice), then runs the non-stop pipeline per paper: re-parse raw
+   HTML tables, classify table rows as metadata/data, store the enriched
+   JSON in the sharded store as the search document all three engines
+   read (one copy per paper), extract entity subtrees from that
+   classified copy — its row labels say which cells are the header — and
+   fuse them into the KG (№5/№6/№14).
 4. Query surfaces: the three search engines (Section 2.1), KG search with
    path highlighting (Section 4.2), and meta-profiles (Figure 6).
 """
@@ -20,18 +21,19 @@ Lifecycle:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.api.registry import ModelRegistry
 from repro.classify.bigru_model import NeuralMetadataClassifier
 from repro.classify.dataset import MetadataDataset
 from repro.classify.svm_model import SvmMetadataClassifier
-from repro.corpus.schema import full_text, validate_paper
+from repro.corpus.schema import full_text
 from repro.docstore.documents import deep_copy_document
 from repro.docstore.persistence import StorageReport, storage_report
 from repro.docstore.sharding import ShardedCollection
 from repro.embeddings.word2vec import Word2Vec
-from repro.errors import ModelError
+from repro.errors import IngestRejectedError, ModelError
+from repro.ingest.quality_gate import gate_batch
 from repro.kg.bias import BiasInterrogator, BiasReport
 from repro.kg.enrichment import EnrichmentPipeline, EnrichmentReport
 from repro.kg.fusion import FusionEngine
@@ -102,8 +104,7 @@ class CovidKG:
 
         The store is the one holder of paper rows; all three engines
         read one :class:`SearchCorpus` over it (:attr:`search_corpus`).
-        Used at construction *and* by snapshot rollback
-        (:mod:`repro.ingest.snapshots`).
+        Used at construction and by :meth:`restore`.
         """
         self.store = ShardedCollection(
             "publications", shard_key=self.config.shard_key,
@@ -134,16 +135,29 @@ class CovidKG:
         self.kg_search.graph = graph
         self.kgql.graph = graph
 
-    def _retain(self, enriched: dict[str, Any]) -> None:
-        """Keep one enriched paper: one store row, its search document."""
-        self.search_corpus.add_paper(enriched)
+    def restore(self, papers: Iterable[dict[str, Any]],
+                graph: KnowledgeGraph, versions: dict[str, Any]) -> None:
+        """Rebuild from ``papers`` that :meth:`ingest` admitted once.
+
+        The one rebuild reload and snapshot rollback share: a fresh store
+        refilled in order with the papers as stored (neither gated nor
+        classified again), ``graph`` adopted, and each counter raised
+        past its value in ``versions``, so no cached stamp reads as
+        fresh.  The caller excludes readers.
+        """
+        self._open_store()
+        for document in papers:
+            self.search_corpus.add_paper(document)
+        self.adopt_graph(graph)
+        self.store.advance_version(int(versions.get("store", 0)) + 1)
+        self.graph.advance_version(int(versions.get("kg", 0)) + 1)
 
     def ingested_papers(self) -> list[dict[str, Any]]:
         """Copies of the stored papers in insertion order.
 
         The store is the one record of what was ingested: its rows
         sorted by ``_id`` (ids increase with every insert) are the
-        papers in the order :meth:`_retain` kept them, less the keys
+        papers in the order they were stored, less the keys
         the store added (``_id``, ``search``, ``static_rank``).
         """
         derived = ("_id", "search", "static_rank")
@@ -230,21 +244,35 @@ class CovidKG:
 
     def ingest(self, papers: list[dict[str, Any]],
                skip_duplicates: bool = False) -> EnrichmentReport:
-        """Run the full pipeline over a batch of new publications.
+        """Run the full pipeline over a whole batch, or none of it.
 
-        ``skip_duplicates`` makes re-delivered papers (same ``paper_id``)
-        a no-op instead of an error — streaming feeds redeliver, and the
-        weekly CORD-19 drops overlap.
+        The one rule for what a batch may add, which the ingest engine,
+        the serving tier and WAL replay all apply: the batch passes
+        :func:`~repro.ingest.quality_gate.gate_batch` and holds no
+        stored paper, or :class:`IngestRejectedError` lists each failing
+        paper and nothing changes.  ``skip_duplicates`` drops stored
+        papers instead (feeds redeliver; weekly CORD-19 drops overlap).
+        An empty list is a no-op; the report counts the papers landed.
         """
-        accepted = []
-        for paper in papers:
-            paper = validate_paper(paper)
-            if skip_duplicates and self.store.count(
-                    {"paper_id": paper["paper_id"]}):
-                continue
-            classified = self._classify_tables(paper)
-            self._retain(classified)
-            accepted.append(classified)
+        if isinstance(papers, list) and not papers:
+            return self.enrichment.enrich([])
+        fresh, rejects = [], []
+        for index, paper in enumerate(gate_batch(papers)):
+            if not self.store.count({"paper_id": paper["paper_id"]}):
+                fresh.append(paper)
+            elif not skip_duplicates:
+                rejects.append({
+                    "index": index, "paper_id": paper["paper_id"],
+                    "error": "paper_id already ingested (set "
+                             "skip_duplicates to ignore redeliveries)",
+                })
+        if rejects:
+            raise IngestRejectedError(
+                f"{len(rejects)} of {len(papers)} paper(s) already "
+                "exist; nothing was ingested", rejects=rejects)
+        accepted = [self._classify_tables(paper) for paper in fresh]
+        for classified in accepted:
+            self.search_corpus.add_paper(classified)
         return self.enrichment.enrich(accepted)
 
     def _classify_tables(self, paper: dict[str, Any]) -> dict[str, Any]:

@@ -1,19 +1,20 @@
-"""The online ingest engine: WAL + quality gate + snapshots + merge.
+"""The online ingest engine: apply + WAL + snapshots + merge.
 
 ``IngestEngine`` wraps a built :class:`~repro.api.system.CovidKG` and
 makes document batches durable and revertible while the system keeps
-serving queries:
+serving queries.  Under the data write lock:
 
-1. the batch passes the **quality gate** (all-or-nothing; typed
+1. the batch is **applied** in memory by ``system.ingest``, the one
+   rule for what a batch may add: it takes the whole batch (quality
+   gate, no paper stored twice) or raises a typed
    :class:`~repro.errors.IngestRejectedError` with per-document
-   diagnostics) — including a duplicate check against the live store,
-   so the in-memory apply below can never fail halfway on a unique
-   index;
-2. under the data write lock, every document is framed into the
-   **write-ahead log**, the batch is applied in memory
-   (``system.ingest``), and only then is the ``commit`` record fsynced
-   — a crash at any point before that fsync replays to the previous
-   committed batch;
+   diagnostics and changes nothing, in which case nothing is logged or
+   restored either;
+2. then every document is framed into the **write-ahead log** and the
+   ``commit`` record is fsynced, and only then is the batch
+   acknowledged — a crash at any point before that fsync replays to the
+   previous committed batch, and any failure but a refusal restores
+   the latest snapshot so memory matches the log;
 3. a named **snapshot** (``batch-NNNNNN``) is retained per committed
    batch; :meth:`rollback` restores docstore + indexes + KG atomically
    and logs the rollback so crash replay lands on the rolled-back
@@ -38,14 +39,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import IngestRejectedError
-from repro.ingest.quality_gate import gate_batch
 from repro.ingest.snapshots import (
     Snapshot,
     SnapshotStore,
     restore_snapshot,
     take_snapshot,
 )
-from repro.ingest.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
+from repro.ingest.wal import WriteAheadLog
 from repro.serve.admission import ReadWriteLock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,17 +81,12 @@ class IngestEngine:
 
     def __init__(self, system: "CovidKG", directory: str | Path, *,
                  merge_threshold: int = 256,
-                 snapshot_retention: int = 8,
-                 wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  data_lock: ReadWriteLock | None = None) -> None:
         self.system = system
         self.directory = Path(directory)
-        self.wal = WriteAheadLog(self.directory / "wal",
-                                 max_segment_bytes=wal_segment_bytes)
-        self.snapshots = SnapshotStore(retention=snapshot_retention)
+        self.wal = WriteAheadLog(self.directory / "wal")
         self.merge_threshold = merge_threshold
         self._data_lock = data_lock or ReadWriteLock()
-        self._seq = 0
         self._ids = itertools.count(1)
         self._state_lock = threading.Lock()
         self._docs_since_merge = 0
@@ -101,9 +96,14 @@ class IngestEngine:
         self._closed = False
         self._merge_wakeup = threading.Event()
         self._merge_thread: threading.Thread | None = None
-        # The pre-ingest restore point: rollback("base") empties the
-        # streamed corpus back to whatever the system started with.
-        self.snapshots.add(take_snapshot(system, "base", 0))
+        self._start_timeline()
+
+    def _start_timeline(self) -> None:
+        """Seq 0 and one restore point, ``base``, at the current state:
+        what a restart from here would build (see :meth:`checkpoint`)."""
+        self._seq = 0
+        self.snapshots = SnapshotStore()
+        self.snapshots.add(take_snapshot(self.system, "base", 0))
 
     # -- lock plumbing ----------------------------------------------------
 
@@ -117,61 +117,33 @@ class IngestEngine:
 
     # -- commit path ------------------------------------------------------
 
-    def _preflight_duplicates(self,
-                              papers: list[dict[str, Any]]) -> None:
-        """Reject store-level duplicates before anything is logged.
-
-        ``system.ingest`` inserts one document at a time; a unique-index
-        violation halfway through would strand a partial batch in
-        memory.  Checking up front keeps the apply step infallible on
-        this axis (batch-*internal* duplicates were already gated).
-        """
-        rejects = []
-        for index, paper in enumerate(papers):
-            if self.system.store.count({"paper_id": paper["paper_id"]}):
-                rejects.append({
-                    "index": index, "paper_id": paper["paper_id"],
-                    "error": "paper_id already ingested (set "
-                             "skip_duplicates to ignore redeliveries)",
-                })
-        if rejects:
-            raise IngestRejectedError(
-                f"{len(rejects)} of {len(papers)} paper(s) already "
-                "exist; nothing was ingested", rejects=rejects)
-
     def commit_batch(self, papers: list[Any], *,
                      batch_id: str | None = None,
                      skip_duplicates: bool = False) -> IngestReceipt:
-        """Gate, log, apply, fsync, snapshot — one committed batch."""
+        """Apply, log, fsync, snapshot — one committed batch."""
         started = time.perf_counter()
-        validated = gate_batch(papers)
+        if not papers:
+            raise IngestRejectedError("batch is empty")
         with self._data_lock.write_locked():
-            if not skip_duplicates:
-                self._preflight_duplicates(validated)
-            if batch_id is None:
-                batch_id = f"ingest-{next(self._ids):06d}"
-            self.wal.begin_batch(batch_id)
-            for paper in validated:
-                self.wal.append_document(batch_id, paper)
-            stored_before = len(self.system.store)
             try:
                 report = self.system.ingest(
-                    validated, skip_duplicates=skip_duplicates)
+                    papers, skip_duplicates=skip_duplicates)
+                if batch_id is None:
+                    batch_id = f"ingest-{next(self._ids):06d}"
+                self.wal.begin_batch(batch_id)
+                for paper in papers:
+                    self.wal.append_document(batch_id, paper)
+                # The durability point: the commit frame is fsynced
+                # after the apply succeeded, before acknowledging.
+                self.wal.commit_batch(batch_id, len(papers),
+                                      skip_duplicates=skip_duplicates)
+            except IngestRejectedError:
+                raise  # refused whole: nothing applied, nothing logged
             except BaseException:
-                # The batch is torn in the WAL (no commit record) —
-                # put memory back in step with it before re-raising.
-                latest = self.snapshots.latest()
-                if latest is not None:
-                    restore_snapshot(self.system, latest)
+                # Memory may hold part of a batch the WAL never
+                # committed — put it back in step before re-raising.
+                restore_snapshot(self.system, self.snapshots.latest())
                 raise
-            # The durability point: fsync the commit frame *after* the
-            # in-memory apply succeeded, *before* acknowledging.
-            # ``accepted`` is what actually landed: under
-            # skip_duplicates a redelivered paper is dropped by
-            # ``system.ingest`` and must not be counted as new.
-            accepted = len(self.system.store) - stored_before
-            self.wal.commit_batch(batch_id, len(validated),
-                                  skip_duplicates=skip_duplicates)
             self._seq += 1
             seq = self._seq
             snapshot = take_snapshot(
@@ -182,7 +154,7 @@ class IngestEngine:
             # the version counters could describe a *later* batch.
             versions = self.system.versions()
         with self._state_lock:
-            self._docs_since_merge += accepted
+            self._docs_since_merge += report.papers
             merge_due = self._docs_since_merge >= self.merge_threshold
         if merge_due:
             self._request_merge()
@@ -190,7 +162,7 @@ class IngestEngine:
             batch_id=batch_id,
             seq=seq,
             snapshot=snapshot.name,
-            accepted=accepted,
+            accepted=report.papers,
             subtrees=report.subtrees,
             seconds=time.perf_counter() - started,
             versions=versions,
@@ -268,13 +240,17 @@ class IngestEngine:
         interleaving between them would be acknowledged yet present in
         neither the checkpoint nor the WAL (lost on restart), and
         truncation must not unlink a segment a concurrent commit is
-        appending to.
+        appending to.  The engine then starts a new timeline at the
+        checkpointed state, seq 0 with one restore point (``base``), as a
+        restart from the checkpoint would: the emptied WAL holds none of
+        the older batches a rollback could name.
         """
         from repro.api.persistence import save_system
 
         with self._data_lock.write_locked():
             saved = save_system(self.system, directory)
             self.wal.truncate()
+            self._start_timeline()
         return saved
 
     # -- background merge -------------------------------------------------

@@ -1,7 +1,9 @@
-"""Pre-index quality gate for streaming ingest batches.
+"""Pre-index quality gate for every ingest batch.
 
-Nothing reaches the WAL, the docstore, or the indexes until the whole
-batch passes: schema conformance (:func:`repro.corpus.schema
+:meth:`CovidKG.ingest <repro.api.system.CovidKG.ingest>` runs it first,
+so it is the library's rule as much as the streaming engine's: nothing
+reaches the docstore, the indexes, the graph or the WAL until the whole
+batch passes schema conformance (:func:`repro.corpus.schema
 .validate_paper`, which also states the table shape every table reader
 assumes) and batch-local duplicate detection.  Failures are collected
 per document and surfaced as one typed

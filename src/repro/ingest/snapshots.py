@@ -8,10 +8,11 @@ one record of what was ingested) through fresh engines reproduces the
 saved state bit-for-bit (the differential tests assert byte-identical
 query pages), while costing O(corpus) memory only for the graph JSON.
 
-``rollback`` opens a fresh store (and the engines over it) on the live
-:class:`~repro.api.system.CovidKG`, advances it and the restored graph
-past their pre-rollback versions, and refills the store through the
-system's own write path.  Two consequences:
+``rollback`` hands the retained rows and the saved graph to
+:meth:`~repro.api.system.CovidKG.restore`, the one rebuild reload uses
+too: a fresh store (and the engines over it) refilled in order, the
+graph adopted, every counter raised past its pre-rollback value.  Two
+consequences:
 
 * the caller holds the serving tier's write lock for the whole
   rebuild, so no query can observe a half-rebuilt system;
@@ -75,33 +76,26 @@ def restore_snapshot(system: "CovidKG", snapshot: Snapshot) -> None:
     """
     from repro.kg.graph import KnowledgeGraph
 
-    old = system.versions()
-    retained = system.ingested_papers()[:snapshot.num_papers]
-    graph = KnowledgeGraph.from_json(json.loads(snapshot.graph_json))
-    # No counter may ever repeat a pre-rollback value, or a cached page
-    # computed against the discarded state could read as fresh: every
-    # replacement starts past its predecessor.
-    graph.advance_version(old["kg"] + 1)
-    system._open_store()
-    system.store.advance_version(old["store"] + 1)
-    for document in retained:
-        system._retain(document)
-    system.adopt_graph(graph)
+    system.restore(
+        system.ingested_papers()[:snapshot.num_papers],
+        KnowledgeGraph.from_json(json.loads(snapshot.graph_json)),
+        system.versions())
+
+
+#: Restore points a :class:`SnapshotStore` keeps; older ones are dropped.
+RETENTION = 8
 
 
 class SnapshotStore:
     """Bounded, ordered retention of named snapshots."""
 
-    def __init__(self, retention: int = 8) -> None:
-        if retention < 1:
-            raise ValueError("retention must be >= 1")
-        self.retention = retention
+    def __init__(self) -> None:
         self._snapshots: "OrderedDict[str, Snapshot]" = OrderedDict()
 
     def add(self, snapshot: Snapshot) -> None:
         self._snapshots[snapshot.name] = snapshot
         self._snapshots.move_to_end(snapshot.name)
-        while len(self._snapshots) > self.retention:
+        while len(self._snapshots) > RETENTION:
             self._snapshots.popitem(last=False)
 
     def get(self, name: str) -> Snapshot:
@@ -121,9 +115,7 @@ class SnapshotStore:
     def names(self) -> list[str]:
         return list(self._snapshots)
 
-    def latest(self) -> Snapshot | None:
-        if not self._snapshots:
-            return None
+    def latest(self) -> Snapshot:
         return next(reversed(self._snapshots.values()))
 
     def __len__(self) -> int:

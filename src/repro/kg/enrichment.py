@@ -68,6 +68,8 @@ class TopicCluster:
 class EnrichmentReport:
     """What one enrichment run extracted and fused."""
 
+    #: How many papers the run read (for an ingest: how many landed).
+    papers: int = 0
     subtrees: int = 0
     fusion_results: list[FusionResult] = field(default_factory=list)
     clusters: list[TopicCluster] = field(default_factory=list)
@@ -199,7 +201,7 @@ class EnrichmentPipeline:
                num_clusters: int | None = None,
                seed: int = 0) -> EnrichmentReport:
         """Extract from every paper and fuse everything into the graph."""
-        report = EnrichmentReport()
+        report = EnrichmentReport(papers=len(papers))
         if num_clusters and len(papers) >= num_clusters:
             report.clusters, _ = self.cluster_topics(
                 papers, num_clusters, seed=seed

@@ -400,16 +400,9 @@ class QueryService:
                 papers, skip_duplicates=skip_duplicates)
             self.broadcast_versions()
             return receipt.to_json()
-        with self._data_lock.write_locked():
-            stored_before = len(self.system.store)
-            report = self.system.ingest(papers,
-                                        skip_duplicates=skip_duplicates)
-            # What actually landed: a redelivered paper skipped under
-            # skip_duplicates is not new (same rule as the engine path).
-            accepted = len(self.system.store) - stored_before
-        self.broadcast_versions()
+        report = self.ingest(papers, skip_duplicates=skip_duplicates)
         return {
-            "accepted": accepted,
+            "accepted": report.papers,
             "subtrees": report.subtrees,
             "versions": self.system.versions(),
         }

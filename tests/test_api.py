@@ -72,8 +72,8 @@ class TestCovidKGSystem:
         assert sum(stats["shard_sizes"]) == len(corpus)
 
     def test_duplicate_ingest_rejected(self, system, corpus):
-        from repro.errors import DuplicateKeyError
-        with pytest.raises(DuplicateKeyError):
+        from repro.errors import IngestRejectedError
+        with pytest.raises(IngestRejectedError):
             system.ingest([corpus[0]])
 
     def test_all_fields_search_works(self, system):

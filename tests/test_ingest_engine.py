@@ -12,7 +12,6 @@ from repro.api.system import CovidKG, CovidKGConfig
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.errors import (
     IngestRejectedError,
-    SchemaError,
     SnapshotNotFoundError,
 )
 from repro.ingest.engine import IngestEngine
@@ -96,6 +95,7 @@ class TestCommit:
         system = _fresh_system(corpus[:20])
         bad = dict(corpus[25])
         bad.pop("abstract")
+        store, versions = system.store, system.versions()
         with IngestEngine(system, tmp_path) as engine:
             with pytest.raises(IngestRejectedError) as info:
                 engine.commit_batch([corpus[20], bad, corpus[21]])
@@ -105,6 +105,9 @@ class TestCommit:
             # All-or-nothing: the two valid papers did not land either.
             assert len(system.store) == 20
             assert engine.wal.segment_paths() == []
+            # Refused, not failed: no snapshot restore rebuilt the store.
+            assert system.store is store
+            assert system.versions() == versions
 
     def test_malformed_table_rows_rejected(self, corpus, tmp_path):
         system = _fresh_system(corpus[:5])
@@ -121,12 +124,13 @@ class TestCommit:
                     engine.commit_batch([bad])
                 assert engine.wal.replay().batches == [], shape
             # The library path refuses the same shape before storing it.
-            with pytest.raises(SchemaError):
+            with pytest.raises(IngestRejectedError):
                 system.ingest([bad])
             assert len(system.store) == 5, shape
 
     def test_store_duplicates_preflighted(self, corpus, tmp_path):
         system = _fresh_system(corpus[:20])
+        store, versions = system.store, system.versions()
         with IngestEngine(system, tmp_path) as engine:
             with pytest.raises(IngestRejectedError) as info:
                 engine.commit_batch([corpus[19], corpus[20]])
@@ -136,6 +140,9 @@ class TestCommit:
             # applied: the valid paper did not sneak in.
             assert len(system.store) == 20
             assert engine.wal.replay().batches == []
+            # Refused, not failed: no snapshot restore rebuilt the store.
+            assert system.store is store
+            assert system.versions() == versions
 
     def test_skip_duplicates_reports_actual_insertions(self, corpus,
                                                        tmp_path):
