@@ -165,7 +165,7 @@ def parse_request_head(head: bytes,
             continue
         name, separator, value = line.partition(":")
         if not separator or not name or name != name.strip() or \
-                any(c in name for c in " \t"):
+                " " in name or "\t" in name:
             raise BadRequestError(f"malformed header line {line[:80]!r}")
         headers[name.lower()] = value.strip()
     if "transfer-encoding" in headers:
@@ -206,6 +206,22 @@ def encode_json(payload: Any) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
+def response_head(status: int, content_type: str, length: int, *,
+                  request_id: str, persistent: bool,
+                  headers: dict[str, str] | None = None) -> str:
+    """A response's status line and headers, through the blank line."""
+    extra = "".join(f"{name}: {value}\r\n"
+                    for name, value in headers.items()) if headers else ""
+    return (
+        f"HTTP/1.1 {status} {REASON_PHRASES.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {length}\r\n"
+        f"X-Request-Id: {request_id}\r\n"
+        f"Connection: {'keep-alive' if persistent else 'close'}\r\n"
+        f"{extra}\r\n"
+    )
+
+
 def build_response(response: Response, *, request_id: str,
                    keep_alive: bool, head_only: bool = False) -> bytes:
     """Serialize one response to HTTP/1.1 bytes.
@@ -215,18 +231,12 @@ def build_response(response: Response, *, request_id: str,
     """
     body = response.body if response.body is not None \
         else encode_json(response.payload)
-    reason = REASON_PHRASES.get(response.status, "Unknown")
-    persistent = keep_alive and not response.close
-    lines = [
-        f"HTTP/1.1 {response.status} {reason}",
-        f"Content-Type: {response.content_type}",
-        f"Content-Length: {len(body)}",
-        f"X-Request-Id: {request_id}",
-        f"Connection: {'keep-alive' if persistent else 'close'}",
-    ]
-    for name, value in response.headers.items():
-        lines.append(f"{name}: {value}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    head = response_head(
+        response.status, response.content_type, len(body),
+        request_id=request_id,
+        persistent=keep_alive and not response.close,
+        headers=response.headers,
+    ).encode("latin-1")
     if head_only:
         return head
     return head + body

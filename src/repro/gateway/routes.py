@@ -26,10 +26,17 @@ from typing import Any
 
 import repro.errors as errors_module
 from repro.errors import BadRequestError, ReproError
-from repro.gateway.http import Request, Response, encode_json, error_payload
+from repro.gateway.http import (
+    Request,
+    Response,
+    encode_json,
+    error_payload,
+    response_head,
+)
 from repro.kg.search import KGSearchHit
 from repro.kgql import KGQLResult
 from repro.search.engine import SearchResults
+from repro.serve.cache import CacheKey, request_key
 
 #: Deadlines a client may request, in milliseconds.  The ceiling stops
 #: a client from parking a worker for minutes with one header.
@@ -244,6 +251,11 @@ def timeout_seconds(request: Request) -> float | None:
     raw = request.param("timeout_ms")
     if raw is None:
         raw = request.headers.get("x-timeout-ms")
+    return parse_timeout_ms(raw)
+
+
+def parse_timeout_ms(raw: str | None) -> float | None:
+    """A ``timeout_ms`` value in seconds, validated; ``None`` if absent."""
     if raw is None:
         return None
     try:
@@ -257,6 +269,39 @@ def timeout_seconds(request: Request) -> float | None:
             f"got {value}"
         )
     return value / 1000.0
+
+
+@dataclass(frozen=True, slots=True)
+class ReadRoute:
+    """What a read request's target parses into, all of it from the
+    target alone: the gateway keeps it per target (its hit lane's
+    memo) so a repeated target is parsed once."""
+
+    endpoint: Endpoint
+    #: The endpoint's validated engine kwargs.
+    params: dict[str, Any]
+    #: ``request_key(endpoint.engine, params)``.
+    key: CacheKey
+    #: The target's own ``timeout_ms`` in seconds; ``None`` when it has
+    #: none, and then an ``X-Timeout-Ms`` header applies.
+    timeout: float | None
+
+    def timeout_seconds(self, request: Request) -> float | None:
+        """:func:`timeout_seconds` of a ``request`` for this target."""
+        if self.timeout is not None:
+            return self.timeout
+        return parse_timeout_ms(request.headers.get("x-timeout-ms"))
+
+
+def read_route(endpoint: Endpoint, request: Request) -> ReadRoute:
+    """Validate a read request's target into its :class:`ReadRoute`.
+
+    The parameters are checked before ``timeout_ms``, so a target bad in
+    both is refused for its parameter.
+    """
+    params = endpoint.params(request)
+    return ReadRoute(endpoint, params, request_key(endpoint.engine, params),
+                     parse_timeout_ms(request.param("timeout_ms")))
 
 
 # -- result serialization ---------------------------------------------------
@@ -324,26 +369,29 @@ def encode_value(value: Any) -> bytes:
     return encode_json(serialize_value(value))
 
 
-def _envelope_head(served: Any, request_id: str) -> bytes:
-    """``encode_json(_envelope(served, request_id))`` without its ``}``.
+def _envelope_head(served: Any, request_id: str) -> str:
+    """``encode_json(_envelope(served, request_id))`` with its ``}``
+    replaced by ``,"value":``.
 
     Rendered from a template, each field as ``json.dumps`` writes it for
     a ``ServedResult``'s types: a ``str`` through the encoder's own
     ASCII escaper, a ``bool`` as ``true`` / ``false``, an ``int`` and a
     finite ``float`` by ``repr``.  Non-finite ``seconds`` (``NaN``,
-    ``Infinity``) take the ``json.dumps`` path.
+    ``Infinity``) take the ``json.dumps`` path.  ASCII either way.
     """
     seconds = served.seconds
     if not isfinite(seconds):
-        return encode_json(_envelope(served, request_id))[:-1]
+        return encode_json(_envelope(served, request_id))[:-1].decode(
+            "ascii") + ',"value":'
     return (
         f'{{"engine":{_json_str(served.engine)},'
         f'"request_id":{_json_str(request_id)},'
         f'"cached":{"true" if served.cached else "false"},'
         f'"collapsed":{"true" if served.collapsed else "false"},'
         f'"seconds":{seconds!r},'
-        f'"versions":[{",".join(map(repr, served.versions))}]'
-    ).encode("ascii")
+        f'"versions":[{",".join(map(repr, served.versions))}],'
+        f'"value":'
+    )
 
 
 def encode_served(served: Any, request_id: str, wire: bytes) -> bytes:
@@ -351,9 +399,28 @@ def encode_served(served: Any, request_id: str, wire: bytes) -> bytes:
 
     Splices ``wire`` (:func:`encode_value` of ``served.value``) after
     the envelope, so a page is encoded once however often it is
-    served; the bytes equal the one-pass encoding exactly.
+    served; the bytes equal the one-pass encoding exactly.  It is the
+    body :func:`served_response` writes.
     """
-    return _envelope_head(served, request_id) + b',"value":' + wire + b"}"
+    return _envelope_head(served, request_id).encode("ascii") + wire + b"}"
+
+
+def served_response(served: Any, request_id: str, *, keep_alive: bool,
+                    head_only: bool = False) -> bytes:
+    """The HTTP response for a ``ServedResult`` whose ``wire`` is set.
+
+    ``build_response(Response(body=encode_served(served, request_id,
+    served.wire)), ...)`` byte for byte, but the status line, headers,
+    envelope and page are joined once, so the page is copied once.
+    """
+    envelope = _envelope_head(served, request_id)
+    wire = served.wire
+    head = response_head(200, "application/json",
+                         len(envelope) + len(wire) + 1,
+                         request_id=request_id, persistent=keep_alive)
+    if head_only:
+        return head.encode("latin-1")
+    return b"".join(((head + envelope).encode("latin-1"), wire, b"}"))
 
 
 # -- prometheus rendering ---------------------------------------------------

@@ -20,7 +20,11 @@ tier, the shape production serving stacks use:
   pipelines ahead is pushed back by TCP flow control.  The **hit
   lane**: a ready answer is written in the loop turn that read its
   request, and every ``ANSWERS_PER_YIELD``-th answer hands the loop to
-  the other connections once;
+  the other connections once.  A bodiless GET / HEAD read target
+  answered at admission is remembered parsed (params, cache key, own
+  ``timeout_ms``; at most the L1's ``max_entries`` targets), so its
+  repeats skip the parse, and an answer that leaves whole in that turn
+  updates the gateway's and the service's counters in one call each;
 * one **idle watchdog** timer per connection closes it quietly once
   it has waited ``idle_timeout_seconds`` for a request head
   (an idle keep-alive client, or a head that stalled half-sent);
@@ -47,6 +51,7 @@ import signal
 import sys
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any
 
@@ -64,12 +69,14 @@ from repro.gateway.http import (
 )
 from repro.gateway.routes import (
     Endpoint,
-    encode_served,
+    ReadRoute,
     encode_value,
     error_payload,
     error_response,
+    read_route,
     render_prometheus,
     resolve,
+    served_response,
     timeout_seconds,
 )
 from repro.serve.metrics import GatewayMetrics
@@ -213,6 +220,12 @@ class Gateway:
         self._draining = False
         self._conn_tasks: set[asyncio.Task] = set()
         self._ids = itertools.count(1)
+        self._id_prefix = f"{os.getpid():x}-"
+        #: The hit lane's memo: request target -> its parsed
+        #: :class:`ReadRoute`, for the bodiless GET / HEAD read targets
+        #: answered at admission.  At most the L1's ``max_entries``
+        #: targets; the oldest goes first.  Loop-thread only.
+        self._memo: OrderedDict[str, ReadRoute] = OrderedDict()
         self._access = _AccessLog()
         # readuntil() needs headroom past the header cap so the explicit
         # size check (a clean 400) fires before the stream limit does.
@@ -224,7 +237,7 @@ class Gateway:
         return self._draining
 
     def _next_request_id(self) -> str:
-        return f"{os.getpid():x}-{next(self._ids):06x}"
+        return f"{self._id_prefix}{next(self._ids):06x}"
 
     # -- lifecycle --------------------------------------------------------
 
@@ -369,9 +382,12 @@ class Gateway:
             try:
                 request = parse_request_head(
                     head, self.config.max_header_bytes)
+                route = None if request.method == "POST" else \
+                    self._memo.get(request.target)
                 # Reading the path splits the target: a target
                 # urlsplit refuses is a malformed request like any other.
-                endpoint = resolve(request.path)
+                endpoint = route.endpoint if route is not None \
+                    else resolve(request.path)
                 request.body = await self._read_body(reader, request)
             except BadRequestError as exc:
                 self.metrics.record_parse_error()
@@ -386,10 +402,20 @@ class Gateway:
             name = endpoint.name if endpoint is not None else "unknown"
             request_id = self._next_request_id()
             started = time.monotonic()
-            self.metrics.request_started(name)
-            answer = self._admit(endpoint, request, request_id)
+            if route is None or request.body:
+                self.metrics.request_started(name)
+                answer = self._admit(endpoint, request, request_id)
+                counted = True
+            else:
+                # The hit lane: a target answered at admission before
+                # is not parsed again, and an answer ready now is
+                # counted when it goes out.
+                answer = self._admit_read(route, request, request_id)
+                counted = not isinstance(answer, ServedResult)
+                if counted:
+                    self.metrics.request_started(name)
             if not await self._send(conn, request, request_id, name,
-                                    started, answer) \
+                                    started, answer, counted=counted) \
                     or not request.keep_alive:
                 return
             answered += 1
@@ -427,32 +453,57 @@ class Gateway:
 
     async def _send(self, conn: _Connection, request: Request | None,
                     request_id: str, endpoint: str, started: float,
-                    answer: "Response | Future[ServedResult]") -> bool:
+                    answer: "Response | ServedResult | Future[ServedResult]",
+                    *, counted: bool = True) -> bool:
         """Await a miss's answer, put it on the wire, account for it.
 
         Returns whether the response went out.  One that did not — the
         client went away, or the drain deadline cancelled the request
-        first — is accounted ``499``.
+        first — is accounted ``499``.  ``counted`` says whether the
+        request was already counted started; if not, an answer that
+        leaves whole with this write is counted in one call, and one
+        that must wait in ``drain()`` is counted in flight first.
         """
+        writer = conn.writer
         sent = False
         try:
-            if not isinstance(answer, Response):
+            if isinstance(answer, Future):
                 answer = await self._await_served(answer, request_id)
-            conn.writer.write(build_response(
-                answer,
-                request_id=request_id,
-                keep_alive=(request is not None and request.keep_alive
-                            and not answer.close and not self._draining),
-                head_only=request is not None and request.method == "HEAD",
-            ))
-            await conn.writer.drain()
+            keep_alive = request is not None and request.keep_alive \
+                and not self._draining
+            head_only = request is not None and request.method == "HEAD"
+            if isinstance(answer, ServedResult):
+                status = 200
+                writer.write(served_response(
+                    answer, request_id, keep_alive=keep_alive,
+                    head_only=head_only))
+            else:
+                status = answer.status
+                writer.write(build_response(
+                    answer, request_id=request_id, keep_alive=keep_alive,
+                    head_only=head_only))
+            if not counted:
+                transport = writer.transport
+                if transport.get_write_buffer_size() == 0 and \
+                        not transport.is_closing():
+                    # Out whole: drain() would return at once.
+                    sent = True
+                    return True
+                # drain() may wait on the client: in flight meanwhile.
+                self.metrics.request_started(endpoint)
+                counted = True
+            await writer.drain()
             sent = True
         except (ConnectionError, OSError):
             pass
         finally:
-            status = answer.status if sent else 499
+            if not sent:
+                status = 499
             elapsed = time.monotonic() - started
-            self.metrics.request_finished(status, elapsed)
+            if counted:
+                self.metrics.request_finished(status, elapsed)
+            else:
+                self.metrics.request_served(endpoint, status, elapsed)
             self._access_log(conn.peer, request, request_id, endpoint,
                              status, elapsed)
         return sent
@@ -472,14 +523,17 @@ class Gateway:
     # -- request handling --------------------------------------------------
 
     def _admit(self, endpoint: Endpoint | None, request: Request,
-               request_id: str) -> "Response | Future[ServedResult]":
+               request_id: str
+               ) -> "Response | ServedResult | Future[ServedResult]":
         """The synchronous half of a request, run by its connection.
 
-        Returns the finished response whenever there is one by the time
+        Returns the finished answer whenever there is one by the time
         admission returns — no route, a local endpoint, a validation or
-        admission failure, an L1 hit, a replayed negative entry — and
-        otherwise the pool future :meth:`_send` awaits.  Every failure
-        becomes a response.
+        admission failure, a replayed negative entry (responses), an L1
+        hit (its :class:`ServedResult`) — and otherwise the pool future
+        :meth:`_send` awaits.  Every failure becomes a response.  A
+        bodiless GET / HEAD read target answered here enters the hit
+        lane's memo.
         """
         try:
             if endpoint is None:
@@ -502,14 +556,34 @@ class Gateway:
                     return response
                 params = endpoint.params(request)
                 timeout = timeout_seconds(request)
-                served = self.service.submit_ingest(
+                return self.service.submit_ingest(
                     timeout_seconds=timeout, **params)
-            else:
-                params = endpoint.params(request)
-                timeout = timeout_seconds(request)
-                # An L1 hit comes back as the ServedResult itself.
-                served = self.service.admit(
-                    endpoint.engine, timeout_seconds=timeout, **params)
+            route = read_route(endpoint, request)
+        except Exception as exc:  # noqa: BLE001 - becomes the body
+            return self._error(exc, request_id)
+        answer = self._admit_read(route, request, request_id)
+        if isinstance(answer, ServedResult) and \
+                request.method != "POST" and not request.body:
+            memo = self._memo
+            if len(memo) >= self.service.cache.max_entries:
+                memo.popitem(last=False)
+            memo[request.target] = route
+        return answer
+
+    def _admit_read(self, route: ReadRoute, request: Request,
+                    request_id: str
+                    ) -> "Response | ServedResult | Future[ServedResult]":
+        """Admit a read request whose target parsed into ``route``.
+
+        An answer ready at admission — an L1 hit, or a future already
+        resolved — comes back as the :class:`ServedResult` with its
+        ``wire`` set; a pending miss as the pool future; every failure
+        as a response.
+        """
+        try:
+            served = self.service.admit_keyed(
+                route.endpoint.engine, route.key, route.params,
+                route.timeout_seconds(request))
             if isinstance(served, Future):
                 if not served.done():
                     return served
@@ -518,24 +592,23 @@ class Gateway:
                 # already done.  (timeout=0: this runs on the loop and
                 # must poll, never wait.)
                 served = served.result(timeout=0)
-            wire = served.wire
-            if wire is None:
-                wire = encode_value(served.value)
-                if served.cached and not served.shared:
-                    # First L1 hit of this entry: later hits reuse the
-                    # bytes for as long as the entry lives.
-                    self.service.attach_wire(served, params, wire)
-            return Response(body=encode_served(served, request_id, wire))
+                served.wire = encode_value(served.value)
+            elif served.wire is None:
+                # An L1 entry's first hit: later hits reuse the bytes
+                # for as long as the entry lives.
+                served.wire = encode_value(served.value)
+                self.service.attach_wire(served, route.params, served.wire)
+            return served
         except Exception as exc:  # noqa: BLE001 - becomes the body
             return self._error(exc, request_id)
 
     async def _await_served(self, future: "Future[ServedResult]",
-                            request_id: str) -> Response:
+                            request_id: str) -> "Response | ServedResult":
         """A miss: await the pool in place, encode the page."""
         try:
             served = await asyncio.wrap_future(future)
-            return Response(body=encode_served(
-                served, request_id, encode_value(served.value)))
+            served.wire = encode_value(served.value)
+            return served
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - becomes the body

@@ -120,7 +120,13 @@ class IngestEngine:
     def commit_batch(self, papers: list[Any], *,
                      batch_id: str | None = None,
                      skip_duplicates: bool = False) -> IngestReceipt:
-        """Apply, log, fsync, snapshot — one committed batch."""
+        """Apply, log, fsync, snapshot — one committed batch.
+
+        A ``skip_duplicates`` batch whose every paper is already stored
+        lands nothing and commits nothing: no WAL frames, no snapshot,
+        no new seq.  Its receipt names the current seq and latest
+        snapshot, with ``accepted`` 0.
+        """
         started = time.perf_counter()
         if not papers:
             raise IngestRejectedError("batch is empty")
@@ -130,13 +136,14 @@ class IngestEngine:
                     papers, skip_duplicates=skip_duplicates)
                 if batch_id is None:
                     batch_id = f"ingest-{next(self._ids):06d}"
-                self.wal.begin_batch(batch_id)
-                for paper in papers:
-                    self.wal.append_document(batch_id, paper)
-                # The durability point: the commit frame is fsynced
-                # after the apply succeeded, before acknowledging.
-                self.wal.commit_batch(batch_id, len(papers),
-                                      skip_duplicates=skip_duplicates)
+                if report.papers:
+                    self.wal.begin_batch(batch_id)
+                    for paper in papers:
+                        self.wal.append_document(batch_id, paper)
+                    # The durability point: the commit frame is fsynced
+                    # after the apply succeeded, before acknowledging.
+                    self.wal.commit_batch(batch_id, len(papers),
+                                          skip_duplicates=skip_duplicates)
             except IngestRejectedError:
                 raise  # refused whole: nothing applied, nothing logged
             except BaseException:
@@ -144,11 +151,12 @@ class IngestEngine:
                 # committed — put it back in step before re-raising.
                 restore_snapshot(self.system, self.snapshots.latest())
                 raise
-            self._seq += 1
+            if report.papers:
+                self._seq += 1
+                self.snapshots.add(take_snapshot(
+                    self.system, f"batch-{self._seq:06d}", self._seq))
             seq = self._seq
-            snapshot = take_snapshot(
-                self.system, f"batch-{seq:06d}", seq)
-            self.snapshots.add(snapshot)
+            snapshot = self.snapshots.latest()
             # Capture the receipt's view of the world while the write
             # lock still excludes other commits — outside it, seq and
             # the version counters could describe a *later* batch.

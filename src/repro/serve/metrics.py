@@ -121,6 +121,19 @@ class GatewayMetrics:
             self.responses[status] += 1
         self.latency.observe(seconds)
 
+    def request_served(self, endpoint: str, status: int,
+                       seconds: float) -> None:
+        """:meth:`request_started` and :meth:`request_finished` in one.
+
+        For an answer written whole in the loop turn that read its
+        request (the gateway's hit lane): no other reader could have
+        seen it in flight.
+        """
+        with self._lock:
+            self.requests[endpoint] += 1
+            self.responses[status] += 1
+        self.latency.observe(seconds)
+
     def record_parse_error(self) -> None:
         with self._lock:
             self.parse_errors += 1
@@ -193,13 +206,26 @@ class ServiceMetrics:
         self.overall.observe(seconds)
         self.histogram(engine).observe(seconds)
 
+    def record_hit(self, engine: str, seconds: float) -> None:
+        """:meth:`record_request` and :meth:`record_latency` in one, for
+        an L1 hit: the request and its latency are known at once."""
+        with self._lock:
+            self.requests[engine] += 1
+            histogram = self._histogram(engine)
+        self.overall.observe(seconds)
+        histogram.observe(seconds)
+
     def histogram(self, engine: str) -> LatencyHistogram:
         with self._lock:
-            histogram = self._per_engine.get(engine)
-            if histogram is None:
-                histogram = LatencyHistogram(self._histogram_capacity)
-                self._per_engine[engine] = histogram
-            return histogram
+            return self._histogram(engine)
+
+    def _histogram(self, engine: str) -> LatencyHistogram:
+        """``engine``'s histogram, made on first use; hold the lock."""
+        histogram = self._per_engine.get(engine)
+        if histogram is None:
+            histogram = LatencyHistogram(self._histogram_capacity)
+            self._per_engine[engine] = histogram
+        return histogram
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:

@@ -37,7 +37,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.serve.admission import ReadWriteLock, WorkerPool
-from repro.serve.cache import Flight, ResultCache, request_key
+from repro.serve.cache import CacheKey, Flight, ResultCache, request_key
 from repro.serve.metrics import ServiceMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,8 +118,10 @@ class ServedResult:
     #: (an L2 hit published by another replica), not this process's L1
     #: and not a local computation.
     shared: bool = False
-    #: An L1 hit's encoded page, if a previous hit left one on the cache
-    #: entry (:meth:`QueryService.attach_wire`); never part of equality.
+    #: The value's encoded page, once known: an L1 hit carries the bytes
+    #: a previous hit left on its cache entry
+    #: (:meth:`QueryService.attach_wire`), and the gateway sets it on a
+    #: page it encodes.  Never part of equality.
     wire: bytes | None = field(default=None, compare=False, repr=False)
 
 
@@ -211,8 +213,21 @@ class QueryService:
 
         An L1 hit is the :class:`ServedResult` itself, straight from the
         cache claim; every other outcome is the future :meth:`submit`
-        returns.  The gateway's event loop calls this, so a hit crosses no
-        ``Future``.
+        returns.
+        """
+        return self.admit_keyed(engine, request_key(engine, params),
+                                params, timeout_seconds)
+
+    def admit_keyed(self, engine: str, key: CacheKey,
+                    params: dict[str, Any],
+                    timeout_seconds: float | None = None
+                    ) -> "ServedResult | Future[ServedResult]":
+        """:meth:`admit` for a caller that already holds ``key``, which
+        must be ``request_key(engine, params)``.
+
+        The gateway's event loop calls this with the key it parsed the
+        request target into once, so a hit crosses no ``Future``, builds
+        no key and updates its counters in one call.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -221,17 +236,16 @@ class QueryService:
                 f"unknown engine {engine!r}; one of {', '.join(ENGINES)}"
             )
         started = time.monotonic()
-        self.metrics.record_request(engine)
-        key = request_key(engine, params)
         versions = self._versions(engine)
         status, payload, wire = self.cache.claim(key, versions)
         if status == "hit":
             seconds = time.monotonic() - started
-            self.metrics.record_latency(engine, seconds)
+            self.metrics.record_hit(engine, seconds)
             return ServedResult(
                 engine=engine, value=payload, cached=True,
                 seconds=seconds, versions=versions, wire=wire,
             )
+        self.metrics.record_request(engine)
         if status == "negative":
             self.metrics.record_negative_hit()
             future: "Future[ServedResult]" = Future()

@@ -7,6 +7,7 @@ to read shared counters with no lock at all.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -112,6 +113,47 @@ def test_service_metrics_snapshot_under_concurrent_updates():
     assert final["shed"] == 600
     assert final["negative_hits"] == 600
     assert final["total_requests"] == 600
+
+
+def test_a_hit_and_a_miss_recorded_at_once_lose_no_count():
+    """``record_hit`` (the event loop) beside ``record_request`` +
+    ``record_latency`` (a worker's miss) and ``snapshot`` readers: every
+    count lands once, in the requests and in both histograms."""
+    metrics = ServiceMetrics(histogram_capacity=32)
+    rounds, writers = 300, 3
+    interval = sys.getswitchinterval()
+
+    def hit():
+        for _ in range(rounds):
+            metrics.record_hit("all_fields", 0.001)
+
+    def miss():
+        for _ in range(rounds):
+            metrics.record_request("all_fields")
+            metrics.record_latency("all_fields", 0.002)
+
+    def read():
+        for _ in range(rounds):
+            snap = metrics.snapshot()
+            assert snap["total_requests"] == sum(snap["requests"].values())
+
+    threads = ([threading.Thread(target=hit) for _ in range(writers)]
+               + [threading.Thread(target=miss) for _ in range(writers)]
+               + [threading.Thread(target=read) for _ in range(2)])
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    final = metrics.snapshot()
+    total = 2 * writers * rounds
+    assert final["requests"] == {"all_fields": total}
+    assert final["latency"]["overall"]["count"] == total
+    assert final["latency"]["all_fields"]["count"] == total
 
 
 def test_cache_stats_snapshot_races_with_lookups():

@@ -35,12 +35,13 @@ from repro.gateway import (
     all_error_classes,
     map_error,
 )
-from repro.gateway.http import encode_json
+from repro.gateway.http import Response, build_response, encode_json
 from repro.gateway.routes import (
     _envelope,
     encode_served,
     encode_value,
     serialize_served,
+    served_response,
 )
 from repro.ingest.engine import IngestEngine
 from repro.serve.cache import request_key
@@ -608,6 +609,25 @@ def test_envelope_template_equals_json_dumps(engine, request_id, seconds,
         encode_json(_envelope(served, request_id))[:-1] + b',"value":')
 
 
+@settings(max_examples=100, deadline=None)
+@given(request_id=st.text(max_size=24), seconds=_SECONDS,
+       versions=st.lists(st.integers(), max_size=4).map(tuple),
+       cached=st.booleans(), value=_JSON_VALUES,
+       keep_alive=st.booleans(), head_only=st.booleans())
+def test_served_response_equals_build_response(request_id, seconds,
+                                               versions, cached, value,
+                                               keep_alive, head_only):
+    served = ServedResult(engine="all_fields", value=value, cached=cached,
+                          seconds=seconds, versions=versions)
+    served.wire = encode_value(value)
+    request_id = request_id.encode("latin-1", "replace").decode("latin-1")
+    expected = build_response(
+        Response(body=encode_served(served, request_id, served.wire)),
+        request_id=request_id, keep_alive=keep_alive, head_only=head_only)
+    assert served_response(served, request_id, keep_alive=keep_alive,
+                           head_only=head_only) == expected
+
+
 def test_a_hit_is_admitted_as_its_served_result(system):
     """The hit lane's claim result reaches the gateway unwrapped."""
     with QueryService(system, ServeConfig(num_workers=1)) as service:
@@ -622,6 +642,155 @@ def test_a_hit_is_admitted_as_its_served_result(system):
         wrapped = service.submit("all_fields", **params)
         assert isinstance(wrapped, Future) and wrapped.result().cached
         assert service.stats()["requests"]["all_fields"] == 3
+
+
+# -- the hit lane's memo: a target parsed once ------------------------------
+
+_TARGET = "/v1/search/all_fields?query=vaccine+side+effects"
+
+#: What differs between two answers of one page besides its bytes.
+_HIT_VOLATILE = re.compile(
+    rb"X-Request-Id: [^\r]*\r\n|Content-Length: [^\r]*\r\n"
+    rb'|"request_id":"[^"]*"|"seconds":[^,]*,')
+
+
+def _exchange(port, raw, head_only=False):
+    """One request on its own connection; the response's raw bytes."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10.0) as sock:
+        sock.sendall(raw)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            data += sock.recv(65536)
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        while not head_only and len(body) < length:
+            body += sock.recv(65536)
+    assert len(body) == (0 if head_only else length)
+    return data
+
+
+def _hit_request(method="GET", target=_TARGET, extra=""):
+    return (f"{method} {target} HTTP/1.1\r\nHost: x\r\n{extra}\r\n"
+            ).encode()
+
+
+@pytest.fixture()
+def warm(system):
+    """A service whose L1 holds ``_TARGET``'s page."""
+    with QueryService(system, ServeConfig(num_workers=2)) as service:
+        service.query("all_fields", query="vaccine side effects", page=1)
+        yield service
+
+
+class TestHitMemo:
+    @pytest.mark.parametrize("method, extra", [
+        ("GET", ""), ("HEAD", ""), ("GET", "Connection: close\r\n")])
+    def test_a_memo_served_answer_equals_a_fresh_gateways(
+            self, warm, method, extra):
+        request = _hit_request(method, extra=extra)
+        head_only = method == "HEAD"
+        with BackgroundGateway(warm) as gw:
+            first = _exchange(gw.port, _hit_request())
+            assert _TARGET in gw.gateway._memo
+            memo_served = _exchange(gw.port, request, head_only)
+        with BackgroundGateway(warm) as gw:
+            fresh = _exchange(gw.port, request, head_only)
+            assert _TARGET in gw.gateway._memo
+        assert b'"cached":true' in first
+        assert _HIT_VOLATILE.sub(b"", memo_served) == \
+            _HIT_VOLATILE.sub(b"", fresh)
+        connection = b"close" if extra else b"keep-alive"
+        assert b"Connection: " + connection + b"\r\n" in memo_served
+
+    def test_case_and_space_variants_share_an_entry_not_a_row(self,
+                                                              system):
+        spaced = "/v1/search/all_fields?query=%20COVID%20"
+        plain = "/v1/search/all_fields?query=covid"
+        with QueryService(system, ServeConfig(num_workers=2)) as service:
+            with BackgroundGateway(service) as gw, \
+                    GatewayClient("127.0.0.1", gw.port) as cl:
+                answers = [cl.request("GET", target)
+                           for target in (plain, plain, spaced, spaced)]
+                memo = gw.gateway._memo
+                assert [answer.json()["cached"] for answer in answers] \
+                    == [False, True, True, True]
+                assert len(service.cache) == 1
+                assert list(memo) == [plain, spaced]
+                assert memo[plain].key == memo[spaced].key
+                assert memo[plain].params == {"query": "covid", "page": 1}
+                assert memo[spaced].params == {"query": " COVID ",
+                                               "page": 1}
+
+    def test_a_bad_timeout_header_on_a_memoized_target_is_400(self,
+                                                              warm):
+        with BackgroundGateway(warm) as gw, \
+                RawGatewayClient("127.0.0.1", gw.port) as cl:
+            assert cl.send_raw(_hit_request()).json()["cached"]
+            assert _TARGET in gw.gateway._memo
+            for header in ("soon", "0", "-5"):
+                bad = cl.send_raw(_hit_request(
+                    extra=f"X-Timeout-Ms: {header}\r\n"))
+                assert bad.status == 400, header
+                assert bad.json()["error"]["code"] == "bad_request"
+                assert "timeout_ms" in bad.json()["error"]["message"]
+            good = cl.send_raw(_hit_request(extra="X-Timeout-Ms: 500\r\n"))
+            assert good.status == 200 and good.json()["cached"]
+
+    def test_a_bad_page_is_never_memoized(self, warm):
+        target = "/v1/search/all_fields?query=vaccine+side+effects&page=0"
+        with BackgroundGateway(warm) as gw, \
+                RawGatewayClient("127.0.0.1", gw.port) as cl:
+            for _ in range(3):
+                response = cl.send_raw(_hit_request(target=target))
+                assert response.status == 400
+                assert "'page'" in response.json()["error"]["message"]
+            assert gw.gateway._memo == {}
+
+    def test_the_memo_holds_at_most_the_l1s_max_entries(self, system):
+        with QueryService(system, ServeConfig(num_workers=2)) as service:
+            service.cache.max_entries = 4
+            with BackgroundGateway(service) as gw, \
+                    GatewayClient("127.0.0.1", gw.port) as cl:
+                memo = gw.gateway._memo
+                targets = [f"/v1/search/all_fields?query=term+{n}"
+                           for n in range(10)]
+                for target in targets:
+                    for _ in range(3):  # miss, first hit, memo hit
+                        assert cl.request("GET", target).status == 200
+                        assert len(memo) <= 4
+                assert list(memo) == targets[-4:]
+
+    def test_every_counter_counts_each_hit_once(self, system):
+        hits = 6
+        with QueryService(system, ServeConfig(num_workers=2)) as service:
+            with BackgroundGateway(service) as gw, \
+                    GatewayClient("127.0.0.1", gw.port) as cl:
+                for _ in range(hits):  # one miss, then hits
+                    assert cl.request("GET", _TARGET).status == 200
+                stats = cl.get("/v1/stats").json()
+                metrics = cl.get("/v1/metrics").text
+        gateway, service_stats = stats["gateway"], stats["service"]
+        assert service_stats["requests"] == {"all_fields": hits}
+        assert service_stats["cache"]["hits"] == hits - 1
+        assert gateway["requests"] == {"search.all_fields": hits,
+                                       "stats": 1}
+        assert gateway["responses"] == {"200": hits}
+        assert gateway["requests_inflight"] == 1  # the stats request
+        latencies = [gateway["latency"],
+                     *service_stats["latency"].values()]
+        assert len(latencies) == 3  # gateway, overall, all_fields
+        assert [latency["count"] for latency in latencies] == [hits] * 3
+        for line in (
+                f'covidkg_service_requests_total{{engine="all_fields"}} '
+                f'{hits}',
+                f'covidkg_gateway_requests_total'
+                f'{{endpoint="search.all_fields"}} {hits}',
+                # ... and the stats answer
+                f'covidkg_gateway_responses_total{{status="200"}} '
+                f'{hits + 1}',
+                f"covidkg_cache_hits_total {hits - 1}"):
+            assert line in metrics.splitlines(), line
 
 
 # -- the inline lane: order, backpressure, accounting ----------------------

@@ -50,6 +50,10 @@ def _pages(system):
     return pages
 
 
+def _wal_bytes(engine):
+    return sum(path.stat().st_size for path in engine.wal.segment_paths())
+
+
 def _graph_holders(system):
     """``(holder class, graph)`` for every attribute, anywhere under
     ``vars(system)``, that holds a knowledge graph."""
@@ -152,6 +156,36 @@ class TestCommit:
                                           skip_duplicates=True)
             assert receipt.accepted == 5  # 5 were redeliveries
             assert len(system.store) == 25
+
+    def test_a_batch_that_lands_nothing_commits_nothing(self, corpus,
+                                                        tmp_path):
+        system = _fresh_system(corpus[:20])
+        with IngestEngine(system, tmp_path) as engine:
+            first = engine.commit_batch(corpus[20:30],
+                                        skip_duplicates=True)
+            wal_bytes = _wal_bytes(engine)
+            names = engine.snapshots.names()
+            versions = system.versions()
+            again = engine.commit_batch(corpus[20:30],
+                                        skip_duplicates=True)
+            assert (again.accepted, again.subtrees) == (0, 0)
+            assert (again.seq, again.snapshot) == \
+                (first.seq, first.snapshot) == (1, "batch-000001")
+            assert again.versions == first.versions == versions
+            assert _wal_bytes(engine) == wal_bytes
+            assert engine.snapshots.names() == names
+            assert system.versions() == versions
+            reference = _pages(system)
+
+        recovered = _fresh_system(corpus[:20])
+        with IngestEngine(recovered, tmp_path) as engine:
+            assert engine.replay() == 1
+            assert _pages(recovered) == reference
+            assert len(recovered.store) == 30
+            assert engine.snapshots.names() == names
+            receipt = engine.commit_batch(corpus[20:30],
+                                          skip_duplicates=True)
+            assert (receipt.accepted, receipt.seq) == (0, 1)
 
 
 class TestRollback:
