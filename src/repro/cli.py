@@ -29,7 +29,6 @@ Example session::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -261,7 +260,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         scratch = tempfile.TemporaryDirectory(prefix="covidkg-ingest-")
         ingest_dir = scratch.name
     engine = IngestEngine(system, ingest_dir)
-    replica_id = getattr(args, "replica_id", None)
     try:
         replay_started = time.monotonic()
         replayed = engine.replay()
@@ -273,11 +271,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             service.attach_ingest(engine)
 
             def _announce(port: int) -> None:
-                # Cluster mode: tell the coordinator (the shared cache
-                # server) where this replica's socket landed.
-                if service.shared_cache is not None and replica_id:
-                    service.shared_cache.register(
-                        replica_id, args.host, port, pid=os.getpid())
                 # process_time() counts from process start, so it holds
                 # the import chain a slow boot is usually made of.
                 logging.getLogger("repro.gateway").info(
@@ -286,12 +279,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                     time.monotonic() - _IMPORTED_AT, time.process_time(),
                     load_seconds, replay_seconds)
 
-            try:
-                return run_gateway(service, gateway_config,
-                                   ready=_announce)
-            finally:
-                if service.shared_cache is not None and replica_id:
-                    service.shared_cache.deregister(replica_id)
+            return run_gateway(service, gateway_config,
+                               ready=_announce)
     finally:
         engine.close()
         if scratch is not None:
@@ -542,15 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="HOST:PORT",
                          help="address of a cluster shared result "
                               "cache (repro-covidkg cache-server)")
-    gateway.add_argument("--replica-id", default=None,
-                         help="register under this id with the cluster "
-                              "coordinator once the socket is bound")
     gateway.set_defaults(func=_cmd_gateway)
 
     cache_server = sub.add_parser(
         "cache-server",
-        help="serve the cluster's shared result cache + replica "
-             "coordinator on one TCP port",
+        help="serve the cluster's shared result cache on one TCP port",
     )
     cache_server.add_argument("--host", default="127.0.0.1")
     cache_server.add_argument("--port", type=int, default=8200,

@@ -11,11 +11,13 @@ sharded docstore) into a horizontally scaled cluster:
   request keys and invalidated by the docstore/KG version counters.
   Every replica keeps its in-process :class:`~repro.serve.cache.
   ResultCache` as an L1 in front, so a warm hit never crosses a process
-  boundary twice.  The server doubles as the cluster **coordinator**:
-  replicas register themselves and the router discovers them;
+  boundary twice.  The server is only a cache: ``GET``, ``PUT`` and
+  ``INVAL``;
 * a **cluster runner** (:class:`~repro.cluster.runner.ClusterRunner`,
   ``repro-covidkg cluster --replicas N``) that builds the system once,
-  saves it, and boots N gateway replicas over those common shards;
+  saves it, boots N gateway replicas over those common shards, and
+  finds each from the ``gateway listening on http://HOST:PORT`` line it
+  prints;
 * a **router** (:class:`~repro.cluster.router.Router`) doing
   consistent-hash request routing (:class:`~repro.cluster.ring.
   HashRing`) so the same normalized request lands on the same replica's

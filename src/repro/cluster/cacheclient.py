@@ -17,7 +17,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import pickle
 import socket
 import threading
@@ -43,7 +42,7 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 class SharedCacheClient:
-    """One replica's connection to the shared cache/coordinator.
+    """One replica's connection to the shared result cache.
 
     ``breaker_seconds`` is the degradation window: after a transport
     failure every call answers as a miss/no-op without touching the
@@ -218,47 +217,6 @@ class SharedCacheClient:
             return int(reply[1][0]) if reply[1] else 0
         except ValueError:
             return 0
-
-    def ping(self) -> bool:
-        reply = self._call(wire.OP_PING)
-        return reply is not None and reply[0] == wire.OP_OK
-
-    # -- coordinator operations -------------------------------------------
-
-    def register(self, replica_id: str, host: str, port: int,
-                 pid: int = 0) -> bool:
-        payload = json.dumps({
-            "replica_id": replica_id, "host": host, "port": port,
-            "pid": pid,
-        }).encode("utf-8")
-        reply = self._call(wire.OP_REGISTER, payload)
-        return reply is not None and reply[0] == wire.OP_OK
-
-    def deregister(self, replica_id: str) -> bool:
-        reply = self._call(wire.OP_DEREGISTER,
-                           replica_id.encode("utf-8"))
-        return reply is not None and reply[0] == wire.OP_OK
-
-    def list_replicas(self) -> list[dict[str, Any]]:
-        reply = self._call(wire.OP_LIST)
-        if reply is None or reply[0] != wire.OP_OK or not reply[1]:
-            return []
-        try:
-            replicas = json.loads(reply[1][0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._count("errors")
-            return []
-        return replicas if isinstance(replicas, list) else []
-
-    def server_stats(self) -> dict[str, Any]:
-        reply = self._call(wire.OP_STATS)
-        if reply is None or reply[0] != wire.OP_OK or not reply[1]:
-            return {}
-        try:
-            stats = json.loads(reply[1][0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return {}
-        return stats if isinstance(stats, dict) else {}
 
     # -- bookkeeping -------------------------------------------------------
 

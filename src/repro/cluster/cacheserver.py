@@ -1,6 +1,7 @@
-"""The shared result-cache server (and cluster coordinator).
+"""The shared result-cache server.
 
-One small stdlib-socket process serves every replica in the cluster:
+One small stdlib-socket process serves every replica in the cluster,
+and does one job — it is a cache:
 
 * **cache** — an LRU + TTL map of ``(engine, normalized request key)``
   to a pickled result page, each entry stamped with the data-version
@@ -11,9 +12,11 @@ One small stdlib-socket process serves every replica in the cluster:
 * **invalidation** — ``INVAL`` is the version-counter broadcast an
   ingest commit/rollback sends: entries of that engine stamped with a
   different snapshot are purged eagerly (the ``GET``-side equality
-  check keeps correctness even if a broadcast is lost);
-* **coordination** — replicas ``REGISTER`` themselves (id, host, port,
-  pid) and the router discovers the topology with ``LIST``.
+  check keeps correctness even if a broadcast is lost).
+
+It keeps no replica registry: the cluster runner finds its replicas
+from the ``gateway listening on http://HOST:PORT`` line each one
+prints (:mod:`repro.cluster.runner`).
 
 Connections are handled thread-per-client on the listener shell the
 router stands on too (:class:`~repro.cluster.listener.ThreadedListener`
@@ -27,7 +30,6 @@ lock is never held across I/O.
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
 import threading
@@ -66,10 +68,7 @@ class SharedCacheServer:
         self._clock = clock
         self._entries: "OrderedDict[tuple[bytes, bytes], _Entry]" = \
             OrderedDict()
-        self._replicas: dict[str, dict[str, Any]] = {}
-        # One condition guards all shared state; REGISTER notifies it so
-        # an in-process runner can wait for its replicas without polling.
-        self._lock = threading.Condition()
+        self._lock = threading.Lock()
         self._listener = ThreadedListener("cacheserver",
                                           self._serve_connection)
         self.stats = {
@@ -131,22 +130,12 @@ class SharedCacheServer:
 
     def _dispatch(self, op: int,
                   fields: list[bytes]) -> tuple[int, list[bytes]]:
-        if op == wire.OP_PING:
-            return wire.OP_OK, []
         if op == wire.OP_GET:
             return self._op_get(fields)
         if op == wire.OP_PUT:
             return self._op_put(fields)
         if op == wire.OP_INVALIDATE:
             return self._op_invalidate(fields)
-        if op == wire.OP_REGISTER:
-            return self._op_register(fields)
-        if op == wire.OP_DEREGISTER:
-            return self._op_deregister(fields)
-        if op == wire.OP_LIST:
-            return self._op_list()
-        if op == wire.OP_STATS:
-            return self._op_stats()
         raise wire.ProtocolError(f"unknown opcode 0x{op:02x}")
 
     @staticmethod
@@ -219,71 +208,11 @@ class SharedCacheServer:
             self.stats["purged"] += len(stale)
         return wire.OP_OK, [str(len(stale)).encode("ascii")]
 
-    # -- coordinator ------------------------------------------------------
-
-    def _op_register(self,
-                     fields: list[bytes]) -> tuple[int, list[bytes]]:
-        self._expect(fields, 1, "REGISTER")
-        try:
-            info = json.loads(fields[0].decode("utf-8"))
-            replica_id = str(info["replica_id"])
-            host = str(info["host"])
-            port = int(info["port"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise wire.ProtocolError(
-                f"bad REGISTER payload: {exc}") from None
-        record = {
-            "replica_id": replica_id, "host": host, "port": port,
-            "pid": int(info.get("pid", 0)),
-        }
-        with self._lock:
-            self._replicas[replica_id] = record
-            self._lock.notify_all()
-        logger.info("replica %s registered at %s:%d",
-                    replica_id, host, port)
-        return wire.OP_OK, []
-
-    def _op_deregister(self,
-                       fields: list[bytes]) -> tuple[int, list[bytes]]:
-        self._expect(fields, 1, "DEREGISTER")
-        replica_id = fields[0].decode("utf-8", "replace")
-        with self._lock:
-            self._replicas.pop(replica_id, None)
-        logger.info("replica %s deregistered", replica_id)
-        return wire.OP_OK, []
-
-    def _op_list(self) -> tuple[int, list[bytes]]:
-        with self._lock:
-            replicas = sorted(self._replicas.values(),
-                              key=lambda r: r["replica_id"])
-        return wire.OP_OK, [json.dumps(replicas).encode("utf-8")]
-
-    def wait_for_replicas(self, count: int,
-                          timeout: float) -> list[dict[str, Any]]:
-        """The registry in registration order, once it holds ``count``
-        records or ``timeout`` seconds passed, whichever is first."""
-        with self._lock:
-            self._lock.wait_for(
-                lambda: len(self._replicas) >= count, timeout)
-            return list(self._replicas.values())
-
-    def _op_stats(self) -> tuple[int, list[bytes]]:
-        with self._lock:
-            payload = {
-                **self.stats,
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "ttl_seconds": self.ttl_seconds,
-                "replicas": len(self._replicas),
-            }
-        return wire.OP_OK, [json.dumps(payload).encode("utf-8")]
-
     # -- introspection (in-process callers/tests) -------------------------
 
     def stats_snapshot(self) -> dict[str, Any]:
         with self._lock:
-            return {**self.stats, "entries": len(self._entries),
-                    "replicas": len(self._replicas)}
+            return {**self.stats, "entries": len(self._entries)}
 
     def __len__(self) -> int:
         with self._lock:

@@ -16,19 +16,18 @@ and the router's asyncio streams.
 Requests
 --------
 
-========== ======================================= ==================
-opcode      fields                                  reply
-========== ======================================= ==================
-``PING``    —                                       ``OK``
-``GET``     engine, key, versions                   ``HIT value`` /
-                                                    ``MISS``
-``PUT``     engine, key, versions, value            ``OK``
-``INVAL``   engine, versions                        ``OK purged``
-``REGISTER``replica json                            ``OK``
-``DEREG``   replica_id                              ``OK``
-``LIST``    —                                       ``OK json``
-``STATS``   —                                       ``OK json``
-========== ======================================= ==================
+========= ==================================== ==================
+opcode    fields                               reply
+========= ==================================== ==================
+``GET``   engine, key, versions                ``HIT value`` /
+                                               ``MISS``
+``PUT``   engine, key, versions, value         ``OK``
+``INVAL`` engine, versions                     ``OK purged``
+========= ==================================== ==================
+
+Any other request opcode is answered ``ERROR``.  Membership is not the
+cache's business: the cluster runner learns each replica's address
+from the line the replica prints once its socket is bound.
 
 ``versions`` is the serving tier's data-version snapshot (the
 docstore/KG counters a cached page was computed against), packed by
@@ -52,15 +51,10 @@ from typing import Iterable
 
 from repro.errors import GatewayError
 
-#: Protocol opcodes (one byte on the wire).
-OP_PING = 0x01
+#: Request opcodes (one byte on the wire).
 OP_GET = 0x02
 OP_PUT = 0x03
 OP_INVALIDATE = 0x04
-OP_REGISTER = 0x05
-OP_DEREGISTER = 0x06
-OP_LIST = 0x07
-OP_STATS = 0x08
 
 #: Reply opcodes.
 OP_OK = 0x10

@@ -3,13 +3,16 @@
 ``repro-covidkg cluster --replicas N`` turns into:
 
 1. an in-process :class:`~repro.cluster.cacheserver.SharedCacheServer`
-   (the shared L2 result cache, doubling as the replica coordinator);
+   (the shared L2 result cache);
 2. ``N`` replica gateways, each a ``repro-covidkg gateway`` subprocess
    serving the *same* saved system with ``--shared-cache`` pointing at
-   the cache server — every replica registers itself with the
-   coordinator once its socket is bound;
+   the cache server, its stdout and stderr in a log file the runner
+   opens;
 3. an in-process :class:`~repro.cluster.router.Router` in front of the
-   replicas discovered from the coordinator.
+   replicas, each found from the ``gateway listening on
+   http://HOST:PORT`` line it prints once its socket is bound
+   (:data:`READY_LINE`).  The runner assigns the replica ids and holds
+   the ``Popen`` handles, so a line gives it all a record needs.
 
 The replicas share one immutable on-disk system artifact (given via
 ``--system``, or generated once and saved to a scratch directory), so
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,8 +45,20 @@ from repro.errors import GatewayError
 
 logger = logging.getLogger("repro.cluster.runner")
 
-#: Seconds every replica gets to load its system and register.
+#: Seconds every replica gets to load its system and bind its socket.
 STARTUP_TIMEOUT = 120.0
+
+#: The stdout line :func:`repro.gateway.server.run_gateway` prints (and
+#: flushes) once the replica's socket listens.  Anchored at a line start
+#: and on the scheme, so the ``repro.gateway`` logging line in the same
+#: log (``… gateway listening on HOST:PORT``) never matches, and ended by
+#: the newline, so a line still being written is not read.
+READY_LINE = re.compile(
+    rb"^gateway listening on http://(\S+):(\d+)\n", re.MULTILINE)
+
+#: Seconds between two looks at the replicas' logs, exit codes and the
+#: stop request while the fleet boots.
+POLL_SECONDS = 0.01
 
 
 @dataclass
@@ -109,21 +125,20 @@ class ClusterRunner:
         log_dir.mkdir(parents=True, exist_ok=True)
         for index in range(config.replicas):
             self._spawn_replica(f"r{index}", system_dir, log_dir)
-        records = self._await_registration()
-        registered = time.monotonic() - started
+        found = self._await_replicas(started)
         specs = [ReplicaSpec(
-            replica_id=record["replica_id"],
-            host=record["host"], port=record["port"],
-            pid=record.get("pid", 0),
-        ) for record in sorted(records, key=lambda r: r["replica_id"])]
+            replica_id=replica_id, host=host, port=port,
+            pid=self.processes[replica_id].pid,
+        ) for replica_id, (host, port, _) in sorted(found.items())]
         self.router = Router(specs, RouterConfig(
             host=config.host, port=config.port,
             probe_interval=config.probe_interval,
             fail_threshold=config.fail_threshold,
         )).start()
-        logger.info("cluster ready in %.3f s (last replica %s registered "
-                    "at +%.3f s)", time.monotonic() - started,
-                    records[-1]["replica_id"], registered)
+        last = max(found, key=lambda replica_id: found[replica_id][2])
+        logger.info("cluster ready in %.3f s (last replica %s listening "
+                    "at +%.3f s)", time.monotonic() - started, last,
+                    found[last][2])
         return self
 
     def _build_system(self, directory: Path) -> Path:
@@ -163,7 +178,6 @@ class ClusterRunner:
             "--host", config.host, "--port", "0",
             "--workers", str(config.workers),
             "--shared-cache", self.cache_server.address,
-            "--replica-id", replica_id,
         ]
         process = subprocess.Popen(
             command, stdout=handle, stderr=subprocess.STDOUT, env=env)
@@ -172,35 +186,44 @@ class ClusterRunner:
         logger.info("replica %s spawned (pid %d, log %s)",
                     replica_id, process.pid, log_path)
 
-    def _await_registration(self) -> list[dict[str, Any]]:
-        """Block until every replica registered with the coordinator;
-        return their records in registration order.
+    def _await_replicas(
+            self, started: float) -> dict[str, tuple[str, int, float]]:
+        """Block until every replica printed its :data:`READY_LINE`;
+        return ``{replica_id: (host, port, seconds after started)}``.
 
-        Waits on the in-process server's own registry (woken by each
-        REGISTER) in slices short enough to notice a dead replica, a
-        stop request or the deadline promptly.
+        Every :data:`POLL_SECONDS` it reads the log of each replica not
+        yet found, then checks the stop request, every replica's exit
+        code and the deadline.
         """
-        assert self.cache_server is not None
+        found: dict[str, tuple[str, int, float]] = {}
         deadline = time.monotonic() + STARTUP_TIMEOUT
         while True:
-            records = self.cache_server.wait_for_replicas(
-                self.config.replicas, timeout=0.05)
-            if len(records) >= self.config.replicas:
-                return records
-            if self.stop_requested.is_set():
+            for replica_id, log_path in self.log_paths.items():
+                if replica_id in found:
+                    continue
+                match = READY_LINE.search(log_path.read_bytes())
+                if match is not None:
+                    host, port = match[1].decode("ascii"), int(match[2])
+                    found[replica_id] = (
+                        host, port, time.monotonic() - started)
+                    logger.info("replica %s listening on %s:%d",
+                                replica_id, host, port)
+            if len(found) == len(self.processes):
+                return found
+            if self.stop_requested.wait(POLL_SECONDS):
                 raise GatewayError(
-                    f"stopped with {len(records)} of "
-                    f"{self.config.replicas} replicas registered")
+                    f"stopped with {len(found)} of "
+                    f"{self.config.replicas} replicas listening")
             for replica_id, process in self.processes.items():
                 if process.poll() is not None:
                     raise GatewayError(
                         f"replica {replica_id} exited with code "
-                        f"{process.returncode} before registering "
+                        f"{process.returncode} before listening "
                         f"(log: {self.log_paths[replica_id]})")
             if time.monotonic() > deadline:
                 raise GatewayError(
-                    f"only {len(records)} of "
-                    f"{self.config.replicas} replicas registered "
+                    f"only {len(found)} of "
+                    f"{self.config.replicas} replicas listening "
                     f"within {STARTUP_TIMEOUT:.0f}s")
 
     def kill_replica(self, replica_id: str) -> None:

@@ -71,26 +71,20 @@ class ShardedCollection:
         self.shards: list[Collection] = [
             Collection(f"{name}.shard{i}") for i in range(num_shards)
         ]
-        self._version_offset = 0
+        self._version = 0
 
     # -- versioning -------------------------------------------------------
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter across every shard.
-
-        The sum of the per-shard counters plus the offset
-        :meth:`advance_version` (restore-from-disk) adds.
-        """
-        return self._version_offset + sum(
-            shard.version for shard in self.shards
-        )
+        """Monotonic mutation counter across every shard: one step per
+        document that lands in any shard, plus what
+        :meth:`advance_version` (restore-from-disk) adds."""
+        return self._version
 
     def advance_version(self, floor: int) -> None:
         """Raise the version to at least ``floor`` (never lowers it)."""
-        current = self.version
-        if current < floor:
-            self._version_offset += floor - current
+        self._version = max(self._version, floor)
 
     # -- routing ----------------------------------------------------------
 
@@ -130,7 +124,9 @@ class ShardedCollection:
     # -- writes -------------------------------------------------------------
 
     def insert_one(self, document: dict[str, Any]) -> Any:
-        return self._route(document).insert_one(document)
+        doc_id = self._route(document).insert_one(document)
+        self._version += 1
+        return doc_id
 
     def insert_many(self, documents: Iterable[dict[str, Any]]) -> list[Any]:
         """Route a batch by grouping per target shard, then bulk-insert.
@@ -157,9 +153,14 @@ class ShardedCollection:
 
         ids: dict[int, Any] = {}
         for shard_index, group in sorted(groups.items()):
-            doc_ids = self.shards[shard_index].insert_many(
-                [document for _, document in group]
-            )
+            shard = self.shards[shard_index]
+            before = shard.version
+            try:
+                doc_ids = shard.insert_many(
+                    [document for _, document in group])
+            finally:
+                # Rows before a refused one stay stored, and count.
+                self._version += shard.version - before
             for (position, _), doc_id in zip(group, doc_ids):
                 ids[position] = doc_id
         if routing_error is not None:

@@ -653,8 +653,9 @@ def run_gateway(service: QueryService,
     """Blocking entry point for the CLI: serve until SIGTERM/SIGINT.
 
     Prints the bound address (flushes, so wrappers waiting for
-    readiness can line-buffer), then serves until a termination signal
-    arrives and drains gracefully.  ``ready``, when given, is called
+    readiness can line-buffer: the cluster runner finds its replicas by
+    this line, ``runner.READY_LINE``), then serves until a termination
+    signal arrives and drains gracefully.  ``ready``, when given, is called
     with the bound port once the socket is listening (used by tests).
     """
 

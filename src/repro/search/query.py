@@ -118,24 +118,15 @@ class PrefixMatcher:
                 at = folded.find(prefix, at + 1)
         return starts
 
-    def first_span(self, text: str) -> tuple[int, int] | None:
-        """The span of the leftmost match, as the alternation's
-        ``search`` gives it."""
-        folded = fold(text)
-        first = -1
-        for prefix in self.prefixes:
-            at = folded.find(prefix)
-            while at > 0 and _WORD_RE.match(text, at - 1):
-                at = folded.find(prefix, at + 1)
-            if at != -1 and (first == -1 or at < first):
-                first = at
-        return None if first == -1 else _RUN_RE.match(text, first).span()
+    def starts(self, text: str) -> list[int]:
+        """Where every match starts, in order (one fold of ``text``);
+        each match is the ``\\w+`` run there (:func:`run_span`)."""
+        return sorted(self._run_starts(text, fold(text), self.prefixes))
 
     def spans(self, text: str) -> list[tuple[int, int]]:
         """Every match's span, in order: what the alternation's ``sub``
         visits."""
-        starts = self._run_starts(text, fold(text), self.prefixes)
-        return [_RUN_RE.match(text, at).span() for at in sorted(starts)]
+        return [run_span(text, at) for at in self.starts(text)]
 
     def term_counts(self, texts: list[str]) -> list[int]:
         """How many terms (repeats counted) match each of ``texts``.
@@ -167,10 +158,10 @@ class ParsedQuery:
 
         A :class:`PrefixMatcher` when every term has
         :attr:`~QueryTerm.prefixes`; otherwise the compiled regex.  Its
-        ``search`` (``first_span``) returns the leftmost match of any term
-        and, where two terms match from the same start, the earlier
-        term's — the span a term-by-term scan picks; ``sub`` (``spans``)
-        visits what ``highlight`` marks.
+        ``search`` (the run at ``starts()[0]``) returns the leftmost match
+        of any term and, where two terms match from the same start, the
+        earlier term's — the span a term-by-term scan picks; ``sub``
+        (``spans``) visits what ``highlight`` marks.
         """
         prefixes = tuple(term.prefixes for term in self.terms)
         if None not in prefixes:
@@ -182,6 +173,11 @@ class ParsedQuery:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def run_span(text: str, at: int) -> tuple[int, int]:
+    """The span of the ``\\w+`` run of ``text`` starting at ``at``."""
+    return _RUN_RE.match(text, at).span()
 
 
 def _pattern_for(token: QueryToken) -> str:

@@ -45,9 +45,9 @@ class TestProtocol:
         assert fields == [b"engine", b"key", b"value"]
 
     def test_empty_fields_roundtrip(self):
-        body = wire.pack_frame(wire.OP_PING)
+        body = wire.pack_frame(wire.OP_MISS)
         op, fields = wire.unpack_frame(body[4:])
-        assert op == wire.OP_PING and fields == []
+        assert op == wire.OP_MISS and fields == []
 
     def test_versions_roundtrip(self):
         for versions in ((), (0,), (1, 2, 3), (2**40, -1)):
@@ -132,25 +132,20 @@ class TestCacheServer:
         finally:
             server.stop()
 
-    def test_registry_roundtrip(self):
-        with SharedCacheServer() as server, \
-                SharedCacheClient(server.address) as client:
-            assert client.list_replicas() == []
-            assert client.register("r1", "127.0.0.1", 9001, pid=7)
-            assert client.register("r0", "127.0.0.1", 9000, pid=6)
-            replicas = client.list_replicas()
-            assert [r["replica_id"] for r in replicas] == ["r0", "r1"]
-            assert client.deregister("r1")
-            assert len(client.list_replicas()) == 1
-
-    def test_stats_exposed(self):
-        with SharedCacheServer() as server, \
-                SharedCacheClient(server.address) as client:
-            client.put("kg", ("a",), (1,), "a")
-            client.get("kg", ("a",), (1,))
-            stats = client.server_stats()
-            assert stats["puts"] == 1 and stats["hits"] == 1
-            assert stats["entries"] == 1
+    @pytest.mark.parametrize("op", [0x01, 0x05, 0x06, 0x07, 0x08])
+    def test_retired_opcodes_answer_error(self, op):
+        """PING, REGISTER, DEREGISTER, LIST and STATS are gone: the
+        server answers each with ``ERROR`` and keeps the connection."""
+        with SharedCacheServer() as server, socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0) as sock:
+            wire.write_frame(sock, op, b"{}")
+            reply, fields = wire.read_frame(sock)
+            assert reply == wire.OP_ERROR
+            assert fields == [f"unknown opcode 0x{op:02x}".encode()]
+            wire.write_frame(sock, wire.OP_GET, b"kg", b"k",
+                             wire.pack_versions((1,)))
+            assert wire.read_frame(sock) == (wire.OP_MISS, [])
+            assert server.stats_snapshot()["errors"] == 1
 
     def test_concurrent_clients(self):
         with SharedCacheServer() as server:
@@ -196,7 +191,6 @@ class TestCacheClientDegradation:
         assert client.get("kg", ("a",), (1,)) == (False, None)
         assert client.put("kg", ("a",), (1,), "x") is False
         assert client.invalidate("kg", (1,)) == 0
-        assert not client.ping()
         stats = client.stats_snapshot()
         assert stats["errors"] >= 1
 
@@ -225,7 +219,9 @@ class TestCacheClientDegradation:
         try:
             # The persistent socket died with the old server; the call
             # must transparently retry on a fresh connection.
-            assert client.ping()
+            assert client.put("kg", ("a",), (1,), "y")
+            assert client.get("kg", ("a",), (1,)) == (True, "y")
+            assert client.stats_snapshot()["errors"] == 0
         finally:
             client.close()
             server2.stop()

@@ -36,7 +36,7 @@ def _round_trip(kind, server):
         assert client.request("GET", "/v1/cluster").status == 200
     else:
         client = SharedCacheClient(f"127.0.0.1:{server.port}")
-        assert client.ping()
+        assert client.put("kg", ("k",), (1,), "v")
     return client
 
 

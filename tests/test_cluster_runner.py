@@ -1,8 +1,10 @@
-"""``repro-covidkg cluster`` as a process: signals during boot.
+"""``repro-covidkg cluster`` as a process: discovery and signals during
+boot.
 
 The in-process runner behaviour (differential answers, failover, prompt
-stop) lives in ``test_cluster_invalidation``; this file drives the CLI
-entry point the way an orchestrator does.
+stop) lives in ``test_cluster_invalidation``; this file checks how the
+runner finds its replicas and drives the CLI entry point the way an
+orchestrator does.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import pytest
 
 from repro.api.persistence import save_system
 from repro.api.system import CovidKG, CovidKGConfig
+from repro.cluster.runner import READY_LINE, ClusterConfig, ClusterRunner
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
+from repro.errors import GatewayError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPAWNED = re.compile(r"replica (r\d+) spawned \(pid (\d+)")
@@ -31,6 +35,31 @@ def system_dir(tmp_path_factory):
     system.ingest(CorpusGenerator(GeneratorConfig(
         seed=11, papers_per_week=25)).papers(8))
     return str(save_system(system, tmp_path_factory.mktemp("kg") / "system"))
+
+
+def test_ready_line_is_the_printed_url_not_the_logging_line():
+    """A replica's log holds both lines; only the stdout one, whole,
+    names its address."""
+    logged = (b"2026-10-19 15:30:00,001 repro.gateway gateway listening "
+              b"on 127.0.0.1:41234\n")
+    assert READY_LINE.search(logged) is None
+    printing = logged + b"gateway listening on http://127.0.0.1:41234"
+    assert READY_LINE.search(printing) is None  # line not ended yet
+    match = READY_LINE.search(printing + b"\n")
+    assert (match[1], match[2]) == (b"127.0.0.1", b"41234")
+
+
+def test_replica_that_exits_before_listening_fails_boot(tmp_path):
+    runner = ClusterRunner(ClusterConfig(
+        replicas=1, system_dir=str(tmp_path / "missing"),
+        log_dir=str(tmp_path)))
+    with pytest.raises(GatewayError) as excinfo:
+        runner.start()
+    log_path = tmp_path / "replica-r0.log"
+    assert str(excinfo.value) == (
+        f"replica r0 exited with code 1 before listening (log: {log_path})")
+    assert b"no saved system" in log_path.read_bytes()
+    assert runner.router is None
 
 
 def _alive(pid: int) -> bool:
@@ -62,7 +91,7 @@ def test_sigterm_during_boot_stops_every_replica(system_dir, tmp_path):
                 pids[match.group(1)] = int(match.group(2))
             if len(pids) == 2:
                 break
-        # Both replicas are still importing; nothing has registered.
+        # Both replicas are still importing; neither is listening.
         runner.send_signal(signal.SIGTERM)
         output, _ = runner.communicate(timeout=30)
         deadline = time.monotonic() + 10.0

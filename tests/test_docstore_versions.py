@@ -1,9 +1,12 @@
 """Version counters: the invalidation signal behind the serving cache."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.docstore.collection import Collection
 from repro.docstore.sharding import ShardedCollection
+from repro.errors import DuplicateKeyError, ShardingError
 from repro.kg.fusion import ExtractedSubtree, FusionEngine
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.matching import NodeMatcher
@@ -64,6 +67,66 @@ class TestShardedCollectionVersion:
         assert store.version == 100
         store.insert_one({"k": "b"})
         assert store.version == 101
+
+
+class _SummedVersion:
+    """The store's counter as it was once computed: the sum of the
+    shards' counters plus the offset ``advance_version`` adds."""
+
+    def __init__(self, store):
+        self.store = store
+        self.offset = 0
+
+    @property
+    def version(self):
+        return self.offset + sum(shard.version for shard in self.store.shards)
+
+    def advance_version(self, floor):
+        current = self.version
+        if current < floor:
+            self.offset += floor - current
+
+
+#: A document routed by its key, or one without the shard key (a
+#: ``ShardingError``, mid-batch in ``insert_many``).
+_DOCUMENTS = st.one_of(
+    st.builds(lambda key: {"k": key}, st.sampled_from("abcdef")),
+    st.just({"other": 1}),
+)
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("insert_one"), _DOCUMENTS),
+    st.tuples(st.just("insert_many"), st.lists(_DOCUMENTS, max_size=6)),
+    st.tuples(st.just("advance_version"), st.integers(0, 30)),
+), max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=_OPERATIONS, num_shards=st.integers(1, 4))
+@example(operations=[
+    ("insert_many", [{"k": "a"}, {"k": "b"}, {"other": 1}, {"k": "c"}]),
+    ("insert_many", [{"k": "d"}, {"k": "a"}, {"k": "e"}]),
+    ("advance_version", 10),
+    ("insert_one", {"k": "b"}),
+    ("advance_version", 3),
+    ("insert_one", {"k": "f"}),
+], num_shards=2)
+def test_one_counter_equals_the_summed_shard_counters(operations,
+                                                       num_shards):
+    """Refused rows (a missing shard key, a repeated unique key) leave
+    the counter where the rows that landed put it."""
+    store = ShardedCollection("s", shard_key="k", num_shards=num_shards)
+    store.create_index("k", unique=True)
+    reference = _SummedVersion(store)
+    for name, argument in operations:
+        if name == "advance_version":
+            store.advance_version(argument)
+            reference.advance_version(argument)
+        else:
+            try:
+                getattr(store, name)(argument)
+            except (ShardingError, DuplicateKeyError):
+                pass
+        assert store.version == reference.version
 
 
 class TestKnowledgeGraphVersion:

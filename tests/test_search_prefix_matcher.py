@@ -5,10 +5,10 @@ For a query whose terms are all loose and plain ASCII
 run prefixes with ``str.find`` instead of compiling
 ``(?:\\b(?:root|word)\\w*)|...`` with ``IGNORECASE``.  The differential
 property below holds it to the regex on the four answers a result page
-asks for — the first match's span (snippets), every match wrapped
-(highlights), which table cells hold a match, and how many terms each
-cell holds — over texts full of the characters where ``IGNORECASE`` and
-``str.lower`` part ways.  The Unicode tables differ between Python
+asks for — the excerpt around the first match with its matches marked
+(snippets), every match wrapped (highlights), which table cells hold a
+match, and how many terms each cell holds — over texts full of the
+characters where ``IGNORECASE`` and ``str.lower`` part ways.  The Unicode tables differ between Python
 versions, so every supported version runs it.
 """
 
@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.search.query import PrefixMatcher, parse_query
 from repro.search.snippets import (
     HIGHLIGHT_CLOSE,
     HIGHLIGHT_OPEN,
-    first_match_span,
     highlight,
+    snippet,
 )
 
 #: İ ı ſ K(elvin) ß ﬁ, a combining acute, fullwidth Ｓ １, micro µ and
@@ -66,17 +66,42 @@ def _reference(parsed) -> re.Pattern[str]:
     )
 
 
+def _marked(regex, text):
+    return regex.sub(
+        lambda m: HIGHLIGHT_OPEN + m.group() + HIGHLIGHT_CLOSE, text)
+
+
+def _reference_snippet(regex, text, radius):
+    """The excerpt around the regex's first match, marked by ``sub``."""
+    match = regex.search(text)
+    if match is None:
+        return ""
+    start = max(0, match.start() - radius)
+    end = min(len(text), match.end() + radius)
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    while end < len(text) and not text[end].isspace():
+        end += 1
+    return ("..." if start > 0 else "") \
+        + _marked(regex, text[start:end].strip()) \
+        + ("..." if end < len(text) else "")
+
+
 @settings(max_examples=150, deadline=None)
-@given(query_and_texts())
-def test_prefix_matcher_is_the_compiled_alternation(case):
+@given(query_and_texts(), st.sampled_from([0, 2, 5]))
+# The cut lands on whitespace the excerpt strips: at the text's start,
+# inside a double space, and before the cut end.
+@example((parse_query("vacc"), " vacc", []), 2)
+@example((parse_query("vacc"), "x  vacc", []), 1)
+@example((parse_query("vacc"), "vacc \n x", []), 1)
+def test_prefix_matcher_is_the_compiled_alternation(case, radius):
     parsed, text, cells = case
     assert isinstance(parsed.matcher, PrefixMatcher)
     regex = _reference(parsed)
 
-    match = regex.search(text)
-    assert first_match_span(text, parsed) == (match and match.span())
-    assert highlight(text, parsed) == regex.sub(
-        lambda m: HIGHLIGHT_OPEN + m.group() + HIGHLIGHT_CLOSE, text)
+    assert snippet(text, parsed, radius) == \
+        _reference_snippet(regex, text, radius)
+    assert highlight(text, parsed) == _marked(regex, text)
 
     counts = parsed.matcher.term_counts(cells)
     assert [count > 0 for count in counts] \
