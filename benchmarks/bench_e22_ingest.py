@@ -6,8 +6,8 @@ incoming publications).  PRs 1-8 made every index build offline; this
 experiment measures the streaming path added by ``repro.ingest``:
 
 * **ingest-while-serving** — a reader drives the serving tier while
-  batches commit through the WAL and the background merge folds delta
-  segments; read p95 must stay within 2x of the cache-warm baseline
+  batches commit through the WAL and an explicit ``merge_now()`` driver
+  folds delta segments; read p95 must stay within 2x of the cache-warm baseline
   (with a small absolute floor so sub-millisecond cache hits do not
   turn timer noise into a ratio);
 * **recovery identity** — a simulated crash (fresh process + WAL
@@ -45,7 +45,7 @@ QUERIES = ["covid vaccine", "antibody response", "clinical trial",
            "side effects", "transmission"]
 
 #: The read-cost cell: 4-paper commits (``bench_e2e``'s ``mixed_ingest``
-#: shape), up to the last one before a 256-doc base merge would run.
+#: shape) with no base merge at all.
 COMMIT_SIZE = 4
 COMMITS = 64
 #: Unmerged vs merged kernel-search p50 after 32 commits.
@@ -109,8 +109,7 @@ def _read_until(service, stop, minimum, latencies):
 def test_e22_read_p95_bounded_while_ingesting(corpus, tmp_path):
     base, stream = corpus[:BASE_PAPERS], corpus[BASE_PAPERS:]
     system = _system(base)
-    engine = IngestEngine(system, tmp_path / "wal",
-                          merge_threshold=2 * BATCH_SIZE)
+    engine = IngestEngine(system, tmp_path / "wal")
     service = QueryService(system, ServeConfig(num_workers=2))
     service.attach_ingest(engine)
     try:
@@ -121,8 +120,7 @@ def test_e22_read_p95_bounded_while_ingesting(corpus, tmp_path):
         _read_loop(service, READS, warm)
 
         # Ingest phase: the same reader runs while batches commit and
-        # the merge thread (plus an explicit concurrent merge driver)
-        # folds delta segments.
+        # an explicit concurrent merge driver folds delta segments.
         during = []
         stop_reading = threading.Event()
         reader = threading.Thread(
@@ -162,7 +160,6 @@ def test_e22_read_p95_bounded_while_ingesting(corpus, tmp_path):
             "warm_p95_ms": warm_p95 * 1000.0,
             "during_p95_ms": during_p95 * 1000.0,
             "ratio": during_p95 / max(warm_p95, 1e-9),
-            "merges": stats["merges"],
             "residual_delta_rows": stats["delta_rows"]["all_fields"],
         }
         print_table(
@@ -177,8 +174,7 @@ def test_e22_read_p95_bounded_while_ingesting(corpus, tmp_path):
                  f"{during_p95 * 1000:.3f}"],
             ],
             note=f"{accepted} papers committed in {BATCHES} batches; "
-                 f"{stats['merges']} engine merge(s); bound "
-                 f"{bound * 1000:.1f} ms",
+                 f"bound {bound * 1000:.1f} ms",
         )
         assert accepted == len(stream)
         assert during_p95 <= bound, (
@@ -275,8 +271,7 @@ def test_e22_read_cost_vs_commits(tmp_path):
         finally:
             corpus._columnar = live
 
-    with IngestEngine(system, tmp_path / "wal",
-                      merge_threshold=10 ** 9) as engine:
+    with IngestEngine(system, tmp_path / "wal") as engine:
         for k in range(1, COMMITS + 1):
             start = BASE_PAPERS + (k - 1) * COMMIT_SIZE
             engine.commit_batch(papers[start:start + COMMIT_SIZE])

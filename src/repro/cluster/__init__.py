@@ -22,7 +22,7 @@ sharded docstore) into a horizontally scaled cluster:
   consistent-hash request routing (:class:`~repro.cluster.ring.
   HashRing`) so the same normalized request lands on the same replica's
   warm L1, per-replica health probing via ``/v1/healthz`` (version
-  counters, WAL replay status), and failover that ejects a replica
+  counters), and failover that ejects a replica
   which stops draining and re-spreads its hash range.
 
 Submodules are imported lazily so that ``repro.serve`` can reach the

@@ -23,10 +23,11 @@ in-process L1 stays warm.  Three request classes:
 A background probe thread polls each replica's ``/v1/healthz``:
 ``fail_threshold`` consecutive transport failures eject it (its hash
 arcs re-spread over the survivors); a ``draining`` reply (SIGTERM
-shutdown) removes it gracefully without the ejection stigma; a replica
-reporting WAL ``replaying`` is kept out of the ring until recovery
-finishes; a previously unreachable — but not diverged — replica that
-answers again rejoins automatically.
+shutdown) removes it gracefully without the ejection stigma; a
+previously unreachable — but not diverged — replica that answers again
+rejoins automatically.  No replica is ever seen mid-recovery:
+``repro-covidkg gateway`` replays its WAL before it binds, and the
+runner adds a replica only once it prints its listening line.
 
 Threading: the :class:`~repro.cluster.listener.ThreadedListener` shell
 (shared with the cache server) runs the accept loop and one thread per
@@ -117,7 +118,6 @@ class _ReplicaState:
         self.failures = 0
         self.in_ring = False
         self.draining = False
-        self.replaying = False
         self.diverged = False
         self.ejected = False
         self.versions: dict[str, int] | None = None
@@ -131,7 +131,6 @@ class _ReplicaState:
             "pid": self.spec.pid,
             "in_ring": self.in_ring,
             "draining": self.draining,
-            "replaying": self.replaying,
             "diverged": self.diverged,
             "ejected": self.ejected,
             "failures": self.failures,
@@ -202,7 +201,7 @@ class Router:
         with self._lock:
             state = self._states.get(replica_id)
             if state is None or state.in_ring or state.diverged or \
-                    state.draining or state.replaying:
+                    state.draining:
                 return
             state.in_ring = True
             state.ejected = False
@@ -293,29 +292,23 @@ class Router:
         # Hold it out of the ring without the ejection stigma — it
         # rejoins the moment probes see 200 again.
         draining = response.status != 200
-        replaying = bool(payload.get("ingest", {}).get("replaying"))
         with self._lock:
             state = self._states.get(spec.replica_id)
             if state is None:
                 return
             state.failures = 0
             state.draining = draining
-            state.replaying = replaying
             versions = payload.get("versions")
             if isinstance(versions, dict):
                 state.versions = versions
-            should_hold_out = draining or replaying
             in_ring = state.in_ring
-            if should_hold_out and in_ring:
+            if draining and in_ring:
                 state.in_ring = False
                 self._ring.remove(spec.replica_id)
         if draining and in_ring:
             logger.info("replica %s draining; removed from ring",
                         spec.replica_id)
-        elif replaying and in_ring:
-            logger.info("replica %s replaying its WAL; held out of ring",
-                        spec.replica_id)
-        elif not in_ring and not draining and not replaying:
+        elif not in_ring and not draining:
             self._rejoin(spec.replica_id)
 
     # -- request plumbing --------------------------------------------------
@@ -539,9 +532,9 @@ class Router:
           the router can no longer prove its corpus matches the others';
         * a non-2xx answer while other replicas committed — it rejected
           (or failed) a batch the cluster applied;
-        * being out of the ring (probe-ejected, draining, or replaying
-          its WAL) while the batch committed — it never saw the write
-          at all, so rejoining would serve a stale corpus.
+        * being out of the ring (probe-ejected or draining) while the
+          batch committed — it never saw the write at all, so
+          rejoining would serve a stale corpus.
 
         Only a batch every reached replica rejects (a deterministic
         client error, e.g. a duplicate) leaves membership untouched.

@@ -60,6 +60,10 @@ READY_LINE = re.compile(
 #: stop request while the fleet boots.
 POLL_SECONDS = 0.01
 
+#: Lines of a replica's log quoted when it exits before listening and
+#: its log lives in the scratch directory ``stop()`` deletes.
+LOG_TAIL_LINES = 5
+
 
 @dataclass
 class ClusterConfig:
@@ -218,13 +222,24 @@ class ClusterRunner:
                 if process.poll() is not None:
                     raise GatewayError(
                         f"replica {replica_id} exited with code "
-                        f"{process.returncode} before listening "
-                        f"(log: {self.log_paths[replica_id]})")
+                        f"{process.returncode} before listening"
+                        f"{self._log_reference(replica_id)}")
             if time.monotonic() > deadline:
                 raise GatewayError(
                     f"only {len(found)} of "
                     f"{self.config.replicas} replicas listening "
                     f"within {STARTUP_TIMEOUT:.0f}s")
+
+    def _log_reference(self, replica_id: str) -> str:
+        """Where to read why a replica failed: the path of a log kept in
+        ``--log-dir``, else the last lines of one that ``stop()`` is
+        about to delete with the scratch directory."""
+        log_path = self.log_paths[replica_id]
+        if self.config.log_dir:
+            return f" (log: {log_path})"
+        lines = log_path.read_bytes().decode(errors="replace").splitlines()
+        tail = "\n".join(f"  {line}" for line in lines[-LOG_TAIL_LINES:])
+        return f"; its log ends:\n{tail}"
 
     def kill_replica(self, replica_id: str) -> None:
         """SIGKILL one replica (failover tests/benchmarks)."""

@@ -1,4 +1,4 @@
-"""The online ingest engine: apply + WAL + snapshots + merge.
+"""The online ingest engine: apply + WAL + snapshots.
 
 ``IngestEngine`` wraps a built :class:`~repro.api.system.CovidKG` and
 makes document batches durable and revertible while the system keeps
@@ -18,21 +18,22 @@ serving queries.  Under the data write lock:
 3. a named **snapshot** (``batch-NNNNNN``) is retained per committed
    batch; :meth:`rollback` restores docstore + indexes + KG atomically
    and logs the rollback so crash replay lands on the rolled-back
-   state;
-4. a **background merge thread** folds the search corpus's columnar
-   delta segments back into its base postings once enough documents
-   have streamed in — under the *read* side of the data lock, so
-   queries keep flowing while the merge runs.
+   state.
 
-The engine serializes its own writers: concurrent ``commit_batch``
-calls queue on the data write lock, and WAL appends only happen inside
-it.
+The engine starts no thread and holds no lock of its own: every
+commit, rollback, replay, checkpoint and merge runs on its caller's
+thread under the data lock, so concurrent ``commit_batch`` calls queue
+on the write side and WAL appends only happen inside it.  The search
+corpus's columnar delta tier needs no merge to stay shallow
+(``ColumnarIndex.extend`` folds it geometrically: at most
+⌊log2(delta rows)⌋ + 1 deltas); :meth:`merge_now` is the explicit
+compaction, under the *read* side of the data lock so queries keep
+flowing.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,22 +81,12 @@ class IngestEngine:
     """Durable, revertible streaming ingest over one ``CovidKG``."""
 
     def __init__(self, system: "CovidKG", directory: str | Path, *,
-                 merge_threshold: int = 256,
                  data_lock: ReadWriteLock | None = None) -> None:
         self.system = system
         self.directory = Path(directory)
         self.wal = WriteAheadLog(self.directory / "wal")
-        self.merge_threshold = merge_threshold
         self._data_lock = data_lock or ReadWriteLock()
         self._ids = itertools.count(1)
-        self._state_lock = threading.Lock()
-        self._docs_since_merge = 0
-        self._merges = 0
-        self._replaying = False
-        self._replayed_batches = 0
-        self._closed = False
-        self._merge_wakeup = threading.Event()
-        self._merge_thread: threading.Thread | None = None
         self._start_timeline()
 
     def _start_timeline(self) -> None:
@@ -161,11 +152,6 @@ class IngestEngine:
             # lock still excludes other commits — outside it, seq and
             # the version counters could describe a *later* batch.
             versions = self.system.versions()
-        with self._state_lock:
-            self._docs_since_merge += report.papers
-            merge_due = self._docs_since_merge >= self.merge_threshold
-        if merge_due:
-            self._request_merge()
         return IngestReceipt(
             batch_id=batch_id,
             seq=seq,
@@ -204,42 +190,26 @@ class IngestEngine:
         checkpoint).  Batches without a commit record — the crash tail —
         are skipped entirely; logged rollbacks are honoured.  Returns
         the number of batches applied.
+
+        ``repro-covidkg gateway`` calls it before it binds its socket,
+        so no client — and no cluster router — ever reaches a replica
+        that is still replaying.
         """
-        with self._state_lock:
-            self._replaying = True
         state = self.wal.replay()
         applied = 0
-        try:
-            with self._data_lock.write_locked():
-                for batch in state.batches:
-                    self.system.ingest(
-                        batch.papers,
-                        skip_duplicates=batch.skip_duplicates)
-                    self._seq += 1
-                    self.snapshots.add(take_snapshot(
-                        self.system, f"batch-{self._seq:06d}", self._seq))
-                    applied += 1
-                if applied:
-                    # New batch ids continue past the replayed ones so
-                    # one WAL never carries two batches with the same
-                    # id.
-                    self._ids = itertools.count(self._seq + 1)
-        finally:
-            with self._state_lock:
-                self._replaying = False
-                self._replayed_batches += applied
+        with self._data_lock.write_locked():
+            for batch in state.batches:
+                self.system.ingest(
+                    batch.papers, skip_duplicates=batch.skip_duplicates)
+                self._seq += 1
+                self.snapshots.add(take_snapshot(
+                    self.system, f"batch-{self._seq:06d}", self._seq))
+                applied += 1
+            if applied:
+                # New batch ids continue past the replayed ones so one
+                # WAL never carries two batches with the same id.
+                self._ids = itertools.count(self._seq + 1)
         return applied
-
-    def replay_status(self) -> dict[str, Any]:
-        """WAL recovery progress, as ``/v1/healthz`` reports it.
-
-        A cluster router keeps a replica whose ``replaying`` is true out
-        of the ring — it is still re-applying committed batches and
-        would serve a stale corpus.
-        """
-        with self._state_lock:
-            return {"replaying": self._replaying,
-                    "replayed_batches": self._replayed_batches}
 
     def checkpoint(self, directory: str | Path) -> Path:
         """Persist the system and truncate the now-redundant WAL.
@@ -261,28 +231,7 @@ class IngestEngine:
             self._start_timeline()
         return saved
 
-    # -- background merge -------------------------------------------------
-
-    def _request_merge(self) -> None:
-        with self._state_lock:
-            if self._closed:
-                return
-            if self._merge_thread is None:
-                self._merge_thread = threading.Thread(
-                    target=self._merge_loop, name="ingest-merge",
-                    daemon=True)
-                self._merge_thread.start()
-        self._merge_wakeup.set()
-
-    def _merge_loop(self) -> None:
-        while True:
-            self._merge_wakeup.wait()
-            self._merge_wakeup.clear()
-            with self._state_lock:
-                if self._closed:
-                    return
-                self._docs_since_merge = 0
-            self.merge_now()
+    # -- explicit merge ---------------------------------------------------
 
     def merge_now(self) -> int:
         """Fold the search corpus's delta segments into its base postings.
@@ -293,25 +242,15 @@ class IngestEngine:
         Returns the number of indexes that actually merged (0 or 1).
         """
         with self._data_lock.read_locked():
-            merged = int(self.system.search_corpus.merge_segments())
-        if merged:
-            with self._state_lock:
-                self._merges += merged
-        return merged
+            return int(self.system.search_corpus.merge_segments())
 
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        with self._state_lock:
-            docs_since_merge = self._docs_since_merge
-            merges = self._merges
         return {
             "seq": self._seq,
             "snapshots": self.snapshots.names(),
             "wal_segments": len(self.wal.segment_paths()),
-            "merge_threshold": self.merge_threshold,
-            "docs_since_merge": docs_since_merge,
-            "merges": merges,
             # One shared corpus: the three engines carry the same debt.
             "delta_rows": dict.fromkeys(
                 ("all_fields", "title_abstract", "table"),
@@ -320,12 +259,6 @@ class IngestEngine:
         }
 
     def close(self) -> None:
-        with self._state_lock:
-            self._closed = True
-            thread = self._merge_thread
-        self._merge_wakeup.set()
-        if thread is not None:
-            thread.join(timeout=5.0)
         self.wal.close()
 
     def __enter__(self) -> "IngestEngine":

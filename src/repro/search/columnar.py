@@ -44,11 +44,12 @@ and merge exactly; any other mutation triggers a full rebuild.  The
 delta tier is size-tiered: the arriving rows first absorb every
 trailing delta smaller than twice their number
 (:meth:`ColumnarIndex.extend`), so a query visits at most
-``⌊log2(delta rows)⌋ + 1`` deltas however many commits made them.  A
-background merge (the streaming-ingest tier's
-``SearchCorpus.merge_segments``) periodically folds deltas back into
-one base segment; the merged index is byte-identical to a from-scratch
-rebuild, so either generation may answer a query.
+``⌊log2(delta rows)⌋ + 1`` deltas however many commits made them; that
+fold is the only compaction that runs by itself.  An explicit merge
+(``SearchCorpus.merge_segments``, which ``IngestEngine.merge_now``
+calls) folds every delta back into one base segment; the merged index
+is byte-identical to a from-scratch rebuild, so either generation may
+answer a query.
 """
 
 from __future__ import annotations

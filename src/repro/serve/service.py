@@ -364,7 +364,7 @@ class QueryService:
         """Adopt an :class:`~repro.ingest.engine.IngestEngine`.
 
         The engine takes this service's reader/writer lock, so its
-        batch commits exclude queries atomically and its background
+        batch commits exclude queries atomically and its explicit
         segment merges share the read side with them.
         :meth:`submit_ingest` then routes through the engine — WAL,
         quality gate, snapshots — instead of bare ``system.ingest``.
@@ -442,21 +442,17 @@ class QueryService:
         Deliberately cheap (attribute reads and O(1) lock snapshots, no
         histograms) — the gateway answers it on the event loop, and the
         cluster router probes it every few hundred milliseconds.  The
-        router uses ``versions`` to spot a replica serving stale data
-        and ``ingest.replaying`` to keep a still-recovering replica out
-        of the ring.
+        router uses ``versions`` to spot a replica serving stale data.
+        There is no replay state to report: ``repro-covidkg gateway``
+        replays its WAL before it listens, so a replica that answers
+        has already recovered.
         """
-        ingest: dict[str, Any] = {
-            "attached": self.ingest_engine is not None,
-            "pending": self._ingest_pool.pending,
-        }
-        if self.ingest_engine is not None:
-            ingest.update(self.ingest_engine.replay_status())
-        else:
-            ingest.update({"replaying": False, "replayed_batches": 0})
         return {
             "versions": self.system.versions(),
-            "ingest": ingest,
+            "ingest": {
+                "attached": self.ingest_engine is not None,
+                "pending": self._ingest_pool.pending,
+            },
             "admission": {"pending": self._pool.pending},
         }
 

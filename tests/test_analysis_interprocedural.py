@@ -413,4 +413,4 @@ def test_static_lock_graph_has_the_gateway_metrics_edge(repo_analysis):
 def test_rep209_is_clean_on_the_real_repo(repo_analysis):
     rep209 = _rules(repo_analysis.findings, "REP209")
     assert rep209 == [], [str(f) for f in rep209]
-    assert ", 12 locks, " in repo_analysis.census()
+    assert ", 11 locks, " in repo_analysis.census()

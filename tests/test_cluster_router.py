@@ -649,28 +649,6 @@ class TestFailover:
         assert _wait_until(
             lambda: _states(router)[target]["in_ring"])
 
-    def test_replaying_replica_is_held_out_until_recovered(
-            self, cluster, client, tmp_path):
-        from repro.ingest.engine import IngestEngine
-
-        router, replicas = cluster
-        target = "r2"
-        replica = replicas[target]
-        engine = IngestEngine(replica.system, tmp_path / "ingest")
-        try:
-            replica.service.attach_ingest(engine)
-            with engine._state_lock:
-                engine._replaying = True
-            assert _wait_until(
-                lambda: not _states(router)[target]["in_ring"])
-            assert _states(router)[target]["replaying"]
-            with engine._state_lock:
-                engine._replaying = False
-            assert _wait_until(
-                lambda: _states(router)[target]["in_ring"])
-        finally:
-            engine.close()
-
     def test_all_replicas_down_is_clean_503(self):
         router = Router([], RouterConfig(probe_interval=0.1)).start()
         try:

@@ -19,11 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.persistence import save_system
+from repro.api.persistence import load_system, save_system
 from repro.api.system import CovidKG, CovidKGConfig
 from repro.cluster.runner import READY_LINE, ClusterConfig, ClusterRunner
 from repro.corpus.generator import CorpusGenerator, GeneratorConfig
 from repro.errors import GatewayError
+from repro.gateway.client import GatewayClient
+from repro.ingest.engine import IngestEngine
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SPAWNED = re.compile(r"replica (r\d+) spawned \(pid (\d+)")
@@ -60,6 +62,21 @@ def test_replica_that_exits_before_listening_fails_boot(tmp_path):
         f"replica r0 exited with code 1 before listening (log: {log_path})")
     assert b"no saved system" in log_path.read_bytes()
     assert runner.router is None
+
+
+def test_boot_failure_quotes_a_scratch_log_before_it_is_deleted():
+    """Without ``--log-dir`` the replica's log lives in the scratch
+    directory ``stop()`` deletes, so the message carries its last lines
+    rather than a path that no longer exists."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "cluster", "--replicas", "1",
+         "--system", "/nonexistent", "--port", "0"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "replica r0 exited with code 1 before listening" in result.stderr
+    assert "no saved system at /nonexistent" in result.stderr
 
 
 def _alive(pid: int) -> bool:
@@ -111,3 +128,41 @@ def test_sigterm_during_boot_stops_every_replica(system_dir, tmp_path):
     assert runner.returncode == 0, output
     assert output.rstrip().endswith("cluster stopped")
     assert survivors == []
+
+
+def test_a_replica_replays_its_wal_before_it_listens(system_dir, tmp_path):
+    """The router never sees a replica mid-recovery: ``gateway`` applies
+    every committed WAL batch before it prints the line the runner waits
+    for, so its first search already finds the replayed paper."""
+    paper = CorpusGenerator(GeneratorConfig(
+        seed=11, papers_per_week=25)).papers(9)[-1]
+    wal_dir = tmp_path / "ingest"
+    with IngestEngine(load_system(system_dir), wal_dir) as engine:
+        engine.commit_batch([paper])
+    gateway = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "gateway",
+         "--system", system_dir, "--ingest-dir", str(wal_dir),
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    try:
+        assert gateway.stdout is not None
+        before = b""
+        for line in gateway.stdout:
+            match = READY_LINE.match(line)
+            if match:
+                break
+            before += line
+        else:
+            pytest.fail(f"gateway exited before listening:\n{before!r}")
+        assert b"replayed 1 committed ingest batch(es)" in before
+        with GatewayClient(match[1].decode(), int(match[2])) as client:
+            response = client.search("all_fields", query=paper["title"])
+        assert response.status == 200
+        assert paper["paper_id"] in [
+            hit["paper_id"] for hit in response.json()["value"]["results"]]
+    finally:
+        gateway.terminate()
+        gateway.wait(timeout=30)
+        gateway.stdout.close()

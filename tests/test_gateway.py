@@ -190,7 +190,6 @@ class TestRouting:
         # ingest replay state, and the admission queue depth.
         assert set(payload["versions"]) == {"store", "kg"}
         assert payload["ingest"]["attached"] is False
-        assert payload["ingest"]["replaying"] is False
         assert payload["admission"] == {"pending": 0}
         assert response.request_id
 

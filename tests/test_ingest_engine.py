@@ -1,7 +1,7 @@
 """IngestEngine: commit, quality gate, rollback, crash replay, merge.
 
 The recurring assertion here is **byte identity**: after any recovery
-path (rollback, crash replay, background merge) the system must answer
+path (rollback, crash replay, merge) the system must answer
 queries with pages identical to a reference system that never took the
 detour.
 """
@@ -381,24 +381,32 @@ class TestMergeAndCheckpoint:
         offline = _fresh_system(corpus[:50])
         assert _pages(offline) == with_deltas
 
-    def test_background_merge_triggers_past_threshold(self, corpus,
-                                                      tmp_path):
-        import time
+    def test_the_fold_alone_bounds_the_tier_past_256_documents(
+            self, tmp_path):
+        """70 four-paper commits, 280 documents: past the 256 at which a
+        background thread used to re-analyse the whole corpus.  Nothing
+        runs beside the caller, the fold keeps the delta tier
+        logarithmic, and pages equal a one-shot build's and the scalar
+        pipeline's."""
+        import threading
 
-        system = _fresh_system(corpus[:30])
-        engine = IngestEngine(system, tmp_path, merge_threshold=5)
-        try:
-            system.search("covid")  # materialize the columnar index
-            engine.commit_batch(corpus[30:40])
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if engine.stats()["merges"] >= 1:
-                    break
-                time.sleep(0.02)
-            assert engine.stats()["merges"] >= 1
-            assert system.search_corpus.delta_rows == 0
-        finally:
-            engine.close()
+        papers = _corpus(30 + 70 * 4)
+        system = _fresh_system(papers[:30])
+        system.search("covid")  # materialize the base columnar index
+        with IngestEngine(system, tmp_path) as engine:
+            for start in range(30, len(papers), 4):
+                engine.commit_batch(papers[start:start + 4])
+                system.search("covid")  # the refresh folds the new run
+                stats = engine.stats()
+                assert stats["delta_segments"] <= \
+                    stats["delta_rows"]["all_fields"].bit_length()
+            assert "ingest-merge" not in {
+                thread.name for thread in threading.enumerate()}
+            assert stats["delta_rows"]["all_fields"] == 280
+            streamed = _pages(system)
+        assert streamed == _pages(_fresh_system(papers))
+        system.all_fields.use_columnar = False
+        assert _pages(system) == streamed
 
     def test_checkpoint_persists_and_truncates(self, corpus, tmp_path):
         from repro.api.persistence import load_system
